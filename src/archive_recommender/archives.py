@@ -9,10 +9,11 @@ repeated lookups idempotent within a cache epoch.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
 from enum import Enum
@@ -36,7 +37,6 @@ __all__ = [
     "evidence_from_timemap",
     "fetch_timemap",
     "nearest_memento",
-    "fetch_popularity",
     "fetch_damage",
     "TimemapSource",
     "FixtureArchiveSource",
@@ -50,6 +50,8 @@ __all__ = [
     "CandidateEvidence",
     "EvidenceService",
 ]
+
+_log = logging.getLogger(__name__)
 
 # Popularity normalization constants: the lowest global rank observed on the
 # rank provider, and the memento count of its top-ranked site.
@@ -75,7 +77,6 @@ class ArchiveEvidence:
     memento_count: int
     mementos: tuple[tuple[datetime, str], ...]  # (datetime UTC, memento URI), sorted
     truncated: bool = False
-    nearest_memento_uri: str | None = None
 
     def __post_init__(self):
         if self.archived != (self.memento_count > 0):
@@ -228,15 +229,19 @@ def parse_timemap_links(text: str) -> list[TimemapLink]:
 
 def evidence_from_timemap(uri: str, pages: Iterable[str], truncated: bool = False) -> ArchiveEvidence:
     """Fold one or more TimeMap pages into archive evidence."""
+    links = (link for text in pages for link in parse_timemap_links(text))
+    return _evidence_from_links(uri, links, truncated)
+
+
+def _evidence_from_links(uri: str, links: Iterable[TimemapLink], truncated: bool) -> ArchiveEvidence:
     mementos: list[tuple[datetime, str]] = []
-    for text in pages:
-        for link in parse_timemap_links(text):
-            if "memento" not in link.rel:
-                continue
-            dt = link.datetime
-            if dt is None:
-                raise ArchiveFetchError(f"memento link without datetime: {link.target!r}")
-            mementos.append((dt, link.target))
+    for link in links:
+        if "memento" not in link.rel:
+            continue
+        dt = link.datetime
+        if dt is None:
+            raise ArchiveFetchError(f"memento link without datetime: {link.target!r}")
+        mementos.append((dt, link.target))
     mementos.sort()
     return ArchiveEvidence(
         uri=uri,
@@ -256,33 +261,26 @@ class TimemapSource(Protocol):
 def fetch_timemap(source: TimemapSource, uri: str, max_pages: int = 5) -> ArchiveEvidence:
     """Fetch and parse the TimeMap for a URI, following up to ``max_pages``
     continuation pages (rel="next"). A missing TimeMap means not archived."""
-    first = source.get_timemap(uri)
-    if first is None:
+    page = source.get_timemap(uri)
+    if page is None:
         return ArchiveEvidence(uri=uri, archived=False, memento_count=0, mementos=())
-    pages = [first]
+    links: list[TimemapLink] = []
     seen: set[str] = set()
     truncated = False
-    next_uri = _next_page_uri(first)
     followed = 0
-    while next_uri:
+    while page is not None:
+        page_links = parse_timemap_links(page)
+        links.extend(page_links)
+        next_uri = next((link.target for link in page_links if "next" in link.rel), None)
+        if not next_uri:
+            break
         if next_uri in seen or followed >= max_pages:
             truncated = followed >= max_pages
             break
         seen.add(next_uri)
         page = source.get_page(next_uri)
-        if page is None:
-            break
-        pages.append(page)
         followed += 1
-        next_uri = _next_page_uri(page)
-    return evidence_from_timemap(uri, pages, truncated=truncated)
-
-
-def _next_page_uri(page_text: str) -> str | None:
-    for link in parse_timemap_links(page_text):
-        if "next" in link.rel:
-            return link.target
-    return None
+    return _evidence_from_links(uri, links, truncated)
 
 
 def nearest_memento(evidence: ArchiveEvidence, requested: datetime) -> tuple[datetime, str]:
@@ -366,31 +364,6 @@ class FixturePopularityProvider:
         return self._ranks.get(domain.lower())
 
 
-def fetch_popularity(
-    provider: PopularityProvider | None,
-    uri: str,
-    evidence: ArchiveEvidence,
-    rank_floor: int = RANK_FLOOR_DEFAULT,
-    count_ceiling: int = ARCHIVE_COUNT_CEILING_DEFAULT,
-) -> PopularityEvidence:
-    """Popularity inputs for a candidate: provider rank (missing stays
-    missing) and the memento count, clamped to the ceiling with a flag."""
-    rank = None
-    if provider is not None:
-        rank = provider.get_rank(parse_uri(uri, assume_http=True).registered_domain)
-        if rank is not None:
-            rank = max(1, min(rank, rank_floor))
-    count = evidence.memento_count
-    clamped = count > count_ceiling
-    return PopularityEvidence(
-        global_rank=rank,
-        rank_floor=rank_floor,
-        archive_count=min(count, count_ceiling),
-        archive_count_ceiling=count_ceiling,
-        clamped=clamped,
-    )
-
-
 class DamageProvider(Protocol):
     def get_damage(self, memento_uri: str) -> float | None: ...
 
@@ -464,12 +437,18 @@ class EvidenceCache:
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str, str], tuple[float, dict]] = {}
         if self.path.exists():
+            skipped = 0
             for line in self.path.read_text("utf-8").splitlines():
                 if not line.strip():
                     continue
-                record = json.loads(line)
-                key = (record["provider"], record["kind"], record["surt"])
-                self._entries[key] = (record["fetched_at"], record["value"])
+                try:
+                    record = json.loads(line)
+                    key = (record["provider"], record["kind"], record["surt"])
+                    self._entries[key] = (record["fetched_at"], record["value"])
+                except (ValueError, KeyError, TypeError):  # torn or foreign line
+                    skipped += 1
+            if skipped:
+                _log.warning("evidence cache %s: skipped %d corrupt line(s)", self.path, skipped)
 
     def get(self, provider: str, kind: str, surt: str) -> dict | None:
         with self._lock:
@@ -569,8 +548,7 @@ class EvidenceService:
         if not archive.archived:
             return CandidateEvidence(uri=uri, archive=archive)
 
-        nearest_dt, nearest_uri = nearest_memento(archive, requested)
-        archive = replace(archive, nearest_memento_uri=nearest_uri)
+        _, nearest_uri = nearest_memento(archive, requested)
 
         rank_value = self._cached(
             "popularity",

@@ -13,12 +13,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import nbayes
 from .ontology import CategoryIndex, CategoryPath, OntologyEntry
-from .uri import TokenBag, TokenMethod, tokenize
+from .uri import GRAM_SIZES, SCHEME_TOKENS, TokenBag, TokenMethod, token_grams, tokenize
 
 __all__ = [
     "GramScheme",
@@ -34,19 +33,21 @@ __all__ = [
     "prune_tree",
     "classify_deep",
     "evaluate_levels",
-    "save_vector_index",
-    "load_vector_index",
     "DeepEvalReport",
     "evaluate_deep",
 ]
 
 _WORD_RUN = re.compile(r"[a-z]+")
-_SCHEME_TOKENS = frozenset({"http", "https"})
 
 
 class GramScheme(Enum):
     THREE_GRAM = "3"
     ALL_GRAM = "all"
+
+    @property
+    def sizes(self) -> range:
+        """Gram lengths the scheme generates within each token."""
+        return range(3, 4) if self is GramScheme.THREE_GRAM else GRAM_SIZES
 
 
 class DeepClassificationError(Exception):
@@ -55,29 +56,8 @@ class DeepClassificationError(Exception):
 
 def _text_tokens(text: str) -> list[str]:
     return [
-        t for t in _WORD_RUN.findall(text.lower()) if len(t) > 2 and t not in _SCHEME_TOKENS
+        t for t in _WORD_RUN.findall(text.lower()) if len(t) > 2 and t not in SCHEME_TOKENS
     ]
-
-
-def _expand_token(token: str, grams: GramScheme) -> Iterable[str]:
-    if grams is GramScheme.THREE_GRAM:
-        n = 3
-        if len(token) < n:
-            yield token
-            return
-        for i in range(len(token) - n + 1):
-            yield token[i : i + n]
-        return
-    if len(token) < 4:
-        yield token
-        return
-    for n in range(4, 9):
-        for i in range(len(token) - n + 1):
-            yield token[i : i + n]
-
-
-def _expand_tokens(tokens: Iterable[str], grams: GramScheme) -> list[str]:
-    return [g for t in tokens for g in _expand_token(t, grams)]
 
 
 def entry_features(entry: OntologyEntry, grams: GramScheme) -> list[str]:
@@ -87,7 +67,8 @@ def entry_features(entry: OntologyEntry, grams: GramScheme) -> list[str]:
     for text in (entry.title, entry.description):
         if text:
             tokens.extend(_text_tokens(text))
-    return _expand_tokens(tokens, grams)
+    sizes = grams.sizes
+    return [g for t in tokens for g in token_grams(t, sizes)]
 
 
 def expand_query(query: TokenBag | Sequence[str], grams: GramScheme) -> list[str]:
@@ -95,7 +76,8 @@ def expand_query(query: TokenBag | Sequence[str], grams: GramScheme) -> list[str
     gram-expanded; anything else is taken as pre-expanded features."""
     if isinstance(query, TokenBag):
         if query.method is TokenMethod.TOKENS:
-            return _expand_tokens(query.features, grams)
+            sizes = grams.sizes
+            return [g for t in query.features for g in token_grams(t, sizes)]
         return list(query.features)
     return list(query)
 
@@ -258,50 +240,6 @@ def evaluate_levels(truth: CategoryPath, predicted: CategoryPath, level: int) ->
 
 
 # ---------------------------------------------------------------------------
-# Vector-index persistence (plain text; avoids re-tokenizing large ontologies)
-
-_VEC_MAGIC = "archrec-vec 1"
-
-
-def save_vector_index(vindex: CategoryVectorIndex, path: str | Path) -> None:
-    lines = [_VEC_MAGIC, f"grams {vindex.grams.value}", f"excluded {vindex.excluded}"]
-    for key in sorted(vindex.vectors):
-        lines.append(f"cat\t{key}")
-        for row in vindex.vectors[key]:
-            pairs = " ".join(f"{feature}:{row[feature]}" for feature in sorted(row))
-            lines.append(f"vec\t{pairs}")
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
-
-
-def load_vector_index(path: str | Path) -> CategoryVectorIndex:
-    lines = Path(path).read_text("utf-8").splitlines()
-    if not lines or lines[0] != _VEC_MAGIC:
-        raise ValueError(f"{path}: not a recognized vector index file")
-    grams = GramScheme(lines[1].split(" ", 1)[1])
-    excluded = int(lines[2].split(" ", 1)[1])
-    vectors: dict[str, list[Counter[str]]] = {}
-    current: list[Counter[str]] | None = None
-    for line in lines[3:]:
-        if not line.strip():
-            continue
-        kind, _, rest = line.partition("\t")
-        if kind == "cat":
-            current = vectors.setdefault(rest, [])
-        elif kind == "vec":
-            if current is None:
-                raise ValueError(f"{path}: vector before any category")
-            row: Counter[str] = Counter()
-            if rest:
-                for pair in rest.split(" "):
-                    feature, _, count = pair.rpartition(":")
-                    row[feature] = int(count)
-            current.append(row)
-        else:
-            raise ValueError(f"{path}: unrecognized record {line!r}")
-    return CategoryVectorIndex(grams=grams, vectors=vectors, excluded=excluded)
-
-
-# ---------------------------------------------------------------------------
 # Per-level evaluation harness
 
 
@@ -383,7 +321,7 @@ def evaluate_deep(
     training subtree, and score per level."""
     from .reports import registrable_letters
     from .uri import depth as uri_depth, detect_patterns, parse_uri
-    from .words import WordLexicon, segment_words
+    from .words import dictionary_bucket
 
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must be in (0, 1)")
@@ -394,7 +332,6 @@ def evaluate_deep(
     training_index = CategoryIndex(training)
 
     vindex_cache: dict[str, CategoryVectorIndex] = {}
-    lexicon = WordLexicon.bundled()
 
     skipped: set[str] = set()
     evaluated: list[tuple[OntologyEntry, CategoryPath]] = []
@@ -445,17 +382,10 @@ def evaluate_deep(
         correct = full_match(entry, predicted)
         parsed = parse_uri(entry.uri, assume_http=True)
         letters = registrable_letters(parsed.registered_domain, parsed.tld)
-        pieces = segment_words(letters, lexicon) if letters else []
-        if pieces and all(p.is_word for p in pieces):
-            dictionary = "all"
-        elif any(p.is_word for p in pieces):
-            dictionary = "some"
-        else:
-            dictionary = "none"
         keys = (
             ("category", entry.category.top),
             ("depth", uri_depth(entry.uri)),
-            ("dictionary", dictionary),
+            ("dictionary", dictionary_bucket(letters)),
             ("long", detect_patterns(entry.uri).long_strings.hostname),
         )
         for section, key in keys:

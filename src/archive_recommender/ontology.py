@@ -16,7 +16,6 @@ from __future__ import annotations
 import gzip
 import json
 import xml.etree.ElementTree as ET
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -39,7 +38,6 @@ __all__ = [
     "OntologyProvider",
     "SecondaryRecord",
     "FixtureOntologyProvider",
-    "NullOntologyProvider",
     "LookupOutcome",
     "lookup_requested",
     "corpus_stats",
@@ -174,12 +172,6 @@ class CategoryIndex:
 
     def lookup_surt(self, surt: str) -> OntologyEntry | None:
         return self.by_surt.get(surt)
-
-    def top_level_counts(self) -> Counter[str]:
-        counts: Counter[str] = Counter()
-        for key, entries in self.by_category.items():
-            counts[key.split("/", 1)[0]] += len(entries)
-        return counts
 
 
 class IngestFormat(Enum):
@@ -362,11 +354,6 @@ class SecondaryRecord:
 
 class OntologyProvider(Protocol):
     def lookup(self, uri: str) -> SecondaryRecord | None: ...
-
-
-class NullOntologyProvider:
-    def lookup(self, uri: str) -> SecondaryRecord | None:
-        return None
 
 
 class FixtureOntologyProvider:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .uri import UriParseError, depth, detect_patterns, parse_uri
-from .words import WordLexicon, segment_words
+from .words import WordLexicon, dictionary_bucket
 
 __all__ = ["DictionaryStats", "DistributionReport", "analyze_uris", "registrable_letters"]
 
@@ -100,13 +100,11 @@ def analyze_uris(
     lexicon: WordLexicon | None = None,
 ) -> DistributionReport:
     """Build the distribution report from (uri, top_category_or_None) pairs."""
-    if lexicon is None:
-        lexicon = WordLexicon.bundled()
     tlds: Counter[str] = Counter()
     depths: Counter[int] = Counter()
     patterns: Counter[str] = Counter()
     categories: Counter[str] = Counter()
-    dictionary = DictionaryStats()
+    buckets: Counter[str] = Counter()
     total = 0
     malformed = 0
     saw_category = False
@@ -125,13 +123,7 @@ def analyze_uris(
             if value:
                 patterns[flag] += 1
         letters = registrable_letters(parsed.registered_domain, parsed.tld)
-        pieces = segment_words(letters, lexicon) if letters else []
-        if pieces and all(p.is_word for p in pieces):
-            dictionary.all_words += 1
-        elif any(p.is_word for p in pieces):
-            dictionary.some_words += 1
-        else:
-            dictionary.no_words += 1
+        buckets[dictionary_bucket(letters, lexicon)] += 1
         if top is not None:
             saw_category = True
             categories[top] += 1
@@ -140,7 +132,7 @@ def analyze_uris(
         tld_counts=tlds,
         depth_counts=depths,
         pattern_counts=patterns,
-        dictionary=dictionary,
+        dictionary=DictionaryStats(buckets["all"], buckets["some"], buckets["none"]),
         category_counts=categories if saw_category else None,
         malformed=malformed,
     )

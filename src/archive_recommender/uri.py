@@ -29,6 +29,7 @@ __all__ = [
     "canonicalize_surt",
     "depth",
     "tokenize",
+    "token_grams",
     "detect_patterns",
     "load_stopwords",
 ]
@@ -44,7 +45,7 @@ _CASE_CHANGE = re.compile(r"[a-z][A-Z]")
 _PERCENT_ENCODED = re.compile(r"%[0-9A-Fa-f]{2}")
 _DATE_SLASHED = re.compile(r"/(19|20)\d{2}/(0[1-9]|1[0-2])/(0[1-9]|[12]\d|3[01])(?:/|$)")
 _DATE_DASHED = re.compile(r"(?<!\d)(19|20)\d{2}-(0[1-9]|1[0-2])-(0[1-9]|[12]\d|3[01])(?!\d)")
-_SCHEME_TOKENS = frozenset({"http", "https"})
+SCHEME_TOKENS = frozenset({"http", "https"})
 
 
 class UriParseError(ValueError):
@@ -270,12 +271,13 @@ class TokenBag:
         return bool(self.features)
 
 
-def _token_grams(token: str) -> Iterator[str]:
-    """n-grams for n=4..8 within one token; short tokens pass through whole."""
-    if len(token) < GRAM_SIZES.start:
+def token_grams(token: str, sizes: range = GRAM_SIZES) -> Iterator[str]:
+    """n-grams for each n in ``sizes`` within one token; tokens shorter
+    than the smallest size pass through whole."""
+    if len(token) < sizes.start:
         yield token
         return
-    for n in GRAM_SIZES:
+    for n in sizes:
         for i in range(len(token) - n + 1):
             yield token[i : i + n]
 
@@ -332,7 +334,7 @@ def tokenize(
     variant_set = frozenset(variants)
     parsed = parse_uri(uri, assume_http=assume_http)
     working = _working_string(parsed, variant_set)
-    runs = [t for t in _LETTER_RUN.findall(working) if t not in _SCHEME_TOKENS]
+    runs = [t for t in _LETTER_RUN.findall(working) if t not in SCHEME_TOKENS]
     if TokenVariant.STRIP_STOPWORDS in variant_set:
         stop = load_stopwords()
         runs = [t for t in runs if t not in stop]
@@ -345,7 +347,7 @@ def tokenize(
         if method is TokenMethod.TOKENS:
             features = tokens
         else:
-            features = [g for t in tokens for g in _token_grams(t)]
+            features = [g for t in tokens for g in token_grams(t)]
 
     if TokenVariant.STRIP_STOPWORDS in variant_set:
         stop = load_stopwords()

@@ -14,7 +14,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable
 
-__all__ = ["WordLexicon", "SegmentPiece", "segment_words", "is_dictionary_only"]
+__all__ = ["WordLexicon", "SegmentPiece", "segment_words", "dictionary_bucket"]
 
 UNKNOWN_BASE_COST = 10.0
 UNKNOWN_CHAR_COST = 3.0
@@ -113,7 +113,13 @@ def segment_words(text: str, lexicon: WordLexicon | None = None) -> list[Segment
     return merged
 
 
-def is_dictionary_only(text: str, lexicon: WordLexicon | None = None) -> bool:
-    """True when every segmented piece is a lexicon word."""
-    pieces = segment_words(text, lexicon)
-    return bool(pieces) and all(p.is_word for p in pieces)
+def dictionary_bucket(text: str, lexicon: WordLexicon | None = None) -> str:
+    """How ``text`` segments into lexicon words: ``"all"`` when every piece
+    is a word, ``"some"`` when at least one is, else ``"none"`` (also for
+    empty text)."""
+    pieces = segment_words(text, lexicon) if text else []
+    if pieces and all(p.is_word for p in pieces):
+        return "all"
+    if any(p.is_word for p in pieces):
+        return "some"
+    return "none"

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import threading
 from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 
 import pytest
 
+from archive_recommender import archives
 from archive_recommender.archives import (
     ArchiveEvidence,
     ArchiveFetchError,
@@ -22,7 +24,6 @@ from archive_recommender.archives import (
     RANK_FLOOR_DEFAULT,
     evidence_from_timemap,
     fetch_damage,
-    fetch_popularity,
     fetch_timemap,
     nearest_memento,
     parse_timemap_links,
@@ -184,6 +185,37 @@ class TestFetchTimemap:
         evidence = fetch_timemap(source, "http://x/")
         assert evidence.memento_count == 2  # page fetched once, loop stopped
 
+    def test_each_page_parsed_once(self, fixtures_dir, monkeypatch):
+        parsed = []
+
+        def counting(text):
+            parsed.append(text)
+            return parse_timemap_links(text)
+
+        monkeypatch.setattr(archives, "parse_timemap_links", counting)
+        evidence = fetch_timemap(FixtureArchiveSource(fixtures_dir / "timemaps"), "http://cs.odu.edu")
+        assert evidence.memento_count == 4
+        assert len(parsed) == 2 == len(set(parsed))
+
+    def test_malformed_page_stops_paging(self):
+        requested = []
+
+        class Recording(MapSource):
+            def get_page(self, page_uri):
+                requested.append(page_uri)
+                return super().get_page(page_uri)
+
+        first = (
+            '<https://a/web/20140101000000/http://x/>; rel="memento"; '
+            'datetime="Wed, 01 Jan 2014 00:00:00 GMT",\n'
+            '<https://agg/page2>; rel="next"'
+        )
+        broken = 'https://no-angles/; rel="memento",\n<https://agg/page3>; rel="next"'
+        source = Recording(first, pages={"https://agg/page2": broken, "https://agg/page3": first})
+        with pytest.raises(ArchiveFetchError):
+            fetch_timemap(source, "http://x/")
+        assert requested == ["https://agg/page2"]
+
 
 class TestNearestMemento:
     def make(self, *stamps: str) -> ArchiveEvidence:
@@ -238,35 +270,38 @@ class TestFixtureSources:
         assert provider.get_damage("https://web.archive.org/web/0/http://nope/") is None
 
 
-def archive_with(count: int) -> ArchiveEvidence:
-    mementos = tuple(
-        (datetime(2014, 1, 1, tzinfo=UTC) + timedelta(days=i), f"https://a/web/{i}/http://x/")
+def timemap_with(count: int) -> str:
+    """One TimeMap page listing ``count`` mementos, a day apart."""
+    return ",\n".join(
+        f'<https://a/web/{i}/http://x/>; rel="memento"; datetime="'
+        f'{format_datetime(datetime(2014, 1, 1, tzinfo=UTC) + timedelta(days=i), usegmt=True)}"'
         for i in range(count)
     )
-    return ArchiveEvidence(
-        uri="http://example.com/", archived=count > 0, memento_count=count, mementos=mementos
-    )
+
+
+def popularity_of(provider, mementos: int, uri: str = "http://example.com/", **service_kwargs):
+    """Popularity evidence as the evidence service builds it for ``uri``."""
+    service = EvidenceService(MapSource(timemap_with(mementos)), provider, **service_kwargs)
+    return service.evidence_for(uri, dt("20140301000000")).popularity
 
 
 class TestPopularityAndDamageFetch:
     def test_rank_present(self):
-        evidence = fetch_popularity(FixtureRank(12), "http://example.com/", archive_with(100))
+        evidence = popularity_of(FixtureRank(12), mementos=100)
         assert evidence.global_rank == 12
         assert evidence.archive_count == 100
         assert not evidence.clamped
 
     def test_rank_missing(self):
-        evidence = fetch_popularity(FixtureRank(None), "http://example.com/", archive_with(5))
+        evidence = popularity_of(FixtureRank(None), mementos=5)
         assert evidence.global_rank is None
 
     def test_rank_clamped_to_floor(self):
-        evidence = fetch_popularity(FixtureRank(10**9), "http://example.com/", archive_with(5))
+        evidence = popularity_of(FixtureRank(10**9), mementos=5)
         assert evidence.global_rank == RANK_FLOOR_DEFAULT
 
     def test_count_clamped_to_ceiling(self):
-        evidence = fetch_popularity(
-            FixtureRank(1), "http://example.com/", archive_with(5), count_ceiling=3
-        )
+        evidence = popularity_of(FixtureRank(1), mementos=5, count_ceiling=3)
         assert evidence.archive_count == 3
         assert evidence.clamped
 
@@ -275,9 +310,7 @@ class TestPopularityAndDamageFetch:
             def get_rank(self, domain):
                 return {"example.co.uk": 7}.get(domain)
 
-        evidence = fetch_popularity(
-            ByDomain(), "http://deep.shop.example.co.uk/page", archive_with(1)
-        )
+        evidence = popularity_of(ByDomain(), mementos=1, uri="http://deep.shop.example.co.uk/page")
         assert evidence.global_rank == 7
 
     def test_damage_default_when_missing(self):
@@ -344,6 +377,22 @@ class TestEvidenceCache:
         lines = (tmp_path / "cache.jsonl").read_text().splitlines()
         assert len(lines) == 80
 
+    def test_corrupt_lines_skipped_with_one_warning(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        cache = EvidenceCache(path)
+        cache.put("gateway", "timemap", "a", {"v": 1})
+        cache.put("gateway", "timemap", "b", {"v": 2})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"provider": "gateway", "kind": "timemap"}\n[1, 2]\n')
+        path.write_bytes(path.read_bytes() + path.read_bytes()[:40])  # torn copy of line 1
+        with caplog.at_level("WARNING", logger="archive_recommender"):
+            again = EvidenceCache(path)
+        assert again.get("gateway", "timemap", "a") == {"v": 1}
+        assert again.get("gateway", "timemap", "b") == {"v": 2}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"evidence cache {path}: skipped 3 corrupt line(s)"
+        ]
+
 
 class TestEvidenceService:
     def build(self, fixtures_dir, **kwargs) -> EvidenceService:
@@ -359,7 +408,8 @@ class TestEvidenceService:
         result = service.evidence_for("http://cs.odu.edu", dt("20140301000000"))
         assert result.error is None
         assert result.archive.archived
-        assert "20140226090846" in result.archive.nearest_memento_uri
+        _, nearest_uri = nearest_memento(result.archive, dt("20140301000000"))
+        assert "20140226090846" in nearest_uri
         assert result.popularity.global_rank == 28455
         assert result.damage.damage == pytest.approx(0.13)
         assert result.damage.source is DamageSource.FIXTURE

@@ -146,6 +146,19 @@ class TestRecommend:
         scores = [r["score"] for r in recs]
         assert scores == sorted(scores, reverse=True)
 
+    def test_torn_cache_gives_same_records(self, capsys, fixtures_dir, tmp_path, worked_example):
+        cache = tmp_path / "c.jsonl"
+        argv = (
+            "recommend", "http://odu.edu/compsci", "--datetime", "2014-03-01",
+            "--fixtures", str(fixtures_dir), "--now", "2014-06-01T00:00:00Z",
+            "--output", "records", "--cache", str(cache),
+        )
+        assert run(capsys, *argv)[0] == EXIT_OK
+        cache.write_bytes(cache.read_bytes()[:-40])
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert records_of(out) == worked_example[1]
+
     def test_table_output(self, capsys, fixtures_dir):
         code, out, _ = run(
             capsys,

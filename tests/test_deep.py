@@ -18,9 +18,7 @@ from archive_recommender.deep import (
     evaluate_deep,
     evaluate_levels,
     expand_query,
-    load_vector_index,
     prune_tree,
-    save_vector_index,
     top_candidates,
     PrunedTree,
 )
@@ -112,15 +110,6 @@ class TestVectorIndex:
     def test_empty_index_rejected(self):
         with pytest.raises(ValueError):
             build_vector_index(CategoryIndex([]), GramScheme.ALL_GRAM)
-
-    def test_roundtrip(self, tmp_path, taxonomy):
-        vindex = build_vector_index(taxonomy, GramScheme.ALL_GRAM)
-        path = tmp_path / "vectors.idx"
-        save_vector_index(vindex, path)
-        loaded = load_vector_index(path)
-        assert loaded.grams is vindex.grams
-        assert loaded.excluded == vindex.excluded
-        assert loaded.vectors == vindex.vectors
 
 
 class TestTopCandidates:

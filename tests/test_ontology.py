@@ -5,6 +5,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,6 @@ from archive_recommender.ontology import (
     DROPPED_TOP_CATEGORIES,
     FixtureOntologyProvider,
     IngestFormat,
-    NullOntologyProvider,
     OntologyEntry,
     RETAINED_TOP_CATEGORIES,
     SecondaryRecord,
@@ -175,8 +175,8 @@ class TestCategoryIndex:
             "Computers/Software",
         ]
 
-    def test_top_level_counts(self):
-        counts = self.make().top_level_counts()
+    def test_all_entries_by_top_category(self):
+        counts = Counter(e.category.top for e in self.make().all_entries())
         assert counts == {"Computers": 3, "Sports": 1}
 
     def test_dedup_by_surt(self):
@@ -224,7 +224,7 @@ class TestPersistence:
 
     def test_bundled_fixture_loads(self, corpus_index):
         assert len(corpus_index) > 400
-        tops = set(corpus_index.top_level_counts())
+        tops = {e.category.top for e in corpus_index.all_entries()}
         assert tops <= RETAINED_TOP_CATEGORIES
         assert len(corpus_index.entries_for(
             "Computers/Computer_Science/Academic_Departments/North_America/United_States/Virginia"
@@ -236,7 +236,7 @@ class TestSecondaryLookup:
         return CategoryIndex([entry("Computers/Internet", "http://known.com/")])
 
     def test_primary_hit(self):
-        outcome = lookup_requested(self.make_index(), NullOntologyProvider(), "http://known.com/")
+        outcome = lookup_requested(self.make_index(), None, "http://known.com/")
         assert outcome.found and outcome.source == "primary"
         assert str(outcome.category) == "Computers/Internet"
         assert [e.uri for e in outcome.entries] == ["http://known.com/"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from archive_recommender.words import SegmentPiece, WordLexicon, is_dictionary_only, segment_words
+from archive_recommender.words import SegmentPiece, WordLexicon, dictionary_bucket, segment_words
 
 
 def test_bundled_lexicon_loads_once():
@@ -54,10 +54,11 @@ def test_degenerate_inputs():
     assert segment_words("Sports") == [SegmentPiece("Sports", False)]
 
 
-def test_is_dictionary_only():
-    assert is_dictionary_only("baseballcards")
-    assert not is_dictionary_only("odu")
-    assert not is_dictionary_only("")
+def test_dictionary_bucket():
+    assert dictionary_bucket("baseballcards") == "all"
+    assert dictionary_bucket("xqzwbaseballcardsvjqx") == "some"
+    assert dictionary_bucket("odu") == "none"
+    assert dictionary_bucket("") == "none"
 
 
 def test_custom_lexicon_rank_order_matters():

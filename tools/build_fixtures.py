@@ -174,7 +174,13 @@ def synth_entries(rng: random.Random, category: str, pool: list[str], count: int
     """
     rows: list[tuple[str, str, str, str]] = []
     compounds: list[tuple[str, str]] = []
-    while len(compounds) < (count + 4) // 5:
+    needed = (count + 4) // 5
+    if needed > len(pool) * (len(pool) - 1):
+        raise ValueError(
+            f"{category}: {count} entries need {needed} compounds, but a pool of "
+            f"{len(pool)} words makes only {len(pool) * (len(pool) - 1)}"
+        )
+    while len(compounds) < needed:
         a, b = rng.sample(pool, 2)
         if (a, b) not in compounds:
             compounds.append((a, b))
