@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +35,6 @@ __all__ = [
     "DamageEvidence",
     "DamageSource",
     "parse_timemap_links",
-    "evidence_from_timemap",
     "fetch_timemap",
     "nearest_memento",
     "fetch_damage",
@@ -145,37 +145,23 @@ class DamageEvidence:
 # TimeMap (link-format) parsing
 
 
+# A piece of link-format text runs up to the next separator outside <...>
+# and "...". A quoted string honours backslash escapes and may open inside
+# <...>; an unterminated string or <...> runs to the end of the text.
+_QUOTED = r'"(?:[^"\\]+|\\[\s\S]?)*"?'
+_PIECE = r'(?:[^<"{sep}]+|' + _QUOTED + r'|<(?:[^>"]+|' + _QUOTED + r')*>?)*'
+_PIECES = {sep: re.compile(_PIECE.format(sep=re.escape(sep))) for sep in ",;"}
+
+
 def _split_quoted(text: str, separator: str) -> list[str]:
     """Split on a separator that does not bind inside <...> or "..."."""
+    piece = _PIECES[separator].match
     parts: list[str] = []
-    buf: list[str] = []
-    in_angle = in_quote = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_quote:
-            buf.append(ch)
-            if ch == "\\" and i + 1 < len(text):
-                buf.append(text[i + 1])
-                i += 1
-            elif ch == '"':
-                in_quote = False
-        elif ch == '"':
-            in_quote = True
-            buf.append(ch)
-        elif ch == "<":
-            in_angle = True
-            buf.append(ch)
-        elif ch == ">":
-            in_angle = False
-            buf.append(ch)
-        elif ch == separator and not in_angle:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-        i += 1
-    parts.append("".join(buf))
+    pos = 0
+    while pos <= len(text):
+        match = piece(text, pos)
+        parts.append(match.group())
+        pos = match.end() + 1  # step over the separator the piece stopped at
     return parts
 
 
@@ -225,12 +211,6 @@ def parse_timemap_links(text: str) -> list[TimemapLink]:
         rel = tuple(params.get("rel", "").split())
         links.append(TimemapLink(target=target, rel=rel, params=params))
     return links
-
-
-def evidence_from_timemap(uri: str, pages: Iterable[str], truncated: bool = False) -> ArchiveEvidence:
-    """Fold one or more TimeMap pages into archive evidence."""
-    links = (link for text in pages for link in parse_timemap_links(text))
-    return _evidence_from_links(uri, links, truncated)
 
 
 def _evidence_from_links(uri: str, links: Iterable[TimemapLink], truncated: bool) -> ArchiveEvidence:
@@ -444,7 +424,10 @@ class EvidenceCache:
                 try:
                     record = json.loads(line)
                     key = (record["provider"], record["kind"], record["surt"])
-                    self._entries[key] = (record["fetched_at"], record["value"])
+                    fetched_at = record["fetched_at"]
+                    if type(fetched_at) not in (int, float):  # not isinstance: JSON true is no timestamp
+                        raise TypeError("fetched_at is not a number")
+                    self._entries[key] = (fetched_at, record["value"])
                 except (ValueError, KeyError, TypeError):  # torn or foreign line
                     skipped += 1
             if skipped:

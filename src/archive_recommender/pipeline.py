@@ -8,6 +8,7 @@ and rank the rest.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Iterable
@@ -125,7 +126,8 @@ class Recommender:
 
     The first-level model is trained lazily from the index when none is
     supplied; per-top-category vector indexes for the deep stage are built
-    on first use and cached for the life of the instance.
+    on first use and cached for the life of the instance. Both are built
+    under one lock, so threads may share an instance.
     """
 
     def __init__(
@@ -144,21 +146,24 @@ class Recommender:
         self.n_deep_candidates = n_deep_candidates
         self.smoothing = smoothing
         self._subtrees: dict[tuple[str, GramScheme], tuple[CategoryIndex, CategoryVectorIndex]] = {}
+        self._build_lock = threading.Lock()
 
     def _l1_model(self) -> NaiveBayesModel:
-        if self.model is None:
-            self.model = train_l1(self.index, smoothing=self.smoothing)
-        return self.model
+        with self._build_lock:
+            if self.model is None:
+                self.model = train_l1(self.index, smoothing=self.smoothing)
+            return self.model
 
     def _subtree(self, top: str, grams: GramScheme) -> tuple[CategoryIndex, CategoryVectorIndex]:
         key = (top, grams)
-        if key not in self._subtrees:
-            entries = self.index.entries_under(CategoryPath((top,)))
-            if not entries:
-                raise DeepClassificationError(f"no indexed entries under {top}")
-            sub_index = CategoryIndex(entries)
-            self._subtrees[key] = (sub_index, build_vector_index(sub_index, grams))
-        return self._subtrees[key]
+        with self._build_lock:
+            if key not in self._subtrees:
+                entries = self.index.entries_under(CategoryPath((top,)))
+                if not entries:
+                    raise DeepClassificationError(f"no indexed entries under {top}")
+                sub_index = CategoryIndex(entries)
+                self._subtrees[key] = (sub_index, build_vector_index(sub_index, grams))
+            return self._subtrees[key]
 
     def recommend(self, request: RecommendationRequest, now: datetime | None = None) -> RecommendationResult:
         trace: list[str] = []

@@ -67,7 +67,10 @@ class PublicSuffixList:
 
     Follows the published matching algorithm: the prevailing rule is the
     matching exception, else the longest matching rule, else the single-label
-    fallback for hosts under suffixes absent from the snapshot.
+    fallback for hosts under suffixes absent from the snapshot. A lookup walks
+    the host's own label suffixes against hashed rule sets, so its cost grows
+    with the host's label count, not with the number of rules. A wildcard may
+    only be the leftmost label of a normal rule, as in the published list.
     """
 
     def __init__(self, rules: Iterable[str]):
@@ -78,25 +81,24 @@ class PublicSuffixList:
             if not line or line.startswith("//") or line.startswith("#"):
                 continue
             if line.startswith("!"):
-                self._exceptions.add(tuple(line[1:].lower().split(".")))
+                target, rule = self._exceptions, tuple(line[1:].lower().split("."))
+                wildcard = "*" in rule
             else:
-                self._rules.add(tuple(line.lower().split(".")))
-
-    @staticmethod
-    def _matches(rule: tuple[str, ...], labels: tuple[str, ...]) -> bool:
-        if len(rule) > len(labels):
-            return False
-        return all(r in ("*", l) for r, l in zip(reversed(rule), reversed(labels)))
+                target, rule = self._rules, tuple(line.lower().split("."))
+                wildcard = "*" in rule[1:]
+            if wildcard:
+                raise ValueError(f"unsupported wildcard in public-suffix rule {line!r}")
+            target.add(rule)
 
     def suffix_label_count(self, host: str) -> int:
         labels = tuple(host.lower().rstrip(".").split("."))
-        for exc in self._exceptions:
-            if self._matches(exc, labels):
-                return len(exc) - 1
         best = 0
-        for rule in self._rules:
-            if len(rule) > best and self._matches(rule, labels):
-                best = len(rule)
+        for i in range(len(labels)):  # longest suffix first
+            tail = labels[i:]
+            if tail in self._exceptions:
+                return len(tail) - 1
+            if not best and (tail in self._rules or ("*",) + tail[1:] in self._rules):
+                best = len(tail)
         return best if best else 1  # fallback: last label
 
     def public_suffix(self, host: str) -> str:

@@ -8,6 +8,7 @@ from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from archive_recommender import archives
 from archive_recommender.archives import (
@@ -22,7 +23,6 @@ from archive_recommender.archives import (
     FixturePopularityProvider,
     PopularityEvidence,
     RANK_FLOOR_DEFAULT,
-    evidence_from_timemap,
     fetch_damage,
     fetch_timemap,
     nearest_memento,
@@ -63,6 +63,50 @@ class MapSource:
 
     def get_page(self, page_uri):
         return self.pages.get(page_uri)
+
+
+def split_quoted_by_scan(text, separator):
+    """Oracle: the character loop that the regex tokenizer replaced."""
+    parts = []
+    buf = []
+    in_angle = in_quote = False
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if in_quote:
+            buf.append(ch)
+            if ch == "\\" and i + 1 < len(text):
+                buf.append(text[i + 1])
+                i += 1
+            elif ch == '"':
+                in_quote = False
+        elif ch == '"':
+            in_quote = True
+            buf.append(ch)
+        elif ch == "<":
+            in_angle = True
+            buf.append(ch)
+        elif ch == ">":
+            in_angle = False
+            buf.append(ch)
+        elif ch == separator and not in_angle:
+            parts.append("".join(buf))
+            buf = []
+        else:
+            buf.append(ch)
+        i += 1
+    parts.append("".join(buf))
+    return parts
+
+
+class TestSplitQuoted:
+    @given(text=st.text(alphabet='<>",;\\ a=', max_size=40))
+    @example(text='<a,"b>",c>;"d,e";f')
+    @example(text='"unterminated, quote\\')
+    @example(text='stray>,<unterminated, angle')
+    def test_matches_character_scan(self, text):
+        for separator in ",;":
+            assert archives._split_quoted(text, separator) == split_quoted_by_scan(text, separator)
 
 
 class TestLinkParsing:
@@ -108,17 +152,17 @@ class TestEvidence:
             '<https://a/web/20100704000000/http://x/>; rel="memento"; '
             'datetime="Sun, 04 Jul 2010 00:00:00 GMT"'
         )
-        evidence = evidence_from_timemap("http://x/", [page])
+        evidence = fetch_timemap(MapSource(page), "http://x/")
         assert evidence.archived
         assert evidence.memento_count == 2
         assert [m[0] for m in evidence.mementos] == sorted(m[0] for m in evidence.mementos)
 
     def test_memento_without_datetime_is_fatal(self):
         with pytest.raises(ArchiveFetchError):
-            evidence_from_timemap("http://x/", ['<https://a/m>; rel="memento"'])
+            fetch_timemap(MapSource('<https://a/m>; rel="memento"'), "http://x/")
 
     def test_no_mementos_means_unarchived(self):
-        evidence = evidence_from_timemap("http://x/", ['<http://x/>; rel="original"'])
+        evidence = fetch_timemap(MapSource('<http://x/>; rel="original"'), "http://x/")
         assert not evidence.archived
         assert evidence.memento_count == 0
 
@@ -132,7 +176,7 @@ class TestEvidence:
             )
 
     def test_json_roundtrip(self):
-        evidence = evidence_from_timemap("http://a.example.com", [SINGLE_PAGE])
+        evidence = fetch_timemap(MapSource(SINGLE_PAGE), "http://a.example.com")
         again = ArchiveEvidence.from_json_dict(evidence.to_json_dict())
         assert again == evidence
 
@@ -391,6 +435,20 @@ class TestEvidenceCache:
         assert again.get("gateway", "timemap", "b") == {"v": 2}
         assert [r.getMessage() for r in caplog.records] == [
             f"evidence cache {path}: skipped 3 corrupt line(s)"
+        ]
+
+    def test_non_numeric_fetched_at_skipped(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(
+            '{"provider":"gateway","kind":"timemap","surt":"x","fetched_at":"soon","value":{}}\n'
+            '{"provider":"gateway","kind":"timemap","surt":"y","fetched_at":true,"value":{}}\n'
+        )
+        with caplog.at_level("WARNING", logger="archive_recommender"):
+            cache = EvidenceCache(path, max_age=60)
+        assert cache.get("gateway", "timemap", "x") is None
+        assert cache.get("gateway", "timemap", "y") is None
+        assert [r.getMessage() for r in caplog.records] == [
+            f"evidence cache {path}: skipped 2 corrupt line(s)"
         ]
 
 

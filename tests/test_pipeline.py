@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from datetime import datetime, timezone
 
 import pytest
 
+from archive_recommender import pipeline
 from archive_recommender.archives import (
     EvidenceService,
     FixtureArchiveSource,
@@ -41,15 +44,19 @@ VIRGINIA = (
 )
 
 
-@pytest.fixture(scope="module")
-def recommender(fixtures_dir, corpus_index):
+def fixture_recommender(fixtures_dir, index) -> Recommender:
     service = EvidenceService(
         FixtureArchiveSource(fixtures_dir / "timemaps"),
         FixturePopularityProvider(fixtures_dir / "popularity.tsv"),
         FixtureDamageProvider(fixtures_dir / "damage.tsv"),
     )
     secondary = FixtureOntologyProvider(fixtures_dir / "secondary_ontology.jsonl")
-    return Recommender(corpus_index, service, secondary=secondary)
+    return Recommender(index, service, secondary=secondary)
+
+
+@pytest.fixture(scope="module")
+def recommender(fixtures_dir, corpus_index):
+    return fixture_recommender(fixtures_dir, corpus_index)
 
 
 class TestRequestValidation:
@@ -254,3 +261,53 @@ class TestFirstLevelHelpers:
         report = evaluate_l1(taxonomy, folds=4)
         baseline = majority_baseline(label for _, label in build_l1_corpus(taxonomy))
         assert report.micro_f1 > baseline
+
+
+# Indexed, lost and unclassifiable URIs whose routes build several subtrees.
+SHARED_REQUEST_URIS = [
+    "http://odu.edu/compsci",
+    "http://cs.gmu.edu",
+    "http://mickeymantle.com/",
+    "http://odu.edu/",
+    "http://qqxxyyzz.dev/",
+    "http://refereegoalsclub.example/",
+    "http://authorpoetryhaiku.example/",
+    "http://arcadegamesreview.example/",
+]
+
+
+class TestSharedAcrossThreads:
+    def test_threads_match_serial_and_train_once(self, fixtures_dir, corpus_index, monkeypatch):
+        requests = [RecommendationRequest(uri=uri, datetime=REQUESTED) for uri in SHARED_REQUEST_URIS]
+        serial_recommender = fixture_recommender(fixtures_dir, corpus_index)
+        serial = {r.uri: serial_recommender.recommend(r, now=NOW) for r in requests}
+
+        trained = []
+
+        def counting_train_l1(*args, **kwargs):
+            trained.append(1)
+            return train_l1(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_l1", counting_train_l1)
+        shared = fixture_recommender(fixtures_dir, corpus_index)
+        start = threading.Barrier(4, timeout=30)
+        results: list[dict] = [{} for _ in range(4)]
+
+        def worker(i):
+            start.wait()
+            for request in requests[i:] + requests[:i]:
+                results[i][request.uri] = shared.recommend(request, now=NOW)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so racing builds overlap
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(result == serial for result in results)
+        assert len(trained) == 1

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from collections import Counter
+from importlib import resources
+from urllib.parse import urlsplit
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from archive_recommender.ontology import load_index
 from archive_recommender.uri import (
     GRAM_SIZES,
     ParsedUri,
@@ -38,6 +41,62 @@ GOLDEN_URI_GRAMS = {
     "odueduc", "dueduco", "ueducom", "educomp", "ducomps", "ucompsc", "compsci",
     "odueduco", "dueducom", "ueducomp", "educomps", "ducompsc", "ucompsci",
 }
+
+
+def parse_psl_rules(lines):
+    """Rule and exception label tuples, read as PublicSuffixList reads them."""
+    rules, exceptions = set(), set()
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("//") or line.startswith("#"):
+            continue
+        if line.startswith("!"):
+            exceptions.add(tuple(line[1:].lower().split(".")))
+        else:
+            rules.add(tuple(line.lower().split(".")))
+    return rules, exceptions
+
+
+def scan_suffix_label_count(rules, exceptions, host):
+    """Oracle: the linear scan over every rule that the hashed suffix walk
+    replaced. Among matching exceptions the longest prevails."""
+    labels = tuple(host.lower().rstrip(".").split("."))
+
+    def matches(rule):
+        if len(rule) > len(labels):
+            return False
+        return all(r in ("*", l) for r, l in zip(reversed(rule), reversed(labels)))
+
+    matching = [len(exc) for exc in exceptions if matches(exc)]
+    if matching:
+        return max(matching) - 1
+    best = 0
+    for rule in rules:
+        if len(rule) > best and matches(rule):
+            best = len(rule)
+    return best if best else 1
+
+
+# Few labels, so that generated rules overlap one another often.
+_LABEL = st.sampled_from(["a", "b", "ck"])
+_HOST_LABEL = _LABEL | st.text(alphabet="abxy", max_size=2)
+_psl_rule = st.one_of(
+    st.lists(_LABEL, min_size=1, max_size=3).map(".".join),
+    st.lists(_LABEL, max_size=2).map(lambda labels: ".".join(["*", *labels])),
+    st.lists(_LABEL, min_size=1, max_size=3).map(lambda labels: "!" + ".".join(labels)),
+)
+
+
+@st.composite
+def psl_rules_and_host(draw):
+    """A small rule list and a host that mostly ends in one of its rules."""
+    rules = draw(st.lists(_psl_rule, max_size=8))
+    suffix = []
+    if rules and draw(st.integers(0, 3)):
+        suffix = [draw(_HOST_LABEL) if label == "*" else label
+                  for label in draw(st.sampled_from(rules)).lstrip("!").split(".")]
+    prefix = draw(st.lists(_HOST_LABEL, min_size=0 if suffix else 1, max_size=3))
+    return rules, ".".join(prefix + suffix)
 
 
 class TestParseUri:
@@ -108,6 +167,29 @@ class TestPublicSuffix:
         psl = PublicSuffixList(["com", "co.uk", "*.ck", "!www.ck"])
         assert psl.public_suffix("foo.anything.ck") == "anything.ck"
         assert psl.registered_domain("a.www.ck") == "www.ck"
+
+    @pytest.mark.parametrize("rule", ["a.*.b", "*.*.b", "a.*", "!*.ck", "!www.*"])
+    def test_wildcard_not_leading_a_normal_rule_rejected(self, rule):
+        with pytest.raises(ValueError, match="wildcard"):
+            PublicSuffixList(["com", rule])
+
+    @given(psl_rules_and_host())
+    @example((["ck", "a.b.ck", "!b.ck"], "x.a.b.ck"))  # an exception prevails over a longer rule
+    def test_suffix_walk_matches_rule_scan(self, case):
+        rules, host = case
+        expected = scan_suffix_label_count(*parse_psl_rules(rules), host)
+        assert PublicSuffixList(rules).suffix_label_count(host) == expected
+
+    def test_bundled_list_matches_rule_scan(self, fixtures_dir):
+        text = resources.files("archive_recommender.data").joinpath("public_suffix.dat").read_text("utf-8")
+        rules, exceptions = parse_psl_rules(text.splitlines())
+        hosts = {urlsplit(e.uri).hostname for e in load_index(fixtures_dir / "index.tsv").all_entries()}
+        for rule in rules | exceptions:  # each rule as a host, and one label below it
+            name = ".".join(rule).replace("*", "w")
+            hosts.update({name, "x." + name})
+        psl = PublicSuffixList.bundled()
+        for host in sorted(hosts):
+            assert psl.suffix_label_count(host) == scan_suffix_label_count(rules, exceptions, host), host
 
 
 class TestSurt:
