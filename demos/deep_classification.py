@@ -45,7 +45,7 @@ def main() -> None:
         print(f"  ancestor kept: {node}")
     print()
 
-    final = classify_deep(tree, index, query)
+    final = classify_deep(tree, vindex, query)
     print(f"deep category: {final}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import threading
 import time
@@ -427,8 +428,10 @@ class EvidenceCache:
                     fetched_at = record["fetched_at"]
                     if type(fetched_at) not in (int, float):  # not isinstance: JSON true is no timestamp
                         raise TypeError("fetched_at is not a number")
+                    if not math.isfinite(fetched_at):  # NaN never expires; OverflowError past float range
+                        raise ValueError("fetched_at is not finite")
                     self._entries[key] = (fetched_at, record["value"])
-                except (ValueError, KeyError, TypeError):  # torn or foreign line
+                except (ValueError, KeyError, TypeError, OverflowError):  # torn or foreign line
                     skipped += 1
             if skipped:
                 _log.warning("evidence cache %s: skipped %d corrupt line(s)", self.path, skipped)

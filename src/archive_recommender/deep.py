@@ -5,6 +5,11 @@ title and description words; the query is scored against every category by
 mean cosine similarity, the top N categories become candidates, the
 candidate set is pruned with the ancestor-assistance rule, and a Naive
 Bayes model over the candidates picks the final path.
+
+Each entry is featurized once, when its vector index is built: the index
+keeps every row's gram counts, every row's norm and every category's summed
+counts, and both the cosine scoring and the naive Bayes read them from
+there instead of re-featurizing entries per query.
 """
 from __future__ import annotations
 
@@ -27,7 +32,6 @@ __all__ = [
     "DeepClassificationError",
     "entry_features",
     "expand_query",
-    "cosine",
     "build_vector_index",
     "top_candidates",
     "prune_tree",
@@ -90,41 +94,47 @@ class CandidateCategory:
 
 @dataclass
 class CategoryVectorIndex:
+    """Featurized entries by deepest category path (the dict key).
+
+    ``vectors[path]`` holds one gram Counter per entry with features,
+    ``norms[path]`` the Euclidean norm of each of those rows in the same
+    order, and ``totals[path]`` the sum of the rows, which is what naive
+    Bayes trains on. Read-only once built.
+    """
+
     grams: GramScheme
     vectors: dict[str, list[Counter[str]]]
+    norms: dict[str, list[float]]
+    totals: dict[str, Counter[str]]
     excluded: int = 0
 
 
 def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVectorIndex:
-    """TF vectors per deepest category path; entries with no extractable
-    features are excluded (counted)."""
+    """TF vectors, row norms and summed counts per deepest category path;
+    entries with no extractable features are excluded (counted)."""
     if not len(index):
         raise ValueError("cannot build a vector index from an empty category index")
     vectors: dict[str, list[Counter[str]]] = {}
+    norms: dict[str, list[float]] = {}
+    totals: dict[str, Counter[str]] = {}
     excluded = 0
     for path in index.categories():
         rows: list[Counter[str]] = []
+        total: Counter[str] = Counter()
         for entry in index.entries_for(path):
             counts = Counter(entry_features(entry, grams))
             if counts:
                 rows.append(counts)
+                total.update(counts)
             else:
                 excluded += 1
-        vectors[str(path)] = rows
-    return CategoryVectorIndex(grams=grams, vectors=vectors, excluded=excluded)
-
-
-def cosine(a: Counter[str], b: Counter[str]) -> float:
-    if not a or not b:
-        return 0.0
-    if len(b) < len(a):
-        a, b = b, a
-    dot = sum(count * b[feature] for feature, count in a.items() if feature in b)
-    if not dot:
-        return 0.0
-    norm_a = math.sqrt(sum(c * c for c in a.values()))
-    norm_b = math.sqrt(sum(c * c for c in b.values()))
-    return dot / (norm_a * norm_b)
+        key = str(path)
+        vectors[key] = rows
+        norms[key] = [math.sqrt(sum(c * c for c in row.values())) for row in rows]
+        totals[key] = total
+    return CategoryVectorIndex(
+        grams=grams, vectors=vectors, norms=norms, totals=totals, excluded=excluded
+    )
 
 
 def top_candidates(
@@ -133,17 +143,30 @@ def top_candidates(
     n: int = 10,
 ) -> list[CandidateCategory]:
     """Top-n categories by mean cosine similarity to the query; categories
-    with zero similarity are omitted, so an orthogonal query yields []."""
+    with zero similarity are omitted, so an orthogonal query yields [].
+
+    Row norms come from the index; the query's norm is taken once, and each
+    dot product runs over the query's distinct grams."""
     if n < 1:
         raise ValueError("n must be at least 1")
     qvec = Counter(expand_query(query, vindex.grams))
     if not qvec:
         return []
+    qitems = list(qvec.items())
+    qnorm = math.sqrt(sum(c * c for c in qvec.values()))
     scored: list[CandidateCategory] = []
     for path_text, rows in vindex.vectors.items():
         if not rows:
             continue
-        score = sum(cosine(qvec, row) for row in rows) / len(rows)
+        total = 0.0
+        for row, rownorm in zip(rows, vindex.norms[path_text]):
+            dot = 0
+            for gram, count in qitems:
+                if gram in row:
+                    dot += count * row[gram]
+            if dot:
+                total += dot / (qnorm * rownorm)
+        score = total / len(rows)
         if score > 0.0:
             scored.append(CandidateCategory(CategoryPath.parse(path_text), score))
     scored.sort(key=lambda c: (-c.score, c.path))
@@ -202,29 +225,26 @@ def prune_tree(candidates: Sequence[CategoryPath]) -> PrunedTree:
 
 def classify_deep(
     tree: PrunedTree,
-    index: CategoryIndex,
+    vindex: CategoryVectorIndex,
     query: TokenBag | Sequence[str],
-    grams: GramScheme = GramScheme.ALL_GRAM,
     smoothing: float = 1.0,
 ) -> CategoryPath:
-    """Final deep assignment: NB over the tree's candidate paths, trained on
-    each candidate category's member entries."""
-    corpus: list[tuple[Sequence[str], str]] = []
-    usable_classes = 0
+    """Final deep assignment: NB over the tree's candidate paths. Each
+    candidate's documents are its featurized entries in ``vindex``, so the
+    model is fitted from the cached row count and summed gram counts, and
+    the query is expanded with ``vindex.grams``."""
+    doc_counts: dict[str, int] = {}
+    feature_counts: dict[str, Counter[str]] = {}
     for path in sorted(tree.candidates):
-        documents = [
-            features
-            for entry in index.entries_for(path)
-            if (features := entry_features(entry, grams))
-        ]
-        if not documents:
-            continue
-        usable_classes += 1
-        corpus.extend((features, str(path)) for features in documents)
-    if not usable_classes:
+        key = str(path)
+        rows = vindex.vectors.get(key)
+        if rows:
+            doc_counts[key] = len(rows)
+            feature_counts[key] = vindex.totals[key]
+    if not doc_counts:
         raise DeepClassificationError("no candidate category has usable documents")
-    model = nbayes.train(corpus, smoothing)
-    outcome = nbayes.classify(model, expand_query(query, grams))
+    model = nbayes.NaiveBayesModel(doc_counts, feature_counts, smoothing)
+    outcome = nbayes.classify(model, expand_query(query, vindex.grams))
     if outcome.unclassifiable:
         raise DeepClassificationError("query shares no vocabulary with the candidates")
     return CategoryPath.parse(outcome.label)
@@ -352,9 +372,8 @@ def evaluate_deep(
             try:
                 predicted = classify_deep(
                     prune_tree([c.path for c in candidates]),
-                    training_index,
+                    vindex_cache[top],
                     query,
-                    grams,
                     smoothing,
                 )
             except DeepClassificationError:

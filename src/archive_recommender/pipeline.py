@@ -32,7 +32,7 @@ from .ontology import (
     lookup_requested,
 )
 from .ranking import CandidatePage, RankWeights, Recommendation, rank
-from .uri import TokenMethod, TokenVariant, canonicalize_surt, parse_uri, tokenize
+from .uri import TokenBag, TokenMethod, TokenVariant, canonicalize_surt, parse_uri, tokenize
 
 __all__ = [
     "L1_METHOD",
@@ -145,7 +145,7 @@ class Recommender:
         self.secondary = secondary
         self.n_deep_candidates = n_deep_candidates
         self.smoothing = smoothing
-        self._subtrees: dict[tuple[str, GramScheme], tuple[CategoryIndex, CategoryVectorIndex]] = {}
+        self._subtrees: dict[tuple[str, GramScheme], CategoryVectorIndex] = {}
         self._build_lock = threading.Lock()
 
     def _l1_model(self) -> NaiveBayesModel:
@@ -154,15 +154,14 @@ class Recommender:
                 self.model = train_l1(self.index, smoothing=self.smoothing)
             return self.model
 
-    def _subtree(self, top: str, grams: GramScheme) -> tuple[CategoryIndex, CategoryVectorIndex]:
+    def _subtree(self, top: str, grams: GramScheme) -> CategoryVectorIndex:
         key = (top, grams)
         with self._build_lock:
             if key not in self._subtrees:
                 entries = self.index.entries_under(CategoryPath((top,)))
                 if not entries:
                     raise DeepClassificationError(f"no indexed entries under {top}")
-                sub_index = CategoryIndex(entries)
-                self._subtrees[key] = (sub_index, build_vector_index(sub_index, grams))
+                self._subtrees[key] = build_vector_index(CategoryIndex(entries), grams)
             return self._subtrees[key]
 
     def recommend(self, request: RecommendationRequest, now: datetime | None = None) -> RecommendationResult:
@@ -171,6 +170,7 @@ class Recommender:
         now_dt = now or datetime.now(timezone.utc)
         requested_dt = request.datetime or now_dt
         requested_surt = canonicalize_surt(request.uri)
+        request_bag: TokenBag | None = None
 
         def empty(route: str, category: CategoryPath | None, reason: str) -> RecommendationResult:
             return RecommendationResult(
@@ -214,14 +214,14 @@ class Recommender:
             trace.append(f"step1: first-level category {top} (posterior {top_posterior:.6f})")
 
             # Step 2: refine within the first-level subtree.
-            query = tokenize(request.uri, TokenMethod.TOKENS)
+            request_bag = tokenize(request.uri, TokenMethod.TOKENS)
             try:
-                sub_index, vindex = self._subtree(top, request.grams)
-                candidates = top_candidates(vindex, query, self.n_deep_candidates)
+                vindex = self._subtree(top, request.grams)
+                candidates = top_candidates(vindex, request_bag, self.n_deep_candidates)
                 if not candidates:
                     raise DeepClassificationError("no category shares vocabulary with the query")
                 tree = prune_tree([c.path for c in candidates])
-                category = classify_deep(tree, sub_index, query, request.grams, self.smoothing)
+                category = classify_deep(tree, vindex, request_bag, self.smoothing)
                 route = "classified-deep"
                 trace.append(
                     f"step2: deep category {category} "
@@ -274,8 +274,10 @@ class Recommender:
                 warnings=tuple(warnings),
             )
 
-        # Step 4: score and order.
-        request_tokens = set(tokenize(request.uri, TokenMethod.TOKENS))
+        # Step 4: score and order, on the TOKENS bag step 2 made if it ran.
+        if request_bag is None:
+            request_bag = tokenize(request.uri, TokenMethod.TOKENS)
+        request_tokens = set(request_bag)
         recommendations = rank(
             pages,
             request.weights,

@@ -451,6 +451,26 @@ class TestEvidenceCache:
             f"evidence cache {path}: skipped 2 corrupt line(s)"
         ]
 
+    def test_non_finite_fetched_at_skipped(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        stamps = ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400]
+        path.write_text(
+            "".join(
+                f'{{"provider":"gateway","kind":"timemap","surt":"{i}",'
+                f'"fetched_at":{stamp},"value":{{"v":{i}}}}}\n'
+                for i, stamp in enumerate(stamps)
+            )
+            + '{"provider":"gateway","kind":"timemap","surt":"ok","fetched_at":1e12,"value":{}}\n'
+        )
+        with caplog.at_level("WARNING", logger="archive_recommender"):
+            cache = EvidenceCache(path, max_age=60, clock=lambda: 1e12)
+        for i in range(len(stamps)):
+            assert cache.get("gateway", "timemap", str(i)) is None
+        assert cache.get("gateway", "timemap", "ok") == {}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"evidence cache {path}: skipped {len(stamps)} corrupt line(s)"
+        ]
+
 
 class TestEvidenceService:
     def build(self, fixtures_dir, **kwargs) -> EvidenceService:

@@ -3,17 +3,22 @@ the final naive-Bayes assignment."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from typing import Sequence
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from archive_recommender import nbayes
 from archive_recommender.deep import (
+    CandidateCategory,
     CategoryVectorIndex,
     DeepClassificationError,
     GramScheme,
     build_vector_index,
     classify_deep,
-    cosine,
     entry_features,
     evaluate_deep,
     evaluate_levels,
@@ -23,7 +28,7 @@ from archive_recommender.deep import (
     PrunedTree,
 )
 from archive_recommender.ontology import CategoryIndex, CategoryPath, OntologyEntry
-from archive_recommender.uri import TokenMethod, canonicalize_surt, tokenize
+from archive_recommender.uri import TokenBag, TokenMethod, canonicalize_surt, tokenize
 
 from conftest import TAXONOMY_PATHS, build_taxonomy
 
@@ -37,6 +42,82 @@ def entry(category: str, uri: str, title=None, description=None) -> OntologyEntr
         category=P(category), uri=uri, surt=canonicalize_surt(uri),
         title=title, description=description,
     )
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the deep stage as it was before the vector index cached row norms
+# and per-category sums. The fast paths must agree with them exactly.
+
+
+def cosine(a: Counter[str], b: Counter[str]) -> float:
+    if not a or not b:
+        return 0.0
+    if len(b) < len(a):
+        a, b = b, a
+    dot = sum(count * b[feature] for feature, count in a.items() if feature in b)
+    if not dot:
+        return 0.0
+    norm_a = math.sqrt(sum(c * c for c in a.values()))
+    norm_b = math.sqrt(sum(c * c for c in b.values()))
+    return dot / (norm_a * norm_b)
+
+
+def top_candidates_by_rescoring(
+    vindex: CategoryVectorIndex, query: TokenBag | Sequence[str], n: int = 10
+) -> list[CandidateCategory]:
+    """Mean cosine against every row, each norm recomputed per pair."""
+    qvec = Counter(expand_query(query, vindex.grams))
+    if not qvec:
+        return []
+    scored: list[CandidateCategory] = []
+    for path_text, rows in vindex.vectors.items():
+        if not rows:
+            continue
+        score = sum(cosine(qvec, row) for row in rows) / len(rows)
+        if score > 0.0:
+            scored.append(CandidateCategory(P(path_text), score))
+    scored.sort(key=lambda c: (-c.score, c.path))
+    return scored[:n]
+
+
+def classify_deep_by_retraining(
+    tree: PrunedTree,
+    index: CategoryIndex,
+    query: TokenBag | Sequence[str],
+    grams: GramScheme = GramScheme.ALL_GRAM,
+    smoothing: float = 1.0,
+) -> CategoryPath:
+    """Featurize every candidate entry again and fit naive Bayes on the lists."""
+    corpus: list[tuple[Sequence[str], str]] = []
+    for path in sorted(tree.candidates):
+        documents = [
+            features
+            for e in index.entries_for(path)
+            if (features := entry_features(e, grams))
+        ]
+        corpus.extend((features, str(path)) for features in documents)
+    if not corpus:
+        raise DeepClassificationError("no candidate category has usable documents")
+    outcome = nbayes.classify(nbayes.train(corpus, smoothing), expand_query(query, grams))
+    if outcome.unclassifiable:
+        raise DeepClassificationError("query shares no vocabulary with the candidates")
+    return P(outcome.label)
+
+
+def deep_outcome(classify, *args) -> tuple[str, list[nbayes.Classification]]:
+    """The label or the error, with the naive Bayes scores behind it."""
+    seen: list[nbayes.Classification] = []
+    real = nbayes.classify
+
+    def recording(model, bag):
+        seen.append(real(model, bag))
+        return seen[-1]
+
+    with mock.patch.object(nbayes, "classify", recording):
+        try:
+            return str(classify(*args)), seen
+        except DeepClassificationError:
+            return "DeepClassificationError", seen
 
 
 class TestFeatureExpansion:
@@ -193,7 +274,7 @@ class TestClassifyDeep:
         probe = taxonomy.entries_for(TAXONOMY_PATHS[3])[2]
         query = tokenize(probe.uri, TokenMethod.TOKENS)
         tree = prune_tree([c.path for c in top_candidates(vindex, query, 10)])
-        predicted = classify_deep(tree, taxonomy, query)
+        predicted = classify_deep(tree, vindex, query)
         assert str(predicted) == TAXONOMY_PATHS[3]
 
     def test_picks_nearer_of_two_candidates(self):
@@ -205,20 +286,100 @@ class TestClassifyDeep:
                 entry("Arts/Film", "http://reels.example.com/", "cinema reels"),
             ]
         )
+        vindex = build_vector_index(index, GramScheme.ALL_GRAM)
         tree = prune_tree([P("Arts/Music"), P("Arts/Film")])
-        assert str(classify_deep(tree, index, ["melody", "songs"])) == "Arts/Music"
-        assert str(classify_deep(tree, index, ["cinema", "reels"])) == "Arts/Film"
+        assert str(classify_deep(tree, vindex, ["melody", "songs"])) == "Arts/Music"
+        assert str(classify_deep(tree, vindex, ["cinema", "reels"])) == "Arts/Film"
 
     def test_no_usable_documents_raises(self):
         index = CategoryIndex([entry("Arts/Music", "http://melody.example.com/")])
+        vindex = build_vector_index(index, GramScheme.ALL_GRAM)
         tree = prune_tree([P("Arts/Film")])  # no entries for this path
         with pytest.raises(DeepClassificationError):
-            classify_deep(tree, index, ["melody"])
+            classify_deep(tree, vindex, ["melody"])
 
     def test_disjoint_query_raises(self, taxonomy):
+        vindex = build_vector_index(taxonomy, GramScheme.ALL_GRAM)
         tree = prune_tree([P(TAXONOMY_PATHS[0])])
         with pytest.raises(DeepClassificationError):
-            classify_deep(tree, taxonomy, ["qqqqqqq"])
+            classify_deep(tree, vindex, ["qqqqqqq"])
+
+
+_LABELS = st.sampled_from(["A", "B", "C"])
+_WORDS = st.text(alphabet="abcde", min_size=3, max_size=7)
+_NOISE = st.text(alphabet="vwxyz", min_size=3, max_size=6)
+
+
+@st.composite
+def small_index_and_query(draw) -> tuple[CategoryIndex, TokenBag, list[CategoryPath]]:
+    """2-4 categories at depths 1-3, 1-4 entries each, some with no
+    features; the query mixes index words with noise."""
+    paths = draw(
+        st.lists(
+            st.lists(_LABELS, min_size=1, max_size=3).map(tuple),
+            min_size=2, max_size=4, unique=True,
+        )
+    )
+    vocabulary: list[str] = []
+    entries: list[OntologyEntry] = []
+    for labels in paths:
+        for _ in range(draw(st.integers(1, 4))):
+            k = len(entries)
+            if draw(st.integers(0, 4)) == 0:
+                entries.append(entry("/".join(labels), f"http://q{k}.zz/"))
+                continue
+            host, page = draw(_WORDS), draw(_WORDS)
+            title = draw(st.none() | _WORDS)
+            vocabulary.extend(w for w in (host, page, title) if w)
+            entries.append(entry("/".join(labels), f"http://{host}{k}.zz/{page}", title))
+    word = st.sampled_from(vocabulary) | _NOISE if vocabulary else _NOISE
+    query_words = draw(st.lists(word, max_size=4))
+    query = TokenBag(TokenMethod.TOKENS, frozenset(), tuple(query_words))
+    tree_paths = draw(st.lists(st.sampled_from(paths), min_size=1, unique=True))
+    return CategoryIndex(entries), query, [CategoryPath(labels) for labels in tree_paths]
+
+
+class TestAgainstRescoringOracles:
+    """Cached norms and per-category sums give the same candidates, cosine
+    scores, naive Bayes scores and labels as rescoring and retraining from
+    the entries, equal to the last bit."""
+
+    @given(
+        small_index_and_query(),
+        st.sampled_from(list(GramScheme)),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_generated_indexes(self, case, grams, n):
+        index, query, tree_paths = case
+        vindex = build_vector_index(index, grams)
+        candidates = top_candidates(vindex, query, n)
+        assert candidates == top_candidates_by_rescoring(vindex, query, n)
+        trees = [prune_tree(tree_paths)]
+        if candidates:
+            trees.append(prune_tree([c.path for c in candidates]))
+        for tree in trees:
+            assert deep_outcome(classify_deep, tree, vindex, query) == (
+                deep_outcome(classify_deep_by_retraining, tree, index, query, grams)
+            )
+
+    @pytest.mark.parametrize("grams", list(GramScheme))
+    def test_every_fixture_entry_as_query(self, corpus_index, grams):
+        subtrees: dict[str, tuple[CategoryIndex, CategoryVectorIndex]] = {}
+        for probe in corpus_index.all_entries():
+            top = probe.category.top
+            if top not in subtrees:
+                sub = CategoryIndex(corpus_index.entries_under(P(top)))
+                subtrees[top] = (sub, build_vector_index(sub, grams))
+            sub, vindex = subtrees[top]
+            query = tokenize(probe.uri, TokenMethod.TOKENS)
+            candidates = top_candidates(vindex, query, 10)
+            assert candidates == top_candidates_by_rescoring(vindex, query, 10), probe.uri
+            if candidates:
+                tree = prune_tree([c.path for c in candidates])
+                assert deep_outcome(classify_deep, tree, vindex, query) == (
+                    deep_outcome(classify_deep_by_retraining, tree, sub, query, grams)
+                ), probe.uri
 
 
 class TestEvaluateLevels:

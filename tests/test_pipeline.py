@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from archive_recommender import pipeline
+from archive_recommender import deep, nbayes, pipeline
 from archive_recommender.archives import (
     EvidenceService,
     FixtureArchiveSource,
@@ -128,6 +128,34 @@ class TestClassifiedDeepRoute:
         result = recommender.recommend(request, now=NOW)
         assert len(result.recommendations) == 3
         assert result.recommendations[0].uri == "http://cs.odu.edu"
+
+    def test_warm_subtree_featurizes_nothing(self, fixtures_dir, corpus_index, monkeypatch):
+        warm = fixture_recommender(fixtures_dir, corpus_index)
+        first = RecommendationRequest(uri="http://odu.edu/compsci", datetime=REQUESTED)
+        assert warm.recommend(first, now=NOW).route == "classified-deep"
+        second = RecommendationRequest(uri="http://vt.edu/computerscience", datetime=REQUESTED)
+        fresh = fixture_recommender(fixtures_dir, corpus_index).recommend(second, now=NOW)
+
+        calls: list[str] = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in (
+            (deep, "entry_features"),
+            (deep, "build_vector_index"),
+            (pipeline, "build_vector_index"),
+            (nbayes, "train"),
+            (pipeline, "nb_train"),
+        ):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        result = warm.recommend(second, now=NOW)
+        assert calls == []
+        assert result.route == "classified-deep"
+        assert result == fresh
 
 
 class TestOntologyHitRoutes:
