@@ -71,6 +71,50 @@ class DamageSource(Enum):
     DEFAULT_MISSING = "default_missing"
 
 
+# Memento datetimes are decoded by a fast path when they have exactly the
+# fixed form their writer uses; any other string goes to the general parser,
+# which stays the reference for what is accepted and what raises. The fast
+# paths match [0-9], not \d, which also takes non-ASCII digits.
+_CACHE_DATETIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+_CACHE_DATETIME = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
+_MONTHS = {
+    name: number
+    for number, name in enumerate("Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(), 1)
+}
+# RFC 1123, as TimeMaps write it. Years below 1000 are left to
+# parsedate_to_datetime, which maps two-digit years (and so "0050") into
+# 1969-2068.
+_RFC1123_DATETIME = re.compile(
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun), ([0-9]{2}) (" + "|".join(_MONTHS) + r")"
+    r" ([1-9][0-9]{3}) ([0-9]{2}):([0-9]{2}):([0-9]{2}) GMT"
+)
+
+
+def _cache_datetime(text: str) -> datetime:
+    """A cached memento datetime, as ``ArchiveEvidence.to_json_dict`` writes it."""
+    match = _CACHE_DATETIME.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        return datetime.strptime(text, _CACHE_DATETIME_FORMAT).replace(tzinfo=timezone.utc)
+    year, month, day, hour, minute, second = match.groups()
+    return datetime(
+        int(year), int(month), int(day), int(hour), int(minute), int(second), tzinfo=timezone.utc
+    )
+
+
+def _link_datetime(raw: str) -> datetime:
+    """A TimeMap ``datetime`` parameter (RFC 1123) as an aware UTC datetime."""
+    match = _RFC1123_DATETIME.fullmatch(raw) if isinstance(raw, str) else None
+    if match is None:
+        parsed = parsedate_to_datetime(raw)
+        if parsed.tzinfo is None:
+            parsed = parsed.replace(tzinfo=timezone.utc)
+        return parsed.astimezone(timezone.utc)
+    day, month, year, hour, minute, second = match.groups()
+    return datetime(
+        int(year), _MONTHS[month], int(day), int(hour), int(minute), int(second), tzinfo=timezone.utc
+    )
+
+
 @dataclass(frozen=True)
 class ArchiveEvidence:
     uri: str
@@ -92,16 +136,13 @@ class ArchiveEvidence:
     def to_json_dict(self) -> dict:
         return {
             "uri": self.uri,
-            "mementos": [[dt.strftime("%Y-%m-%dT%H:%M:%SZ"), m] for dt, m in self.mementos],
+            "mementos": [[dt.strftime(_CACHE_DATETIME_FORMAT), m] for dt, m in self.mementos],
             "truncated": self.truncated,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ArchiveEvidence":
-        mementos = tuple(
-            (datetime.strptime(dt, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc), m)
-            for dt, m in data["mementos"]
-        )
+        mementos = tuple((_cache_datetime(dt), m) for dt, m in data["mementos"])
         return cls(
             uri=data["uri"],
             archived=bool(mementos),
@@ -178,12 +219,9 @@ class TimemapLink:
         if raw is None:
             return None
         try:
-            parsed = parsedate_to_datetime(raw)
-        except (TypeError, ValueError) as exc:
+            return _link_datetime(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ArchiveFetchError(f"bad datetime {raw!r} in TimeMap") from exc
-        if parsed.tzinfo is None:
-            parsed = parsed.replace(tzinfo=timezone.utc)
-        return parsed.astimezone(timezone.utc)
 
 
 def parse_timemap_links(text: str) -> list[TimemapLink]:
@@ -507,7 +545,7 @@ class EvidenceService:
             self.cache.put("gateway", kind, surt, value)
         return value
 
-    def _with_retries(self, action: Callable[[], dict]) -> dict:
+    def _with_retries(self, action: Callable[[], ArchiveEvidence]) -> ArchiveEvidence:
         attempt = 0
         while True:
             try:
@@ -517,20 +555,32 @@ class EvidenceService:
                     raise
                 attempt += 1
 
+    def _archive(self, uri: str, surt: str) -> ArchiveEvidence:
+        """The URI's TimeMap evidence, cached or fetched. A fetched TimeMap is
+        serialized only to write its cache line. A cached value that does not
+        decode counts as a miss: it is fetched again and superseded."""
+        if self.cache is not None:
+            hit = self.cache.get("gateway", "timemap", surt)
+            if hit is not None:
+                try:
+                    return ArchiveEvidence.from_json_dict(hit)
+                except (KeyError, TypeError, ValueError) as exc:
+                    _log.warning(
+                        "evidence cache %s: refetching undecodable TimeMap for %s: %s: %s",
+                        self.cache.path, surt, type(exc).__name__, exc,
+                    )
+        archive = self._with_retries(lambda: fetch_timemap(self.archive_source, uri, self.max_pages))
+        if self.cache is not None:
+            self.cache.put("gateway", "timemap", surt, archive.to_json_dict())
+        return archive
+
     def evidence_for(self, uri: str, requested: datetime) -> CandidateEvidence:
         surt = canonicalize_surt(uri)
         try:
-            timemap_value = self._cached(
-                "timemap",
-                surt,
-                lambda: self._with_retries(
-                    lambda: fetch_timemap(self.archive_source, uri, self.max_pages).to_json_dict()
-                ),
-            )
+            archive = self._archive(uri, surt)
         except ArchiveFetchError as exc:
             empty = ArchiveEvidence(uri=uri, archived=False, memento_count=0, mementos=())
             return CandidateEvidence(uri=uri, archive=empty, error=str(exc))
-        archive = ArchiveEvidence.from_json_dict(timemap_value)
         if not archive.archived:
             return CandidateEvidence(uri=uri, archive=archive)
 

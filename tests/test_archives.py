@@ -3,9 +3,11 @@ popularity/damage providers, the JSONL cache, and the evidence service."""
 
 from __future__ import annotations
 
+import logging
 import threading
 from datetime import datetime, timedelta, timezone
-from email.utils import format_datetime
+from email.utils import format_datetime, parsedate_to_datetime
+from urllib.parse import unquote
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -23,6 +25,7 @@ from archive_recommender.archives import (
     FixturePopularityProvider,
     PopularityEvidence,
     RANK_FLOOR_DEFAULT,
+    TimemapLink,
     fetch_damage,
     fetch_timemap,
     nearest_memento,
@@ -142,6 +145,124 @@ class TestLinkParsing:
         )
         with pytest.raises(ArchiveFetchError):
             links[0].datetime
+
+    def test_year_past_c_int_raises_fetch_error(self):
+        (link,) = parse_timemap_links(
+            '<http://a/m>; rel="memento"; datetime="Mon, 01 Jan 99999999999 00:00:00 GMT"'
+        )
+        with pytest.raises(ArchiveFetchError) as raised:
+            link.datetime
+        assert isinstance(raised.value.__cause__, OverflowError)
+
+
+# The parsers that the datetime fast paths replace, kept as their oracles.
+def strptime_cache_datetime(text):
+    return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=UTC)
+
+
+def parsedate_link_datetime(raw):
+    parsed = parsedate_to_datetime(raw)
+    if parsed.tzinfo is None:
+        parsed = parsed.replace(tzinfo=UTC)
+    return parsed.astimezone(UTC)
+
+
+def cached_memento_datetime(text):
+    return ArchiveEvidence.from_json_dict({"uri": "u", "mementos": [[text, "m"]]}).mementos[0][0]
+
+
+def link_datetime(raw):
+    try:
+        return TimemapLink(target="m", rel=("memento",), params={"datetime": raw}).datetime
+    except ArchiveFetchError as exc:
+        raise exc.__cause__
+
+
+def outcome(parse, text):
+    """What a parser makes of a string: an aware datetime and whether its
+    tzinfo is the UTC singleton, or the type of exception it raised."""
+    try:
+        value = parse(text)
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+    return value, value.tzinfo is UTC
+
+
+NON_ASCII_DIGITS = st.sampled_from(["０１２３４５６７８９", "٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९"])
+
+
+@st.composite
+def some_digit_non_ascii(draw, text):
+    """The text, with one ASCII digit (if any) swapped for a non-ASCII one."""
+    places = [i for i, ch in enumerate(text) if ch.isascii() and ch.isdigit()]
+    if not places or not draw(st.booleans()):
+        return text
+    i = draw(st.sampled_from(places))
+    return text[:i] + draw(NON_ASCII_DIGITS)[int(text[i])] + text[i + 1 :]
+
+
+def number(draw, high, width):
+    n = draw(st.integers(0, high))
+    return draw(st.sampled_from([f"{n:0{width}d}", str(n)]))
+
+
+@st.composite
+def cache_like_datetimes(draw):
+    fields = [number(draw, 9999, 4)] + [number(draw, 99, 2) for _ in range(5)]
+    text = "{}-{}-{}T{}:{}:{}".format(*fields) + draw(st.sampled_from(["Z", "z", "", "+00:00", "Z "]))
+    return draw(some_digit_non_ascii(text))
+
+
+MONTH_NAMES = ["Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
+
+
+@st.composite
+def rfc1123_like_datetimes(draw):
+    weekday = draw(st.sampled_from(["Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun", "sun", "Xyz"]))
+    month = draw(st.sampled_from(MONTH_NAMES + ["jan", "DEC", "Foo"]))
+    year = number(draw, 9999, 4) if draw(st.booleans()) else str(draw(st.integers(0, 10**12)))
+    day, hour, minute, second = (number(draw, 99, 2) for _ in range(4))
+    zone = draw(st.sampled_from(["GMT", "UT", "UTC", "+0000", "-0000", "+0130", "-0500", "EST", "gmt", ""]))
+    text = f"{weekday}, {day} {month} {year} {hour}:{minute}:{second} {zone}"
+    return draw(some_digit_non_ascii(text))
+
+
+class TestDatetimeFastPaths:
+    @given(
+        text=st.one_of(
+            cache_like_datetimes(),
+            st.datetimes().map(lambda d: d.strftime("%Y-%m-%dT%H:%M:%SZ")),
+            st.text(max_size=24),
+        )
+    )
+    @example(text="2014-02-26T09:08:46Z")
+    @example(text="999-01-01T00:00:00Z")  # strftime writes year 999 unpadded
+    @example(text="2014-13-01T00:00:00Z")
+    @example(text="2014-02-26T09:08:60Z")
+    @example(text="２０１４-02-26T09:08:46Z")
+    @example(text="2014-02-2\u0663T09:08:46Z")
+    def test_cache_datetime_matches_strptime(self, text):
+        assert outcome(cached_memento_datetime, text) == outcome(strptime_cache_datetime, text)
+
+    @given(
+        raw=st.one_of(
+            rfc1123_like_datetimes(),
+            st.datetimes(timezones=st.just(UTC)).map(lambda d: format_datetime(d, usegmt=True)),
+            st.text(max_size=32),
+        )
+    )
+    @example(raw="Wed, 26 Feb 2014 09:08:46 GMT")
+    @example(raw="Mon, 01 Jan 0050 00:00:00 GMT")  # parsedate reads the year as 2050
+    @example(raw="Mon, 01 Jan 0999 00:00:00 GMT")
+    @example(raw="Wed, 26 Feb 2014 09:08:60 GMT")
+    @example(raw="Wed, 26 feb 2014 09:08:46 GMT")
+    @example(raw="Sat, 1 Mar 2014 09:08:46 GMT")
+    @example(raw="Wed, 26 Feb 2014 09:08:46 +0000")
+    @example(raw="Wed, 26 Feb 2014 09:08:46 UT")
+    @example(raw="Wed, 26 Feb ２０１４ 09:08:46 GMT")
+    @example(raw="Mon, 01 Jan 99999999999 00:00:00 GMT")
+    def test_link_datetime_matches_parsedate(self, raw):
+        assert outcome(link_datetime, raw) == outcome(parsedate_link_datetime, raw)
 
 
 class TestEvidence:
@@ -472,6 +593,14 @@ class TestEvidenceCache:
         ]
 
 
+class ExplodingSource:
+    def get_timemap(self, uri):
+        raise AssertionError("should have come from cache")
+
+    def get_page(self, page_uri):
+        raise AssertionError("should have come from cache")
+
+
 class TestEvidenceService:
     def build(self, fixtures_dir, **kwargs) -> EvidenceService:
         return EvidenceService(
@@ -525,17 +654,54 @@ class TestEvidenceService:
         cache = EvidenceCache(tmp_path / "cache.jsonl")
         service = self.build(fixtures_dir, cache=cache)
         first = service.evidence_for("http://cs.gmu.edu", dt("20140301000000"))
-
-        class Exploding:
-            def get_timemap(self, uri):
-                raise AssertionError("should have come from cache")
-
-            def get_page(self, page_uri):
-                raise AssertionError("should have come from cache")
-
-        cached_service = EvidenceService(Exploding(), cache=cache)
+        cached_service = EvidenceService(ExplodingSource(), cache=cache)
         second = cached_service.evidence_for("http://cs.gmu.edu", dt("20140301000000"))
         assert second.archive.mementos == first.archive.mementos
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"uri": "http://cs.gmu.edu", "mementos": [["soon", "https://a/m"]], "truncated": False},
+            {"uri": "x"},
+            [[1, "m"]],
+        ],
+        ids=["bad-datetime", "no-mementos", "not-a-dict"],
+    )
+    def test_undecodable_cached_timemap_is_refetched(self, fixtures_dir, tmp_path, caplog, value):
+        requested = dt("20140301000000")
+        expected = self.build(fixtures_dir).evidence_for("http://cs.gmu.edu", requested)
+        path = tmp_path / "cache.jsonl"
+        EvidenceCache(path).put("gateway", "timemap", "edu,gmu,cs)/", value)
+        cache = EvidenceCache(path)
+        with caplog.at_level(logging.WARNING, logger="archive_recommender.archives"):
+            result = self.build(fixtures_dir, cache=cache).evidence_for("http://cs.gmu.edu", requested)
+        assert result == expected
+        assert len(caplog.records) == 1
+        assert caplog.records[0].name == "archive_recommender.archives"
+        assert "refetching undecodable TimeMap for edu,gmu,cs)/" in caplog.records[0].getMessage()
+        reread = EvidenceCache(path).get("gateway", "timemap", "edu,gmu,cs)/")
+        assert reread == expected.archive.to_json_dict()
+
+    def test_year_999_memento_served_without_cache(self):
+        page = '<https://a/m>; rel="memento"; datetime="Fri, 01 Jan 0999 00:00:00 GMT"'
+        result = EvidenceService(MapSource(page)).evidence_for("http://a.example.com", dt("20140301000000"))
+        assert result.error is None
+        assert result.archive.mementos == ((datetime(999, 1, 1, tzinfo=UTC), "https://a/m"),)
+
+    def test_every_fixture_timemap_same_with_and_without_cache(self, fixtures_dir, tmp_path):
+        requested = dt("20140301000000")
+        paths = sorted((fixtures_dir / "timemaps").glob("*.link"))
+        assert paths
+        for path in paths:
+            uri = unquote(path.name[: -len(".link")])
+            plain = self.build(fixtures_dir).evidence_for(uri, requested)
+            cache_path = tmp_path / f"{path.stem}.jsonl"
+            cold = self.build(fixtures_dir, cache=EvidenceCache(cache_path)).evidence_for(uri, requested)
+            warm_service = EvidenceService(ExplodingSource(), cache=EvidenceCache(cache_path))
+            warm = warm_service.evidence_for(uri, requested)
+            assert plain.archive.archived, uri
+            assert cold == plain, uri
+            assert warm == plain, uri
 
     def test_damage_defaults_when_provider_lacks_memento(self, fixtures_dir):
         service = self.build(fixtures_dir)

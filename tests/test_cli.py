@@ -159,6 +159,34 @@ class TestRecommend:
         assert code == EXIT_OK
         assert records_of(out) == worked_example[1]
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda value: value["mementos"][0].__setitem__(0, "soon"),
+            lambda value: value.pop("mementos"),
+            lambda value: value.__setitem__("mementos", 7),
+        ],
+        ids=["bad-datetime", "no-mementos", "mementos-not-a-list"],
+    )
+    def test_undecodable_cached_timemap_gives_same_records(
+        self, capsys, fixtures_dir, tmp_path, worked_example, corrupt
+    ):
+        cache = tmp_path / "c.jsonl"
+        argv = (
+            "recommend", "http://odu.edu/compsci", "--datetime", "2014-03-01",
+            "--fixtures", str(fixtures_dir), "--now", "2014-06-01T00:00:00Z",
+            "--output", "records", "--cache", str(cache),
+        )
+        assert run(capsys, *argv)[0] == EXIT_OK
+        lines = [json.loads(line) for line in cache.read_text("utf-8").splitlines()]
+        record = next(r for r in lines if r["kind"] == "timemap" and r["value"]["mementos"])
+        corrupt(record["value"])
+        cache.write_text("".join(json.dumps(r) + "\n" for r in lines), "utf-8")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert records_of(out) == worked_example[1]
+        assert len(cache.read_text("utf-8").splitlines()) == len(lines) + 1
+
     def test_table_output(self, capsys, fixtures_dir):
         code, out, _ = run(
             capsys,

@@ -14,6 +14,7 @@ from archive_recommender.uri import (
     GRAM_SIZES,
     ParsedUri,
     PublicSuffixList,
+    SCHEME_TOKENS,
     TokenMethod,
     TokenVariant,
     UriParseError,
@@ -323,11 +324,15 @@ class TestTokenizeBehaviour:
 
 
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=0, max_size=40))
+@example(text="http")
+@example(text="https")
 def test_uri_gram_multiset_matches_sliding_window(text):
     """ALL_GRAMS_URI over a single letter run equals the brute-force oracle."""
     bag = tokenize(f"http://{text or 'x'}.com/", TokenMethod.ALL_GRAMS_URI,
                    {TokenVariant.STRIP_TLD})
     working = text or "x"
+    if working in SCHEME_TOKENS:  # tokenize drops a run that names a scheme
+        working = ""
     oracle = [working[i : i + n] for n in GRAM_SIZES for i in range(len(working) - n + 1)]
     assert Counter(bag.features) == Counter(oracle)
     assert len(bag) == sum(max(0, len(working) - n + 1) for n in GRAM_SIZES)
