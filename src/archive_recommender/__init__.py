@@ -48,7 +48,7 @@ from .pipeline import (
     evaluate_l1,
     train_l1,
 )
-from .ranking import CandidatePage, RankWeights, Recommendation, rank
+from .ranking import RankWeights, Recommendation, rank
 from .reports import DistributionReport, analyze_uris
 from .uri import (
     ParsedUri,
@@ -118,7 +118,6 @@ __all__ = [
     "EvidenceService",
     # ranking
     "RankWeights",
-    "CandidatePage",
     "Recommendation",
     "rank",
     # pipeline

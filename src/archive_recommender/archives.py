@@ -101,6 +101,12 @@ def _cache_datetime(text: str) -> datetime:
     )
 
 
+def _cache_datetime_text(dt: datetime) -> str:
+    """The cached form of a memento datetime; unlike glibc ``strftime``,
+    ``isoformat`` pads a year below 1000 to four digits."""
+    return dt.isoformat(timespec="seconds")[:19] + "Z"
+
+
 def _link_datetime(raw: str) -> datetime:
     """A TimeMap ``datetime`` parameter (RFC 1123) as an aware UTC datetime."""
     match = _RFC1123_DATETIME.fullmatch(raw) if isinstance(raw, str) else None
@@ -118,38 +124,28 @@ def _link_datetime(raw: str) -> datetime:
 @dataclass(frozen=True)
 class ArchiveEvidence:
     uri: str
-    archived: bool
-    memento_count: int
     mementos: tuple[tuple[datetime, str], ...]  # (datetime UTC, memento URI), sorted
     truncated: bool = False
 
-    def __post_init__(self):
-        if self.archived != (self.memento_count > 0):
-            raise ValueError("archived flag must equal memento_count > 0")
-        if len(self.mementos) != self.memento_count:
-            raise ValueError("memento list length must equal memento_count")
+    @property
+    def archived(self) -> bool:
+        return bool(self.mementos)
 
     @property
-    def memento_datetimes(self) -> tuple[datetime, ...]:
-        return tuple(dt for dt, _ in self.mementos)
+    def memento_count(self) -> int:
+        return len(self.mementos)
 
     def to_json_dict(self) -> dict:
         return {
             "uri": self.uri,
-            "mementos": [[dt.strftime(_CACHE_DATETIME_FORMAT), m] for dt, m in self.mementos],
+            "mementos": [[_cache_datetime_text(dt), m] for dt, m in self.mementos],
             "truncated": self.truncated,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ArchiveEvidence":
         mementos = tuple((_cache_datetime(dt), m) for dt, m in data["mementos"])
-        return cls(
-            uri=data["uri"],
-            archived=bool(mementos),
-            memento_count=len(mementos),
-            mementos=mementos,
-            truncated=data.get("truncated", False),
-        )
+        return cls(uri=data["uri"], mementos=mementos, truncated=data.get("truncated", False))
 
 
 @dataclass(frozen=True)
@@ -166,9 +162,6 @@ class PopularityEvidence:
         if self.archive_count > self.archive_count_ceiling:
             raise ValueError("archive_count above ceiling must be clamped by the fetcher")
 
-    def to_json_dict(self) -> dict:
-        return {"rank": self.global_rank}
-
 
 @dataclass(frozen=True)
 class DamageEvidence:
@@ -181,6 +174,10 @@ class DamageEvidence:
 
     def to_json_dict(self) -> dict:
         return {"damage": self.damage, "source": self.source.value}
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "DamageEvidence":
+        return cls(damage=data["damage"], source=DamageSource(data["source"]))
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +259,7 @@ def _evidence_from_links(uri: str, links: Iterable[TimemapLink], truncated: bool
             raise ArchiveFetchError(f"memento link without datetime: {link.target!r}")
         mementos.append((dt, link.target))
     mementos.sort()
-    return ArchiveEvidence(
-        uri=uri,
-        archived=bool(mementos),
-        memento_count=len(mementos),
-        mementos=tuple(mementos),
-        truncated=truncated,
-    )
+    return ArchiveEvidence(uri=uri, mementos=tuple(mementos), truncated=truncated)
 
 
 class TimemapSource(Protocol):
@@ -282,7 +273,7 @@ def fetch_timemap(source: TimemapSource, uri: str, max_pages: int = 5) -> Archiv
     continuation pages (rel="next"). A missing TimeMap means not archived."""
     page = source.get_timemap(uri)
     if page is None:
-        return ArchiveEvidence(uri=uri, archived=False, memento_count=0, mementos=())
+        return ArchiveEvidence(uri=uri, mementos=())
     links: list[TimemapLink] = []
     seen: set[str] = set()
     truncated = False
@@ -503,6 +494,24 @@ class EvidenceCache:
 # Evidence service: cached, concurrent fan-out over candidates
 
 
+def _decode_rank(value: dict) -> int | None:
+    rank = value.get("rank")
+    return None if rank is None else int(rank)
+
+
+# Each cached kind: its name in warnings, the encoder that writes a value to
+# its cache line, and the decoder that reads one back and raises on any value
+# it cannot read. The TimeMap decoder is looked up on each call, so a wrapper
+# put on the class is seen.
+_CODECS = {
+    "timemap": (
+        "TimeMap", ArchiveEvidence.to_json_dict, lambda value: ArchiveEvidence.from_json_dict(value)
+    ),
+    "popularity": ("popularity", lambda rank: {"rank": rank}, _decode_rank),
+    "damage": ("damage", DamageEvidence.to_json_dict, DamageEvidence.from_json_dict),
+}
+
+
 @dataclass
 class CandidateEvidence:
     uri: str
@@ -535,85 +544,67 @@ class EvidenceService:
         self.rank_floor = rank_floor
         self.count_ceiling = count_ceiling
 
-    def _cached(self, kind: str, surt: str, fetch: Callable[[], dict]) -> dict:
+    def _cached(self, kind: str, surt: str, fetch: Callable[[], object]):
+        """The evidence of one kind for a SURT, cached or fetched. A value is
+        encoded only to write its cache line. A cached value that does not
+        decode counts as a miss: it is fetched again and superseded."""
+        label, encode, decode = _CODECS[kind]
         if self.cache is not None:
             hit = self.cache.get("gateway", kind, surt)
             if hit is not None:
-                return hit
+                try:
+                    return decode(hit)
+                except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+                    _log.warning(
+                        "evidence cache %s: refetching undecodable %s for %s: %s: %s",
+                        self.cache.path, label, surt, type(exc).__name__, exc,
+                    )
         value = fetch()
         if self.cache is not None:
-            self.cache.put("gateway", kind, surt, value)
+            self.cache.put("gateway", kind, surt, encode(value))
         return value
 
-    def _with_retries(self, action: Callable[[], ArchiveEvidence]) -> ArchiveEvidence:
+    def _fetch_timemap(self, uri: str) -> ArchiveEvidence:
+        """Fetch a TimeMap, retrying an ArchiveFetchError up to ``retries`` times."""
         attempt = 0
         while True:
             try:
-                return action()
+                return fetch_timemap(self.archive_source, uri, self.max_pages)
             except ArchiveFetchError:
                 if attempt >= self.retries:
                     raise
                 attempt += 1
 
-    def _archive(self, uri: str, surt: str) -> ArchiveEvidence:
-        """The URI's TimeMap evidence, cached or fetched. A fetched TimeMap is
-        serialized only to write its cache line. A cached value that does not
-        decode counts as a miss: it is fetched again and superseded."""
-        if self.cache is not None:
-            hit = self.cache.get("gateway", "timemap", surt)
-            if hit is not None:
-                try:
-                    return ArchiveEvidence.from_json_dict(hit)
-                except (KeyError, TypeError, ValueError) as exc:
-                    _log.warning(
-                        "evidence cache %s: refetching undecodable TimeMap for %s: %s: %s",
-                        self.cache.path, surt, type(exc).__name__, exc,
-                    )
-        archive = self._with_retries(lambda: fetch_timemap(self.archive_source, uri, self.max_pages))
-        if self.cache is not None:
-            self.cache.put("gateway", "timemap", surt, archive.to_json_dict())
-        return archive
+    def _fetch_rank(self, uri: str) -> int | None:
+        if self.popularity_provider is None:
+            return None
+        domain = parse_uri(uri, assume_http=True).registered_domain
+        return self.popularity_provider.get_rank(domain)
 
     def evidence_for(self, uri: str, requested: datetime) -> CandidateEvidence:
         surt = canonicalize_surt(uri)
         try:
-            archive = self._archive(uri, surt)
+            archive = self._cached("timemap", surt, lambda: self._fetch_timemap(uri))
         except ArchiveFetchError as exc:
-            empty = ArchiveEvidence(uri=uri, archived=False, memento_count=0, mementos=())
+            empty = ArchiveEvidence(uri=uri, mementos=())
             return CandidateEvidence(uri=uri, archive=empty, error=str(exc))
         if not archive.archived:
             return CandidateEvidence(uri=uri, archive=archive)
 
         _, nearest_uri = nearest_memento(archive, requested)
-
-        rank_value = self._cached(
-            "popularity",
-            surt,
-            lambda: {
-                "rank": None
-                if self.popularity_provider is None
-                else self.popularity_provider.get_rank(
-                    parse_uri(uri, assume_http=True).registered_domain
-                )
-            },
-        )
-        rank = rank_value.get("rank")
+        rank = self._cached("popularity", surt, lambda: self._fetch_rank(uri))
         count = archive.memento_count
         popularity = PopularityEvidence(
-            global_rank=None if rank is None else max(1, min(int(rank), self.rank_floor)),
+            global_rank=None if rank is None else max(1, min(rank, self.rank_floor)),
             rank_floor=self.rank_floor,
             archive_count=min(count, self.count_ceiling),
             archive_count_ceiling=self.count_ceiling,
             clamped=count > self.count_ceiling,
         )
-
-        damage_value = self._cached(
+        damage = self._cached(
             "damage",
             canonicalize_surt(nearest_uri),
-            lambda: fetch_damage(self.damage_provider, nearest_uri).to_json_dict(),
-        )
-        damage = DamageEvidence(
-            damage=damage_value["damage"], source=DamageSource(damage_value["source"])
+            lambda: fetch_damage(self.damage_provider, nearest_uri),
         )
         return CandidateEvidence(uri=uri, archive=archive, popularity=popularity, damage=damage)
 

@@ -28,7 +28,7 @@ from .config import ConfigError, Settings, load_settings, parse_datetime
 from .deep import evaluate_deep
 from .logs import analyze_requests, filter_log_file
 from .metrics import majority_baseline
-from .nbayes import load_model, save_model, train as nb_train
+from .nbayes import load_model, save_model
 from .ontology import (
     FixtureOntologyProvider,
     IngestFormat,
@@ -42,8 +42,9 @@ from .pipeline import (
     Recommender,
     build_l1_corpus,
     evaluate_l1,
+    train_l1,
 )
-from .uri import TokenMethod, TokenVariant, UriParseError, tokenize
+from .uri import TokenMethod, TokenVariant, UriParseError
 
 EXIT_OK = 0
 EXIT_EMPTY = 2
@@ -204,10 +205,7 @@ def _cmd_train(args: argparse.Namespace, settings: Settings) -> int:
     index = load_index(_resolve_index_path(settings))
     method = _METHODS[args.method]
     variants = frozenset(_parse_variants(args.variants))
-    corpus = [
-        (tokenize(uri, method, variants), label) for uri, label in build_l1_corpus(index)
-    ]
-    model = nb_train(corpus, args.smoothing)
+    model = train_l1(index, method, variants, args.smoothing)
     save_model(model, args.model_out)
     summary = {
         "type": "train",

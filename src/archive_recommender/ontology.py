@@ -95,11 +95,6 @@ class CategoryPath:
     def top(self) -> str:
         return self.labels[0]
 
-    def prefix(self, k: int) -> "CategoryPath":
-        if not 1 <= k <= len(self.labels):
-            raise ValueError(f"prefix length {k} out of range")
-        return CategoryPath(self.labels[:k])
-
     def ancestors(self) -> Iterator["CategoryPath"]:
         """Proper prefixes, shortest first."""
         for k in range(1, len(self.labels)):

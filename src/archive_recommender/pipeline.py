@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Iterable
 
-from .archives import EvidenceService
+from .archives import CandidateEvidence, EvidenceService
 from .deep import (
     CategoryVectorIndex,
     DeepClassificationError,
@@ -31,7 +31,7 @@ from .ontology import (
     OntologyProvider,
     lookup_requested,
 )
-from .ranking import CandidatePage, RankWeights, Recommendation, rank
+from .ranking import RankWeights, Recommendation, rank
 from .uri import TokenBag, TokenMethod, TokenVariant, canonicalize_surt, parse_uri, tokenize
 
 __all__ = [
@@ -244,23 +244,15 @@ class Recommender:
 
         # Step 3: keep only candidates the archives actually hold.
         evidence_list = self.evidence.gather([e.uri for e in entries], requested_dt)
-        pages: list[CandidatePage] = []
+        pages: list[CandidateEvidence] = []
         dropped: list[tuple[str, str]] = []
-        for entry, ev in zip(entries, evidence_list):
+        for ev in evidence_list:
             if ev.error is not None:
-                dropped.append((entry.uri, f"evidence unavailable: {ev.error}"))
+                dropped.append((ev.uri, f"evidence unavailable: {ev.error}"))
             elif not ev.archive.archived:
-                dropped.append((entry.uri, "not archived"))
+                dropped.append((ev.uri, "not archived"))
             else:
-                pages.append(
-                    CandidatePage(
-                        uri=entry.uri,
-                        archive=ev.archive,
-                        popularity=ev.popularity,
-                        damage=ev.damage,
-                        entry=entry,
-                    )
-                )
+                pages.append(ev)
         trace.append(f"step3: {len(pages)} of {len(entries)} candidates are archived")
         if not pages:
             return RecommendationResult(

@@ -11,13 +11,12 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .archives import (
-    ArchiveEvidence,
+    CandidateEvidence,
     DamageEvidence,
     DamageSource,
     PopularityEvidence,
     nearest_memento,
 )
-from .ontology import OntologyEntry
 from .uri import TokenMethod, tokenize
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "popularity_score",
     "uri_similarity",
     "archival_quality",
-    "CandidatePage",
     "Recommendation",
     "rank",
 ]
@@ -122,15 +120,6 @@ def archival_quality(evidence: DamageEvidence) -> float:
 
 
 @dataclass(frozen=True)
-class CandidatePage:
-    uri: str
-    archive: ArchiveEvidence
-    popularity: PopularityEvidence
-    damage: DamageEvidence | None = None
-    entry: OntologyEntry | None = None
-
-
-@dataclass(frozen=True)
 class Recommendation:
     uri: str
     memento_uri: str
@@ -141,7 +130,6 @@ class Recommendation:
     quality: float
     score: float
     explanations: tuple[str, ...]
-    entry: OntologyEntry | None = None
 
 
 def _iso(dt: datetime) -> str:
@@ -149,7 +137,7 @@ def _iso(dt: datetime) -> str:
 
 
 def rank(
-    candidates: list[CandidatePage],
+    candidates: list[CandidateEvidence],
     weights: RankWeights = RankWeights(),
     top_n: int | None = None,
     *,
@@ -211,7 +199,6 @@ def rank(
                 quality=q,
                 score=score,
                 explanations=explanations,
-                entry=candidate.entry,
             )
         )
     results.sort(key=lambda r: (-r.score, r.uri))

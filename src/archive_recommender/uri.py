@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import ipaddress
 import re
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -142,11 +141,6 @@ class ParsedUri:
     registered_domain: str
     tld: str
 
-    def reconstruct(self) -> str:
-        netloc = self.host if self.port is None else f"{self.host}:{self.port}"
-        query = "" if self.query is None else f"?{self.query}"
-        return f"{self.scheme}://{netloc}{self.path}{query}"
-
     @property
     def is_ip_host(self) -> bool:
         return _is_ip(self.host)
@@ -256,9 +250,6 @@ class TokenBag:
     method: TokenMethod
     variants: frozenset[TokenVariant]
     features: tuple[str, ...]
-
-    def counts(self) -> Counter[str]:
-        return Counter(self.features)
 
     def as_set(self) -> frozenset[str]:
         return frozenset(self.features)

@@ -31,6 +31,7 @@ from archive_recommender.archives import (
     nearest_memento,
     parse_timemap_links,
 )
+from archive_recommender.uri import canonicalize_surt
 
 UTC = timezone.utc
 
@@ -287,15 +288,6 @@ class TestEvidence:
         assert not evidence.archived
         assert evidence.memento_count == 0
 
-    def test_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            ArchiveEvidence(uri="http://x/", archived=True, memento_count=0, mementos=())
-        with pytest.raises(ValueError):
-            ArchiveEvidence(
-                uri="http://x/", archived=False, memento_count=1,
-                mementos=((datetime(2014, 1, 1, tzinfo=UTC), "https://a/m"),),
-            )
-
     def test_json_roundtrip(self):
         evidence = fetch_timemap(MapSource(SINGLE_PAGE), "http://a.example.com")
         again = ArchiveEvidence.from_json_dict(evidence.to_json_dict())
@@ -385,9 +377,7 @@ class TestFetchTimemap:
 class TestNearestMemento:
     def make(self, *stamps: str) -> ArchiveEvidence:
         mementos = tuple((dt(s), f"https://a/web/{s}/http://x/") for s in sorted(stamps))
-        return ArchiveEvidence(
-            uri="http://x/", archived=True, memento_count=len(mementos), mementos=mementos
-        )
+        return ArchiveEvidence(uri="http://x/", mementos=mementos)
 
     def test_picks_closest(self):
         evidence = self.make("20131215083000", "20140220103015", "20140405121200")
@@ -401,7 +391,7 @@ class TestNearestMemento:
         assert when == dt("20140101000000")
 
     def test_unarchived_raises(self):
-        empty = ArchiveEvidence(uri="http://x/", archived=False, memento_count=0, mementos=())
+        empty = ArchiveEvidence(uri="http://x/", mementos=())
         with pytest.raises(ValueError):
             nearest_memento(empty, dt("20140101000000"))
 
@@ -659,28 +649,84 @@ class TestEvidenceService:
         assert second.archive.mementos == first.archive.mementos
 
     @pytest.mark.parametrize(
-        "value",
+        "kind, value",
         [
-            {"uri": "http://cs.gmu.edu", "mementos": [["soon", "https://a/m"]], "truncated": False},
-            {"uri": "x"},
-            [[1, "m"]],
+            (
+                "timemap",
+                {"uri": "http://cs.gmu.edu", "mementos": [["soon", "https://a/m"]], "truncated": False},
+            ),
+            ("timemap", {"uri": "x"}),
+            ("timemap", [[1, "m"]]),
+            ("damage", {"damage": "x"}),
+            ("damage", {}),
+            ("damage", []),
+            ("damage", {"damage": 2.0, "source": "fixture"}),
+            ("damage", {"damage": 0.1, "source": "bogus"}),
+            ("popularity", {"rank": "x"}),
+            ("popularity", [1]),
+            ("popularity", {"rank": float("inf")}),
         ],
-        ids=["bad-datetime", "no-mementos", "not-a-dict"],
+        ids=[
+            "bad-datetime", "no-mementos", "not-a-dict",
+            "damage-not-a-number", "damage-empty", "damage-a-list", "damage-above-one",
+            "damage-unknown-source", "rank-not-a-number", "rank-a-list", "rank-infinite",
+        ],
     )
-    def test_undecodable_cached_timemap_is_refetched(self, fixtures_dir, tmp_path, caplog, value):
+    def test_undecodable_cached_timemap_is_refetched(
+        self, fixtures_dir, tmp_path, caplog, kind, value
+    ):
+        """A cached value of any kind that does not decode is refetched, with
+        one warning and one superseding line."""
         requested = dt("20140301000000")
         expected = self.build(fixtures_dir).evidence_for("http://cs.gmu.edu", requested)
+        labels = {"timemap": "TimeMap", "popularity": "popularity", "damage": "damage"}
+        surt = "edu,gmu,cs)/"
+        if kind == "damage":
+            surt = canonicalize_surt(nearest_memento(expected.archive, requested)[1])
         path = tmp_path / "cache.jsonl"
-        EvidenceCache(path).put("gateway", "timemap", "edu,gmu,cs)/", value)
+        self.build(fixtures_dir, cache=EvidenceCache(path)).evidence_for("http://cs.gmu.edu", requested)
+        fetched = EvidenceCache(path).get("gateway", kind, surt)
+        EvidenceCache(path).put("gateway", kind, surt, value)
+        written = len(path.read_text("utf-8").splitlines())
         cache = EvidenceCache(path)
         with caplog.at_level(logging.WARNING, logger="archive_recommender.archives"):
             result = self.build(fixtures_dir, cache=cache).evidence_for("http://cs.gmu.edu", requested)
         assert result == expected
         assert len(caplog.records) == 1
         assert caplog.records[0].name == "archive_recommender.archives"
-        assert "refetching undecodable TimeMap for edu,gmu,cs)/" in caplog.records[0].getMessage()
-        reread = EvidenceCache(path).get("gateway", "timemap", "edu,gmu,cs)/")
-        assert reread == expected.archive.to_json_dict()
+        assert f"refetching undecodable {labels[kind]} for {surt}" in caplog.records[0].getMessage()
+        assert len(path.read_text("utf-8").splitlines()) == written + 1
+        assert EvidenceCache(path).get("gateway", kind, surt) == fetched
+
+    @pytest.mark.parametrize(
+        "value, rank", [({}, None), ({"rank": None}, None), ({"rank": "5"}, 5), ({"rank": 2.7}, 2)]
+    )
+    def test_cached_popularity_decodes_as_before(self, tmp_path, caplog, value, rank):
+        uri, requested = "http://a.example.com", dt("20140301000000")
+        path = tmp_path / "cache.jsonl"
+        EvidenceService(MapSource(SINGLE_PAGE), cache=EvidenceCache(path)).evidence_for(uri, requested)
+        EvidenceCache(path).put("gateway", "popularity", canonicalize_surt(uri), value)
+        written = path.read_text("utf-8")
+        warm_service = EvidenceService(ExplodingSource(), cache=EvidenceCache(path))
+        with caplog.at_level(logging.WARNING, logger="archive_recommender.archives"):
+            result = warm_service.evidence_for(uri, requested)
+        assert result.popularity.global_rank == rank
+        assert not caplog.records
+        assert path.read_text("utf-8") == written
+
+    def test_year_999_memento_cached_once(self, tmp_path, caplog):
+        page = '<https://a/m>; rel="memento"; datetime="Fri, 01 Jan 0999 00:00:00 GMT"'
+        uri, requested = "http://a.example.com", dt("20140301000000")
+        path = tmp_path / "cache.jsonl"
+        cold = EvidenceService(MapSource(page), cache=EvidenceCache(path)).evidence_for(uri, requested)
+        written = path.read_text("utf-8")
+        assert '"0999-01-01T00:00:00Z"' in written
+        warm_service = EvidenceService(ExplodingSource(), cache=EvidenceCache(path))
+        with caplog.at_level(logging.WARNING, logger="archive_recommender.archives"):
+            warm = warm_service.evidence_for(uri, requested)
+        assert warm == cold
+        assert not caplog.records
+        assert path.read_text("utf-8") == written
 
     def test_year_999_memento_served_without_cache(self):
         page = '<https://a/m>; rel="memento"; datetime="Fri, 01 Jan 0999 00:00:00 GMT"'

@@ -160,17 +160,30 @@ class TestRecommend:
         assert records_of(out) == worked_example[1]
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "kind, corrupt",
         [
-            lambda value: value["mementos"][0].__setitem__(0, "soon"),
-            lambda value: value.pop("mementos"),
-            lambda value: value.__setitem__("mementos", 7),
+            ("timemap", lambda value: value["mementos"][0].__setitem__(0, "soon")),
+            ("timemap", lambda value: value.pop("mementos")),
+            ("timemap", lambda value: value.__setitem__("mementos", 7)),
+            ("damage", {"damage": "x"}),
+            ("damage", {}),
+            ("damage", []),
+            ("damage", {"damage": 2.0, "source": "fixture"}),
+            ("damage", {"damage": 0.1, "source": "bogus"}),
+            ("popularity", {"rank": "x"}),
+            ("popularity", [1]),
+            ("popularity", {"rank": float("inf")}),
         ],
-        ids=["bad-datetime", "no-mementos", "mementos-not-a-list"],
+        ids=[
+            "bad-datetime", "no-mementos", "mementos-not-a-list",
+            "damage-not-a-number", "damage-empty", "damage-a-list", "damage-above-one",
+            "damage-unknown-source", "rank-not-a-number", "rank-a-list", "rank-infinite",
+        ],
     )
     def test_undecodable_cached_timemap_gives_same_records(
-        self, capsys, fixtures_dir, tmp_path, worked_example, corrupt
+        self, capsys, caplog, fixtures_dir, tmp_path, worked_example, kind, corrupt
     ):
+        """``corrupt`` edits a TimeMap value in place, or is the malformed value."""
         cache = tmp_path / "c.jsonl"
         argv = (
             "recommend", "http://odu.edu/compsci", "--datetime", "2014-03-01",
@@ -179,12 +192,19 @@ class TestRecommend:
         )
         assert run(capsys, *argv)[0] == EXIT_OK
         lines = [json.loads(line) for line in cache.read_text("utf-8").splitlines()]
-        record = next(r for r in lines if r["kind"] == "timemap" and r["value"]["mementos"])
-        corrupt(record["value"])
+        record = next(
+            r for r in lines if r["kind"] == kind and (kind != "timemap" or r["value"]["mementos"])
+        )
+        if callable(corrupt):
+            corrupt(record["value"])
+        else:
+            record["value"] = corrupt
         cache.write_text("".join(json.dumps(r) + "\n" for r in lines), "utf-8")
-        code, out, _ = run(capsys, *argv)
+        with caplog.at_level("WARNING", logger="archive_recommender"):
+            code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert records_of(out) == worked_example[1]
+        assert len(caplog.records) == 1
         assert len(cache.read_text("utf-8").splitlines()) == len(lines) + 1
 
     def test_table_output(self, capsys, fixtures_dir):

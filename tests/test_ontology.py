@@ -62,7 +62,6 @@ class TestCategoryPath:
 
     def test_prefix_and_ancestors(self):
         p = CategoryPath.parse("A/B/C")
-        assert str(p.prefix(2)) == "A/B"
         assert [str(a) for a in p.ancestors()] == ["A", "A/B"]
         assert CategoryPath.parse("A/B").is_prefix_of(p)
         assert not CategoryPath.parse("A/C").is_prefix_of(p)

@@ -15,13 +15,13 @@ from hypothesis import given, strategies as st
 
 from archive_recommender.archives import (
     ArchiveEvidence,
+    CandidateEvidence,
     DamageEvidence,
     DamageSource,
     PopularityEvidence,
 )
 from archive_recommender.ranking import (
     EARLIEST_ARCHIVE_DATE,
-    CandidatePage,
     RankWeights,
     TemporalInputs,
     archival_quality,
@@ -43,9 +43,7 @@ def evidence_at(*stamps: datetime, uri: str = "http://x.example.com/") -> Archiv
     mementos = tuple(
         sorted((s, f"https://a/web/{s:%Y%m%d%H%M%S}/{uri}") for s in stamps)
     )
-    return ArchiveEvidence(
-        uri=uri, archived=True, memento_count=len(mementos), mementos=mementos
-    )
+    return ArchiveEvidence(uri=uri, mementos=mementos)
 
 
 class TestRankWeights:
@@ -192,8 +190,8 @@ class TestQuality:
 
 
 class TestRank:
-    def page(self, uri, memento_at, rank_value, count, damage) -> CandidatePage:
-        return CandidatePage(
+    def page(self, uri, memento_at, rank_value, count, damage) -> CandidateEvidence:
+        return CandidateEvidence(
             uri=uri,
             archive=evidence_at(memento_at, uri=uri),
             popularity=PopularityEvidence(
@@ -267,11 +265,9 @@ class TestRank:
         assert "default_missing" in result.explanations[3]
 
     def test_unarchived_candidate_rejected(self):
-        empty = CandidatePage(
+        empty = CandidateEvidence(
             uri="http://gone.example.com/",
-            archive=ArchiveEvidence(
-                uri="http://gone.example.com/", archived=False, memento_count=0, mementos=()
-            ),
+            archive=ArchiveEvidence(uri="http://gone.example.com/", mementos=()),
             popularity=PopularityEvidence(global_rank=None),
             damage=None,
         )
@@ -282,7 +278,7 @@ class TestRank:
     def test_nearest_memento_feeds_temporal(self):
         far = REQUESTED - timedelta(days=7305) / 4
         near = REQUESTED - timedelta(days=10)
-        candidate = CandidatePage(
+        candidate = CandidateEvidence(
             uri="http://x.example.com/",
             archive=evidence_at(far, near, uri="http://x.example.com/"),
             popularity=PopularityEvidence(global_rank=None),
