@@ -48,7 +48,13 @@ class Classification:
 
 
 class NaiveBayesModel:
-    """Immutable trained model; exposes raw counts for exact persistence."""
+    """Immutable trained model; exposes raw counts for exact persistence.
+
+    The caller's feature Counters are kept, not copied, and must not change
+    afterwards. A log-likelihood is computed the first time a (class,
+    feature) pair is asked for and then memoized per class, so a model
+    takes logs only of the features it is queried with.
+    """
 
     def __init__(
         self,
@@ -66,34 +72,40 @@ class NaiveBayesModel:
             raise ValueError("every class needs at least one document")
         self.classes: tuple[str, ...] = tuple(sorted(doc_counts))
         self.doc_counts = dict(doc_counts)
-        self.feature_counts = {c: Counter(feature_counts.get(c, ())) for c in self.classes}
+        self.feature_counts = {c: feature_counts.get(c) or Counter() for c in self.classes}
         self.smoothing = smoothing
         self.method = method
         self.variants = frozenset(variants)
 
-        self.vocabulary: frozenset[str] = frozenset(
-            feature for counts in self.feature_counts.values() for feature in counts
-        )
+        self.vocabulary: frozenset[str] = frozenset().union(*self.feature_counts.values())
         total_docs = sum(self.doc_counts.values())
         self.class_log_prior = {
             c: math.log(self.doc_counts[c] / total_docs) for c in self.classes
         }
         v = len(self.vocabulary)
-        self.feature_log_likelihood: dict[str, dict[str, float]] = {}
-        self.unseen_log_likelihood: dict[str, float] = {}
-        for c in self.classes:
-            counts = self.feature_counts[c]
-            denominator = sum(counts.values()) + smoothing * v
-            self.feature_log_likelihood[c] = {
-                feature: math.log((count + smoothing) / denominator)
-                for feature, count in counts.items()
-            }
-            self.unseen_log_likelihood[c] = (
-                math.log(smoothing / denominator) if v else 0.0
-            )
+        self._denominator = {
+            c: sum(self.feature_counts[c].values()) + smoothing * v for c in self.classes
+        }
+        self.unseen_log_likelihood = {
+            c: math.log(smoothing / self._denominator[c]) if v else 0.0 for c in self.classes
+        }
+        self._tables: dict[str, dict[str, float]] = {c: {} for c in self.classes}
+
+    def _table(self, label: str, features: Iterable[str]) -> dict[str, float]:
+        """The memo of ``label``, filled for each of ``features`` that the
+        class has a count for. A feature the class never saw is not stored:
+        its log-likelihood is the class's unseen value."""
+        table = self._tables[label]
+        counts = self.feature_counts[label]
+        for f in features:
+            if f not in table:
+                count = counts.get(f)
+                if count is not None:
+                    table[f] = math.log((count + self.smoothing) / self._denominator[label])
+        return table
 
     def log_likelihood(self, label: str, feature: str) -> float:
-        return self.feature_log_likelihood[label].get(feature, self.unseen_log_likelihood[label])
+        return self._table(label, (feature,)).get(feature, self.unseen_log_likelihood[label])
 
 
 def train(
@@ -130,11 +142,10 @@ def classify(model: NaiveBayesModel, bag: FeatureBag) -> Classification:
     if not known:
         return Classification(None, (), (), ignored)
     counts = Counter(known)
-    raw = {
-        c: model.class_log_prior[c]
-        + sum(model.log_likelihood(c, f) * k for f, k in counts.items())
-        for c in model.classes
-    }
+    raw = {}
+    for c in model.classes:
+        table, unseen = model._table(c, counts), model.unseen_log_likelihood[c]
+        raw[c] = model.class_log_prior[c] + sum(table.get(f, unseen) * k for f, k in counts.items())
     peak = max(raw.values())
     unnormalized = {c: math.exp(s - peak) for c, s in raw.items()}
     norm = sum(unnormalized.values())

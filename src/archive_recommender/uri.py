@@ -131,6 +131,11 @@ def load_stopwords() -> frozenset[str]:
 # Parsing
 
 
+# Parses kept, one per distinct (URI string, assume_http) pair: a few
+# thousand covers an index of that size plus its lost and logged URIs.
+PARSE_CACHE_SIZE = 4096
+
+
 @dataclass(frozen=True)
 class ParsedUri:
     scheme: str
@@ -140,10 +145,7 @@ class ParsedUri:
     query: str | None
     registered_domain: str
     tld: str
-
-    @property
-    def is_ip_host(self) -> bool:
-        return _is_ip(self.host)
+    is_ip_host: bool
 
 
 def _is_ip(host: str) -> bool:
@@ -159,9 +161,16 @@ def parse_uri(uri: str, *, assume_http: bool = False) -> ParsedUri:
 
     With ``assume_http`` a bare ``host/path`` string is accepted by
     prepending ``http://`` — convenient for directory dumps and CLI input.
+    Results are shared from a bounded cache of the most recently parsed
+    distinct strings; a string that fails to parse raises on every call.
     """
     if not isinstance(uri, str) or not uri.strip():
         raise UriParseError(str(uri), "uri", "empty input")
+    return _parse_checked(uri, assume_http)
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse_checked(uri: str, assume_http: bool) -> ParsedUri:
     text = uri.strip()
     if "://" not in text:
         if assume_http and not text.startswith(("http:", "https:")):
@@ -180,14 +189,15 @@ def parse_uri(uri: str, *, assume_http: bool = False) -> ParsedUri:
     if not host:
         raise UriParseError(uri, "host", "empty host")
     host = host.rstrip(".")
-    if not host or not (_HOST_OK.match(host) or _is_ip(host)):
+    is_ip = _is_ip(host)
+    if not (is_ip or _HOST_OK.match(host)):
         raise UriParseError(uri, "host", f"invalid characters in {host!r}")
     if any(not label for label in host.split(".")):
         raise UriParseError(uri, "host", "empty label in host")
-    psl = PublicSuffixList.bundled()
-    if _is_ip(host):
+    if is_ip:
         registered, tld = host, ""
     else:
+        psl = PublicSuffixList.bundled()
         registered, tld = psl.registered_domain(host), psl.public_suffix(host)
     return ParsedUri(
         scheme=scheme,
@@ -197,6 +207,7 @@ def parse_uri(uri: str, *, assume_http: bool = False) -> ParsedUri:
         query=parts.query or None,
         registered_domain=registered,
         tld=tld,
+        is_ip_host=is_ip,
     )
 
 

@@ -15,12 +15,22 @@ smoothing over vocabulary {x, y, z}:
 
 from __future__ import annotations
 
+import math
+import sys
+import threading
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from archive_recommender.nbayes import NaiveBayesModel, classify, load_model, save_model, train
+from archive_recommender.nbayes import (
+    Classification,
+    NaiveBayesModel,
+    classify,
+    load_model,
+    save_model,
+    train,
+)
 from archive_recommender.uri import TokenMethod, TokenVariant, tokenize
 
 TOY = [(["x", "y"], "A"), (["x"], "A"), (["y", "z"], "B")]
@@ -203,3 +213,133 @@ def test_duplicating_corpus_preserves_argmax(k):
     scaled = train(TOY * k)
     for bag in (["x"], ["y"], ["z"], ["x", "z"]):
         assert classify(base, bag).label == classify(scaled, bag).label
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the model as it was before log-likelihoods were computed on
+# demand. Its constructor copies every Counter and takes the log of every
+# (class, feature) pair; its classify calls log_likelihood per pair.
+
+
+class EagerModel:
+    def __init__(self, doc_counts, feature_counts, smoothing):
+        self.classes = tuple(sorted(doc_counts))
+        self.doc_counts = dict(doc_counts)
+        self.feature_counts = {c: Counter(feature_counts.get(c, ())) for c in self.classes}
+        self.smoothing = smoothing
+        self.method = None
+        self.variants = frozenset()
+        self.vocabulary = frozenset(
+            feature for counts in self.feature_counts.values() for feature in counts
+        )
+        total_docs = sum(self.doc_counts.values())
+        self.class_log_prior = {
+            c: math.log(self.doc_counts[c] / total_docs) for c in self.classes
+        }
+        v = len(self.vocabulary)
+        self.feature_log_likelihood = {}
+        self.unseen_log_likelihood = {}
+        for c in self.classes:
+            counts = self.feature_counts[c]
+            denominator = sum(counts.values()) + smoothing * v
+            self.feature_log_likelihood[c] = {
+                feature: math.log((count + smoothing) / denominator)
+                for feature, count in counts.items()
+            }
+            self.unseen_log_likelihood[c] = math.log(smoothing / denominator) if v else 0.0
+
+    def log_likelihood(self, label, feature):
+        return self.feature_log_likelihood[label].get(feature, self.unseen_log_likelihood[label])
+
+
+def eager_classify(model, features):
+    known = [f for f in features if f in model.vocabulary]
+    ignored = len(features) - len(known)
+    if not known:
+        return Classification(None, (), (), ignored)
+    counts = Counter(known)
+    raw = {
+        c: model.class_log_prior[c]
+        + sum(model.log_likelihood(c, f) * k for f, k in counts.items())
+        for c in model.classes
+    }
+    peak = max(raw.values())
+    unnormalized = {c: math.exp(s - peak) for c, s in raw.items()}
+    norm = sum(unnormalized.values())
+    posteriors = sorted(
+        ((c, unnormalized[c] / norm) for c in model.classes), key=lambda kv: (-kv[1], kv[0])
+    )
+    log_scores = sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))
+    return Classification(posteriors[0][0], tuple(posteriors), tuple(log_scores), ignored)
+
+
+_FEATURES = "abcdef"
+_OOV = ["zz", "never-seen"]
+
+
+@st.composite
+def corpus_and_queries(draw):
+    """2-5 classes of 1-3 documents over a few repeated features (a
+    document may be empty), a smoothing, and queries that mix known and
+    out-of-vocabulary features."""
+    labels = draw(st.lists(st.sampled_from("ABCDE"), min_size=2, max_size=5, unique=True))
+    document = st.lists(st.sampled_from(_FEATURES), max_size=8)
+    corpus = [(draw(document), label) for label in labels
+              for _ in range(draw(st.integers(1, 3)))]
+    smoothing = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    queries = draw(st.lists(st.lists(st.sampled_from(list(_FEATURES) + _OOV), max_size=10),
+                            min_size=1, max_size=4))
+    return corpus, smoothing, queries
+
+
+def _counts(corpus):
+    doc_counts, feature_counts = Counter(), {}
+    for features, label in corpus:
+        doc_counts[label] += 1
+        feature_counts.setdefault(label, Counter()).update(features)
+    return dict(doc_counts), feature_counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus_and_queries())
+def test_lazy_model_matches_eager_oracle(tmp_path_factory, case):
+    corpus, smoothing, queries = case
+    doc_counts, feature_counts = _counts(corpus)
+    oracle = EagerModel(doc_counts, feature_counts, smoothing)
+    expected = [eager_classify(oracle, q) for q in queries]
+
+    model = NaiveBayesModel(doc_counts, feature_counts, smoothing)
+    assert [classify(model, q) for q in queries] == expected
+    assert [classify(model, q) for q in queries] == expected  # memoized second pass
+    fresh = NaiveBayesModel(doc_counts, feature_counts, smoothing)
+    for c in oracle.classes:
+        for f in list(_FEATURES) + _OOV:
+            assert fresh.log_likelihood(c, f) == oracle.log_likelihood(c, f)
+            assert model.log_likelihood(c, f) == oracle.log_likelihood(c, f)
+    assert train(corpus, smoothing).vocabulary == oracle.vocabulary
+
+    directory = tmp_path_factory.mktemp("models")
+    save_model(model, directory / "lazy.nb")
+    save_model(oracle, directory / "eager.nb")
+    assert (directory / "lazy.nb").read_bytes() == (directory / "eager.nb").read_bytes()
+
+    shared = NaiveBayesModel(doc_counts, feature_counts, smoothing)
+    start = threading.Barrier(4)
+    results: list[list[Classification] | None] = [None] * 4
+
+    def work(slot: int) -> None:
+        start.wait()
+        results[slot] = [classify(shared, q) for q in queries * 3]
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-fill
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected * 3] * 4

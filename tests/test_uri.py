@@ -12,12 +12,14 @@ from hypothesis import example, given, strategies as st
 from archive_recommender.ontology import load_index
 from archive_recommender.uri import (
     GRAM_SIZES,
+    PARSE_CACHE_SIZE,
     ParsedUri,
     PublicSuffixList,
     SCHEME_TOKENS,
     TokenMethod,
     TokenVariant,
     UriParseError,
+    _parse_checked,
     canonicalize_surt,
     depth,
     detect_patterns,
@@ -136,11 +138,70 @@ class TestParseUri:
         assert p.registered_domain == "192.168.1.10"
         assert p.tld == ""
         assert not parse_uri("http://example.com/").is_ip_host
+        v6 = parse_uri("http://[::1]/")
+        assert v6.is_ip_host
+        assert v6.host == v6.registered_domain == "::1"
+        assert v6.tld == ""
 
     def test_error_carries_component(self):
         with pytest.raises(UriParseError) as exc:
             parse_uri("ftp://example.com/")
         assert exc.value.component == "scheme"
+
+
+# URL-like strings and near misses: odd schemes and separators, IP and
+# malformed hosts, bad ports, stray whitespace, and free text.
+_URI_LIKE = st.one_of(
+    st.builds(
+        "".join,
+        st.tuples(
+            st.sampled_from(["", " ", "http", "https", "HTTP", "ftp", "http:", "mailto"]),
+            st.sampled_from(["://", ":/", "//", ""]),
+            st.sampled_from(["example.com", "cs.odu.edu", "shop.example.co.uk", "[::1]",
+                             "192.168.1.10", "10.0.0.1.", "a..b.com", "exa mple.com", "ex_ample.org",
+                             "Example.COM.", "user@host.org", "", "."]),
+            st.sampled_from(["", ":80", ":8080", ":443", ":99999", ":x", ":"]),
+            st.text(alphabet="/abcAB09%?=&-._ ", max_size=12),
+        ),
+    ),
+    st.text(max_size=20),
+)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the exception itself is the outcome to compare
+        return exc
+
+
+@given(uri=_URI_LIKE, assume_http=st.booleans())
+@example(uri=None, assume_http=False)
+@example(uri=[], assume_http=True)
+@example(uri=b"http://a.com", assume_http=False)
+@example(uri=5, assume_http=True)
+@example(uri="  ", assume_http=True)
+def test_cached_parse_matches_uncached_parse(uri, assume_http):
+    if isinstance(uri, str) and uri.strip():
+        expected = _outcome(lambda: _parse_checked.__wrapped__(uri, assume_http))
+    else:
+        expected = UriParseError(str(uri), "uri", "empty input")
+    first, second = (_outcome(lambda: parse_uri(uri, assume_http=assume_http)) for _ in range(2))
+    for got in (first, second):
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected) and str(got) == str(expected)
+        else:
+            assert got == expected
+    if isinstance(expected, Exception):
+        assert first is not second  # a failure is raised afresh, never replayed
+
+
+def test_parse_cache_stays_bounded():
+    for i in range(PARSE_CACHE_SIZE + 50):
+        parse_uri(f"http://host{i}.example.org/page")
+    info = _parse_checked.cache_info()
+    assert info.maxsize == PARSE_CACHE_SIZE
+    assert info.currsize <= PARSE_CACHE_SIZE
 
 
 class TestPublicSuffix:
