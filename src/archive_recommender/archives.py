@@ -8,17 +8,20 @@ repeated lookups idempotent within a cache epoch.
 """
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import math
 import re
 import threading
 import time
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 from urllib.parse import quote
@@ -90,6 +93,9 @@ _RFC1123_DATETIME = re.compile(
 )
 
 
+_DATETIME = itemgetter(0)  # of a (datetime, memento URI) pair
+
+
 def _cache_datetime(text: str) -> datetime:
     """A cached memento datetime, as ``ArchiveEvidence.to_json_dict`` writes it."""
     match = _CACHE_DATETIME.fullmatch(text) if isinstance(text, str) else None
@@ -144,8 +150,10 @@ class ArchiveEvidence:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ArchiveEvidence":
-        mementos = tuple((_cache_datetime(dt), m) for dt, m in data["mementos"])
-        return cls(uri=data["uri"], mementos=mementos, truncated=data.get("truncated", False))
+        # nearest_memento bisects, so a cache line written in another order is
+        # sorted here; the sort is stable, so equal datetimes keep line order.
+        mementos = sorted(((_cache_datetime(dt), m) for dt, m in data["mementos"]), key=_DATETIME)
+        return cls(uri=data["uri"], mementos=tuple(mementos), truncated=data.get("truncated", False))
 
 
 @dataclass(frozen=True)
@@ -221,9 +229,41 @@ class TimemapLink:
             raise ArchiveFetchError(f"bad datetime {raw!r} in TimeMap") from exc
 
 
+# The one-scan form of a link: ASCII blanks, <target>, `; key="value"`
+# parameters with token keys and quoted values free of escapes, then blanks
+# and a comma or the end of the text. On this form the split parser gives
+# exactly what the scan gives; every other text goes to the split parser.
+_BLANKS = r"[ \t\r\f\v]*"
+_TOKEN = r"[!#$%&'*+.^_`|~0-9A-Za-z-]+"
+_SIMPLE_LINK = re.compile(
+    rf'{_BLANKS}<([^<>"]*)>((?:{_BLANKS};{_BLANKS}{_TOKEN}{_BLANKS}={_BLANKS}"[^"\\]*")*)'
+    rf"{_BLANKS}(?:,|\Z)"
+)
+_SIMPLE_PARAM = re.compile(rf';{_BLANKS}({_TOKEN}){_BLANKS}={_BLANKS}"([^"\\]*)"')
+
+
 def parse_timemap_links(text: str) -> list[TimemapLink]:
     """Parse link-format (`<uri>; rel="memento"; datetime="..."`) into links.
     Raises ArchiveFetchError on malformed input."""
+    text = text.replace("\n", " ")
+    match = _SIMPLE_LINK.match
+    params_of = _SIMPLE_PARAM.findall
+    links: list[TimemapLink] = []
+    pos, end = 0, len(text)
+    while pos < end:
+        link = match(text, pos)
+        if link is None:
+            return _parse_split(text)
+        target, span = link.groups()
+        params = {key.lower(): value for key, value in params_of(span)}
+        links.append(TimemapLink(target=target, rel=tuple(params.get("rel", "").split()), params=params))
+        pos = link.end()
+    return links
+
+
+def _parse_split(text: str) -> list[TimemapLink]:
+    """The general parser: split into links on commas, then into fields on
+    semicolons, outside <...> and "..."."""
     links: list[TimemapLink] = []
     for chunk in _split_quoted(text.replace("\n", " "), ","):
         chunk = chunk.strip()
@@ -295,14 +335,26 @@ def fetch_timemap(source: TimemapSource, uri: str, max_pages: int = 5) -> Archiv
 
 def nearest_memento(evidence: ArchiveEvidence, requested: datetime) -> tuple[datetime, str]:
     """Memento closest to the requested datetime; equidistant pairs resolve
-    to the earlier capture."""
-    if not evidence.archived:
+    to the earlier capture, and equal datetimes to the first in sorted order."""
+    mementos = evidence.mementos
+    if not mementos:
         raise ValueError(f"{evidence.uri} has no mementos")
-    return min(evidence.mementos, key=lambda m: (abs(m[0] - requested), m[0]))
+    after = bisect_left(mementos, requested, key=_DATETIME)  # first at or after requested
+    if after == 0:
+        return mementos[0]
+    before = bisect_left(mementos, mementos[after - 1][0], hi=after, key=_DATETIME)
+    if after == len(mementos) or requested - mementos[before][0] <= mementos[after][0] - requested:
+        return mementos[before]
+    return mementos[after]
 
 
 # ---------------------------------------------------------------------------
 # Concrete TimeMap sources
+
+
+# The open errors that mean no file is at the path (ENOENT, a file where a
+# directory should be, a symlink loop): the ones ``Path.exists`` reads as False.
+_NO_FILE_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP})
 
 
 class FixtureArchiveSource:
@@ -314,9 +366,12 @@ class FixtureArchiveSource:
 
     def _read(self, uri: str) -> str | None:
         path = self.directory / (quote(uri, safe="") + ".link")
-        if not path.exists():
-            return None
-        return path.read_text("utf-8")
+        try:
+            return path.read_text("utf-8")
+        except OSError as exc:
+            if exc.errno in _NO_FILE_ERRNOS:
+                return None
+            raise
 
     def get_timemap(self, uri: str) -> str | None:
         return self._read(uri)
@@ -543,6 +598,8 @@ class EvidenceService:
         self.max_pages = max_pages
         self.rank_floor = rank_floor
         self.count_ceiling = count_ceiling
+        self._pool_lock = threading.Lock()
+        self._executor: ThreadPoolExecutor | None = None
 
     def _cached(self, kind: str, surt: str, fetch: Callable[[], object]):
         """The evidence of one kind for a SURT, cached or fetched. A value is
@@ -613,8 +670,14 @@ class EvidenceService:
         in input order regardless of completion order."""
         if not uris:
             return []
-        workers = min(self.parallelism, len(uris))
-        if workers == 1:
+        if min(self.parallelism, len(uris)) == 1:
             return [self.evidence_for(uri, requested) for uri in uris]
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            return list(executor.map(lambda u: self.evidence_for(u, requested), uris))
+        return list(self._pool().map(lambda u: self.evidence_for(u, requested), uris))
+
+    def _pool(self) -> ThreadPoolExecutor:
+        """The service's one executor, started on first use. Its idle workers
+        exit when the service is garbage-collected."""
+        with self._pool_lock:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(max_workers=self.parallelism)
+            return self._executor

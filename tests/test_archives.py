@@ -3,11 +3,16 @@ popularity/damage providers, the JSONL cache, and the evidence service."""
 
 from __future__ import annotations
 
+import gc
 import logging
+import string
+import sys
 import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime, parsedate_to_datetime
-from urllib.parse import unquote
+from urllib.parse import quote, unquote
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -154,6 +159,134 @@ class TestLinkParsing:
         with pytest.raises(ArchiveFetchError) as raised:
             link.datetime
         assert isinstance(raised.value.__cause__, OverflowError)
+
+
+SPLIT_PARSER = archives._parse_split  # the oracle of the one-scan parser
+
+
+def parse_outcome(parse, text):
+    """The links a parser makes of a text, or the message it raised."""
+    try:
+        return parse(text)
+    except ArchiveFetchError as exc:
+        return ("ArchiveFetchError", str(exc))
+
+
+class CountingSplitParser:
+    """Stands in for ``archives._parse_split`` and counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, text):
+        self.calls += 1
+        return SPLIT_PARSER(text)
+
+
+TOKEN_CHARS = "!#$%&'*+-.^_`|~" + string.ascii_letters + string.digits
+SCAN_BLANKS = st.text(alphabet=" \t\r\f\v\n", max_size=2)
+LINK_TARGETS = st.one_of(
+    st.text(alphabet="ab/:?=,; \\\xa0é\t\n", max_size=12),
+    st.text(st.characters(blacklist_characters='<>"', blacklist_categories=("Cs",)), max_size=8),
+)
+PARAM_KEYS = st.one_of(
+    st.sampled_from(["rel", "REL", "Rel", "datetime", "DateTime", "type"]),
+    st.text(alphabet=TOKEN_CHARS, min_size=1, max_size=6),
+)
+PARAM_VALUES = st.one_of(
+    st.sampled_from(["memento", "first memento", "Fri, 10 Jan 2014 08:00:00 GMT", "next"]),
+    st.text(st.characters(blacklist_characters='"\\', blacklist_categories=("Cs",)), max_size=10),
+    st.text(alphabet="ab ,;<>=\t\xa0", max_size=10),
+)
+
+
+@st.composite
+def scannable_timemaps(draw):
+    """Link-format text in the form the one-scan parser takes."""
+    links = []
+    for _ in range(draw(st.integers(1, 4))):
+        link = draw(SCAN_BLANKS) + "<" + draw(LINK_TARGETS) + ">"
+        for _ in range(draw(st.integers(0, 4))):
+            link += (
+                draw(SCAN_BLANKS) + ";" + draw(SCAN_BLANKS) + draw(PARAM_KEYS) + draw(SCAN_BLANKS)
+                + "=" + draw(SCAN_BLANKS) + '"' + draw(PARAM_VALUES) + '"'
+            )
+        links.append(link + draw(SCAN_BLANKS))
+    return ",".join(links) + draw(st.sampled_from(["", ","]))
+
+
+NEAR_MISS_INSERTS = [
+    "=", "x", "rel=memento", '\\"', "\\", ",,", ",", "\xa0", "\t", "\n", '"', ";", "<", ">", " ; ", ";;",
+]
+
+
+@st.composite
+def near_miss_timemaps(draw):
+    """Scannable text with one insertion that may push it off the scan."""
+    text = draw(scannable_timemaps())
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(NEAR_MISS_INSERTS)) + text[at:]
+
+
+# One text for each form that the one scan hands to the split parser.
+FALLBACK_TRIGGERS = {
+    "empty-chunk": '<http://a/1>; rel="memento",, <http://a/2>; rel="memento"',
+    "unquoted-value": "<http://a/1>; rel=memento",
+    "escaped-quote": '<http://a/1>; title="x\\", <http://a/2>',
+    "escaped-backslash": '<http://a/1>; title="x\\\\"',
+    "junk-after-target": '<http://a/1>junk; rel="memento"',
+    "nbsp-blank": '<http://a/1>;\xa0rel="memento"',
+    "blank-only-chunk": '<http://a/1>; rel="memento", ',
+    "empty-key": '<http://a/1>; ="memento"',
+    "no-target": 'http://a/1; rel="memento"',
+    "bare-parameter": "<http://a/1>; rel",
+}
+
+
+class TestOneScanParsing:
+    @given(
+        text=st.one_of(
+            scannable_timemaps(),
+            near_miss_timemaps(),
+            st.text(alphabet='<>",;\\= a', max_size=40),
+        )
+    )
+    @example(text='<http://a/1>; REL="memento"; DateTime="Fri, 10 Jan 2014 08:00:00 GMT"')
+    @example(text='<http://a/1>; rel="first"; REL="memento"; rel="last memento"')
+    @example(text='<http://a/1> ;\trel = "memento" ,\n<http://a/2>\t; rel="next" ')
+    @example(text='<http://a/1>; title="x\\", <http://a/2>')
+    @example(text='<http://a/1>; rel="memento",')
+    @example(text="")
+    def test_scan_matches_split_parser(self, text):
+        assert parse_outcome(parse_timemap_links, text) == parse_outcome(SPLIT_PARSER, text)
+
+    @given(text=scannable_timemaps())
+    @example(text='<http://a/1> ;\trel = "memento" ,\n<http://a/2>\t; rel="next" \r\n')
+    @example(text='<http://a/1>; REL="memento"; rel="first memento"')
+    def test_scannable_text_takes_one_scan(self, text):
+        split = CountingSplitParser()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(archives, "_parse_split", split)
+            links = parse_timemap_links(text)
+        assert split.calls == 0
+        assert links == SPLIT_PARSER(text)
+
+    @pytest.mark.parametrize("text", FALLBACK_TRIGGERS.values(), ids=FALLBACK_TRIGGERS.keys())
+    def test_fallback_triggers_go_to_split_parser(self, text, monkeypatch):
+        split = CountingSplitParser()
+        monkeypatch.setattr(archives, "_parse_split", split)
+        assert parse_outcome(parse_timemap_links, text) == parse_outcome(SPLIT_PARSER, text)
+        assert split.calls == 1
+
+    def test_fixture_timemaps_take_fast_path(self, fixtures_dir, monkeypatch):
+        split = CountingSplitParser()
+        monkeypatch.setattr(archives, "_parse_split", split)
+        paths = sorted((fixtures_dir / "timemaps").glob("*.link"))
+        assert paths
+        for path in paths:
+            text = path.read_text("utf-8")
+            assert parse_timemap_links(text) == SPLIT_PARSER(text), path.name
+        assert split.calls == 0
 
 
 # The parsers that the datetime fast paths replace, kept as their oracles.
@@ -374,6 +507,35 @@ class TestFetchTimemap:
         assert requested == ["https://agg/page2"]
 
 
+MEMENTO_STAMPS = [datetime(2014, 1, day, hour, tzinfo=UTC) for day in (1, 2, 4) for hour in (0, 6)]
+
+
+@st.composite
+def nearest_memento_cases(draw):
+    """1-8 sorted mementos, some sharing a datetime, and a requested time on,
+    halfway between, before or after them; naive half of the time."""
+    mementos = sorted(
+        draw(
+            st.lists(
+                st.tuples(st.sampled_from(MEMENTO_STAMPS), st.sampled_from(["https://a/1", "https://a/2", "https://a/3"])),
+                min_size=1,
+                max_size=8,
+            )
+        )
+    )
+    left, right = (draw(st.sampled_from(mementos))[0] for _ in range(2))
+    requested = draw(
+        st.one_of(
+            st.just(left),
+            st.just(left + (right - left) / 2),
+            st.datetimes(datetime(2013, 12, 31), datetime(2014, 1, 5), timezones=st.just(UTC)),
+        )
+    )
+    if draw(st.booleans()):
+        requested = requested.replace(tzinfo=None)
+    return mementos, requested
+
+
 class TestNearestMemento:
     def make(self, *stamps: str) -> ArchiveEvidence:
         mementos = tuple((dt(s), f"https://a/web/{s}/http://x/") for s in sorted(stamps))
@@ -395,6 +557,39 @@ class TestNearestMemento:
         with pytest.raises(ValueError):
             nearest_memento(empty, dt("20140101000000"))
 
+    @given(case=nearest_memento_cases())
+    @example(  # a duplicate datetime, asked for exactly halfway
+        case=(
+            [(MEMENTO_STAMPS[0], "https://a/1"), (MEMENTO_STAMPS[0], "https://a/2"), (MEMENTO_STAMPS[1], "https://a/3")],
+            datetime(2014, 1, 1, 3, tzinfo=UTC),
+        )
+    )
+    @example(case=([(MEMENTO_STAMPS[0], "https://a/1")], datetime(2014, 1, 1)))
+    def test_matches_min_oracle(self, case):
+        mementos, requested = case
+        evidence = ArchiveEvidence(uri="http://x/", mementos=tuple(mementos))
+
+        def by_min():
+            return min(evidence.mementos, key=lambda m: (abs(m[0] - requested), m[0]))
+
+        if requested.tzinfo is None:
+            with pytest.raises(TypeError):
+                by_min()
+            with pytest.raises(TypeError):
+                nearest_memento(evidence, requested)
+        else:
+            assert nearest_memento(evidence, requested) == by_min()
+
+
+    @given(case=nearest_memento_cases(), data=st.data())
+    def test_cached_mementos_in_any_order(self, case, data):
+        mementos, requested = case
+        requested = requested.replace(tzinfo=UTC)
+        shuffled = data.draw(st.permutations(mementos))
+        line = ArchiveEvidence(uri="http://x/", mementos=tuple(shuffled)).to_json_dict()
+        decoded = ArchiveEvidence.from_json_dict(line)
+        assert nearest_memento(decoded, requested) == min(shuffled, key=lambda m: (abs(m[0] - requested), m[0]))
+
 
 class TestFixtureSources:
     def test_fixture_timemap_lookup(self, fixtures_dir):
@@ -410,6 +605,23 @@ class TestFixtureSources:
         assert not evidence.truncated
         stamps = [m[0] for m in evidence.mementos]
         assert stamps == sorted(stamps)
+
+    def test_missing_file_is_not_archived(self, tmp_path):
+        source = FixtureArchiveSource(tmp_path)
+        assert source.get_timemap("http://x.example/") is None
+        assert source.get_page("https://agg/timemap/link/http://x.example/?page=2") is None
+
+    def test_unreachable_file_is_not_archived(self, tmp_path):
+        (tmp_path / "timemaps").write_text("not a directory")
+        assert FixtureArchiveSource(tmp_path / "timemaps").get_timemap("http://x.example/") is None
+        looped = tmp_path / (quote("http://x.example/", safe="") + ".link")
+        looped.symlink_to(looped.name)
+        assert FixtureArchiveSource(tmp_path).get_timemap("http://x.example/") is None
+
+    def test_directory_in_place_of_file_raises(self, tmp_path):
+        (tmp_path / (quote("http://x.example/", safe="") + ".link")).mkdir()
+        with pytest.raises(IsADirectoryError):
+            FixtureArchiveSource(tmp_path).get_timemap("http://x.example/")
 
     def test_popularity_fixture(self, fixtures_dir):
         provider = FixturePopularityProvider(fixtures_dir / "popularity.tsv")
@@ -591,6 +803,19 @@ class ExplodingSource:
         raise AssertionError("should have come from cache")
 
 
+def record_executors(monkeypatch):
+    """Weak references to every executor the evidence service creates."""
+    made = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(archives, "ThreadPoolExecutor", Recording)
+    return made
+
+
 class TestEvidenceService:
     def build(self, fixtures_dir, **kwargs) -> EvidenceService:
         return EvidenceService(
@@ -625,6 +850,48 @@ class TestEvidenceService:
         uris = ["http://cs.vt.edu", "http://cs.gmu.edu", "http://cs.odu.edu"]
         results = service.gather(uris, dt("20140301000000"))
         assert [r.uri for r in results] == uris
+
+    def fixture_uris(self, fixtures_dir):
+        return [unquote(path.name[: -len(".link")]) for path in sorted((fixtures_dir / "timemaps").glob("*.link"))]
+
+    def test_gather_reuses_one_pool(self, fixtures_dir, monkeypatch):
+        made = record_executors(monkeypatch)
+        requested, uris = dt("20140301000000"), self.fixture_uris(fixtures_dir)
+        serial = self.build(fixtures_dir, parallelism=1).gather(uris, requested)
+        assert not made
+        service = self.build(fixtures_dir, parallelism=4)
+        assert service.gather(uris, requested) == serial
+        assert service.gather(uris, requested) == serial
+        assert len(made) == 1
+        del service
+        gc.collect()
+        assert made[0]() is None  # its idle workers are told to exit
+
+    def test_threads_sharing_a_service_get_serial_results(self, fixtures_dir, monkeypatch):
+        made = record_executors(monkeypatch)
+        requested, uris = dt("20140301000000"), self.fixture_uris(fixtures_dir)
+        serial = self.build(fixtures_dir, parallelism=1).gather(uris, requested)
+        service = self.build(fixtures_dir, parallelism=4)
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def worker(i):
+            start.wait()
+            results[i] = [service.gather(uris, requested) for _ in range(5)]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[serial] * 5] * 4
+        assert len(made) == 1
 
     def test_retry_then_success(self):
         source = MapSource(SINGLE_PAGE, fail_times=1)
