@@ -15,6 +15,7 @@ import math
 import re
 import threading
 import time
+import weakref
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from email.utils import parsedate_to_datetime
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import IO, Callable, Iterable, Iterator, Protocol, Sequence
 from urllib.parse import quote
 
 import requests
@@ -64,8 +65,9 @@ ARCHIVE_COUNT_CEILING_DEFAULT = 538_300
 
 
 class ArchiveFetchError(Exception):
-    """Transient or malformed-response failure; retry is the caller's call.
-    Distinct from "not archived", which is a normal empty result."""
+    """Transient failure, or malformed data from a source (a response or a
+    fixture file); retry is the caller's call. Distinct from "not archived",
+    which is a normal empty result."""
 
 
 class DamageSource(Enum):
@@ -414,16 +416,30 @@ class PopularityProvider(Protocol):
     def get_rank(self, domain: str) -> int | None: ...
 
 
+def _fixture_rows(
+    path: str | Path, kind: str, convert: Callable[[str], object]
+) -> Iterator[tuple[str, object]]:
+    """(key, converted value) for each `key<TAB>value` row of a fixture TSV,
+    skipping blank and `#` lines. A value that does not convert raises
+    ArchiveFetchError naming the file, the line number and the row."""
+    for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        key, _, value = line.partition("\t")
+        try:
+            converted = convert(value)
+        except ValueError as exc:
+            raise ArchiveFetchError(f"{path}:{lineno}: malformed {kind} row {line!r}: {exc}") from exc
+        yield key.strip(), converted
+
+
 class FixturePopularityProvider:
     """TSV of `domain<TAB>rank`, matched by registered domain."""
 
     def __init__(self, path: str | Path):
-        self._ranks: dict[str, int] = {}
-        for line in Path(path).read_text("utf-8").splitlines():
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            domain, _, rank = line.partition("\t")
-            self._ranks[domain.strip().lower()] = int(rank)
+        self._ranks: dict[str, int] = {
+            domain.lower(): rank for domain, rank in _fixture_rows(path, "popularity", int)
+        }
 
     def get_rank(self, domain: str) -> int | None:
         return self._ranks.get(domain.lower())
@@ -439,12 +455,7 @@ class FixtureDamageProvider:
     source = DamageSource.FIXTURE
 
     def __init__(self, path: str | Path):
-        self._damage: dict[str, float] = {}
-        for line in Path(path).read_text("utf-8").splitlines():
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            memento, _, value = line.partition("\t")
-            self._damage[memento.strip()] = float(value)
+        self._damage: dict[str, float] = dict(_fixture_rows(path, "damage", float))
 
     def get_damage(self, memento_uri: str) -> float | None:
         return self._damage.get(memento_uri)
@@ -488,11 +499,19 @@ def fetch_damage(provider: DamageProvider | None, memento_uri: str) -> DamageEvi
 # Cache
 
 
+# The decoded slot of a cache entry that no hit has decoded yet.
+_UNDECODED = object()
+
+
 class EvidenceCache:
     """Append-only JSON Lines cache keyed by (provider, kind, SURT).
 
     Later records supersede earlier ones; entries older than ``max_age``
-    seconds are treated as misses so they get refetched.
+    seconds are treated as misses so they get refetched. Each entry keeps
+    the decoded form of its value beside the raw one (see ``decoded``).
+    Lines are appended through one handle, opened by the first ``put`` and
+    flushed after each line. ``close`` releases it; so does dropping the
+    cache, through a finalizer that holds the handle, not the cache.
     """
 
     def __init__(self, path: str | Path, max_age: float | None = None, clock: Callable[[], float] = time.time):
@@ -500,13 +519,19 @@ class EvidenceCache:
         self.max_age = max_age
         self._clock = clock
         self._lock = threading.Lock()
-        self._entries: dict[tuple[str, str, str], tuple[float, dict]] = {}
+        # key -> (fetched_at, raw value, decoded value or _UNDECODED)
+        self._entries: dict[tuple[str, str, str], tuple[float, object, object]] = {}
+        self._handle: IO[str] | None = None
+        self._release: weakref.finalize | None = None
         if self.path.exists():
             skipped = 0
-            for line in self.path.read_text("utf-8").splitlines():
+            # A byte that is not UTF-8 stays in its line as a lone surrogate,
+            # so only that line is lost; every other line splits as before.
+            for line in self.path.read_text("utf-8", errors="surrogateescape").splitlines():
                 if not line.strip():
                     continue
                 try:
+                    line.encode("utf-8")  # UnicodeEncodeError on such a byte
                     record = json.loads(line)
                     key = (record["provider"], record["kind"], record["surt"])
                     fetched_at = record["fetched_at"]
@@ -514,7 +539,7 @@ class EvidenceCache:
                         raise TypeError("fetched_at is not a number")
                     if not math.isfinite(fetched_at):  # NaN never expires; OverflowError past float range
                         raise ValueError("fetched_at is not finite")
-                    self._entries[key] = (fetched_at, record["value"])
+                    self._entries[key] = (fetched_at, record["value"], _UNDECODED)
                 except (ValueError, KeyError, TypeError, OverflowError):  # torn or foreign line
                     skipped += 1
             if skipped:
@@ -525,10 +550,25 @@ class EvidenceCache:
             hit = self._entries.get((provider, kind, surt))
         if hit is None:
             return None
-        fetched_at, value = hit
+        fetched_at, value, _ = hit
         if self.max_age is not None and self._clock() - fetched_at > self.max_age:
             return None
         return value
+
+    def decoded(self, provider: str, kind: str, surt: str, raw, decode: Callable[[object], object]):
+        """``decode(raw)``, where ``raw`` is the value ``get`` or ``put`` just
+        saw under this key. While ``raw`` is still the entry's value, the
+        result is kept with the entry and every later call returns it, so
+        the entry is decoded at most once. A decode that raises keeps
+        nothing. Values are shared, so ``decode`` must return frozen ones."""
+        key = (provider, kind, surt)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry[1] is not raw:  # superseded since it was seen
+                return decode(raw)
+            if entry[2] is _UNDECODED:
+                entry = self._entries[key] = (entry[0], raw, decode(raw))
+            return entry[2]
 
     def put(self, provider: str, kind: str, surt: str, value: dict) -> None:
         record = {
@@ -540,9 +580,26 @@ class EvidenceCache:
         }
         line = json.dumps(record, sort_keys=True)
         with self._lock:
-            self._entries[(provider, kind, surt)] = (record["fetched_at"], value)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            self._entries[(provider, kind, surt)] = (record["fetched_at"], value, _UNDECODED)
+            if self._handle is None:
+                self._handle = open(self.path, "a", encoding="utf-8")
+                self._release = weakref.finalize(self, self._handle.close)
+            self._handle.write(line + "\n")
+            self._handle.flush()  # readers of the file see every line at once
+
+    def close(self) -> None:
+        """Close the append handle, if one is open; a later ``put`` opens
+        the file again. Closing twice is harmless."""
+        with self._lock:
+            if self._release is not None:
+                self._release()
+                self._handle = self._release = None
+
+    def __enter__(self) -> "EvidenceCache":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -555,15 +612,18 @@ def _decode_rank(value: dict) -> int | None:
 
 
 # Each cached kind: its name in warnings, the encoder that writes a value to
-# its cache line, and the decoder that reads one back and raises on any value
-# it cannot read. The TimeMap decoder is looked up on each call, so a wrapper
-# put on the class is seen.
+# its cache line, the decoder that reads one back and raises on any value it
+# cannot read, and whether a fetched value may stand for its decoded line.
+# That holds where decode(encode(v)) == v for every value the fetcher returns:
+# TimeMaps (sorted, UTC, whole seconds) and damage; not popularity, whose
+# decoder truncates a rank that is not an int. The TimeMap decoder is looked
+# up on each call, so a wrapper put on the class is seen.
 _CODECS = {
     "timemap": (
-        "TimeMap", ArchiveEvidence.to_json_dict, lambda value: ArchiveEvidence.from_json_dict(value)
+        "TimeMap", ArchiveEvidence.to_json_dict, lambda value: ArchiveEvidence.from_json_dict(value), True
     ),
-    "popularity": ("popularity", lambda rank: {"rank": rank}, _decode_rank),
-    "damage": ("damage", DamageEvidence.to_json_dict, DamageEvidence.from_json_dict),
+    "popularity": ("popularity", lambda rank: {"rank": rank}, _decode_rank, False),
+    "damage": ("damage", DamageEvidence.to_json_dict, DamageEvidence.from_json_dict, True),
 }
 
 
@@ -603,22 +663,27 @@ class EvidenceService:
 
     def _cached(self, kind: str, surt: str, fetch: Callable[[], object]):
         """The evidence of one kind for a SURT, cached or fetched. A value is
-        encoded only to write its cache line. A cached value that does not
-        decode counts as a miss: it is fetched again and superseded."""
-        label, encode, decode = _CODECS[kind]
-        if self.cache is not None:
-            hit = self.cache.get("gateway", kind, surt)
+        encoded only to write its cache line, and a cache entry is decoded
+        at most once. A cached value that does not decode counts as a miss:
+        it is fetched again and superseded."""
+        label, encode, decode, fetched_is_decoded = _CODECS[kind]
+        cache = self.cache
+        if cache is not None:
+            hit = cache.get("gateway", kind, surt)
             if hit is not None:
                 try:
-                    return decode(hit)
+                    return cache.decoded("gateway", kind, surt, hit, decode)
                 except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
                     _log.warning(
                         "evidence cache %s: refetching undecodable %s for %s: %s: %s",
-                        self.cache.path, label, surt, type(exc).__name__, exc,
+                        cache.path, label, surt, type(exc).__name__, exc,
                     )
         value = fetch()
-        if self.cache is not None:
-            self.cache.put("gateway", kind, surt, encode(value))
+        if cache is not None:
+            raw = encode(value)
+            cache.put("gateway", kind, surt, raw)
+            if fetched_is_decoded:  # keep the fetched value as the line's decoded one
+                cache.decoded("gateway", kind, surt, raw, lambda _: value)
         return value
 
     def _fetch_timemap(self, uri: str) -> ArchiveEvidence:

@@ -8,6 +8,7 @@ recommendation (or a completed report), 2 = success with an empty result,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from datetime import timezone
@@ -227,6 +228,11 @@ def _cmd_train(args: argparse.Namespace, settings: Settings) -> int:
 
 def _cmd_recommend(args: argparse.Namespace, settings: Settings) -> int:
     recommender = _build_recommender(settings)
+    with recommender.evidence.cache or contextlib.nullcontext():
+        return _recommend(recommender, args, settings)
+
+
+def _recommend(recommender: Recommender, args: argparse.Namespace, settings: Settings) -> int:
     request = RecommendationRequest(
         uri=args.uri,
         datetime=None if args.datetime is None else parse_datetime(args.datetime),

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from archive_recommender import archives
 from archive_recommender.ontology import CategoryIndex, CategoryPath, OntologyEntry, load_index
 from archive_recommender.uri import canonicalize_surt
 
@@ -85,3 +86,17 @@ def corpus_index() -> CategoryIndex:
 @pytest.fixture(scope="session")
 def taxonomy() -> CategoryIndex:
     return build_taxonomy()
+
+
+@pytest.fixture
+def archive_opens(monkeypatch) -> list:
+    """Every file object that the ``archives`` module opens with ``open``."""
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(archives, "open", recording_open, raising=False)
+    return opened

@@ -4,6 +4,7 @@ popularity/damage providers, the JSONL cache, and the evidence service."""
 from __future__ import annotations
 
 import gc
+import json
 import logging
 import string
 import sys
@@ -427,6 +428,97 @@ class TestEvidence:
         assert again == evidence
 
 
+# Zones that send a TimeMap datetime to the fallback parser, and GMT, which
+# the fast path reads (unless the year is below 1000).
+LINK_ZONES = ["GMT", "GMT", "UT", "UTC", "+0000", "-0000", "+0130", "-0500", "+1400", "EST", "PDT"]
+
+
+@st.composite
+def link_datetime_texts(draw):
+    """A TimeMap ``datetime`` value in RFC 1123 form, in GMT or another zone."""
+    moment = draw(st.datetimes(datetime(2, 1, 1), datetime(9998, 12, 31)))
+    text = format_datetime(moment.replace(tzinfo=UTC), usegmt=True)
+    return text[: -len("GMT")] + draw(st.sampled_from(LINK_ZONES))
+
+
+def chained_pages(stamps_per_page):
+    """TimeMap pages chained by rel="next"; page ``i`` lists one memento per
+    (datetime text, memento number) pair in ``stamps_per_page[i]``."""
+    pages = []
+    for i, stamps in enumerate(stamps_per_page):
+        links = [
+            f'<https://a/web/{n}/http://x/>; rel="memento"; datetime="{text}"' for text, n in stamps
+        ]
+        if i + 1 < len(stamps_per_page):
+            links.append(f'<https://agg/page{i + 1}>; rel="next"')
+        pages.append(",\n".join(links))
+    return pages
+
+
+@st.composite
+def timemap_page_chains(draw):
+    """1-3 chained pages whose mementos draw their datetimes from a pool of
+    1-4, so that equal datetimes with different URIs are common."""
+    pool = draw(st.lists(link_datetime_texts(), min_size=1, max_size=4))
+    memento = st.tuples(st.sampled_from(pool), st.integers(0, 5))
+    return chained_pages(draw(st.lists(st.lists(memento, max_size=4), min_size=1, max_size=3)))
+
+
+class FixedDamage:
+    """A damage provider that answers ``value`` for every memento, with a
+    ``source`` attribute only when one is given."""
+
+    def __init__(self, value, source=None):
+        self.value = value
+        if source is not None:
+            self.source = source
+
+    def get_damage(self, memento_uri):
+        return self.value
+
+
+class TestFetchedValueIsItsCacheLine:
+    """What the cache may hand out for a fetched value without decoding its
+    line: for every value the fetcher builds, decoding the encoded value,
+    in memory or through JSON, gives back an equal value."""
+
+    @given(pages=timemap_page_chains())
+    @example(pages=chained_pages([[("Wed, 26 Feb 2014 09:08:46 +0130", 1)]]))
+    @example(pages=chained_pages([[("Mon, 01 Jan 0999 00:00:00 GMT", 1), ("Mon, 01 Jan 0050 00:00:00 EST", 2)]]))
+    @example(
+        pages=chained_pages(
+            [
+                [("Sat, 01 Mar 2014 00:00:00 GMT", 3), ("Fri, 28 Feb 2014 19:00:00 EST", 1)],
+                [("Sat, 01 Mar 2014 00:00:00 GMT", 2), ("Sun, 04 Jul 2010 00:00:00 GMT", 0)],
+                [],
+            ]
+        )
+    )
+    def test_timemap(self, pages):
+        source = MapSource(pages[0], pages={f"https://agg/page{i}": page for i, page in enumerate(pages)})
+        evidence = fetch_timemap(source, "http://x/")
+        line = evidence.to_json_dict()
+        for value in (line, json.loads(json.dumps(line))):
+            decoded = ArchiveEvidence.from_json_dict(value)
+            assert decoded == evidence
+            assert decoded.mementos == evidence.mementos  # in the same order
+            assert all(when.tzinfo is UTC for when, _ in decoded.mementos + evidence.mementos)
+
+    @given(
+        value=st.one_of(st.none(), st.floats(0, 1), st.sampled_from([0, 1])),
+        source=st.sampled_from([None, DamageSource.PROVIDER, DamageSource.FIXTURE]),
+        provided=st.booleans(),
+    )
+    def test_damage(self, value, source, provided):
+        evidence = fetch_damage(FixedDamage(value, source) if provided else None, "https://a/web/1/http://x/")
+        line = evidence.to_json_dict()
+        for data in (line, json.loads(json.dumps(line))):
+            decoded = DamageEvidence.from_json_dict(data)
+            assert decoded == evidence
+            assert type(decoded.damage) is type(evidence.damage)
+            assert decoded.source is evidence.source
+
+
 class TestFetchTimemap:
     def test_missing_timemap_is_not_archived(self):
         evidence = fetch_timemap(MapSource(None), "http://gone.example.com/")
@@ -794,6 +886,63 @@ class TestEvidenceCache:
             f"evidence cache {path}: skipped {len(stamps)} corrupt line(s)"
         ]
 
+    def test_non_utf8_line_skipped(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        cache = EvidenceCache(path)
+        cache.put("gateway", "timemap", "a", {"v": 1})
+        cache.close()
+        with open(path, "ab") as handle:
+            handle.write(b"\xff\xfe garbage\n")
+            handle.write(b'{"provider":"gateway","kind":"timemap","surt":"\xc3","fetched_at":1,"value":{}}\n')
+        with caplog.at_level("WARNING", logger="archive_recommender"):
+            again = EvidenceCache(path)
+        assert again.get("gateway", "timemap", "a") == {"v": 1}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"evidence cache {path}: skipped 2 corrupt line(s)"
+        ]
+
+    def test_unwritable_path_fails_on_first_put(self, tmp_path):
+        cache = EvidenceCache(tmp_path / "absent" / "cache.jsonl")
+        with pytest.raises(FileNotFoundError):
+            cache.put("gateway", "k", "s", {"v": 1})
+        with pytest.raises(FileNotFoundError):
+            cache.put("gateway", "k", "s", {"v": 1})
+
+    def test_one_handle_appends_every_line(self, tmp_path, archive_opens):
+        path = tmp_path / "cache.jsonl"
+        cache = EvidenceCache(path)
+        for i in range(3):
+            cache.put("gateway", "k", f"s{i}", {"v": i})
+            assert len(path.read_text("utf-8").splitlines()) == i + 1  # flushed per line
+        assert len(archive_opens) == 1
+
+    def test_close_is_idempotent(self, tmp_path, archive_opens):
+        cache = EvidenceCache(tmp_path / "cache.jsonl")
+        cache.close()  # nothing open yet
+        cache.put("gateway", "k", "s", {"v": 1})
+        cache.close()
+        cache.close()
+        assert [handle.closed for handle in archive_opens] == [True]
+        cache.put("gateway", "k", "t", {"v": 2})  # opens the file again
+        cache.close()
+        assert [handle.closed for handle in archive_opens] == [True, True]
+        assert len((tmp_path / "cache.jsonl").read_text("utf-8").splitlines()) == 2
+
+    def test_with_block_closes_the_handle(self, tmp_path, archive_opens):
+        with EvidenceCache(tmp_path / "cache.jsonl") as cache:
+            cache.put("gateway", "k", "s", {"v": 1})
+            assert not archive_opens[0].closed
+        assert archive_opens[0].closed
+
+    def test_dropped_cache_releases_its_file(self, tmp_path, archive_opens):
+        cache = EvidenceCache(tmp_path / "cache.jsonl")
+        cache.put("gateway", "k", "s", {"v": 1})
+        dropped = weakref.ref(cache)
+        del cache
+        gc.collect()
+        assert dropped() is None  # the finalizer does not keep the cache alive
+        assert archive_opens[0].closed
+
 
 class ExplodingSource:
     def get_timemap(self, uri):
@@ -1023,3 +1172,159 @@ class TestEvidenceService:
         )
         assert result.damage.source is DamageSource.DEFAULT_MISSING
         assert result.damage.damage == 0.5
+
+    def test_threads_sharing_a_cache_write_one_line_per_key(self, fixtures_dir, tmp_path):
+        """Four threads share one service and one cache file. Each gathers
+        its own slice of the fixture URIs, whose cache keys no other slice
+        has, so no two threads miss on one key (both would fetch and append,
+        as they always have)."""
+        requested, uris = dt("20140301000000"), self.fixture_uris(fixtures_dir)
+        slices = [uris[i::4] for i in range(4)]
+        serial = [self.build(fixtures_dir, parallelism=1).gather(part, requested) for part in slices]
+        with EvidenceCache(tmp_path / "serial.jsonl") as serial_cache:
+            self.build(fixtures_dir, cache=serial_cache, parallelism=1).gather(uris, requested)
+        expected_keys = {key for key, _ in cache_lines(tmp_path / "serial.jsonl")}
+        path = tmp_path / "cache.jsonl"
+        cache = EvidenceCache(path)
+        service = self.build(fixtures_dir, cache=cache, parallelism=4)
+        start = threading.Barrier(4, timeout=60)
+        results = [None] * 4
+
+        def worker(i):
+            start.wait()
+            results[i] = [service.gather(slices[i], requested) for _ in range(5)]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        cache.close()
+        assert results == [[part] * 5 for part in serial]
+        keys = [key for key, _ in cache_lines(path)]  # every line parses as JSON
+        assert sorted(keys) == sorted(expected_keys)
+
+
+def cache_lines(path):
+    """((provider, kind, SURT), value) for each line of a cache file."""
+    records = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    return [((r["provider"], r["kind"], r["surt"]), r["value"]) for r in records]
+
+
+def count_decodes(monkeypatch):
+    """Calls of each kind's cache decoder: ``ArchiveEvidence.from_json_dict``
+    for TimeMaps, the codec table's decoder for the other kinds."""
+    calls = {"timemap": 0, "popularity": 0, "damage": 0}
+    from_json_dict = ArchiveEvidence.from_json_dict.__func__
+
+    def counted_from_json_dict(cls, data):
+        calls["timemap"] += 1
+        return from_json_dict(cls, data)
+
+    monkeypatch.setattr(ArchiveEvidence, "from_json_dict", classmethod(counted_from_json_dict))
+    for kind in ("popularity", "damage"):
+        label, encode, decode, *rest = archives._CODECS[kind]
+
+        def counted(value, kind=kind, decode=decode):
+            calls[kind] += 1
+            return decode(value)
+
+        monkeypatch.setitem(archives._CODECS, kind, (label, encode, counted, *rest))
+    return calls
+
+
+class TestDecodeOnce:
+    """A cache entry is decoded at most once: a hit on an entry that ``put``
+    wrote, or that an earlier hit decoded, reuses the decoded value."""
+
+    URI = "http://a.example.com"
+    REQUESTED = dt("20140301000000")
+
+    def service(self, source, cache, rank=5, **kwargs):
+        return EvidenceService(source, FixtureRank(rank), FixedDamage(0.25), cache=cache, **kwargs)
+
+    def test_warm_hits_after_put_decode_nothing(self, tmp_path, monkeypatch):
+        calls = count_decodes(monkeypatch)
+        source = MapSource(SINGLE_PAGE)
+        service = self.service(source, EvidenceCache(tmp_path / "cache.jsonl"))
+        cold = service.evidence_for(self.URI, self.REQUESTED)
+        warm = [service.evidence_for(self.URI, self.REQUESTED) for _ in range(3)]
+        assert warm == [cold] * 3
+        assert all(w.archive is cold.archive and w.damage is cold.damage for w in warm)
+        assert source.calls == 1
+        # popularity is never taken from the fetch; its first hit decodes it
+        assert calls == {"timemap": 0, "popularity": 1, "damage": 0}
+
+    def test_loaded_entry_decodes_once_over_three_hits(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        cold = self.service(MapSource(SINGLE_PAGE), EvidenceCache(path)).evidence_for(self.URI, self.REQUESTED)
+        calls = count_decodes(monkeypatch)
+        warm_service = self.service(ExplodingSource(), EvidenceCache(path))
+        warm = [warm_service.evidence_for(self.URI, self.REQUESTED) for _ in range(3)]
+        assert warm == [cold] * 3
+        assert warm[2].archive is warm[0].archive and warm[2].damage is warm[0].damage
+        assert calls == {"timemap": 1, "popularity": 1, "damage": 1}
+
+    def test_superseding_put_serves_the_new_value(self, tmp_path, monkeypatch):
+        calls = count_decodes(monkeypatch)
+        cache = EvidenceCache(tmp_path / "cache.jsonl")
+        service = self.service(MapSource(SINGLE_PAGE), cache)
+        service.evidence_for(self.URI, self.REQUESTED)
+        service.evidence_for(self.URI, self.REQUESTED)
+        newer = fetch_timemap(MapSource(timemap_with(3)), self.URI)
+        cache.put("gateway", "timemap", canonicalize_surt(self.URI), newer.to_json_dict())
+        assert service.evidence_for(self.URI, self.REQUESTED).archive == newer
+        assert calls["timemap"] == 1
+
+    def test_value_superseded_after_get_is_not_kept_for_the_new_one(self, tmp_path):
+        cache = EvidenceCache(tmp_path / "cache.jsonl")
+        cache.put("gateway", "k", "s", {"v": 1})
+        old = cache.get("gateway", "k", "s")
+        cache.put("gateway", "k", "s", {"v": 2})
+        assert cache.decoded("gateway", "k", "s", old, lambda raw: raw["v"]) == 1
+        new = cache.get("gateway", "k", "s")
+        assert cache.decoded("gateway", "k", "s", new, lambda raw: raw["v"]) == 2
+
+    def test_expired_memoized_entry_is_a_miss(self, tmp_path):
+        now = [1000.0]
+        path = tmp_path / "cache.jsonl"
+        source = MapSource(SINGLE_PAGE)
+        service = self.service(source, EvidenceCache(path, max_age=60, clock=lambda: now[0]))
+        service.evidence_for(self.URI, self.REQUESTED)
+        service.evidence_for(self.URI, self.REQUESTED)  # reads the kept values
+        assert source.calls == 1
+        now[0] += 61
+        service.evidence_for(self.URI, self.REQUESTED)
+        assert source.calls == 2
+        assert len(path.read_text("utf-8").splitlines()) == 6  # each kind written twice
+
+    def test_undecodable_value_warns_per_refetch_and_is_not_kept(self, tmp_path, caplog, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        surt = canonicalize_surt(self.URI)
+        EvidenceCache(path).put("gateway", "timemap", surt, {"uri": self.URI, "mementos": [["soon", "https://a/m"]]})
+        calls = count_decodes(monkeypatch)
+        source = MapSource(SINGLE_PAGE, fail_times=2)
+        service = self.service(source, EvidenceCache(path), retries=0)
+        with caplog.at_level(logging.WARNING, logger="archive_recommender.archives"):
+            failed = [service.evidence_for(self.URI, self.REQUESTED) for _ in range(2)]
+            fixed = service.evidence_for(self.URI, self.REQUESTED)  # this refetch supersedes the line
+            again = service.evidence_for(self.URI, self.REQUESTED)
+        assert [f.error for f in failed] == ["upstream 502"] * 2
+        assert fixed.error is None and again == fixed
+        assert source.calls == 3
+        assert calls["timemap"] == 3
+        assert len(caplog.records) == 3
+        assert all("refetching undecodable TimeMap" in r.getMessage() for r in caplog.records)
+
+    def test_popularity_hit_decodes_the_line_not_the_fetch(self, tmp_path):
+        """A provider that breaks the ``int | None`` protocol: the fetch
+        serves its rank as given, a hit serves the rank the line decodes to."""
+        service = self.service(MapSource(SINGLE_PAGE), EvidenceCache(tmp_path / "cache.jsonl"), rank=2.7)
+        assert service.evidence_for(self.URI, self.REQUESTED).popularity.global_rank == 2.7
+        assert service.evidence_for(self.URI, self.REQUESTED).popularity.global_rank == 2

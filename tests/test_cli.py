@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
+from archive_recommender import archives
 from archive_recommender.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, main
 from archive_recommender.nbayes import load_model
 from archive_recommender.ontology import load_index, save_index
@@ -99,6 +101,40 @@ class TestConfigErrors:
         code, _, _ = run(capsys, "analyze-logs", str(tmp_path / "absent.log"))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "name, row",
+        [("popularity.tsv", "example.com\tnot-a-rank"), ("damage.tsv", "http://x/\tlots")],
+    )
+    def test_malformed_fixture_row(self, capsys, fixtures_dir, tmp_path, name, row):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(fixtures_dir, fixtures)
+        table = fixtures / name
+        with open(table, "a", encoding="utf-8") as handle:
+            handle.write(row + "\n")
+        lineno = len(table.read_text("utf-8").splitlines())
+        code, out, err = run(capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures))
+        assert code == EXIT_CONFIG
+        assert not out
+        assert err.startswith(f"archrec: error: {table}:{lineno}: malformed ")
+        assert repr(row) in err
+        assert "Traceback" not in err
+
+    def test_cache_path_is_a_directory(self, capsys, fixtures_dir, tmp_path):
+        code, _, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
+            "--cache", str(tmp_path),
+        )
+        assert code == EXIT_CONFIG
+        assert "Is a directory" in err
+
+    def test_unwritable_cache_path(self, capsys, fixtures_dir, tmp_path):
+        code, _, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
+            "--cache", str(tmp_path / "absent" / "c.jsonl"),
+        )
+        assert code == EXIT_CONFIG
+        assert "No such file or directory" in err
+
 
 @pytest.fixture(scope="module")
 def worked_example(fixtures_dir):
@@ -158,6 +194,45 @@ class TestRecommend:
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert records_of(out) == worked_example[1]
+
+    def test_non_utf8_cache_line_gives_same_records(
+        self, capsys, caplog, fixtures_dir, tmp_path, worked_example
+    ):
+        cache = tmp_path / "c.jsonl"
+        argv = (
+            "recommend", "http://odu.edu/compsci", "--datetime", "2014-03-01",
+            "--fixtures", str(fixtures_dir), "--now", "2014-06-01T00:00:00Z",
+            "--output", "records", "--cache", str(cache),
+        )
+        assert run(capsys, *argv)[0] == EXIT_OK
+        with open(cache, "ab") as handle:
+            handle.write(b"\xff\xfe garbage\n")
+        with caplog.at_level("WARNING", logger="archive_recommender"):
+            code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert records_of(out) == worked_example[1]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"evidence cache {cache}: skipped 1 corrupt line(s)"
+        ]
+
+    def test_cache_closed_when_command_ends(
+        self, capsys, fixtures_dir, tmp_path, monkeypatch, archive_opens
+    ):
+        closed = []
+
+        def recording_close(cache):
+            closed.append(cache)  # and so keeps it alive: only close() can close its file
+            close(cache)
+
+        close = archives.EvidenceCache.close
+        monkeypatch.setattr(archives.EvidenceCache, "close", recording_close)
+        code, _, _ = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
+            "--now", "2014-06-01T00:00:00Z", "--cache", str(tmp_path / "c.jsonl"),
+        )
+        assert code == EXIT_OK
+        assert len(closed) == 1
+        assert len(archive_opens) == 1 and archive_opens[0].closed
 
     @pytest.mark.parametrize(
         "kind, corrupt",
