@@ -29,7 +29,7 @@ from urllib.parse import quote
 
 import requests
 
-from .uri import canonicalize_surt, parse_uri
+from .uri import InputFileError, canonicalize_surt, parse_uri, read_lines
 
 __all__ = [
     "RANK_FLOOR_DEFAULT",
@@ -65,9 +65,8 @@ ARCHIVE_COUNT_CEILING_DEFAULT = 538_300
 
 
 class ArchiveFetchError(Exception):
-    """Transient failure, or malformed data from a source (a response or a
-    fixture file); retry is the caller's call. Distinct from "not archived",
-    which is a normal empty result."""
+    """Transient or malformed-response failure; retry is the caller's call.
+    Distinct from "not archived", which is a normal empty result."""
 
 
 class DamageSource(Enum):
@@ -420,16 +419,16 @@ def _fixture_rows(
     path: str | Path, kind: str, convert: Callable[[str], object]
 ) -> Iterator[tuple[str, object]]:
     """(key, converted value) for each `key<TAB>value` row of a fixture TSV,
-    skipping blank and `#` lines. A value that does not convert raises
-    ArchiveFetchError naming the file, the line number and the row."""
-    for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+    skipping blank and `#` lines. A value that does not convert, or bytes
+    that are not UTF-8, raise InputFileError naming the file and the line."""
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         key, _, value = line.partition("\t")
         try:
             converted = convert(value)
         except ValueError as exc:
-            raise ArchiveFetchError(f"{path}:{lineno}: malformed {kind} row {line!r}: {exc}") from exc
+            raise InputFileError(f"{path}:{lineno}: malformed {kind} row {line!r}: {exc}") from exc
         yield key.strip(), converted
 
 

@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import fields
 from datetime import timezone
 from pathlib import Path
 from typing import Sequence
@@ -45,7 +46,7 @@ from .pipeline import (
     evaluate_l1,
     train_l1,
 )
-from .uri import TokenMethod, TokenVariant, UriParseError
+from .uri import InputFileError, TokenMethod, TokenVariant, UriParseError
 
 EXIT_OK = 0
 EXIT_EMPTY = 2
@@ -137,12 +138,15 @@ def _build_evidence_service(settings: Settings) -> EvidenceService:
     if settings.cache is not None:
         cache = EvidenceCache(settings.cache, max_age=settings.cache_max_age)
 
+    # Fixture reads hold the interpreter lock, so a pool only pays for
+    # sources that wait on the network.
+    networked = settings.aggregator is not None or settings.damage_service is not None
     return EvidenceService(
         archive_source=archive_source,
         popularity_provider=popularity,
         damage_provider=damage,
         cache=cache,
-        parallelism=settings.parallelism,
+        parallelism=settings.parallelism if networked else 1,
         retries=settings.retries,
         max_pages=settings.max_pages,
     )
@@ -414,34 +418,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-_SETTING_FLAGS = (
-    "fixtures",
-    "aggregator",
-    "damage_service",
-    "cache",
-    "index",
-    "model",
-    "secondary",
-    "weights",
-    "grams",
-    "top",
-    "temporal_literal",
-    "output",
-    "now",
-)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help exits 0; usage errors exit EXIT_USAGE
         return int(exc.code or 0)
-    overrides = {name: getattr(args, name, None) for name in _SETTING_FLAGS}
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(Settings)}
     try:
         settings = load_settings(args.config, overrides)
         return args.func(args, settings)
-    except (ConfigError, UriParseError, ArchiveFetchError, OSError) as exc:
+    except (ConfigError, InputFileError, UriParseError, ArchiveFetchError, OSError) as exc:
         print(f"archrec: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

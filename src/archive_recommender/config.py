@@ -14,6 +14,7 @@ from typing import Callable, Mapping
 
 from .deep import GramScheme
 from .ranking import RankWeights
+from .uri import read_lines
 
 __all__ = ["ENV_PREFIX", "ConfigError", "Settings", "load_settings", "parse_datetime"]
 
@@ -113,7 +114,7 @@ def _coerce(name: str, raw: str) -> object:
 def _read_config_file(path: Path) -> dict[str, object]:
     known = {f.name for f in fields(Settings)}
     values: dict[str, object] = {}
-    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

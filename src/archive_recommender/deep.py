@@ -14,7 +14,6 @@ there instead of re-featurizing entries per query.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +21,18 @@ from typing import Sequence
 
 from . import nbayes
 from .ontology import CategoryIndex, CategoryPath, OntologyEntry
-from .uri import GRAM_SIZES, SCHEME_TOKENS, TokenBag, TokenMethod, token_grams, tokenize
+from .reports import host_dictionary_bucket
+from .uri import (
+    GRAM_SIZES,
+    TokenBag,
+    TokenMethod,
+    depth,
+    detect_patterns,
+    parse_uri,
+    text_tokens,
+    token_grams,
+    tokenize,
+)
 
 __all__ = [
     "GramScheme",
@@ -33,16 +43,15 @@ __all__ = [
     "entry_features",
     "expand_query",
     "build_vector_index",
+    "subtree_index",
     "top_candidates",
     "prune_tree",
     "classify_deep",
+    "refine",
     "evaluate_levels",
     "DeepEvalReport",
     "evaluate_deep",
 ]
-
-_WORD_RUN = re.compile(r"[a-z]+")
-
 
 class GramScheme(Enum):
     THREE_GRAM = "3"
@@ -58,31 +67,21 @@ class DeepClassificationError(Exception):
     """Deep stage could not produce a category (caller falls back to level 1)."""
 
 
-def _text_tokens(text: str) -> list[str]:
-    return [
-        t for t in _WORD_RUN.findall(text.lower()) if len(t) > 2 and t not in SCHEME_TOKENS
-    ]
-
-
 def entry_features(entry: OntologyEntry, grams: GramScheme) -> list[str]:
     """Gram features of one ontology entry: URI tokens plus title and
     description words, all expanded with the same scheme."""
     tokens = list(tokenize(entry.uri, TokenMethod.TOKENS).features)
     for text in (entry.title, entry.description):
         if text:
-            tokens.extend(_text_tokens(text))
-    sizes = grams.sizes
-    return [g for t in tokens for g in token_grams(t, sizes)]
+            tokens.extend(text_tokens(text))
+    return token_grams(tokens, grams.sizes)
 
 
 def expand_query(query: TokenBag | Sequence[str], grams: GramScheme) -> list[str]:
     """Featurize the requested URI for the deep stage. A TOKENS bag is
     gram-expanded; anything else is taken as pre-expanded features."""
-    if isinstance(query, TokenBag):
-        if query.method is TokenMethod.TOKENS:
-            sizes = grams.sizes
-            return [g for t in query.features for g in token_grams(t, sizes)]
-        return list(query.features)
+    if isinstance(query, TokenBag) and query.method is TokenMethod.TOKENS:
+        return token_grams(query.features, grams.sizes)
     return list(query)
 
 
@@ -106,18 +105,16 @@ class CategoryVectorIndex:
     vectors: dict[str, list[Counter[str]]]
     norms: dict[str, list[float]]
     totals: dict[str, Counter[str]]
-    excluded: int = 0
 
 
 def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVectorIndex:
     """TF vectors, row norms and summed counts per deepest category path;
-    entries with no extractable features are excluded (counted)."""
+    entries with no extractable features are left out."""
     if not len(index):
         raise ValueError("cannot build a vector index from an empty category index")
     vectors: dict[str, list[Counter[str]]] = {}
     norms: dict[str, list[float]] = {}
     totals: dict[str, Counter[str]] = {}
-    excluded = 0
     for path in index.categories():
         rows: list[Counter[str]] = []
         total: Counter[str] = Counter()
@@ -126,15 +123,19 @@ def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVecto
             if counts:
                 rows.append(counts)
                 total.update(counts)
-            else:
-                excluded += 1
         key = str(path)
         vectors[key] = rows
         norms[key] = [math.sqrt(sum(c * c for c in row.values())) for row in rows]
         totals[key] = total
-    return CategoryVectorIndex(
-        grams=grams, vectors=vectors, norms=norms, totals=totals, excluded=excluded
-    )
+    return CategoryVectorIndex(grams=grams, vectors=vectors, norms=norms, totals=totals)
+
+
+def subtree_index(index: CategoryIndex, top: str, grams: GramScheme) -> CategoryVectorIndex:
+    """The vector index of the entries under one top-level category."""
+    entries = index.entries_under(CategoryPath((top,)))
+    if not entries:
+        raise DeepClassificationError(f"no indexed entries under {top}")
+    return build_vector_index(CategoryIndex(entries), grams)
 
 
 def top_candidates(
@@ -250,6 +251,23 @@ def classify_deep(
     return CategoryPath.parse(outcome.label)
 
 
+def refine(
+    vindex: CategoryVectorIndex,
+    query: TokenBag | Sequence[str],
+    n: int,
+    smoothing: float,
+) -> tuple[CategoryPath, list[CandidateCategory], PrunedTree]:
+    """The deep stage for one query, returned as (category, candidates,
+    tree): the top ``n`` candidates by similarity, the tree pruned from
+    them, and naive Bayes' pick among them. The query is expanded once."""
+    features = expand_query(query, vindex.grams)
+    candidates = top_candidates(vindex, features, n)
+    if not candidates:
+        raise DeepClassificationError("no category shares vocabulary with the query")
+    tree = prune_tree([c.path for c in candidates])
+    return classify_deep(tree, vindex, features, smoothing), candidates, tree
+
+
 def evaluate_levels(truth: CategoryPath, predicted: CategoryPath, level: int) -> bool:
     """True iff both paths reach `level` and agree on the first `level` labels."""
     if level < 1:
@@ -339,10 +357,6 @@ def evaluate_deep(
     """Hold out a deterministic stride of entries, treat each item's
     level-1 label as given, run the deep stage within that top category's
     training subtree, and score per level."""
-    from .reports import registrable_letters
-    from .uri import depth as uri_depth, detect_patterns, parse_uri
-    from .words import dictionary_bucket
-
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must be in (0, 1)")
     entries = list(index.all_entries())
@@ -351,35 +365,24 @@ def evaluate_deep(
     training = [e for i, e in enumerate(entries) if i % stride != 0]
     training_index = CategoryIndex(training)
 
-    vindex_cache: dict[str, CategoryVectorIndex] = {}
-
-    skipped: set[str] = set()
+    subtrees: dict[str, CategoryVectorIndex | None] = {}  # None: no training entries
     evaluated: list[tuple[OntologyEntry, CategoryPath]] = []
     failures = 0
     for entry in holdout:
         top = entry.category.top
-        top_path = CategoryPath((top,))
-        subtree = training_index.entries_under(top_path)
-        if not subtree:
-            skipped.add(top)
-            continue
-        if top not in vindex_cache:
-            vindex_cache[top] = build_vector_index(CategoryIndex(subtree), grams)
-        query = tokenize(entry.uri, TokenMethod.TOKENS)
-        candidates = top_candidates(vindex_cache[top], query, n_candidates)
-        predicted = top_path
-        if candidates:
+        if top not in subtrees:
             try:
-                predicted = classify_deep(
-                    prune_tree([c.path for c in candidates]),
-                    vindex_cache[top],
-                    query,
-                    smoothing,
-                )
+                subtrees[top] = subtree_index(training_index, top, grams)
             except DeepClassificationError:
-                failures += 1
-        else:
+                subtrees[top] = None
+        vindex = subtrees[top]
+        if vindex is None:
+            continue
+        try:
+            predicted = refine(vindex, tokenize(entry.uri, TokenMethod.TOKENS), n_candidates, smoothing)[0]
+        except DeepClassificationError:
             failures += 1
+            predicted = CategoryPath((top,))
         evaluated.append((entry, predicted))
 
     total = len(evaluated)
@@ -393,18 +396,13 @@ def evaluate_deep(
         for k in range(1, max_level + 1)
     }
 
-    def full_match(entry: OntologyEntry, predicted: CategoryPath) -> bool:
-        return evaluate_levels(entry.category, predicted, len(entry.category))
-
     tallies: dict[tuple[str, object], list[int]] = {}
     for entry, predicted in evaluated:
-        correct = full_match(entry, predicted)
-        parsed = parse_uri(entry.uri, assume_http=True)
-        letters = registrable_letters(parsed.registered_domain, parsed.tld)
+        correct = evaluate_levels(entry.category, predicted, len(entry.category))
         keys = (
             ("category", entry.category.top),
-            ("depth", uri_depth(entry.uri)),
-            ("dictionary", dictionary_bucket(letters)),
+            ("depth", depth(entry.uri)),
+            ("dictionary", host_dictionary_bucket(parse_uri(entry.uri, assume_http=True))),
             ("long", detect_patterns(entry.uri).long_strings.hostname),
         )
         for section, key in keys:
@@ -423,7 +421,7 @@ def evaluate_deep(
         levels=levels,
         holdout=total,
         failures=failures,
-        skipped_categories=sorted(skipped),
+        skipped_categories=sorted(top for top, vindex in subtrees.items() if vindex is None),
         by_category=ratios("category"),
         by_depth=ratios("depth"),
         by_dictionary=ratios("dictionary"),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from .uri import TokenBag, TokenMethod, TokenVariant
+from .uri import InputFileError, TokenBag, TokenMethod, TokenVariant, read_lines
 
 __all__ = ["FeatureBag", "Classification", "NaiveBayesModel", "train", "classify", "save_model", "load_model"]
 
@@ -181,9 +181,9 @@ def save_model(model: NaiveBayesModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> NaiveBayesModel:
-    lines = Path(path).read_text("utf-8").splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"{path}: not a recognized model file")
+        raise InputFileError(f"{path}: not a recognized model file")
     method_text = lines[1].split(" ", 1)[1]
     variants_text = lines[2].split(" ", 1)[1]
     smoothing = float(lines[3].split(" ", 1)[1])
@@ -204,5 +204,5 @@ def load_model(path: str | Path) -> NaiveBayesModel:
         elif parts[0] == "feat" and len(parts) == 4:
             feature_counts[parts[1]][parts[2]] = int(parts[3])
         else:
-            raise ValueError(f"{path}: unrecognized record {line!r}")
+            raise InputFileError(f"{path}: unrecognized record {line!r}")
     return NaiveBayesModel(doc_counts, dict(feature_counts), smoothing, method, variants)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Protocol, Union
 
 from .reports import DistributionReport, analyze_uris
-from .uri import UriParseError, canonicalize_surt
+from .uri import InputFileError, UriParseError, canonicalize_surt, read_lines
 
 __all__ = [
     "RETAINED_TOP_CATEGORIES",
@@ -307,26 +307,31 @@ def save_index(index: CategoryIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> CategoryIndex:
-    """Reload a saved index, trusting the sidecar to skip re-canonicalizing."""
+    """Reload a saved index, trusting the sidecar to skip re-canonicalizing.
+    A row with no category raises InputFileError."""
     path = Path(path)
-    rows: list[tuple[str, str, str, str]] = []
-    for line in path.read_text("utf-8").splitlines():
+    rows: list[tuple[CategoryPath, str, str, str]] = []
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
         parts += [""] * (4 - len(parts))
-        rows.append((parts[0], parts[1], parts[2], parts[3]))
+        try:
+            category = CategoryPath.parse(parts[0])
+        except ValueError as exc:
+            raise InputFileError(f"{path}:{lineno}: malformed index row {line!r}: {exc}") from None
+        rows.append((category, parts[1], parts[2], parts[3]))
     sidecar = Path(str(path) + ".surt")
     surts: list[str] | None = None
     if sidecar.exists():
-        candidate = sidecar.read_text("utf-8").splitlines()
+        candidate = read_lines(sidecar)
         if len(candidate) == len(rows):
             surts = candidate
     entries = []
     for i, (category, uri, title, description) in enumerate(rows):
         entries.append(
             OntologyEntry(
-                category=CategoryPath.parse(category),
+                category=category,
                 uri=uri,
                 surt=surts[i] if surts else canonicalize_surt(uri),
                 title=title or None,
@@ -352,19 +357,23 @@ class OntologyProvider(Protocol):
 
 
 class FixtureOntologyProvider:
-    """JSON Lines file of {official_uri, categories, members}, matched by SURT."""
+    """JSON Lines file of {official_uri, categories, members}, matched by SURT;
+    a line that is not one raises InputFileError."""
 
     def __init__(self, path: str | Path):
         self._by_surt: dict[str, SecondaryRecord] = {}
-        for line in Path(path).read_text("utf-8").splitlines():
+        for lineno, line in enumerate(read_lines(path), 1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            obj = json.loads(line)
-            record = SecondaryRecord(
-                official_uri=obj["official_uri"],
-                categories=tuple(obj.get("categories", ())),
-                members=tuple(obj.get("members", ())),
-            )
+            try:
+                obj = json.loads(line)
+                record = SecondaryRecord(
+                    official_uri=obj["official_uri"],
+                    categories=tuple(obj.get("categories", ())),
+                    members=tuple(obj.get("members", ())),
+                )
+            except (ValueError, KeyError, TypeError) as exc:
+                raise InputFileError(f"{path}:{lineno}: malformed ontology record {line!r}: {exc!r}") from None
             self._by_surt[canonicalize_surt(record.official_uri)] = record
 
     def lookup(self, uri: str) -> SecondaryRecord | None:

@@ -14,15 +14,7 @@ from datetime import datetime, timezone
 from typing import Iterable
 
 from .archives import CandidateEvidence, EvidenceService
-from .deep import (
-    CategoryVectorIndex,
-    DeepClassificationError,
-    GramScheme,
-    build_vector_index,
-    classify_deep,
-    prune_tree,
-    top_candidates,
-)
+from .deep import CategoryVectorIndex, DeepClassificationError, GramScheme, refine, subtree_index
 from .metrics import EvalReport, cross_validate
 from .nbayes import NaiveBayesModel, classify as nb_classify, train as nb_train
 from .ontology import (
@@ -53,6 +45,10 @@ __all__ = [
 # stripped first.
 L1_METHOD = TokenMethod.ALL_GRAMS_URI
 L1_VARIANTS = frozenset({TokenVariant.STRIP_TLD, TokenVariant.STRIP_NUMBERS})
+# Candidate categories the deep stage keeps, and the additive smoothing of
+# both naive Bayes models.
+DEEP_CANDIDATES = 10
+SMOOTHING = 1.0
 
 REASON_UNCLASSIFIABLE = "unclassifiable"
 REASON_NO_CANDIDATES = "no candidates"
@@ -136,32 +132,25 @@ class Recommender:
         evidence: EvidenceService,
         model: NaiveBayesModel | None = None,
         secondary: OntologyProvider | None = None,
-        n_deep_candidates: int = 10,
-        smoothing: float = 1.0,
     ):
         self.index = index
         self.evidence = evidence
         self.model = model
         self.secondary = secondary
-        self.n_deep_candidates = n_deep_candidates
-        self.smoothing = smoothing
         self._subtrees: dict[tuple[str, GramScheme], CategoryVectorIndex] = {}
         self._build_lock = threading.Lock()
 
     def _l1_model(self) -> NaiveBayesModel:
         with self._build_lock:
             if self.model is None:
-                self.model = train_l1(self.index, smoothing=self.smoothing)
+                self.model = train_l1(self.index, smoothing=SMOOTHING)
             return self.model
 
     def _subtree(self, top: str, grams: GramScheme) -> CategoryVectorIndex:
         key = (top, grams)
         with self._build_lock:
             if key not in self._subtrees:
-                entries = self.index.entries_under(CategoryPath((top,)))
-                if not entries:
-                    raise DeepClassificationError(f"no indexed entries under {top}")
-                self._subtrees[key] = build_vector_index(CategoryIndex(entries), grams)
+                self._subtrees[key] = subtree_index(self.index, top, grams)
             return self._subtrees[key]
 
     def recommend(self, request: RecommendationRequest, now: datetime | None = None) -> RecommendationResult:
@@ -217,11 +206,7 @@ class Recommender:
             request_bag = tokenize(request.uri, TokenMethod.TOKENS)
             try:
                 vindex = self._subtree(top, request.grams)
-                candidates = top_candidates(vindex, request_bag, self.n_deep_candidates)
-                if not candidates:
-                    raise DeepClassificationError("no category shares vocabulary with the query")
-                tree = prune_tree([c.path for c in candidates])
-                category = classify_deep(tree, vindex, request_bag, self.smoothing)
+                category, candidates, tree = refine(vindex, request_bag, DEEP_CANDIDATES, SMOOTHING)
                 route = "classified-deep"
                 trace.append(
                     f"step2: deep category {category} "

@@ -12,10 +12,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .uri import UriParseError, depth, detect_patterns, parse_uri
+from .uri import ParsedUri, UriParseError, depth, detect_patterns, parse_uri
 from .words import WordLexicon, dictionary_bucket
 
-__all__ = ["DictionaryStats", "DistributionReport", "analyze_uris", "registrable_letters"]
+__all__ = ["DictionaryStats", "DistributionReport", "analyze_uris", "host_dictionary_bucket"]
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -87,12 +87,12 @@ class DistributionReport:
         return "\n".join(lines[1:]) + "\n"
 
 
-def registrable_letters(registered_domain: str, tld: str) -> str:
-    """Letters of the registrable host label (public suffix removed)."""
-    label = registered_domain
+def host_dictionary_bucket(parsed: ParsedUri, lexicon: WordLexicon | None = None) -> str:
+    """``dictionary_bucket`` of the registrable host label's letters (public suffix removed)."""
+    label, tld = parsed.registered_domain, parsed.tld
     if tld and label.endswith("." + tld):
         label = label[: -(len(tld) + 1)]
-    return "".join(ch for ch in label.lower() if ch in _LETTERS)
+    return dictionary_bucket("".join(ch for ch in label.lower() if ch in _LETTERS), lexicon)
 
 
 def analyze_uris(
@@ -122,8 +122,7 @@ def analyze_uris(
         for flag, value in report.flags().items():
             if value:
                 patterns[flag] += 1
-        letters = registrable_letters(parsed.registered_domain, parsed.tld)
-        buckets[dictionary_bucket(letters, lexicon)] += 1
+        buckets[host_dictionary_bucket(parsed, lexicon)] += 1
         if top is not None:
             saw_category = True
             categories[top] += 1

@@ -1,7 +1,7 @@
 """URI-level processing: parsing, SURT canonicalization, depth, tokenization,
-and structural pattern detection.
+structural pattern detection, and reading the package's text input files.
 
-Everything here is pure and operates on immutable inputs; the bundled
+Everything else here is pure and operates on immutable inputs; the bundled
 stop-word list and public-suffix snapshot are loaded once and shared.
 """
 from __future__ import annotations
@@ -12,10 +12,13 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
+from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
 __all__ = [
+    "InputFileError",
+    "read_lines",
     "UriParseError",
     "ParsedUri",
     "PublicSuffixList",
@@ -29,6 +32,7 @@ __all__ = [
     "depth",
     "tokenize",
     "token_grams",
+    "text_tokens",
     "detect_patterns",
     "load_stopwords",
 ]
@@ -45,6 +49,21 @@ _PERCENT_ENCODED = re.compile(r"%[0-9A-Fa-f]{2}")
 _DATE_SLASHED = re.compile(r"/(19|20)\d{2}/(0[1-9]|1[0-2])/(0[1-9]|[12]\d|3[01])(?:/|$)")
 _DATE_DASHED = re.compile(r"(?<!\d)(19|20)\d{2}-(0[1-9]|1[0-2])-(0[1-9]|[12]\d|3[01])(?!\d)")
 SCHEME_TOKENS = frozenset({"http", "https"})
+
+
+class InputFileError(ValueError):
+    """An input file that cannot be read; names the file, and the line at fault if any."""
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file, as ``str.splitlines`` splits them;
+    bytes that are not UTF-8 raise InputFileError naming their line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + "|").splitlines())
+        raise InputFileError(f"{path}:{lineno}: bytes that are not UTF-8 ({exc.reason})") from None
 
 
 class UriParseError(ValueError):
@@ -275,21 +294,20 @@ class TokenBag:
         return bool(self.features)
 
 
-def token_grams(token: str, sizes: range = GRAM_SIZES) -> Iterator[str]:
-    """n-grams for each n in ``sizes`` within one token; tokens shorter
-    than the smallest size pass through whole."""
-    if len(token) < sizes.start:
-        yield token
-        return
-    for n in sizes:
-        for i in range(len(token) - n + 1):
-            yield token[i : i + n]
+def _grams(text: str, sizes: range) -> list[str]:
+    return [text[i : i + n] for n in sizes for i in range(len(text) - n + 1)]
 
 
-def _string_grams(text: str) -> Iterator[str]:
-    for n in GRAM_SIZES:
-        for i in range(len(text) - n + 1):
-            yield text[i : i + n]
+def token_grams(tokens: Iterable[str], sizes: range = GRAM_SIZES) -> list[str]:
+    """n-grams for each n in ``sizes`` within each token, token by token;
+    tokens shorter than the smallest size pass through whole."""
+    return [g for t in tokens for g in (_grams(t, sizes) if len(t) >= sizes.start else (t,))]
+
+
+def text_tokens(text: str) -> list[str]:
+    """TOKENS features of free text, such as a title: its lowercased letter
+    runs longer than two letters, without the scheme tokens."""
+    return [t for t in _LETTER_RUN.findall(text.lower()) if len(t) > 2 and t not in SCHEME_TOKENS]
 
 
 def _working_string(parsed: ParsedUri, variants: frozenset[TokenVariant]) -> str:
@@ -345,13 +363,13 @@ def tokenize(
 
     features: list[str]
     if method is TokenMethod.ALL_GRAMS_URI:
-        features = list(_string_grams("".join(runs)))
+        features = _grams("".join(runs), GRAM_SIZES)
     else:
         tokens = [t for t in runs if len(t) > 2]
         if method is TokenMethod.TOKENS:
             features = tokens
         else:
-            features = [g for t in tokens for g in token_grams(t)]
+            features = token_grams(tokens)
 
     if TokenVariant.STRIP_STOPWORDS in variant_set:
         stop = load_stopwords()

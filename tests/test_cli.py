@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import shutil
 
 import pytest
 
-from archive_recommender import archives
+from archive_recommender import archives, cli
 from archive_recommender.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, main
+from archive_recommender.config import Settings, load_settings
 from archive_recommender.nbayes import load_model
 from archive_recommender.ontology import load_index, save_index
 
@@ -27,6 +30,27 @@ def run(capsys, *argv):
 
 def records_of(out: str) -> list[dict]:
     return [json.loads(line) for line in out.splitlines() if line.strip()]
+
+
+def fixtures_with_line(fixtures_dir, tmp_path, name: str, row: bytes):
+    """A copy of the fixtures with ``row`` appended to ``name``, and its line number."""
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(fixtures_dir, fixtures)
+    with open(fixtures / name, "ab") as handle:
+        handle.write(row + b"\n")
+    return fixtures, len((fixtures / name).read_bytes().splitlines())
+
+
+def flag_dests() -> tuple[set[str], dict[str, set[str]]]:
+    """The dests every subcommand shares, and each subcommand's own."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {name: {a.dest for a in sub._actions} for name, sub in commands.choices.items()}
+    shared = set.intersection(*dests.values())
+    return shared, {name: own - shared for name, own in dests.items()}
+
+
+SETTING_NAMES = {f.name for f in dataclasses.fields(Settings)}
 
 
 class TestUsageErrors:
@@ -118,6 +142,70 @@ class TestConfigErrors:
         assert err.startswith(f"archrec: error: {table}:{lineno}: malformed ")
         assert repr(row) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, argv, row",
+        [
+            ("popularity.tsv", ("recommend", "http://odu.edu/compsci"), b"caf\xe9.com\t5"),
+            ("damage.tsv", ("recommend", "http://odu.edu/compsci"), b"http://x/\t0.1\xff"),
+            ("index.tsv", ("stats",), b"Arts/X\thttp://caf\xe9.com\tt\td"),
+            ("secondary_ontology.jsonl", ("recommend", "http://odu.edu/compsci"), b'{"x": "\xff"}'),
+        ],
+        ids=["popularity", "damage", "index", "secondary"],
+    )
+    def test_fixture_bytes_not_utf8(self, capsys, fixtures_dir, tmp_path, name, argv, row):
+        fixtures, lineno = fixtures_with_line(fixtures_dir, tmp_path, name, row)
+        code, out, err = run(capsys, *argv, "--fixtures", str(fixtures))
+        assert code == EXIT_CONFIG
+        assert not out
+        assert err.startswith(f"archrec: error: {fixtures / name}:{lineno}: bytes that are not UTF-8 (")
+        assert "Traceback" not in err
+
+    def test_index_row_without_category(self, capsys, fixtures_dir, tmp_path):
+        row = b"\thttp://x.example/\tt\td"
+        fixtures, lineno = fixtures_with_line(fixtures_dir, tmp_path, "index.tsv", row)
+        code, out, err = run(capsys, "stats", "--fixtures", str(fixtures))
+        assert code == EXIT_CONFIG
+        assert not out
+        assert err == (
+            f"archrec: error: {fixtures / 'index.tsv'}:{lineno}: malformed index row "
+            f"{row.decode()!r}: category path needs at least one label\n"
+        )
+
+    @pytest.mark.parametrize(
+        "row, why",
+        [(b"not json", "JSONDecodeError"), (b'{"categories": ["A"]}', "KeyError('official_uri')")],
+        ids=["not-json", "no-official-uri"],
+    )
+    def test_malformed_secondary_ontology_line(self, capsys, fixtures_dir, tmp_path, row, why):
+        fixtures, lineno = fixtures_with_line(fixtures_dir, tmp_path, "secondary_ontology.jsonl", row)
+        code, out, err = run(capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures))
+        assert code == EXIT_CONFIG
+        assert not out
+        path = fixtures / "secondary_ontology.jsonl"
+        assert err.startswith(f"archrec: error: {path}:{lineno}: malformed ontology record {row.decode()!r}: ")
+        assert why in err
+
+    @pytest.mark.parametrize("content", [b"not a model\n", b"\x89PNG\r\n"], ids=["text", "binary"])
+    def test_model_file_that_is_not_a_model(self, capsys, fixtures_dir, tmp_path, content):
+        model = tmp_path / "l1.model"
+        model.write_bytes(content)
+        code, out, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
+            "--model", str(model),
+        )
+        assert code == EXIT_CONFIG
+        assert not out
+        assert err.startswith(f"archrec: error: {model}:")
+        assert "Traceback" not in err
+
+    def test_config_file_bytes_not_utf8(self, capsys, fixtures_dir, tmp_path):
+        conf = tmp_path / "a.conf"
+        conf.write_bytes(b"top = 3\n\xffoutput = records\n")  # the bad byte starts line 2
+        code, out, err = run(capsys, "stats", "--fixtures", str(fixtures_dir), "--config", str(conf))
+        assert code == EXIT_CONFIG
+        assert not out
+        assert err.startswith(f"archrec: error: {conf}:2: bytes that are not UTF-8 (")
 
     def test_cache_path_is_a_directory(self, capsys, fixtures_dir, tmp_path):
         code, _, err = run(
@@ -466,3 +554,41 @@ class TestLogsAndStats:
         assert code == EXIT_OK
         assert "uris" in out
         assert "489" in out
+
+
+class TestEvidencePool:
+    def test_fixture_sources_start_no_pool(self, capsys, fixtures_dir, monkeypatch):
+        started = []
+        real = archives.ThreadPoolExecutor
+
+        def recording(*args, **kwargs):
+            started.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(archives, "ThreadPoolExecutor", recording)
+        code, _, _ = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
+            "--now", "2014-06-01T00:00:00Z",
+        )
+        assert code == EXIT_OK
+        assert started == []
+
+    @pytest.mark.parametrize("flag", ["aggregator", "damage_service"])
+    def test_network_sources_keep_the_setting(self, fixtures_dir, flag):
+        overrides = {"fixtures": str(fixtures_dir), flag: "http://127.0.0.1:9"}
+        settings = load_settings(None, overrides, env={})
+        assert cli._build_evidence_service(settings).parallelism == settings.parallelism == 4
+        local = load_settings(None, {"fixtures": str(fixtures_dir)}, env={})
+        assert cli._build_evidence_service(local).parallelism == 1
+
+
+class TestSettingFlags:
+    """``main`` reads each setting's flag by the setting's field name."""
+
+    def test_shared_flags_are_settings(self):
+        shared, _ = flag_dests()
+        assert shared - {"help", "config"} <= SETTING_NAMES
+
+    def test_no_subcommand_argument_is_a_setting(self):
+        _, own = flag_dests()
+        assert {name: dests & SETTING_NAMES for name, dests in own.items()} == dict.fromkeys(own, set())

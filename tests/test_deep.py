@@ -5,17 +5,19 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from typing import Sequence
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from archive_recommender import nbayes
+from archive_recommender import deep, nbayes
 from archive_recommender.deep import (
     CandidateCategory,
     CategoryVectorIndex,
     DeepClassificationError,
+    DeepEvalReport,
     GramScheme,
     build_vector_index,
     classify_deep,
@@ -24,13 +26,25 @@ from archive_recommender.deep import (
     evaluate_levels,
     expand_query,
     prune_tree,
+    refine,
+    subtree_index,
     top_candidates,
     PrunedTree,
 )
-from archive_recommender.ontology import CategoryIndex, CategoryPath, OntologyEntry
-from archive_recommender.uri import TokenBag, TokenMethod, canonicalize_surt, tokenize
+from archive_recommender.ontology import CategoryIndex, CategoryPath, OntologyEntry, load_index
+from archive_recommender.reports import host_dictionary_bucket
+from archive_recommender.uri import (
+    TokenBag,
+    TokenMethod,
+    canonicalize_surt,
+    depth,
+    detect_patterns,
+    parse_uri,
+    text_tokens,
+    tokenize,
+)
 
-from conftest import TAXONOMY_PATHS, build_taxonomy
+from conftest import FIXTURES, TAXONOMY_PATHS, build_taxonomy
 
 
 def P(text: str) -> CategoryPath:
@@ -102,6 +116,92 @@ def classify_deep_by_retraining(
     if outcome.unclassifiable:
         raise DeepClassificationError("query shares no vocabulary with the candidates")
     return P(outcome.label)
+
+
+def refine_by_steps(
+    vindex: CategoryVectorIndex, query: TokenBag | Sequence[str], n: int, smoothing: float
+) -> tuple[CategoryPath, list[CandidateCategory], PrunedTree]:
+    """The deep stage as the recommender ran it step by step, with each
+    scorer expanding the query itself."""
+    candidates = top_candidates(vindex, query, n)
+    if not candidates:
+        raise DeepClassificationError("no category shares vocabulary with the query")
+    tree = prune_tree([c.path for c in candidates])
+    return classify_deep(tree, vindex, query, smoothing), candidates, tree
+
+
+def evaluate_deep_by_steps(
+    index: CategoryIndex,
+    holdout_fraction: float = 0.1,
+    grams: GramScheme = GramScheme.ALL_GRAM,
+    n_candidates: int = 10,
+    smoothing: float = 1.0,
+) -> DeepEvalReport:
+    """``evaluate_deep`` with its own copy of the deep stage, which looks
+    each held-out entry's subtree up again."""
+    entries = list(index.all_entries())
+    stride = max(2, round(1.0 / holdout_fraction))
+    holdout = [e for i, e in enumerate(entries) if i % stride == 0]
+    training_index = CategoryIndex([e for i, e in enumerate(entries) if i % stride != 0])
+    vindex_cache: dict[str, CategoryVectorIndex] = {}
+    skipped: set[str] = set()
+    evaluated: list[tuple[OntologyEntry, CategoryPath]] = []
+    failures = 0
+    for entry in holdout:
+        top = entry.category.top
+        top_path = CategoryPath((top,))
+        subtree = training_index.entries_under(top_path)
+        if not subtree:
+            skipped.add(top)
+            continue
+        if top not in vindex_cache:
+            vindex_cache[top] = build_vector_index(CategoryIndex(subtree), grams)
+        query = tokenize(entry.uri, TokenMethod.TOKENS)
+        candidates = top_candidates(vindex_cache[top], query, n_candidates)
+        predicted = top_path
+        if candidates:
+            try:
+                tree = prune_tree([c.path for c in candidates])
+                predicted = classify_deep(tree, vindex_cache[top], query, smoothing)
+            except DeepClassificationError:
+                failures += 1
+        else:
+            failures += 1
+        evaluated.append((entry, predicted))
+
+    total = len(evaluated)
+    max_level = max((len(e.category) for e, _ in evaluated), default=1)
+    levels = {
+        k: sum(1 for e, p in evaluated if evaluate_levels(e.category, p, k)) / total if total else 0.0
+        for k in range(1, max_level + 1)
+    }
+    tallies: dict[tuple[str, object], list[int]] = {}
+    for entry, predicted in evaluated:
+        correct = evaluate_levels(entry.category, predicted, len(entry.category))
+        keys = (
+            ("category", entry.category.top),
+            ("depth", depth(entry.uri)),
+            ("dictionary", host_dictionary_bucket(parse_uri(entry.uri, assume_http=True))),
+            ("long", detect_patterns(entry.uri).long_strings.hostname),
+        )
+        for section, key in keys:
+            bucket = tallies.setdefault((section, key), [0, 0])
+            bucket[0] += int(correct)
+            bucket[1] += 1
+
+    def ratios(section: str) -> dict:
+        return {key: hit / seen for (s, key), (hit, seen) in tallies.items() if s == section}
+
+    return DeepEvalReport(
+        levels=levels,
+        holdout=total,
+        failures=failures,
+        skipped_categories=sorted(skipped),
+        by_category=ratios("category"),
+        by_depth=ratios("depth"),
+        by_dictionary=ratios("dictionary"),
+        by_long_strings=ratios("long"),
+    )
 
 
 def deep_outcome(classify, *args) -> tuple[str, list[nbayes.Classification]]:
@@ -186,7 +286,7 @@ class TestVectorIndex:
             ]
         )
         vindex = build_vector_index(index, GramScheme.ALL_GRAM)
-        assert vindex.excluded == 1
+        assert len(vindex.vectors["Computers"]) == len(vindex.norms["Computers"]) == 1
 
     def test_empty_index_rejected(self):
         with pytest.raises(ValueError):
@@ -424,3 +524,90 @@ class TestEvaluateDeep:
             evaluate_deep(taxonomy, holdout_fraction=0.0)
         with pytest.raises(ValueError):
             evaluate_deep(taxonomy, holdout_fraction=1.0)
+
+
+@lru_cache(maxsize=1)
+def fixture_index() -> CategoryIndex:
+    return load_index(FIXTURES / "index.tsv")
+
+
+@lru_cache(maxsize=None)
+def fixture_subtree(top: str, grams: GramScheme) -> tuple[CategoryVectorIndex, tuple[str, ...]]:
+    """The fixture index's subtree under ``top`` and the words of its entries."""
+    index = fixture_index()
+    words = {
+        w
+        for e in index.entries_under(P(top))
+        for w in text_tokens(" ".join((e.uri, e.title or "", e.description or "")))
+    }
+    return subtree_index(index, top, grams), tuple(sorted(words))
+
+
+def outcome_or_message(fn, *args):
+    try:
+        return fn(*args)
+    except DeepClassificationError as exc:
+        return str(exc)
+
+
+class TestRefine:
+    """``refine`` is the one deep stage of ``recommend`` and ``evaluate-deep``."""
+
+    @given(st.data(), st.sampled_from(list(GramScheme)), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_same_as_the_steps_over_fixture_subtrees(self, data, grams, n):
+        top = data.draw(st.sampled_from(sorted({p.top for p in fixture_index().categories()})))
+        vindex, words = fixture_subtree(top, grams)
+        query_words = data.draw(st.lists(st.sampled_from(words) | _NOISE, max_size=6))
+        query = TokenBag(TokenMethod.TOKENS, frozenset(), tuple(query_words))
+        assert outcome_or_message(refine, vindex, query, n, 1.0) == (
+            outcome_or_message(refine_by_steps, vindex, query, n, 1.0)
+        )
+
+    def test_no_shared_vocabulary_raises(self, taxonomy):
+        vindex = build_vector_index(taxonomy, GramScheme.ALL_GRAM)
+        with pytest.raises(DeepClassificationError, match="no category shares vocabulary"):
+            refine(vindex, ["zzzzyyyy"], 10, 1.0)
+
+    def test_query_expanded_once(self, taxonomy, monkeypatch):
+        vindex = build_vector_index(taxonomy, GramScheme.ALL_GRAM)
+        query = tokenize(taxonomy.entries_for(TAXONOMY_PATHS[3])[2].uri, TokenMethod.TOKENS)
+        expanded: list[TokenBag] = []
+        real = deep.expand_query
+
+        def counted(q, grams):
+            if isinstance(q, TokenBag):
+                expanded.append(q)
+            return real(q, grams)
+
+        monkeypatch.setattr(deep, "expand_query", counted)
+        category, candidates, tree = refine(vindex, query, 10, 1.0)
+        assert str(category) == TAXONOMY_PATHS[3]
+        assert expanded == [query]
+        assert refine_by_steps(vindex, query, 10, 1.0) == (category, candidates, tree)
+        assert expanded == [query] * 3  # the steps expand it once each
+
+    def test_subtree_index_of_an_absent_top_raises(self, taxonomy):
+        with pytest.raises(DeepClassificationError, match="no indexed entries under Nowhere"):
+            subtree_index(taxonomy, "Nowhere", GramScheme.ALL_GRAM)
+
+
+class TestEvaluateDeepSteps:
+    @pytest.mark.parametrize("grams", list(GramScheme))
+    @pytest.mark.parametrize("name", ["taxonomy", "corpus_index", "edge_cases"])
+    def test_same_report_as_the_steps(self, request, name, grams):
+        if name == "edge_cases":
+            # Entry 0 is held out and leaves "Lonely" with no training entries;
+            # entry 10, held out too, has no features, so its deep stage fails.
+            extra = [entry("Lonely/One", "http://lonely.example.com/")]
+            extra += [entry("Science/Odd", f"http://x{k}.zz/") for k in range(10)]
+            index = CategoryIndex([*extra, *request.getfixturevalue("taxonomy").all_entries()])
+        else:
+            index = request.getfixturevalue(name)
+        report = evaluate_deep(index, grams=grams)
+        oracle = evaluate_deep_by_steps(index, grams=grams)
+        assert report.to_records() == oracle.to_records()
+        assert report.to_table() == oracle.to_table()
+        if name == "edge_cases":
+            assert report.skipped_categories == ["Lonely"]
+            assert report.failures == 1

@@ -147,7 +147,6 @@ class TestClassifiedDeepRoute:
         for module, name in (
             (deep, "entry_features"),
             (deep, "build_vector_index"),
-            (pipeline, "build_vector_index"),
             (nbayes, "train"),
             (pipeline, "nb_train"),
         ):
