@@ -373,6 +373,8 @@ class FixtureArchiveSource:
             if exc.errno in _NO_FILE_ERRNOS:
                 return None
             raise
+        except UnicodeDecodeError as exc:
+            raise ArchiveFetchError(f"{path}: bytes that are not UTF-8 ({exc.reason})") from None
 
     def get_timemap(self, uri: str) -> str | None:
         return self._read(uri)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from dataclasses import fields
 from datetime import timezone
@@ -82,6 +83,28 @@ def _parse_variants(text: str) -> list[TokenVariant]:
     if unknown:
         raise ConfigError(f"unknown variants: {', '.join(unknown)} (use {', '.join(_VARIANTS)})")
     return [_VARIANTS[n] for n in names]
+
+
+def _ranged(convert, accepts, requirement: str):
+    """An argparse type: ``convert`` the text, then keep it only if
+    ``accepts`` it, so an out-of-range value is a usage error."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accepts(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+
+    return parse
+
+
+_count = _ranged(int, lambda n: n >= 1, "an integer of at least 1")
+_folds = _ranged(int, lambda n: n >= 2, "an integer of at least 2")
+_fraction = _ranged(float, lambda x: 0.0 < x < 1.0, "a number between 0 and 1, exclusive")
+_smoothing = _ranged(float, lambda x: 0.0 < x < math.inf, "a finite number above 0")
 
 
 def _emit(records: list[dict], table: str, output: str) -> None:
@@ -387,7 +410,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=sorted(_METHODS), default="grams-uri")
     p.add_argument("--variants", default="strip-tld,strip-numbers", metavar="LIST",
                    help="comma-separated: strip-tld,strip-numbers,strip-stopwords")
-    p.add_argument("--smoothing", type=float, default=1.0)
+    p.add_argument("--smoothing", type=_smoothing, default=1.0)
     p.set_defaults(func=_cmd_train)
 
     p = commands.add_parser("recommend", parents=[shared], help="recommend archived pages for a URI")
@@ -398,14 +421,14 @@ def build_parser() -> _Parser:
     p = commands.add_parser("evaluate-l1", parents=[shared], help="cross-validate first-level classification")
     p.add_argument("--method", choices=sorted(_METHODS), default="grams-uri")
     p.add_argument("--variants", default="strip-tld,strip-numbers", metavar="LIST")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--smoothing", type=float, default=1.0)
+    p.add_argument("--folds", type=_folds, default=10)
+    p.add_argument("--smoothing", type=_smoothing, default=1.0)
     p.set_defaults(func=_cmd_evaluate_l1)
 
     p = commands.add_parser("evaluate-deep", parents=[shared], help="evaluate deep classification per level")
-    p.add_argument("--holdout", type=float, default=0.1, metavar="FRACTION")
-    p.add_argument("--candidates", type=int, default=10, metavar="N")
-    p.add_argument("--smoothing", type=float, default=1.0)
+    p.add_argument("--holdout", type=_fraction, default=0.1, metavar="FRACTION")
+    p.add_argument("--candidates", type=_count, default=10, metavar="N")
+    p.add_argument("--smoothing", type=_smoothing, default=1.0)
     p.set_defaults(func=_cmd_evaluate_deep)
 
     p = commands.add_parser("analyze-logs", parents=[shared], help="filter an access log and profile the URIs")

@@ -6,14 +6,17 @@ mean cosine similarity, the top N categories become candidates, the
 candidate set is pruned with the ancestor-assistance rule, and a Naive
 Bayes model over the candidates picks the final path.
 
-Each entry is featurized once, when its vector index is built: the index
-keeps every row's gram counts, every row's norm and every category's summed
-counts, and both the cosine scoring and the naive Bayes read them from
-there instead of re-featurizing entries per query.
+Each entry is featurized once, when its vector index is built. The index
+keeps, per gram, the rows holding it and their counts (postings), every
+row's norm and category, and every category's row count and summed counts.
+The cosine scoring walks the postings of the query's grams only, and the
+naive Bayes reads the summed counts, so no entry is featurized again per
+query.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -93,41 +96,85 @@ class CandidateCategory:
 
 @dataclass
 class CategoryVectorIndex:
-    """Featurized entries by deepest category path (the dict key).
+    """Featurized entries by deepest category path.
 
-    ``vectors[path]`` holds one gram Counter per entry with features,
-    ``norms[path]`` the Euclidean norm of each of those rows in the same
-    order, and ``totals[path]`` the sum of the rows, which is what naive
-    Bayes trains on. Read-only once built.
+    A row is one entry with features. Rows are numbered category by
+    category, so each category's rows are contiguous and ascending.
+
+    - ``postings[gram]``: the ids of the rows that hold the gram,
+      ascending, and the gram's count in each.
+    - ``norms[row]``: the Euclidean norm of the row's counts;
+      ``row_category[row]``: the ordinal of the row's category.
+    - ``paths[ordinal]``, ``row_counts[ordinal]``: the category's parsed
+      path and its number of rows.
+    - ``ordinals[key]``, ``totals[key]``, by path text: the category's
+      ordinal, and the sum of its rows, which is what naive Bayes trains on.
+
+    Read-only once built.
     """
 
     grams: GramScheme
-    vectors: dict[str, list[Counter[str]]]
-    norms: dict[str, list[float]]
+    postings: dict[str, tuple[array, array]]
+    norms: array
+    row_category: array
+    paths: tuple[CategoryPath, ...]
+    row_counts: tuple[int, ...]
+    ordinals: dict[str, int]
     totals: dict[str, Counter[str]]
 
 
+# A new posting's arrays are copied from this one: copying an empty array
+# costs about half what the array constructor does.
+_EMPTY_POSTING = array("I")
+
+
 def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVectorIndex:
-    """TF vectors, row norms and summed counts per deepest category path;
-    entries with no extractable features are left out."""
+    """Gram postings, row norms and summed counts per deepest category
+    path; entries with no extractable features are left out."""
     if not len(index):
         raise ValueError("cannot build a vector index from an empty category index")
-    vectors: dict[str, list[Counter[str]]] = {}
-    norms: dict[str, list[float]] = {}
+    postings: dict[str, tuple[array, array]] = {}
+    norms = array("d")
+    row_category = array("I")
+    paths: list[CategoryPath] = []
+    row_counts: list[int] = []
     totals: dict[str, Counter[str]] = {}
     for path in index.categories():
-        rows: list[Counter[str]] = []
+        key = str(path)
+        if key in totals:  # two index keys that parse to one path
+            continue
+        ordinal, rows = len(paths), 0
         total: Counter[str] = Counter()
         for entry in index.entries_for(path):
-            counts = Counter(entry_features(entry, grams))
-            if counts:
-                rows.append(counts)
-                total.update(counts)
-        key = str(path)
-        vectors[key] = rows
-        norms[key] = [math.sqrt(sum(c * c for c in row.values())) for row in rows]
+            features = entry_features(entry, grams)
+            if not features:
+                continue
+            counts = Counter(features)
+            row, squares = len(norms), 0
+            for gram, count in counts.items():
+                squares += count * count
+                posting = postings.get(gram)
+                if posting is None:
+                    posting = postings[gram] = (_EMPTY_POSTING[:], _EMPTY_POSTING[:])
+                posting[0].append(row)
+                posting[1].append(count)
+            norms.append(math.sqrt(squares))
+            row_category.append(ordinal)
+            total.update(features)
+            rows += 1
+        paths.append(CategoryPath.parse(key))
+        row_counts.append(rows)
         totals[key] = total
-    return CategoryVectorIndex(grams=grams, vectors=vectors, norms=norms, totals=totals)
+    return CategoryVectorIndex(
+        grams=grams,
+        postings=postings,
+        norms=norms,
+        row_category=row_category,
+        paths=tuple(paths),
+        row_counts=tuple(row_counts),
+        ordinals={key: ordinal for ordinal, key in enumerate(totals)},
+        totals=totals,
+    )
 
 
 def subtree_index(index: CategoryIndex, top: str, grams: GramScheme) -> CategoryVectorIndex:
@@ -146,30 +193,34 @@ def top_candidates(
     """Top-n categories by mean cosine similarity to the query; categories
     with zero similarity are omitted, so an orthogonal query yields [].
 
-    Row norms come from the index; the query's norm is taken once, and each
-    dot product runs over the query's distinct grams."""
+    Scoring is term at a time: the integer dot product of every row that
+    shares a gram with the query is summed from the postings of the
+    query's distinct grams. Each category's cosines are then added in row
+    order, over its rows with a non-zero dot product only, so its mean is
+    the float that a scan of its rows would give."""
     if n < 1:
         raise ValueError("n must be at least 1")
     qvec = Counter(expand_query(query, vindex.grams))
     if not qvec:
         return []
-    qitems = list(qvec.items())
     qnorm = math.sqrt(sum(c * c for c in qvec.values()))
+    postings = vindex.postings
+    dots: dict[int, int] = {}
+    for gram, count in qvec.items():
+        posting = postings.get(gram)
+        if posting is not None:
+            for row, row_count in zip(*posting):
+                dots[row] = dots.get(row, 0) + count * row_count
+    norms, row_category = vindex.norms, vindex.row_category
+    sums: dict[int, float] = {}
+    for row in sorted(dots):
+        ordinal = row_category[row]
+        sums[ordinal] = sums.get(ordinal, 0.0) + dots[row] / (qnorm * norms[row])
     scored: list[CandidateCategory] = []
-    for path_text, rows in vindex.vectors.items():
-        if not rows:
-            continue
-        total = 0.0
-        for row, rownorm in zip(rows, vindex.norms[path_text]):
-            dot = 0
-            for gram, count in qitems:
-                if gram in row:
-                    dot += count * row[gram]
-            if dot:
-                total += dot / (qnorm * rownorm)
-        score = total / len(rows)
+    for ordinal, total in sums.items():
+        score = total / vindex.row_counts[ordinal]
         if score > 0.0:
-            scored.append(CandidateCategory(CategoryPath.parse(path_text), score))
+            scored.append(CandidateCategory(vindex.paths[ordinal], score))
     scored.sort(key=lambda c: (-c.score, c.path))
     return scored[:n]
 
@@ -231,16 +282,16 @@ def classify_deep(
     smoothing: float = 1.0,
 ) -> CategoryPath:
     """Final deep assignment: NB over the tree's candidate paths. Each
-    candidate's documents are its featurized entries in ``vindex``, so the
-    model is fitted from the cached row count and summed gram counts, and
+    candidate's documents are its rows in ``vindex``, so the model is
+    fitted from the cached row count and summed gram counts, and
     the query is expanded with ``vindex.grams``."""
     doc_counts: dict[str, int] = {}
     feature_counts: dict[str, Counter[str]] = {}
     for path in sorted(tree.candidates):
         key = str(path)
-        rows = vindex.vectors.get(key)
-        if rows:
-            doc_counts[key] = len(rows)
+        ordinal = vindex.ordinals.get(key)
+        if ordinal is not None and vindex.row_counts[ordinal]:
+            doc_counts[key] = vindex.row_counts[ordinal]
             feature_counts[key] = vindex.totals[key]
     if not doc_counts:
         raise DeepClassificationError("no candidate category has usable documents")

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -51,9 +53,12 @@ class NaiveBayesModel:
     """Immutable trained model; exposes raw counts for exact persistence.
 
     The caller's feature Counters are kept, not copied, and must not change
-    afterwards. A log-likelihood is computed the first time a (class,
-    feature) pair is asked for and then memoized per class, so a model
-    takes logs only of the features it is queried with.
+    afterwards. Log-likelihoods are taken the first time a query holds a
+    feature, for every class that has a count for it, and memoized per
+    class; the model then adds the feature to its filled set, so later
+    queries skip it. A model thus takes logs only of the features it is
+    queried with. Threads that fill one feature at once store equal
+    values, so a shared model stays safe.
     """
 
     def __init__(
@@ -90,22 +95,23 @@ class NaiveBayesModel:
             c: math.log(smoothing / self._denominator[c]) if v else 0.0 for c in self.classes
         }
         self._tables: dict[str, dict[str, float]] = {c: {} for c in self.classes}
+        self._filled: set[str] = set()
 
-    def _table(self, label: str, features: Iterable[str]) -> dict[str, float]:
-        """The memo of ``label``, filled for each of ``features`` that the
-        class has a count for. A feature the class never saw is not stored:
-        its log-likelihood is the class's unseen value."""
-        table = self._tables[label]
-        counts = self.feature_counts[label]
-        for f in features:
-            if f not in table:
+    def _fill(self, features: Iterable[str]) -> None:
+        """Memoize the log-likelihood of each of ``features`` not yet filled,
+        in every class that has a count for it. A feature a class never saw
+        is not stored: its log-likelihood is the class's unseen value."""
+        new = [f for f in features if f not in self._filled]
+        if not new:
+            return
+        for label in self.classes:
+            table, counts = self._tables[label], self.feature_counts[label]
+            denominator = self._denominator[label]
+            for f in new:
                 count = counts.get(f)
                 if count is not None:
-                    table[f] = math.log((count + self.smoothing) / self._denominator[label])
-        return table
-
-    def log_likelihood(self, label: str, feature: str) -> float:
-        return self._table(label, (feature,)).get(feature, self.unseen_log_likelihood[label])
+                    table[f] = math.log((count + self.smoothing) / denominator)
+        self._filled.update(new)
 
 
 def train(
@@ -142,10 +148,12 @@ def classify(model: NaiveBayesModel, bag: FeatureBag) -> Classification:
     if not known:
         return Classification(None, (), (), ignored)
     counts = Counter(known)
+    model._fill(counts)
+    feats, ks = list(counts), list(counts.values())
     raw = {}
     for c in model.classes:
-        table, unseen = model._table(c, counts), model.unseen_log_likelihood[c]
-        raw[c] = model.class_log_prior[c] + sum(table.get(f, unseen) * k for f, k in counts.items())
+        table, unseen = model._tables[c], model.unseen_log_likelihood[c]
+        raw[c] = model.class_log_prior[c] + sum(map(mul, map(table.get, feats, repeat(unseen)), ks))
     peak = max(raw.values())
     unnormalized = {c: math.exp(s - peak) for c, s in raw.items()}
     norm = sum(unnormalized.values())
@@ -180,29 +188,49 @@ def save_model(model: NaiveBayesModel, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", "utf-8")
 
 
+def _positive(value):
+    if not 0 < value < math.inf:
+        raise ValueError("must be a finite number above 0")
+    return value
+
+
+def _header(path: str | Path, lines: list[str], lineno: int, key: str, parse):
+    """Header line ``lineno`` of a model file, ``<key> <value>``, with its
+    value read by ``parse``."""
+    name, _, text = lines[lineno - 1].partition(" ") if lineno <= len(lines) else ("", "", "")
+    if name != key:
+        raise InputFileError(f"{path}:{lineno}: expected a {key} line")
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise InputFileError(f"{path}:{lineno}: bad {key} {text!r}: {exc}") from None
+
+
 def load_model(path: str | Path) -> NaiveBayesModel:
     lines = read_lines(path)
     if not lines or lines[0] != _MAGIC:
         raise InputFileError(f"{path}: not a recognized model file")
-    method_text = lines[1].split(" ", 1)[1]
-    variants_text = lines[2].split(" ", 1)[1]
-    smoothing = float(lines[3].split(" ", 1)[1])
-    method = None if method_text == "-" else TokenMethod(method_text)
-    variants = (
-        frozenset()
-        if variants_text == "-"
-        else frozenset(TokenVariant(v) for v in variants_text.split(","))
+    method = _header(path, lines, 2, "method", lambda text: None if text == "-" else TokenMethod(text))
+    variants = _header(
+        path, lines, 3, "variants",
+        lambda text: frozenset() if text == "-" else frozenset(map(TokenVariant, text.split(","))),
     )
+    smoothing = _header(path, lines, 4, "smoothing", lambda text: _positive(float(text)))
     doc_counts: dict[str, int] = {}
     feature_counts: dict[str, Counter[str]] = defaultdict(Counter)
-    for line in lines[4:]:
+    for lineno, line in enumerate(lines[4:], 5):
         if not line.strip():
             continue
         parts = line.split("\t")
-        if parts[0] == "class" and len(parts) == 3:
-            doc_counts[parts[1]] = int(parts[2])
-        elif parts[0] == "feat" and len(parts) == 4:
-            feature_counts[parts[1]][parts[2]] = int(parts[3])
-        else:
-            raise InputFileError(f"{path}: unrecognized record {line!r}")
+        try:
+            if parts[0] == "class" and len(parts) == 3:
+                doc_counts[parts[1]] = _positive(int(parts[2]))
+            elif parts[0] == "feat" and len(parts) == 4:
+                feature_counts[parts[1]][parts[2]] = _positive(int(parts[3]))
+            else:
+                raise ValueError("not a class or feat record")
+        except ValueError as exc:
+            raise InputFileError(f"{path}:{lineno}: unrecognized record {line!r}: {exc}") from None
+    if not doc_counts:
+        raise InputFileError(f"{path}: no class records")
     return NaiveBayesModel(doc_counts, dict(feature_counts), smoothing, method, variants)

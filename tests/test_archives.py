@@ -715,6 +715,15 @@ class TestFixtureSources:
         with pytest.raises(IsADirectoryError):
             FixtureArchiveSource(tmp_path).get_timemap("http://x.example/")
 
+    def test_undecodable_timemap_is_a_fetch_error(self, tmp_path, fixtures_dir):
+        name = quote("http://cs.odu.edu", safe="") + ".link"
+        (tmp_path / name).write_bytes((fixtures_dir / "timemaps" / name).read_bytes() + b"\xff\n")
+        source = FixtureArchiveSource(tmp_path)
+        with pytest.raises(ArchiveFetchError, match=r"\.link: bytes that are not UTF-8"):
+            source.get_timemap("http://cs.odu.edu")
+        outcome = EvidenceService(source, parallelism=1).evidence_for("http://cs.odu.edu", dt("20140601000000"))
+        assert outcome.error is not None and "not UTF-8" in outcome.error
+
     def test_popularity_fixture(self, fixtures_dir):
         provider = FixturePopularityProvider(fixtures_dir / "popularity.tsv")
         assert provider.get_rank("odu.edu") == 28455

@@ -71,6 +71,27 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "recommend", "http://a.com/", "--top", "ten")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate-deep", "--candidates", "0"],
+            ["evaluate-deep", "--holdout", "0"],
+            ["evaluate-deep", "--holdout", "1"],
+            ["evaluate-l1", "--folds", "1"],
+            ["train", "--model-out", "unused.nb", "--smoothing", "0"],
+            ["evaluate-l1", "--smoothing", "-1"],
+            ["evaluate-deep", "--smoothing", "0"],
+            ["evaluate-deep", "--smoothing", "inf"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if a not in ("--model-out", "unused.nb")),
+    )
+    def test_out_of_range_number(self, capsys, fixtures_dir, argv):
+        code, out, err = run(capsys, *argv, "--fixtures", str(fixtures_dir))
+        assert code == EXIT_USAGE
+        assert not out
+        assert f"argument {argv[-2]}: {argv[-1]!r} is not " in err
+        assert "Traceback" not in err
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == EXIT_OK
@@ -198,6 +219,44 @@ class TestConfigErrors:
         assert not out
         assert err.startswith(f"archrec: error: {model}:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content, lineno, problem",
+        [
+            ("archrec-nb 1\n", 2, "expected a method line"),
+            ("archrec-nb 1\nmethod all_grams_uri\n", 3, "expected a variants line"),
+            ("archrec-nb 1\nmethod all_grams_uri\nvariants -\nclass\tA\t1\n", 4, "expected a smoothing line"),
+            ("archrec-nb 1\nmethod bigrams\nvariants -\nsmoothing 1.0\n", 2, "bad method 'bigrams'"),
+            ("archrec-nb 1\nmethod -\nvariants strip-vowels\nsmoothing 1.0\n", 3, "bad variants"),
+            ("archrec-nb 1\nmethod -\nvariants -\nsmoothing 0\n", 4, "bad smoothing '0'"),
+            ("archrec-nb 1\nmethod -\nvariants -\nsmoothing 1.0\nclass\tA\t2.5\n", 5, "unrecognized record"),
+            ("archrec-nb 1\nmethod -\nvariants -\nsmoothing 1.0\nclass\tA\t1\nfeat\tA\tx\t1.5\n", 6,
+             "unrecognized record"),
+        ],
+        ids=["header-only", "no-variants", "no-smoothing", "unknown-method", "unknown-variant",
+             "zero-smoothing", "class-count", "feat-count"],
+    )
+    def test_model_file_cut_short_or_malformed(self, capsys, fixtures_dir, tmp_path, content, lineno, problem):
+        model = tmp_path / "l1.model"
+        model.write_text(content, "utf-8")
+        code, out, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
+            "--model", str(model),
+        )
+        assert code == EXIT_CONFIG
+        assert not out
+        assert err.startswith(f"archrec: error: {model}:{lineno}: {problem}")
+        assert "Traceback" not in err
+
+    def test_model_file_without_classes(self, capsys, fixtures_dir, tmp_path):
+        model = tmp_path / "l1.model"
+        model.write_text("archrec-nb 1\nmethod -\nvariants -\nsmoothing 1.0\n", "utf-8")
+        code, _, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
+            "--model", str(model),
+        )
+        assert code == EXIT_CONFIG
+        assert err == f"archrec: error: {model}: no class records\n"
 
     def test_config_file_bytes_not_utf8(self, capsys, fixtures_dir, tmp_path):
         conf = tmp_path / "a.conf"

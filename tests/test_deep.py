@@ -60,7 +60,8 @@ def entry(category: str, uri: str, title=None, description=None) -> OntologyEntr
 
 # ---------------------------------------------------------------------------
 # Oracles: the deep stage as it was before the vector index cached row norms
-# and per-category sums. The fast paths must agree with them exactly.
+# and per-category sums, and before it kept gram postings in place of rows.
+# The fast paths must agree with them exactly.
 
 
 def cosine(a: Counter[str], b: Counter[str]) -> float:
@@ -76,15 +77,55 @@ def cosine(a: Counter[str], b: Counter[str]) -> float:
     return dot / (norm_a * norm_b)
 
 
+def category_rows(index: CategoryIndex, grams: GramScheme) -> dict[str, list[Counter[str]]]:
+    """One gram Counter per entry with features, by deepest category path,
+    featurized from the entries as the vector index used to keep them."""
+    rows: dict[str, list[Counter[str]]] = {}
+    for path in index.categories():
+        counters = [Counter(entry_features(e, grams)) for e in index.entries_for(path)]
+        rows[str(path)] = [counts for counts in counters if counts]
+    return rows
+
+
+def top_candidates_by_row_scan(
+    index: CategoryIndex, grams: GramScheme, query: TokenBag | Sequence[str], n: int = 10
+) -> list[CandidateCategory]:
+    """Mean cosine by a scan of every row of every category, with the row
+    norms taken once per row and each dot product over the query's grams."""
+    qvec = Counter(expand_query(query, grams))
+    if not qvec:
+        return []
+    qitems = list(qvec.items())
+    qnorm = math.sqrt(sum(c * c for c in qvec.values()))
+    scored: list[CandidateCategory] = []
+    for path_text, rows in category_rows(index, grams).items():
+        if not rows:
+            continue
+        total = 0.0
+        for row in rows:
+            rownorm = math.sqrt(sum(c * c for c in row.values()))
+            dot = 0
+            for gram, count in qitems:
+                if gram in row:
+                    dot += count * row[gram]
+            if dot:
+                total += dot / (qnorm * rownorm)
+        score = total / len(rows)
+        if score > 0.0:
+            scored.append(CandidateCategory(P(path_text), score))
+    scored.sort(key=lambda c: (-c.score, c.path))
+    return scored[:n]
+
+
 def top_candidates_by_rescoring(
-    vindex: CategoryVectorIndex, query: TokenBag | Sequence[str], n: int = 10
+    index: CategoryIndex, grams: GramScheme, query: TokenBag | Sequence[str], n: int = 10
 ) -> list[CandidateCategory]:
     """Mean cosine against every row, each norm recomputed per pair."""
-    qvec = Counter(expand_query(query, vindex.grams))
+    qvec = Counter(expand_query(query, grams))
     if not qvec:
         return []
     scored: list[CandidateCategory] = []
-    for path_text, rows in vindex.vectors.items():
+    for path_text, rows in category_rows(index, grams).items():
         if not rows:
             continue
         score = sum(cosine(qvec, row) for row in rows) / len(rows)
@@ -92,6 +133,10 @@ def top_candidates_by_rescoring(
             scored.append(CandidateCategory(P(path_text), score))
     scored.sort(key=lambda c: (-c.score, c.path))
     return scored[:n]
+
+
+def row_counts(vindex: CategoryVectorIndex) -> dict[str, int]:
+    return {key: vindex.row_counts[ordinal] for key, ordinal in vindex.ordinals.items()}
 
 
 def classify_deep_by_retraining(
@@ -275,18 +320,51 @@ class TestVectorIndex:
             ]
         )
         vindex = build_vector_index(index, GramScheme.ALL_GRAM)
-        assert set(vindex.vectors) == {"Computers/Hardware", "Computers"}
-        assert len(vindex.vectors["Computers/Hardware"]) == 2
+        assert row_counts(vindex) == {"Computers": 1, "Computers/Hardware": 2}
+        assert vindex.paths == (P("Computers"), P("Computers/Hardware"))
+        assert list(vindex.row_category) == [0, 1, 1]
+        assert list(vindex.totals) == ["Computers", "Computers/Hardware"]
+        board_rows, board_counts = vindex.postings["board"]
+        assert list(board_rows) == [1] and list(board_counts) == [1]
+        assert list(vindex.postings["example"][0]) == [0, 1, 2]
 
     def test_featureless_entries_are_excluded(self):
         index = CategoryIndex(
             [
                 entry("Computers", "http://boards.example.com/"),
                 entry("Computers", "http://ab.cd/"),  # nothing longer than 2 letters
+                entry("Computers/Tiny", "http://xy.zw/"),
             ]
         )
         vindex = build_vector_index(index, GramScheme.ALL_GRAM)
-        assert len(vindex.vectors["Computers"]) == len(vindex.norms["Computers"]) == 1
+        assert row_counts(vindex) == {"Computers": 1, "Computers/Tiny": 0}
+        assert len(vindex.norms) == len(vindex.row_category) == 1
+        assert vindex.totals["Computers/Tiny"] == Counter()
+        candidates = top_candidates(vindex, ["board", "xyzw"], 10)
+        assert [c.path for c in candidates] == [P("Computers")]
+        assert candidates == top_candidates_by_row_scan(index, GramScheme.ALL_GRAM, ["board", "xyzw"])
+
+    def test_index_keys_that_parse_to_one_path(self):
+        # The index keys "Top/A" and "A" both parse to the path A, and
+        # "Top/Top/A" to Top/A. As before, key "A" is scored once under A,
+        # the rows filed under "Top/A" are scored under the path A too, and
+        # those under "Top/Top/A" are not scored at all.
+        index = CategoryIndex(
+            [
+                entry("Top/Top/A", "http://boards.example.com/"),
+                entry("A", "http://chips.example.org/"),
+                entry("Top/Top/Top/A", "http://wafers.example.com/"),
+                entry("B", "http://chips.example.net/"),
+            ]
+        )
+        for grams in GramScheme:
+            vindex = build_vector_index(index, grams)
+            assert row_counts(vindex) == {"A": 1, "B": 1, "Top/A": 1}
+            assert vindex.paths == (P("A"), P("B"), P("A"))
+            for query in (["chip"], ["board"], ["boards", "chips"], ["wafer"]):
+                assert top_candidates(vindex, query, 10) == (
+                    top_candidates_by_row_scan(index, grams, query, 10)
+                )
 
     def test_empty_index_rejected(self):
         with pytest.raises(ValueError):
@@ -454,7 +532,7 @@ class TestAgainstRescoringOracles:
         index, query, tree_paths = case
         vindex = build_vector_index(index, grams)
         candidates = top_candidates(vindex, query, n)
-        assert candidates == top_candidates_by_rescoring(vindex, query, n)
+        assert candidates == top_candidates_by_rescoring(index, grams, query, n)
         trees = [prune_tree(tree_paths)]
         if candidates:
             trees.append(prune_tree([c.path for c in candidates]))
@@ -474,12 +552,34 @@ class TestAgainstRescoringOracles:
             sub, vindex = subtrees[top]
             query = tokenize(probe.uri, TokenMethod.TOKENS)
             candidates = top_candidates(vindex, query, 10)
-            assert candidates == top_candidates_by_rescoring(vindex, query, 10), probe.uri
+            assert candidates == top_candidates_by_rescoring(sub, grams, query, 10), probe.uri
             if candidates:
                 tree = prune_tree([c.path for c in candidates])
                 assert deep_outcome(classify_deep, tree, vindex, query) == (
                     deep_outcome(classify_deep_by_retraining, tree, sub, query, grams)
                 ), probe.uri
+
+
+class TestPostings:
+    """Scoring from gram postings gives the candidates, scores included,
+    of a scan of every row."""
+
+    @given(st.data(), st.sampled_from(list(GramScheme)), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_same_as_the_row_scan(self, data, grams, n):
+        index, bag, _ = data.draw(small_index_and_query())
+        if data.draw(st.booleans()):
+            # a category whose every entry is featureless
+            bare = [entry("C/Bare", f"http://b{k}.zz/") for k in range(data.draw(st.integers(1, 3)))]
+            index = CategoryIndex([*index.all_entries(), *bare])
+        indexed = sorted({g for e in index.all_entries() for g in entry_features(e, grams)})
+        gram = st.sampled_from(indexed) | _NOISE if indexed else _NOISE
+        # pre-expanded queries repeat grams and hold grams the index lacks
+        query = data.draw(st.just(bag) | st.lists(gram, max_size=12))
+        vindex = build_vector_index(index, grams)
+        candidates = top_candidates(vindex, query, n)
+        assert candidates == top_candidates_by_row_scan(index, grams, query, n)
+        assert P("C/Bare") not in [c.path for c in candidates]
 
 
 class TestEvaluateLevels:

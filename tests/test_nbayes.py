@@ -44,15 +44,16 @@ def toy_model():
 
 class TestHandChecked:
     def test_priors_and_likelihoods(self, toy_model):
-        import math
-
         assert toy_model.classes == ("A", "B")
         assert toy_model.class_log_prior["A"] == pytest.approx(math.log(2 / 3), abs=TOL)
-        assert toy_model.log_likelihood("A", "x") == pytest.approx(math.log(1 / 2), abs=TOL)
-        assert toy_model.log_likelihood("A", "y") == pytest.approx(math.log(1 / 3), abs=TOL)
-        assert toy_model.log_likelihood("A", "z") == pytest.approx(math.log(1 / 6), abs=TOL)
-        assert toy_model.log_likelihood("B", "x") == pytest.approx(math.log(1 / 5), abs=TOL)
-        assert toy_model.log_likelihood("B", "z") == pytest.approx(math.log(2 / 5), abs=TOL)
+        # a one-feature query scores each class by log prior + log-likelihood
+        for feature, label, likelihood in (
+            ("x", "A", 1 / 2), ("y", "A", 1 / 3), ("z", "A", 1 / 6),
+            ("x", "B", 1 / 5), ("z", "B", 2 / 5),
+        ):
+            prior = 2 / 3 if label == "A" else 1 / 3
+            log_scores = dict(classify(toy_model, [feature]).log_scores)
+            assert log_scores[label] == pytest.approx(math.log(prior) + math.log(likelihood), abs=TOL)
 
     def test_posterior_xy(self, toy_model):
         outcome = classify(toy_model, ["x", "y"])
@@ -218,7 +219,8 @@ def test_duplicating_corpus_preserves_argmax(k):
 # ---------------------------------------------------------------------------
 # Oracle: the model as it was before log-likelihoods were computed on
 # demand. Its constructor copies every Counter and takes the log of every
-# (class, feature) pair; its classify calls log_likelihood per pair.
+# (class, feature) pair; its classify looks each pair up and sums the
+# products class by class.
 
 
 class EagerModel:
@@ -301,8 +303,8 @@ def _counts(corpus):
 
 
 @settings(max_examples=60, deadline=None)
-@given(corpus_and_queries())
-def test_lazy_model_matches_eager_oracle(tmp_path_factory, case):
+@given(corpus_and_queries(), st.randoms(use_true_random=False))
+def test_lazy_model_matches_eager_oracle(tmp_path_factory, case, rng):
     corpus, smoothing, queries = case
     doc_counts, feature_counts = _counts(corpus)
     oracle = EagerModel(doc_counts, feature_counts, smoothing)
@@ -311,11 +313,16 @@ def test_lazy_model_matches_eager_oracle(tmp_path_factory, case):
     model = NaiveBayesModel(doc_counts, feature_counts, smoothing)
     assert [classify(model, q) for q in queries] == expected
     assert [classify(model, q) for q in queries] == expected  # memoized second pass
+    singles = [[f] for f in list(_FEATURES) + _OOV]
     fresh = NaiveBayesModel(doc_counts, feature_counts, smoothing)
-    for c in oracle.classes:
-        for f in list(_FEATURES) + _OOV:
-            assert fresh.log_likelihood(c, f) == oracle.log_likelihood(c, f)
-            assert model.log_likelihood(c, f) == oracle.log_likelihood(c, f)
+    for m in (fresh, model):
+        assert [classify(m, q) for q in singles] == [eager_classify(oracle, q) for q in singles]
+    # cold and warm queries interleaved on one model: each query finds some
+    # of its features filled by earlier queries and fills the rest
+    mixed = [*queries, *singles, *queries]
+    rng.shuffle(mixed)
+    interleaved = NaiveBayesModel(doc_counts, feature_counts, smoothing)
+    assert [classify(interleaved, q) for q in mixed] == [eager_classify(oracle, q) for q in mixed]
     assert train(corpus, smoothing).vocabulary == oracle.vocabulary
 
     directory = tmp_path_factory.mktemp("models")
