@@ -81,16 +81,17 @@ class DamageSource(Enum):
 # paths match [0-9], not \d, which also takes non-ASCII digits.
 _CACHE_DATETIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 _CACHE_DATETIME = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
-_MONTHS = {
-    name: number
+_MONTH_DIGITS = {
+    name: f"{number:02d}"
     for number, name in enumerate("Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(), 1)
 }
-# RFC 1123, as TimeMaps write it. Years below 1000 are left to
-# parsedate_to_datetime, which maps two-digit years (and so "0050") into
-# 1969-2068.
+# RFC 1123, as TimeMaps write it: day, month, year and time of day. Years
+# below 1000 are left to parsedate_to_datetime, which maps two-digit years
+# (and so "0050") into 1969-2068. So are hours past 23, so that no reading
+# of ISO 8601's "24:00" by fromisoformat can differ from the constructor's.
 _RFC1123_DATETIME = re.compile(
-    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun), ([0-9]{2}) (" + "|".join(_MONTHS) + r")"
-    r" ([1-9][0-9]{3}) ([0-9]{2}):([0-9]{2}):([0-9]{2}) GMT"
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun), ([0-9]{2}) (" + "|".join(_MONTH_DIGITS) + r")"
+    r" ([1-9][0-9]{3}) ((?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}) GMT"
 )
 
 
@@ -114,18 +115,27 @@ def _cache_datetime_text(dt: datetime) -> str:
     return dt.isoformat(timespec="seconds")[:19] + "Z"
 
 
-def _link_datetime(raw: str) -> datetime:
-    """A TimeMap ``datetime`` parameter (RFC 1123) as an aware UTC datetime."""
-    match = _RFC1123_DATETIME.fullmatch(raw) if isinstance(raw, str) else None
-    if match is None:
-        parsed = parsedate_to_datetime(raw)
-        if parsed.tzinfo is None:
-            parsed = parsed.replace(tzinfo=timezone.utc)
-        return parsed.astimezone(timezone.utc)
-    day, month, year, hour, minute, second = match.groups()
-    return datetime(
-        int(year), _MONTHS[month], int(day), int(hour), int(minute), int(second), tzinfo=timezone.utc
-    )
+def _link_time(raw: str) -> tuple[datetime, str]:
+    """A TimeMap ``datetime`` parameter (RFC 1123) as an aware UTC datetime
+    and its cache text. The fast path writes the text from the fields it
+    matched; a datetime the general parser read is formatted. Raises
+    ArchiveFetchError on a datetime that neither reads."""
+    try:
+        match = _RFC1123_DATETIME.fullmatch(raw) if isinstance(raw, str) else None
+        if match is None:
+            when = parsedate_to_datetime(raw)
+            if when.tzinfo is None:
+                when = when.replace(tzinfo=timezone.utc)
+            when = when.astimezone(timezone.utc)
+            return when, _cache_datetime_text(when)
+        day, month, year, clock = match.groups()
+        iso = f"{year}-{_MONTH_DIGITS[month]}-{day}T{clock}"
+        # The constructor's range checks, in C; a zero offset reads as the
+        # timezone.utc singleton.
+        when = datetime.fromisoformat(iso + "+00:00")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ArchiveFetchError(f"bad datetime {raw!r} in TimeMap") from exc
+    return when, iso + "Z"
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,10 @@ class ArchiveEvidence:
     uri: str
     mementos: tuple[tuple[datetime, str], ...]  # (datetime UTC, memento URI), sorted
     truncated: bool = False
+    # The cache text of each memento datetime, in memento order, where
+    # fetch_timemap wrote it while decoding. Not a field: equality and repr
+    # do not see it.
+    _texts = None
 
     @property
     def archived(self) -> bool:
@@ -143,9 +157,12 @@ class ArchiveEvidence:
         return len(self.mementos)
 
     def to_json_dict(self) -> dict:
+        texts = self._texts
+        if texts is None:
+            texts = [_cache_datetime_text(dt) for dt, _ in self.mementos]
         return {
             "uri": self.uri,
-            "mementos": [[_cache_datetime_text(dt), m] for dt, m in self.mementos],
+            "mementos": [[text, m] for text, (_, m) in zip(texts, self.mementos)],
             "truncated": self.truncated,
         }
 
@@ -222,12 +239,7 @@ class TimemapLink:
     @property
     def datetime(self) -> datetime | None:
         raw = self.params.get("datetime")
-        if raw is None:
-            return None
-        try:
-            return _link_datetime(raw)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ArchiveFetchError(f"bad datetime {raw!r} in TimeMap") from exc
+        return None if raw is None else _link_time(raw)[0]
 
 
 # The one-scan form of a link: ASCII blanks, <target>, `; key="value"`
@@ -290,17 +302,61 @@ def _parse_split(text: str) -> list[TimemapLink]:
     return links
 
 
-def _evidence_from_links(uri: str, links: Iterable[TimemapLink], truncated: bool) -> ArchiveEvidence:
+def _page_mementos(page: str) -> tuple[list[tuple[str | None, str]], str | None]:
+    """The (raw datetime or None, target) pair of each memento link of one
+    TimeMap page, in page order, and the target of its first rel="next"
+    link (None if there is none). A page in the one-scan form is read in
+    that scan, keeping only the last ``rel`` and ``datetime`` of each link,
+    as ``parse_timemap_links`` keeps the last value of a key; any other page
+    goes through ``parse_timemap_links``."""
+    text = page.replace("\n", " ")
+    match = _SIMPLE_LINK.match
+    params_of = _SIMPLE_PARAM.findall
+    pairs: list[tuple[str | None, str]] = []
+    next_uri = None
+    pos, end = 0, len(text)
+    while pos < end:
+        link = match(text, pos)
+        if link is None:
+            parsed = parse_timemap_links(page)
+            pairs = [(each.params.get("datetime"), each.target) for each in parsed if "memento" in each.rel]
+            return pairs, next((each.target for each in parsed if "next" in each.rel), None)
+        target, span = link.groups()
+        rel = raw = None
+        for key, value in params_of(span):
+            key = key.lower()
+            if key == "rel":
+                rel = value
+            elif key == "datetime":
+                raw = value
+        if rel is not None:
+            rels = rel.split()
+            if "memento" in rels:
+                pairs.append((raw, target))
+            if next_uri is None and "next" in rels:
+                next_uri = target
+        pos = link.end()
+    return pairs, next_uri
+
+
+def _evidence_from_pairs(
+    uri: str, pairs: Iterable[tuple[str | None, str]], truncated: bool
+) -> ArchiveEvidence:
+    """The evidence of a map's memento pairs, each decoded in page order, so
+    the first bad pair of the map names the error."""
     mementos: list[tuple[datetime, str]] = []
-    for link in links:
-        if "memento" not in link.rel:
-            continue
-        dt = link.datetime
-        if dt is None:
-            raise ArchiveFetchError(f"memento link without datetime: {link.target!r}")
-        mementos.append((dt, link.target))
+    texts: list[str] = []
+    for raw, target in pairs:
+        if raw is None:
+            raise ArchiveFetchError(f"memento link without datetime: {target!r}")
+        when, text = _link_time(raw)
+        mementos.append((when, target))
+        texts.append(text)
     mementos.sort()
-    return ArchiveEvidence(uri=uri, mementos=tuple(mementos), truncated=truncated)
+    texts.sort()  # fixed-width ISO text sorts as the UTC datetimes it came from
+    evidence = ArchiveEvidence(uri=uri, mementos=tuple(mementos), truncated=truncated)
+    object.__setattr__(evidence, "_texts", tuple(texts))
+    return evidence
 
 
 class TimemapSource(Protocol):
@@ -315,14 +371,13 @@ def fetch_timemap(source: TimemapSource, uri: str, max_pages: int = 5) -> Archiv
     page = source.get_timemap(uri)
     if page is None:
         return ArchiveEvidence(uri=uri, mementos=())
-    links: list[TimemapLink] = []
+    pairs: list[tuple[str | None, str]] = []
     seen: set[str] = set()
     truncated = False
     followed = 0
     while page is not None:
-        page_links = parse_timemap_links(page)
-        links.extend(page_links)
-        next_uri = next((link.target for link in page_links if "next" in link.rel), None)
+        page_pairs, next_uri = _page_mementos(page)
+        pairs += page_pairs
         if not next_uri:
             break
         if next_uri in seen or followed >= max_pages:
@@ -331,7 +386,7 @@ def fetch_timemap(source: TimemapSource, uri: str, max_pages: int = 5) -> Archiv
         seen.add(next_uri)
         page = source.get_page(next_uri)
         followed += 1
-    return _evidence_from_links(uri, links, truncated)
+    return _evidence_from_pairs(uri, pairs, truncated)
 
 
 def nearest_memento(evidence: ArchiveEvidence, requested: datetime) -> tuple[datetime, str]:

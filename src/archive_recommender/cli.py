@@ -103,7 +103,7 @@ def _ranged(convert, accepts, requirement: str):
 
 _count = _ranged(int, lambda n: n >= 1, "an integer of at least 1")
 _folds = _ranged(int, lambda n: n >= 2, "an integer of at least 2")
-_fraction = _ranged(float, lambda x: 0.0 < x < 1.0, "a number between 0 and 1, exclusive")
+_holdout = _ranged(float, lambda x: 0.0 < x <= 0.5, "a number above 0 and at most 0.5")
 _smoothing = _ranged(float, lambda x: 0.0 < x < math.inf, "a finite number above 0")
 
 
@@ -326,8 +326,13 @@ def _cmd_evaluate_l1(args: argparse.Namespace, settings: Settings) -> int:
     index = load_index(_resolve_index_path(settings))
     method = _METHODS[args.method]
     variants = _parse_variants(args.variants)
+    corpus = build_l1_corpus(index)
+    if args.folds > len(corpus):  # a bound of the index, so argparse cannot check it
+        print(f"archrec: error: --folds {args.folds} is more than the corpus of {len(corpus)} items",
+              file=sys.stderr)
+        return EXIT_USAGE
     report = evaluate_l1(index, method, variants, folds=args.folds, smoothing=args.smoothing)
-    baseline = majority_baseline(label for _, label in build_l1_corpus(index))
+    baseline = majority_baseline(label for _, label in corpus)
     records = report.to_records()
     records.append({"type": "baseline", "majority_accuracy": round(baseline, 6)})
     table = report.to_table() + f"\nmajority baseline accuracy: {baseline:.6f}"
@@ -426,7 +431,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_evaluate_l1)
 
     p = commands.add_parser("evaluate-deep", parents=[shared], help="evaluate deep classification per level")
-    p.add_argument("--holdout", type=_fraction, default=0.1, metavar="FRACTION")
+    p.add_argument("--holdout", type=_holdout, default=0.1, metavar="FRACTION")
     p.add_argument("--candidates", type=_count, default=10, metavar="N")
     p.add_argument("--smoothing", type=_smoothing, default=1.0)
     p.set_defaults(func=_cmd_evaluate_deep)

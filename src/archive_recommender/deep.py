@@ -408,10 +408,12 @@ def evaluate_deep(
     """Hold out a deterministic stride of entries, treat each item's
     level-1 label as given, run the deep stage within that top category's
     training subtree, and score per level."""
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ValueError("holdout_fraction must be in (0, 1)")
+    if not 0.0 < holdout_fraction <= 0.5:  # above 0.5 the stride would still be 2
+        raise ValueError("holdout_fraction must be in (0, 0.5]")
     entries = list(index.all_entries())
-    stride = max(2, round(1.0 / holdout_fraction))
+    # Any stride past the last entry holds out the first entry alone; the cap
+    # keeps a subnormal fraction's infinite 1 / fraction from reaching round.
+    stride = round(min(1.0 / holdout_fraction, len(entries) + 2))
     holdout = [e for i, e in enumerate(entries) if i % stride == 0]
     training = [e for i, e in enumerate(entries) if i % stride != 0]
     training_index = CategoryIndex(training)

@@ -568,16 +568,40 @@ class TestFetchTimemap:
         assert evidence.memento_count == 2  # page fetched once, loop stopped
 
     def test_each_page_parsed_once(self, fixtures_dir, monkeypatch):
-        parsed = []
+        scanned, parsed = [], []
+        scan = archives._page_mementos
 
-        def counting(text):
+        def counting_scan(text):
+            scanned.append(text)
+            return scan(text)
+
+        def counting_parse(text):
             parsed.append(text)
             return parse_timemap_links(text)
 
-        monkeypatch.setattr(archives, "parse_timemap_links", counting)
+        monkeypatch.setattr(archives, "_page_mementos", counting_scan)
+        monkeypatch.setattr(archives, "parse_timemap_links", counting_parse)
         evidence = fetch_timemap(FixtureArchiveSource(fixtures_dir / "timemaps"), "http://cs.odu.edu")
         assert evidence.memento_count == 4
-        assert len(parsed) == 2 == len(set(parsed))
+        assert len(scanned) == 2 == len(set(scanned))
+        assert not parsed  # both pages are in the one-scan form
+
+    def test_only_a_fallback_page_is_parsed_into_links(self, monkeypatch):
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_timemap_links(text)
+
+        first = (
+            '<https://a/web/1/http://x/>; rel="memento"; datetime="Wed, 01 Jan 2014 00:00:00 GMT",\n'
+            '<https://agg/page2>; rel="next"'
+        )
+        fallback = '<https://a/web/2/http://x/>; rel=memento; datetime="Thu, 02 Jan 2014 00:00:00 GMT"'
+        monkeypatch.setattr(archives, "parse_timemap_links", counting_parse)
+        evidence = fetch_timemap(MapSource(first, pages={"https://agg/page2": fallback}), "http://x/")
+        assert [uri for _, uri in evidence.mementos] == ["https://a/web/1/http://x/", "https://a/web/2/http://x/"]
+        assert parsed == [fallback]
 
     def test_malformed_page_stops_paging(self):
         requested = []
@@ -597,6 +621,222 @@ class TestFetchTimemap:
         with pytest.raises(ArchiveFetchError):
             fetch_timemap(source, "http://x/")
         assert requested == ["https://agg/page2"]
+
+
+# The fetch that the page scan replaced, kept as its oracle: every page
+# parsed into links, one fold over all of them once every page is in, the
+# general datetime parser, and cache text formatted by isoformat.
+def fetch_timemap_by_links(source, uri, max_pages=5):
+    page = source.get_timemap(uri)
+    if page is None:
+        return ArchiveEvidence(uri=uri, mementos=())
+    links = []
+    seen = set()
+    truncated = False
+    followed = 0
+    while page is not None:
+        page_links = parse_timemap_links(page)
+        links.extend(page_links)
+        next_uri = next((link.target for link in page_links if "next" in link.rel), None)
+        if not next_uri:
+            break
+        if next_uri in seen or followed >= max_pages:
+            truncated = followed >= max_pages
+            break
+        seen.add(next_uri)
+        page = source.get_page(next_uri)
+        followed += 1
+    return evidence_from_links(uri, links, truncated)
+
+
+def evidence_from_links(uri, links, truncated):
+    mementos = []
+    for link in links:
+        if "memento" not in link.rel:
+            continue
+        raw = link.params.get("datetime")
+        if raw is None:
+            raise ArchiveFetchError(f"memento link without datetime: {link.target!r}")
+        try:
+            when = parsedate_link_datetime(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ArchiveFetchError(f"bad datetime {raw!r} in TimeMap") from exc
+        mementos.append((when, link.target))
+    mementos.sort()
+    return ArchiveEvidence(uri=uri, mementos=tuple(mementos), truncated=truncated)
+
+
+def isoformat_json_dict(evidence):
+    return {
+        "uri": evidence.uri,
+        "mementos": [[when.isoformat(timespec="seconds")[:19] + "Z", m] for when, m in evidence.mementos],
+        "truncated": evidence.truncated,
+    }
+
+
+def fetch_outcome(fetch, source, max_pages):
+    """The evidence a fetch makes of a map and its cache dict, or the
+    message it raised."""
+    try:
+        evidence = fetch(source, "http://x/", max_pages)
+    except ArchiveFetchError as exc:
+        return ("ArchiveFetchError", str(exc))
+    cache = evidence.to_json_dict() if fetch is fetch_timemap else isoformat_json_dict(evidence)
+    return evidence, cache  # evidence equality compares memento order too
+
+
+class PagedSource(MapSource):
+    """A map's pages by URI; a page that is an exception is raised."""
+
+    def get_page(self, page_uri):
+        page = self.pages.get(page_uri)
+        if isinstance(page, Exception):
+            raise page
+        return page
+
+
+PAGE_URIS = [f"https://agg/p{i}" for i in range(4)]
+GOOD_DATETIMES = [
+    "Wed, 26 Feb 2014 09:08:46 GMT",
+    "Sat, 01 Mar 2014 00:00:00 GMT",
+    "Thu, 31 Dec 2009 23:59:59 GMT",
+]
+ODD_DATETIMES = [
+    "Wed, 26 Feb 2014 04:08:46 -0500",  # another zone: the general parser
+    "Mon, 01 Jan 0999 00:00:00 GMT",  # a year below 1000
+    "Mon, 01 Jan 0050 00:00:00 GMT",
+    "Wed, 26 Feb 2014 24:00:00 GMT",
+    "Sun, 30 Feb 2014 00:00:00 GMT",
+    "Wed, 26 Feb 2014 09:08:60 GMT",
+    "Mon, 01 Jan 99999999999 00:00:00 GMT",
+    "not a date",
+    "",
+]
+MEMENTO_RELS = ["memento", "first memento", "last memento", "first last memento", "Memento", "memento\xa0next"]
+OTHER_RELS = ["original", "self", "timegate", "next", "", "mementos"]
+
+
+@st.composite
+def timemap_links(draw, page_uris):
+    """One link: a memento, a next link (to a page of the map, a page that
+    is not there, or <>) or another link, with its parameters in any order
+    and a key sometimes repeated, so that the last value wins."""
+    kind = draw(st.sampled_from(["memento", "memento", "memento", "next", "other"]))
+    if kind == "next":
+        target = draw(st.sampled_from(page_uris + ["", "https://agg/missing"]))
+        params = [("rel", "next"), ("type", "application/link-format")]
+    else:
+        target = f"https://a/web/{draw(st.integers(0, 5))}/http://x/"
+        rel = draw(st.sampled_from(MEMENTO_RELS if kind == "memento" else OTHER_RELS))
+        params = [("rel", rel)]
+        if draw(st.integers(0, 9)):  # now and then a memento with no datetime
+            params.append(("datetime", draw(st.sampled_from(GOOD_DATETIMES * 3 + ODD_DATETIMES))))
+    if draw(st.booleans()):  # a repeated key: the first value is overwritten
+        key, value = draw(st.sampled_from(params))
+        params.insert(0, (key, draw(st.sampled_from(["memento", "next", "original", GOOD_DATETIMES[1]]))))
+        params.append((key, value))
+    params = draw(st.permutations(params))
+    keys = [draw(st.sampled_from([key, key.upper(), key.title()])) for key, _ in params]
+    return f"<{target}>" + "".join(f'; {key}="{value}"' for key, (_, value) in zip(keys, params))
+
+
+@st.composite
+def timemap_maps(draw):
+    """A map of 1-4 pages; a page may be pushed off the one-scan form, be
+    missing, or fail to fetch."""
+    count = draw(st.integers(1, 4))
+    pages = {}
+    for uri in PAGE_URIS[:count]:
+        links = draw(st.lists(timemap_links(PAGE_URIS[:count]), max_size=5))
+        text = ",\n".join(links)
+        if draw(st.integers(0, 3)) == 0:
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(NEAR_MISS_INSERTS)) + text[at:]
+        pages[uri] = draw(
+            st.sampled_from([text] * 6 + [None, ArchiveFetchError(f"upstream 502 for {uri}")])
+        )
+    first = pages.pop(PAGE_URIS[0])
+    if isinstance(first, Exception):
+        first = None
+    return PagedSource(first, pages=pages), draw(st.integers(0, 4))
+
+
+LOOPED_MAP = PagedSource(
+    '<https://a/web/1/http://x/>; rel="first memento"; datetime="Sat, 01 Mar 2014 00:00:00 GMT", '
+    '<https://agg/p1>; rel="next"',
+    pages={"https://agg/p1": '<https://a/web/0/http://x/>; rel="memento"; datetime="Thu, 31 Dec 2009 23:59:59 GMT",'
+           '<https://agg/p1>; rel="next"'},
+)
+
+
+class TestPageScan:
+    @given(case=timemap_maps())
+    @example(case=(LOOPED_MAP, 5))
+    @example(case=(LOOPED_MAP, 0))  # the page cap, before the loop is seen
+    @example(  # a bad datetime, then a page that fails to fetch: the fetch error wins
+        case=(
+            PagedSource(
+                '<https://a/web/1/http://x/>; rel="memento"; datetime="not a date", <https://agg/p1>; rel="next"',
+                pages={"https://agg/p1": ArchiveFetchError("upstream 502")},
+            ),
+            4,
+        )
+    )
+    @example(  # a memento with no datetime, then a page that does not parse
+        case=(
+            PagedSource(
+                '<https://a/web/1/http://x/>; rel="memento", <https://agg/p1>; rel="next"',
+                pages={"https://agg/p1": '<https://a/web/2/http://x/>; rel="memento"; x'},
+            ),
+            4,
+        )
+    )
+    @example(  # the first next link is followed, not a later one
+        case=(
+            PagedSource(
+                '<https://agg/p1>; rel="next", <>; rel="next"',
+                pages={"https://agg/p1": '<https://a/web/1/http://x/>; rel="memento"; datetime="Sat, 01 Mar 2014 00:00:00 GMT"'},
+            ),
+            4,
+        )
+    )
+    @example(  # an empty next target ends the map
+        case=(PagedSource('<https://a/web/1/http://x/>; rel="memento"; datetime="Sat, 01 Mar 2014 00:00:00 GMT", <>; rel="next"'), 4)
+    )
+    def test_same_as_parsing_into_links(self, case):
+        source, max_pages = case
+        assert fetch_outcome(fetch_timemap, source, max_pages) == fetch_outcome(
+            fetch_timemap_by_links, source, max_pages
+        )
+
+    def test_fixture_cache_lines_pinned(self, fixtures_dir, tmp_path):
+        source = FixtureArchiveSource(fixtures_dir / "timemaps")
+        uris = [
+            unquote(path.name[: -len(".link")])
+            for path in sorted((fixtures_dir / "timemaps").glob("*.link"))
+            if "?page=" not in unquote(path.name)
+        ]
+        with EvidenceCache(tmp_path / "cache.jsonl", clock=lambda: 1402000000.5) as cache:
+            EvidenceService(source, cache=cache, parallelism=1).gather(uris, dt("20140601000000"))
+        lines = [
+            line for line in (tmp_path / "cache.jsonl").read_text("utf-8").splitlines()
+            if json.loads(line)["kind"] == "timemap"
+        ]
+        expected = [
+            json.dumps(
+                {
+                    "provider": "gateway",
+                    "kind": "timemap",
+                    "surt": canonicalize_surt(uri),
+                    "fetched_at": 1402000000.5,
+                    "value": isoformat_json_dict(fetch_timemap_by_links(source, uri)),
+                },
+                sort_keys=True,
+            )
+            for uri in uris
+        ]
+        assert len(uris) == 9
+        assert lines == expected
 
 
 MEMENTO_STAMPS = [datetime(2014, 1, day, hour, tzinfo=UTC) for day in (1, 2, 4) for hour in (0, 6)]
@@ -1050,6 +1290,34 @@ class TestEvidenceService:
         assert not any(t.is_alive() for t in threads)
         assert results == [[serial] * 5] * 4
         assert len(made) == 1
+
+    def test_pool_overlaps_fetches(self):
+        class MeetingSource:
+            """Each map's fetch waits until a second fetch is under way too,
+            so a serial gather would break the barrier."""
+
+            def __init__(self, barrier):
+                self.barrier = barrier
+
+            def get_timemap(self, uri):
+                if self.barrier is not None:
+                    self.barrier.wait()
+                n = int(uri.rsplit("/", 1)[1])
+                return (
+                    f'<https://a/web/{n}/{uri}>; rel="memento"; '
+                    f'datetime="{format_datetime(datetime(2014, 1, 1 + n, tzinfo=UTC), usegmt=True)}"'
+                )
+
+            def get_page(self, page_uri):
+                return None
+
+        requested, uris = dt("20140301000000"), [f"http://x.example/{n}" for n in (3, 0, 2, 1)]
+        serial = EvidenceService(MeetingSource(None), parallelism=1).gather(uris, requested)
+        service = EvidenceService(MeetingSource(threading.Barrier(2, timeout=5)), parallelism=4)
+        results = service.gather(uris, requested)
+        assert [r.uri for r in results] == uris
+        assert all(r.error is None and r.archive.archived for r in results)
+        assert results == serial
 
     def test_retry_then_success(self):
         source = MapSource(SINGLE_PAGE, fail_times=1)

@@ -77,6 +77,9 @@ class TestUsageErrors:
             ["evaluate-deep", "--candidates", "0"],
             ["evaluate-deep", "--holdout", "0"],
             ["evaluate-deep", "--holdout", "1"],
+            ["evaluate-deep", "--holdout", "0.5000001"],
+            ["evaluate-deep", "--holdout", "0.7"],
+            ["evaluate-deep", "--holdout", "0.999"],
             ["evaluate-l1", "--folds", "1"],
             ["train", "--model-out", "unused.nb", "--smoothing", "0"],
             ["evaluate-l1", "--smoothing", "-1"],
@@ -91,6 +94,22 @@ class TestUsageErrors:
         assert not out
         assert f"argument {argv[-2]}: {argv[-1]!r} is not " in err
         assert "Traceback" not in err
+
+    def test_folds_above_corpus_size(self, capsys, fixtures_dir):
+        code, out, err = run(capsys, "evaluate-l1", "--fixtures", str(fixtures_dir), "--folds", "100000")
+        assert code == EXIT_USAGE
+        assert not out
+        assert "--folds 100000 is more than the corpus of 489 items" in err
+        assert "Traceback" not in err
+
+    def test_holdout_at_its_bounds(self, capsys, fixtures_dir):
+        for holdout, held_out in (("0.5", 245), ("1e-320", 1)):
+            code, out, _ = run(
+                capsys, "evaluate-deep", "--fixtures", str(fixtures_dir), "--holdout", holdout, "--output", "records"
+            )
+            assert code == EXIT_OK
+            summary = next(r for r in records_of(out) if "holdout" in r)
+            assert summary["holdout"] == held_out
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")

@@ -624,6 +624,8 @@ class TestEvaluateDeep:
             evaluate_deep(taxonomy, holdout_fraction=0.0)
         with pytest.raises(ValueError):
             evaluate_deep(taxonomy, holdout_fraction=1.0)
+        with pytest.raises(ValueError, match=r"\(0, 0\.5\]"):
+            evaluate_deep(taxonomy, holdout_fraction=0.51)
 
 
 @lru_cache(maxsize=1)
