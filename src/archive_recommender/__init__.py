@@ -18,7 +18,6 @@ from .archives import (
     PopularityEvidence,
     fetch_timemap,
     nearest_memento,
-    parse_timemap_links,
 )
 from .config import ConfigError, Settings, load_settings
 from .deep import (
@@ -109,7 +108,6 @@ __all__ = [
     "ArchiveEvidence",
     "PopularityEvidence",
     "DamageEvidence",
-    "parse_timemap_links",
     "fetch_timemap",
     "nearest_memento",
     "FixtureArchiveSource",

@@ -39,7 +39,6 @@ __all__ = [
     "PopularityEvidence",
     "DamageEvidence",
     "DamageSource",
-    "parse_timemap_links",
     "fetch_timemap",
     "nearest_memento",
     "fetch_damage",
@@ -230,18 +229,6 @@ def _split_quoted(text: str, separator: str) -> list[str]:
     return parts
 
 
-@dataclass(frozen=True)
-class TimemapLink:
-    target: str
-    rel: tuple[str, ...]
-    params: dict[str, str]
-
-    @property
-    def datetime(self) -> datetime | None:
-        raw = self.params.get("datetime")
-        return None if raw is None else _link_time(raw)[0]
-
-
 # The one-scan form of a link: ASCII blanks, <target>, `; key="value"`
 # parameters with token keys and quoted values free of escapes, then blanks
 # and a comma or the end of the text. On this form the split parser gives
@@ -255,30 +242,17 @@ _SIMPLE_LINK = re.compile(
 _SIMPLE_PARAM = re.compile(rf';{_BLANKS}({_TOKEN}){_BLANKS}={_BLANKS}"([^"\\]*)"')
 
 
-def parse_timemap_links(text: str) -> list[TimemapLink]:
-    """Parse link-format (`<uri>; rel="memento"; datetime="..."`) into links.
+def parse_timemap_links(page: str) -> tuple[list[tuple[str | None, str]], str | None]:
+    """The (raw datetime or None, target) pair of each memento link of one
+    link-format TimeMap page (`<uri>; rel="memento"; datetime="..."`), in
+    page order, and the target of its first rel="next" link (None if there
+    is none). The general reader: it splits into links on commas, then into
+    fields on semicolons, outside <...> and "...". A repeated key keeps its
+    last value; keys are lower-cased and ``rel`` splits on whitespace.
     Raises ArchiveFetchError on malformed input."""
-    text = text.replace("\n", " ")
-    match = _SIMPLE_LINK.match
-    params_of = _SIMPLE_PARAM.findall
-    links: list[TimemapLink] = []
-    pos, end = 0, len(text)
-    while pos < end:
-        link = match(text, pos)
-        if link is None:
-            return _parse_split(text)
-        target, span = link.groups()
-        params = {key.lower(): value for key, value in params_of(span)}
-        links.append(TimemapLink(target=target, rel=tuple(params.get("rel", "").split()), params=params))
-        pos = link.end()
-    return links
-
-
-def _parse_split(text: str) -> list[TimemapLink]:
-    """The general parser: split into links on commas, then into fields on
-    semicolons, outside <...> and "..."."""
-    links: list[TimemapLink] = []
-    for chunk in _split_quoted(text.replace("\n", " "), ","):
+    pairs: list[tuple[str | None, str]] = []
+    next_uri = None
+    for chunk in _split_quoted(page.replace("\n", " "), ","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -297,18 +271,19 @@ def _parse_split(text: str) -> list[TimemapLink]:
             if value.startswith('"') and value.endswith('"') and len(value) >= 2:
                 value = value[1:-1]
             params[key.strip().lower()] = value
-        rel = tuple(params.get("rel", "").split())
-        links.append(TimemapLink(target=target, rel=rel, params=params))
-    return links
+        rels = params.get("rel", "").split()
+        if "memento" in rels:
+            pairs.append((params.get("datetime"), target))
+        if next_uri is None and "next" in rels:
+            next_uri = target
+    return pairs, next_uri
 
 
 def _page_mementos(page: str) -> tuple[list[tuple[str | None, str]], str | None]:
-    """The (raw datetime or None, target) pair of each memento link of one
-    TimeMap page, in page order, and the target of its first rel="next"
-    link (None if there is none). A page in the one-scan form is read in
-    that scan, keeping only the last ``rel`` and ``datetime`` of each link,
-    as ``parse_timemap_links`` keeps the last value of a key; any other page
-    goes through ``parse_timemap_links``."""
+    """What ``parse_timemap_links`` returns for one TimeMap page. A page in
+    the one-scan form is read in that scan, keeping only the last ``rel``
+    and ``datetime`` of each link; any other page goes to
+    ``parse_timemap_links``."""
     text = page.replace("\n", " ")
     match = _SIMPLE_LINK.match
     params_of = _SIMPLE_PARAM.findall
@@ -318,9 +293,7 @@ def _page_mementos(page: str) -> tuple[list[tuple[str | None, str]], str | None]
     while pos < end:
         link = match(text, pos)
         if link is None:
-            parsed = parse_timemap_links(page)
-            pairs = [(each.params.get("datetime"), each.target) for each in parsed if "memento" in each.rel]
-            return pairs, next((each.target for each in parsed if "next" in each.rel), None)
+            return parse_timemap_links(page)
         target, span = link.groups()
         rel = raw = None
         for key, value in params_of(span):

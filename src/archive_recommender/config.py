@@ -6,6 +6,7 @@ flags overriding the file and the file overriding the environment.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -13,7 +14,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from .deep import GramScheme
-from .ranking import RankWeights
+from .ranking import EARLIEST_ARCHIVE_DATE, RankWeights
 from .uri import read_lines
 
 __all__ = ["ENV_PREFIX", "ConfigError", "Settings", "load_settings", "parse_datetime"]
@@ -83,13 +84,21 @@ class Settings:
     def validate(self) -> "Settings":
         self.weights_obj()
         self.grams_obj()
-        self.now_obj()
+        now = self.now_obj()
+        if now is not None and now <= EARLIEST_ARCHIVE_DATE:
+            raise ConfigError(
+                f"now must fall after the earliest archive date {EARLIEST_ARCHIVE_DATE:%Y-%m-%d}, got {self.now!r}"
+            )
+        if self.cache_max_age is not None and not 0 <= self.cache_max_age < math.inf:
+            raise ConfigError(f"cache_max_age must be finite and at least 0, got {self.cache_max_age!r}")
         if self.output not in {"table", "records"}:
             raise ConfigError(f"output must be table|records, got {self.output!r}")
         if self.top < 1:
             raise ConfigError("top must be at least 1")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be at least 1")
+        if self.max_pages < 0:
+            raise ConfigError("max_pages must be at least 0")
         return self
 
 

@@ -80,12 +80,15 @@ def entry_features(entry: OntologyEntry, grams: GramScheme) -> list[str]:
     return token_grams(tokens, grams.sizes)
 
 
-def expand_query(query: TokenBag | Sequence[str], grams: GramScheme) -> list[str]:
-    """Featurize the requested URI for the deep stage. A TOKENS bag is
-    gram-expanded; anything else is taken as pre-expanded features."""
-    if isinstance(query, TokenBag) and query.method is TokenMethod.TOKENS:
-        return token_grams(query.features, grams.sizes)
-    return list(query)
+_NOT_GRAMS = "the deep stage scores gram lists; expand a TOKENS bag with expand_query"
+
+
+def expand_query(query: TokenBag, grams: GramScheme) -> list[str]:
+    """Featurize the requested URI for the deep stage: the grams of the
+    tokens of its TOKENS bag. Raises ValueError for anything else."""
+    if not isinstance(query, TokenBag) or query.method is not TokenMethod.TOKENS:
+        raise ValueError(f"expand_query takes a TOKENS bag, got {getattr(query, 'method', type(query).__name__)}")
+    return token_grams(query.features, grams.sizes)
 
 
 @dataclass(frozen=True)
@@ -187,11 +190,12 @@ def subtree_index(index: CategoryIndex, top: str, grams: GramScheme) -> Category
 
 def top_candidates(
     vindex: CategoryVectorIndex,
-    query: TokenBag | Sequence[str],
+    query: Sequence[str],
     n: int = 10,
 ) -> list[CandidateCategory]:
-    """Top-n categories by mean cosine similarity to the query; categories
-    with zero similarity are omitted, so an orthogonal query yields [].
+    """Top-n categories by mean cosine similarity to the query, a list of
+    grams from ``expand_query``; categories with zero similarity are
+    omitted, so an orthogonal query yields [].
 
     Scoring is term at a time: the integer dot product of every row that
     shares a gram with the query is summed from the postings of the
@@ -200,7 +204,9 @@ def top_candidates(
     the float that a scan of its rows would give."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    qvec = Counter(expand_query(query, vindex.grams))
+    if isinstance(query, TokenBag):
+        raise ValueError(_NOT_GRAMS)
+    qvec = Counter(query)
     if not qvec:
         return []
     qnorm = math.sqrt(sum(c * c for c in qvec.values()))
@@ -278,13 +284,15 @@ def prune_tree(candidates: Sequence[CategoryPath]) -> PrunedTree:
 def classify_deep(
     tree: PrunedTree,
     vindex: CategoryVectorIndex,
-    query: TokenBag | Sequence[str],
+    query: Sequence[str],
     smoothing: float = 1.0,
 ) -> CategoryPath:
-    """Final deep assignment: NB over the tree's candidate paths. Each
-    candidate's documents are its rows in ``vindex``, so the model is
-    fitted from the cached row count and summed gram counts, and
-    the query is expanded with ``vindex.grams``."""
+    """Final deep assignment: NB over the tree's candidate paths, for a
+    query of grams from ``expand_query``. Each candidate's documents are
+    its rows in ``vindex``, so the model is fitted from the cached row
+    count and summed gram counts."""
+    if isinstance(query, TokenBag):
+        raise ValueError(_NOT_GRAMS)
     doc_counts: dict[str, int] = {}
     feature_counts: dict[str, Counter[str]] = {}
     for path in sorted(tree.candidates):
@@ -296,7 +304,7 @@ def classify_deep(
     if not doc_counts:
         raise DeepClassificationError("no candidate category has usable documents")
     model = nbayes.NaiveBayesModel(doc_counts, feature_counts, smoothing)
-    outcome = nbayes.classify(model, expand_query(query, vindex.grams))
+    outcome = nbayes.classify(model, query)
     if outcome.unclassifiable:
         raise DeepClassificationError("query shares no vocabulary with the candidates")
     return CategoryPath.parse(outcome.label)
@@ -304,7 +312,7 @@ def classify_deep(
 
 def refine(
     vindex: CategoryVectorIndex,
-    query: TokenBag | Sequence[str],
+    query: TokenBag,
     n: int,
     smoothing: float,
 ) -> tuple[CategoryPath, list[CandidateCategory], PrunedTree]:

@@ -8,7 +8,7 @@ filter is streaming and single-pass.
 from __future__ import annotations
 
 import gzip
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -99,17 +99,7 @@ class LogFilterStats:
     kept: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "total_lines": self.total_lines,
-            "malformed": self.malformed,
-            "non_200": self.non_200,
-            "bad_uri": self.bad_uri,
-            "bad_extension": self.bad_extension,
-            "ip_host": self.ip_host,
-            "non_english_tld": self.non_english_tld,
-            "duplicate": self.duplicate,
-            "kept": self.kept,
-        }
+        return asdict(self)
 
 
 def read_log_lines(path: str | Path) -> Iterator[str]:
@@ -129,16 +119,16 @@ def read_log_lines(path: str | Path) -> Iterator[str]:
 
 def parse_access_log(lines: Iterable[str], stats: LogFilterStats | None = None) -> Iterator[AccessLogRecord]:
     """Parse lines into records; malformed lines are counted and skipped."""
+    if stats is None:
+        stats = LogFilterStats()
     for line in lines:
         if not line.strip():
             continue
-        if stats is not None:
-            stats.total_lines += 1
+        stats.total_lines += 1
         try:
             yield parse_log_line(line)
         except LogParseError:
-            if stats is not None:
-                stats.malformed += 1
+            stats.malformed += 1
 
 
 def _extension(path: str) -> str:
@@ -157,40 +147,35 @@ def filter_access_log(
     with an HTML-ish extension, a non-IP host, and an English-speaking-country
     ccTLD or any generic TLD; exact duplicate URIs pass through once.
     """
+    if stats is None:
+        stats = LogFilterStats()
     seen: set[str] = set()
     for record in records:
         if record.status != 200:
-            if stats is not None:
-                stats.non_200 += 1
+            stats.non_200 += 1
             continue
         try:
             parsed = parse_uri(record.uri)
         except UriParseError:
-            if stats is not None:
-                stats.bad_uri += 1
+            stats.bad_uri += 1
             continue
         if _extension(parsed.path) not in HTML_EXTENSIONS:
-            if stats is not None:
-                stats.bad_extension += 1
+            stats.bad_extension += 1
             continue
         if parsed.is_ip_host:
-            if stats is not None:
-                stats.ip_host += 1
+            stats.ip_host += 1
             continue
         # The effective TLD may be multi-label (co.uk); the country code is
         # its last label. Two-letter codes outside the allowlist are dropped.
         country = parsed.tld.rsplit(".", 1)[-1]
         if len(country) == 2 and country not in ENGLISH_CCTLDS:
-            if stats is not None:
-                stats.non_english_tld += 1
+            stats.non_english_tld += 1
             continue
         if record.uri in seen:
-            if stats is not None:
-                stats.duplicate += 1
+            stats.duplicate += 1
             continue
         seen.add(record.uri)
-        if stats is not None:
-            stats.kept += 1
+        stats.kept += 1
         yield record.uri
 
 

@@ -11,6 +11,7 @@ import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime, parsedate_to_datetime
 from urllib.parse import quote, unquote
@@ -31,7 +32,6 @@ from archive_recommender.archives import (
     FixturePopularityProvider,
     PopularityEvidence,
     RANK_FLOOR_DEFAULT,
-    TimemapLink,
     fetch_damage,
     fetch_timemap,
     nearest_memento,
@@ -119,62 +119,132 @@ class TestSplitQuoted:
             assert archives._split_quoted(text, separator) == split_quoted_by_scan(text, separator)
 
 
+SPLIT_PARSER = parse_timemap_links  # the general reader, the oracle of the page scan
+PAGE_READERS = (archives._page_mementos, SPLIT_PARSER)
+SINGLE_PAGE_MEMENTO = "https://web.archive.org/web/20140110080000/http://a.example.com/"
+
+
+def read_outcome(read, text):
+    """The pairs and next target a page reader makes of a text, or the
+    message it raised."""
+    try:
+        return read(text)
+    except ArchiveFetchError as exc:
+        return ("ArchiveFetchError", str(exc))
+
+
 class TestLinkParsing:
+    """Both page readers, the scan and the split parser, and the datetime
+    decoder their raw datetimes go to."""
+
     def test_rel_and_datetime(self):
-        links = parse_timemap_links(SINGLE_PAGE)
-        assert len(links) == 3
-        memento = links[2]
-        assert memento.rel == ("first", "last", "memento")
-        assert memento.datetime == datetime(2014, 1, 10, 8, 0, 0, tzinfo=UTC)
-        assert links[0].rel == ("original",)
-        assert links[0].datetime is None
+        for read in PAGE_READERS:
+            pairs, next_uri = read(SINGLE_PAGE)  # "original" and "self" are no mementos
+            assert pairs == [("Fri, 10 Jan 2014 08:00:00 GMT", SINGLE_PAGE_MEMENTO)]
+            assert next_uri is None
+            assert read(SINGLE_PAGE + ', <https://agg/p2>; REL="prev next"') == (pairs, "https://agg/p2")
+        when, text = archives._link_time(pairs[0][0])
+        assert when == datetime(2014, 1, 10, 8, 0, 0, tzinfo=UTC)
+        assert text == "2014-01-10T08:00:00Z"
 
     def test_commas_inside_angles_and_quotes(self):
         text = (
             '<http://x.example/a,b>; rel="memento"; '
             'datetime="Mon, 10 Jun 2013 11:22:33 GMT"'
         )
-        (link,) = parse_timemap_links(text)
-        assert link.target == "http://x.example/a,b"
-        assert link.datetime == datetime(2013, 6, 10, 11, 22, 33, tzinfo=UTC)
+        escaped = '<http://x.example/a,b>; title="a,\\"b"; rel="memento"; datetime="Mon, 10 Jun 2013 11:22:33 GMT"'
+        for read in PAGE_READERS:
+            for page in (text, escaped):  # the escaped quote is off the one-scan form
+                assert read(page) == ([("Mon, 10 Jun 2013 11:22:33 GMT", "http://x.example/a,b")], None)
+        assert archives._link_time("Mon, 10 Jun 2013 11:22:33 GMT")[0] == datetime(2013, 6, 10, 11, 22, 33, tzinfo=UTC)
 
     def test_malformed_target_raises(self):
-        with pytest.raises(ArchiveFetchError):
-            parse_timemap_links('http://no-angles.example; rel="memento"')
+        for read in PAGE_READERS:
+            with pytest.raises(ArchiveFetchError) as raised:
+                read('http://no-angles.example; rel="memento"')
+            assert str(raised.value) == "malformed link target 'http://no-angles.example'"
 
     def test_malformed_parameter_raises(self):
-        with pytest.raises(ArchiveFetchError):
-            parse_timemap_links("<http://x.example>; rel")
+        for read in PAGE_READERS:
+            with pytest.raises(ArchiveFetchError) as raised:
+                read("<http://x.example>; rel")
+            assert str(raised.value) == "malformed link parameter 'rel'"
 
     def test_bad_datetime_raises(self):
-        links = parse_timemap_links(
-            '<http://x.example>; rel="memento"; datetime="not a date"'
-        )
-        with pytest.raises(ArchiveFetchError):
-            links[0].datetime
+        for read in PAGE_READERS:
+            (pair,), _ = read('<http://x.example>; rel="memento"; datetime="not a date"')
+            with pytest.raises(ArchiveFetchError) as raised:
+                archives._link_time(pair[0])
+            assert str(raised.value) == "bad datetime 'not a date' in TimeMap"
 
     def test_year_past_c_int_raises_fetch_error(self):
-        (link,) = parse_timemap_links(
-            '<http://a/m>; rel="memento"; datetime="Mon, 01 Jan 99999999999 00:00:00 GMT"'
-        )
-        with pytest.raises(ArchiveFetchError) as raised:
-            link.datetime
-        assert isinstance(raised.value.__cause__, OverflowError)
+        for read in PAGE_READERS:
+            (pair,), _ = read(
+                '<http://a/m>; rel="memento"; datetime="Mon, 01 Jan 99999999999 00:00:00 GMT"'
+            )
+            with pytest.raises(ArchiveFetchError) as raised:
+                archives._link_time(pair[0])
+            assert isinstance(raised.value.__cause__, OverflowError)
 
 
-SPLIT_PARSER = archives._parse_split  # the oracle of the one-scan parser
+# The link parser that the page readers replaced, kept as their oracle: the
+# one scan into links, with the general split parser as its fallback.
+@dataclass(frozen=True)
+class TimemapLink:
+    target: str
+    rel: tuple[str, ...]
+    params: dict[str, str]
 
 
-def parse_outcome(parse, text):
-    """The links a parser makes of a text, or the message it raised."""
-    try:
-        return parse(text)
-    except ArchiveFetchError as exc:
-        return ("ArchiveFetchError", str(exc))
+def parse_links(text):
+    text = text.replace("\n", " ")
+    links = []
+    pos, end = 0, len(text)
+    while pos < end:
+        link = archives._SIMPLE_LINK.match(text, pos)
+        if link is None:
+            return split_links(text)
+        target, span = link.groups()
+        params = {key.lower(): value for key, value in archives._SIMPLE_PARAM.findall(span)}
+        links.append(TimemapLink(target=target, rel=tuple(params.get("rel", "").split()), params=params))
+        pos = link.end()
+    return links
+
+
+def split_links(text):
+    links = []
+    for chunk in archives._split_quoted(text.replace("\n", " "), ","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        fields = [f.strip() for f in archives._split_quoted(chunk, ";")]
+        if not fields[0].startswith("<") or ">" not in fields[0]:
+            raise ArchiveFetchError(f"malformed link target {fields[0]!r}")
+        target = fields[0][1 : fields[0].index(">")]
+        params = {}
+        for param in fields[1:]:
+            if not param:
+                continue
+            key, eq, value = param.partition("=")
+            if not eq:
+                raise ArchiveFetchError(f"malformed link parameter {param!r}")
+            value = value.strip()
+            if value.startswith('"') and value.endswith('"') and len(value) >= 2:
+                value = value[1:-1]
+            params[key.strip().lower()] = value
+        links.append(TimemapLink(target=target, rel=tuple(params.get("rel", "").split()), params=params))
+    return links
+
+
+def pairs_by_links(text):
+    """What the page readers return, made from the oracle's links."""
+    links = parse_links(text)
+    pairs = [(link.params.get("datetime"), link.target) for link in links if "memento" in link.rel]
+    return pairs, next((link.target for link in links if "next" in link.rel), None)
 
 
 class CountingSplitParser:
-    """Stands in for ``archives._parse_split`` and counts its calls."""
+    """Stands in for ``archives.parse_timemap_links`` and counts its calls."""
 
     def __init__(self):
         self.calls = 0
@@ -244,22 +314,31 @@ FALLBACK_TRIGGERS = {
 }
 
 
+ANY_TIMEMAP_TEXT = st.one_of(
+    scannable_timemaps(),
+    near_miss_timemaps(),
+    st.text(alphabet='<>",;\\= a', max_size=40),
+)
+
+
 class TestOneScanParsing:
-    @given(
-        text=st.one_of(
-            scannable_timemaps(),
-            near_miss_timemaps(),
-            st.text(alphabet='<>",;\\= a', max_size=40),
-        )
-    )
+    @given(text=ANY_TIMEMAP_TEXT)
     @example(text='<http://a/1>; REL="memento"; DateTime="Fri, 10 Jan 2014 08:00:00 GMT"')
     @example(text='<http://a/1>; rel="first"; REL="memento"; rel="last memento"')
     @example(text='<http://a/1> ;\trel = "memento" ,\n<http://a/2>\t; rel="next" ')
     @example(text='<http://a/1>; title="x\\", <http://a/2>')
     @example(text='<http://a/1>; rel="memento",')
+    @example(text='<http://a/1>; rel="first\tmemento"; datetime="x", <http://a/2>; rel="memento\xa0next"')
     @example(text="")
     def test_scan_matches_split_parser(self, text):
-        assert parse_outcome(parse_timemap_links, text) == parse_outcome(SPLIT_PARSER, text)
+        assert read_outcome(archives._page_mementos, text) == read_outcome(SPLIT_PARSER, text)
+
+    @given(text=ANY_TIMEMAP_TEXT)
+    @example(text='<http://a/1>; rel="memento"; rel="next"; title="x\\"", <http://a/2>; rel=next')
+    @example(text='<http://a/1>; rel="first\tmemento"; datetime="x", <http://a/2>; rel="memento\xa0next"')
+    @example(text='<http://a/1>; rel="memento",, <http://a/2>; rel="memento"; DATETIME=x')
+    def test_split_parser_matches_link_parser(self, text):
+        assert read_outcome(SPLIT_PARSER, text) == read_outcome(pairs_by_links, text)
 
     @given(text=scannable_timemaps())
     @example(text='<http://a/1> ;\trel = "memento" ,\n<http://a/2>\t; rel="next" \r\n')
@@ -267,26 +346,26 @@ class TestOneScanParsing:
     def test_scannable_text_takes_one_scan(self, text):
         split = CountingSplitParser()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(archives, "_parse_split", split)
-            links = parse_timemap_links(text)
+            patch.setattr(archives, "parse_timemap_links", split)
+            read = archives._page_mementos(text)
         assert split.calls == 0
-        assert links == SPLIT_PARSER(text)
+        assert read == SPLIT_PARSER(text)
 
     @pytest.mark.parametrize("text", FALLBACK_TRIGGERS.values(), ids=FALLBACK_TRIGGERS.keys())
     def test_fallback_triggers_go_to_split_parser(self, text, monkeypatch):
         split = CountingSplitParser()
-        monkeypatch.setattr(archives, "_parse_split", split)
-        assert parse_outcome(parse_timemap_links, text) == parse_outcome(SPLIT_PARSER, text)
+        monkeypatch.setattr(archives, "parse_timemap_links", split)
+        assert read_outcome(archives._page_mementos, text) == read_outcome(SPLIT_PARSER, text)
         assert split.calls == 1
 
     def test_fixture_timemaps_take_fast_path(self, fixtures_dir, monkeypatch):
         split = CountingSplitParser()
-        monkeypatch.setattr(archives, "_parse_split", split)
+        monkeypatch.setattr(archives, "parse_timemap_links", split)
         paths = sorted((fixtures_dir / "timemaps").glob("*.link"))
         assert paths
         for path in paths:
             text = path.read_text("utf-8")
-            assert parse_timemap_links(text) == SPLIT_PARSER(text), path.name
+            assert archives._page_mementos(text) == SPLIT_PARSER(text), path.name
         assert split.calls == 0
 
 
@@ -308,7 +387,7 @@ def cached_memento_datetime(text):
 
 def link_datetime(raw):
     try:
-        return TimemapLink(target="m", rel=("memento",), params={"datetime": raw}).datetime
+        return archives._link_time(raw)[0]
     except ArchiveFetchError as exc:
         raise exc.__cause__
 
@@ -586,7 +665,7 @@ class TestFetchTimemap:
         assert len(scanned) == 2 == len(set(scanned))
         assert not parsed  # both pages are in the one-scan form
 
-    def test_only_a_fallback_page_is_parsed_into_links(self, monkeypatch):
+    def test_only_a_fallback_page_reaches_the_split_parser(self, monkeypatch):
         parsed = []
 
         def counting_parse(text):
@@ -635,7 +714,7 @@ def fetch_timemap_by_links(source, uri, max_pages=5):
     truncated = False
     followed = 0
     while page is not None:
-        page_links = parse_timemap_links(page)
+        page_links = parse_links(page)
         links.extend(page_links)
         next_uri = next((link.target for link in page_links if "next" in link.rel), None)
         if not next_uri:

@@ -150,6 +150,42 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         assert "datetime" in err
 
+    @pytest.mark.parametrize("now", ["1990-01-01T00:00:00Z", "1996-01-01T00:00:00Z"])
+    def test_now_at_or_before_earliest_archive_date(self, capsys, fixtures_dir, now):
+        code, out, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir), "--now", now
+        )
+        assert code == EXIT_CONFIG
+        assert not out
+        assert err == f"archrec: error: now must fall after the earliest archive date 1996-01-01, got {now!r}\n"
+
+    def test_now_from_environment_at_earliest_archive_date(self, capsys, fixtures_dir, monkeypatch):
+        monkeypatch.setenv("ARCHREC_NOW", "1996-01-01")
+        code, _, err = run(capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir))
+        assert code == EXIT_CONFIG
+        assert "now must fall after the earliest archive date" in err
+
+    @pytest.mark.parametrize(
+        "variable, value, setting",
+        [
+            ("ARCHREC_CACHE_MAX_AGE", "nan", "cache_max_age"),
+            ("ARCHREC_CACHE_MAX_AGE", "-1", "cache_max_age"),
+            ("ARCHREC_MAX_PAGES", "-1", "max_pages"),
+        ],
+    )
+    def test_setting_that_breaks_cache_or_paging(
+        self, capsys, fixtures_dir, tmp_path, monkeypatch, variable, value, setting
+    ):
+        monkeypatch.setenv(variable, value)
+        cache = tmp_path / "cache.jsonl"
+        code, out, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir), "--cache", str(cache)
+        )
+        assert code == EXIT_CONFIG
+        assert not out
+        assert err.startswith(f"archrec: error: {setting} must be")
+        assert not cache.exists()
+
     def test_unparseable_request_uri(self, capsys, fixtures_dir):
         code, _, _ = run(capsys, "recommend", "http://", "--fixtures", str(fixtures_dir))
         assert code == EXIT_CONFIG

@@ -149,11 +149,25 @@ class TestValidate:
             ({"top": 0}, "top"),
             ({"parallelism": 0}, "parallelism"),
             ({"weights": "0.3,0.3,0.3,0.3"}, "sum"),
+            ({"now": "1990-01-01T00:00:00Z"}, "now must fall after the earliest archive date 1996-01-01"),
+            ({"now": "1996-01-01T00:00:00Z"}, "now must fall after"),
+            ({"now": "1996-01-01T05:00:00+05:00"}, "now must fall after"),
+            ({"cache_max_age": float("nan")}, "cache_max_age"),
+            ({"cache_max_age": float("inf")}, "cache_max_age"),
+            ({"cache_max_age": -1.0}, "cache_max_age"),
+            ({"max_pages": -1}, "max_pages"),
         ],
     )
     def test_rejects(self, kwargs, pattern):
         with pytest.raises(ConfigError, match=pattern):
             Settings(**kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"now": "1996-01-01T00:00:01Z"}, {"cache_max_age": 0.0}, {"max_pages": 0}],
+    )
+    def test_accepts_bounds(self, kwargs):
+        Settings(**kwargs).validate()
 
     def test_load_settings_validates(self):
         with pytest.raises(ConfigError):

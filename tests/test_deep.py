@@ -88,11 +88,11 @@ def category_rows(index: CategoryIndex, grams: GramScheme) -> dict[str, list[Cou
 
 
 def top_candidates_by_row_scan(
-    index: CategoryIndex, grams: GramScheme, query: TokenBag | Sequence[str], n: int = 10
+    index: CategoryIndex, grams: GramScheme, query: Sequence[str], n: int = 10
 ) -> list[CandidateCategory]:
     """Mean cosine by a scan of every row of every category, with the row
     norms taken once per row and each dot product over the query's grams."""
-    qvec = Counter(expand_query(query, grams))
+    qvec = Counter(query)
     if not qvec:
         return []
     qitems = list(qvec.items())
@@ -118,10 +118,10 @@ def top_candidates_by_row_scan(
 
 
 def top_candidates_by_rescoring(
-    index: CategoryIndex, grams: GramScheme, query: TokenBag | Sequence[str], n: int = 10
+    index: CategoryIndex, grams: GramScheme, query: Sequence[str], n: int = 10
 ) -> list[CandidateCategory]:
     """Mean cosine against every row, each norm recomputed per pair."""
-    qvec = Counter(expand_query(query, grams))
+    qvec = Counter(query)
     if not qvec:
         return []
     scored: list[CandidateCategory] = []
@@ -142,7 +142,7 @@ def row_counts(vindex: CategoryVectorIndex) -> dict[str, int]:
 def classify_deep_by_retraining(
     tree: PrunedTree,
     index: CategoryIndex,
-    query: TokenBag | Sequence[str],
+    query: Sequence[str],
     grams: GramScheme = GramScheme.ALL_GRAM,
     smoothing: float = 1.0,
 ) -> CategoryPath:
@@ -157,22 +157,23 @@ def classify_deep_by_retraining(
         corpus.extend((features, str(path)) for features in documents)
     if not corpus:
         raise DeepClassificationError("no candidate category has usable documents")
-    outcome = nbayes.classify(nbayes.train(corpus, smoothing), expand_query(query, grams))
+    outcome = nbayes.classify(nbayes.train(corpus, smoothing), query)
     if outcome.unclassifiable:
         raise DeepClassificationError("query shares no vocabulary with the candidates")
     return P(outcome.label)
 
 
 def refine_by_steps(
-    vindex: CategoryVectorIndex, query: TokenBag | Sequence[str], n: int, smoothing: float
+    vindex: CategoryVectorIndex, query: TokenBag, n: int, smoothing: float
 ) -> tuple[CategoryPath, list[CandidateCategory], PrunedTree]:
-    """The deep stage as the recommender ran it step by step, with each
-    scorer expanding the query itself."""
-    candidates = top_candidates(vindex, query, n)
+    """The deep stage as the recommender ran it step by step, with the
+    query expanded again for each scorer (looked up in ``deep``, so that a
+    test can count the expansions)."""
+    candidates = top_candidates(vindex, deep.expand_query(query, vindex.grams), n)
     if not candidates:
         raise DeepClassificationError("no category shares vocabulary with the query")
     tree = prune_tree([c.path for c in candidates])
-    return classify_deep(tree, vindex, query, smoothing), candidates, tree
+    return classify_deep(tree, vindex, deep.expand_query(query, vindex.grams), smoothing), candidates, tree
 
 
 def evaluate_deep_by_steps(
@@ -201,7 +202,7 @@ def evaluate_deep_by_steps(
             continue
         if top not in vindex_cache:
             vindex_cache[top] = build_vector_index(CategoryIndex(subtree), grams)
-        query = tokenize(entry.uri, TokenMethod.TOKENS)
+        query = expand_query(tokenize(entry.uri, TokenMethod.TOKENS), grams)
         candidates = top_candidates(vindex_cache[top], query, n_candidates)
         predicted = top_path
         if candidates:
@@ -277,8 +278,31 @@ class TestFeatureExpansion:
         grams = expand_query(bag, GramScheme.THREE_GRAM)
         assert grams == ["com", "omp", "mps", "psc", "sci"]
 
-    def test_pre_expanded_features_pass_through(self):
-        assert expand_query(["abcd", "efgh"], GramScheme.ALL_GRAM) == ["abcd", "efgh"]
+    @pytest.mark.parametrize(
+        "query",
+        [
+            ["abcd", "efgh"],
+            ("abcd",),
+            tokenize("http://odu.edu/compsci", TokenMethod.ALL_GRAMS_URI),
+            tokenize("http://odu.edu/compsci", TokenMethod.ALL_GRAMS_TOKENS),
+        ],
+        ids=["list", "tuple", "all-grams-uri-bag", "all-grams-tokens-bag"],
+    )
+    def test_only_a_tokens_bag_expands(self, query):
+        with pytest.raises(ValueError, match="expand_query takes a TOKENS bag"):
+            expand_query(query, GramScheme.ALL_GRAM)
+
+    def test_scorers_reject_a_bag(self):
+        vindex = build_vector_index(CategoryIndex([entry("A", "http://compsci.zz/")]), GramScheme.ALL_GRAM)
+        tree = prune_tree([P("A")])
+        for bag in (
+            tokenize("http://compsci.zz/", TokenMethod.ALL_GRAMS_URI),
+            tokenize("http://compsci.zz/", TokenMethod.TOKENS),
+        ):
+            with pytest.raises(ValueError, match="scores gram lists"):
+                top_candidates(vindex, bag, 10)
+            with pytest.raises(ValueError, match="scores gram lists"):
+                classify_deep(tree, vindex, bag)
 
     def test_entry_features_include_title_and_description(self):
         e = entry("Sports/Baseball", "http://team.example.com/", "Cardinals", "club news")
@@ -376,7 +400,7 @@ class TestTopCandidates:
         vindex = build_vector_index(taxonomy, GramScheme.ALL_GRAM)
         for path_text in TAXONOMY_PATHS:
             probe = taxonomy.entries_for(path_text)[0]
-            query = tokenize(probe.uri, TokenMethod.TOKENS)
+            query = expand_query(tokenize(probe.uri, TokenMethod.TOKENS), GramScheme.ALL_GRAM)
             candidates = top_candidates(vindex, query, 10)
             assert candidates, path_text
             assert str(candidates[0].path) == path_text
@@ -389,7 +413,7 @@ class TestTopCandidates:
     def test_scores_descend_and_are_capped(self, taxonomy):
         vindex = build_vector_index(taxonomy, GramScheme.ALL_GRAM)
         probe = taxonomy.entries_for(TAXONOMY_PATHS[0])[0]
-        candidates = top_candidates(vindex, tokenize(probe.uri, TokenMethod.TOKENS), 3)
+        candidates = top_candidates(vindex, expand_query(tokenize(probe.uri, TokenMethod.TOKENS), vindex.grams), 3)
         assert len(candidates) <= 3
         scores = [c.score for c in candidates]
         assert scores == sorted(scores, reverse=True)
@@ -450,7 +474,7 @@ class TestClassifyDeep:
     def test_recovers_leaf_on_taxonomy(self, taxonomy):
         vindex = build_vector_index(taxonomy, GramScheme.ALL_GRAM)
         probe = taxonomy.entries_for(TAXONOMY_PATHS[3])[2]
-        query = tokenize(probe.uri, TokenMethod.TOKENS)
+        query = expand_query(tokenize(probe.uri, TokenMethod.TOKENS), GramScheme.ALL_GRAM)
         tree = prune_tree([c.path for c in top_candidates(vindex, query, 10)])
         predicted = classify_deep(tree, vindex, query)
         assert str(predicted) == TAXONOMY_PATHS[3]
@@ -529,7 +553,8 @@ class TestAgainstRescoringOracles:
     )
     @settings(max_examples=150, deadline=None)
     def test_generated_indexes(self, case, grams, n):
-        index, query, tree_paths = case
+        index, bag, tree_paths = case
+        query = expand_query(bag, grams)
         vindex = build_vector_index(index, grams)
         candidates = top_candidates(vindex, query, n)
         assert candidates == top_candidates_by_rescoring(index, grams, query, n)
@@ -550,7 +575,7 @@ class TestAgainstRescoringOracles:
                 sub = CategoryIndex(corpus_index.entries_under(P(top)))
                 subtrees[top] = (sub, build_vector_index(sub, grams))
             sub, vindex = subtrees[top]
-            query = tokenize(probe.uri, TokenMethod.TOKENS)
+            query = expand_query(tokenize(probe.uri, TokenMethod.TOKENS), grams)
             candidates = top_candidates(vindex, query, 10)
             assert candidates == top_candidates_by_rescoring(sub, grams, query, 10), probe.uri
             if candidates:
@@ -575,7 +600,7 @@ class TestPostings:
         indexed = sorted({g for e in index.all_entries() for g in entry_features(e, grams)})
         gram = st.sampled_from(indexed) | _NOISE if indexed else _NOISE
         # pre-expanded queries repeat grams and hold grams the index lacks
-        query = data.draw(st.just(bag) | st.lists(gram, max_size=12))
+        query = data.draw(st.just(expand_query(bag, grams)) | st.lists(gram, max_size=12))
         vindex = build_vector_index(index, grams)
         candidates = top_candidates(vindex, query, n)
         assert candidates == top_candidates_by_row_scan(index, grams, query, n)
@@ -669,7 +694,7 @@ class TestRefine:
     def test_no_shared_vocabulary_raises(self, taxonomy):
         vindex = build_vector_index(taxonomy, GramScheme.ALL_GRAM)
         with pytest.raises(DeepClassificationError, match="no category shares vocabulary"):
-            refine(vindex, ["zzzzyyyy"], 10, 1.0)
+            refine(vindex, TokenBag(TokenMethod.TOKENS, frozenset(), ("zzzzyyyy",)), 10, 1.0)
 
     def test_query_expanded_once(self, taxonomy, monkeypatch):
         vindex = build_vector_index(taxonomy, GramScheme.ALL_GRAM)
@@ -687,7 +712,7 @@ class TestRefine:
         assert str(category) == TAXONOMY_PATHS[3]
         assert expanded == [query]
         assert refine_by_steps(vindex, query, 10, 1.0) == (category, candidates, tree)
-        assert expanded == [query] * 3  # the steps expand it once each
+        assert expanded == [query] * 3  # the steps expand it once per scorer
 
     def test_subtree_index_of_an_absent_top_raises(self, taxonomy):
         with pytest.raises(DeepClassificationError, match="no indexed entries under Nowhere"):

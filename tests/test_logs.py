@@ -205,6 +205,15 @@ class TestFixtureLog:
             "duplicate": 1,
             "kept": 7,
         }
+        assert list(stats.as_dict()) == [  # the order analyze-logs prints them in
+            "total_lines", "malformed", "non_200", "bad_uri", "bad_extension",
+            "ip_host", "non_english_tld", "duplicate", "kept",
+        ]
+
+    def test_stats_are_optional(self, fixtures_dir):
+        lines = list(read_log_lines(fixtures_dir / "access_log_sample.log"))
+        kept, _ = filter_log_file(fixtures_dir / "access_log_sample.log")
+        assert list(filter_access_log(parse_access_log(lines))) == kept
 
     def test_counts_are_exhaustive(self, fixtures_dir):
         _, stats = filter_log_file(fixtures_dir / "access_log_sample.log")
