@@ -179,7 +179,6 @@ class PopularityEvidence:
     rank_floor: int = RANK_FLOOR_DEFAULT
     archive_count: int = 0
     archive_count_ceiling: int = ARCHIVE_COUNT_CEILING_DEFAULT
-    clamped: bool = False
 
     def __post_init__(self):
         if self.global_rank is not None and not 1 <= self.global_rank <= self.rank_floor:
@@ -675,8 +674,6 @@ class EvidenceService:
         parallelism: int = 4,
         retries: int = 1,
         max_pages: int = 5,
-        rank_floor: int = RANK_FLOOR_DEFAULT,
-        count_ceiling: int = ARCHIVE_COUNT_CEILING_DEFAULT,
     ):
         self.archive_source = archive_source
         self.popularity_provider = popularity_provider
@@ -685,8 +682,6 @@ class EvidenceService:
         self.parallelism = max(1, parallelism)
         self.retries = max(0, retries)
         self.max_pages = max_pages
-        self.rank_floor = rank_floor
-        self.count_ceiling = count_ceiling
         self._pool_lock = threading.Lock()
         self._executor: ThreadPoolExecutor | None = None
 
@@ -744,13 +739,9 @@ class EvidenceService:
 
         _, nearest_uri = nearest_memento(archive, requested)
         rank = self._cached("popularity", surt, lambda: self._fetch_rank(uri))
-        count = archive.memento_count
         popularity = PopularityEvidence(
-            global_rank=None if rank is None else max(1, min(rank, self.rank_floor)),
-            rank_floor=self.rank_floor,
-            archive_count=min(count, self.count_ceiling),
-            archive_count_ceiling=self.count_ceiling,
-            clamped=count > self.count_ceiling,
+            global_rank=None if rank is None else max(1, min(rank, RANK_FLOOR_DEFAULT)),
+            archive_count=min(archive.memento_count, ARCHIVE_COUNT_CEILING_DEFAULT),
         )
         damage = self._cached(
             "damage",

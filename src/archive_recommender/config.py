@@ -99,6 +99,8 @@ class Settings:
             raise ConfigError("parallelism must be at least 1")
         if self.max_pages < 0:
             raise ConfigError("max_pages must be at least 0")
+        if self.retries < 0:
+            raise ConfigError("retries must be at least 0")
         return self
 
 

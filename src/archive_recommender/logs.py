@@ -15,7 +15,6 @@ from typing import IO, Iterable, Iterator
 
 from .reports import DistributionReport, analyze_uris
 from .uri import UriParseError, parse_uri
-from .words import WordLexicon
 
 __all__ = [
     "ENGLISH_CCTLDS",
@@ -187,7 +186,7 @@ def filter_log_file(path: str | Path) -> tuple[list[str], LogFilterStats]:
     return uris, stats
 
 
-def analyze_requests(uris: Iterable[str], lexicon: WordLexicon | None = None) -> DistributionReport:
+def analyze_requests(uris: Iterable[str]) -> DistributionReport:
     """Distribution report (TLD / depth / patterns / dictionary words) over
     filtered request URIs — same schema as the ontology corpus report."""
-    return analyze_uris(((uri, None) for uri in uris), lexicon=lexicon)
+    return analyze_uris((uri, None) for uri in uris)

@@ -61,6 +61,7 @@ RETAINED_TOP_CATEGORIES = frozenset(
     }
 )
 DROPPED_TOP_CATEGORIES = frozenset({"World", "Regional", "Netscape", "Kids_and_Teens", "Adult"})
+_MAX_WARNINGS = 20  # an ingest report keeps only its first warnings
 
 Source = Union[str, Path, IO[bytes]]
 
@@ -123,8 +124,8 @@ class IngestReport:
     duplicates: int = 0
     warnings: list[str] = field(default_factory=list)
 
-    def warn(self, message: str, cap: int = 20) -> None:
-        if len(self.warnings) < cap:
+    def warn(self, message: str) -> None:
+        if len(self.warnings) < _MAX_WARNINGS:
             self.warnings.append(message)
 
 
@@ -156,13 +157,11 @@ class CategoryIndex:
     def entries_for(self, category: CategoryPath | str) -> list[OntologyEntry]:
         return list(self.by_category.get(str(category), ()))
 
-    def paths_under(self, prefix: CategoryPath) -> list[CategoryPath]:
-        return [path for path in self.categories() if prefix.is_prefix_of(path)]
-
     def entries_under(self, prefix: CategoryPath) -> list[OntologyEntry]:
         out: list[OntologyEntry] = []
-        for path in self.paths_under(prefix):
-            out.extend(self.by_category[str(path)])
+        for path in self.categories():
+            if prefix.is_prefix_of(path):
+                out.extend(self.by_category[str(path)])
         return out
 
     def lookup_surt(self, surt: str) -> OntologyEntry | None:

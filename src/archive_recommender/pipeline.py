@@ -24,7 +24,7 @@ from .ontology import (
     lookup_requested,
 )
 from .ranking import RankWeights, Recommendation, rank
-from .uri import TokenBag, TokenMethod, TokenVariant, canonicalize_surt, parse_uri, tokenize
+from .uri import TokenMethod, TokenVariant, canonicalize_surt, parse_uri, tokenize
 
 __all__ = [
     "L1_METHOD",
@@ -80,10 +80,6 @@ class RecommendationResult:
     reason: str | None = None
     dropped: tuple[tuple[str, str], ...] = ()
     warnings: tuple[str, ...] = ()
-
-    @property
-    def empty(self) -> bool:
-        return not self.recommendations
 
 
 def build_l1_corpus(index: CategoryIndex) -> list[tuple[str, str]]:
@@ -159,16 +155,20 @@ class Recommender:
         now_dt = now or datetime.now(timezone.utc)
         requested_dt = request.datetime or now_dt
         requested_surt = canonicalize_surt(request.uri)
-        request_bag: TokenBag | None = None
+        request_bag = tokenize(request.uri, TokenMethod.TOKENS)
+        route = "none"
+        category: CategoryPath | None = None
+        dropped: list[tuple[str, str]] = []
 
-        def empty(route: str, category: CategoryPath | None, reason: str) -> RecommendationResult:
+        def result(recommendations: list[Recommendation], reason: str | None = None) -> RecommendationResult:
             return RecommendationResult(
                 request=request,
                 route=route,
                 category=None if category is None else str(category),
-                recommendations=[],
+                recommendations=recommendations,
                 trace=tuple(trace),
                 reason=reason,
+                dropped=tuple(dropped),
                 warnings=tuple(warnings),
             )
 
@@ -197,13 +197,12 @@ class Recommender:
             outcome_l1 = nb_classify(model, tokenize(request.uri, method, variants))
             if outcome_l1.label is None:
                 trace.append("step1: no known features; unclassifiable at the first level")
-                return empty("none", None, REASON_UNCLASSIFIABLE)
+                return result([], REASON_UNCLASSIFIABLE)
             top = outcome_l1.label
             top_posterior = dict(outcome_l1.posteriors)[top]
             trace.append(f"step1: first-level category {top} (posterior {top_posterior:.6f})")
 
             # Step 2: refine within the first-level subtree.
-            request_bag = tokenize(request.uri, TokenMethod.TOKENS)
             try:
                 vindex = self._subtree(top, request.grams)
                 category, candidates, tree = refine(vindex, request_bag, DEEP_CANDIDATES, SMOOTHING)
@@ -225,12 +224,11 @@ class Recommender:
         if len(entries) != before:
             trace.append("candidates: excluded the requested URI itself")
         if not entries:
-            return empty(route, category, REASON_NO_CANDIDATES)
+            return result([], REASON_NO_CANDIDATES)
 
         # Step 3: keep only candidates the archives actually hold.
         evidence_list = self.evidence.gather([e.uri for e in entries], requested_dt)
         pages: list[CandidateEvidence] = []
-        dropped: list[tuple[str, str]] = []
         for ev in evidence_list:
             if ev.error is not None:
                 dropped.append((ev.uri, f"evidence unavailable: {ev.error}"))
@@ -240,26 +238,14 @@ class Recommender:
                 pages.append(ev)
         trace.append(f"step3: {len(pages)} of {len(entries)} candidates are archived")
         if not pages:
-            return RecommendationResult(
-                request=request,
-                route=route,
-                category=str(category),
-                recommendations=[],
-                trace=tuple(trace),
-                reason=REASON_NO_ARCHIVED,
-                dropped=tuple(dropped),
-                warnings=tuple(warnings),
-            )
+            return result([], REASON_NO_ARCHIVED)
 
-        # Step 4: score and order, on the TOKENS bag step 2 made if it ran.
-        if request_bag is None:
-            request_bag = tokenize(request.uri, TokenMethod.TOKENS)
-        request_tokens = set(request_bag)
+        # Step 4: score and order.
         recommendations = rank(
             pages,
             request.weights,
             request.top_n,
-            request_tokens=request_tokens,
+            request_tokens=set(request_bag),
             requested=requested_dt,
             upper_bound=now_dt,
             temporal_as_similarity=request.temporal_as_similarity,
@@ -269,12 +255,4 @@ class Recommender:
             replace(r, explanations=r.explanations + (path_note,)) for r in recommendations
         ]
         trace.append(f"step4: ranked {len(pages)} candidates, returning {len(recommendations)}")
-        return RecommendationResult(
-            request=request,
-            route=route,
-            category=str(category),
-            recommendations=recommendations,
-            trace=tuple(trace),
-            dropped=tuple(dropped),
-            warnings=tuple(warnings),
-        )
+        return result(recommendations)

@@ -165,7 +165,7 @@ def rank(
             as_similarity=temporal_as_similarity,
         )
         p = popularity_score(candidate.popularity)
-        candidate_tokens = set(tokenize(candidate.uri, TokenMethod.TOKENS, assume_http=True))
+        candidate_tokens = set(tokenize(candidate.uri, TokenMethod.TOKENS))
         s = uri_similarity(request_tokens, candidate_tokens)
         damage = candidate.damage or DamageEvidence(0.5, DamageSource.DEFAULT_MISSING)
         q = archival_quality(damage)

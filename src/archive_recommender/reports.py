@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .uri import ParsedUri, UriParseError, depth, detect_patterns, parse_uri
-from .words import WordLexicon, dictionary_bucket
+from .words import dictionary_bucket
 
 __all__ = ["DictionaryStats", "DistributionReport", "analyze_uris", "host_dictionary_bucket"]
 
@@ -87,18 +87,15 @@ class DistributionReport:
         return "\n".join(lines[1:]) + "\n"
 
 
-def host_dictionary_bucket(parsed: ParsedUri, lexicon: WordLexicon | None = None) -> str:
+def host_dictionary_bucket(parsed: ParsedUri) -> str:
     """``dictionary_bucket`` of the registrable host label's letters (public suffix removed)."""
     label, tld = parsed.registered_domain, parsed.tld
     if tld and label.endswith("." + tld):
         label = label[: -(len(tld) + 1)]
-    return dictionary_bucket("".join(ch for ch in label.lower() if ch in _LETTERS), lexicon)
+    return dictionary_bucket("".join(ch for ch in label.lower() if ch in _LETTERS))
 
 
-def analyze_uris(
-    items: Iterable[tuple[str, str | None]],
-    lexicon: WordLexicon | None = None,
-) -> DistributionReport:
+def analyze_uris(items: Iterable[tuple[str, str | None]]) -> DistributionReport:
     """Build the distribution report from (uri, top_category_or_None) pairs."""
     tlds: Counter[str] = Counter()
     depths: Counter[int] = Counter()
@@ -122,7 +119,7 @@ def analyze_uris(
         for flag, value in report.flags().items():
             if value:
                 patterns[flag] += 1
-        buckets[host_dictionary_bucket(parsed, lexicon)] += 1
+        buckets[host_dictionary_bucket(parsed)] += 1
         if top is not None:
             saw_category = True
             categories[top] += 1

@@ -230,14 +230,14 @@ def _parse_checked(uri: str, assume_http: bool) -> ParsedUri:
     )
 
 
-def canonicalize_surt(uri: str, *, assume_http: bool = True) -> str:
+def canonicalize_surt(uri: str) -> str:
     """Sort-friendly form used as the deduplication key.
 
     ``http://cs.odu.edu/`` → ``edu,odu,cs)/``. Scheme and fragment dropped,
     host labels reversed and comma-joined, explicit non-default port kept,
     path and query lowercased, empty path rendered as ``/``.
     """
-    p = parse_uri(uri, assume_http=assume_http)
+    p = parse_uri(uri, assume_http=True)
     host_part = ",".join(reversed(p.host.split(".")))
     default_port = 80 if p.scheme == "http" else 443
     if p.port is not None and p.port != default_port:
@@ -247,10 +247,10 @@ def canonicalize_surt(uri: str, *, assume_http: bool = True) -> str:
     return f"{host_part}){path}{query}"
 
 
-def depth(uri: str, *, assume_http: bool = True) -> int:
+def depth(uri: str) -> int:
     """Count non-empty path segments; one trailing index.html/home.html
     segment does not count (a bare homepage URI has depth 0)."""
-    p = parse_uri(uri, assume_http=assume_http)
+    p = parse_uri(uri, assume_http=True)
     segments = [s for s in p.path.split("/") if s]
     if segments and segments[-1].lower() in ("index.html", "home.html"):
         segments.pop()
@@ -334,8 +334,6 @@ def tokenize(
     uri: str,
     method: TokenMethod,
     variants: Iterable[TokenVariant] = (),
-    *,
-    assume_http: bool = True,
 ) -> TokenBag:
     """Extract features from a URI with one of the three methods.
 
@@ -354,7 +352,7 @@ def tokenize(
     filtered after generation.
     """
     variant_set = frozenset(variants)
-    parsed = parse_uri(uri, assume_http=assume_http)
+    parsed = parse_uri(uri, assume_http=True)
     working = _working_string(parsed, variant_set)
     runs = [t for t in _LETTER_RUN.findall(working) if t not in SCHEME_TOKENS]
     if TokenVariant.STRIP_STOPWORDS in variant_set:
@@ -422,14 +420,14 @@ class UriPatternReport:
         return out
 
 
-def detect_patterns(uri: str, *, assume_http: bool = True) -> UriPatternReport:
+def detect_patterns(uri: str) -> UriPatternReport:
     """Flag the structural patterns of a URI.
 
     Long string = 10+ contiguous letters; long slug = 2+ runs of 5+ letters
     separated by non-alphanumeric characters; case change is detected on the
     original (pre-lowercasing) text. Scheme choice never affects the result.
     """
-    parsed = parse_uri(uri, assume_http=assume_http)
+    parsed = parse_uri(uri, assume_http=True)
     # Original-case components for case-change detection.
     text = uri.strip()
     if "://" not in text:

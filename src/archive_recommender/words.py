@@ -113,11 +113,11 @@ def segment_words(text: str, lexicon: WordLexicon | None = None) -> list[Segment
     return merged
 
 
-def dictionary_bucket(text: str, lexicon: WordLexicon | None = None) -> str:
-    """How ``text`` segments into lexicon words: ``"all"`` when every piece
-    is a word, ``"some"`` when at least one is, else ``"none"`` (also for
-    empty text)."""
-    pieces = segment_words(text, lexicon) if text else []
+def dictionary_bucket(text: str) -> str:
+    """How ``text`` segments into the bundled lexicon's words: ``"all"``
+    when every piece is a word, ``"some"`` when at least one is, else
+    ``"none"`` (also for empty text)."""
+    pieces = segment_words(text) if text else []
     if pieces and all(p.is_word for p in pieces):
         return "all"
     if any(p.is_word for p in pieces):

@@ -1066,9 +1066,9 @@ def timemap_with(count: int) -> str:
     )
 
 
-def popularity_of(provider, mementos: int, uri: str = "http://example.com/", **service_kwargs):
+def popularity_of(provider, mementos: int, uri: str = "http://example.com/"):
     """Popularity evidence as the evidence service builds it for ``uri``."""
-    service = EvidenceService(MapSource(timemap_with(mementos)), provider, **service_kwargs)
+    service = EvidenceService(MapSource(timemap_with(mementos)), provider)
     return service.evidence_for(uri, dt("20140301000000")).popularity
 
 
@@ -1077,7 +1077,6 @@ class TestPopularityAndDamageFetch:
         evidence = popularity_of(FixtureRank(12), mementos=100)
         assert evidence.global_rank == 12
         assert evidence.archive_count == 100
-        assert not evidence.clamped
 
     def test_rank_missing(self):
         evidence = popularity_of(FixtureRank(None), mementos=5)
@@ -1087,10 +1086,10 @@ class TestPopularityAndDamageFetch:
         evidence = popularity_of(FixtureRank(10**9), mementos=5)
         assert evidence.global_rank == RANK_FLOOR_DEFAULT
 
-    def test_count_clamped_to_ceiling(self):
-        evidence = popularity_of(FixtureRank(1), mementos=5, count_ceiling=3)
+    def test_count_clamped_to_ceiling(self, monkeypatch):
+        monkeypatch.setattr(archives, "ARCHIVE_COUNT_CEILING_DEFAULT", 3)
+        evidence = popularity_of(FixtureRank(1), mementos=5)
         assert evidence.archive_count == 3
-        assert evidence.clamped
 
     def test_rank_lookup_uses_registered_domain(self):
         class ByDomain:

@@ -171,6 +171,7 @@ class TestConfigErrors:
             ("ARCHREC_CACHE_MAX_AGE", "nan", "cache_max_age"),
             ("ARCHREC_CACHE_MAX_AGE", "-1", "cache_max_age"),
             ("ARCHREC_MAX_PAGES", "-1", "max_pages"),
+            ("ARCHREC_RETRIES", "-5", "retries"),
         ],
     )
     def test_setting_that_breaks_cache_or_paging(
@@ -185,6 +186,16 @@ class TestConfigErrors:
         assert not out
         assert err.startswith(f"archrec: error: {setting} must be")
         assert not cache.exists()
+
+    def test_negative_retries_in_config_file(self, capsys, fixtures_dir, tmp_path):
+        conf = tmp_path / "a.conf"
+        conf.write_text("retries = -1\n")
+        code, out, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir), "--config", str(conf)
+        )
+        assert code == EXIT_CONFIG
+        assert not out
+        assert err == "archrec: error: retries must be at least 0\n"
 
     def test_unparseable_request_uri(self, capsys, fixtures_dir):
         code, _, _ = run(capsys, "recommend", "http://", "--fixtures", str(fixtures_dir))

@@ -156,6 +156,7 @@ class TestValidate:
             ({"cache_max_age": float("inf")}, "cache_max_age"),
             ({"cache_max_age": -1.0}, "cache_max_age"),
             ({"max_pages": -1}, "max_pages"),
+            ({"retries": -1}, "retries must be at least 0"),
         ],
     )
     def test_rejects(self, kwargs, pattern):
@@ -164,7 +165,7 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"now": "1996-01-01T00:00:01Z"}, {"cache_max_age": 0.0}, {"max_pages": 0}],
+        [{"now": "1996-01-01T00:00:01Z"}, {"cache_max_age": 0.0}, {"max_pages": 0}, {"retries": 0}],
     )
     def test_accepts_bounds(self, kwargs):
         Settings(**kwargs).validate()

@@ -165,10 +165,10 @@ class TestCategoryIndex:
         everything = index.entries_under(CategoryPath.parse("Computers"))
         assert len(everything) == 3
 
-    def test_paths_under(self):
-        index = self.make()
-        paths = index.paths_under(CategoryPath.parse("Computers"))
-        assert [str(p) for p in paths] == [
+    def test_entries_under_in_category_order(self):
+        index = CategoryIndex(list(reversed(list(self.make().all_entries()))))
+        under = index.entries_under(CategoryPath.parse("Computers"))
+        assert [str(e.category) for e in under] == [
             "Computers/Internet",
             "Computers/Internet/Protocols",
             "Computers/Software",

@@ -80,7 +80,6 @@ class TestClassifiedDeepRoute:
 
         assert result.route == "classified-deep"
         assert result.category == VIRGINIA
-        assert not result.empty
         assert len(result.recommendations) == 8
 
         # the two unarchived departments fall out, nothing else does
@@ -186,7 +185,7 @@ class TestOntologyHitRoutes:
         result = recommender.recommend(request, now=NOW)
         assert result.route == "ontology-hit"
         assert result.category == "Universities_in_Virginia"
-        assert result.empty
+        assert result.recommendations == []
         assert result.reason == REASON_NO_ARCHIVED
         assert len(result.dropped) == 3
         assert all(why == "not archived" for _, why in result.dropped)
@@ -197,7 +196,7 @@ class TestDegradedRoutes:
         request = RecommendationRequest(uri="http://qqxxyyzz.dev/", datetime=REQUESTED)
         result = recommender.recommend(request, now=NOW)
         assert result.route == "none"
-        assert result.empty
+        assert result.recommendations == []
         assert result.reason == REASON_UNCLASSIFIABLE
         assert result.category is None
 
