@@ -16,6 +16,7 @@ from archive_recommender.archives import (
     FixturePopularityProvider,
     nearest_memento,
 )
+from archive_recommender.uri import canonicalize_surt
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -34,7 +35,10 @@ def main() -> None:
     )
     wanted = datetime(2014, 3, 1, tzinfo=timezone.utc)
 
-    for evidence in service.gather(CANDIDATES, wanted):
+    # Evidence is cached under each candidate's SURT; an index entry carries
+    # its own, and these bare URIs are canonicalized here.
+    candidates = [(uri, canonicalize_surt(uri)) for uri in CANDIDATES]
+    for evidence in service.gather(candidates, wanted):
         archive = evidence.archive
         print(evidence.uri)
         if not archive.archived:

@@ -24,12 +24,13 @@ from email.utils import parsedate_to_datetime
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Protocol, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
 from urllib.parse import quote
 
-import requests
-
 from .uri import InputFileError, canonicalize_surt, parse_uri, read_lines
+
+if TYPE_CHECKING:  # the network clients import it when used: fixture runs never pay for it
+    import requests
 
 __all__ = [
     "RANK_FLOOR_DEFAULT",
@@ -387,15 +388,20 @@ _NO_FILE_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP})
 
 class FixtureArchiveSource:
     """Reads recorded TimeMaps from a directory; filename = percent-encoded
-    URI + ".link". A missing file plays the role of an aggregator 404."""
+    URI + ".link". A missing file plays the role of an aggregator 404. Each
+    URI's path is worked out once; its file is read on every call."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
+        self._paths: dict[str, str] = {}
 
     def _read(self, uri: str) -> str | None:
-        path = self.directory / (quote(uri, safe="") + ".link")
+        path = self._paths.get(uri)
+        if path is None:
+            path = self._paths[uri] = str(self.directory / (quote(uri, safe="") + ".link"))
         try:
-            return path.read_text("utf-8")
+            with open(path, encoding="utf-8") as handle:
+                return handle.read()
         except OSError as exc:
             if exc.errno in _NO_FILE_ERRNOS:
                 return None
@@ -414,11 +420,15 @@ class MemGatorClient:
     """Memento aggregator client (GET <base>/timemap/link/<uri>)."""
 
     def __init__(self, base_url: str, timeout: float = 10.0, session: requests.Session | None = None):
+        import requests
+
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.session = session or requests.Session()
 
     def _get(self, url: str) -> str | None:
+        import requests
+
         try:
             response = self.session.get(url, timeout=self.timeout)
         except requests.RequestException as exc:
@@ -495,11 +505,15 @@ class MementoDamageClient:
     source = DamageSource.PROVIDER
 
     def __init__(self, base_url: str, timeout: float = 30.0, session: requests.Session | None = None):
+        import requests
+
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.session = session or requests.Session()
 
     def get_damage(self, memento_uri: str) -> float | None:
+        import requests
+
         url = f"{self.base_url}/api/damage/{quote(memento_uri, safe='')}"
         try:
             response = self.session.get(url, timeout=self.timeout)
@@ -727,8 +741,9 @@ class EvidenceService:
         domain = parse_uri(uri, assume_http=True).registered_domain
         return self.popularity_provider.get_rank(domain)
 
-    def evidence_for(self, uri: str, requested: datetime) -> CandidateEvidence:
-        surt = canonicalize_surt(uri)
+    def evidence_for(self, uri: str, surt: str, requested: datetime) -> CandidateEvidence:
+        """The evidence of one candidate, its TimeMap and popularity cached
+        under ``surt``, the candidate's SURT (``canonicalize_surt(uri)``)."""
         try:
             archive = self._cached("timemap", surt, lambda: self._fetch_timemap(uri))
         except ArchiveFetchError as exc:
@@ -750,14 +765,14 @@ class EvidenceService:
         )
         return CandidateEvidence(uri=uri, archive=archive, popularity=popularity, damage=damage)
 
-    def gather(self, uris: Sequence[str], requested: datetime) -> list[CandidateEvidence]:
-        """Fetch evidence for every candidate concurrently; results come back
-        in input order regardless of completion order."""
-        if not uris:
+    def gather(self, candidates: Sequence[tuple[str, str]], requested: datetime) -> list[CandidateEvidence]:
+        """Fetch evidence for every (uri, SURT) candidate concurrently; results
+        come back in input order regardless of completion order."""
+        if not candidates:
             return []
-        if min(self.parallelism, len(uris)) == 1:
-            return [self.evidence_for(uri, requested) for uri in uris]
-        return list(self._pool().map(lambda u: self.evidence_for(u, requested), uris))
+        if min(self.parallelism, len(candidates)) == 1:
+            return [self.evidence_for(uri, surt, requested) for uri, surt in candidates]
+        return list(self._pool().map(lambda c: self.evidence_for(*c, requested), candidates))
 
     def _pool(self) -> ThreadPoolExecutor:
         """The service's one executor, started on first use. Its idle workers

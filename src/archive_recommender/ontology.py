@@ -18,11 +18,12 @@ import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Protocol, Union
 
 from .reports import DistributionReport, analyze_uris
-from .uri import InputFileError, UriParseError, canonicalize_surt, read_lines
+from .uri import InputFileError, TokenMethod, UriParseError, canonicalize_surt, read_lines, tokenize
 
 __all__ = [
     "RETAINED_TOP_CATEGORIES",
@@ -112,6 +113,12 @@ class OntologyEntry:
     surt: str
     title: str | None = None
     description: str | None = None
+
+    @cached_property
+    def tokens(self) -> frozenset[str]:
+        """The URI's TOKENS features, as ranking compares them for URI
+        similarity; worked out on first read and kept with the entry."""
+        return tokenize(self.uri, TokenMethod.TOKENS).as_set()
 
 
 @dataclass
@@ -307,7 +314,10 @@ def save_index(index: CategoryIndex, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> CategoryIndex:
     """Reload a saved index, trusting the sidecar to skip re-canonicalizing.
-    A row with no category raises InputFileError."""
+    Each entry's SURT, from the sidecar where it has one line per row, is
+    also the key its TimeMap and popularity are cached under, so a sidecar
+    must hold ``canonicalize_surt`` of each URI. A row with no category
+    raises InputFileError."""
     path = Path(path)
     rows: list[tuple[CategoryPath, str, str, str]] = []
     for lineno, line in enumerate(read_lines(path), 1):

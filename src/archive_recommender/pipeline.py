@@ -9,7 +9,7 @@ and rank the rest.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable
 
@@ -226,16 +226,19 @@ class Recommender:
         if not entries:
             return result([], REASON_NO_CANDIDATES)
 
-        # Step 3: keep only candidates the archives actually hold.
-        evidence_list = self.evidence.gather([e.uri for e in entries], requested_dt)
+        # Step 3: keep only candidates the archives actually hold. Their
+        # SURTs key the evidence, and their token sets the ranking.
+        evidence_list = self.evidence.gather([(e.uri, e.surt) for e in entries], requested_dt)
         pages: list[CandidateEvidence] = []
-        for ev in evidence_list:
+        page_tokens: list[frozenset[str]] = []
+        for entry, ev in zip(entries, evidence_list):
             if ev.error is not None:
                 dropped.append((ev.uri, f"evidence unavailable: {ev.error}"))
             elif not ev.archive.archived:
                 dropped.append((ev.uri, "not archived"))
             else:
                 pages.append(ev)
+                page_tokens.append(entry.tokens)
         trace.append(f"step3: {len(pages)} of {len(entries)} candidates are archived")
         if not pages:
             return result([], REASON_NO_ARCHIVED)
@@ -246,13 +249,11 @@ class Recommender:
             request.weights,
             request.top_n,
             request_tokens=set(request_bag),
+            candidate_tokens=page_tokens,
             requested=requested_dt,
             upper_bound=now_dt,
             temporal_as_similarity=request.temporal_as_similarity,
+            notes=(f"path: {route}",),
         )
-        path_note = f"path: {route}"
-        recommendations = [
-            replace(r, explanations=r.explanations + (path_note,)) for r in recommendations
-        ]
         trace.append(f"step4: ranked {len(pages)} candidates, returning {len(recommendations)}")
         return result(recommendations)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import Sequence
 
 from .archives import (
     CandidateEvidence,
@@ -17,7 +18,6 @@ from .archives import (
     PopularityEvidence,
     nearest_memento,
 )
-from .uri import TokenMethod, tokenize
 
 __all__ = [
     "EARLIEST_ARCHIVE_DATE",
@@ -46,6 +46,8 @@ class RankWeights:
 
     def __post_init__(self):
         values = (self.temporal, self.popularity, self.similarity, self.quality)
+        if not all(math.isfinite(w) for w in values):  # NaN passes both checks below
+            raise ValueError(f"weights must be finite, got {values!r}")
         if any(w < 0 for w in values):
             raise ValueError("weights must be non-negative")
         total = sum(values)
@@ -142,21 +144,26 @@ def rank(
     top_n: int | None = None,
     *,
     request_tokens: set[str],
+    candidate_tokens: Sequence[frozenset[str]],
     requested: datetime,
     upper_bound: datetime | None = None,
     earliest: datetime = EARLIEST_ARCHIVE_DATE,
     temporal_as_similarity: bool = True,
+    notes: tuple[str, ...] = (),
 ) -> list[Recommendation]:
     """Score every archived candidate and return them best-first.
 
+    ``candidate_tokens`` holds each candidate's TOKENS feature set, in
+    candidate order; ``notes`` end every recommendation's explanations.
     Ties on score break lexicographically by URI so output is reproducible.
     ``upper_bound`` defaults to the current instant. Candidates must be
     archived — unarchived pages are filtered before ranking, not here.
     """
     if upper_bound is None:
         upper_bound = datetime.now(timezone.utc)
+    requested_text = _iso(requested)
     results: list[Recommendation] = []
-    for candidate in candidates:
+    for candidate, tokens in zip(candidates, candidate_tokens, strict=True):
         if not candidate.archive.archived:
             raise ValueError(f"cannot rank unarchived candidate {candidate.uri}")
         memento_dt, memento_uri = nearest_memento(candidate.archive, requested)
@@ -165,8 +172,7 @@ def rank(
             as_similarity=temporal_as_similarity,
         )
         p = popularity_score(candidate.popularity)
-        candidate_tokens = set(tokenize(candidate.uri, TokenMethod.TOKENS))
-        s = uri_similarity(request_tokens, candidate_tokens)
+        s = uri_similarity(request_tokens, tokens)
         damage = candidate.damage or DamageEvidence(0.5, DamageSource.DEFAULT_MISSING)
         q = archival_quality(damage)
         score = (
@@ -175,19 +181,19 @@ def rank(
             + weights.similarity * s
             + weights.quality * q
         )
-        shared = len(request_tokens & candidate_tokens)
-        union = len(request_tokens | candidate_tokens)
+        shared = len(request_tokens & tokens)
+        union = len(request_tokens | tokens)
         rank_text = (
             f"rank {candidate.popularity.global_rank}"
             if candidate.popularity.global_rank is not None
             else "rank missing"
         )
         explanations = (
-            f"temporal={t:.6f}: nearest memento {_iso(memento_dt)} vs requested {_iso(requested)}",
+            f"temporal={t:.6f}: nearest memento {_iso(memento_dt)} vs requested {requested_text}",
             f"popularity={p:.6f}: {rank_text}, {candidate.archive.memento_count} mementos",
             f"similarity={s:.6f}: {shared} shared of {union} tokens",
             f"quality={q:.6f}: damage {damage.damage:.6f} ({damage.source.value})",
-        )
+        ) + notes
         results.append(
             Recommendation(
                 uri=candidate.uri,

@@ -14,7 +14,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
-from urllib.parse import urlsplit
+from urllib.parse import SplitResult, urlsplit
 
 __all__ = [
     "InputFileError",
@@ -188,6 +188,15 @@ def parse_uri(uri: str, *, assume_http: bool = False) -> ParsedUri:
     return _parse_checked(uri, assume_http)
 
 
+def _split(uri: str, text: str) -> SplitResult:
+    """``urlsplit(text)``, raising UriParseError on what it rejects, such as
+    an unclosed ``[`` in the host."""
+    try:
+        return urlsplit(text)
+    except ValueError as exc:
+        raise UriParseError(uri, "host", str(exc)) from None
+
+
 @lru_cache(maxsize=PARSE_CACHE_SIZE)
 def _parse_checked(uri: str, assume_http: bool) -> ParsedUri:
     text = uri.strip()
@@ -196,7 +205,7 @@ def _parse_checked(uri: str, assume_http: bool) -> ParsedUri:
             text = "http://" + text
         else:
             raise UriParseError(uri, "scheme", "missing scheme")
-    parts = urlsplit(text)
+    parts = _split(uri, text)
     scheme = parts.scheme.lower()
     if scheme not in ("http", "https"):
         raise UriParseError(uri, "scheme", f"unsupported scheme {parts.scheme!r}")
@@ -432,7 +441,7 @@ def detect_patterns(uri: str) -> UriPatternReport:
     text = uri.strip()
     if "://" not in text:
         text = "http://" + text
-    raw = urlsplit(text)
+    raw = _split(uri, text)
     raw_host = raw.netloc.rsplit("@", 1)[-1].split(":")[0].strip("[]")
     raw_path = raw.path + (("?" + raw.query) if raw.query else "")
     path_side = parsed.path + (("?" + parsed.query) if parsed.query is not None else "")

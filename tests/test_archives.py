@@ -55,6 +55,17 @@ SINGLE_PAGE = (
 )
 
 
+def keyed(uris: list[str]) -> list[tuple[str, str]]:
+    """(uri, SURT) candidates for ``EvidenceService.gather``, each SURT worked
+    out from its URI, as an index entry's sidecar holds it."""
+    return [(uri, canonicalize_surt(uri)) for uri in uris]
+
+
+def evidence_for(service: EvidenceService, uri: str, requested: datetime):
+    """``service.evidence_for`` with the URI's own SURT."""
+    return service.evidence_for(uri, canonicalize_surt(uri), requested)
+
+
 class MapSource:
     """In-memory TimeMap source; counts calls for retry tests."""
 
@@ -896,7 +907,7 @@ class TestPageScan:
             if "?page=" not in unquote(path.name)
         ]
         with EvidenceCache(tmp_path / "cache.jsonl", clock=lambda: 1402000000.5) as cache:
-            EvidenceService(source, cache=cache, parallelism=1).gather(uris, dt("20140601000000"))
+            EvidenceService(source, cache=cache, parallelism=1).gather(keyed(uris), dt("20140601000000"))
         lines = [
             line for line in (tmp_path / "cache.jsonl").read_text("utf-8").splitlines()
             if json.loads(line)["kind"] == "timemap"
@@ -1029,6 +1040,18 @@ class TestFixtureSources:
         looped.symlink_to(looped.name)
         assert FixtureArchiveSource(tmp_path).get_timemap("http://x.example/") is None
 
+    def test_every_read_sees_the_file_as_it_is(self, tmp_path):
+        # the path is worked out once per URI; the file is read on every call
+        path = tmp_path / (quote("http://x.example/", safe="") + ".link")
+        source = FixtureArchiveSource(tmp_path)
+        assert source.get_timemap("http://x.example/") is None
+        path.write_bytes(b"first")
+        assert source.get_timemap("http://x.example/") == "first"
+        path.write_bytes(b"second\r\nthird\r")
+        assert source.get_page("http://x.example/") == "second\nthird\n"  # text mode, as Path.read_text reads
+        path.unlink()
+        assert source.get_timemap("http://x.example/") is None
+
     def test_directory_in_place_of_file_raises(self, tmp_path):
         (tmp_path / (quote("http://x.example/", safe="") + ".link")).mkdir()
         with pytest.raises(IsADirectoryError):
@@ -1040,7 +1063,7 @@ class TestFixtureSources:
         source = FixtureArchiveSource(tmp_path)
         with pytest.raises(ArchiveFetchError, match=r"\.link: bytes that are not UTF-8"):
             source.get_timemap("http://cs.odu.edu")
-        outcome = EvidenceService(source, parallelism=1).evidence_for("http://cs.odu.edu", dt("20140601000000"))
+        outcome = evidence_for(EvidenceService(source, parallelism=1), "http://cs.odu.edu", dt("20140601000000"))
         assert outcome.error is not None and "not UTF-8" in outcome.error
 
     def test_popularity_fixture(self, fixtures_dir):
@@ -1069,7 +1092,7 @@ def timemap_with(count: int) -> str:
 def popularity_of(provider, mementos: int, uri: str = "http://example.com/"):
     """Popularity evidence as the evidence service builds it for ``uri``."""
     service = EvidenceService(MapSource(timemap_with(mementos)), provider)
-    return service.evidence_for(uri, dt("20140301000000")).popularity
+    return evidence_for(service, uri, dt("20140301000000")).popularity
 
 
 class TestPopularityAndDamageFetch:
@@ -1303,7 +1326,7 @@ class TestEvidenceService:
 
     def test_full_evidence_for_archived_uri(self, fixtures_dir):
         service = self.build(fixtures_dir)
-        result = service.evidence_for("http://cs.odu.edu", dt("20140301000000"))
+        result = evidence_for(service, "http://cs.odu.edu", dt("20140301000000"))
         assert result.error is None
         assert result.archive.archived
         _, nearest_uri = nearest_memento(result.archive, dt("20140301000000"))
@@ -1314,7 +1337,8 @@ class TestEvidenceService:
 
     def test_unarchived_uri_short_circuits(self, fixtures_dir):
         service = self.build(fixtures_dir)
-        result = service.evidence_for(
+        result = evidence_for(
+            service,
             "http://radford.edu/content/csat/home/itec.html", dt("20140301000000")
         )
         assert not result.archive.archived
@@ -1324,7 +1348,7 @@ class TestEvidenceService:
     def test_gather_preserves_input_order(self, fixtures_dir):
         service = self.build(fixtures_dir, parallelism=4)
         uris = ["http://cs.vt.edu", "http://cs.gmu.edu", "http://cs.odu.edu"]
-        results = service.gather(uris, dt("20140301000000"))
+        results = service.gather(keyed(uris), dt("20140301000000"))
         assert [r.uri for r in results] == uris
 
     def fixture_uris(self, fixtures_dir):
@@ -1333,11 +1357,11 @@ class TestEvidenceService:
     def test_gather_reuses_one_pool(self, fixtures_dir, monkeypatch):
         made = record_executors(monkeypatch)
         requested, uris = dt("20140301000000"), self.fixture_uris(fixtures_dir)
-        serial = self.build(fixtures_dir, parallelism=1).gather(uris, requested)
+        serial = self.build(fixtures_dir, parallelism=1).gather(keyed(uris), requested)
         assert not made
         service = self.build(fixtures_dir, parallelism=4)
-        assert service.gather(uris, requested) == serial
-        assert service.gather(uris, requested) == serial
+        assert service.gather(keyed(uris), requested) == serial
+        assert service.gather(keyed(uris), requested) == serial
         assert len(made) == 1
         del service
         gc.collect()
@@ -1346,14 +1370,14 @@ class TestEvidenceService:
     def test_threads_sharing_a_service_get_serial_results(self, fixtures_dir, monkeypatch):
         made = record_executors(monkeypatch)
         requested, uris = dt("20140301000000"), self.fixture_uris(fixtures_dir)
-        serial = self.build(fixtures_dir, parallelism=1).gather(uris, requested)
+        serial = self.build(fixtures_dir, parallelism=1).gather(keyed(uris), requested)
         service = self.build(fixtures_dir, parallelism=4)
         start = threading.Barrier(4)
         results = [None] * 4
 
         def worker(i):
             start.wait()
-            results[i] = [service.gather(uris, requested) for _ in range(5)]
+            results[i] = [service.gather(keyed(uris), requested) for _ in range(5)]
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()
@@ -1390,9 +1414,9 @@ class TestEvidenceService:
                 return None
 
         requested, uris = dt("20140301000000"), [f"http://x.example/{n}" for n in (3, 0, 2, 1)]
-        serial = EvidenceService(MeetingSource(None), parallelism=1).gather(uris, requested)
+        serial = EvidenceService(MeetingSource(None), parallelism=1).gather(keyed(uris), requested)
         service = EvidenceService(MeetingSource(threading.Barrier(2, timeout=5)), parallelism=4)
-        results = service.gather(uris, requested)
+        results = service.gather(keyed(uris), requested)
         assert [r.uri for r in results] == uris
         assert all(r.error is None and r.archive.archived for r in results)
         assert results == serial
@@ -1400,23 +1424,23 @@ class TestEvidenceService:
     def test_retry_then_success(self):
         source = MapSource(SINGLE_PAGE, fail_times=1)
         service = EvidenceService(source, retries=1)
-        result = service.evidence_for("http://a.example.com", dt("20140301000000"))
+        result = evidence_for(service, "http://a.example.com", dt("20140301000000"))
         assert result.error is None
         assert source.calls == 2
 
     def test_retries_exhausted_reports_error(self):
         source = MapSource(SINGLE_PAGE, fail_times=3)
         service = EvidenceService(source, retries=1)
-        result = service.evidence_for("http://a.example.com", dt("20140301000000"))
+        result = evidence_for(service, "http://a.example.com", dt("20140301000000"))
         assert result.error and "502" in result.error
         assert not result.archive.archived
 
     def test_cache_avoids_refetch(self, fixtures_dir, tmp_path):
         cache = EvidenceCache(tmp_path / "cache.jsonl")
         service = self.build(fixtures_dir, cache=cache)
-        first = service.evidence_for("http://cs.gmu.edu", dt("20140301000000"))
+        first = evidence_for(service, "http://cs.gmu.edu", dt("20140301000000"))
         cached_service = EvidenceService(ExplodingSource(), cache=cache)
-        second = cached_service.evidence_for("http://cs.gmu.edu", dt("20140301000000"))
+        second = evidence_for(cached_service, "http://cs.gmu.edu", dt("20140301000000"))
         assert second.archive.mementos == first.archive.mementos
 
     @pytest.mark.parametrize(
@@ -1449,19 +1473,19 @@ class TestEvidenceService:
         """A cached value of any kind that does not decode is refetched, with
         one warning and one superseding line."""
         requested = dt("20140301000000")
-        expected = self.build(fixtures_dir).evidence_for("http://cs.gmu.edu", requested)
+        expected = evidence_for(self.build(fixtures_dir), "http://cs.gmu.edu", requested)
         labels = {"timemap": "TimeMap", "popularity": "popularity", "damage": "damage"}
         surt = "edu,gmu,cs)/"
         if kind == "damage":
             surt = canonicalize_surt(nearest_memento(expected.archive, requested)[1])
         path = tmp_path / "cache.jsonl"
-        self.build(fixtures_dir, cache=EvidenceCache(path)).evidence_for("http://cs.gmu.edu", requested)
+        evidence_for(self.build(fixtures_dir, cache=EvidenceCache(path)), "http://cs.gmu.edu", requested)
         fetched = EvidenceCache(path).get("gateway", kind, surt)
         EvidenceCache(path).put("gateway", kind, surt, value)
         written = len(path.read_text("utf-8").splitlines())
         cache = EvidenceCache(path)
         with caplog.at_level(logging.WARNING, logger="archive_recommender.archives"):
-            result = self.build(fixtures_dir, cache=cache).evidence_for("http://cs.gmu.edu", requested)
+            result = evidence_for(self.build(fixtures_dir, cache=cache), "http://cs.gmu.edu", requested)
         assert result == expected
         assert len(caplog.records) == 1
         assert caplog.records[0].name == "archive_recommender.archives"
@@ -1475,12 +1499,12 @@ class TestEvidenceService:
     def test_cached_popularity_decodes_as_before(self, tmp_path, caplog, value, rank):
         uri, requested = "http://a.example.com", dt("20140301000000")
         path = tmp_path / "cache.jsonl"
-        EvidenceService(MapSource(SINGLE_PAGE), cache=EvidenceCache(path)).evidence_for(uri, requested)
+        evidence_for(EvidenceService(MapSource(SINGLE_PAGE), cache=EvidenceCache(path)), uri, requested)
         EvidenceCache(path).put("gateway", "popularity", canonicalize_surt(uri), value)
         written = path.read_text("utf-8")
         warm_service = EvidenceService(ExplodingSource(), cache=EvidenceCache(path))
         with caplog.at_level(logging.WARNING, logger="archive_recommender.archives"):
-            result = warm_service.evidence_for(uri, requested)
+            result = evidence_for(warm_service, uri, requested)
         assert result.popularity.global_rank == rank
         assert not caplog.records
         assert path.read_text("utf-8") == written
@@ -1489,19 +1513,19 @@ class TestEvidenceService:
         page = '<https://a/m>; rel="memento"; datetime="Fri, 01 Jan 0999 00:00:00 GMT"'
         uri, requested = "http://a.example.com", dt("20140301000000")
         path = tmp_path / "cache.jsonl"
-        cold = EvidenceService(MapSource(page), cache=EvidenceCache(path)).evidence_for(uri, requested)
+        cold = evidence_for(EvidenceService(MapSource(page), cache=EvidenceCache(path)), uri, requested)
         written = path.read_text("utf-8")
         assert '"0999-01-01T00:00:00Z"' in written
         warm_service = EvidenceService(ExplodingSource(), cache=EvidenceCache(path))
         with caplog.at_level(logging.WARNING, logger="archive_recommender.archives"):
-            warm = warm_service.evidence_for(uri, requested)
+            warm = evidence_for(warm_service, uri, requested)
         assert warm == cold
         assert not caplog.records
         assert path.read_text("utf-8") == written
 
     def test_year_999_memento_served_without_cache(self):
         page = '<https://a/m>; rel="memento"; datetime="Fri, 01 Jan 0999 00:00:00 GMT"'
-        result = EvidenceService(MapSource(page)).evidence_for("http://a.example.com", dt("20140301000000"))
+        result = evidence_for(EvidenceService(MapSource(page)), "http://a.example.com", dt("20140301000000"))
         assert result.error is None
         assert result.archive.mementos == ((datetime(999, 1, 1, tzinfo=UTC), "https://a/m"),)
 
@@ -1511,18 +1535,19 @@ class TestEvidenceService:
         assert paths
         for path in paths:
             uri = unquote(path.name[: -len(".link")])
-            plain = self.build(fixtures_dir).evidence_for(uri, requested)
+            plain = evidence_for(self.build(fixtures_dir), uri, requested)
             cache_path = tmp_path / f"{path.stem}.jsonl"
-            cold = self.build(fixtures_dir, cache=EvidenceCache(cache_path)).evidence_for(uri, requested)
+            cold = evidence_for(self.build(fixtures_dir, cache=EvidenceCache(cache_path)), uri, requested)
             warm_service = EvidenceService(ExplodingSource(), cache=EvidenceCache(cache_path))
-            warm = warm_service.evidence_for(uri, requested)
+            warm = evidence_for(warm_service, uri, requested)
             assert plain.archive.archived, uri
             assert cold == plain, uri
             assert warm == plain, uri
 
     def test_damage_defaults_when_provider_lacks_memento(self, fixtures_dir):
         service = self.build(fixtures_dir)
-        result = service.evidence_for(
+        result = evidence_for(
+            service,
             "http://hollins.edu/academics/computersci", dt("20140301000000")
         )
         assert result.damage.source is DamageSource.DEFAULT_MISSING
@@ -1535,9 +1560,9 @@ class TestEvidenceService:
         as they always have)."""
         requested, uris = dt("20140301000000"), self.fixture_uris(fixtures_dir)
         slices = [uris[i::4] for i in range(4)]
-        serial = [self.build(fixtures_dir, parallelism=1).gather(part, requested) for part in slices]
+        serial = [self.build(fixtures_dir, parallelism=1).gather(keyed(part), requested) for part in slices]
         with EvidenceCache(tmp_path / "serial.jsonl") as serial_cache:
-            self.build(fixtures_dir, cache=serial_cache, parallelism=1).gather(uris, requested)
+            self.build(fixtures_dir, cache=serial_cache, parallelism=1).gather(keyed(uris), requested)
         expected_keys = {key for key, _ in cache_lines(tmp_path / "serial.jsonl")}
         path = tmp_path / "cache.jsonl"
         cache = EvidenceCache(path)
@@ -1547,7 +1572,7 @@ class TestEvidenceService:
 
         def worker(i):
             start.wait()
-            results[i] = [service.gather(slices[i], requested) for _ in range(5)]
+            results[i] = [service.gather(keyed(slices[i]), requested) for _ in range(5)]
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()
@@ -1608,8 +1633,8 @@ class TestDecodeOnce:
         calls = count_decodes(monkeypatch)
         source = MapSource(SINGLE_PAGE)
         service = self.service(source, EvidenceCache(tmp_path / "cache.jsonl"))
-        cold = service.evidence_for(self.URI, self.REQUESTED)
-        warm = [service.evidence_for(self.URI, self.REQUESTED) for _ in range(3)]
+        cold = evidence_for(service, self.URI, self.REQUESTED)
+        warm = [evidence_for(service, self.URI, self.REQUESTED) for _ in range(3)]
         assert warm == [cold] * 3
         assert all(w.archive is cold.archive and w.damage is cold.damage for w in warm)
         assert source.calls == 1
@@ -1618,10 +1643,10 @@ class TestDecodeOnce:
 
     def test_loaded_entry_decodes_once_over_three_hits(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.jsonl"
-        cold = self.service(MapSource(SINGLE_PAGE), EvidenceCache(path)).evidence_for(self.URI, self.REQUESTED)
+        cold = evidence_for(self.service(MapSource(SINGLE_PAGE), EvidenceCache(path)), self.URI, self.REQUESTED)
         calls = count_decodes(monkeypatch)
         warm_service = self.service(ExplodingSource(), EvidenceCache(path))
-        warm = [warm_service.evidence_for(self.URI, self.REQUESTED) for _ in range(3)]
+        warm = [evidence_for(warm_service, self.URI, self.REQUESTED) for _ in range(3)]
         assert warm == [cold] * 3
         assert warm[2].archive is warm[0].archive and warm[2].damage is warm[0].damage
         assert calls == {"timemap": 1, "popularity": 1, "damage": 1}
@@ -1630,11 +1655,11 @@ class TestDecodeOnce:
         calls = count_decodes(monkeypatch)
         cache = EvidenceCache(tmp_path / "cache.jsonl")
         service = self.service(MapSource(SINGLE_PAGE), cache)
-        service.evidence_for(self.URI, self.REQUESTED)
-        service.evidence_for(self.URI, self.REQUESTED)
+        evidence_for(service, self.URI, self.REQUESTED)
+        evidence_for(service, self.URI, self.REQUESTED)
         newer = fetch_timemap(MapSource(timemap_with(3)), self.URI)
         cache.put("gateway", "timemap", canonicalize_surt(self.URI), newer.to_json_dict())
-        assert service.evidence_for(self.URI, self.REQUESTED).archive == newer
+        assert evidence_for(service, self.URI, self.REQUESTED).archive == newer
         assert calls["timemap"] == 1
 
     def test_value_superseded_after_get_is_not_kept_for_the_new_one(self, tmp_path):
@@ -1651,11 +1676,11 @@ class TestDecodeOnce:
         path = tmp_path / "cache.jsonl"
         source = MapSource(SINGLE_PAGE)
         service = self.service(source, EvidenceCache(path, max_age=60, clock=lambda: now[0]))
-        service.evidence_for(self.URI, self.REQUESTED)
-        service.evidence_for(self.URI, self.REQUESTED)  # reads the kept values
+        evidence_for(service, self.URI, self.REQUESTED)
+        evidence_for(service, self.URI, self.REQUESTED)  # reads the kept values
         assert source.calls == 1
         now[0] += 61
-        service.evidence_for(self.URI, self.REQUESTED)
+        evidence_for(service, self.URI, self.REQUESTED)
         assert source.calls == 2
         assert len(path.read_text("utf-8").splitlines()) == 6  # each kind written twice
 
@@ -1667,9 +1692,9 @@ class TestDecodeOnce:
         source = MapSource(SINGLE_PAGE, fail_times=2)
         service = self.service(source, EvidenceCache(path), retries=0)
         with caplog.at_level(logging.WARNING, logger="archive_recommender.archives"):
-            failed = [service.evidence_for(self.URI, self.REQUESTED) for _ in range(2)]
-            fixed = service.evidence_for(self.URI, self.REQUESTED)  # this refetch supersedes the line
-            again = service.evidence_for(self.URI, self.REQUESTED)
+            failed = [evidence_for(service, self.URI, self.REQUESTED) for _ in range(2)]
+            fixed = evidence_for(service, self.URI, self.REQUESTED)  # this refetch supersedes the line
+            again = evidence_for(service, self.URI, self.REQUESTED)
         assert [f.error for f in failed] == ["upstream 502"] * 2
         assert fixed.error is None and again == fixed
         assert source.calls == 3
@@ -1681,5 +1706,5 @@ class TestDecodeOnce:
         """A provider that breaks the ``int | None`` protocol: the fetch
         serves its rank as given, a hit serves the rank the line decodes to."""
         service = self.service(MapSource(SINGLE_PAGE), EvidenceCache(tmp_path / "cache.jsonl"), rank=2.7)
-        assert service.evidence_for(self.URI, self.REQUESTED).popularity.global_rank == 2.7
-        assert service.evidence_for(self.URI, self.REQUESTED).popularity.global_rank == 2
+        assert evidence_for(service, self.URI, self.REQUESTED).popularity.global_rank == 2.7
+        assert evidence_for(service, self.URI, self.REQUESTED).popularity.global_rank == 2

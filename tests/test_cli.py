@@ -5,7 +5,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +204,33 @@ class TestConfigErrors:
     def test_unparseable_request_uri(self, capsys, fixtures_dir):
         code, _, _ = run(capsys, "recommend", "http://", "--fixtures", str(fixtures_dir))
         assert code == EXIT_CONFIG
+
+    def test_unclosed_bracket_host(self, capsys, fixtures_dir):
+        # urlsplit raises a bare ValueError here; it used to end in a traceback
+        code, out, err = run(
+            capsys, "recommend", "http://[::1/x", "--fixtures", str(fixtures_dir),
+            "--now", "2014-06-01T00:00:00Z",
+        )
+        assert code == EXIT_CONFIG
+        assert not out
+        assert err == "archrec: error: cannot parse host of 'http://[::1/x': Invalid IPv6 URL\n"
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_non_finite_weights(self, capsys, fixtures_dir, tmp_path, monkeypatch, source):
+        # NaN passes the sign and sum checks; it used to rank every row with score nan
+        argv = ["recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir)]
+        if source == "flag":
+            argv += ["--weights", "nan,0,0,1"]
+        elif source == "env":
+            monkeypatch.setenv("ARCHREC_WEIGHTS", "nan,0,0,1")
+        else:
+            conf = tmp_path / "a.conf"
+            conf.write_text("weights = nan,0,0,1\n")
+            argv += ["--config", str(conf)]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert not out
+        assert err == "archrec: error: weights must be finite, got (nan, 0.0, 0.0, 1.0)\n"
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(
@@ -445,7 +476,10 @@ class TestRecommend:
         )
         assert code == EXIT_OK
         assert len(closed) == 1
-        assert len(archive_opens) == 1 and archive_opens[0].closed
+        # One append handle on the cache; the fixture TimeMaps are read through
+        # handles of their own, and every handle is closed.
+        assert [h.name for h in archive_opens].count(str(tmp_path / "c.jsonl")) == 1
+        assert all(handle.closed for handle in archive_opens)
 
     @pytest.mark.parametrize(
         "kind, corrupt",
@@ -717,3 +751,22 @@ class TestSettingFlags:
     def test_no_subcommand_argument_is_a_setting(self):
         _, own = flag_dests()
         assert {name: dests & SETTING_NAMES for name, dests in own.items()} == dict.fromkeys(own, set())
+
+
+def test_fixture_recommend_leaves_requests_unimported(fixtures_dir):
+    """Only the network clients import ``requests``; a fixture run never
+    builds one, so it never pays for the import."""
+    script = (
+        "import sys\n"
+        "import archive_recommender\n"
+        "from archive_recommender.cli import main\n"
+        f"code = main(['recommend', 'http://odu.edu/compsci', '--fixtures', {str(fixtures_dir)!r},"
+        " '--now', '2014-06-01T00:00:00Z'])\n"
+        "assert code == 0, code\n"
+        "assert 'requests' not in sys.modules, sorted(m for m in sys.modules if m.startswith('requests'))\n"
+    )
+    src = Path(archives.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "http://cs.odu.edu" in done.stdout

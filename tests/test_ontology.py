@@ -24,7 +24,7 @@ from archive_recommender.ontology import (
     lookup_requested,
     save_index,
 )
-from archive_recommender.uri import canonicalize_surt
+from archive_recommender.uri import TokenMethod, canonicalize_surt, tokenize
 
 TSV_SAMPLE = b"""\
 Computers/Internet\thttp://a.example.com/\tTitle A\tAbout A
@@ -178,6 +178,23 @@ class TestCategoryIndex:
         counts = Counter(e.category.top for e in self.make().all_entries())
         assert counts == {"Computers": 3, "Sports": 1}
 
+    def test_entry_tokens_worked_out_once(self, monkeypatch):
+        from archive_recommender import ontology
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tokenize(*args)
+
+        monkeypatch.setattr(ontology, "tokenize", counted)
+        e = entry("Computers", "http://News.Example.com/World-Cup_2014?q=Final")
+        assert e.tokens == tokenize(e.uri, TokenMethod.TOKENS).as_set()
+        assert e.tokens is e.tokens
+        assert len(calls) == 1
+        assert e == entry("Computers", e.uri)  # the kept set is no field
+        assert "tokens" not in repr(e)
+
     def test_dedup_by_surt(self):
         index = CategoryIndex(
             [entry("Computers", "http://a.com/"), entry("Sports", "https://A.COM:443/")]
@@ -220,6 +237,14 @@ class TestPersistence:
         path.write_text("Computers/Internet\thttp://a.com/\t\t\n", "utf-8")
         loaded = load_index(path)
         assert loaded.lookup_surt(canonicalize_surt("http://a.com/")) is not None
+
+    def test_bundled_sidecar_matches_canonical_surts(self, fixtures_dir):
+        # the sidecar SURT keys each candidate's cached evidence, so it must be
+        # the key canonicalize_surt gives the URI
+        assert (fixtures_dir / "index.tsv.surt").exists()
+        entries = list(load_index(fixtures_dir / "index.tsv").all_entries())
+        assert len(entries) > 400
+        assert [e.uri for e in entries if e.surt != canonicalize_surt(e.uri)] == []
 
     def test_bundled_fixture_loads(self, corpus_index):
         assert len(corpus_index) > 400

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import sys
 import threading
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
 
 from archive_recommender import deep, nbayes, pipeline
+from archive_recommender import uri as uri_module
 from archive_recommender.archives import (
+    EvidenceCache,
     EvidenceService,
     FixtureArchiveSource,
     FixtureDamageProvider,
@@ -33,7 +36,9 @@ from archive_recommender.pipeline import (
     evaluate_l1,
     train_l1,
 )
-from archive_recommender.uri import canonicalize_surt
+from archive_recommender.ranking import rank
+from archive_recommender.uri import TokenMethod, canonicalize_surt, tokenize
+from test_golden import RECOMMEND_URIS
 
 UTC = timezone.utc
 REQUESTED = datetime(2014, 3, 1, tzinfo=UTC)
@@ -44,11 +49,12 @@ VIRGINIA = (
 )
 
 
-def fixture_recommender(fixtures_dir, index) -> Recommender:
+def fixture_recommender(fixtures_dir, index, **service_options) -> Recommender:
     service = EvidenceService(
         FixtureArchiveSource(fixtures_dir / "timemaps"),
         FixturePopularityProvider(fixtures_dir / "popularity.tsv"),
         FixtureDamageProvider(fixtures_dir / "damage.tsv"),
+        **service_options,
     )
     secondary = FixtureOntologyProvider(fixtures_dir / "secondary_ontology.jsonl")
     return Recommender(index, service, secondary=secondary)
@@ -337,3 +343,77 @@ class TestSharedAcrossThreads:
         assert not any(t.is_alive() for t in threads)
         assert all(result == serial for result in results)
         assert len(trained) == 1
+
+
+# Oracles of steps 3-4 as they ran before each index entry kept its SURT and
+# token set: every request works both out again from the candidate's URI, and
+# the path note is added to a copy of each ranked recommendation.
+
+
+def gather_canonicalizing(service, candidates, requested):
+    return [service.evidence_for(u, canonicalize_surt(u), requested) for u, _ in candidates]
+
+
+def rank_tokenizing(candidates, weights, top_n, *, candidate_tokens, notes, **kwargs):
+    tokens = [frozenset(tokenize(c.uri, TokenMethod.TOKENS)) for c in candidates]
+    ranked = rank(candidates, weights, top_n, candidate_tokens=tokens, **kwargs)
+    return [replace(r, explanations=r.explanations + notes) for r in ranked]
+
+
+class TestStepsThreeAndFourOracle:
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    @pytest.mark.parametrize("requested_uri", RECOMMEND_URIS)
+    def test_matches_per_request_derivation(
+        self, fixtures_dir, corpus_index, tmp_path, monkeypatch, requested_uri, cached
+    ):
+        request = RecommendationRequest(uri=requested_uri, datetime=REQUESTED)
+
+        def run(name):
+            cache = EvidenceCache(tmp_path / f"{name}.jsonl", clock=lambda: 1402000000.5) if cached else None
+            # serial, as the CLI gathers from fixtures, so cache lines keep one order
+            recommender = fixture_recommender(fixtures_dir, corpus_index, cache=cache, parallelism=1)
+            result = recommender.recommend(request, now=NOW)
+            if cache is not None:
+                cache.close()
+            return result
+
+        fast = run("fast")
+        monkeypatch.setattr(EvidenceService, "gather", gather_canonicalizing)
+        monkeypatch.setattr(pipeline, "rank", rank_tokenizing)
+        assert fast == run("oracle")
+        if cached:
+            fast_lines, oracle_lines = (
+                path.read_text("utf-8") if path.exists() else None  # a request that gathers nothing writes nothing
+                for path in (tmp_path / "fast.jsonl", tmp_path / "oracle.jsonl")
+            )
+            assert fast_lines == oracle_lines
+            assert (fast_lines is None) == (fast.route == "none")
+
+    @pytest.mark.parametrize("parallelism", [1, 4], ids=["serial", "pool"])
+    def test_warm_request_derives_nothing_per_candidate(self, fixtures_dir, corpus_index, monkeypatch, parallelism):
+        recommender = fixture_recommender(fixtures_dir, corpus_index, parallelism=parallelism)
+        request = RecommendationRequest(uri="http://odu.edu/compsci", datetime=REQUESTED)
+        expected = recommender.recommend(request, now=NOW)
+
+        # Count calls wherever the package binds the two functions.
+        calls: dict[str, list[str]] = {"canonicalize_surt": [], "tokenize": []}
+        modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "archive_recommender"]
+        for name in calls:
+            original = getattr(uri_module, name)
+
+            def counted(text, *args, _name=name, _original=original, **kwargs):
+                calls[_name].append(text)
+                return _original(text, *args, **kwargs)
+
+            for module in modules:
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, counted)
+
+        result = recommender.recommend(request, now=NOW)
+        assert result == expected
+        assert len(result.recommendations) == 8
+        candidates = {e.uri for e in corpus_index.entries_for(VIRGINIA)}
+        assert [u for u in calls["tokenize"] + calls["canonicalize_surt"] if u in candidates] == []
+        assert set(calls["tokenize"]) == {request.uri}  # its ranking bag and its first-level features
+        # Beside the requested URI, only the damage key of each nearest memento.
+        assert set(calls["canonicalize_surt"]) == {request.uri} | {r.memento_uri for r in result.recommendations}

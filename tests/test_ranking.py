@@ -30,6 +30,7 @@ from archive_recommender.ranking import (
     temporal_score,
     uri_similarity,
 )
+from archive_recommender.uri import TokenMethod, tokenize
 
 UTC = timezone.utc
 TOL = 1e-9
@@ -60,6 +61,12 @@ class TestRankWeights:
     def test_bad_sum_rejected(self, bad):
         with pytest.raises(ValueError):
             RankWeights(*bad)
+
+    @pytest.mark.parametrize("text", ["nan,0,0,1", "0.25,0.25,0.25,nan", "inf,-inf,0.5,0.5",
+                                      "1,0,0,-nan", "inf,0,0,0"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            RankWeights.parse(text)
 
     def test_parse(self):
         w = RankWeights.parse("0.4, 0.2,0.2 ,0.2")
@@ -189,6 +196,12 @@ class TestQuality:
         assert archival_quality(evidence) == pytest.approx(1.0 - damage, abs=TOL)
 
 
+def rank_by_uri(candidates, *args, **kwargs):
+    """``rank`` with each candidate's token set worked out from its URI."""
+    tokens = [tokenize(c.uri, TokenMethod.TOKENS).as_set() for c in candidates]
+    return rank(candidates, *args, candidate_tokens=tokens, **kwargs)
+
+
 class TestRank:
     def page(self, uri, memento_at, rank_value, count, damage) -> CandidateEvidence:
         return CandidateEvidence(
@@ -208,7 +221,7 @@ class TestRank:
             REQUESTED - timedelta(days=7305) / 4,
             30_000_000, 1, 1.0,
         )
-        results = rank(
+        results = rank_by_uri(
             [worst, best],
             request_tokens={"best", "example", "com"},
             requested=REQUESTED,
@@ -223,7 +236,7 @@ class TestRank:
 
     def test_weighted_combination(self):
         candidate = self.page("http://best.example.com/", REQUESTED, 1, 538_300, 0.5)
-        (result,) = rank(
+        (result,) = rank_by_uri(
             [candidate],
             RankWeights(0.5, 0.25, 0.0, 0.25),
             request_tokens={"best", "example", "com"},
@@ -236,7 +249,7 @@ class TestRank:
     def test_score_ties_break_by_uri(self):
         a = self.page("http://aaa.example.com/", REQUESTED, 100, 10, 0.2)
         b = self.page("http://bbb.example.com/", REQUESTED, 100, 10, 0.2)
-        results = rank(
+        results = rank_by_uri(
             [b, a], request_tokens=set(), requested=REQUESTED,
             upper_bound=UPPER, earliest=EARLIEST,
         )
@@ -248,7 +261,7 @@ class TestRank:
             self.page(f"http://site{i}.example.com/", REQUESTED, 1000 * (i + 1), 10, 0.1)
             for i in range(5)
         ]
-        results = rank(
+        results = rank_by_uri(
             pages, top_n=2, request_tokens=set(), requested=REQUESTED,
             upper_bound=UPPER, earliest=EARLIEST,
         )
@@ -257,7 +270,7 @@ class TestRank:
 
     def test_missing_damage_defaults_to_half(self):
         candidate = self.page("http://x.example.com/", REQUESTED, None, 0, None)
-        (result,) = rank(
+        (result,) = rank_by_uri(
             [candidate], request_tokens=set(), requested=REQUESTED,
             upper_bound=UPPER, earliest=EARLIEST,
         )
@@ -272,7 +285,7 @@ class TestRank:
             damage=None,
         )
         with pytest.raises(ValueError):
-            rank([empty], request_tokens=set(), requested=REQUESTED,
+            rank_by_uri([empty], request_tokens=set(), requested=REQUESTED,
                  upper_bound=UPPER, earliest=EARLIEST)
 
     def test_nearest_memento_feeds_temporal(self):
@@ -284,7 +297,7 @@ class TestRank:
             popularity=PopularityEvidence(global_rank=None),
             damage=None,
         )
-        (result,) = rank(
+        (result,) = rank_by_uri(
             [candidate], request_tokens=set(), requested=REQUESTED,
             upper_bound=UPPER, earliest=EARLIEST,
         )
@@ -295,7 +308,7 @@ class TestRank:
         candidate = self.page(
             "http://x.example.com/", REQUESTED - timedelta(days=7305) / 4, None, 0, None
         )
-        (result,) = rank(
+        (result,) = rank_by_uri(
             [candidate], request_tokens=set(), requested=REQUESTED,
             upper_bound=UPPER, earliest=EARLIEST, temporal_as_similarity=False,
         )
@@ -303,7 +316,7 @@ class TestRank:
 
     def test_explanations_carry_component_values(self):
         candidate = self.page("http://best.example.com/", REQUESTED, 28455, 4, 0.13)
-        (result,) = rank(
+        (result,) = rank_by_uri(
             [candidate], request_tokens={"best", "example", "com"},
             requested=REQUESTED, upper_bound=UPPER, earliest=EARLIEST,
         )
@@ -312,3 +325,31 @@ class TestRank:
         assert "rank 28455" in texts
         assert "similarity=1.000000" in texts
         assert "damage 0.130000" in texts
+
+    def test_notes_end_every_explanation(self):
+        pages = [self.page(f"http://site{i}.example.com/", REQUESTED, 1000, 10, 0.1) for i in range(3)]
+        results = rank_by_uri(
+            pages, request_tokens=set(), requested=REQUESTED,
+            upper_bound=UPPER, earliest=EARLIEST, notes=("path: ontology-hit",),
+        )
+        assert [r.explanations[4:] for r in results] == [("path: ontology-hit",)] * 3
+        plain = rank_by_uri(
+            pages, request_tokens=set(), requested=REQUESTED, upper_bound=UPPER, earliest=EARLIEST,
+        )
+        assert [r.explanations for r in plain] == [r.explanations[:4] for r in results]
+
+    def test_similarity_reads_the_given_token_sets(self):
+        candidate = self.page("http://best.example.com/", REQUESTED, 1, 538_300, 0.0)
+        (result,) = rank(
+            [candidate], request_tokens={"best", "example", "com"},
+            candidate_tokens=[frozenset({"example", "other"})],
+            requested=REQUESTED, upper_bound=UPPER, earliest=EARLIEST,
+        )
+        assert result.similarity == pytest.approx(1 / 4, abs=TOL)
+        assert "1 shared of 4 tokens" in result.explanations[2]
+
+    def test_token_sets_must_match_candidates(self):
+        candidate = self.page("http://best.example.com/", REQUESTED, 1, 538_300, 0.0)
+        with pytest.raises(ValueError):
+            rank([candidate], request_tokens=set(), candidate_tokens=[], requested=REQUESTED,
+                 upper_bound=UPPER, earliest=EARLIEST)

@@ -148,6 +148,14 @@ class TestParseUri:
             parse_uri("ftp://example.com/")
         assert exc.value.component == "scheme"
 
+    @pytest.mark.parametrize("bad", ["http://[::1/x", "[::1/x", "http://a]b.com/", "https://[v1.x/"])
+    def test_unbalanced_bracket_host_rejected(self, bad):
+        # urlsplit raises a bare ValueError on these
+        for call in (lambda: parse_uri(bad, assume_http=True), lambda: detect_patterns(bad)):
+            with pytest.raises(UriParseError) as exc:
+                call()
+            assert exc.value.component == "host"
+
 
 # URL-like strings and near misses: odd schemes and separators, IP and
 # malformed hosts, bad ports, stray whitespace, and free text.
