@@ -20,14 +20,13 @@ from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from email.utils import parsedate_to_datetime
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
 from urllib.parse import quote
 
-from .uri import InputFileError, canonicalize_surt, parse_uri, read_lines
+from .uri import InputFileError, UriParseError, canonicalize_surt, parse_uri, read_lines
 
 if TYPE_CHECKING:  # the network clients import it when used: fixture runs never pay for it
     import requests
@@ -123,6 +122,8 @@ def _link_time(raw: str) -> tuple[datetime, str]:
     try:
         match = _RFC1123_DATETIME.fullmatch(raw) if isinstance(raw, str) else None
         if match is None:
+            from email.utils import parsedate_to_datetime  # a fixture run never needs it
+
             when = parsedate_to_datetime(raw)
             if when.tzinfo is None:
                 when = when.replace(tzinfo=timezone.utc)
@@ -753,6 +754,10 @@ class EvidenceService:
             return CandidateEvidence(uri=uri, archive=archive)
 
         _, nearest_uri = nearest_memento(archive, requested)
+        try:
+            nearest_surt = canonicalize_surt(nearest_uri)
+        except UriParseError as exc:
+            return CandidateEvidence(uri=uri, archive=archive, error=str(exc))
         rank = self._cached("popularity", surt, lambda: self._fetch_rank(uri))
         popularity = PopularityEvidence(
             global_rank=None if rank is None else max(1, min(rank, RANK_FLOOR_DEFAULT)),
@@ -760,7 +765,7 @@ class EvidenceService:
         )
         damage = self._cached(
             "damage",
-            canonicalize_surt(nearest_uri),
+            nearest_surt,
             lambda: fetch_damage(self.damage_provider, nearest_uri),
         )
         return CandidateEvidence(uri=uri, archive=archive, popularity=popularity, damage=damage)

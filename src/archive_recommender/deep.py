@@ -11,14 +11,16 @@ keeps, per gram, the rows holding it and their counts (postings), every
 row's norm and category, and every category's row count and summed counts.
 The cosine scoring walks the postings of the query's grams only, and the
 naive Bayes reads the summed counts, so no entry is featurized again per
-query.
+query. The index also keeps the naive Bayes model of each candidate set
+it has classified against, so a candidate set is fitted once.
 """
 from __future__ import annotations
 
 import math
+import threading
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -97,6 +99,11 @@ class CandidateCategory:
     score: float
 
 
+# Naive Bayes models a vector index keeps, one per candidate set. A query
+# past the cap fits its model afresh and drops it after use.
+MODELS_PER_INDEX = 16
+
+
 @dataclass
 class CategoryVectorIndex:
     """Featurized entries by deepest category path.
@@ -104,30 +111,44 @@ class CategoryVectorIndex:
     A row is one entry with features. Rows are numbered category by
     category, so each category's rows are contiguous and ascending.
 
-    - ``postings[gram]``: the ids of the rows that hold the gram,
-      ascending, and the gram's count in each.
+    - ``postings[gram]``: the rows that hold the gram, ascending, each
+      followed by the gram's count in it: ``row, count, row, count, ...``.
     - ``norms[row]``: the Euclidean norm of the row's counts;
       ``row_category[row]``: the ordinal of the row's category.
     - ``paths[ordinal]``, ``row_counts[ordinal]``: the category's parsed
       path and its number of rows.
     - ``ordinals[key]``, ``totals[key]``, by path text: the category's
       ordinal, and the sum of its rows, which is what naive Bayes trains on.
+    - ``models``: the naive Bayes model of each candidate set that
+      ``classify_deep`` has fitted, keyed by the usable candidates' path
+      texts in order and the smoothing; at most ``MODELS_PER_INDEX``.
+      A model holds its vocabulary, at most the index's grams, and one row
+      per gram that a query has held. With every row filled and ten
+      candidates that is about 0.5 KB per gram (CPython 3.11), so a full
+      memo of a 1,400-gram subtree holds at most about 11 MB.
 
-    Read-only once built.
+    Read-only once built, except ``models``, which grows under its lock
+    and is left out of equality and ``repr``.
     """
 
     grams: GramScheme
-    postings: dict[str, tuple[array, array]]
+    postings: dict[str, array]
     norms: array
     row_category: array
     paths: tuple[CategoryPath, ...]
     row_counts: tuple[int, ...]
     ordinals: dict[str, int]
     totals: dict[str, Counter[str]]
+    models: dict[tuple[tuple[str, ...], float], nbayes.NaiveBayesModel] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    _models_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, compare=False, repr=False
+    )
 
 
-# A new posting's arrays are copied from this one: copying an empty array
-# costs about half what the array constructor does.
+# A new posting is copied from this one: copying an empty array costs about
+# half what the array constructor does.
 _EMPTY_POSTING = array("I")
 
 
@@ -136,7 +157,7 @@ def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVecto
     path; entries with no extractable features are left out."""
     if not len(index):
         raise ValueError("cannot build a vector index from an empty category index")
-    postings: dict[str, tuple[array, array]] = {}
+    postings: dict[str, array] = {}
     norms = array("d")
     row_category = array("I")
     paths: list[CategoryPath] = []
@@ -158,9 +179,9 @@ def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVecto
                 squares += count * count
                 posting = postings.get(gram)
                 if posting is None:
-                    posting = postings[gram] = (_EMPTY_POSTING[:], _EMPTY_POSTING[:])
-                posting[0].append(row)
-                posting[1].append(count)
+                    posting = postings[gram] = _EMPTY_POSTING[:]
+                posting.append(row)
+                posting.append(count)
             norms.append(math.sqrt(squares))
             row_category.append(ordinal)
             total.update(features)
@@ -210,18 +231,19 @@ def top_candidates(
     if not qvec:
         return []
     qnorm = math.sqrt(sum(c * c for c in qvec.values()))
-    postings = vindex.postings
-    dots: dict[int, int] = {}
+    postings, norms, row_category = vindex.postings, vindex.norms, vindex.row_category
+    dots = [0] * len(norms)
     for gram, count in qvec.items():
         posting = postings.get(gram)
         if posting is not None:
-            for row, row_count in zip(*posting):
-                dots[row] = dots.get(row, 0) + count * row_count
-    norms, row_category = vindex.norms, vindex.row_category
+            pairs = iter(posting)
+            for row, row_count in zip(pairs, pairs):
+                dots[row] += count * row_count
     sums: dict[int, float] = {}
-    for row in sorted(dots):
-        ordinal = row_category[row]
-        sums[ordinal] = sums.get(ordinal, 0.0) + dots[row] / (qnorm * norms[row])
+    for row, dot in enumerate(dots):
+        if dot:
+            ordinal = row_category[row]
+            sums[ordinal] = sums.get(ordinal, 0.0) + dot / (qnorm * norms[row])
     scored: list[CandidateCategory] = []
     for ordinal, total in sums.items():
         score = total / vindex.row_counts[ordinal]
@@ -290,20 +312,25 @@ def classify_deep(
     """Final deep assignment: NB over the tree's candidate paths, for a
     query of grams from ``expand_query``. Each candidate's documents are
     its rows in ``vindex``, so the model is fitted from the cached row
-    count and summed gram counts."""
+    count and summed gram counts, once per candidate set: ``vindex``
+    keeps it for later queries with the same candidates."""
     if isinstance(query, TokenBag):
         raise ValueError(_NOT_GRAMS)
     doc_counts: dict[str, int] = {}
-    feature_counts: dict[str, Counter[str]] = {}
     for path in sorted(tree.candidates):
         key = str(path)
         ordinal = vindex.ordinals.get(key)
         if ordinal is not None and vindex.row_counts[ordinal]:
             doc_counts[key] = vindex.row_counts[ordinal]
-            feature_counts[key] = vindex.totals[key]
     if not doc_counts:
         raise DeepClassificationError("no candidate category has usable documents")
-    model = nbayes.NaiveBayesModel(doc_counts, feature_counts, smoothing)
+    memo_key = (tuple(doc_counts), smoothing)
+    model = vindex.models.get(memo_key)
+    if model is None:
+        model = nbayes.NaiveBayesModel(doc_counts, {key: vindex.totals[key] for key in doc_counts}, smoothing)
+        with vindex._models_lock:
+            if len(vindex.models) < MODELS_PER_INDEX:
+                model = vindex.models.setdefault(memo_key, model)
     outcome = nbayes.classify(model, query)
     if outcome.unclassifiable:
         raise DeepClassificationError("query shares no vocabulary with the candidates")

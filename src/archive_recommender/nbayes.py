@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import repeat
 from operator import mul
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -54,11 +53,11 @@ class NaiveBayesModel:
 
     The caller's feature Counters are kept, not copied, and must not change
     afterwards. Log-likelihoods are taken the first time a query holds a
-    feature, for every class that has a count for it, and memoized per
-    class; the model then adds the feature to its filled set, so later
-    queries skip it. A model thus takes logs only of the features it is
-    queried with. Threads that fill one feature at once store equal
-    values, so a shared model stays safe.
+    feature and kept as that feature's row: one float per class, in class
+    order, the class's unseen value where it never saw the feature. A model
+    thus takes logs only of the features it is queried with. Threads that
+    fill one feature at once store equal rows, so a shared model stays
+    safe.
     """
 
     def __init__(
@@ -94,24 +93,23 @@ class NaiveBayesModel:
         self.unseen_log_likelihood = {
             c: math.log(smoothing / self._denominator[c]) if v else 0.0 for c in self.classes
         }
-        self._tables: dict[str, dict[str, float]] = {c: {} for c in self.classes}
-        self._filled: set[str] = set()
+        self._rows: dict[str, tuple[float, ...]] = {}
 
-    def _fill(self, features: Iterable[str]) -> None:
-        """Memoize the log-likelihood of each of ``features`` not yet filled,
-        in every class that has a count for it. A feature a class never saw
-        is not stored: its log-likelihood is the class's unseen value."""
-        new = [f for f in features if f not in self._filled]
-        if not new:
-            return
-        for label in self.classes:
-            table, counts = self._tables[label], self.feature_counts[label]
-            denominator = self._denominator[label]
-            for f in new:
-                count = counts.get(f)
-                if count is not None:
-                    table[f] = math.log((count + self.smoothing) / denominator)
-        self._filled.update(new)
+    def _rows_for(self, features: Iterable[str]) -> list[tuple[float, ...]]:
+        """The row of each of ``features``, in order, filling the rows not
+        yet taken."""
+        rows = self._rows
+        new = [f for f in features if f not in rows]
+        if new:
+            smoothing, columns = self.smoothing, []
+            for c in self.classes:
+                denominator, unseen = self._denominator[c], self.unseen_log_likelihood[c]
+                columns.append([
+                    unseen if count is None else math.log((count + smoothing) / denominator)
+                    for count in map(self.feature_counts[c].get, new)
+                ])
+            rows.update(zip(new, zip(*columns)))
+        return [rows[f] for f in features]
 
 
 def train(
@@ -148,12 +146,15 @@ def classify(model: NaiveBayesModel, bag: FeatureBag) -> Classification:
     if not known:
         return Classification(None, (), (), ignored)
     counts = Counter(known)
-    model._fill(counts)
-    feats, ks = list(counts), list(counts.values())
-    raw = {}
-    for c in model.classes:
-        table, unseen = model._tables[c], model.unseen_log_likelihood[c]
-        raw[c] = model.class_log_prior[c] + sum(map(mul, map(table.get, feats, repeat(unseen)), ks))
+    columns = zip(*model._rows_for(counts))
+    # Each class adds its column's products in feature order. x * 1 == x, so
+    # when no feature repeats the column's floats are summed as they are.
+    if len(counts) == len(known):
+        sums = map(sum, columns)
+    else:
+        ks = counts.values()
+        sums = (sum(map(mul, column, ks)) for column in columns)
+    raw = {c: model.class_log_prior[c] + total for c, total in zip(model.classes, sums)}
     peak = max(raw.values())
     unnormalized = {c: math.exp(s - peak) for c, s in raw.items()}
     norm = sum(unnormalized.values())

@@ -402,11 +402,12 @@ def lookup_requested(
     index: CategoryIndex,
     secondary: OntologyProvider | None,
     uri: str,
+    surt: str,
 ) -> LookupOutcome:
-    """Find the requested URI's category: primary index first, then the
-    secondary provider. Provider failures degrade to the primary-only answer
-    with a warning instead of raising."""
-    surt = canonicalize_surt(uri)
+    """Find the requested URI's category: primary index first, by ``surt``,
+    the URI's SURT (``canonicalize_surt(uri)``), then the secondary
+    provider. Provider failures degrade to the primary-only answer with a
+    warning instead of raising."""
     hit = index.lookup_surt(surt)
     if hit is not None:
         return LookupOutcome(

@@ -173,7 +173,7 @@ class Recommender:
             )
 
         # Step 0: is the requested URI already categorized somewhere?
-        outcome = lookup_requested(self.index, self.secondary, request.uri)
+        outcome = lookup_requested(self.index, self.secondary, request.uri, requested_surt)
         if outcome.warning:
             warnings.append(outcome.warning)
         if outcome.found and any(e.surt != requested_surt for e in outcome.entries):

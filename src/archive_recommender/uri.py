@@ -167,7 +167,14 @@ class ParsedUri:
     is_ip_host: bool
 
 
+# An IPv4 address is ASCII decimal octets and dots, and an IPv6 one holds a
+# colon; any other host is a name, told apart without calling ipaddress.
+_IPV4_CHARACTERS = frozenset("0123456789.")
+
+
 def _is_ip(host: str) -> bool:
+    if ":" not in host and not _IPV4_CHARACTERS.issuperset(host):
+        return False
     try:
         ipaddress.ip_address(host)
         return True

@@ -529,6 +529,25 @@ class TestRecommend:
         assert len(caplog.records) == 1
         assert len(cache.read_text("utf-8").splitlines()) == len(lines) + 1
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    def test_unparseable_memento_uri_drops_its_candidate(self, capsys, fixtures_dir, tmp_path, cached):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(fixtures_dir, fixtures)
+        for timemap in (fixtures / "timemaps").iterdir():
+            text = timemap.read_text("utf-8")
+            timemap.write_text(text.replace("<https://web.archive.org/", "<ftp://web.archive.org/"), "utf-8")
+        argv = ["recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures), "--now", "2014-06-01T00:00:00Z"]
+        if cached:
+            argv += ["--cache", str(tmp_path / "c.jsonl")]
+        for _ in range(1 + cached):  # with a cache, once cold and once from its lines
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (EXIT_OK, "")
+            assert (
+                "dropped: http://cs.odu.edu (evidence unavailable: cannot parse scheme of "
+                "'ftp://web.archive.org/web/20140315000000/http://cs.odu.edu:80/': unsupported scheme 'ftp')"
+            ) in out.splitlines()
+            assert " 1  0.495025  " in out  # cs.gmu.edu, archived elsewhere, is still ranked
+
     def test_table_output(self, capsys, fixtures_dir):
         code, out, _ = run(
             capsys,
@@ -754,8 +773,9 @@ class TestSettingFlags:
 
 
 def test_fixture_recommend_leaves_requests_unimported(fixtures_dir):
-    """Only the network clients import ``requests``; a fixture run never
-    builds one, so it never pays for the import."""
+    """Only the network clients import ``requests``, and only the RFC 1123
+    fallback decoder imports ``email.utils``; a fixture run needs neither,
+    so it never pays for the imports."""
     script = (
         "import sys\n"
         "import archive_recommender\n"
@@ -764,6 +784,7 @@ def test_fixture_recommend_leaves_requests_unimported(fixtures_dir):
         " '--now', '2014-06-01T00:00:00Z'])\n"
         "assert code == 0, code\n"
         "assert 'requests' not in sys.modules, sorted(m for m in sys.modules if m.startswith('requests'))\n"
+        "assert 'email.utils' not in sys.modules, sorted(m for m in sys.modules if m.startswith('email'))\n"
     )
     src = Path(archives.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from typing import Sequence
 from unittest import mock
@@ -348,9 +349,9 @@ class TestVectorIndex:
         assert vindex.paths == (P("Computers"), P("Computers/Hardware"))
         assert list(vindex.row_category) == [0, 1, 1]
         assert list(vindex.totals) == ["Computers", "Computers/Hardware"]
-        board_rows, board_counts = vindex.postings["board"]
-        assert list(board_rows) == [1] and list(board_counts) == [1]
-        assert list(vindex.postings["example"][0]) == [0, 1, 2]
+        # (row, count) pairs, interleaved in one array per gram
+        assert list(vindex.postings["board"]) == [1, 1]
+        assert list(vindex.postings["example"][::2]) == [0, 1, 2]
 
     def test_featureless_entries_are_excluded(self):
         index = CategoryIndex(
@@ -717,6 +718,55 @@ class TestRefine:
     def test_subtree_index_of_an_absent_top_raises(self, taxonomy):
         with pytest.raises(DeepClassificationError, match="no indexed entries under Nowhere"):
             subtree_index(taxonomy, "Nowhere", GramScheme.ALL_GRAM)
+
+
+class TestModelMemo:
+    """``classify_deep`` keeps the model of each candidate set on its index,
+    up to ``MODELS_PER_INDEX``, and answers as a freshly fitted model does."""
+
+    @given(st.data(), st.sampled_from(list(GramScheme)), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_same_as_a_fresh_model_per_query(self, data, grams, cap):
+        top = data.draw(st.sampled_from(sorted({p.top for p in fixture_index().categories()})))
+        shared, words = fixture_subtree(top, grams)
+        vindex = replace(shared, models={})  # this example's own memo
+        path_sets = st.lists(st.sampled_from(vindex.paths), min_size=1, max_size=4, unique=True)
+        candidate_sets = data.draw(st.lists(path_sets, min_size=1, max_size=5))
+        # queries in random order over a few candidate sets, so that models
+        # are fitted, found again, and fitted past the cap
+        queries = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(candidate_sets),
+                    st.lists(st.sampled_from(words) | _NOISE, max_size=6),
+                    st.sampled_from([0.5, 1.0]),
+                ),
+                min_size=1,
+                max_size=20,
+            )
+        )
+        usable = row_counts(vindex)
+        kept: list[tuple[tuple[str, ...], float]] = []  # the first `cap` usable sets met
+        with mock.patch.object(deep, "MODELS_PER_INDEX", cap):
+            for paths, query_words, smoothing in queries:
+                tree = prune_tree(paths)
+                query = expand_query(TokenBag(TokenMethod.TOKENS, frozenset(), tuple(query_words)), grams)
+                before = dict(vindex.models)
+                assert deep_outcome(classify_deep, tree, vindex, query, smoothing) == (
+                    deep_outcome(classify_deep, tree, replace(vindex, models={}), query, smoothing)
+                )
+                key = (tuple(k for k in map(str, sorted(tree.candidates)) if usable[k]), smoothing)
+                if key[0] and key not in kept and len(kept) < cap:
+                    kept.append(key)
+                assert list(vindex.models) == kept
+                assert all(vindex.models[k] is model for k, model in before.items())
+
+    def test_left_out_of_equality_and_repr(self, taxonomy):
+        vindex = build_vector_index(taxonomy, GramScheme.ALL_GRAM)
+        blank = replace(vindex, models={})
+        refine(vindex, tokenize(taxonomy.entries_for(TAXONOMY_PATHS[3])[2].uri, TokenMethod.TOKENS), 10, 1.0)
+        assert len(vindex.models) == 1
+        assert vindex == blank and repr(vindex) == repr(blank)
 
 
 class TestEvaluateDeepSteps:

@@ -260,13 +260,15 @@ class TestSecondaryLookup:
         return CategoryIndex([entry("Computers/Internet", "http://known.com/")])
 
     def test_primary_hit(self):
-        outcome = lookup_requested(self.make_index(), None, "http://known.com/")
+        uri = "http://known.com/"
+        outcome = lookup_requested(self.make_index(), None, uri, canonicalize_surt(uri))
         assert outcome.found and outcome.source == "primary"
         assert str(outcome.category) == "Computers/Internet"
         assert [e.uri for e in outcome.entries] == ["http://known.com/"]
 
     def test_miss_without_secondary(self):
-        outcome = lookup_requested(self.make_index(), None, "http://unknown.com/")
+        uri = "http://unknown.com/"
+        outcome = lookup_requested(self.make_index(), None, uri, canonicalize_surt(uri))
         assert not outcome.found and outcome.source == "none"
 
     def test_secondary_hit(self, tmp_path):
@@ -278,7 +280,8 @@ class TestSecondaryLookup:
         path = tmp_path / "secondary.jsonl"
         path.write_text(json.dumps(record) + "\n", "utf-8")
         provider = FixtureOntologyProvider(path)
-        outcome = lookup_requested(self.make_index(), provider, "HTTP://TEAM.EXAMPLE.COM:80/")
+        uri = "HTTP://TEAM.EXAMPLE.COM:80/"
+        outcome = lookup_requested(self.make_index(), provider, uri, canonicalize_surt(uri))
         assert outcome.found and outcome.source == "secondary"
         assert str(outcome.category) == "Sports/Baseball_Teams"
         assert [e.uri for e in outcome.entries] == ["http://fanclub.example.org/"]
@@ -289,7 +292,8 @@ class TestSecondaryLookup:
             def lookup(self, uri):
                 raise RuntimeError("socket timeout")
 
-        outcome = lookup_requested(self.make_index(), Boom(), "http://unknown.com/")
+        uri = "http://unknown.com/"
+        outcome = lookup_requested(self.make_index(), Boom(), uri, canonicalize_surt(uri))
         assert not outcome.found
         assert "failed" in outcome.warning
 

@@ -321,6 +321,20 @@ class TestSharedAcrossThreads:
             return train_l1(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "train_l1", counting_train_l1)
+        deep_calls: list[tuple[deep.CategoryVectorIndex, frozenset]] = []
+        deep_models: list[nbayes.NaiveBayesModel] = []
+        classify_deep, nb_classify = deep.classify_deep, nbayes.classify
+
+        def recording_classify_deep(tree, vindex, query, smoothing):
+            deep_calls.append((vindex, tree.candidates))
+            return classify_deep(tree, vindex, query, smoothing)
+
+        def recording_nb_classify(model, bag):  # only the deep stage looks it up in nbayes
+            deep_models.append(model)
+            return nb_classify(model, bag)
+
+        monkeypatch.setattr(deep, "classify_deep", recording_classify_deep)
+        monkeypatch.setattr(nbayes, "classify", recording_nb_classify)
         shared = fixture_recommender(fixtures_dir, corpus_index)
         start = threading.Barrier(4, timeout=30)
         results: list[dict] = [{} for _ in range(4)]
@@ -343,6 +357,17 @@ class TestSharedAcrossThreads:
         assert not any(t.is_alive() for t in threads)
         assert all(result == serial for result in results)
         assert len(trained) == 1
+        # One model per distinct candidate set on each subtree, and every
+        # deep classification used the one its subtree kept.
+        subtrees = list(shared._subtrees.values())
+        for vindex in subtrees:
+            candidate_sets = {
+                (tuple(map(str, sorted(candidates))), pipeline.SMOOTHING)
+                for seen, candidates in deep_calls if seen is vindex
+            }
+            assert set(vindex.models) == candidate_sets
+        assert len(deep_calls) > sum(len(v.models) for v in subtrees) > 0
+        assert {id(m) for m in deep_models} == {id(m) for v in subtrees for m in v.models.values()}
 
 
 # Oracles of steps 3-4 as they ran before each index entry kept its SURT and

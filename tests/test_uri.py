@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ipaddress
 from collections import Counter
 from importlib import resources
 from urllib.parse import urlsplit
@@ -19,6 +20,7 @@ from archive_recommender.uri import (
     TokenMethod,
     TokenVariant,
     UriParseError,
+    _is_ip,
     _parse_checked,
     canonicalize_surt,
     depth,
@@ -142,6 +144,21 @@ class TestParseUri:
         assert v6.is_ip_host
         assert v6.host == v6.registered_domain == "::1"
         assert v6.tld == ""
+
+    @pytest.mark.parametrize(
+        "host",
+        ["192.168.1.10", "10.0.0.1", "0.0.0.0", "1.2.3", "01.2.3.4", "256.1.1.1", "1..2.3", "1234",
+         "::1", "2001:db8::8a2e:370:7334", "::ffff:192.0.2.1", "fe80::1%eth0", "1:2", ":::",
+         "[::1]", "[192.168.1.10]", "１２７.０.０.１", "١٢٧.0.0.1", "127.0.0.1x", "cs.odu.edu",
+         "a1.b2", "0x7f.0.0.1", "abcd::", "localhost", "."],
+    )
+    def test_is_ip_agrees_with_ipaddress(self, host):
+        try:
+            ipaddress.ip_address(host)
+            expected = True
+        except ValueError:
+            expected = False
+        assert _is_ip(host) is expected
 
     def test_error_carries_component(self):
         with pytest.raises(UriParseError) as exc:
