@@ -59,6 +59,18 @@ class AccessLogRecord:
             raise LogParseError(f"status {self.status} is not a 3-digit HTTP code")
 
 
+def _number(field: str) -> int | None:
+    """The value of a field of digits, else None. ``str.isdigit`` also passes
+    digits such as ``²`` that ``int`` rejects, and ``int`` rejects more
+    digits than ``sys.get_int_max_str_digits()``."""
+    if not field.isdigit():
+        return None
+    try:
+        return int(field)
+    except ValueError:
+        return None
+
+
 def parse_log_line(line: str) -> AccessLogRecord:
     parts = line.split(maxsplit=8)
     if len(parts) != 9:
@@ -66,20 +78,23 @@ def parse_log_line(line: str) -> AccessLogRecord:
     ip, when, method, uri, protocol, status, size, referrer, agent = parts
     try:
         access_time = datetime.fromisoformat(when.replace("Z", "+00:00"))
-    except ValueError as exc:
+        if access_time.tzinfo is None:
+            access_time = access_time.replace(tzinfo=timezone.utc)
+        # A time at the edge of the datetime range may not have a UTC value.
+        access_time = access_time.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
         raise LogParseError(f"bad access time {when!r}") from exc
-    if access_time.tzinfo is None:
-        access_time = access_time.replace(tzinfo=timezone.utc)
-    if not status.isdigit():
+    code = _number(status)
+    if code is None:
         raise LogParseError(f"non-numeric status {status!r}")
     return AccessLogRecord(
         client_ip=ip,
-        access_time=access_time.astimezone(timezone.utc),
+        access_time=access_time,
         method=method,
         uri=uri,
         protocol=protocol,
-        status=int(status),
-        bytes_sent=None if size == "-" else int(size) if size.isdigit() else None,
+        status=code,
+        bytes_sent=_number(size),
         referrer=None if referrer == "-" else referrer,
         user_agent=agent,
     )

@@ -87,12 +87,17 @@ class DistributionReport:
         return "\n".join(lines[1:]) + "\n"
 
 
-def host_dictionary_bucket(parsed: ParsedUri) -> str:
-    """``dictionary_bucket`` of the registrable host label's letters (public suffix removed)."""
+def _host_letters(parsed: ParsedUri) -> str:
+    """The ASCII letters of the registrable host label (public suffix removed)."""
     label, tld = parsed.registered_domain, parsed.tld
     if tld and label.endswith("." + tld):
         label = label[: -(len(tld) + 1)]
-    return dictionary_bucket("".join(ch for ch in label.lower() if ch in _LETTERS))
+    return "".join(ch for ch in label.lower() if ch in _LETTERS)
+
+
+def host_dictionary_bucket(parsed: ParsedUri) -> str:
+    """``dictionary_bucket`` of the registrable host label's letters (public suffix removed)."""
+    return dictionary_bucket(_host_letters(parsed))
 
 
 def analyze_uris(items: Iterable[tuple[str, str | None]]) -> DistributionReport:
@@ -102,6 +107,8 @@ def analyze_uris(items: Iterable[tuple[str, str | None]]) -> DistributionReport:
     patterns: Counter[str] = Counter()
     categories: Counter[str] = Counter()
     buckets: Counter[str] = Counter()
+    # Many URIs share a host: segment each distinct letter string once per call.
+    bucket_of: dict[str, str] = {}
     total = 0
     malformed = 0
     saw_category = False
@@ -119,7 +126,10 @@ def analyze_uris(items: Iterable[tuple[str, str | None]]) -> DistributionReport:
         for flag, value in report.flags().items():
             if value:
                 patterns[flag] += 1
-        buckets[host_dictionary_bucket(parsed)] += 1
+        letters = _host_letters(parsed)
+        if letters not in bucket_of:
+            bucket_of[letters] = dictionary_bucket(letters)
+        buckets[bucket_of[letters]] += 1
         if top is not None:
             saw_category = True
             categories[top] += 1

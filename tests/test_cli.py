@@ -727,6 +727,22 @@ class TestLogsAndStats:
         assert head["kept"] == 7
         assert head["total_lines"] == 20
 
+    def test_analyze_logs_counts_unreadable_status_and_time_as_malformed(self, capsys, fixtures_dir, tmp_path):
+        good = (fixtures_dir / "access_log_sample.log").read_text("utf-8").splitlines()[0]
+        assert " 200 5120 " in good and "2012-02-02T10:23:41Z" in good
+        bad = [
+            good.replace(" 200 ", " 2\u00b20 "),
+            good.replace("2012-02-02T10:23:41Z", "0001-01-01T00:00:00+01:00"),
+            good.replace("2012-02-02T10:23:41Z", "9999-12-31T23:59:59-01:00"),
+        ]
+        odd_size = good.replace(" 5120 ", " 5\u00b2 ")
+        log = tmp_path / "access.log"
+        log.write_text("\n".join([good, *bad, odd_size]) + "\n", "utf-8")
+        code, out, err = run(capsys, "analyze-logs", str(log), "--output", "records")
+        assert (code, err) == (EXIT_OK, "")
+        head = records_of(out)[0]
+        assert (head["total_lines"], head["malformed"], head["duplicate"], head["kept"]) == (5, 3, 1, 1)
+
     def test_stats(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "stats", "--fixtures", str(fixtures_dir))
         assert code == EXIT_OK

@@ -53,11 +53,35 @@ class TestParseLine:
             GOOD_LINE.replace("2012-02-02T10:23:41Z", "02/Feb/2012:10:23:41"),
             GOOD_LINE.replace(" 200 ", " OK "),
             GOOD_LINE.replace(" 200 ", " 999 "),
+            GOOD_LINE.replace(" 200 ", " 2\u00b20 "),  # isdigit passes "²", int refuses it
+            pytest.param(GOOD_LINE.replace(" 200 ", " " + "2" * 5000 + " "), id="5000-digit-status"),
+            # No UTC value inside years 1-9999.
+            GOOD_LINE.replace("2012-02-02T10:23:41Z", "0001-01-01T00:00:00+01:00"),
+            GOOD_LINE.replace("2012-02-02T10:23:41Z", "9999-12-31T23:59:59-01:00"),
         ],
     )
     def test_malformed(self, line):
         with pytest.raises(LogParseError):
             parse_log_line(line)
+
+    @pytest.mark.parametrize("size", ["5\u00b2", "1" * 5000], ids=["superscript", "5000-digits"])
+    def test_size_int_refuses_reads_as_none(self, size):
+        record = parse_log_line(GOOD_LINE.replace(" 5120 ", f" {size} "))
+        assert record.bytes_sent is None
+        assert record.status == 200
+
+    def test_other_decimal_digits_still_read(self):
+        line = GOOD_LINE.replace(" 200 5120 ", " \u0662\u0660\u0660 \u0665\u0661\u0662 ")
+        record = parse_log_line(line)
+        assert (record.status, record.bytes_sent) == (200, 512)
+
+    def test_times_at_the_range_edges_in_utc_still_read(self):
+        for when, expected in [
+            ("0001-01-01T00:00:00Z", datetime(1, 1, 1, tzinfo=timezone.utc)),
+            ("9999-12-31T23:59:59+00:00", datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc)),
+            ("0001-01-01T01:00:00+01:00", datetime(1, 1, 1, tzinfo=timezone.utc)),
+        ]:
+            assert parse_log_line(GOOD_LINE.replace("2012-02-02T10:23:41Z", when)).access_time == expected
 
     def test_parse_access_log_counts_malformed(self):
         stats_lines = [GOOD_LINE, "broken", GOOD_LINE]

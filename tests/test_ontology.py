@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from archive_recommender import reports
 from archive_recommender.ontology import (
     CategoryIndex,
     CategoryPath,
@@ -24,7 +25,7 @@ from archive_recommender.ontology import (
     lookup_requested,
     save_index,
 )
-from archive_recommender.uri import TokenMethod, canonicalize_surt, tokenize
+from archive_recommender.uri import TokenMethod, canonicalize_surt, parse_uri, tokenize
 
 TSV_SAMPLE = b"""\
 Computers/Internet\thttp://a.example.com/\tTitle A\tAbout A
@@ -312,3 +313,40 @@ def test_corpus_stats_smoke(corpus_index):
     assert {"tld", "depth", "category"} <= sections
     table = report.to_table()
     assert "tld" in table
+
+
+class TestDictionaryBucketMemo:
+    """``analyze_uris`` segments each distinct host-letter string once per call."""
+
+    @pytest.fixture
+    def bucket_calls(self, monkeypatch):
+        calls: list[str] = []
+        real = reports.dictionary_bucket
+
+        def counted(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(reports, "dictionary_bucket", counted)
+        return calls
+
+    def test_one_segmentation_per_distinct_label(self, corpus_index, bucket_calls):
+        corpus_stats(corpus_index)
+        assert len(bucket_calls) == len(set(bucket_calls)) == 125
+        assert len(corpus_index) == 489
+
+    def test_no_state_outlives_a_call(self, corpus_index, bucket_calls):
+        corpus_stats(corpus_index)
+        first = list(bucket_calls)
+        corpus_stats(corpus_index)
+        assert bucket_calls == first + first
+
+    def test_report_equals_one_built_without_the_memo(self, corpus_index):
+        report = corpus_stats(corpus_index)
+        buckets = Counter(
+            reports.host_dictionary_bucket(parse_uri(entry.uri, assume_http=True))
+            for entry in corpus_index.all_entries()
+        )
+        unmemoized = reports.DictionaryStats(buckets["all"], buckets["some"], buckets["none"])
+        assert report.dictionary == unmemoized
+        assert report.dictionary.total == report.total == 489

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+import math
+from importlib import resources
 
-from archive_recommender.words import SegmentPiece, WordLexicon, dictionary_bucket, segment_words
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from archive_recommender.words import (
+    UNKNOWN_BASE_COST,
+    UNKNOWN_CHAR_COST,
+    SegmentPiece,
+    WordLexicon,
+    dictionary_bucket,
+    segment_words,
+)
 
 
 def test_bundled_lexicon_loads_once():
@@ -84,3 +94,110 @@ def test_empty_lexicon_rejected():
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=30))
 def test_pieces_concatenate_to_input(text):
     assert "".join(p.text for p in segment_words(text)) == text
+
+
+def segment_words_all_pairs(text: str, lexicon: WordLexicon) -> list[SegmentPiece]:
+    """Oracle: the dynamic program over every (start, end) pair that
+    ``segment_words`` prunes to lexicon prefixes."""
+    if not text:
+        return []
+    if not (text.isalpha() and text == text.lower()):
+        return [SegmentPiece(text, text in lexicon)]
+
+    n = len(text)
+    # best[i] = (cost, start_of_last_piece, last_piece_is_word) for text[:i]
+    best: list[tuple[float, int, bool]] = [(0.0, 0, False)] + [(math.inf, 0, False)] * n
+    for i in range(1, n + 1):
+        for j in range(i):
+            if best[j][0] == math.inf:
+                continue
+            piece = text[j:i]
+            word_cost = lexicon.cost(piece)
+            if word_cost is None:
+                cost = best[j][0] + UNKNOWN_BASE_COST + UNKNOWN_CHAR_COST * len(piece)
+                candidate = (cost, j, False)
+            else:
+                candidate = (best[j][0] + word_cost, j, True)
+            if candidate[0] < best[i][0]:
+                best[i] = candidate
+
+    pieces: list[SegmentPiece] = []
+    i = n
+    while i > 0:
+        _, j, is_word = best[i]
+        pieces.append(SegmentPiece(text[j:i], is_word))
+        i = j
+    pieces.reverse()
+
+    merged: list[SegmentPiece] = []
+    for piece in pieces:
+        if merged and not piece.is_word and not merged[-1].is_word:
+            merged[-1] = SegmentPiece(merged[-1].text + piece.text, False)
+        else:
+            merged.append(piece)
+    return merged
+
+
+BUNDLED_WORDS = sorted(
+    line.strip()
+    for line in resources.files("archive_recommender.data").joinpath("wordfreq.txt").read_text("utf-8").splitlines()
+    if line.strip().isalpha()
+)
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+words_run = st.lists(st.sampled_from(BUNDLED_WORDS), min_size=1, max_size=8).map("".join)
+bundled_texts = st.one_of(
+    words_run,
+    st.text(alphabet=LETTERS, min_size=1, max_size=64),
+    st.lists(st.one_of(st.sampled_from(BUNDLED_WORDS), st.text(alphabet=LETTERS, min_size=1, max_size=5)),
+             min_size=1, max_size=10).map("".join),
+).map(lambda text: text[:64])
+
+
+@settings(max_examples=200, deadline=None)
+@given(bundled_texts)
+def test_pruned_dp_matches_all_pairs_oracle_on_bundled_lexicon(text):
+    lexicon = WordLexicon.bundled()
+    assert segment_words(text, lexicon) == segment_words_all_pairs(text, lexicon)
+    assert segment_words(text) == segment_words(text, lexicon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.text(alphabet="ab", min_size=1, max_size=4), min_size=1, max_size=6),
+    st.text(alphabet="ab", min_size=1, max_size=24),
+)
+# An unknown piece that can slide along a run of one word: the costs of its
+# placements tie but for rounding, so the grouping of each sum decides.
+@example(["aa", "bbb", "a"], "bbbbbbbb")
+@example(["abb", "aaa", "ab"], "aaaaaaaaaaa")
+@example(["aaa", "bb"], "bbbbaaaaaaaaaaaaaabbaaa")
+@example(["baa", "aaa", "bb", "ba", "bba"], "aaaaabbabb")
+@example(["aba", "aa"], "abaaaaaababaaa")
+def test_pruned_dp_matches_all_pairs_oracle_on_tie_heavy_lexicons(words, text):
+    # A handful of words over two letters: many segmentations cost the same.
+    lexicon = WordLexicon(words)
+    assert segment_words(text, lexicon) == segment_words_all_pairs(text, lexicon)
+
+
+NON_ASCII_LETTERS = "aeéèüßøçñåłж"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.text(alphabet=NON_ASCII_LETTERS, min_size=1, max_size=5), min_size=1, max_size=8),
+    st.text(alphabet=NON_ASCII_LETTERS, min_size=1, max_size=32),
+)
+def test_pruned_dp_matches_all_pairs_oracle_on_non_ascii_letters(words, text):
+    lexicon = WordLexicon(words)
+    assert segment_words(text, lexicon) == segment_words_all_pairs(text, lexicon)
+    bundled = WordLexicon.bundled()
+    assert segment_words(text, bundled) == segment_words_all_pairs(text, bundled)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(max_size=24))
+def test_pruned_dp_matches_all_pairs_oracle_on_any_text(text):
+    # Mostly degenerate: empty, upper case, digits, punctuation, whitespace.
+    lexicon = WordLexicon.bundled()
+    assert segment_words(text, lexicon) == segment_words_all_pairs(text, lexicon)
