@@ -14,7 +14,6 @@ from archive_recommender.archives import (
     FixtureArchiveSource,
     FixtureDamageProvider,
     FixturePopularityProvider,
-    nearest_memento,
 )
 from archive_recommender.uri import canonicalize_surt
 
@@ -47,7 +46,7 @@ def main() -> None:
         print(f"  mementos: {archive.memento_count}" + (" (truncated)" if archive.truncated else ""))
         for when, memento_uri in archive.mementos:
             print(f"    {when:%Y-%m-%d %H:%M:%S}  {memento_uri}")
-        when, uri = nearest_memento(archive, wanted)
+        when, _ = evidence.memento  # the service's pick, the one ranking scores
         print(f"  nearest to {wanted:%Y-%m-%d}: {when:%Y-%m-%d %H:%M:%S}")
         rank = evidence.popularity.global_rank if evidence.popularity else None
         print(f"  popularity rank: {rank if rank is not None else 'unknown'}")

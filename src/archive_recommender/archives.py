@@ -613,7 +613,8 @@ class EvidenceCache:
                 entry = self._entries[key] = (entry[0], raw, decode(raw))
             return entry[2]
 
-    def put(self, provider: str, kind: str, surt: str, value: dict) -> None:
+    def put(self, provider: str, kind: str, surt: str, value: dict, decoded=_UNDECODED) -> None:
+        """Append a line; ``decoded``, if given, is kept as the line's decoded value."""
         record = {
             "provider": provider,
             "kind": kind,
@@ -623,7 +624,7 @@ class EvidenceCache:
         }
         line = json.dumps(record, sort_keys=True)
         with self._lock:
-            self._entries[(provider, kind, surt)] = (record["fetched_at"], value, _UNDECODED)
+            self._entries[(provider, kind, surt)] = (record["fetched_at"], value, decoded)
             if self._handle is None:
                 self._handle = open(self.path, "a", encoding="utf-8")
                 self._release = weakref.finalize(self, self._handle.close)
@@ -649,31 +650,32 @@ class EvidenceCache:
 # Evidence service: cached, concurrent fan-out over candidates
 
 
-def _decode_rank(value: dict) -> int | None:
-    rank = value.get("rank")
+def _int_rank(rank) -> int | None:
+    """A popularity rank as an integer, as fetched or as read from its line."""
     return None if rank is None else int(rank)
 
 
 # Each cached kind: its name in warnings, the encoder that writes a value to
-# its cache line, the decoder that reads one back and raises on any value it
-# cannot read, and whether a fetched value may stand for its decoded line.
-# That holds where decode(encode(v)) == v for every value the fetcher returns:
-# TimeMaps (sorted, UTC, whole seconds) and damage; not popularity, whose
-# decoder truncates a rank that is not an int. The TimeMap decoder is looked
-# up on each call, so a wrapper put on the class is seen.
+# its cache line, and the decoder that reads one back and raises on any value
+# it cannot read. decode(encode(v)) == v for every value a fetch returns
+# (TimeMaps are sorted, UTC and whole seconds; ranks are read as integers),
+# so a fetched value stands for its line's decoded one. The TimeMap decoder
+# is looked up on each call, so a wrapper put on the class is seen.
 _CODECS = {
-    "timemap": (
-        "TimeMap", ArchiveEvidence.to_json_dict, lambda value: ArchiveEvidence.from_json_dict(value), True
-    ),
-    "popularity": ("popularity", lambda rank: {"rank": rank}, _decode_rank, False),
-    "damage": ("damage", DamageEvidence.to_json_dict, DamageEvidence.from_json_dict, True),
+    "timemap": ("TimeMap", ArchiveEvidence.to_json_dict, lambda value: ArchiveEvidence.from_json_dict(value)),
+    "popularity": ("popularity", lambda rank: {"rank": rank}, lambda value: _int_rank(value.get("rank"))),
+    "damage": ("damage", DamageEvidence.to_json_dict, DamageEvidence.from_json_dict),
 }
 
 
 @dataclass
 class CandidateEvidence:
+    """One candidate's evidence. An archived record carries the memento that
+    ranking scores, with popularity and damage; any other carries none."""
+
     uri: str
     archive: ArchiveEvidence
+    memento: tuple[datetime, str] | None = None  # (datetime UTC, memento URI)
     popularity: PopularityEvidence | None = None
     damage: DamageEvidence | None = None
     error: str | None = None
@@ -705,7 +707,7 @@ class EvidenceService:
         encoded only to write its cache line, and a cache entry is decoded
         at most once. A cached value that does not decode counts as a miss:
         it is fetched again and superseded."""
-        label, encode, decode, fetched_is_decoded = _CODECS[kind]
+        label, encode, decode = _CODECS[kind]
         cache = self.cache
         if cache is not None:
             hit = cache.get("gateway", kind, surt)
@@ -719,10 +721,7 @@ class EvidenceService:
                     )
         value = fetch()
         if cache is not None:
-            raw = encode(value)
-            cache.put("gateway", kind, surt, raw)
-            if fetched_is_decoded:  # keep the fetched value as the line's decoded one
-                cache.decoded("gateway", kind, surt, raw, lambda _: value)
+            cache.put("gateway", kind, surt, encode(value), value)
         return value
 
     def _fetch_timemap(self, uri: str) -> ArchiveEvidence:
@@ -740,11 +739,13 @@ class EvidenceService:
         if self.popularity_provider is None:
             return None
         domain = parse_uri(uri, assume_http=True).registered_domain
-        return self.popularity_provider.get_rank(domain)
+        return _int_rank(self.popularity_provider.get_rank(domain))
 
     def evidence_for(self, uri: str, surt: str, requested: datetime) -> CandidateEvidence:
         """The evidence of one candidate, its TimeMap and popularity cached
-        under ``surt``, the candidate's SURT (``canonicalize_surt(uri)``)."""
+        under ``surt``, the candidate's SURT (``canonicalize_surt(uri)``).
+        The one pick of its memento nearest ``requested`` keys the damage,
+        and is kept on the record for ranking."""
         try:
             archive = self._cached("timemap", surt, lambda: self._fetch_timemap(uri))
         except ArchiveFetchError as exc:
@@ -753,9 +754,9 @@ class EvidenceService:
         if not archive.archived:
             return CandidateEvidence(uri=uri, archive=archive)
 
-        _, nearest_uri = nearest_memento(archive, requested)
+        memento = nearest_memento(archive, requested)
         try:
-            nearest_surt = canonicalize_surt(nearest_uri)
+            nearest_surt = canonicalize_surt(memento[1])
         except UriParseError as exc:
             return CandidateEvidence(uri=uri, archive=archive, error=str(exc))
         rank = self._cached("popularity", surt, lambda: self._fetch_rank(uri))
@@ -766,9 +767,9 @@ class EvidenceService:
         damage = self._cached(
             "damage",
             nearest_surt,
-            lambda: fetch_damage(self.damage_provider, nearest_uri),
+            lambda: fetch_damage(self.damage_provider, memento[1]),
         )
-        return CandidateEvidence(uri=uri, archive=archive, popularity=popularity, damage=damage)
+        return CandidateEvidence(uri=uri, archive=archive, memento=memento, popularity=popularity, damage=damage)
 
     def gather(self, candidates: Sequence[tuple[str, str]], requested: datetime) -> list[CandidateEvidence]:
         """Fetch evidence for every (uri, SURT) candidate concurrently; results

@@ -360,14 +360,31 @@ class SecondaryRecord:
     categories: tuple[str, ...]
     members: tuple[str, ...]
 
+    @cached_property
+    def _category_and_members(self) -> tuple[CategoryPath, tuple[OntologyEntry, ...], str | None]:
+        """The record's category, an entry per member URI that parses, and
+        the warning for the last one that does not; worked out on the first
+        lookup that finds the record and kept with it."""
+        category = CategoryPath(tuple(label.replace("/", "_") for label in self.categories))
+        entries = []
+        warning = None
+        for member in self.members:
+            try:
+                entries.append(OntologyEntry(category=category, uri=member, surt=canonicalize_surt(member)))
+            except UriParseError as exc:
+                warning = f"skipped unparseable member URI: {exc}"
+        return category, tuple(entries), warning
+
 
 class OntologyProvider(Protocol):
     def lookup(self, uri: str) -> SecondaryRecord | None: ...
 
 
 class FixtureOntologyProvider:
-    """JSON Lines file of {official_uri, categories, members}, matched by SURT;
-    a line that is not one raises InputFileError."""
+    """JSON Lines file of {official_uri, categories, members}, matched by SURT.
+    A line that is not one raises InputFileError: one whose official URI does
+    not parse, whose categories are not an array of non-empty strings, or
+    whose members are not an array."""
 
     def __init__(self, path: str | Path):
         self._by_surt: dict[str, SecondaryRecord] = {}
@@ -376,14 +393,16 @@ class FixtureOntologyProvider:
                 continue
             try:
                 obj = json.loads(line)
-                record = SecondaryRecord(
-                    official_uri=obj["official_uri"],
-                    categories=tuple(obj.get("categories", ())),
-                    members=tuple(obj.get("members", ())),
-                )
-            except (ValueError, KeyError, TypeError) as exc:
+                official_uri = obj["official_uri"]
+                categories, members = obj.get("categories", []), obj.get("members", [])
+                if not isinstance(categories, list) or not all(isinstance(c, str) and c for c in categories):
+                    raise ValueError("categories is not an array of non-empty strings")
+                if not isinstance(members, list):
+                    raise ValueError("members is not an array")
+                surt = canonicalize_surt(official_uri)
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise InputFileError(f"{path}:{lineno}: malformed ontology record {line!r}: {exc!r}") from None
-            self._by_surt[canonicalize_surt(record.official_uri)] = record
+            self._by_surt[surt] = SecondaryRecord(official_uri, tuple(categories), tuple(members))
 
     def lookup(self, uri: str) -> SecondaryRecord | None:
         return self._by_surt.get(canonicalize_surt(uri))
@@ -430,19 +449,9 @@ def lookup_requested(
         )
     if record is None or not record.categories:
         return LookupOutcome(found=False, category=None, entries=[], source="none")
-    labels = tuple(label.replace("/", "_") for label in record.categories)
-    category = CategoryPath(labels)
-    entries = []
-    warning = None
-    for member in record.members:
-        try:
-            entries.append(
-                OntologyEntry(category=category, uri=member, surt=canonicalize_surt(member))
-            )
-        except UriParseError as exc:
-            warning = f"skipped unparseable member URI: {exc}"
+    category, entries, warning = record._category_and_members
     return LookupOutcome(
-        found=True, category=category, entries=entries, source="secondary", warning=warning
+        found=True, category=category, entries=list(entries), source="secondary", warning=warning
     )
 
 

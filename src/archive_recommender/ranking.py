@@ -11,13 +11,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Sequence
 
-from .archives import (
-    CandidateEvidence,
-    DamageEvidence,
-    DamageSource,
-    PopularityEvidence,
-    nearest_memento,
-)
+from .archives import CandidateEvidence, DamageEvidence, PopularityEvidence
 
 __all__ = [
     "EARLIEST_ARCHIVE_DATE",
@@ -156,25 +150,25 @@ def rank(
     ``candidate_tokens`` holds each candidate's TOKENS feature set, in
     candidate order; ``notes`` end every recommendation's explanations.
     Ties on score break lexicographically by URI so output is reproducible.
-    ``upper_bound`` defaults to the current instant. Candidates must be
-    archived — unarchived pages are filtered before ranking, not here.
+    ``upper_bound`` defaults to the current instant. Each candidate is an
+    archived record whose memento, popularity and damage the evidence layer
+    set; unarchived pages are filtered before ranking, not here.
     """
     if upper_bound is None:
         upper_bound = datetime.now(timezone.utc)
     requested_text = _iso(requested)
     results: list[Recommendation] = []
     for candidate, tokens in zip(candidates, candidate_tokens, strict=True):
-        if not candidate.archive.archived:
+        if candidate.memento is None:
             raise ValueError(f"cannot rank unarchived candidate {candidate.uri}")
-        memento_dt, memento_uri = nearest_memento(candidate.archive, requested)
+        memento_dt, memento_uri = candidate.memento
         t = temporal_score(
             TemporalInputs(requested, memento_dt, upper_bound, earliest),
             as_similarity=temporal_as_similarity,
         )
         p = popularity_score(candidate.popularity)
         s = uri_similarity(request_tokens, tokens)
-        damage = candidate.damage or DamageEvidence(0.5, DamageSource.DEFAULT_MISSING)
-        q = archival_quality(damage)
+        q = archival_quality(candidate.damage)
         score = (
             weights.temporal * t
             + weights.popularity * p
@@ -192,7 +186,7 @@ def rank(
             f"temporal={t:.6f}: nearest memento {_iso(memento_dt)} vs requested {requested_text}",
             f"popularity={p:.6f}: {rank_text}, {candidate.archive.memento_count} mementos",
             f"similarity={s:.6f}: {shared} shared of {union} tokens",
-            f"quality={q:.6f}: damage {damage.damage:.6f} ({damage.source.value})",
+            f"quality={q:.6f}: damage {candidate.damage.damage:.6f} ({candidate.damage.source.value})",
         ) + notes
         results.append(
             Recommendation(

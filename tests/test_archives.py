@@ -1638,8 +1638,7 @@ class TestDecodeOnce:
         assert warm == [cold] * 3
         assert all(w.archive is cold.archive and w.damage is cold.damage for w in warm)
         assert source.calls == 1
-        # popularity is never taken from the fetch; its first hit decodes it
-        assert calls == {"timemap": 0, "popularity": 1, "damage": 0}
+        assert calls == {"timemap": 0, "popularity": 0, "damage": 0}
 
     def test_loaded_entry_decodes_once_over_three_hits(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.jsonl"
@@ -1702,9 +1701,14 @@ class TestDecodeOnce:
         assert len(caplog.records) == 3
         assert all("refetching undecodable TimeMap" in r.getMessage() for r in caplog.records)
 
-    def test_popularity_hit_decodes_the_line_not_the_fetch(self, tmp_path):
-        """A provider that breaks the ``int | None`` protocol: the fetch
-        serves its rank as given, a hit serves the rank the line decodes to."""
-        service = self.service(MapSource(SINGLE_PAGE), EvidenceCache(tmp_path / "cache.jsonl"), rank=2.7)
-        assert evidence_for(service, self.URI, self.REQUESTED).popularity.global_rank == 2.7
-        assert evidence_for(service, self.URI, self.REQUESTED).popularity.global_rank == 2
+    def test_float_rank_reads_the_same_cold_and_warm(self, tmp_path):
+        """A provider that breaks the ``int | None`` protocol: its rank is
+        read as an integer when fetched, as a cache line's rank is, so a
+        cold request, a warm one and one from the reloaded file agree."""
+        path = tmp_path / "cache.jsonl"
+        service = self.service(MapSource(SINGLE_PAGE), EvidenceCache(path), rank=5.7)
+        cold = evidence_for(service, self.URI, self.REQUESTED).popularity.global_rank
+        warm = evidence_for(service, self.URI, self.REQUESTED).popularity.global_rank
+        reloaded = self.service(ExplodingSource(), EvidenceCache(path), rank=None)
+        assert cold == warm == evidence_for(reloaded, self.URI, self.REQUESTED).popularity.global_rank == 5
+        assert '"value": {"rank": 5}' in path.read_text("utf-8")

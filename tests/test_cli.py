@@ -292,8 +292,23 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "row, why",
-        [(b"not json", "JSONDecodeError"), (b'{"categories": ["A"]}', "KeyError('official_uri')")],
-        ids=["not-json", "no-official-uri"],
+        [
+            (b"not json", "JSONDecodeError"),
+            (b'{"categories": ["A"]}', "KeyError('official_uri')"),
+            (b'{"official_uri": "http://x.example/", "categories": [""]}', "not an array of non-empty strings"),
+            (b'{"official_uri": "http://x.example/", "categories": [1]}', "not an array of non-empty strings"),
+            (b'{"official_uri": "http://x.example/", "categories": "Arts"}', "not an array of non-empty strings"),
+            (
+                b'{"official_uri": "http://x.example/", "categories": ["A"], "members": "http://cs.odu.edu/"}',
+                "members is not an array",
+            ),
+            (b'{"official_uri": 5, "categories": ["A"]}', "cannot parse uri of '5': empty input"),
+            (b"[" * 5000, "RecursionError"),
+        ],
+        ids=[
+            "not-json", "no-official-uri", "empty-category", "number-category", "string-categories",
+            "string-members", "unparseable-official-uri", "nested-too-deep",
+        ],
     )
     def test_malformed_secondary_ontology_line(self, capsys, fixtures_dir, tmp_path, row, why):
         fixtures, lineno = fixtures_with_line(fixtures_dir, tmp_path, "secondary_ontology.jsonl", row)

@@ -8,6 +8,7 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from archive_recommender import reports
 from archive_recommender.ontology import (
@@ -25,7 +26,7 @@ from archive_recommender.ontology import (
     lookup_requested,
     save_index,
 )
-from archive_recommender.uri import TokenMethod, canonicalize_surt, parse_uri, tokenize
+from archive_recommender.uri import InputFileError, TokenMethod, canonicalize_surt, parse_uri, tokenize
 
 TSV_SAMPLE = b"""\
 Computers/Internet\thttp://a.example.com/\tTitle A\tAbout A
@@ -304,6 +305,73 @@ class TestSecondaryLookup:
         assert isinstance(record, SecondaryRecord)
         assert record.members
         assert provider.lookup("http://www.mickeymantle.com/") is None  # www is a different SURT
+
+
+# Any JSON value, with lone surrogates in its text.
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ANY_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+RECORD_URIS = ANY_TEXT | st.sampled_from(
+    ["http://team.example.com/", "HTTP://TEAM.EXAMPLE.COM:80/", "fan.example.org", "http://", "", "not a uri",
+     "http://[::1/x", "http://bad host/", "http://128.82.4.1/x"]
+)
+# A record the provider loads: an official URI that parses, categories that
+# are non-empty strings, members that are any array.
+LOADABLE_RECORDS = st.fixed_dictionaries(
+    {"official_uri": st.from_regex(r"(https?://)?[a-z]{1,6}\.(example|com)(:80)?/?", fullmatch=True)},
+    optional={
+        "categories": st.lists(st.text(st.characters(exclude_categories=()), min_size=1, max_size=8), max_size=3),
+        "members": st.lists(RECORD_URIS | ANY_JSON, max_size=3),
+    },
+)
+# A line with any value in each field, or any JSON value at all.
+ANY_LINES = ANY_JSON | st.fixed_dictionaries(
+    {},
+    optional={
+        "official_uri": RECORD_URIS | ANY_JSON,
+        "categories": st.lists(RECORD_URIS | ANY_JSON, max_size=3) | ANY_JSON,
+        "members": st.lists(RECORD_URIS | ANY_JSON, max_size=3) | ANY_JSON,
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def secondary_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("secondary") / "secondary.jsonl"
+
+
+@given(
+    loadable=st.lists(LOADABLE_RECORDS, min_size=1, max_size=3),
+    other=st.none() | ANY_LINES,
+    where=st.integers(0, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_secondary_file_loads_or_names_its_line(secondary_path, loadable, other, where):
+    """A secondary ontology either loads, and then looking up any of its
+    official URIs raises nothing, or raises InputFileError naming the path,
+    the line and its text. One line of any value may join loadable ones."""
+    records = loadable[:where] + ([] if other is None else [other]) + loadable[where:]
+    lines = [json.dumps(record) for record in records]
+    secondary_path.write_text("".join(line + "\n" for line in lines), "utf-8")
+    try:
+        provider = FixtureOntologyProvider(secondary_path)
+    except InputFileError as exc:
+        location, _, rest = str(exc).partition(": malformed ontology record ")
+        path, _, lineno = location.rpartition(":")
+        assert path == str(secondary_path)
+        assert rest.startswith(repr(lines[int(lineno) - 1]) + ": ")
+        assert other is not None and lines[int(lineno) - 1] == json.dumps(other)
+        event("rejected")
+        return
+    event("loaded")
+    index = CategoryIndex([entry("Computers/Internet", "http://known.com/")])
+    for record in records:
+        uri = record["official_uri"]
+        outcome = lookup_requested(index, provider, uri, canonicalize_surt(uri))
+        assert lookup_requested(index, provider, uri, canonicalize_surt(uri)) == outcome
 
 
 def test_corpus_stats_smoke(corpus_index):

@@ -12,11 +12,14 @@ import pytest
 from archive_recommender import deep, nbayes, pipeline
 from archive_recommender import uri as uri_module
 from archive_recommender.archives import (
+    DamageEvidence,
+    DamageSource,
     EvidenceCache,
     EvidenceService,
     FixtureArchiveSource,
     FixtureDamageProvider,
     FixturePopularityProvider,
+    nearest_memento,
 )
 from archive_recommender.ontology import (
     CategoryIndex,
@@ -371,18 +374,48 @@ class TestSharedAcrossThreads:
 
 
 # Oracles of steps 3-4 as they ran before each index entry kept its SURT and
-# token set: every request works both out again from the candidate's URI, and
-# the path note is added to a copy of each ranked recommendation.
+# token set, and before the evidence record carried its memento: every request
+# works both out again from the candidate's URI, ranking picks each
+# candidate's nearest memento itself and reads a missing damage as the
+# neutral 0.5, and the path note is added to a copy of each ranked
+# recommendation.
 
 
 def gather_canonicalizing(service, candidates, requested):
-    return [service.evidence_for(u, canonicalize_surt(u), requested) for u, _ in candidates]
+    return [replace(service.evidence_for(u, canonicalize_surt(u), requested), memento=None) for u, _ in candidates]
+
+
+def rank_picking(candidates, *args, requested, **kwargs):
+    picked = []
+    for c in candidates:
+        if not c.archive.archived:
+            raise ValueError(f"cannot rank unarchived candidate {c.uri}")
+        damage = c.damage or DamageEvidence(0.5, DamageSource.DEFAULT_MISSING)
+        picked.append(replace(c, memento=nearest_memento(c.archive, requested), damage=damage))
+    return rank(picked, *args, requested=requested, **kwargs)
 
 
 def rank_tokenizing(candidates, weights, top_n, *, candidate_tokens, notes, **kwargs):
     tokens = [frozenset(tokenize(c.uri, TokenMethod.TOKENS)) for c in candidates]
-    ranked = rank(candidates, weights, top_n, candidate_tokens=tokens, **kwargs)
+    ranked = rank_picking(candidates, weights, top_n, candidate_tokens=tokens, **kwargs)
     return [replace(r, explanations=r.explanations + notes) for r in ranked]
+
+
+def count_calls(monkeypatch, functions: dict[str, object]) -> dict[str, list]:
+    """The first argument of every call of each named function, counted
+    wherever the package binds it."""
+    calls: dict[str, list] = {name: [] for name in functions}
+    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "archive_recommender"]
+    for name, original in functions.items():
+
+        def counted(first, *args, _name=name, _original=original, **kwargs):
+            calls[_name].append(first)
+            return _original(first, *args, **kwargs)
+
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestStepsThreeAndFourOracle:
@@ -415,25 +448,38 @@ class TestStepsThreeAndFourOracle:
             assert (fast_lines is None) == (fast.route == "none")
 
     @pytest.mark.parametrize("parallelism", [1, 4], ids=["serial", "pool"])
+    @pytest.mark.parametrize(
+        "requested_uri, archived",
+        [
+            ("http://odu.edu/compsci", 8),
+            ("http://cs.gmu.edu", 7),
+            ("http://mickeymantle.com/", 1),
+            ("http://odu.edu/", 0),
+        ],
+    )
+    def test_one_memento_pick_per_archived_candidate(
+        self, fixtures_dir, corpus_index, monkeypatch, parallelism, requested_uri, archived
+    ):
+        recommender = fixture_recommender(fixtures_dir, corpus_index, parallelism=parallelism)
+        request = RecommendationRequest(uri=requested_uri, datetime=REQUESTED)
+        expected = recommender.recommend(request, now=NOW)
+        calls = count_calls(monkeypatch, {"nearest_memento": nearest_memento})
+        for _ in range(2):  # a cold and a warm request of one recommender
+            calls["nearest_memento"].clear()
+            result = recommender.recommend(request, now=NOW)
+            assert result == expected
+            assert f"step3: {archived} of " in "\n".join(result.trace)
+            assert sorted(e.uri for e in calls["nearest_memento"]) == sorted(r.uri for r in result.recommendations)
+            assert len(calls["nearest_memento"]) == archived
+
+    @pytest.mark.parametrize("parallelism", [1, 4], ids=["serial", "pool"])
     def test_warm_request_derives_nothing_per_candidate(self, fixtures_dir, corpus_index, monkeypatch, parallelism):
         recommender = fixture_recommender(fixtures_dir, corpus_index, parallelism=parallelism)
         request = RecommendationRequest(uri="http://odu.edu/compsci", datetime=REQUESTED)
         expected = recommender.recommend(request, now=NOW)
-
-        # Count calls wherever the package binds the two functions.
-        calls: dict[str, list[str]] = {"canonicalize_surt": [], "tokenize": []}
-        modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "archive_recommender"]
-        for name in calls:
-            original = getattr(uri_module, name)
-
-            def counted(text, *args, _name=name, _original=original, **kwargs):
-                calls[_name].append(text)
-                return _original(text, *args, **kwargs)
-
-            for module in modules:
-                if vars(module).get(name) is original:
-                    monkeypatch.setattr(module, name, counted)
-
+        calls = count_calls(
+            monkeypatch, {"canonicalize_surt": uri_module.canonicalize_surt, "tokenize": uri_module.tokenize}
+        )
         result = recommender.recommend(request, now=NOW)
         assert result == expected
         assert len(result.recommendations) == 8
@@ -442,3 +488,17 @@ class TestStepsThreeAndFourOracle:
         assert set(calls["tokenize"]) == {request.uri}  # its ranking bag and its first-level features
         # Beside the requested URI, only the damage key of each nearest memento.
         assert set(calls["canonicalize_surt"]) == {request.uri} | {r.memento_uri for r in result.recommendations}
+
+    def test_warm_secondary_hit_derives_nothing_per_member(self, fixtures_dir, corpus_index, monkeypatch):
+        recommender = fixture_recommender(fixtures_dir, corpus_index)
+        request = RecommendationRequest(uri="http://mickeymantle.com/", datetime=REQUESTED)
+        expected = recommender.recommend(request, now=NOW)
+        calls = count_calls(
+            monkeypatch, {"canonicalize_surt": uri_module.canonicalize_surt, "tokenize": uri_module.tokenize}
+        )
+        result = recommender.recommend(request, now=NOW)
+        assert result == expected
+        assert result.route == "ontology-hit"
+        (member,) = [r.uri for r in result.recommendations]
+        assert member == "http://baseballcards.example.com/"
+        assert member not in calls["canonicalize_surt"] + calls["tokenize"]

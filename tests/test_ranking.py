@@ -18,7 +18,10 @@ from archive_recommender.archives import (
     CandidateEvidence,
     DamageEvidence,
     DamageSource,
+    EvidenceService,
     PopularityEvidence,
+    fetch_damage,
+    nearest_memento,
 )
 from archive_recommender.ranking import (
     EARLIEST_ARCHIVE_DATE,
@@ -30,7 +33,7 @@ from archive_recommender.ranking import (
     temporal_score,
     uri_similarity,
 )
-from archive_recommender.uri import TokenMethod, tokenize
+from archive_recommender.uri import TokenMethod, canonicalize_surt, tokenize
 
 UTC = timezone.utc
 TOL = 1e-9
@@ -202,17 +205,34 @@ def rank_by_uri(candidates, *args, **kwargs):
     return rank(candidates, *args, candidate_tokens=tokens, **kwargs)
 
 
+def archived(uri, archive, popularity, damage) -> CandidateEvidence:
+    """A record as the evidence layer hands it to ranking: the memento
+    nearest REQUESTED, and a damage of ``damage``, or the neutral default
+    where it is None."""
+    memento = nearest_memento(archive, REQUESTED)
+    return CandidateEvidence(
+        uri=uri,
+        archive=archive,
+        memento=memento,
+        popularity=popularity,
+        damage=fetch_damage(None, memento[1]) if damage is None else DamageEvidence(damage, DamageSource.PROVIDER),
+    )
+
+
+class OneMementoSource:
+    """A TimeMap source with one memento of every URI, at REQUESTED."""
+
+    def get_timemap(self, uri):
+        return f'<https://a/web/20140301000000/{uri}>; rel="memento"; datetime="Sat, 01 Mar 2014 00:00:00 GMT"'
+
+    def get_page(self, page_uri):
+        return None
+
+
 class TestRank:
     def page(self, uri, memento_at, rank_value, count, damage) -> CandidateEvidence:
-        return CandidateEvidence(
-            uri=uri,
-            archive=evidence_at(memento_at, uri=uri),
-            popularity=PopularityEvidence(
-                global_rank=rank_value, archive_count=count,
-                archive_count_ceiling=538_300,
-            ),
-            damage=None if damage is None else DamageEvidence(damage, DamageSource.PROVIDER),
-        )
+        popularity = PopularityEvidence(global_rank=rank_value, archive_count=count, archive_count_ceiling=538_300)
+        return archived(uri, evidence_at(memento_at, uri=uri), popularity, damage)
 
     def test_endpoint_scores(self):
         best = self.page("http://best.example.com/", REQUESTED, 1, 538_300, 0.0)
@@ -269,7 +289,8 @@ class TestRank:
         assert results[0].score >= results[1].score
 
     def test_missing_damage_defaults_to_half(self):
-        candidate = self.page("http://x.example.com/", REQUESTED, None, 0, None)
+        uri = "http://x.example.com/"
+        candidate = EvidenceService(OneMementoSource()).evidence_for(uri, canonicalize_surt(uri), REQUESTED)
         (result,) = rank_by_uri(
             [candidate], request_tokens=set(), requested=REQUESTED,
             upper_bound=UPPER, earliest=EARLIEST,
@@ -291,11 +312,11 @@ class TestRank:
     def test_nearest_memento_feeds_temporal(self):
         far = REQUESTED - timedelta(days=7305) / 4
         near = REQUESTED - timedelta(days=10)
-        candidate = CandidateEvidence(
-            uri="http://x.example.com/",
-            archive=evidence_at(far, near, uri="http://x.example.com/"),
-            popularity=PopularityEvidence(global_rank=None),
-            damage=None,
+        candidate = archived(
+            "http://x.example.com/",
+            evidence_at(far, near, uri="http://x.example.com/"),
+            PopularityEvidence(global_rank=None),
+            None,
         )
         (result,) = rank_by_uri(
             [candidate], request_tokens=set(), requested=REQUESTED,
