@@ -583,7 +583,7 @@ class EvidenceCache:
                     if not math.isfinite(fetched_at):  # NaN never expires; OverflowError past float range
                         raise ValueError("fetched_at is not finite")
                     self._entries[key] = (fetched_at, record["value"], _UNDECODED)
-                except (ValueError, KeyError, TypeError, OverflowError):  # torn or foreign line
+                except (ValueError, KeyError, TypeError, OverflowError, RecursionError):  # torn or foreign line
                     skipped += 1
             if skipped:
                 _log.warning("evidence cache %s: skipped %d corrupt line(s)", self.path, skipped)

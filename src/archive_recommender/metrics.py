@@ -6,8 +6,10 @@ micro (pooled counts — equals accuracy on single-label data), macro
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import not_, sub
 from typing import Iterable, Sequence
 
 from . import nbayes
@@ -184,6 +186,19 @@ def majority_baseline(labels: Iterable[str]) -> float:
     return max(counts.values()) / total if total else 0.0
 
 
+def _take_out(totals: Counter[str], counts: Counter[str]) -> list[int]:
+    """Subtract ``counts``, whose keys ``totals`` all holds, from ``totals``
+    in C-level passes and drop the keys that reach zero. Returns the values
+    ``totals`` had at ``counts``' keys, in that order, to restore them with
+    ``dict.update(totals, zip(counts, saved))``."""
+    keys = counts.keys()
+    saved = list(map(totals.__getitem__, keys))
+    left = list(map(sub, saved, counts.values()))
+    dict.update(totals, zip(keys, left))
+    deque(map(totals.pop, compress(keys, map(not_, left))), maxlen=0)
+    return saved
+
+
 def cross_validate(
     corpus: Sequence[tuple[str, str]],
     method: TokenMethod,
@@ -197,6 +212,12 @@ def cross_validate(
     Within each fold, test items carrying any feature unseen in that fold's
     training vocabulary are dropped (counted, not scored) — as are items
     that tokenize to nothing — so every scored item is classifiable.
+
+    Each item is tokenized once, in one pass that counts its document and
+    grams into its class's corpus totals and into its fold's own counts. A
+    fold's model is the totals less that fold's counts, with zero counts
+    and classes left without documents dropped, so it equals what
+    ``nbayes.train`` gives on the fold's training items.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
@@ -207,27 +228,44 @@ def cross_validate(
     labels = [label for _, label in corpus]
     n = len(corpus)
 
+    total_docs = Counter(labels)
+    fold_docs = [Counter(labels[k::folds]) for k in range(folds)]
+    total_grams: defaultdict[str, Counter[str]] = defaultdict(Counter)
+    fold_grams: list[defaultdict[str, Counter[str]]] = [defaultdict(Counter) for _ in range(folds)]
+    for i, (bag, label) in enumerate(zip(bags, labels)):
+        total_grams[label].update(bag.features)
+        fold_grams[i % folds][label].update(bag.features)
+
     all_pairs: list[tuple[str, str | None]] = []
     fold_results: list[FoldResult] = []
     skipped: list[int] = []
     total_filtered = 0
     for k in range(folds):
-        train_idx = [i for i in range(n) if i % folds != k]
-        test_idx = [i for i in range(n) if i % folds == k]
-        model = nbayes.train(((bags[i], labels[i]) for i in train_idx), smoothing)
+        held_docs, held_grams = fold_docs[k], fold_grams[k]
+        saved = {label: _take_out(total_grams[label], counts) for label, counts in held_grams.items()}
+        # The model keeps total_grams' Counters uncopied, so it lives only
+        # until they are restored below.
+        model = nbayes.NaiveBayesModel(
+            {c: d - held_docs[c] for c, d in total_docs.items() if d > held_docs[c]},
+            total_grams, smoothing, method, variant_set,
+        )
+        test_idx = range(k, n, folds)
         fold_pairs: list[tuple[str, str | None]] = []
         filtered = 0
         for i in test_idx:
             features = bags[i].features
-            if not features or any(f not in model.vocabulary for f in features):
+            if not features or not model.vocabulary.issuperset(features):
                 filtered += 1
                 continue
             outcome = nbayes.classify(model, bags[i])
             fold_pairs.append((labels[i], outcome.label))
+        del model
+        for label, counts in held_grams.items():
+            dict.update(total_grams[label], zip(counts, saved[label]))
         total_filtered += filtered
         correct = sum(1 for truth, predicted in fold_pairs if truth == predicted)
         fold_results.append(
-            FoldResult(k, len(train_idx), len(fold_pairs), filtered, correct)
+            FoldResult(k, n - len(test_idx), len(fold_pairs), filtered, correct)
         )
         if not fold_pairs:
             skipped.append(k)

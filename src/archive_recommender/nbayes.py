@@ -52,10 +52,13 @@ class NaiveBayesModel:
     """Immutable trained model; exposes raw counts for exact persistence.
 
     The caller's feature Counters are kept, not copied, and must not change
-    afterwards. Log-likelihoods are taken the first time a query holds a
-    feature and kept as that feature's row: one float per class, in class
-    order, the class's unseen value where it never saw the feature. A model
-    thus takes logs only of the features it is queried with. Threads that
+    while the model is in use. One caller lends Counters it changes later:
+    ``metrics.cross_validate`` builds each fold's model on its corpus
+    totals, less the fold's counts, and drops the model before it restores
+    them. Log-likelihoods are taken the first time a query holds a feature
+    and kept as that feature's row: one float per class, in class order,
+    the class's unseen value where it never saw the feature. A model thus
+    takes logs only of the features it is queried with. Threads that
     fill one feature at once store equal rows, so a shared model stays
     safe.
     """

@@ -42,6 +42,7 @@ GRAM_SIZES = range(4, 9)
 _LETTER_RUN = re.compile(r"[a-z]+")
 _DIGITS = re.compile(r"[0-9]+")
 _HOST_OK = re.compile(r"^[a-z0-9._~-]+$")
+_MAX_LABEL = 63  # octets in one DNS label, RFC 1035 §2.3.4
 _LONG_STRING = re.compile(r"[a-zA-Z]{10,}")
 _LONG_SLUG = re.compile(r"[a-zA-Z]{5,}(?:[^a-zA-Z0-9]+[a-zA-Z]{5,})+")
 _CASE_CHANGE = re.compile(r"[a-z][A-Z]")
@@ -227,8 +228,11 @@ def _parse_checked(uri: str, assume_http: bool) -> ParsedUri:
     is_ip = _is_ip(host)
     if not (is_ip or _HOST_OK.match(host)):
         raise UriParseError(uri, "host", f"invalid characters in {host!r}")
-    if any(not label for label in host.split(".")):
+    labels = host.split(".")
+    if any(not label for label in labels):
         raise UriParseError(uri, "host", "empty label in host")
+    if any(len(label) > _MAX_LABEL for label in labels):  # hosts are ASCII here: a character is an octet
+        raise UriParseError(uri, "host", f"host label longer than {_MAX_LABEL} octets")
     if is_ip:
         registered, tld = host, ""
     else:

@@ -10,6 +10,7 @@ two-letter alphabets, so their gram vocabularies cannot overlap.
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,3 +101,20 @@ def archive_opens(monkeypatch) -> list:
 
     monkeypatch.setattr(archives, "open", recording_open, raising=False)
     return opened
+
+
+def count_calls(monkeypatch, functions: dict[str, object]) -> dict[str, list]:
+    """The first argument of every call of each named function, counted
+    wherever the package binds it."""
+    calls: dict[str, list] = {name: [] for name in functions}
+    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "archive_recommender"]
+    for name, original in functions.items():
+
+        def counted(first, *args, _name=name, _original=original, **kwargs):
+            calls[_name].append(first)
+            return _original(first, *args, **kwargs)
+
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls

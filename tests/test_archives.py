@@ -1251,6 +1251,19 @@ class TestEvidenceCache:
             f"evidence cache {path}: skipped 2 corrupt line(s)"
         ]
 
+    def test_line_nested_past_the_decoder_limit_skipped(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(
+            "[" * 5000 + "\n"
+            '{"provider":"gateway","kind":"timemap","surt":"ok","fetched_at":1,"value":{"v":1}}\n'
+        )
+        with caplog.at_level("WARNING", logger="archive_recommender"):
+            cache = EvidenceCache(path)
+        assert cache.get("gateway", "timemap", "ok") == {"v": 1}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"evidence cache {path}: skipped 1 corrupt line(s)"
+        ]
+
     def test_unwritable_path_fails_on_first_put(self, tmp_path):
         cache = EvidenceCache(tmp_path / "absent" / "cache.jsonl")
         with pytest.raises(FileNotFoundError):

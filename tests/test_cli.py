@@ -215,6 +215,15 @@ class TestConfigErrors:
         assert not out
         assert err == "archrec: error: cannot parse host of 'http://[::1/x': Invalid IPv6 URL\n"
 
+    def test_host_label_past_63_octets(self, capsys, fixtures_dir):
+        uri = f"http://{'a' * 64}.com/"
+        code, out, err = run(
+            capsys, "recommend", uri, "--fixtures", str(fixtures_dir), "--now", "2014-06-01T00:00:00Z",
+        )
+        assert code == EXIT_CONFIG
+        assert not out
+        assert err == f"archrec: error: cannot parse host of '{uri}': host label longer than 63 octets\n"
+
     @pytest.mark.parametrize("source", ["flag", "env", "config"])
     def test_non_finite_weights(self, capsys, fixtures_dir, tmp_path, monkeypatch, source):
         # NaN passes the sign and sum checks; it used to rank every row with score nan
@@ -473,6 +482,19 @@ class TestRecommend:
         assert [r.getMessage() for r in caplog.records] == [
             f"evidence cache {cache}: skipped 1 corrupt line(s)"
         ]
+
+    def test_cache_line_nested_past_the_decoder_limit_is_skipped(self, capsys, fixtures_dir, tmp_path):
+        # json.loads raises RecursionError on such a line; it used to end the
+        # command with exit 1 and a traceback
+        argv = ("recommend", "http://odu.edu/compsci", "--now", "2014-06-01T00:00:00Z",
+                "--fixtures", str(fixtures_dir))
+        cache = tmp_path / "deep.jsonl"
+        cache.write_text("[" * 5000 + "\n")
+        plain = run(capsys, *argv)
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert plain[0] == code == EXIT_OK
+        assert out == plain[1]
+        assert "Traceback" not in err
 
     def test_cache_closed_when_command_ends(
         self, capsys, fixtures_dir, tmp_path, monkeypatch, archive_opens

@@ -131,6 +131,18 @@ class TestFilterRules:
         kept, stats = self.run([line_with("/web/20100101000000/http://example.com/")])
         assert kept == [] and stats.bad_uri == 1
 
+    def test_host_label_past_63_octets_dropped_before_segmenting(self, monkeypatch):
+        from archive_recommender import words
+        from archive_recommender.logs import analyze_requests
+
+        segmented = []
+        original = words.segment_words
+        monkeypatch.setattr(words, "segment_words", lambda text, *a: segmented.append(text) or original(text, *a))
+        kept, stats = self.run([line_with(f"http://{'ab' * 1000}.com/"), line_with("http://example.com/")])
+        assert kept == ["http://example.com/"] and stats.bad_uri == 1
+        analyze_requests(kept)
+        assert segmented == ["example"]
+
     def test_non_http_scheme_dropped(self):
         kept, stats = self.run([line_with("ftp://example.com/readme")])
         assert kept == [] and stats.bad_uri == 1

@@ -18,17 +18,22 @@ The constructed confusion fixture (30 items, 10 per class):
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from archive_recommender import nbayes
 from archive_recommender.metrics import (
     UNCLASSIFIED,
+    FoldResult,
     cross_validate,
     majority_baseline,
     score_predictions,
 )
-from archive_recommender.uri import TokenMethod, TokenVariant
+from archive_recommender.pipeline import L1_METHOD, L1_VARIANTS, build_l1_corpus
+from archive_recommender.uri import TokenMethod, TokenVariant, tokenize
+from conftest import count_calls
 
 TOL = 1e-9
 
@@ -157,8 +162,7 @@ class TestCrossValidate:
                            {TokenVariant.STRIP_NUMBERS}, **kwargs)
         b = cross_validate(self.CORPUS, TokenMethod.ALL_GRAMS_URI,
                            {TokenVariant.STRIP_NUMBERS}, **kwargs)
-        assert a.micro_f1 == b.micro_f1
-        assert a.confusion == b.confusion
+        assert a == b
 
     def test_unseen_feature_filter(self):
         # one URI holds a token that appears nowhere else: whichever fold
@@ -174,3 +178,131 @@ class TestCrossValidate:
             cross_validate(self.CORPUS, TokenMethod.TOKENS, folds=1)
         with pytest.raises(ValueError):
             cross_validate(self.CORPUS[:3], TokenMethod.TOKENS, folds=10)
+
+
+def cross_validate_retraining(corpus, method, variants=(), folds=10, smoothing=1.0):
+    """The earlier ``cross_validate``, kept as the oracle: it trains a new
+    model on each fold's training items."""
+    if folds < 2:
+        raise ValueError("need at least 2 folds")
+    if len(corpus) < folds:
+        raise ValueError(f"corpus of {len(corpus)} items cannot fill {folds} folds")
+    variant_set = frozenset(variants)
+    bags = [tokenize(u, method, variant_set) for u, _ in corpus]
+    labels = [label for _, label in corpus]
+    n = len(corpus)
+
+    all_pairs = []
+    fold_results = []
+    skipped = []
+    total_filtered = 0
+    for k in range(folds):
+        train_idx = [i for i in range(n) if i % folds != k]
+        test_idx = [i for i in range(n) if i % folds == k]
+        model = nbayes.train(((bags[i], labels[i]) for i in train_idx), smoothing)
+        fold_pairs = []
+        filtered = 0
+        for i in test_idx:
+            features = bags[i].features
+            if not features or any(f not in model.vocabulary for f in features):
+                filtered += 1
+                continue
+            outcome = nbayes.classify(model, bags[i])
+            fold_pairs.append((labels[i], outcome.label))
+        total_filtered += filtered
+        correct = sum(1 for truth, predicted in fold_pairs if truth == predicted)
+        fold_results.append(FoldResult(k, len(train_idx), len(fold_pairs), filtered, correct))
+        if not fold_pairs:
+            skipped.append(k)
+            continue
+        all_pairs.extend(fold_pairs)
+
+    report = score_predictions(all_pairs)
+    report.filtered_out = total_filtered
+    report.folds = fold_results
+    report.skipped_folds = skipped
+    return report
+
+
+def model_state(model):
+    """What a fold's model was built from, as plain values: a Counter
+    equals one that also holds zero counts, a dict does not."""
+    return (
+        model.classes,
+        dict(model.doc_counts),
+        {c: dict(counts) for c, counts in model.feature_counts.items()},
+        model.vocabulary,
+        dict(model._denominator),
+    )
+
+
+# A few words and suffixes, so grams repeat across URIs and some held-out
+# items still carry a gram their fold never trained on.
+_WORDS = ["news", "shop", "blog", "sport", "games", "music", "art", "data", "web", "kids"]
+_HOSTS = st.builds(
+    lambda words, digit, tld: "-".join(words) + digit + "." + tld,
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=2),
+    st.sampled_from(["", "4", "2014"]),
+    st.sampled_from(["com", "org", "co.uk", "edu", "de"]),
+)
+_URIS = st.one_of(
+    st.builds(
+        lambda host, path: f"http://{host}/" + "/".join(path),
+        _HOSTS,
+        st.lists(st.sampled_from(_WORDS + ["index.html", "p1"]), max_size=2),
+    ),
+    # these tokenize to nothing under every method
+    st.builds("http://10.0.0.{}/".format, st.integers(0, 9)),
+    st.just("http://x.yz/"),
+)
+
+
+@st.composite
+def corpora_and_folds(draw):
+    labels = "ABCD"[: draw(st.integers(1, 4))]
+    corpus = draw(st.lists(st.tuples(_URIS, st.sampled_from(labels)), min_size=2, max_size=40))
+    return corpus, draw(st.integers(2, len(corpus)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    corpora_and_folds(),
+    st.sampled_from(TokenMethod),
+    st.sampled_from([frozenset(), L1_VARIANTS]),
+    st.sampled_from([0.5, 1.0]),
+)
+def test_counted_once_equals_retraining(case, method, variants, smoothing):
+    """The report equals the retraining oracle's, and each fold's model, as
+    it is built, equals ``nbayes.train`` on that fold's training items."""
+    corpus, folds = case
+    built = []
+    original = nbayes.NaiveBayesModel
+
+    def recording(*args):
+        model = original(*args)
+        built.append(model_state(model))
+        return model
+
+    with mock.patch.object(nbayes, "NaiveBayesModel", recording):
+        report = cross_validate(corpus, method, variants, folds, smoothing)
+    assert report == cross_validate_retraining(corpus, method, variants, folds, smoothing)
+    assert len(built) == folds
+    bags = [(tokenize(u, method, variants), label) for u, label in corpus]
+    for k, state in enumerate(built):
+        trained = nbayes.train((bag for i, bag in enumerate(bags) if i % folds != k), smoothing)
+        assert state == model_state(trained)
+
+
+class TestCountedOnce:
+    def test_tokenizes_each_item_once_and_trains_nothing(self, corpus_index, monkeypatch):
+        corpus = build_l1_corpus(corpus_index)
+        calls = count_calls(monkeypatch, {"tokenize": tokenize, "train": nbayes.train})
+        cross_validate(corpus, L1_METHOD, L1_VARIANTS, folds=10)
+        assert calls["tokenize"] == [uri for uri, _ in corpus]
+        assert calls["train"] == []
+
+    def test_fixtures_at_100_folds_equal_the_oracle(self, corpus_index):
+        corpus = build_l1_corpus(corpus_index)
+        report = cross_validate(corpus, L1_METHOD, L1_VARIANTS, folds=100)
+        assert report == cross_validate_retraining(corpus, L1_METHOD, L1_VARIANTS, folds=100)
+        assert len(report.folds) == 100 and report.filtered_out > 0

@@ -41,6 +41,7 @@ from archive_recommender.pipeline import (
 )
 from archive_recommender.ranking import rank
 from archive_recommender.uri import TokenMethod, canonicalize_surt, tokenize
+from conftest import count_calls
 from test_golden import RECOMMEND_URIS
 
 UTC = timezone.utc
@@ -399,23 +400,6 @@ def rank_tokenizing(candidates, weights, top_n, *, candidate_tokens, notes, **kw
     tokens = [frozenset(tokenize(c.uri, TokenMethod.TOKENS)) for c in candidates]
     ranked = rank_picking(candidates, weights, top_n, candidate_tokens=tokens, **kwargs)
     return [replace(r, explanations=r.explanations + notes) for r in ranked]
-
-
-def count_calls(monkeypatch, functions: dict[str, object]) -> dict[str, list]:
-    """The first argument of every call of each named function, counted
-    wherever the package binds it."""
-    calls: dict[str, list] = {name: [] for name in functions}
-    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "archive_recommender"]
-    for name, original in functions.items():
-
-        def counted(first, *args, _name=name, _original=original, **kwargs):
-            calls[_name].append(first)
-            return _original(first, *args, **kwargs)
-
-        for module in modules:
-            if vars(module).get(name) is original:
-                monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 class TestStepsThreeAndFourOracle:

@@ -165,6 +165,13 @@ class TestParseUri:
             parse_uri("ftp://example.com/")
         assert exc.value.component == "scheme"
 
+    def test_host_label_of_at_most_63_octets(self):
+        assert parse_uri(f"http://www.{'a' * 63}.com/").host == f"www.{'a' * 63}.com"
+        for host in (f"{'a' * 64}.com", f"www.{'b' * 64}", f"x.{'c' * 2000}.co.uk"):
+            with pytest.raises(UriParseError) as exc:
+                parse_uri(f"http://{host}/")
+            assert exc.value.component == "host"
+
     @pytest.mark.parametrize("bad", ["http://[::1/x", "[::1/x", "http://a]b.com/", "https://[v1.x/"])
     def test_unbalanced_bracket_host_rejected(self, bad):
         # urlsplit raises a bare ValueError on these
