@@ -31,6 +31,7 @@ def main() -> None:
         FixtureArchiveSource(FIXTURES / "timemaps"),
         FixturePopularityProvider(FIXTURES / "popularity.tsv"),
         FixtureDamageProvider(FIXTURES / "damage.tsv"),
+        parallelism=1,  # fixture reads gain nothing from a pool
     )
     wanted = datetime(2014, 3, 1, tzinfo=timezone.utc)
 

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
 from urllib.parse import quote
 
-from .uri import InputFileError, UriParseError, canonicalize_surt, parse_uri, read_lines
+from .uri import InputFileError, UriParseError, canonicalize_surt, content_lines, parse_uri, read_lines
 
 if TYPE_CHECKING:  # the network clients import it when used: fixture runs never pay for it
     import requests
@@ -39,6 +39,8 @@ __all__ = [
     "PopularityEvidence",
     "DamageEvidence",
     "DamageSource",
+    "parse_instant",
+    "format_instant",
     "fetch_timemap",
     "nearest_memento",
     "fetch_damage",
@@ -108,10 +110,20 @@ def _cache_datetime(text: str) -> datetime:
     )
 
 
-def _cache_datetime_text(dt: datetime) -> str:
-    """The cached form of a memento datetime; unlike glibc ``strftime``,
-    ``isoformat`` pads a year below 1000 to four digits."""
-    return dt.isoformat(timespec="seconds")[:19] + "Z"
+def parse_instant(text: str) -> datetime:
+    """An ISO-8601 instant in UTC: a date alone is its midnight, and ``Z`` or
+    no offset is UTC. Raises ValueError on other text, or past years 1-9999."""
+    parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    try:
+        return parsed.astimezone(timezone.utc) if parsed.tzinfo else parsed.replace(tzinfo=timezone.utc)
+    except OverflowError:
+        raise ValueError("no UTC value inside years 1-9999") from None
+
+
+def format_instant(dt: datetime) -> str:
+    """An instant as RFC 3339 UTC text to the second; unlike glibc
+    ``strftime``, ``isoformat`` pads a year below 1000 to four digits."""
+    return dt.astimezone(timezone.utc).isoformat(timespec="seconds")[:19] + "Z"
 
 
 def _link_time(raw: str) -> tuple[datetime, str]:
@@ -128,7 +140,7 @@ def _link_time(raw: str) -> tuple[datetime, str]:
             if when.tzinfo is None:
                 when = when.replace(tzinfo=timezone.utc)
             when = when.astimezone(timezone.utc)
-            return when, _cache_datetime_text(when)
+            return when, format_instant(when)
         day, month, year, clock = match.groups()
         iso = f"{year}-{_MONTH_DIGITS[month]}-{day}T{clock}"
         # The constructor's range checks, in C; a zero offset reads as the
@@ -158,9 +170,7 @@ class ArchiveEvidence:
         return len(self.mementos)
 
     def to_json_dict(self) -> dict:
-        texts = self._texts
-        if texts is None:
-            texts = [_cache_datetime_text(dt) for dt, _ in self.mementos]
+        texts = self._texts or [format_instant(dt) for dt, _ in self.mementos]
         return {
             "uri": self.uri,
             "mementos": [[text, m] for text, (_, m) in zip(texts, self.mementos)],
@@ -461,9 +471,7 @@ def _fixture_rows(
     """(key, converted value) for each `key<TAB>value` row of a fixture TSV,
     skipping blank and `#` lines. A value that does not convert, or bytes
     that are not UTF-8, raise InputFileError naming the file and the line."""
-    for lineno, line in enumerate(read_lines(path), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in content_lines(read_lines(path)):
         key, _, value = line.partition("\t")
         try:
             converted = convert(value)

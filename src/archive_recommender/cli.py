@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from dataclasses import fields
-from datetime import timezone
 from pathlib import Path
 from typing import Sequence
 
@@ -26,6 +25,7 @@ from .archives import (
     FixturePopularityProvider,
     MemGatorClient,
     MementoDamageClient,
+    format_instant,
 )
 from .config import ConfigError, Settings, load_settings, parse_datetime
 from .deep import evaluate_deep
@@ -290,9 +290,7 @@ def _recommend(recommender: Recommender, args: argparse.Namespace, settings: Set
                 "position": position,
                 "uri": rec.uri,
                 "memento_uri": rec.memento_uri,
-                "memento_datetime": rec.memento_datetime.astimezone(timezone.utc).strftime(
-                    "%Y-%m-%dT%H:%M:%SZ"
-                ),
+                "memento_datetime": format_instant(rec.memento_datetime),
                 "score": round(rec.score, 6),
                 "temporal": round(rec.temporal, 6),
                 "popularity": round(rec.popularity, 6),

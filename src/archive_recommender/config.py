@@ -9,13 +9,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 from typing import Callable, Mapping
 
+from .archives import parse_instant
 from .deep import GramScheme
 from .ranking import EARLIEST_ARCHIVE_DATE, RankWeights
-from .uri import read_lines
+from .uri import content_lines, read_lines
 
 __all__ = ["ENV_PREFIX", "ConfigError", "Settings", "load_settings", "parse_datetime"]
 
@@ -29,12 +30,9 @@ class ConfigError(Exception):
 def parse_datetime(text: str) -> datetime:
     """Parse an ISO-8601 instant (date-only allowed); naive times are UTC."""
     try:
-        parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        return parse_instant(text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse datetime {text!r}: {exc}") from exc
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc)
 
 
 def _parse_bool(text: str) -> bool:
@@ -84,7 +82,10 @@ class Settings:
     def validate(self) -> "Settings":
         self.weights_obj()
         self.grams_obj()
-        now = self.now_obj()
+        try:
+            now = self.now_obj()
+        except ConfigError as exc:
+            raise ConfigError(f"now: {exc}") from None
         if now is not None and now <= EARLIEST_ARCHIVE_DATE:
             raise ConfigError(
                 f"now must fall after the earliest archive date {EARLIEST_ARCHIVE_DATE:%Y-%m-%d}, got {self.now!r}"
@@ -125,13 +126,10 @@ def _coerce(name: str, raw: str) -> object:
 def _read_config_file(path: Path) -> dict[str, object]:
     known = {f.name for f in fields(Settings)}
     values: dict[str, object] = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, eq, value = stripped.partition("=")
+    for lineno, line in content_lines(read_lines(path)):
+        key, eq, value = line.partition("=")
         if not eq:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {stripped!r}")
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {line.strip()!r}")
         key = key.strip().replace("-", "_")
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")

@@ -7,14 +7,15 @@ filter is streaming and single-pass.
 """
 from __future__ import annotations
 
-import gzip
+import io
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
+from .archives import parse_instant
 from .reports import DistributionReport, analyze_uris
-from .uri import UriParseError, parse_uri
+from .uri import UriParseError, open_input, parse_uri
 
 __all__ = [
     "ENGLISH_CCTLDS",
@@ -77,12 +78,8 @@ def parse_log_line(line: str) -> AccessLogRecord:
         raise LogParseError(f"expected 9 fields, got {len(parts)}")
     ip, when, method, uri, protocol, status, size, referrer, agent = parts
     try:
-        access_time = datetime.fromisoformat(when.replace("Z", "+00:00"))
-        if access_time.tzinfo is None:
-            access_time = access_time.replace(tzinfo=timezone.utc)
-        # A time at the edge of the datetime range may not have a UTC value.
-        access_time = access_time.astimezone(timezone.utc)
-    except (ValueError, OverflowError) as exc:
+        access_time = parse_instant(when)
+    except ValueError as exc:
         raise LogParseError(f"bad access time {when!r}") from exc
     code = _number(status)
     if code is None:
@@ -118,15 +115,7 @@ class LogFilterStats:
 
 def read_log_lines(path: str | Path) -> Iterator[str]:
     """Yield lines from a plain or gzip-compressed log, sniffed by magic."""
-    path = Path(path)
-    with open(path, "rb") as probe:
-        magic = probe.read(2)
-    opener: IO[str]
-    if magic == b"\x1f\x8b":
-        opener = gzip.open(path, "rt", encoding="utf-8", errors="replace")
-    else:
-        opener = open(path, "rt", encoding="utf-8", errors="replace")
-    with opener as handle:
+    with open_input(path) as stream, io.TextIOWrapper(stream, encoding="utf-8", errors="replace") as handle:
         for line in handle:
             yield line.rstrip("\n")
 

@@ -13,9 +13,9 @@ from the primary index.
 """
 from __future__ import annotations
 
-import gzip
 import json
 import xml.etree.ElementTree as ET
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -23,7 +23,9 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Protocol, Union
 
 from .reports import DistributionReport, analyze_uris
-from .uri import InputFileError, TokenMethod, UriParseError, canonicalize_surt, read_lines, tokenize
+from .uri import (
+    InputFileError, TokenMethod, UriParseError, canonicalize_surt, content_lines, open_input, read_lines, tokenize,
+)
 
 __all__ = [
     "RETAINED_TOP_CATEGORIES",
@@ -215,10 +217,8 @@ def _entry_from_fields(
 
 
 def _iter_tsv(stream: IO[bytes], report: IngestReport) -> Iterator[OntologyEntry]:
-    for raw in stream:
-        line = raw.decode("utf-8", errors="replace").rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    lines = (raw.decode("utf-8", errors="replace").rstrip("\n").rstrip("\r") for raw in stream)
+    for _, line in content_lines(lines):
         report.records_read += 1
         parts = line.split("\t")
         if len(parts) < 2 or len(parts) > 4:
@@ -267,25 +267,15 @@ def ingest_dmoz(source: Source, format: IngestFormat = IngestFormat.TSV) -> Cate
     retained top-level categories are kept; URIs are SURT-canonicalized and
     deduplicated keeping the first-seen record (order sources newest-first).
     Unparseable records are skipped and counted on ``index.ingest_report``;
-    a truncated RDF stream raises (fatal).
+    a truncated or malformed RDF stream raises InputFileError (fatal).
     """
     report = IngestReport()
-
-    def build(stream: IO[bytes]) -> CategoryIndex:
+    with open_input(source) if isinstance(source, (str, Path)) else nullcontext(source) as stream:
         entries = _iter_tsv(stream, report) if format is IngestFormat.TSV else _iter_rdf(stream, report)
-        return CategoryIndex(entries)
-
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as raw:
-            if raw.read(2) == b"\x1f\x8b":
-                raw.seek(0)
-                with gzip.open(raw, "rb") as stream:
-                    index = build(stream)
-            else:
-                raw.seek(0)
-                index = build(raw)
-    else:
-        index = build(source)
+        try:
+            index = CategoryIndex(entries)
+        except ET.ParseError as exc:  # only the RDF reader raises it
+            raise InputFileError(f"{getattr(stream, 'name', 'RDF stream')}: malformed RDF ({exc})") from None
     report.duplicates = index.deduplicated
     report.kept = len(index)
     index.ingest_report = report
@@ -320,9 +310,7 @@ def load_index(path: str | Path) -> CategoryIndex:
     raises InputFileError."""
     path = Path(path)
     rows: list[tuple[CategoryPath, str, str, str]] = []
-    for lineno, line in enumerate(read_lines(path), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in content_lines(read_lines(path)):
         parts = line.split("\t")
         parts += [""] * (4 - len(parts))
         try:
@@ -388,9 +376,7 @@ class FixtureOntologyProvider:
 
     def __init__(self, path: str | Path):
         self._by_surt: dict[str, SecondaryRecord] = {}
-        for lineno, line in enumerate(read_lines(path), 1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
+        for lineno, line in content_lines(read_lines(path)):
             try:
                 obj = json.loads(line)
                 official_uri = obj["official_uri"]

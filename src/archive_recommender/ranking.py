@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Sequence
 
-from .archives import CandidateEvidence, DamageEvidence, PopularityEvidence
+from .archives import CandidateEvidence, DamageEvidence, PopularityEvidence, format_instant
 
 __all__ = [
     "EARLIEST_ARCHIVE_DATE",
@@ -128,10 +128,6 @@ class Recommendation:
     explanations: tuple[str, ...]
 
 
-def _iso(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def rank(
     candidates: list[CandidateEvidence],
     weights: RankWeights = RankWeights(),
@@ -156,7 +152,7 @@ def rank(
     """
     if upper_bound is None:
         upper_bound = datetime.now(timezone.utc)
-    requested_text = _iso(requested)
+    requested_text = format_instant(requested)
     results: list[Recommendation] = []
     for candidate, tokens in zip(candidates, candidate_tokens, strict=True):
         if candidate.memento is None:
@@ -183,7 +179,7 @@ def rank(
             else "rank missing"
         )
         explanations = (
-            f"temporal={t:.6f}: nearest memento {_iso(memento_dt)} vs requested {requested_text}",
+            f"temporal={t:.6f}: nearest memento {format_instant(memento_dt)} vs requested {requested_text}",
             f"popularity={p:.6f}: {rank_text}, {candidate.archive.memento_count} mementos",
             f"similarity={s:.6f}: {shared} shared of {union} tokens",
             f"quality={q:.6f}: damage {candidate.damage.damage:.6f} ({candidate.damage.source.value})",

@@ -6,19 +6,24 @@ stop-word list and public-suffix snapshot are loaded once and shared.
 """
 from __future__ import annotations
 
+import gzip
 import ipaddress
 import re
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 from urllib.parse import SplitResult, urlsplit
 
 __all__ = [
     "InputFileError",
     "read_lines",
+    "content_lines",
+    "read_bundled",
+    "open_input",
     "UriParseError",
     "ParsedUri",
     "PublicSuffixList",
@@ -65,6 +70,31 @@ def read_lines(path: str | Path) -> list[str]:
     except UnicodeDecodeError as exc:
         lineno = len((data[: exc.start].decode("utf-8") + "|").splitlines())
         raise InputFileError(f"{path}:{lineno}: bytes that are not UTF-8 ({exc.reason})") from None
+
+
+def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(number from 1, line) of each line that is neither blank nor a ``#`` comment."""
+    return ((lineno, line) for lineno, line in enumerate(lines, 1) if line.strip()[:1] not in ("", "#"))
+
+
+def read_bundled(name: str) -> list[str]:
+    """The lines of the package's data file ``data/<name>``, less blank and ``#`` lines."""
+    return [line for _, line in content_lines(read_lines(Path(__file__).parent / "data" / name))]
+
+
+@contextmanager
+def open_input(path: str | Path) -> Iterator[IO[bytes]]:
+    """A binary stream of a plain or gzip-compressed file, told apart by its
+    first bytes; gzip data cut short or corrupt raises InputFileError."""
+    with open(path, "rb") as raw:
+        if raw.peek(2)[:2] != b"\x1f\x8b":
+            yield raw
+            return
+        try:
+            with gzip.GzipFile(fileobj=raw) as stream:
+                yield stream
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise InputFileError(f"{path}: gzip data cut short or corrupt ({exc})") from None
 
 
 class UriParseError(ValueError):
@@ -135,16 +165,12 @@ class PublicSuffixList:
     @classmethod
     @lru_cache(maxsize=1)
     def bundled(cls) -> "PublicSuffixList":
-        text = resources.files("archive_recommender.data").joinpath("public_suffix.dat").read_text("utf-8")
-        return cls(text.splitlines())
+        return cls(read_bundled("public_suffix.dat"))
 
 
 @lru_cache(maxsize=1)
 def load_stopwords() -> frozenset[str]:
-    text = resources.files("archive_recommender.data").joinpath("stopwords.txt").read_text("utf-8")
-    return frozenset(
-        line.strip() for line in text.splitlines() if line.strip() and not line.startswith("#")
-    )
+    return frozenset(line.strip() for line in read_bundled("stopwords.txt"))
 
 
 # ---------------------------------------------------------------------------

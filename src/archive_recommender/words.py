@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from operator import add
 from typing import Iterable
+
+from .uri import read_bundled
 
 __all__ = ["WordLexicon", "SegmentPiece", "segment_words", "dictionary_bucket"]
 
@@ -68,12 +69,7 @@ class WordLexicon:
     @classmethod
     @lru_cache(maxsize=1)
     def bundled(cls) -> "WordLexicon":
-        text = resources.files("archive_recommender.data").joinpath("wordfreq.txt").read_text("utf-8")
-        return cls(
-            line.strip()
-            for line in text.splitlines()
-            if line.strip() and not line.startswith("#")
-        )
+        return cls(read_bundled("wordfreq.txt"))
 
 
 def segment_words(text: str, lexicon: WordLexicon | None = None) -> list[SegmentPiece]:

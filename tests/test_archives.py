@@ -1570,8 +1570,11 @@ class TestEvidenceService:
         """Four threads share one service and one cache file. Each gathers
         its own slice of the fixture URIs, whose cache keys no other slice
         has, so no two threads miss on one key (both would fetch and append,
-        as they always have)."""
-        requested, uris = dt("20140301000000"), self.fixture_uris(fixtures_dir)
+        as they always have). The second page of cs.odu.edu's TimeMap is
+        left out: as a candidate it has cs.odu.edu's nearest memento, and so
+        its damage key."""
+        requested = dt("20140301000000")
+        uris = [uri for uri in self.fixture_uris(fixtures_dir) if "?page=" not in uri]
         slices = [uris[i::4] for i in range(4)]
         serial = [self.build(fixtures_dir, parallelism=1).gather(keyed(part), requested) for part in slices]
         with EvidenceCache(tmp_path / "serial.jsonl") as serial_cache:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gzip
 import json
 import os
 import shutil
@@ -312,7 +313,9 @@ class TestConfigErrors:
                 "members is not an array",
             ),
             (b'{"official_uri": 5, "categories": ["A"]}', "cannot parse uri of '5': empty input"),
-            (b"[" * 5000, "RecursionError"),
+            # json.loads raises RecursionError here before Python 3.13 and
+            # JSONDecodeError from it, so the exception's name is not matched.
+            (b"[" * 5000, ""),
         ],
         ids=[
             "not-json", "no-official-uri", "empty-category", "number-category", "string-categories",
@@ -402,6 +405,65 @@ class TestConfigErrors:
         )
         assert code == EXIT_CONFIG
         assert "No such file or directory" in err
+
+    @pytest.mark.parametrize("value", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-01:00"])
+    @pytest.mark.parametrize("source", ["datetime-flag", "now-flag", "now-environment", "now-config-file"])
+    def test_instant_with_no_utc_value_in_years_1_to_9999(
+        self, capsys, fixtures_dir, tmp_path, monkeypatch, source, value
+    ):
+        argv = ["recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir)]
+        if source == "datetime-flag":
+            argv += ["--datetime", value]
+        elif source == "now-flag":
+            argv += ["--now", value]
+        elif source == "now-environment":
+            monkeypatch.setenv("ARCHREC_NOW", value)
+        else:
+            conf = tmp_path / "a.conf"
+            conf.write_text(f"now = {value}\n")
+            argv += ["--config", str(conf)]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert not out
+        setting = "" if source == "datetime-flag" else "now: "
+        assert err == f"archrec: error: {setting}cannot parse datetime {value!r}: no UTC value inside years 1-9999\n"
+
+    def test_truncated_rdf_dump(self, capsys, fixtures_dir, tmp_path):
+        dump = tmp_path / "dump.rdf"
+        dump.write_bytes((fixtures_dir / "dmoz_sample.rdf").read_bytes()[:300])
+        index = tmp_path / "index.tsv"
+        code, out, err = run(capsys, "ingest", str(dump), "--format", "rdf", "--index-out", str(index))
+        assert code == EXIT_CONFIG
+        assert not out
+        assert err.startswith(f"archrec: error: {dump}: malformed RDF (")
+        assert err.count("\n") == 1
+        assert not index.exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    @pytest.mark.parametrize(
+        "command, source, fmt",
+        [
+            ("ingest", "corpus_500.tsv", "tsv"),
+            ("ingest", "dmoz_sample.rdf", "rdf"),
+            ("analyze-logs", "access_log_sample.log", None),
+        ],
+    )
+    def test_damaged_gzip_input(self, capsys, fixtures_dir, tmp_path, command, source, fmt, damage):
+        data = gzip.compress((fixtures_dir / source).read_bytes())
+        if damage == "truncated":
+            data = data[: len(data) // 2]
+        else:  # deflate data that no decoder accepts, behind an intact header
+            data = data[:10] + b"\xff" * 16 + data[26:]
+        path = tmp_path / (source + ".gz")
+        path.write_bytes(data)
+        argv = [command, str(path)]
+        if fmt is not None:
+            argv += ["--format", fmt, "--index-out", str(tmp_path / "index.tsv")]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert not out
+        assert err.startswith(f"archrec: error: {path}: gzip data cut short or corrupt (")
+        assert err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")

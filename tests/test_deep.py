@@ -121,7 +121,10 @@ def top_candidates_by_row_scan(
 def top_candidates_by_rescoring(
     index: CategoryIndex, grams: GramScheme, query: Sequence[str], n: int = 10
 ) -> list[CandidateCategory]:
-    """Mean cosine against every row, each norm recomputed per pair."""
+    """Mean cosine against every row, each norm recomputed per pair. The
+    cosines are added in row order, one at a time, as ``top_candidates``
+    adds them; from Python 3.12 the builtin ``sum`` compensates its float
+    additions, and can differ in the last place."""
     qvec = Counter(query)
     if not qvec:
         return []
@@ -129,7 +132,10 @@ def top_candidates_by_rescoring(
     for path_text, rows in category_rows(index, grams).items():
         if not rows:
             continue
-        score = sum(cosine(qvec, row) for row in rows) / len(rows)
+        total = 0.0
+        for row in rows:
+            total += cosine(qvec, row)
+        score = total / len(rows)
         if score > 0.0:
             scored.append(CandidateCategory(P(path_text), score))
     scored.sort(key=lambda c: (-c.score, c.path))

@@ -6,6 +6,12 @@ A change that alters any byte of these outputs is a behaviour change; to
 make it, regenerate the file and commit the diff with the change::
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+``--check`` replays every entry and exits 1 if any output differs. Like
+``--write`` it needs only the standard library, so it runs on an
+interpreter that has no pytest::
+
+    PYTHONPATH=src python3.13 tests/test_golden.py --check
 """
 
 from __future__ import annotations
@@ -16,8 +22,6 @@ import json
 import os
 import sys
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_fixtures.json"
@@ -62,6 +66,44 @@ def _load() -> list[dict]:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+def _at_root() -> None:
+    for name in [name for name in os.environ if name.startswith("ARCHREC_")]:
+        del os.environ[name]
+    os.chdir(ROOT)
+
+
+def _write() -> int:
+    _at_root()
+    entries = [replay(argv) for argv in ARGVS]
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    print(f"wrote {len(entries)} entries to {GOLDEN.relative_to(ROOT)}")
+    return 0
+
+
+def _check() -> int:
+    _at_root()
+    recorded = _load()
+    if [entry["argv"] for entry in recorded] != ARGVS:
+        print(f"{GOLDEN.relative_to(ROOT)} does not record the commands this file lists")
+        return 1
+    differ = [entry["argv"] for entry in recorded if replay(entry["argv"]) != entry]
+    for argv in differ:
+        print("differs:", " ".join(argv))
+    print(f"Python {sys.version.split()[0]}: {len(recorded) - len(differ)} of {len(recorded)} outputs match")
+    return 1 if differ else 0
+
+
+# Run as a script, the file stops here, before pytest is imported.
+if __name__ == "__main__":
+    modes = {"--write": _write, "--check": _check}
+    if len(sys.argv) != 2 or sys.argv[1] not in modes:
+        sys.exit(f"usage: {sys.argv[0]} --write | --check")
+    sys.exit(modes[sys.argv[1]]())
+
+import pytest  # noqa: E402
+
+
 @pytest.fixture
 def at_root(monkeypatch):
     for name in list(os.environ):
@@ -80,19 +122,3 @@ def test_file_covers_every_command():
 def test_replay_matches(at_root, number):
     entry = _load()[number]
     assert replay(entry["argv"]) == entry
-
-
-def _write() -> None:
-    for name in [name for name in os.environ if name.startswith("ARCHREC_")]:
-        del os.environ[name]
-    os.chdir(ROOT)
-    entries = [replay(argv) for argv in ARGVS]
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
-    print(f"wrote {len(entries)} entries to {GOLDEN.relative_to(ROOT)}")
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: {sys.argv[0]} --write")
-    _write()

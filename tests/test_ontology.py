@@ -135,7 +135,7 @@ class TestIngestRdf:
         assert index.ingest_report.dropped_category == 1
 
     def test_truncated_rdf_is_fatal(self):
-        with pytest.raises(Exception):
+        with pytest.raises(InputFileError, match="^RDF stream: malformed RDF"):
             ingest_dmoz(io.BytesIO(self.RDF[:120]), IngestFormat.RDF)
 
     def test_fixture_rdf_sample(self, fixtures_dir):
