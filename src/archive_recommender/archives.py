@@ -12,7 +12,9 @@ import errno
 import json
 import logging
 import math
+import os
 import re
+import stat
 import threading
 import time
 import weakref
@@ -179,10 +181,19 @@ class ArchiveEvidence:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ArchiveEvidence":
+        """Raises TypeError on a value of a type that a fetch never writes."""
+        uri, pairs, truncated = data["uri"], data["mementos"], data.get("truncated", False)
+        if type(uri) is not str or type(pairs) is not list or type(truncated) is not bool:
+            raise TypeError("uri, mementos or truncated of the wrong type")
+        mementos = []
+        for text, memento in pairs:
+            if type(memento) is not str:
+                raise TypeError(f"memento URI {memento!r} is not a string")
+            mementos.append((_cache_datetime(text), memento))
         # nearest_memento bisects, so a cache line written in another order is
         # sorted here; the sort is stable, so equal datetimes keep line order.
-        mementos = sorted(((_cache_datetime(dt), m) for dt, m in data["mementos"]), key=_DATETIME)
-        return cls(uri=data["uri"], mementos=tuple(mementos), truncated=data.get("truncated", False))
+        mementos.sort(key=_DATETIME)
+        return cls(uri=uri, mementos=tuple(mementos), truncated=truncated)
 
 
 @dataclass(frozen=True)
@@ -213,7 +224,10 @@ class DamageEvidence:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DamageEvidence":
-        return cls(damage=data["damage"], source=DamageSource(data["source"]))
+        damage = data["damage"]
+        if type(damage) not in (int, float):  # not isinstance: JSON true is no damage
+            raise TypeError(f"damage {damage!r} is not a number")
+        return cls(damage=damage, source=DamageSource(data["source"]))
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +258,18 @@ def _split_quoted(text: str, separator: str) -> list[str]:
 # parameters with token keys and quoted values free of escapes, then blanks
 # and a comma or the end of the text. On this form the split parser gives
 # exactly what the scan gives; every other text goes to the split parser.
+# The first branch takes the usual parameters, `; rel="..."` and an optional
+# `; datetime="..."`, and captures both values (groups 2 and 3); any other
+# link in the form matches the second branch, whose parameter span (group 4)
+# is read by _SIMPLE_PARAM.
 _BLANKS = r"[ \t\r\f\v]*"
 _TOKEN = r"[!#$%&'*+.^_`|~0-9A-Za-z-]+"
-_SIMPLE_LINK = re.compile(
-    rf'{_BLANKS}<([^<>"]*)>((?:{_BLANKS};{_BLANKS}{_TOKEN}{_BLANKS}={_BLANKS}"[^"\\]*")*)'
-    rf"{_BLANKS}(?:,|\Z)"
+_LINK_END = rf"{_BLANKS}(?:,|\Z)"
+_LINK = re.compile(
+    rf'{_BLANKS}<([^<>"]*)>(?:'
+    rf'{_BLANKS};{_BLANKS}rel{_BLANKS}={_BLANKS}"([^"\\]*)"'
+    rf'(?:{_BLANKS};{_BLANKS}datetime{_BLANKS}={_BLANKS}"([^"\\]*)")?{_LINK_END}'
+    rf'|((?:{_BLANKS};{_BLANKS}{_TOKEN}{_BLANKS}={_BLANKS}"[^"\\]*")*){_LINK_END})'
 )
 _SIMPLE_PARAM = re.compile(rf';{_BLANKS}({_TOKEN}){_BLANKS}={_BLANKS}"([^"\\]*)"')
 
@@ -292,11 +313,13 @@ def parse_timemap_links(page: str) -> tuple[list[tuple[str | None, str]], str | 
 
 def _page_mementos(page: str) -> tuple[list[tuple[str | None, str]], str | None]:
     """What ``parse_timemap_links`` returns for one TimeMap page. A page in
-    the one-scan form is read in that scan, keeping only the last ``rel``
-    and ``datetime`` of each link; any other page goes to
-    ``parse_timemap_links``."""
+    the one-scan form is read in that scan, one ``_LINK`` match per link.
+    A usual link, `; rel="..."` and an optional `; datetime="..."`, hands
+    over both values in its match; any other link's parameters are read
+    again by ``_SIMPLE_PARAM``, keeping the last ``rel`` and ``datetime``.
+    A page off the form goes to ``parse_timemap_links``."""
     text = page.replace("\n", " ")
-    match = _SIMPLE_LINK.match
+    match = _LINK.match
     params_of = _SIMPLE_PARAM.findall
     pairs: list[tuple[str | None, str]] = []
     next_uri = None
@@ -305,9 +328,8 @@ def _page_mementos(page: str) -> tuple[list[tuple[str | None, str]], str | None]
         link = match(text, pos)
         if link is None:
             return parse_timemap_links(page)
-        target, span = link.groups()
-        rel = raw = None
-        for key, value in params_of(span):
+        target, rel, raw, span = link.groups()
+        for key, value in params_of(span) if span else ():
             key = key.lower()
             if key == "rel":
                 rel = value
@@ -395,6 +417,7 @@ def nearest_memento(evidence: ArchiveEvidence, requested: datetime) -> tuple[dat
 # The open errors that mean no file is at the path (ENOENT, a file where a
 # directory should be, a symlink loop): the ones ``Path.exists`` reads as False.
 _NO_FILE_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP})
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 
 
 class FixtureArchiveSource:
@@ -407,18 +430,40 @@ class FixtureArchiveSource:
         self._paths: dict[str, str] = {}
 
     def _read(self, uri: str) -> str | None:
+        """The file's text as ``Path.read_text(encoding="utf-8")`` reads it:
+        its bytes are read whole, decoded once, and their line ends made
+        ``\\n`` as text mode makes them."""
         path = self._paths.get(uri)
         if path is None:
             path = self._paths[uri] = str(self.directory / (quote(uri, safe="") + ".link"))
         try:
-            with open(path, encoding="utf-8") as handle:
-                return handle.read()
+            fd = os.open(path, _READ_FLAGS)
         except OSError as exc:
             if exc.errno in _NO_FILE_ERRNOS:
                 return None
             raise
+        try:
+            status = os.fstat(fd)
+            if stat.S_ISDIR(status.st_mode):  # as open() raises it, naming the path
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            # One byte past the size, so a whole file is read in one call
+            # that also sees its end; a file that grew is read on to its end.
+            size = status.st_size + 1
+            data = os.read(fd, size)
+            if len(data) == size:
+                chunks = [data]
+                while chunk := os.read(fd, 1 << 16):
+                    chunks.append(chunk)
+                data = b"".join(chunks)
+        finally:
+            os.close(fd)
+        try:
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ArchiveFetchError(f"{path}: bytes that are not UTF-8 ({exc.reason})") from None
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return text
 
     def get_timemap(self, uri: str) -> str | None:
         return self._read(uri)
@@ -552,6 +597,9 @@ def fetch_damage(provider: DamageProvider | None, memento_uri: str) -> DamageEvi
 
 # The decoded slot of a cache entry that no hit has decoded yet.
 _UNDECODED = object()
+# The writer of every cache line: ``json.dumps(record, sort_keys=True)``,
+# without building an encoder per line. Codec values hold no cycles.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 class EvidenceCache:
@@ -560,8 +608,8 @@ class EvidenceCache:
     Later records supersede earlier ones; entries older than ``max_age``
     seconds are treated as misses so they get refetched. Each entry keeps
     the decoded form of its value beside the raw one (see ``decoded``).
-    Lines are appended through one handle, opened by the first ``put`` and
-    flushed after each line. ``close`` releases it; so does dropping the
+    Lines are appended through one unbuffered handle, opened by the first
+    ``put``, one write per line. ``close`` releases it; so does dropping the
     cache, through a finalizer that holds the handle, not the cache.
     """
 
@@ -572,7 +620,7 @@ class EvidenceCache:
         self._lock = threading.Lock()
         # key -> (fetched_at, raw value, decoded value or _UNDECODED)
         self._entries: dict[tuple[str, str, str], tuple[float, object, object]] = {}
-        self._handle: IO[str] | None = None
+        self._handle: IO[bytes] | None = None
         self._release: weakref.finalize | None = None
         if self.path.exists():
             skipped = 0
@@ -630,14 +678,17 @@ class EvidenceCache:
             "fetched_at": self._clock(),
             "value": value,
         }
-        line = json.dumps(record, sort_keys=True)
+        # ensure_ascii holds the line to ASCII, so its bytes are its text.
+        line = (_LINE_ENCODER.encode(record) + "\n").encode("ascii")
         with self._lock:
             self._entries[(provider, kind, surt)] = (record["fetched_at"], value, decoded)
             if self._handle is None:
-                self._handle = open(self.path, "a", encoding="utf-8")
+                self._handle = open(self.path, "ab", buffering=0)
                 self._release = weakref.finalize(self, self._handle.close)
-            self._handle.write(line + "\n")
-            self._handle.flush()  # readers of the file see every line at once
+            # Unbuffered: readers of the file see every line at once.
+            written = self._handle.write(line)
+            while written < len(line):  # a raw write may stop short of the line
+                written += self._handle.write(line[written:])
 
     def close(self) -> None:
         """Close the append handle, if one is open; a later ``put`` opens
@@ -663,6 +714,16 @@ def _int_rank(rank) -> int | None:
     return None if rank is None else int(rank)
 
 
+def _cached_rank(value: dict) -> int | None:
+    """The rank of a popularity line, read as an integer. A fetch writes an
+    integer or null, and an older line may hold a float; a value of any
+    other type raises."""
+    rank = value.get("rank")
+    if rank is not None and type(rank) not in (int, float):  # JSON true and "5" are no rank
+        raise TypeError(f"rank {rank!r} is not a number")
+    return _int_rank(rank)
+
+
 # Each cached kind: its name in warnings, the encoder that writes a value to
 # its cache line, and the decoder that reads one back and raises on any value
 # it cannot read. decode(encode(v)) == v for every value a fetch returns
@@ -671,7 +732,7 @@ def _int_rank(rank) -> int | None:
 # is looked up on each call, so a wrapper put on the class is seen.
 _CODECS = {
     "timemap": ("TimeMap", ArchiveEvidence.to_json_dict, lambda value: ArchiveEvidence.from_json_dict(value)),
-    "popularity": ("popularity", lambda rank: {"rank": rank}, lambda value: _int_rank(value.get("rank"))),
+    "popularity": ("popularity", lambda rank: {"rank": rank}, _cached_rank),
     "damage": ("damage", DamageEvidence.to_json_dict, DamageEvidence.from_json_dict),
 }
 

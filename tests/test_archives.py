@@ -6,6 +6,8 @@ from __future__ import annotations
 import gc
 import json
 import logging
+import os
+import re
 import string
 import sys
 import threading
@@ -199,7 +201,17 @@ class TestLinkParsing:
 
 
 # The link parser that the page readers replaced, kept as their oracle: the
-# one scan into links, with the general split parser as its fallback.
+# one scan into links, with the general split parser as its fallback. Its
+# link regex is the scan's as it stood before the scan took usual links in
+# one match.
+SCAN_BLANK_RUN = r"[ \t\r\f\v]*"
+SCAN_TOKEN = r"[!#$%&'*+.^_`|~0-9A-Za-z-]+"
+SIMPLE_LINK = re.compile(
+    rf'{SCAN_BLANK_RUN}<([^<>"]*)>((?:{SCAN_BLANK_RUN};{SCAN_BLANK_RUN}{SCAN_TOKEN}{SCAN_BLANK_RUN}={SCAN_BLANK_RUN}"[^"\\]*")*)'
+    rf"{SCAN_BLANK_RUN}(?:,|\Z)"
+)
+
+
 @dataclass(frozen=True)
 class TimemapLink:
     target: str
@@ -212,7 +224,7 @@ def parse_links(text):
     links = []
     pos, end = 0, len(text)
     while pos < end:
-        link = archives._SIMPLE_LINK.match(text, pos)
+        link = SIMPLE_LINK.match(text, pos)
         if link is None:
             return split_links(text)
         target, span = link.groups()
@@ -341,6 +353,16 @@ class TestOneScanParsing:
     @example(text='<http://a/1>; rel="memento",')
     @example(text='<http://a/1>; rel="first\tmemento"; datetime="x", <http://a/2>; rel="memento\xa0next"')
     @example(text="")
+    # The edges of the usual-link branch: an upper-case key, a repeated rel,
+    # datetime before rel, an empty datetime, blanks around "=", two rels in
+    # one value, and a parameter after the datetime.
+    @example(text='<http://a/1>; REL="memento"; datetime="Fri, 10 Jan 2014 08:00:00 GMT"')
+    @example(text='<http://a/1>; rel="memento"; datetime="x"; rel="next", <http://a/2>; rel="first"; rel="memento"')
+    @example(text='<http://a/1>; datetime="Fri, 10 Jan 2014 08:00:00 GMT"; rel="memento"')
+    @example(text='<http://a/1>; rel="memento"; datetime=""')
+    @example(text='<http://a/1> ; rel = "memento" ;\tdatetime\t=\t"x" , <http://a/2>;rel="next"')
+    @example(text='<http://a/1>; rel="memento next"; datetime="x", <http://a/2>; rel="memento"')
+    @example(text='<http://a/1>; rel="memento"; datetime="x"; type="text/html"')
     def test_scan_matches_split_parser(self, text):
         assert read_outcome(archives._page_mementos, text) == read_outcome(SPLIT_PARSER, text)
 
@@ -1013,6 +1035,47 @@ class TestNearestMemento:
         assert nearest_memento(decoded, requested) == min(shuffled, key=lambda m: (abs(m[0] - requested), m[0]))
 
 
+def read_text_outcome(path):
+    """Oracle of a fixture read: the file's text as ``Path.read_text`` reads
+    it, or the error that ``FixtureArchiveSource`` makes of its failure."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        return ("ArchiveFetchError", f"{path}: bytes that are not UTF-8 ({exc.reason})")
+
+
+def fixture_read_outcome(source, uri):
+    """What ``source.get_timemap(uri)`` returns, or the type and message it
+    raised, and how many descriptors it opened; each must be closed again."""
+    opened = []
+    real_open = os.open
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "open", recording_open)
+        try:
+            outcome = source.get_timemap(uri)
+        except (ArchiveFetchError, OSError) as exc:
+            outcome = (type(exc).__name__, str(exc))
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)  # EBADF: closed
+    return outcome, len(opened)
+
+
+FIXTURE_FILE_PIECES = [
+    b"\r", b"\r\n", b"\n", b"\n\r", b"a", b" ", b"\xef\xbb\xbf", b"\xc3\xa9", b"\xe2\x82\xac",
+    b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf4\x90\x80\x80", b'<http://a/1>; rel="memento"',
+]
+FIXTURE_FILE_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.sampled_from(FIXTURE_FILE_PIECES), max_size=16).map(b"".join),
+)
+
+
 class TestFixtureSources:
     def test_fixture_timemap_lookup(self, fixtures_dir):
         source = FixtureArchiveSource(fixtures_dir / "timemaps")
@@ -1053,9 +1116,44 @@ class TestFixtureSources:
         assert source.get_timemap("http://x.example/") is None
 
     def test_directory_in_place_of_file_raises(self, tmp_path):
-        (tmp_path / (quote("http://x.example/", safe="") + ".link")).mkdir()
-        with pytest.raises(IsADirectoryError):
-            FixtureArchiveSource(tmp_path).get_timemap("http://x.example/")
+        path = tmp_path / (quote("http://x.example/", safe="") + ".link")
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as expected:
+            open(path, encoding="utf-8")
+        outcome, opened = fixture_read_outcome(FixtureArchiveSource(tmp_path), "http://x.example/")
+        assert outcome == ("IsADirectoryError", str(expected.value))
+        assert opened == 1
+
+    @given(data=FIXTURE_FILE_BYTES)
+    @example(data=b"")
+    @example(data=b"a\rb\r\nc\n\rd")
+    @example(data=b"trailing\r")
+    @example(data=b"\xef\xbb\xbf<http://a/1>; rel=\"memento\"")  # a BOM stays in the text
+    @example(data=b"ok\r\n\xff")
+    @example(data=b"\r\xe2\x82")  # a sequence cut off by the end of the file
+    @example(data=b"\xed\xa0\x80")  # an encoded surrogate
+    @example(data=b"a\r\n" * 40_000)  # 120,000 bytes, still one read
+    def test_read_as_read_text(self, tmp_path_factory, data):
+        """A fixture file reads as ``Path.read_text(encoding="utf-8")``
+        reads it, raises exactly where that raises, with the same reason,
+        and leaves no file descriptor open."""
+        directory = tmp_path_factory.mktemp("timemaps", numbered=True)
+        path = directory / (quote("http://x.example/", safe="") + ".link")
+        path.write_bytes(data)
+        outcome, opened = fixture_read_outcome(FixtureArchiveSource(directory), "http://x.example/")
+        assert outcome == read_text_outcome(path)
+        assert opened == 1
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/cmdline"), reason="needs a file whose size reads as 0")
+    def test_file_longer_than_its_size_read_whole(self, tmp_path):
+        # A procfs file reports size 0, so the first read fills its one byte
+        # and the rest comes from the reads after it.
+        path = tmp_path / (quote("http://x.example/", safe="") + ".link")
+        path.symlink_to("/proc/self/cmdline")
+        assert os.stat(path).st_size == 0
+        outcome, opened = fixture_read_outcome(FixtureArchiveSource(tmp_path), "http://x.example/")
+        assert outcome == read_text_outcome(path)
+        assert len(outcome) > 1 and opened == 1
 
     def test_undecodable_timemap_is_a_fetch_error(self, tmp_path, fixtures_dir):
         name = quote("http://cs.odu.edu", safe="") + ".link"
@@ -1307,6 +1405,46 @@ class TestEvidenceCache:
         assert archive_opens[0].closed
 
 
+# Text that JSON writes escaped: quotes, backslashes, control characters,
+# non-ASCII characters and lone surrogates.
+LINE_TEXT = st.one_of(
+    st.sampled_from(['http://a/"q"', "http://a/\\b", "http://a/\x00\x1f\x7f", "http://é.example/☃", "\ud800x\udfff"]),
+    st.text(st.characters(blacklist_categories=()), max_size=12),
+)
+
+
+@st.composite
+def codec_values(draw):
+    """A kind and a value of it as a fetch returns it."""
+    kind = draw(st.sampled_from(sorted(archives._CODECS)))
+    if kind == "timemap":
+        stamps = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31), timezones=st.just(UTC))
+        mementos = draw(st.lists(st.tuples(stamps.map(lambda when: when.replace(microsecond=0)), LINE_TEXT), max_size=3))
+        value = ArchiveEvidence(uri=draw(LINE_TEXT), mementos=tuple(sorted(mementos)), truncated=draw(st.booleans()))
+    elif kind == "popularity":
+        value = draw(st.one_of(st.none(), st.integers(1, RANK_FLOOR_DEFAULT), st.integers()))
+    else:
+        value = DamageEvidence(damage=draw(st.floats(0, 1)), source=draw(st.sampled_from(list(DamageSource))))
+    return kind, value
+
+
+class TestCacheLineBytes:
+    @given(codec_value=codec_values(), surt=LINE_TEXT, fetched_at=st.floats())
+    @example(codec_value=("damage", DamageEvidence(damage=5e-324, source=DamageSource.FIXTURE)), surt="s", fetched_at=1.7976931348623157e308)
+    @example(codec_value=("popularity", None), surt='a"\\\ud800', fetched_at=-0.0)
+    @example(codec_value=("popularity", 7), surt="x", fetched_at=float("nan"))
+    def test_line_is_json_dumps(self, tmp_path_factory, codec_value, surt, fetched_at):
+        """Every codec's cache line is the bytes of ``json.dumps(record,
+        sort_keys=True)`` and a newline."""
+        kind, value = codec_value
+        encoded = archives._CODECS[kind][1](value)
+        path = tmp_path_factory.mktemp("cache", numbered=True) / "cache.jsonl"
+        with EvidenceCache(path, clock=lambda: fetched_at) as cache:
+            cache.put("gateway", kind, surt, encoded)
+        record = {"provider": "gateway", "kind": kind, "surt": surt, "fetched_at": fetched_at, "value": encoded}
+        assert path.read_bytes() == (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+
+
 class ExplodingSource:
     def get_timemap(self, uri):
         raise AssertionError("should have come from cache")
@@ -1473,11 +1611,28 @@ class TestEvidenceService:
             ("popularity", {"rank": "x"}),
             ("popularity", [1]),
             ("popularity", {"rank": float("inf")}),
+            # Values of a type that a fetch never writes, which each decoder
+            # once read as something else.
+            ("popularity", {"rank": True}),
+            ("popularity", {"rank": "5"}),
+            ("damage", {"damage": True, "source": "fixture"}),
+            (
+                "timemap",
+                {"uri": "http://cs.gmu.edu", "mementos": [["2014-01-01T00:00:00Z", 12345]], "truncated": False},
+            ),
+            (
+                "timemap",
+                {"uri": "http://cs.gmu.edu", "mementos": [["2014-01-01T00:00:00Z", "https://a/m"]], "truncated": "yes"},
+            ),
+            ("timemap", {"uri": 7, "mementos": [["2014-01-01T00:00:00Z", "https://a/m"]], "truncated": False}),
+            ("timemap", {"uri": "http://cs.gmu.edu", "mementos": {}, "truncated": False}),
         ],
         ids=[
             "bad-datetime", "no-mementos", "not-a-dict",
             "damage-not-a-number", "damage-empty", "damage-a-list", "damage-above-one",
             "damage-unknown-source", "rank-not-a-number", "rank-a-list", "rank-infinite",
+            "rank-true", "rank-a-string", "damage-true",
+            "memento-uri-a-number", "truncated-not-a-boolean", "uri-not-a-string", "mementos-not-a-list",
         ],
     )
     def test_undecodable_cached_timemap_is_refetched(
@@ -1507,7 +1662,7 @@ class TestEvidenceService:
         assert EvidenceCache(path).get("gateway", kind, surt) == fetched
 
     @pytest.mark.parametrize(
-        "value, rank", [({}, None), ({"rank": None}, None), ({"rank": "5"}, 5), ({"rank": 2.7}, 2)]
+        "value, rank", [({}, None), ({"rank": None}, None), ({"rank": 5}, 5), ({"rank": 2.7}, 2)]
     )
     def test_cached_popularity_decodes_as_before(self, tmp_path, caplog, value, rank):
         uri, requested = "http://a.example.com", dt("20140301000000")
