@@ -414,9 +414,11 @@ def nearest_memento(evidence: ArchiveEvidence, requested: datetime) -> tuple[dat
 # Concrete TimeMap sources
 
 
-# The open errors that mean no file is at the path (ENOENT, a file where a
-# directory should be, a symlink loop): the ones ``Path.exists`` reads as False.
-_NO_FILE_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP})
+# The open errors that mean no file can be at the path: none is there
+# (ENOENT), a file stands where a directory should (ENOTDIR), a symlink
+# loops (ELOOP), or a name is too long to exist (ENAMETOOLONG, as a long
+# URI's quoted file name can be). The URI is then not archived.
+_NO_FILE_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENAMETOOLONG})
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 
 

@@ -6,13 +6,17 @@ mean cosine similarity, the top N categories become candidates, the
 candidate set is pruned with the ancestor-assistance rule, and a Naive
 Bayes model over the candidates picks the final path.
 
-Each entry is featurized once, when its vector index is built. The index
-keeps, per gram, the rows holding it and their counts (postings), every
-row's norm and category, and every category's row count and summed counts.
-The cosine scoring walks the postings of the query's grams only, and the
-naive Bayes reads the summed counts, so no entry is featurized again per
-query. The index also keeps the naive Bayes model of each candidate set
-it has classified against, so a candidate set is fitted once.
+Each entry is featurized once, when its vector index is built, and a build
+generates the grams of each distinct token once: tokens repeat across the
+entries of one index, so the build keeps each token's grams for its own
+entries and drops them when it returns. The index keeps, per gram, the
+rows holding it and their counts (postings), every row's norm and
+category, and every category's row count and summed counts. The cosine
+scoring walks the postings of the query's grams only, and the naive Bayes
+reads the summed counts, so no entry is featurized again per query. The
+index also keeps the naive Bayes model of each candidate set it has
+classified against, so a candidate set is fitted once. Pruning the
+candidates takes time linear in their number.
 """
 from __future__ import annotations
 
@@ -72,14 +76,31 @@ class DeepClassificationError(Exception):
     """Deep stage could not produce a category (caller falls back to level 1)."""
 
 
-def entry_features(entry: OntologyEntry, grams: GramScheme) -> list[str]:
+def entry_features(
+    entry: OntologyEntry,
+    grams: GramScheme,
+    memo: dict[str, list[str]] | None = None,
+) -> list[str]:
     """Gram features of one ontology entry: URI tokens plus title and
-    description words, all expanded with the same scheme."""
+    description words, all expanded with the same scheme.
+
+    ``memo`` maps a token to its grams under ``grams``. A vector index
+    build passes one for all its entries, so each distinct token is
+    expanded once per build; without one, a fresh memo serves this entry."""
+    if memo is None:
+        memo = {}
     tokens = list(tokenize(entry.uri, TokenMethod.TOKENS).features)
     for text in (entry.title, entry.description):
         if text:
             tokens.extend(text_tokens(text))
-    return token_grams(tokens, grams.sizes)
+    sizes = grams.sizes
+    features: list[str] = []
+    for token in tokens:
+        expanded = memo.get(token)
+        if expanded is None:
+            expanded = memo[token] = token_grams((token,), sizes)
+        features += expanded
+    return features
 
 
 _NOT_GRAMS = "the deep stage scores gram lists; expand a TOKENS bag with expand_query"
@@ -163,6 +184,7 @@ def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVecto
     paths: list[CategoryPath] = []
     row_counts: list[int] = []
     totals: dict[str, Counter[str]] = {}
+    memo: dict[str, list[str]] = {}  # this build's grams per token
     for path in index.categories():
         key = str(path)
         if key in totals:  # two index keys that parse to one path
@@ -170,7 +192,7 @@ def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVecto
         ordinal, rows = len(paths), 0
         total: Counter[str] = Counter()
         for entry in index.entries_for(path):
-            features = entry_features(entry, grams)
+            features = entry_features(entry, grams, memo)
             if not features:
                 continue
             counts = Counter(features)
@@ -263,18 +285,10 @@ class PrunedTree:
             raise ValueError("pruned tree needs at least one candidate")
         if not self.candidates <= self.nodes:
             raise ValueError("every candidate must be a node")
+        ancestors = {c.labels[:k] for c in self.candidates for k in range(1, len(c))}
         for node in self.nodes - self.candidates:
-            if not any(node.is_prefix_of(c) and node != c for c in self.candidates):
+            if node.labels not in ancestors:
                 raise ValueError(f"non-candidate node {node} is not an ancestor of any candidate")
-
-
-def _common_prefix_len(a: CategoryPath, b: CategoryPath) -> int:
-    n = 0
-    for x, y in zip(a.labels, b.labels):
-        if x != y:
-            break
-        n += 1
-    return n
 
 
 def prune_tree(candidates: Sequence[CategoryPath]) -> PrunedTree:
@@ -289,14 +303,12 @@ def prune_tree(candidates: Sequence[CategoryPath]) -> PrunedTree:
         raise ValueError("no candidate categories to prune")
     ordered = list(dict.fromkeys(candidates))
     root_len = 1 if len({c.labels[0] for c in ordered}) == 1 else 0
+    # Two distinct candidates share an ancestor below the root exactly when
+    # they share their first root_len + 1 labels: their branch.
+    branches = Counter(c.labels[: root_len + 1] for c in ordered if len(c) > root_len)
     nodes: set[CategoryPath] = set(ordered)
     for candidate in ordered:
-        supported = any(
-            _common_prefix_len(candidate, other) > root_len
-            for other in ordered
-            if other != candidate
-        )
-        if not supported:
+        if branches[candidate.labels[: root_len + 1]] < 2:
             for ancestor in candidate.ancestors():
                 if len(ancestor) > root_len:
                     nodes.add(ancestor)

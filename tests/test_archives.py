@@ -1103,6 +1103,13 @@ class TestFixtureSources:
         looped.symlink_to(looped.name)
         assert FixtureArchiveSource(tmp_path).get_timemap("http://x.example/") is None
 
+    def test_name_too_long_for_a_file_is_not_archived(self, fixtures_dir):
+        # quoted, the URI is a file name past the 255 bytes a name may hold
+        uri = "http://x.example/" + "a" * 300
+        source = FixtureArchiveSource(fixtures_dir / "timemaps")
+        assert source.get_timemap(uri) is None
+        assert source.get_page(uri + "?page=2") is None
+
     def test_every_read_sees_the_file_as_it_is(self, tmp_path):
         # the path is worked out once per URI; the file is read on every call
         path = tmp_path / (quote("http://x.example/", safe="") + ".link")
@@ -1492,6 +1499,14 @@ class TestEvidenceService:
             service,
             "http://radford.edu/content/csat/home/itec.html", dt("20140301000000")
         )
+        assert not result.archive.archived
+        assert result.popularity is None and result.damage is None
+        assert result.error is None
+
+    def test_uri_too_long_for_a_file_name_is_not_archived(self, fixtures_dir):
+        service = self.build(fixtures_dir)
+        uri = "http://x.example/" + "a" * 300
+        result = evidence_for(service, uri, dt("20140301000000"))
         assert not result.archive.archived
         assert result.popularity is None and result.damage is None
         assert result.error is None

@@ -4,6 +4,7 @@ the final naive-Bayes assignment."""
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -42,6 +43,7 @@ from archive_recommender.uri import (
     detect_patterns,
     parse_uri,
     text_tokens,
+    token_grams,
     tokenize,
 )
 
@@ -255,6 +257,109 @@ def evaluate_deep_by_steps(
         by_dictionary=ratios("dictionary"),
         by_long_strings=ratios("long"),
     )
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the index build before it kept each token's grams for the rest
+# of the build, and the pruning and tree check before they ran in linear
+# time. The build, the pruning and the check must agree with them exactly.
+
+
+def entry_features_whole(entry: OntologyEntry, grams: GramScheme) -> list[str]:
+    """The grams of all of an entry's tokens from one ``token_grams`` call."""
+    tokens = list(tokenize(entry.uri, TokenMethod.TOKENS).features)
+    for text in (entry.title, entry.description):
+        if text:
+            tokens.extend(text_tokens(text))
+    return token_grams(tokens, grams.sizes)
+
+
+def build_vector_index_per_entry(index: CategoryIndex, grams: GramScheme) -> CategoryVectorIndex:
+    """The build loop with each entry featurized on its own."""
+    if not len(index):
+        raise ValueError("cannot build a vector index from an empty category index")
+    postings: dict[str, array] = {}
+    norms = array("d")
+    row_category = array("I")
+    paths: list[CategoryPath] = []
+    row_counts: list[int] = []
+    totals: dict[str, Counter[str]] = {}
+    for path in index.categories():
+        key = str(path)
+        if key in totals:  # two index keys that parse to one path
+            continue
+        ordinal, rows = len(paths), 0
+        total: Counter[str] = Counter()
+        for entry in index.entries_for(path):
+            features = entry_features_whole(entry, grams)
+            if not features:
+                continue
+            counts = Counter(features)
+            row, squares = len(norms), 0
+            for gram, count in counts.items():
+                squares += count * count
+                posting = postings.get(gram)
+                if posting is None:
+                    posting = postings[gram] = array("I")
+                posting.append(row)
+                posting.append(count)
+            norms.append(math.sqrt(squares))
+            row_category.append(ordinal)
+            total.update(features)
+            rows += 1
+        paths.append(CategoryPath.parse(key))
+        row_counts.append(rows)
+        totals[key] = total
+    return CategoryVectorIndex(
+        grams=grams,
+        postings=postings,
+        norms=norms,
+        row_category=row_category,
+        paths=tuple(paths),
+        row_counts=tuple(row_counts),
+        ordinals={key: ordinal for ordinal, key in enumerate(totals)},
+        totals=totals,
+    )
+
+
+def check_tree_pairwise(nodes: frozenset[CategoryPath], candidates: frozenset[CategoryPath]) -> None:
+    """``PrunedTree``'s checks, each non-candidate node against every candidate."""
+    if not candidates:
+        raise ValueError("pruned tree needs at least one candidate")
+    if not candidates <= nodes:
+        raise ValueError("every candidate must be a node")
+    for node in nodes - candidates:
+        if not any(node.is_prefix_of(c) and node != c for c in candidates):
+            raise ValueError(f"non-candidate node {node} is not an ancestor of any candidate")
+
+
+def _common_prefix_len(a: CategoryPath, b: CategoryPath) -> int:
+    n = 0
+    for x, y in zip(a.labels, b.labels):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+def prune_tree_pairwise(candidates: Sequence[CategoryPath]) -> PrunedTree:
+    """Ancestor-assistance pruning, each candidate against every other."""
+    if not candidates:
+        raise ValueError("no candidate categories to prune")
+    ordered = list(dict.fromkeys(candidates))
+    root_len = 1 if len({c.labels[0] for c in ordered}) == 1 else 0
+    nodes: set[CategoryPath] = set(ordered)
+    for candidate in ordered:
+        supported = any(
+            _common_prefix_len(candidate, other) > root_len
+            for other in ordered
+            if other != candidate
+        )
+        if not supported:
+            for ancestor in candidate.ancestors():
+                if len(ancestor) > root_len:
+                    nodes.add(ancestor)
+    return PrunedTree(nodes=frozenset(nodes), candidates=frozenset(ordered))
 
 
 def deep_outcome(classify, *args) -> tuple[str, list[nbayes.Classification]]:
@@ -794,3 +899,130 @@ class TestEvaluateDeepSteps:
         if name == "edge_cases":
             assert report.skipped_categories == ["Lonely"]
             assert report.failures == 1
+
+
+# Few words, some of three letters, so that tokens repeat within and across
+# entries and some pass through the gram schemes whole.
+_REPEATING = st.sampled_from(["abc", "abcd", "bcdef", "cdefgh", "defghijkl", "xyz", "bcd"])
+
+
+@st.composite
+def repeating_index(draw) -> CategoryIndex:
+    """1-8 entries over 1-3 categories, each URI, title and description
+    drawn from one small vocabulary; some entries have no features."""
+    paths = draw(st.lists(st.sampled_from(["A", "A/B", "A/C", "B", "B/C/D"]), min_size=1, max_size=3))
+    entries: list[OntologyEntry] = []
+    for k in range(draw(st.integers(1, 8))):
+        category = draw(st.sampled_from(paths))
+        if draw(st.integers(0, 4)) == 0:
+            entries.append(entry(category, f"http://q{k}.zz/"))
+            continue
+        words = draw(st.lists(_REPEATING, min_size=1, max_size=5))
+        texts = [
+            draw(st.none() | st.lists(_REPEATING, min_size=1, max_size=4).map(" ".join))
+            for _ in range(2)
+        ]
+        entries.append(entry(category, f"http://{words[0]}{k}.zz/{'-'.join(words[1:])}", *texts))
+    return CategoryIndex(entries)
+
+
+class TestGramMemo:
+    """A build generates each distinct token's grams once, and builds the
+    index that featurizing each entry on its own builds."""
+
+    @given(repeating_index(), st.sampled_from(list(GramScheme)))
+    @settings(max_examples=150, deadline=None)
+    def test_same_index_as_a_build_per_entry(self, index, grams):
+        for e in index.all_entries():
+            assert entry_features(e, grams) == entry_features_whole(e, grams)
+        vindex = build_vector_index(index, grams)
+        oracle = build_vector_index_per_entry(index, grams)
+        assert vindex == oracle
+        assert list(vindex.postings) == list(oracle.postings)
+        assert list(vindex.ordinals) == list(oracle.ordinals)
+        assert list(vindex.totals) == list(oracle.totals)
+        for key, total in vindex.totals.items():
+            assert list(total) == list(oracle.totals[key])
+        assert vindex.models == {}
+
+    @pytest.mark.parametrize("grams", list(GramScheme))
+    def test_same_index_over_fixture_subtrees(self, grams):
+        index = fixture_index()
+        for top in sorted({p.top for p in index.categories()}):
+            sub = CategoryIndex(index.entries_under(P(top)))
+            vindex = build_vector_index(sub, grams)
+            oracle = build_vector_index_per_entry(sub, grams)
+            assert vindex == oracle, top
+            assert list(vindex.postings) == list(oracle.postings), top
+            assert all(list(vindex.totals[k]) == list(oracle.totals[k]) for k in oracle.totals), top
+
+    def test_each_distinct_token_expanded_once_per_build(self, monkeypatch):
+        index = CategoryIndex(
+            [
+                entry("A", "http://boards.example.com/", "boards and chips"),
+                entry("A/B", "http://chips.example.com/boards"),
+                entry("A/B", "http://ab.cd/"),
+            ]
+        )
+        expanded: list[tuple[str, ...]] = []
+        real = deep.token_grams
+
+        def counted(tokens, sizes):
+            expanded.append(tuple(tokens))
+            return real(tokens, sizes)
+
+        monkeypatch.setattr(deep, "token_grams", counted)
+        build_vector_index(index, GramScheme.ALL_GRAM)
+        assert sorted(expanded) == [("and",), ("boards",), ("chips",), ("com",), ("example",)]
+        expanded.clear()
+        build_vector_index(index, GramScheme.ALL_GRAM)  # a new build starts afresh
+        assert len(expanded) == 5
+
+
+_PRUNE_PATHS = st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=5).map(
+    lambda labels: CategoryPath(tuple(labels))
+)
+
+
+@st.composite
+def candidate_paths(draw) -> list[CategoryPath]:
+    """1-8 paths of depth 1-5, sometimes all under one top label, with
+    duplicates, in any order."""
+    paths = draw(st.lists(_PRUNE_PATHS, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        paths = [CategoryPath((paths[0].top, *p.labels[1:])) for p in paths]
+    paths += draw(st.lists(st.sampled_from(paths), max_size=4))
+    return draw(st.permutations(paths))
+
+
+def check_outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestLinearPruning:
+    """Counting branches prunes as comparing every pair of candidates did,
+    and the tree's check raises where the pairwise check raised."""
+
+    @given(candidate_paths())
+    @settings(max_examples=300, deadline=None)
+    def test_same_tree_as_the_pairwise_pruning(self, candidates):
+        assert prune_tree(candidates) == prune_tree_pairwise(candidates)
+
+    @given(candidate_paths(), st.lists(_PRUNE_PATHS, max_size=4), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_tree_check_raises_where_the_pairwise_check_raised(self, candidates, extra, pruned, drop):
+        candidate_set = frozenset(candidates)
+        nodes = set(prune_tree(candidates).nodes if pruned else candidate_set)
+        nodes.update(extra)
+        if drop:  # a candidate that is not a node
+            nodes.discard(candidates[0])
+        node_set = frozenset(nodes)
+        expected = check_outcome(check_tree_pairwise, node_set, candidate_set)
+        assert check_outcome(PrunedTree, node_set, candidate_set) == expected
+        assert check_outcome(PrunedTree, node_set, frozenset()) == (
+            check_outcome(check_tree_pairwise, node_set, frozenset())
+        )
