@@ -31,7 +31,6 @@ def main() -> None:
         FixtureArchiveSource(FIXTURES / "timemaps"),
         FixturePopularityProvider(FIXTURES / "popularity.tsv"),
         FixtureDamageProvider(FIXTURES / "damage.tsv"),
-        parallelism=1,  # fixture reads gain nothing from a pool
     )
     wanted = datetime(2014, 3, 1, tzinfo=timezone.utc)
 
@@ -41,6 +40,9 @@ def main() -> None:
     for evidence in service.gather(candidates, wanted):
         archive = evidence.archive
         print(evidence.uri)
+        if evidence.error is not None:  # a fetch failed: the pipeline drops such a candidate
+            print(f"  evidence unavailable: {evidence.error}\n")
+            continue
         if not archive.archived:
             print("  not archived anywhere\n")
             continue

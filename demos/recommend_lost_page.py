@@ -27,7 +27,6 @@ def main() -> None:
         FixtureArchiveSource(FIXTURES / "timemaps"),
         FixturePopularityProvider(FIXTURES / "popularity.tsv"),
         FixtureDamageProvider(FIXTURES / "damage.tsv"),
-        parallelism=1,  # fixture reads gain nothing from a pool
     )
     recommender = Recommender(load_index(FIXTURES / "index.tsv"), service)
 

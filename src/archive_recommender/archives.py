@@ -30,7 +30,7 @@ from urllib.parse import quote
 
 from .uri import InputFileError, UriParseError, canonicalize_surt, content_lines, parse_uri, read_lines
 
-if TYPE_CHECKING:  # the network clients import it when used: fixture runs never pay for it
+if TYPE_CHECKING:  # imported only to build a client's default session
     import requests
 
 __all__ = [
@@ -474,34 +474,48 @@ class FixtureArchiveSource:
         return self._read(page_uri)
 
 
-class MemGatorClient:
-    """Memento aggregator client (GET <base>/timemap/link/<uri>)."""
+class _HttpClient:
+    """The network clients' one request path, a GET through a ``requests``-
+    style session; ``requests`` is imported only to build a default one.
+    Each client sets its default ``timeout`` in seconds, and its messages:
+    ``<_failed>: <error>``, and ``_returned`` formatted with status and URL."""
 
-    def __init__(self, base_url: str, timeout: float = 10.0, session: requests.Session | None = None):
-        import requests
+    def __init__(self, base_url: str, timeout: float | None = None, session: requests.Session | None = None):
+        if session is None:
+            import requests
 
+            session = requests.Session()
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.session = session or requests.Session()
+        self.timeout = self.timeout if timeout is None else timeout
+        self.session = session
 
-    def _get(self, url: str) -> str | None:
-        import requests
-
+    def _get(self, url: str) -> requests.Response | None:
+        """The 200 response to a GET of ``url``, or None on a 404. Raises
+        ArchiveFetchError on a transport failure or any other status."""
         try:
             response = self.session.get(url, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise ArchiveFetchError(f"aggregator request failed: {exc}") from exc
+        except OSError as exc:  # requests.RequestException is one
+            raise ArchiveFetchError(f"{self._failed}: {exc}") from exc
         if response.status_code == 404:
             return None
         if response.status_code != 200:
-            raise ArchiveFetchError(f"aggregator returned {response.status_code} for {url}")
-        return response.text
+            raise ArchiveFetchError(self._returned.format(status=response.status_code, url=url))
+        return response
+
+
+class MemGatorClient(_HttpClient):
+    """Memento aggregator client (GET <base>/timemap/link/<uri>)."""
+
+    timeout = 10.0
+    _failed = "aggregator request failed"
+    _returned = "aggregator returned {status} for {url}"
 
     def get_timemap(self, uri: str) -> str | None:
-        return self._get(f"{self.base_url}/timemap/link/{uri}")
+        return self.get_page(f"{self.base_url}/timemap/link/{uri}")
 
     def get_page(self, page_uri: str) -> str | None:
-        return self._get(page_uri)
+        response = self._get(page_uri)
+        return None if response is None else response.text
 
 
 # ---------------------------------------------------------------------------
@@ -555,32 +569,36 @@ class FixtureDamageProvider:
         return self._damage.get(memento_uri)
 
 
-class MementoDamageClient:
+class MementoDamageClient(_HttpClient):
     """Client for a damage-scoring service exposing /api/damage/<uri>."""
 
     source = DamageSource.PROVIDER
-
-    def __init__(self, base_url: str, timeout: float = 30.0, session: requests.Session | None = None):
-        import requests
-
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.session = session or requests.Session()
+    timeout = 30.0
+    _failed = "damage request failed"
+    _returned = "damage service returned {status}"
 
     def get_damage(self, memento_uri: str) -> float | None:
-        import requests
-
-        url = f"{self.base_url}/api/damage/{quote(memento_uri, safe='')}"
-        try:
-            response = self.session.get(url, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise ArchiveFetchError(f"damage request failed: {exc}") from exc
-        if response.status_code == 404:
+        """``total_damage`` clamped to [0, 1], or None on a 404 or a null; a reply that
+        is not a JSON object, or not a finite ``total_damage``, is an ArchiveFetchError."""
+        response = self._get(f"{self.base_url}/api/damage/{quote(memento_uri, safe='')}")
+        if response is None:
             return None
-        if response.status_code != 200:
-            raise ArchiveFetchError(f"damage service returned {response.status_code}")
-        value = response.json().get("total_damage")
-        return None if value is None else max(0.0, min(1.0, float(value)))
+        try:
+            reply = response.json()
+        except (ValueError, RecursionError) as exc:  # requests' JSONDecodeError is a ValueError
+            raise ArchiveFetchError(f"damage service reply is not JSON: {exc}") from exc
+        if not isinstance(reply, dict):
+            raise ArchiveFetchError("damage service reply is not a JSON object")
+        value = reply.get("total_damage")
+        if value is None:
+            return None
+        try:
+            damage = float(value)
+        except (TypeError, ValueError, OverflowError):
+            damage = math.nan
+        if not math.isfinite(damage):
+            raise ArchiveFetchError(f"damage service sent total_damage {value!r}, not a finite number")
+        return max(0.0, min(1.0, damage))
 
 
 def fetch_damage(provider: DamageProvider | None, memento_uri: str) -> DamageEvidence:
@@ -609,7 +627,7 @@ class EvidenceCache:
 
     Later records supersede earlier ones; entries older than ``max_age``
     seconds are treated as misses so they get refetched. Each entry keeps
-    the decoded form of its value beside the raw one (see ``decoded``).
+    the decoded form of its value beside the raw one (see ``get``).
     Lines are appended through one unbuffered handle, opened by the first
     ``put``, one write per line. ``close`` releases it; so does dropping the
     cache, through a finalizer that holds the handle, not the cache.
@@ -646,29 +664,20 @@ class EvidenceCache:
             if skipped:
                 _log.warning("evidence cache %s: skipped %d corrupt line(s)", self.path, skipped)
 
-    def get(self, provider: str, kind: str, surt: str) -> dict | None:
-        with self._lock:
-            hit = self._entries.get((provider, kind, surt))
-        if hit is None:
-            return None
-        fetched_at, value, _ = hit
-        if self.max_age is not None and self._clock() - fetched_at > self.max_age:
-            return None
-        return value
-
-    def decoded(self, provider: str, kind: str, surt: str, raw, decode: Callable[[object], object]):
-        """``decode(raw)``, where ``raw`` is the value ``get`` or ``put`` just
-        saw under this key. While ``raw`` is still the entry's value, the
-        result is kept with the entry and every later call returns it, so
-        the entry is decoded at most once. A decode that raises keeps
-        nothing. Values are shared, so ``decode`` must return frozen ones."""
+    def get(self, provider: str, kind: str, surt: str, decode: Callable[[object], object] | None = None):
+        """The entry's value, or None on a miss or an expired entry. With
+        ``decode``, its decoded value, decoded at most once per entry (a value
+        given to ``put`` counts); a decode that raises keeps nothing. Decoded
+        values are shared, so ``decode`` must return frozen ones, never None."""
         key = (provider, kind, surt)
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None or entry[1] is not raw:  # superseded since it was seen
-                return decode(raw)
+            if entry is None or self.max_age is not None and self._clock() - entry[0] > self.max_age:
+                return None
+            if decode is None:
+                return entry[1]
             if entry[2] is _UNDECODED:
-                entry = self._entries[key] = (entry[0], raw, decode(raw))
+                entry = self._entries[key] = (entry[0], entry[1], decode(entry[1]))
             return entry[2]
 
     def put(self, provider: str, kind: str, surt: str, value: dict, decoded=_UNDECODED) -> None:
@@ -711,12 +720,13 @@ class EvidenceCache:
 # Evidence service: cached, concurrent fan-out over candidates
 
 
-def _int_rank(rank) -> int | None:
-    """A popularity rank as an integer, as fetched or as read from its line."""
-    return None if rank is None else int(rank)
+def _int_rank(rank) -> tuple[int | None]:
+    """A popularity rank, fetched or read from its line, as an integer or
+    None, in a 1-tuple: no cache hit may be None, which ``get`` keeps for a miss."""
+    return (None if rank is None else int(rank),)
 
 
-def _cached_rank(value: dict) -> int | None:
+def _cached_rank(value: dict) -> tuple[int | None]:
     """The rank of a popularity line, read as an integer. A fetch writes an
     integer or null, and an older line may hold a float; a value of any
     other type raises."""
@@ -734,9 +744,13 @@ def _cached_rank(value: dict) -> int | None:
 # is looked up on each call, so a wrapper put on the class is seen.
 _CODECS = {
     "timemap": ("TimeMap", ArchiveEvidence.to_json_dict, lambda value: ArchiveEvidence.from_json_dict(value)),
-    "popularity": ("popularity", lambda rank: {"rank": rank}, _cached_rank),
+    "popularity": ("popularity", lambda ranked: {"rank": ranked[0]}, _cached_rank),
     "damage": ("damage", DamageEvidence.to_json_dict, DamageEvidence.from_json_dict),
 }
+
+# The package's fixture sources, or none: their reads hold the interpreter
+# lock, so a pool over them only slows them.
+_IN_PROCESS_SOURCES = (FixtureArchiveSource, FixturePopularityProvider, FixtureDamageProvider, type(None))
 
 
 @dataclass
@@ -767,7 +781,9 @@ class EvidenceService:
         self.popularity_provider = popularity_provider
         self.damage_provider = damage_provider
         self.cache = cache
-        self.parallelism = max(1, parallelism)
+        sources = (archive_source, popularity_provider, damage_provider)
+        in_process = all(type(source) in _IN_PROCESS_SOURCES for source in sources)
+        self.parallelism = 1 if in_process else max(1, parallelism)
         self.retries = max(0, retries)
         self.max_pages = max_pages
         self._pool_lock = threading.Lock()
@@ -781,15 +797,15 @@ class EvidenceService:
         label, encode, decode = _CODECS[kind]
         cache = self.cache
         if cache is not None:
-            hit = cache.get("gateway", kind, surt)
-            if hit is not None:
-                try:
-                    return cache.decoded("gateway", kind, surt, hit, decode)
-                except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-                    _log.warning(
-                        "evidence cache %s: refetching undecodable %s for %s: %s: %s",
-                        cache.path, label, surt, type(exc).__name__, exc,
-                    )
+            try:
+                hit = cache.get("gateway", kind, surt, decode)
+                if hit is not None:
+                    return hit
+            except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+                _log.warning(
+                    "evidence cache %s: refetching undecodable %s for %s: %s: %s",
+                    cache.path, label, surt, type(exc).__name__, exc,
+                )
         value = fetch()
         if cache is not None:
             cache.put("gateway", kind, surt, encode(value), value)
@@ -806,9 +822,9 @@ class EvidenceService:
                     raise
                 attempt += 1
 
-    def _fetch_rank(self, uri: str) -> int | None:
+    def _fetch_rank(self, uri: str) -> tuple[int | None]:
         if self.popularity_provider is None:
-            return None
+            return (None,)
         domain = parse_uri(uri, assume_http=True).registered_domain
         return _int_rank(self.popularity_provider.get_rank(domain))
 
@@ -816,38 +832,33 @@ class EvidenceService:
         """The evidence of one candidate, its TimeMap and popularity cached
         under ``surt``, the candidate's SURT (``canonicalize_surt(uri)``).
         The one pick of its memento nearest ``requested`` keys the damage,
-        and is kept on the record for ranking."""
+        and is kept on the record for ranking. A fetch error of any kind, or
+        a nearest memento URI that does not parse, gives a record with that
+        error and no mementos, and caches nothing for the kind that failed."""
         try:
             archive = self._cached("timemap", surt, lambda: self._fetch_timemap(uri))
-        except ArchiveFetchError as exc:
-            empty = ArchiveEvidence(uri=uri, mementos=())
-            return CandidateEvidence(uri=uri, archive=empty, error=str(exc))
-        if not archive.archived:
-            return CandidateEvidence(uri=uri, archive=archive)
-
-        memento = nearest_memento(archive, requested)
-        try:
+            if not archive.archived:
+                return CandidateEvidence(uri=uri, archive=archive)
+            memento = nearest_memento(archive, requested)
             nearest_surt = canonicalize_surt(memento[1])
-        except UriParseError as exc:
-            return CandidateEvidence(uri=uri, archive=archive, error=str(exc))
-        rank = self._cached("popularity", surt, lambda: self._fetch_rank(uri))
+            (rank,) = self._cached("popularity", surt, lambda: self._fetch_rank(uri))
+            damage = self._cached(
+                "damage",
+                nearest_surt,
+                lambda: fetch_damage(self.damage_provider, memento[1]),
+            )
+        except (ArchiveFetchError, UriParseError) as exc:
+            return CandidateEvidence(uri=uri, archive=ArchiveEvidence(uri=uri, mementos=()), error=str(exc))
         popularity = PopularityEvidence(
             global_rank=None if rank is None else max(1, min(rank, RANK_FLOOR_DEFAULT)),
             archive_count=min(archive.memento_count, ARCHIVE_COUNT_CEILING_DEFAULT),
         )
-        damage = self._cached(
-            "damage",
-            nearest_surt,
-            lambda: fetch_damage(self.damage_provider, memento[1]),
-        )
         return CandidateEvidence(uri=uri, archive=archive, memento=memento, popularity=popularity, damage=damage)
 
     def gather(self, candidates: Sequence[tuple[str, str]], requested: datetime) -> list[CandidateEvidence]:
-        """Fetch evidence for every (uri, SURT) candidate concurrently; results
-        come back in input order regardless of completion order."""
-        if not candidates:
-            return []
-        if min(self.parallelism, len(candidates)) == 1:
+        """Evidence for every (uri, SURT) candidate, serially or on the
+        service's pool; results come back in input order either way."""
+        if min(self.parallelism, len(candidates)) <= 1:
             return [self.evidence_for(uri, surt, requested) for uri, surt in candidates]
         return list(self._pool().map(lambda c: self.evidence_for(*c, requested), candidates))
 

@@ -161,15 +161,12 @@ def _build_evidence_service(settings: Settings) -> EvidenceService:
     if settings.cache is not None:
         cache = EvidenceCache(settings.cache, max_age=settings.cache_max_age)
 
-    # Fixture reads hold the interpreter lock, so a pool only pays for
-    # sources that wait on the network.
-    networked = settings.aggregator is not None or settings.damage_service is not None
     return EvidenceService(
         archive_source=archive_source,
         popularity_provider=popularity,
         damage_provider=damage,
         cache=cache,
-        parallelism=settings.parallelism if networked else 1,
+        parallelism=settings.parallelism,
         retries=settings.retries,
         max_pages=settings.max_pages,
     )

@@ -186,9 +186,6 @@ def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVecto
     totals: dict[str, Counter[str]] = {}
     memo: dict[str, list[str]] = {}  # this build's grams per token
     for path in index.categories():
-        key = str(path)
-        if key in totals:  # two index keys that parse to one path
-            continue
         ordinal, rows = len(paths), 0
         total: Counter[str] = Counter()
         for entry in index.entries_for(path):
@@ -208,9 +205,9 @@ def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVecto
             row_category.append(ordinal)
             total.update(features)
             rows += 1
-        paths.append(CategoryPath.parse(key))
+        paths.append(path)
         row_counts.append(rows)
-        totals[key] = total
+        totals[str(path)] = total
     return CategoryVectorIndex(
         grams=grams,
         postings=postings,

@@ -161,7 +161,7 @@ class CategoryIndex:
             yield from entries
 
     def categories(self) -> list[CategoryPath]:
-        return sorted(CategoryPath.parse(key) for key in self.by_category)
+        return sorted(entries[0].category for entries in self.by_category.values())
 
     def entries_for(self, category: CategoryPath | str) -> list[OntologyEntry]:
         return list(self.by_category.get(str(category), ()))

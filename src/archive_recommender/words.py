@@ -77,7 +77,8 @@ def segment_words(text: str, lexicon: WordLexicon | None = None) -> list[Segment
 
     Pieces concatenate back to the input exactly. Degenerate inputs (empty,
     or containing anything but lowercase letters) come back as a single
-    unsplit piece; adjacent unknown stretches coalesce into one piece.
+    unsplit piece. No two unknown pieces are adjacent: one piece over both
+    spans costs exactly ``UNKNOWN_BASE_COST`` less.
 
     A piece that is a lexicon word costs its word cost; any other piece
     ``text[j:i]`` costs ``UNKNOWN_BASE_COST + UNKNOWN_CHAR_COST * (i - j)``.
@@ -132,14 +133,7 @@ def segment_words(text: str, lexicon: WordLexicon | None = None) -> list[Segment
         pieces.append(SegmentPiece(text[j:i], j in words[i]))
         i = j
     pieces.reverse()
-
-    merged: list[SegmentPiece] = []
-    for piece in pieces:
-        if merged and not piece.is_word and not merged[-1].is_word:
-            merged[-1] = SegmentPiece(merged[-1].text + piece.text, False)
-        else:
-            merged.append(piece)
-    return merged
+    return pieces
 
 
 def dictionary_bucket(text: str) -> str:

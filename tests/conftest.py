@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from archive_recommender import archives
+from archive_recommender.archives import ArchiveFetchError
 from archive_recommender.ontology import CategoryIndex, CategoryPath, OntologyEntry, load_index
 from archive_recommender.uri import canonicalize_surt
 
@@ -118,3 +119,31 @@ def count_calls(monkeypatch, functions: dict[str, object]) -> dict[str, list]:
             if vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, counted)
     return calls
+
+
+class ForeignSource:
+    """A plain class over a TimeMap source. The evidence service reads
+    serially over the package's fixture classes alone, so a test that must
+    exercise the pool over fixture TimeMaps wraps their source in this."""
+
+    def __init__(self, source):
+        self.source = source
+
+    def get_timemap(self, uri):
+        return self.source.get_timemap(uri)
+
+    def get_page(self, page_uri):
+        return self.source.get_page(page_uri)
+
+
+class FailingProvider:
+    """A popularity and damage provider whose every lookup fails."""
+
+    def __init__(self, message):
+        self.message = message
+
+    def get_rank(self, domain):
+        raise ArchiveFetchError(self.message)
+
+    def get_damage(self, memento_uri):
+        raise ArchiveFetchError(self.message)

@@ -11,6 +11,7 @@ import re
 import string
 import sys
 import threading
+import types
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,6 +33,8 @@ from archive_recommender.archives import (
     FixtureArchiveSource,
     FixtureDamageProvider,
     FixturePopularityProvider,
+    MemGatorClient,
+    MementoDamageClient,
     PopularityEvidence,
     RANK_FLOOR_DEFAULT,
     fetch_damage,
@@ -40,6 +43,7 @@ from archive_recommender.archives import (
     parse_timemap_links,
 )
 from archive_recommender.uri import canonicalize_surt
+from conftest import FailingProvider, ForeignSource
 
 UTC = timezone.utc
 
@@ -1429,7 +1433,7 @@ def codec_values(draw):
         mementos = draw(st.lists(st.tuples(stamps.map(lambda when: when.replace(microsecond=0)), LINE_TEXT), max_size=3))
         value = ArchiveEvidence(uri=draw(LINE_TEXT), mementos=tuple(sorted(mementos)), truncated=draw(st.booleans()))
     elif kind == "popularity":
-        value = draw(st.one_of(st.none(), st.integers(1, RANK_FLOOR_DEFAULT), st.integers()))
+        value = (draw(st.one_of(st.none(), st.integers(1, RANK_FLOOR_DEFAULT), st.integers())),)
     else:
         value = DamageEvidence(damage=draw(st.floats(0, 1)), source=draw(st.sampled_from(list(DamageSource))))
     return kind, value
@@ -1438,8 +1442,8 @@ def codec_values(draw):
 class TestCacheLineBytes:
     @given(codec_value=codec_values(), surt=LINE_TEXT, fetched_at=st.floats())
     @example(codec_value=("damage", DamageEvidence(damage=5e-324, source=DamageSource.FIXTURE)), surt="s", fetched_at=1.7976931348623157e308)
-    @example(codec_value=("popularity", None), surt='a"\\\ud800', fetched_at=-0.0)
-    @example(codec_value=("popularity", 7), surt="x", fetched_at=float("nan"))
+    @example(codec_value=("popularity", (None,)), surt='a"\\\ud800', fetched_at=-0.0)
+    @example(codec_value=("popularity", (7,)), surt="x", fetched_at=float("nan"))
     def test_line_is_json_dumps(self, tmp_path_factory, codec_value, surt, fetched_at):
         """Every codec's cache line is the bytes of ``json.dumps(record,
         sort_keys=True)`` and a newline."""
@@ -1474,9 +1478,12 @@ def record_executors(monkeypatch):
 
 
 class TestEvidenceService:
-    def build(self, fixtures_dir, **kwargs) -> EvidenceService:
+    def build(self, fixtures_dir, pooled=False, **kwargs) -> EvidenceService:
+        """A service over the fixtures; ``pooled`` wraps the TimeMap source
+        in a plain class, so the service pools as ``parallelism`` asks."""
+        source = FixtureArchiveSource(fixtures_dir / "timemaps")
         return EvidenceService(
-            FixtureArchiveSource(fixtures_dir / "timemaps"),
+            ForeignSource(source) if pooled else source,
             FixturePopularityProvider(fixtures_dir / "popularity.tsv"),
             FixtureDamageProvider(fixtures_dir / "damage.tsv"),
             **kwargs,
@@ -1511,11 +1518,13 @@ class TestEvidenceService:
         assert result.popularity is None and result.damage is None
         assert result.error is None
 
-    def test_gather_preserves_input_order(self, fixtures_dir):
-        service = self.build(fixtures_dir, parallelism=4)
+    def test_gather_preserves_input_order(self, fixtures_dir, monkeypatch):
+        made = record_executors(monkeypatch)
+        service = self.build(fixtures_dir, pooled=True, parallelism=4)
         uris = ["http://cs.vt.edu", "http://cs.gmu.edu", "http://cs.odu.edu"]
         results = service.gather(keyed(uris), dt("20140301000000"))
         assert [r.uri for r in results] == uris
+        assert len(made) == 1
 
     def fixture_uris(self, fixtures_dir):
         return [unquote(path.name[: -len(".link")]) for path in sorted((fixtures_dir / "timemaps").glob("*.link"))]
@@ -1525,7 +1534,7 @@ class TestEvidenceService:
         requested, uris = dt("20140301000000"), self.fixture_uris(fixtures_dir)
         serial = self.build(fixtures_dir, parallelism=1).gather(keyed(uris), requested)
         assert not made
-        service = self.build(fixtures_dir, parallelism=4)
+        service = self.build(fixtures_dir, pooled=True, parallelism=4)
         assert service.gather(keyed(uris), requested) == serial
         assert service.gather(keyed(uris), requested) == serial
         assert len(made) == 1
@@ -1537,7 +1546,7 @@ class TestEvidenceService:
         made = record_executors(monkeypatch)
         requested, uris = dt("20140301000000"), self.fixture_uris(fixtures_dir)
         serial = self.build(fixtures_dir, parallelism=1).gather(keyed(uris), requested)
-        service = self.build(fixtures_dir, parallelism=4)
+        service = self.build(fixtures_dir, pooled=True, parallelism=4)
         start = threading.Barrier(4)
         results = [None] * 4
 
@@ -1558,6 +1567,76 @@ class TestEvidenceService:
         assert not any(t.is_alive() for t in threads)
         assert results == [[serial] * 5] * 4
         assert len(made) == 1
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_fixture_sources_are_read_serially(self, fixtures_dir, monkeypatch, parallelism):
+        """Over the package's fixture classes, or no provider at all, the
+        service reads serially whatever ``parallelism`` asks."""
+        made = record_executors(monkeypatch)
+        requested, uris = dt("20140301000000"), self.fixture_uris(fixtures_dir)
+        services = [
+            self.build(fixtures_dir, parallelism=parallelism),
+            EvidenceService(FixtureArchiveSource(fixtures_dir / "timemaps"), parallelism=parallelism),
+        ]
+        for service in services:
+            assert service.parallelism == 1
+            assert [r.uri for r in service.gather(keyed(uris), requested)] == uris
+        assert not made
+
+    class SubclassedSource(FixtureArchiveSource):
+        """A caller's own class, though it reads as a fixture source does."""
+
+    @pytest.mark.parametrize("foreign", ["archive", "subclass", "popularity", "damage"])
+    def test_any_other_source_gets_the_pool(self, fixtures_dir, monkeypatch, foreign):
+        made = record_executors(monkeypatch)
+        requested, uris = dt("20140301000000"), self.fixture_uris(fixtures_dir)
+        sources = [
+            FixtureArchiveSource(fixtures_dir / "timemaps"),
+            FixturePopularityProvider(fixtures_dir / "popularity.tsv"),
+            FixtureDamageProvider(fixtures_dir / "damage.tsv"),
+        ]
+        if foreign == "archive":
+            sources[0] = ForeignSource(sources[0])
+        elif foreign == "subclass":
+            sources[0] = self.SubclassedSource(fixtures_dir / "timemaps")
+        elif foreign == "popularity":
+            sources[1] = FixtureRank(28455)
+        else:
+            sources[2] = FixedDamage(0.25)
+        serial = EvidenceService(*sources, parallelism=1).gather(keyed(uris), requested)
+        service = EvidenceService(*sources, parallelism=3)
+        assert service.parallelism == 3
+        assert service.gather(keyed(uris), requested) == serial
+        assert len(made) == 1
+
+    def test_gather_of_nothing_starts_no_pool(self, fixtures_dir, monkeypatch):
+        made = record_executors(monkeypatch)
+        service = self.build(fixtures_dir, pooled=True, parallelism=4)
+        assert service.gather([], dt("20140301000000")) == []
+        assert not made
+
+    @pytest.mark.parametrize("kind", ["popularity", "damage"])
+    def test_failed_lookup_drops_only_its_candidate(self, fixtures_dir, tmp_path, kind):
+        """A popularity or damage lookup that fails leaves its candidate
+        with the error, as a failed TimeMap does, and caches nothing for
+        the kind that failed; the other candidates are unaffected."""
+        failing = FailingProvider(f"{kind} service returned 503")
+        path = tmp_path / "cache.jsonl"
+        service = EvidenceService(
+            FixtureArchiveSource(fixtures_dir / "timemaps"),
+            failing if kind == "popularity" else FixturePopularityProvider(fixtures_dir / "popularity.tsv"),
+            failing if kind == "damage" else FixtureDamageProvider(fixtures_dir / "damage.tsv"),
+            cache=EvidenceCache(path),
+        )
+        uris = ["http://cs.odu.edu", "http://radford.edu/content/csat/home/itec.html"]
+        archived, unarchived = service.gather(keyed(uris), dt("20140301000000"))
+        assert archived.error == f"{kind} service returned 503"
+        assert archived.archive == ArchiveEvidence(uri="http://cs.odu.edu", mementos=())
+        assert archived.memento is None and archived.popularity is None and archived.damage is None
+        assert unarchived.error is None and not unarchived.archive.archived
+        kinds = sorted(key[1] for key, _ in cache_lines(path))
+        assert kind not in kinds
+        assert kinds == (["timemap", "timemap"] if kind == "popularity" else ["popularity", "timemap", "timemap"])
 
     def test_pool_overlaps_fetches(self):
         class MeetingSource:
@@ -1752,7 +1831,8 @@ class TestEvidenceService:
         expected_keys = {key for key, _ in cache_lines(tmp_path / "serial.jsonl")}
         path = tmp_path / "cache.jsonl"
         cache = EvidenceCache(path)
-        service = self.build(fixtures_dir, cache=cache, parallelism=4)
+        service = self.build(fixtures_dir, pooled=True, cache=cache, parallelism=4)
+        assert service.parallelism == 4
         start = threading.Barrier(4, timeout=60)
         results = [None] * 4
 
@@ -1847,14 +1927,49 @@ class TestDecodeOnce:
         assert evidence_for(service, self.URI, self.REQUESTED).archive == newer
         assert calls["timemap"] == 1
 
-    def test_value_superseded_after_get_is_not_kept_for_the_new_one(self, tmp_path):
-        cache = EvidenceCache(tmp_path / "cache.jsonl")
-        cache.put("gateway", "k", "s", {"v": 1})
-        old = cache.get("gateway", "k", "s")
-        cache.put("gateway", "k", "s", {"v": 2})
-        assert cache.decoded("gateway", "k", "s", old, lambda raw: raw["v"]) == 1
-        new = cache.get("gateway", "k", "s")
-        assert cache.decoded("gateway", "k", "s", new, lambda raw: raw["v"]) == 2
+    def test_each_hit_is_one_get(self, tmp_path, monkeypatch):
+        """A warm candidate takes one ``get`` per kind and nothing else of
+        the cache: the lookup hands back the decoded value itself."""
+        path = tmp_path / "cache.jsonl"
+        cold = evidence_for(self.service(MapSource(SINGLE_PAGE), EvidenceCache(path)), self.URI, self.REQUESTED)
+        cache = EvidenceCache(path)
+        calls = []
+        for name in ("get", "put"):
+            method = getattr(EvidenceCache, name)
+            monkeypatch.setattr(
+                EvidenceCache, name, lambda self, *args, _n=name, _m=method: calls.append(_n) or _m(self, *args)
+            )
+        warm_service = self.service(ExplodingSource(), cache)
+        assert [evidence_for(warm_service, self.URI, self.REQUESTED) for _ in range(2)] == [cold] * 2
+        assert calls == ["get"] * 6
+
+    def test_get_decodes_a_loaded_line_once(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        EvidenceCache(path).put("gateway", "k", "s", {"v": 1})
+        cache = EvidenceCache(path)
+        decodes = []
+
+        def decode(raw):
+            decodes.append(raw)
+            return (raw["v"],)
+
+        assert [cache.get("gateway", "k", "s", decode) for _ in range(3)] == [(1,)] * 3
+        assert decodes == [{"v": 1}]
+        assert cache.get("gateway", "k", "s") == {"v": 1}  # without a decoder, the raw value
+        assert cache.get("gateway", "k", "other", decode) is None
+
+    def test_get_keeps_nothing_from_a_decode_that_raises(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        EvidenceCache(path).put("gateway", "k", "s", {"v": 1})
+        cache = EvidenceCache(path)
+
+        def fails(raw):
+            raise ValueError("undecodable")
+
+        for _ in range(2):
+            with pytest.raises(ValueError, match="undecodable"):
+                cache.get("gateway", "k", "s", fails)
+        assert cache.get("gateway", "k", "s", lambda raw: raw["v"] + 1) == 2
 
     def test_expired_memoized_entry_is_a_miss(self, tmp_path):
         now = [1000.0]
@@ -1898,3 +2013,162 @@ class TestDecodeOnce:
         reloaded = self.service(ExplodingSource(), EvidenceCache(path), rank=None)
         assert cold == warm == evidence_for(reloaded, self.URI, self.REQUESTED).popularity.global_rank == 5
         assert '"value": {"rank": 5}' in path.read_text("utf-8")
+
+
+class FakeResponse:
+    """What a client reads of a ``requests`` response: the status, the text,
+    and ``json()``, which parses the text, or raises ``json_error``."""
+
+    def __init__(self, status_code, text="", json_error=None):
+        self.status_code = status_code
+        self.text = text
+        self.json_error = json_error
+
+    def json(self):
+        if self.json_error is not None:
+            raise self.json_error
+        return json.loads(self.text)
+
+
+class FakeSession:
+    """A ``requests``-style session that answers every GET with one reply,
+    a response or an exception to raise, and records each (URL, timeout)."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.calls = []
+
+    def get(self, url, timeout):
+        self.calls.append((url, timeout))
+        if isinstance(self.reply, BaseException):
+            raise self.reply
+        return self.reply
+
+
+class RequestsJSONDecodeError(OSError, ValueError):
+    """As ``requests.JSONDecodeError`` is from 2.27 on: an OSError (through
+    ``RequestException``) and a ValueError (through ``json.JSONDecodeError``)."""
+
+
+@pytest.fixture
+def no_requests(monkeypatch):
+    """``import requests`` fails, as on an interpreter without it."""
+    monkeypatch.setitem(sys.modules, "requests", None)
+
+
+class TestNetworkClients:
+    """The live clients, each over a fake session: no network, no ``requests``."""
+
+    MEMENTO = "https://web.archive.org/web/20140226090846/http://cs.odu.edu:80/?q=a b"
+
+    def aggregator(self, reply):
+        session = FakeSession(reply)
+        return MemGatorClient("http://agg.example/", session=session), session
+
+    def damage(self, reply):
+        session = FakeSession(reply)
+        return MementoDamageClient("http://damage.example/", session=session), session
+
+    def test_a_client_given_a_session_never_imports_requests(self, no_requests):
+        self.aggregator(FakeResponse(404))
+        self.damage(FakeResponse(404))
+        with pytest.raises(ImportError):
+            MemGatorClient("http://agg.example")
+        with pytest.raises(ImportError):
+            MementoDamageClient("http://damage.example")
+
+    def test_a_client_without_a_session_builds_a_requests_session(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", types.SimpleNamespace(Session=lambda: "a new session"))
+        assert MemGatorClient("http://agg.example").session == "a new session"
+        assert MementoDamageClient("http://damage.example").session == "a new session"
+
+    def test_timemap_url(self):
+        client, session = self.aggregator(FakeResponse(200, SINGLE_PAGE))
+        assert client.get_timemap("http://a.example.com/x?y=1") == SINGLE_PAGE
+        assert session.calls == [("http://agg.example/timemap/link/http://a.example.com/x?y=1", 10.0)]
+
+    def test_page_uri_passed_through(self):
+        client, session = self.aggregator(FakeResponse(200, "page two"))
+        assert client.get_page("https://other.example/timemap/link/2/http://a.example.com/") == "page two"
+        assert session.calls == [("https://other.example/timemap/link/2/http://a.example.com/", 10.0)]
+
+    def test_aggregator_404_is_not_archived(self):
+        client, _ = self.aggregator(FakeResponse(404, "not here"))
+        assert client.get_timemap("http://a.example.com/") is None
+        service = EvidenceService(client)
+        result = evidence_for(service, "http://a.example.com/", dt("20140301000000"))
+        assert result.error is None and not result.archive.archived
+
+    def test_aggregator_status_is_a_fetch_error(self):
+        client, _ = self.aggregator(FakeResponse(500, "oops"))
+        with pytest.raises(ArchiveFetchError) as caught:
+            client.get_page("http://agg.example/page/2")
+        assert str(caught.value) == "aggregator returned 500 for http://agg.example/page/2"
+
+    def test_aggregator_transport_failure_is_a_fetch_error(self):
+        client, _ = self.aggregator(ConnectionRefusedError("connection refused"))
+        with pytest.raises(ArchiveFetchError) as caught:
+            client.get_timemap("http://a.example.com/")
+        assert str(caught.value) == "aggregator request failed: connection refused"
+
+    def test_damage_url_quotes_the_memento(self):
+        client, session = self.damage(FakeResponse(200, '{"total_damage": 0.25}'))
+        assert client.get_damage(self.MEMENTO) == 0.25
+        assert session.calls == [(f"http://damage.example/api/damage/{quote(self.MEMENTO, safe='')}", 30.0)]
+        assert "/" not in session.calls[0][0].rsplit("/api/damage/", 1)[1]
+
+    @pytest.mark.parametrize(
+        "reply, damage",
+        [
+            (FakeResponse(404), None),
+            (FakeResponse(200, '{"total_damage": null}'), None),
+            (FakeResponse(200, '{"score": 0.3}'), None),
+            (FakeResponse(200, '{"total_damage": 0}'), 0.0),
+            (FakeResponse(200, '{"total_damage": 1.7}'), 1.0),
+            (FakeResponse(200, '{"total_damage": -0.2}'), 0.0),
+            (FakeResponse(200, '{"total_damage": "0.5"}'), 0.5),
+        ],
+        ids=["404", "null", "absent", "zero", "above-one", "below-zero", "numeric-string"],
+    )
+    def test_damage_reply(self, reply, damage):
+        client, _ = self.damage(reply)
+        assert client.get_damage(self.MEMENTO) == damage
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            (FakeResponse(503), "damage service returned 503"),
+            (TimeoutError("timed out"), "damage request failed: timed out"),
+            (FakeResponse(200, "<html>"), "damage service reply is not JSON: "),
+            (
+                FakeResponse(200, "<html>", json_error=RequestsJSONDecodeError("Expecting value")),
+                "damage service reply is not JSON: Expecting value",
+            ),
+            (FakeResponse(200, "[1]"), "damage service reply is not a JSON object"),
+            (FakeResponse(200, '"0.5"'), "damage service reply is not a JSON object"),
+            (FakeResponse(200, '{"total_damage": "x"}'), "damage service sent total_damage 'x', not a finite number"),
+            (FakeResponse(200, '{"total_damage": [0.5]}'), "damage service sent total_damage [0.5], not a finite number"),
+            (FakeResponse(200, '{"total_damage": NaN}'), "damage service sent total_damage nan, not a finite number"),
+            (FakeResponse(200, '{"total_damage": -Infinity}'), "damage service sent total_damage -inf, not a finite number"),
+            (FakeResponse(200, '{"total_damage": 1e999}'), "damage service sent total_damage inf, not a finite number"),
+            (FakeResponse(200, '{"total_damage": "nan"}'), "damage service sent total_damage 'nan', not a finite number"),
+            (FakeResponse(200, '{"total_damage": 1' + "0" * 400 + "}"), "damage service sent total_damage 1"),
+        ],
+        ids=[
+            "status", "transport", "not-json", "not-json-requests-2.27", "a-list", "a-string",
+            "damage-a-string", "damage-a-list", "damage-nan", "damage-infinite", "damage-overflows",
+            "damage-nan-string", "damage-past-float-range",
+        ],
+    )
+    def test_damage_failure_is_a_fetch_error(self, reply, message):
+        client, _ = self.damage(reply)
+        with pytest.raises(ArchiveFetchError) as caught:
+            client.get_damage(self.MEMENTO)
+        assert str(caught.value).startswith(message)
+
+    def test_malformed_damage_reply_drops_only_its_candidate(self):
+        """Through the service: the candidate is dropped with the reply's
+        error, and the request goes on."""
+        client, _ = self.damage(FakeResponse(200, '{"total_damage": "x"}'))
+        result = evidence_for(EvidenceService(MapSource(SINGLE_PAGE), None, client), "http://a.example.com", dt("20140301000000"))
+        assert result.error == "damage service sent total_damage 'x', not a finite number"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gzip
 import json
 import os
@@ -849,6 +850,36 @@ class TestLogsAndStats:
         assert "489" in out
 
 
+class OfflineSession:
+    """A session for a network client that must reach no network; it also
+    spares the client the import of ``requests``."""
+
+    def get(self, url, timeout):
+        raise OSError(f"no network for {url}")
+
+
+class ReplySession:
+    """A session that answers every GET with status 200 and ``body``; it is
+    its own response."""
+
+    status_code = 200
+
+    def __init__(self, body):
+        self.text = body
+
+    def get(self, url, timeout):
+        return self
+
+    def json(self):
+        return json.loads(self.text)
+
+
+def with_session(monkeypatch, session):
+    """Network clients that the CLI builds use ``session``."""
+    for name in ("MemGatorClient", "MementoDamageClient"):
+        monkeypatch.setattr(cli, name, functools.partial(getattr(archives, name), session=session))
+
+
 class TestEvidencePool:
     def test_fixture_sources_start_no_pool(self, capsys, fixtures_dir, monkeypatch):
         started = []
@@ -867,12 +898,48 @@ class TestEvidencePool:
         assert started == []
 
     @pytest.mark.parametrize("flag", ["aggregator", "damage_service"])
-    def test_network_sources_keep_the_setting(self, fixtures_dir, flag):
+    def test_network_sources_keep_the_setting(self, fixtures_dir, monkeypatch, flag):
+        with_session(monkeypatch, OfflineSession())
         overrides = {"fixtures": str(fixtures_dir), flag: "http://127.0.0.1:9"}
         settings = load_settings(None, overrides, env={})
         assert cli._build_evidence_service(settings).parallelism == settings.parallelism == 4
         local = load_settings(None, {"fixtures": str(fixtures_dir)}, env={})
         assert cli._build_evidence_service(local).parallelism == 1
+
+
+class TestLiveServiceFailures:
+    """What a failing or malformed live service does to a command: drop
+    the candidates it fails for, with no traceback."""
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            ('{"total_damage": "x"}', "damage service sent total_damage 'x', not a finite number"),
+            ("[1]", "damage service reply is not a JSON object"),
+            ('{"total_damage": NaN}', "damage service sent total_damage nan, not a finite number"),
+            ("<html>", "damage service reply is not JSON: Expecting value: line 1 column 1 (char 0)"),
+        ],
+        ids=["damage-a-string", "a-list", "damage-nan", "not-json"],
+    )
+    def test_malformed_damage_reply(self, capsys, fixtures_dir, monkeypatch, body, error):
+        with_session(monkeypatch, ReplySession(body))
+        code, out, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
+            "--damage-service", "http://damage.example", "--now", "2014-06-01T00:00:00Z",
+        )
+        assert code == EXIT_EMPTY
+        assert err == ""
+        assert out.count(f"(evidence unavailable: {error})") == 8
+
+    def test_unreachable_damage_service(self, capsys, fixtures_dir, monkeypatch):
+        with_session(monkeypatch, OfflineSession())
+        code, out, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
+            "--damage-service", "http://damage.example", "--now", "2014-06-01T00:00:00Z",
+        )
+        assert code == EXIT_EMPTY
+        assert err == ""
+        assert out.count("(evidence unavailable: damage request failed: no network for http://damage.example/api/damage/") == 8
 
 
 class TestSettingFlags:

@@ -80,13 +80,13 @@ def cosine(a: Counter[str], b: Counter[str]) -> float:
     return dot / (norm_a * norm_b)
 
 
-def category_rows(index: CategoryIndex, grams: GramScheme) -> dict[str, list[Counter[str]]]:
+def category_rows(index: CategoryIndex, grams: GramScheme) -> dict[CategoryPath, list[Counter[str]]]:
     """One gram Counter per entry with features, by deepest category path,
     featurized from the entries as the vector index used to keep them."""
-    rows: dict[str, list[Counter[str]]] = {}
+    rows: dict[CategoryPath, list[Counter[str]]] = {}
     for path in index.categories():
         counters = [Counter(entry_features(e, grams)) for e in index.entries_for(path)]
-        rows[str(path)] = [counts for counts in counters if counts]
+        rows[path] = [counts for counts in counters if counts]
     return rows
 
 
@@ -101,7 +101,7 @@ def top_candidates_by_row_scan(
     qitems = list(qvec.items())
     qnorm = math.sqrt(sum(c * c for c in qvec.values()))
     scored: list[CandidateCategory] = []
-    for path_text, rows in category_rows(index, grams).items():
+    for path, rows in category_rows(index, grams).items():
         if not rows:
             continue
         total = 0.0
@@ -115,7 +115,7 @@ def top_candidates_by_row_scan(
                 total += dot / (qnorm * rownorm)
         score = total / len(rows)
         if score > 0.0:
-            scored.append(CandidateCategory(P(path_text), score))
+            scored.append(CandidateCategory(path, score))
     scored.sort(key=lambda c: (-c.score, c.path))
     return scored[:n]
 
@@ -131,7 +131,7 @@ def top_candidates_by_rescoring(
     if not qvec:
         return []
     scored: list[CandidateCategory] = []
-    for path_text, rows in category_rows(index, grams).items():
+    for path, rows in category_rows(index, grams).items():
         if not rows:
             continue
         total = 0.0
@@ -139,7 +139,7 @@ def top_candidates_by_rescoring(
             total += cosine(qvec, row)
         score = total / len(rows)
         if score > 0.0:
-            scored.append(CandidateCategory(P(path_text), score))
+            scored.append(CandidateCategory(path, score))
     scored.sort(key=lambda c: (-c.score, c.path))
     return scored[:n]
 
@@ -285,9 +285,6 @@ def build_vector_index_per_entry(index: CategoryIndex, grams: GramScheme) -> Cat
     row_counts: list[int] = []
     totals: dict[str, Counter[str]] = {}
     for path in index.categories():
-        key = str(path)
-        if key in totals:  # two index keys that parse to one path
-            continue
         ordinal, rows = len(paths), 0
         total: Counter[str] = Counter()
         for entry in index.entries_for(path):
@@ -307,9 +304,9 @@ def build_vector_index_per_entry(index: CategoryIndex, grams: GramScheme) -> Cat
             row_category.append(ordinal)
             total.update(features)
             rows += 1
-        paths.append(CategoryPath.parse(key))
+        paths.append(path)
         row_counts.append(rows)
-        totals[key] = total
+        totals[str(path)] = total
     return CategoryVectorIndex(
         grams=grams,
         postings=postings,
@@ -481,22 +478,22 @@ class TestVectorIndex:
         assert candidates == top_candidates_by_row_scan(index, GramScheme.ALL_GRAM, ["board", "xyzw"])
 
     def test_index_keys_that_parse_to_one_path(self):
-        # The index keys "Top/A" and "A" both parse to the path A, and
-        # "Top/Top/A" to Top/A. As before, key "A" is scored once under A,
-        # the rows filed under "Top/A" are scored under the path A too, and
-        # those under "Top/Top/A" are not scored at all.
+        # The paths Top/A and Top/Top/A print as index keys that parse to
+        # the paths A and Top/A. Each group is scored once, under its own
+        # path, and none is dropped.
+        top_a, top_top_a = CategoryPath(("Top", "A")), CategoryPath(("Top", "Top", "A"))
         index = CategoryIndex(
             [
-                entry("Top/Top/A", "http://boards.example.com/"),
+                replace(entry("A", "http://boards.example.com/"), category=top_a),
                 entry("A", "http://chips.example.org/"),
-                entry("Top/Top/Top/A", "http://wafers.example.com/"),
+                replace(entry("A", "http://wafers.example.com/"), category=top_top_a),
                 entry("B", "http://chips.example.net/"),
             ]
         )
         for grams in GramScheme:
             vindex = build_vector_index(index, grams)
-            assert row_counts(vindex) == {"A": 1, "B": 1, "Top/A": 1}
-            assert vindex.paths == (P("A"), P("B"), P("A"))
+            assert row_counts(vindex) == {"A": 1, "B": 1, "Top/A": 1, "Top/Top/A": 1}
+            assert vindex.paths == (P("A"), P("B"), top_a, top_top_a)
             for query in (["chip"], ["board"], ["boards", "chips"], ["wafer"]):
                 assert top_candidates(vindex, query, 10) == (
                     top_candidates_by_row_scan(index, grams, query, 10)

@@ -176,6 +176,22 @@ class TestCategoryIndex:
             "Computers/Software",
         ]
 
+    def test_paths_whose_text_parses_to_another_path(self):
+        """A path whose first label is Top, or whose text has outer
+        whitespace, prints as text that parses to another path. Each group
+        is still listed under its own path, once."""
+        labels = [("Arts", "Music"), ("Arts ", "Music"), ("Top", "Arts", "Music"), ("Arts", "Music ")]
+        entries = [
+            OntologyEntry(category=CategoryPath(path), uri=f"http://{i}.example/", surt=canonicalize_surt(f"http://{i}.example/"))
+            for i, path in enumerate(labels)
+        ]
+        index = CategoryIndex(entries)
+        assert index.categories() == sorted(CategoryPath(path) for path in labels)
+        assert [e.uri for e in index.entries_under(CategoryPath(("Arts",)))] == ["http://0.example/", "http://3.example/"]
+        assert [e.uri for e in index.entries_under(CategoryPath(("Top",)))] == ["http://2.example/"]
+        listed = [e.uri for path in index.categories() for e in index.entries_for(path)]
+        assert sorted(listed) == sorted(e.uri for e in entries)
+
     def test_all_entries_by_top_category(self):
         counts = Counter(e.category.top for e in self.make().all_entries())
         assert counts == {"Computers": 3, "Sports": 1}

@@ -41,7 +41,7 @@ from archive_recommender.pipeline import (
 )
 from archive_recommender.ranking import rank
 from archive_recommender.uri import TokenMethod, canonicalize_surt, tokenize
-from conftest import count_calls
+from conftest import FailingProvider, ForeignSource, count_calls
 from test_golden import RECOMMEND_URIS
 
 UTC = timezone.utc
@@ -53,9 +53,12 @@ VIRGINIA = (
 )
 
 
-def fixture_recommender(fixtures_dir, index, **service_options) -> Recommender:
+def fixture_recommender(fixtures_dir, index, pooled=False, **service_options) -> Recommender:
+    """A recommender over the fixtures; ``pooled`` wraps the TimeMap source
+    in a plain class, so the service pools as ``parallelism`` asks."""
+    source = FixtureArchiveSource(fixtures_dir / "timemaps")
     service = EvidenceService(
-        FixtureArchiveSource(fixtures_dir / "timemaps"),
+        ForeignSource(source) if pooled else source,
         FixturePopularityProvider(fixtures_dir / "popularity.tsv"),
         FixtureDamageProvider(fixtures_dir / "damage.tsv"),
         **service_options,
@@ -229,6 +232,27 @@ class TestDegradedRoutes:
         assert result.reason == REASON_NO_CANDIDATES
         assert "no other members" in result.trace[0]
 
+    @pytest.mark.parametrize("kind", ["popularity", "damage"])
+    def test_failed_lookup_drops_candidates_not_the_request(self, fixtures_dir, corpus_index, kind):
+        """A popularity or damage service that fails drops each candidate it
+        fails for, as a failed TimeMap does; the request still answers."""
+        failing = FailingProvider(f"{kind} service returned 503")
+        service = EvidenceService(
+            FixtureArchiveSource(fixtures_dir / "timemaps"),
+            failing if kind == "popularity" else FixturePopularityProvider(fixtures_dir / "popularity.tsv"),
+            failing if kind == "damage" else FixtureDamageProvider(fixtures_dir / "damage.tsv"),
+        )
+        request = RecommendationRequest(uri="http://odu.edu/compsci", datetime=REQUESTED)
+        result = Recommender(corpus_index, service).recommend(request, now=NOW)
+        expected = fixture_recommender(fixtures_dir, corpus_index).recommend(request, now=NOW)
+        assert result.recommendations == []
+        assert result.reason == REASON_NO_ARCHIVED
+        assert "step3: 0 of " in "\n".join(result.trace)
+        unavailable = sorted(uri for uri, why in result.dropped if why == f"evidence unavailable: {kind} service returned 503")
+        assert unavailable == sorted(r.uri for r in expected.recommendations)
+        assert len(unavailable) == 8
+        assert set(result.dropped) - set(expected.dropped) == {(uri, f"evidence unavailable: {kind} service returned 503") for uri in unavailable}
+
     def test_shallow_fallback_when_deep_has_no_vocabulary(self):
         index = CategoryIndex(
             [
@@ -339,7 +363,7 @@ class TestSharedAcrossThreads:
 
         monkeypatch.setattr(deep, "classify_deep", recording_classify_deep)
         monkeypatch.setattr(nbayes, "classify", recording_nb_classify)
-        shared = fixture_recommender(fixtures_dir, corpus_index)
+        shared = fixture_recommender(fixtures_dir, corpus_index, pooled=True)
         start = threading.Barrier(4, timeout=30)
         results: list[dict] = [{} for _ in range(4)]
 
@@ -412,8 +436,8 @@ class TestStepsThreeAndFourOracle:
 
         def run(name):
             cache = EvidenceCache(tmp_path / f"{name}.jsonl", clock=lambda: 1402000000.5) if cached else None
-            # serial, as the CLI gathers from fixtures, so cache lines keep one order
-            recommender = fixture_recommender(fixtures_dir, corpus_index, cache=cache, parallelism=1)
+            # fixture sources are read serially, so cache lines keep one order
+            recommender = fixture_recommender(fixtures_dir, corpus_index, cache=cache)
             result = recommender.recommend(request, now=NOW)
             if cache is not None:
                 cache.close()
@@ -444,7 +468,8 @@ class TestStepsThreeAndFourOracle:
     def test_one_memento_pick_per_archived_candidate(
         self, fixtures_dir, corpus_index, monkeypatch, parallelism, requested_uri, archived
     ):
-        recommender = fixture_recommender(fixtures_dir, corpus_index, parallelism=parallelism)
+        recommender = fixture_recommender(fixtures_dir, corpus_index, pooled=parallelism > 1, parallelism=parallelism)
+        assert recommender.evidence.parallelism == parallelism
         request = RecommendationRequest(uri=requested_uri, datetime=REQUESTED)
         expected = recommender.recommend(request, now=NOW)
         calls = count_calls(monkeypatch, {"nearest_memento": nearest_memento})
@@ -458,7 +483,8 @@ class TestStepsThreeAndFourOracle:
 
     @pytest.mark.parametrize("parallelism", [1, 4], ids=["serial", "pool"])
     def test_warm_request_derives_nothing_per_candidate(self, fixtures_dir, corpus_index, monkeypatch, parallelism):
-        recommender = fixture_recommender(fixtures_dir, corpus_index, parallelism=parallelism)
+        recommender = fixture_recommender(fixtures_dir, corpus_index, pooled=parallelism > 1, parallelism=parallelism)
+        assert recommender.evidence.parallelism == parallelism
         request = RecommendationRequest(uri="http://odu.edu/compsci", datetime=REQUESTED)
         expected = recommender.recommend(request, now=NOW)
         calls = count_calls(

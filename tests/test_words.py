@@ -93,7 +93,9 @@ def test_empty_lexicon_rejected():
 
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=30))
 def test_pieces_concatenate_to_input(text):
-    assert "".join(p.text for p in segment_words(text)) == text
+    pieces = segment_words(text)
+    assert "".join(p.text for p in pieces) == text
+    assert not any(not a.is_word and not b.is_word for a, b in zip(pieces, pieces[1:]))  # no two adjacent unknowns
 
 
 def segment_words_all_pairs(text: str, lexicon: WordLexicon) -> list[SegmentPiece]:
