@@ -579,7 +579,8 @@ class MementoDamageClient(_HttpClient):
 
     def get_damage(self, memento_uri: str) -> float | None:
         """``total_damage`` clamped to [0, 1], or None on a 404 or a null; a reply that
-        is not a JSON object, or not a finite ``total_damage``, is an ArchiveFetchError."""
+        is not a JSON object, or whose ``total_damage`` is not a finite JSON number, is
+        an ArchiveFetchError."""
         response = self._get(f"{self.base_url}/api/damage/{quote(memento_uri, safe='')}")
         if response is None:
             return None
@@ -593,8 +594,9 @@ class MementoDamageClient(_HttpClient):
         if value is None:
             return None
         try:
-            damage = float(value)
-        except (TypeError, ValueError, OverflowError):
+            # not isinstance: JSON true is no damage, as in DamageEvidence
+            damage = float(value) if type(value) in (int, float) else math.nan
+        except OverflowError:
             damage = math.nan
         if not math.isfinite(damage):
             raise ArchiveFetchError(f"damage service sent total_damage {value!r}, not a finite number")

@@ -6,10 +6,8 @@ micro (pooled counts — equals accuracy on single-label data), macro
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import not_, sub
 from typing import Iterable, Sequence
 
 from . import nbayes
@@ -186,19 +184,6 @@ def majority_baseline(labels: Iterable[str]) -> float:
     return max(counts.values()) / total if total else 0.0
 
 
-def _take_out(totals: Counter[str], counts: Counter[str]) -> list[int]:
-    """Subtract ``counts``, whose keys ``totals`` all holds, from ``totals``
-    in C-level passes and drop the keys that reach zero. Returns the values
-    ``totals`` had at ``counts``' keys, in that order, to restore them with
-    ``dict.update(totals, zip(counts, saved))``."""
-    keys = counts.keys()
-    saved = list(map(totals.__getitem__, keys))
-    left = list(map(sub, saved, counts.values()))
-    dict.update(totals, zip(keys, left))
-    deque(map(totals.pop, compress(keys, map(not_, left))), maxlen=0)
-    return saved
-
-
 def cross_validate(
     corpus: Sequence[tuple[str, str]],
     method: TokenMethod,
@@ -214,9 +199,10 @@ def cross_validate(
     that tokenize to nothing — so every scored item is classifiable.
 
     Each item is tokenized once, in one pass that counts its document and
-    grams into its class's corpus totals and into its fold's own counts. A
-    fold's model is the totals less that fold's counts, with zero counts
-    and classes left without documents dropped, so it equals what
+    grams into its class's corpus totals and into its fold's own counts.
+    One model is built on the totals, and each fold's model is derived
+    from it with ``NaiveBayesModel.less``, in time proportional to the
+    fold's own counts; the totals never change. A fold's model equals what
     ``nbayes.train`` gives on the fold's training items.
     """
     if folds < 2:
@@ -240,15 +226,9 @@ def cross_validate(
     fold_results: list[FoldResult] = []
     skipped: list[int] = []
     total_filtered = 0
+    whole = nbayes.NaiveBayesModel(total_docs, total_grams, smoothing, method, variant_set)
     for k in range(folds):
-        held_docs, held_grams = fold_docs[k], fold_grams[k]
-        saved = {label: _take_out(total_grams[label], counts) for label, counts in held_grams.items()}
-        # The model keeps total_grams' Counters uncopied, so it lives only
-        # until they are restored below.
-        model = nbayes.NaiveBayesModel(
-            {c: d - held_docs[c] for c, d in total_docs.items() if d > held_docs[c]},
-            total_grams, smoothing, method, variant_set,
-        )
+        model = whole.less(fold_docs[k], fold_grams[k])
         test_idx = range(k, n, folds)
         fold_pairs: list[tuple[str, str | None]] = []
         filtered = 0
@@ -259,9 +239,6 @@ def cross_validate(
                 continue
             outcome = nbayes.classify(model, bags[i])
             fold_pairs.append((labels[i], outcome.label))
-        del model
-        for label, counts in held_grams.items():
-            dict.update(total_grams[label], zip(counts, saved[label]))
         total_filtered += filtered
         correct = sum(1 for truth, predicted in fold_pairs if truth == predicted)
         fold_results.append(

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
+from collections.abc import Collection, Iterator, Set as AbstractSet
 from dataclasses import dataclass
-from operator import mul
+from itertools import compress
+from operator import eq, mul
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -48,19 +50,41 @@ class Classification:
         return self.label is None
 
 
+class _Vocabulary(AbstractSet[str]):
+    """A derived model's vocabulary: its corpus's, less the features that
+    only the documents taken out held. A view: it copies neither set."""
+
+    __slots__ = ("_corpus", "_dropped")
+
+    def __init__(self, corpus: frozenset[str], dropped: frozenset[str]):
+        self._corpus, self._dropped = corpus, dropped
+
+    def __contains__(self, feature: object) -> bool:
+        return feature in self._corpus and feature not in self._dropped
+
+    def __len__(self) -> int:
+        return len(self._corpus) - len(self._dropped)
+
+    def __iter__(self) -> Iterator[str]:
+        return (f for f in self._corpus if f not in self._dropped)
+
+    def issuperset(self, features: Collection[str]) -> bool:
+        return self._dropped.isdisjoint(features) and self._corpus.issuperset(features)
+
+
 class NaiveBayesModel:
     """Immutable trained model; exposes raw counts for exact persistence.
 
     The caller's feature Counters are kept, not copied, and must not change
-    while the model is in use. One caller lends Counters it changes later:
-    ``metrics.cross_validate`` builds each fold's model on its corpus
-    totals, less the fold's counts, and drops the model before it restores
-    them. Log-likelihoods are taken the first time a query holds a feature
-    and kept as that feature's row: one float per class, in class order,
-    the class's unseen value where it never saw the feature. A model thus
-    takes logs only of the features it is queried with. Threads that
-    fill one feature at once store equal rows, so a shared model stays
-    safe.
+    while the model is in use. ``less`` derives the model of the same corpus
+    less some of its documents without changing either: the derived model
+    shares the corpus Counters and keeps the documents' own counts beside
+    them, and subtracts them where it reads a count. Log-likelihoods are
+    taken the first time a query holds a feature and kept as that feature's
+    row: one float per class, in class order, the class's unseen value where
+    it never saw the feature. A model thus takes logs only of the features
+    it is queried with. Threads that fill one feature at once store equal
+    rows, so a shared model stays safe.
     """
 
     def __init__(
@@ -73,30 +97,70 @@ class NaiveBayesModel:
     ):
         if smoothing <= 0:
             raise ValueError("smoothing must be positive")
+        self.smoothing = smoothing
+        self.method = method
+        self.variants = frozenset(variants)
+        self._counts = {c: feature_counts.get(c) or Counter() for c in sorted(doc_counts)}
+        self._held: dict[str, Counter[str]] = {}
+        self.vocabulary: AbstractSet[str] = frozenset().union(*self._counts.values())
+        self._fit(doc_counts, {c: sum(counts.values()) for c, counts in self._counts.items()})
+
+    def _fit(self, doc_counts: dict[str, int], sums: dict[str, int]) -> None:
+        """Priors, denominators and unseen values from the document counts
+        and each class's total feature count."""
         if not doc_counts:
             raise ValueError("cannot train on an empty corpus")
         if any(count <= 0 for count in doc_counts.values()):
             raise ValueError("every class needs at least one document")
         self.classes: tuple[str, ...] = tuple(sorted(doc_counts))
         self.doc_counts = dict(doc_counts)
-        self.feature_counts = {c: feature_counts.get(c) or Counter() for c in self.classes}
-        self.smoothing = smoothing
-        self.method = method
-        self.variants = frozenset(variants)
-
-        self.vocabulary: frozenset[str] = frozenset().union(*self.feature_counts.values())
+        self._sums = sums
         total_docs = sum(self.doc_counts.values())
         self.class_log_prior = {
             c: math.log(self.doc_counts[c] / total_docs) for c in self.classes
         }
         v = len(self.vocabulary)
-        self._denominator = {
-            c: sum(self.feature_counts[c].values()) + smoothing * v for c in self.classes
-        }
+        self._denominator = {c: sums[c] + self.smoothing * v for c in self.classes}
         self.unseen_log_likelihood = {
-            c: math.log(smoothing / self._denominator[c]) if v else 0.0 for c in self.classes
+            c: math.log(self.smoothing / self._denominator[c]) if v else 0.0 for c in self.classes
         }
         self._rows: dict[str, tuple[float, ...]] = {}
+
+    @property
+    def feature_counts(self) -> dict[str, Counter[str]]:
+        """Each class's feature counts. A derived model subtracts the counts
+        it took out here, in time proportional to its corpus."""
+        counts, held = self._counts, self._held
+        return {c: Counter(counts[c]) - held[c] if c in held else counts[c] for c in self.classes}
+
+    def less(self, doc_counts: dict[str, int], feature_counts: dict[str, Counter[str]]) -> NaiveBayesModel:
+        """The model of this model's corpus less some of its documents, which
+        ``doc_counts`` and ``feature_counts`` count per class. It equals
+        ``train`` on the documents that are left, and it is derived in time
+        proportional to the counts taken out: a feature leaves the
+        vocabulary when every class that held it loses all of its count.
+        This model is not changed, and the two share their corpus counts."""
+        if self._held:
+            raise ValueError("a derived model derives no other")
+        lost: Counter[str] = Counter()  # per feature, the classes that lose all of it
+        for c, held in feature_counts.items():
+            lost.update(compress(held, map(eq, held.values(), map(self._counts[c].__getitem__, held))))
+        holders: Counter[str] = Counter()  # per lost feature, the classes that hold it
+        for counts in self._counts.values():
+            holders.update(counts.keys() & lost.keys())
+        dropped = frozenset(compress(lost, map(eq, lost.values(), map(holders.__getitem__, lost))))
+        model = object.__new__(type(self))
+        model.smoothing, model.method, model.variants = self.smoothing, self.method, self.variants
+        model._counts, model._held = self._counts, feature_counts
+        model.vocabulary = _Vocabulary(self.vocabulary, dropped)
+        model._fit(
+            {c: d - doc_counts.get(c, 0) for c, d in self.doc_counts.items() if d > doc_counts.get(c, 0)},
+            {
+                c: total - sum(feature_counts[c].values()) if c in feature_counts else total
+                for c, total in self._sums.items()
+            },
+        )
+        return model
 
     def _rows_for(self, features: Iterable[str]) -> list[tuple[float, ...]]:
         """The row of each of ``features``, in order, filling the rows not
@@ -104,13 +168,24 @@ class NaiveBayesModel:
         rows = self._rows
         new = [f for f in features if f not in rows]
         if new:
-            smoothing, columns = self.smoothing, []
+            smoothing, held, columns = self.smoothing, self._held, []
             for c in self.classes:
                 denominator, unseen = self._denominator[c], self.unseen_log_likelihood[c]
-                columns.append([
-                    unseen if count is None else math.log((count + smoothing) / denominator)
-                    for count in map(self.feature_counts[c].get, new)
-                ])
+                counts = self._counts[c]
+                if c in held:
+                    # A feature the class holds loses its held-out count,
+                    # and is unseen if that was all of it.
+                    held_count = held[c].get
+                    columns.append([
+                        math.log((left + smoothing) / denominator)
+                        if count is not None and (left := count - held_count(f, 0)) else unseen
+                        for f, count in zip(new, map(counts.get, new))
+                    ])
+                else:
+                    columns.append([
+                        unseen if count is None else math.log((count + smoothing) / denominator)
+                        for count in map(counts.get, new)
+                    ])
             rows.update(zip(new, zip(*columns)))
         return [rows[f] for f in features]
 
@@ -186,9 +261,9 @@ def save_model(model: NaiveBayesModel, path: str | Path) -> None:
     ]
     for c in model.classes:
         lines.append(f"class\t{c}\t{model.doc_counts[c]}")
-    for c in model.classes:
-        for feature in sorted(model.feature_counts[c]):
-            lines.append(f"feat\t{c}\t{feature}\t{model.feature_counts[c][feature]}")
+    for c, counts in model.feature_counts.items():
+        for feature in sorted(counts):
+            lines.append(f"feat\t{c}\t{feature}\t{counts[feature]}")
     Path(path).write_text("\n".join(lines) + "\n", "utf-8")
 
 
@@ -222,19 +297,28 @@ def load_model(path: str | Path) -> NaiveBayesModel:
     smoothing = _header(path, lines, 4, "smoothing", lambda text: _positive(float(text)))
     doc_counts: dict[str, int] = {}
     feature_counts: dict[str, Counter[str]] = defaultdict(Counter)
+    first_feat: dict[str, int] = {}  # each class's first feat line
     for lineno, line in enumerate(lines[4:], 5):
         if not line.strip():
             continue
         parts = line.split("\t")
         try:
             if parts[0] == "class" and len(parts) == 3:
-                doc_counts[parts[1]] = _positive(int(parts[2]))
+                counts, key, text = doc_counts, parts[1], parts[2]
             elif parts[0] == "feat" and len(parts) == 4:
-                feature_counts[parts[1]][parts[2]] = _positive(int(parts[3]))
+                counts, key, text = feature_counts[parts[1]], parts[2], parts[3]
+                first_feat.setdefault(parts[1], lineno)
             else:
                 raise ValueError("not a class or feat record")
+            count = _positive(int(text))
         except ValueError as exc:
             raise InputFileError(f"{path}:{lineno}: unrecognized record {line!r}: {exc}") from None
+        if key in counts:
+            raise InputFileError(f"{path}:{lineno}: repeated record {line!r}")
+        counts[key] = count
     if not doc_counts:
         raise InputFileError(f"{path}: no class records")
+    for c, lineno in first_feat.items():
+        if c not in doc_counts:
+            raise InputFileError(f"{path}:{lineno}: feat record of class {c!r}, which has no class record")
     return NaiveBayesModel(doc_counts, dict(feature_counts), smoothing, method, variants)

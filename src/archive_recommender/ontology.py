@@ -14,13 +14,12 @@ from the primary index.
 from __future__ import annotations
 
 import json
-import xml.etree.ElementTree as ET
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Protocol, Union
+from typing import IO, Any, Iterable, Iterator, Protocol, Union
 
 from .reports import DistributionReport, analyze_uris
 from .uri import (
@@ -235,8 +234,8 @@ def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _iter_rdf(stream: IO[bytes], report: IngestReport) -> Iterator[OntologyEntry]:
-    for _, elem in ET.iterparse(stream, events=("end",)):
+def _iter_rdf(events: Iterator[tuple[str, Any]], report: IngestReport) -> Iterator[OntologyEntry]:
+    for _, elem in events:
         if _localname(elem.tag) != "ExternalPage":
             continue
         report.records_read += 1
@@ -271,11 +270,15 @@ def ingest_dmoz(source: Source, format: IngestFormat = IngestFormat.TSV) -> Cate
     """
     report = IngestReport()
     with open_input(source) if isinstance(source, (str, Path)) else nullcontext(source) as stream:
-        entries = _iter_tsv(stream, report) if format is IngestFormat.TSV else _iter_rdf(stream, report)
-        try:
-            index = CategoryIndex(entries)
-        except ET.ParseError as exc:  # only the RDF reader raises it
-            raise InputFileError(f"{getattr(stream, 'name', 'RDF stream')}: malformed RDF ({exc})") from None
+        if format is IngestFormat.TSV:
+            index = CategoryIndex(_iter_tsv(stream, report))
+        else:
+            import xml.etree.ElementTree as ET  # only RDF ingest parses XML
+
+            try:
+                index = CategoryIndex(_iter_rdf(ET.iterparse(stream, events=("end",)), report))
+            except ET.ParseError as exc:
+                raise InputFileError(f"{getattr(stream, 'name', 'RDF stream')}: malformed RDF ({exc})") from None
     report.duplicates = index.deduplicated
     report.kept = len(index)
     index.ingest_report = report

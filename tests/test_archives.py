@@ -2126,9 +2126,8 @@ class TestNetworkClients:
             (FakeResponse(200, '{"total_damage": 0}'), 0.0),
             (FakeResponse(200, '{"total_damage": 1.7}'), 1.0),
             (FakeResponse(200, '{"total_damage": -0.2}'), 0.0),
-            (FakeResponse(200, '{"total_damage": "0.5"}'), 0.5),
         ],
-        ids=["404", "null", "absent", "zero", "above-one", "below-zero", "numeric-string"],
+        ids=["404", "null", "absent", "zero", "above-one", "below-zero"],
     )
     def test_damage_reply(self, reply, damage):
         client, _ = self.damage(reply)
@@ -2153,11 +2152,15 @@ class TestNetworkClients:
             (FakeResponse(200, '{"total_damage": 1e999}'), "damage service sent total_damage inf, not a finite number"),
             (FakeResponse(200, '{"total_damage": "nan"}'), "damage service sent total_damage 'nan', not a finite number"),
             (FakeResponse(200, '{"total_damage": 1' + "0" * 400 + "}"), "damage service sent total_damage 1"),
+            (FakeResponse(200, '{"total_damage": true}'), "damage service sent total_damage True, not a finite number"),
+            (FakeResponse(200, '{"total_damage": "0.5"}'), "damage service sent total_damage '0.5', not a finite number"),
+            (FakeResponse(200, '{"total_damage": " 1e-1 "}'), "damage service sent total_damage ' 1e-1 ', not a finite number"),
         ],
         ids=[
             "status", "transport", "not-json", "not-json-requests-2.27", "a-list", "a-string",
             "damage-a-string", "damage-a-list", "damage-nan", "damage-infinite", "damage-overflows",
-            "damage-nan-string", "damage-past-float-range",
+            "damage-nan-string", "damage-past-float-range", "damage-true", "damage-numeric-string",
+            "damage-padded-exponent-string",
         ],
     )
     def test_damage_failure_is_a_fetch_error(self, reply, message):

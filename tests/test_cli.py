@@ -383,6 +383,45 @@ class TestConfigErrors:
         assert code == EXIT_CONFIG
         assert err == f"archrec: error: {model}: no class records\n"
 
+    @pytest.fixture()
+    def saved_model(self, capsys, fixtures_dir, tmp_path):
+        """A model saved by ``train`` on the fixtures, and its lines."""
+        model = tmp_path / "l1.model"
+        code, _, _ = run(capsys, "train", "--fixtures", str(fixtures_dir), "--model-out", str(model))
+        assert code == EXIT_OK
+        return model, model.read_text("utf-8").splitlines()
+
+    def test_saved_model_loads(self, capsys, fixtures_dir, saved_model):
+        model, _ = saved_model
+        code, out, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
+            "--model", str(model), "--now", "2014-06-01T00:00:00Z",
+        )
+        assert code == EXIT_OK
+        assert "http://cs.odu.edu" in out and not err
+
+    @pytest.mark.parametrize("kind", ["orphan-feat", "repeated-class", "repeated-feat"])
+    def test_model_file_with_inconsistent_records(self, capsys, fixtures_dir, saved_model, kind):
+        """``save_model`` writes one class record per class and one feat
+        record per class and feature, each feat of a class it recorded."""
+        model, lines = saved_model
+        first_class = next(line for line in lines if line.startswith("class\t"))
+        first_feat = next(line for line in lines if line.startswith("feat\t"))
+        appended, problem = {
+            "orphan-feat": ("feat\tZzz\tqqqq\t3", "feat record of class 'Zzz', which has no class record"),
+            "repeated-class": (first_class.rsplit("\t", 1)[0] + "\t5", "repeated record"),
+            "repeated-feat": (first_feat.rsplit("\t", 1)[0] + "\t7", "repeated record"),
+        }[kind]
+        model.write_text("\n".join([*lines, appended]) + "\n", "utf-8")
+        code, out, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
+            "--model", str(model),
+        )
+        assert code == EXIT_CONFIG
+        assert not out
+        assert err.startswith(f"archrec: error: {model}:{len(lines) + 1}: {problem}")
+        assert "Traceback" not in err
+
     def test_config_file_bytes_not_utf8(self, capsys, fixtures_dir, tmp_path):
         conf = tmp_path / "a.conf"
         conf.write_bytes(b"top = 3\n\xffoutput = records\n")  # the bad byte starts line 2
@@ -955,9 +994,9 @@ class TestSettingFlags:
 
 
 def test_fixture_recommend_leaves_requests_unimported(fixtures_dir):
-    """Only the network clients import ``requests``, and only the RFC 1123
-    fallback decoder imports ``email.utils``; a fixture run needs neither,
-    so it never pays for the imports."""
+    """Only the network clients import ``requests``, only the RFC 1123
+    fallback decoder imports ``email.utils``, and only RDF ingest imports
+    ``xml.etree``; a fixture run needs none, so it never pays for them."""
     script = (
         "import sys\n"
         "import archive_recommender\n"
@@ -967,6 +1006,7 @@ def test_fixture_recommend_leaves_requests_unimported(fixtures_dir):
         "assert code == 0, code\n"
         "assert 'requests' not in sys.modules, sorted(m for m in sys.modules if m.startswith('requests'))\n"
         "assert 'email.utils' not in sys.modules, sorted(m for m in sys.modules if m.startswith('email'))\n"
+        "assert 'xml.etree' not in sys.modules, sorted(m for m in sys.modules if m.startswith('xml'))\n"
     )
     src = Path(archives.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))

@@ -225,14 +225,17 @@ def cross_validate_retraining(corpus, method, variants=(), folds=10, smoothing=1
 
 
 def model_state(model):
-    """What a fold's model was built from, as plain values: a Counter
-    equals one that also holds zero counts, a dict does not."""
+    """A model as plain values: a Counter equals one that also holds zero
+    counts, a dict does not."""
     return (
         model.classes,
         dict(model.doc_counts),
         {c: dict(counts) for c, counts in model.feature_counts.items()},
-        model.vocabulary,
+        frozenset(model.vocabulary),
+        len(model.vocabulary),
+        dict(model.class_log_prior),
         dict(model._denominator),
+        dict(model.unseen_log_likelihood),
     )
 
 
@@ -272,25 +275,34 @@ def corpora_and_folds(draw):
     st.sampled_from([0.5, 1.0]),
 )
 def test_counted_once_equals_retraining(case, method, variants, smoothing):
-    """The report equals the retraining oracle's, and each fold's model, as
-    it is built, equals ``nbayes.train`` on that fold's training items."""
+    """The report equals the retraining oracle's. Each fold's model, derived
+    from the corpus model, equals ``nbayes.train`` on that fold's training
+    items: in its state, in the membership and the rows of every test
+    item's features, and in how it classifies every test item. The corpus
+    model's counts equal training on every item whenever a fold is derived."""
     corpus, folds = case
-    built = []
-    original = nbayes.NaiveBayesModel
+    bags = [(tokenize(u, method, variants), label) for u, label in corpus]
+    whole_state = model_state(nbayes.train(bags, smoothing))
+    derived = []
+    original = nbayes.NaiveBayesModel.less
 
-    def recording(*args):
-        model = original(*args)
-        built.append(model_state(model))
-        return model
+    def recording(whole, *args):
+        assert model_state(whole) == whole_state
+        derived.append(original(whole, *args))
+        return derived[-1]
 
-    with mock.patch.object(nbayes, "NaiveBayesModel", recording):
+    with mock.patch.object(nbayes.NaiveBayesModel, "less", recording):
         report = cross_validate(corpus, method, variants, folds, smoothing)
     assert report == cross_validate_retraining(corpus, method, variants, folds, smoothing)
-    assert len(built) == folds
-    bags = [(tokenize(u, method, variants), label) for u, label in corpus]
-    for k, state in enumerate(built):
+    assert len(derived) == folds
+    for k, model in enumerate(derived):
         trained = nbayes.train((bag for i, bag in enumerate(bags) if i % folds != k), smoothing)
-        assert state == model_state(trained)
+        assert model_state(model) == model_state(trained)
+        for bag, _ in bags[k::folds]:
+            features = bag.features
+            assert [f in model.vocabulary for f in features] == [f in trained.vocabulary for f in features]
+            assert nbayes.classify(model, bag) == nbayes.classify(trained, bag)
+            assert model._rows_for(features) == trained._rows_for(features)
 
 
 class TestCountedOnce:
@@ -306,3 +318,32 @@ class TestCountedOnce:
         report = cross_validate(corpus, L1_METHOD, L1_VARIANTS, folds=100)
         assert report == cross_validate_retraining(corpus, L1_METHOD, L1_VARIANTS, folds=100)
         assert len(report.folds) == 100 and report.filtered_out > 0
+
+    def test_folds_build_no_whole_vocabulary_set(self, corpus_index, monkeypatch):
+        """One model is built on the corpus, and so one union of its
+        classes' grams. Each fold's model is derived from it and never
+        lists its vocabulary or its counts."""
+        corpus = build_l1_corpus(corpus_index)
+        built = []
+        build = nbayes.NaiveBayesModel.__init__
+
+        def counted(model, *args):
+            built.append(model)
+            build(model, *args)
+
+        def whole_vocabulary(_):
+            raise AssertionError("a fold listed its whole vocabulary or counts")
+
+        monkeypatch.setattr(nbayes.NaiveBayesModel, "__init__", counted)
+        monkeypatch.setattr(nbayes.NaiveBayesModel, "feature_counts", property(whole_vocabulary))
+        monkeypatch.setattr(nbayes._Vocabulary, "__iter__", whole_vocabulary)
+        report = cross_validate(corpus, L1_METHOD, L1_VARIANTS, folds=10)
+        assert len(built) == 1
+        assert len(report.folds) == 10
+
+    def test_leave_one_out_on_fixtures_equals_the_oracle(self, corpus_index):
+        corpus = build_l1_corpus(corpus_index)
+        assert len(corpus) == 489
+        report = cross_validate(corpus, L1_METHOD, L1_VARIANTS, folds=489)
+        assert report == cross_validate_retraining(corpus, L1_METHOD, L1_VARIANTS, folds=489)
+        assert report.evaluated > 0 and report.filtered_out > 0

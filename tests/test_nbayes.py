@@ -150,6 +150,42 @@ class TestLogSpace:
         assert dict(outcome.posteriors)["A"] > 0.999
 
 
+class TestLess:
+    """``less`` gives the model of the corpus less some of its documents:
+    what ``train`` gives on the documents left, with the corpus model as
+    it was."""
+
+    @staticmethod
+    def saved(model, path):
+        save_model(model, path)
+        return path.read_bytes()
+
+    def test_equals_training_on_what_is_left(self, tmp_path, toy_model):
+        derived = toy_model.less({"A": 1}, {"A": Counter(["x", "y"])})
+        rest = train(TOY[1:])
+        assert derived.classes == rest.classes and derived.doc_counts == rest.doc_counts
+        assert set(derived.vocabulary) == rest.vocabulary == {"x", "y", "z"}
+        for bag in (["x", "y"], ["z"], ["x", "x", "w"]):
+            assert classify(derived, bag) == classify(rest, bag)
+        assert self.saved(derived, tmp_path / "derived.nb") == self.saved(rest, tmp_path / "rest.nb")
+        assert self.saved(toy_model, tmp_path / "toy.nb") == self.saved(train(TOY), tmp_path / "fresh.nb")
+
+    def test_features_and_classes_held_out_entirely_leave(self, toy_model):
+        derived = toy_model.less({"B": 1}, {"B": Counter(["y", "z"])})
+        rest = train(TOY[:2])
+        assert derived.classes == rest.classes == ("A",)
+        assert "z" not in derived.vocabulary and len(derived.vocabulary) == 2
+        assert derived.vocabulary.issuperset(["x", "y"])
+        assert not derived.vocabulary.issuperset(["x", "z"]) and not derived.vocabulary.issuperset(["x", "w"])
+        for bag in (["x", "y"], ["z"], ["y", "z"]):
+            assert classify(derived, bag) == classify(rest, bag)
+
+    def test_a_derived_model_derives_no_other(self, toy_model):
+        derived = toy_model.less({"A": 1}, {"A": Counter(["x"])})
+        with pytest.raises(ValueError, match="derives no other"):
+            derived.less({"A": 1}, {"A": Counter(["x", "y"])})
+
+
 class TestPersistence:
     def test_roundtrip_exact(self, tmp_path, toy_model):
         path = tmp_path / "model.nb"
