@@ -25,13 +25,10 @@ from datetime import datetime, timezone
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
+from typing import IO, Callable, Iterable, Iterator, Protocol, Sequence
 from urllib.parse import quote
 
 from .uri import InputFileError, UriParseError, canonicalize_surt, content_lines, parse_uri, read_lines
-
-if TYPE_CHECKING:  # imported only to build a client's default session
-    import requests
 
 __all__ = [
     "RANK_FLOOR_DEFAULT",
@@ -474,33 +471,55 @@ class FixtureArchiveSource:
         return self._read(page_uri)
 
 
+# What a GET leaves unescaped: ``requests.utils.requote_uri``'s set, so a
+# space or a non-ASCII character, which ``http.client`` refuses, is escaped.
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
+
+
 class _HttpClient:
-    """The network clients' one request path, a GET through a ``requests``-
-    style session; ``requests`` is imported only to build a default one.
+    """The network clients' one request path: a GET through an opener of
+    http and https alone, so neither a rel="next" link nor a redirect can
+    read a local file. ``urllib.request`` is imported only to build it.
     Each client sets its default ``timeout`` in seconds, and its messages:
     ``<_failed>: <error>``, and ``_returned`` formatted with status and URL."""
 
-    def __init__(self, base_url: str, timeout: float | None = None, session: requests.Session | None = None):
-        if session is None:
-            import requests
+    def __init__(self, base_url: str, timeout: float | None = None):
+        import urllib.request as request  # a fixture run never needs it
 
-            session = requests.Session()
         self.base_url = base_url.rstrip("/")
         self.timeout = self.timeout if timeout is None else timeout
-        self.session = session
+        self._request = request.Request
+        self._opener = request.OpenerDirector()  # UnknownHandler refuses any other scheme
+        for handler in (request.ProxyHandler, request.UnknownHandler, request.HTTPHandler, request.HTTPSHandler,
+                        request.HTTPDefaultErrorHandler, request.HTTPRedirectHandler, request.HTTPErrorProcessor):
+            self._opener.add_handler(handler())
 
-    def _get(self, url: str) -> requests.Response | None:
-        """The 200 response to a GET of ``url``, or None on a 404. Raises
-        ArchiveFetchError on a transport failure or any other status."""
+    def _get(self, url: str) -> str | None:
+        """The body of the 200 reply to a GET of ``url``, decoded by its
+        declared charset or else UTF-8, or None on a 404. Raises
+        ArchiveFetchError on a transport failure, a body that does not
+        decode, or any other status."""
+        from http.client import HTTPException  # loaded with the opener
+        from urllib.error import HTTPError, URLError
+
         try:
-            response = self.session.get(url, timeout=self.timeout)
-        except OSError as exc:  # requests.RequestException is one
-            raise ArchiveFetchError(f"{self._failed}: {exc}") from exc
-        if response.status_code == 404:
-            return None
-        if response.status_code != 200:
-            raise ArchiveFetchError(self._returned.format(status=response.status_code, url=url))
-        return response
+            with self._opener.open(self._request(quote(url, safe=_URL_SAFE)), timeout=self.timeout) as reply:
+                status = reply.status
+                if status == 200:
+                    text = reply.read().decode(reply.headers.get_content_charset() or "utf-8")
+        except HTTPError as exc:  # an OSError too, so caught first
+            exc.close()
+            if exc.code == 404:
+                return None
+            status = exc.code
+        # HTTPException is no OSError; ValueError is a URL without a scheme or
+        # bytes that do not decode, and LookupError an unknown charset.
+        except (OSError, HTTPException, ValueError, LookupError) as exc:
+            detail = exc.reason if isinstance(exc, URLError) else exc
+            raise ArchiveFetchError(f"{self._failed}: {detail}") from exc
+        if status != 200:
+            raise ArchiveFetchError(self._returned.format(status=status, url=url))
+        return text
 
 
 class MemGatorClient(_HttpClient):
@@ -514,8 +533,7 @@ class MemGatorClient(_HttpClient):
         return self.get_page(f"{self.base_url}/timemap/link/{uri}")
 
     def get_page(self, page_uri: str) -> str | None:
-        response = self._get(page_uri)
-        return None if response is None else response.text
+        return self._get(page_uri)
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +599,12 @@ class MementoDamageClient(_HttpClient):
         """``total_damage`` clamped to [0, 1], or None on a 404 or a null; a reply that
         is not a JSON object, or whose ``total_damage`` is not a finite JSON number, is
         an ArchiveFetchError."""
-        response = self._get(f"{self.base_url}/api/damage/{quote(memento_uri, safe='')}")
-        if response is None:
+        text = self._get(f"{self.base_url}/api/damage/{quote(memento_uri, safe='')}")
+        if text is None:
             return None
         try:
-            reply = response.json()
-        except (ValueError, RecursionError) as exc:  # requests' JSONDecodeError is a ValueError
+            reply = json.loads(text)
+        except (ValueError, RecursionError) as exc:
             raise ArchiveFetchError(f"damage service reply is not JSON: {exc}") from exc
         if not isinstance(reply, dict):
             raise ArchiveFetchError("damage service reply is not a JSON object")
@@ -617,8 +635,6 @@ def fetch_damage(provider: DamageProvider | None, memento_uri: str) -> DamageEvi
 # Cache
 
 
-# The decoded slot of a cache entry that no hit has decoded yet.
-_UNDECODED = object()
 # The writer of every cache line: ``json.dumps(record, sort_keys=True)``,
 # without building an encoder per line. Codec values hold no cycles.
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
@@ -629,7 +645,8 @@ class EvidenceCache:
 
     Later records supersede earlier ones; entries older than ``max_age``
     seconds are treated as misses so they get refetched. Each entry keeps
-    the decoded form of its value beside the raw one (see ``get``).
+    one form of its value: a loaded line's raw value until its first
+    decode, then only the decoded value (see ``get``).
     Lines are appended through one unbuffered handle, opened by the first
     ``put``, one write per line. ``close`` releases it; so does dropping the
     cache, through a finalizer that holds the handle, not the cache.
@@ -640,8 +657,8 @@ class EvidenceCache:
         self.max_age = max_age
         self._clock = clock
         self._lock = threading.Lock()
-        # key -> (fetched_at, raw value, decoded value or _UNDECODED)
-        self._entries: dict[tuple[str, str, str], tuple[float, object, object]] = {}
+        # key -> (fetched_at, value, whether the value is decoded)
+        self._entries: dict[tuple[str, str, str], tuple[float, object, bool]] = {}
         self._handle: IO[bytes] | None = None
         self._release: weakref.finalize | None = None
         if self.path.exists():
@@ -660,30 +677,30 @@ class EvidenceCache:
                         raise TypeError("fetched_at is not a number")
                     if not math.isfinite(fetched_at):  # NaN never expires; OverflowError past float range
                         raise ValueError("fetched_at is not finite")
-                    self._entries[key] = (fetched_at, record["value"], _UNDECODED)
+                    self._entries[key] = (fetched_at, record["value"], False)
                 except (ValueError, KeyError, TypeError, OverflowError, RecursionError):  # torn or foreign line
                     skipped += 1
             if skipped:
                 _log.warning("evidence cache %s: skipped %d corrupt line(s)", self.path, skipped)
 
-    def get(self, provider: str, kind: str, surt: str, decode: Callable[[object], object] | None = None):
-        """The entry's value, or None on a miss or an expired entry. With
-        ``decode``, its decoded value, decoded at most once per entry (a value
-        given to ``put`` counts); a decode that raises keeps nothing. Decoded
-        values are shared, so ``decode`` must return frozen ones, never None."""
+    def get(self, provider: str, kind: str, surt: str, decode: Callable[[object], object]):
+        """The entry's decoded value, or None on a miss or an expired entry.
+        An entry is decoded at most once, and a value given to ``put`` never;
+        a decode that raises keeps the raw value. Decoded values are shared,
+        so ``decode`` must return frozen ones, never None."""
         key = (provider, kind, surt)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or self.max_age is not None and self._clock() - entry[0] > self.max_age:
                 return None
-            if decode is None:
-                return entry[1]
-            if entry[2] is _UNDECODED:
-                entry = self._entries[key] = (entry[0], entry[1], decode(entry[1]))
-            return entry[2]
+            fetched_at, value, decoded = entry
+            if not decoded:
+                value = decode(value)
+                self._entries[key] = (fetched_at, value, True)
+            return value
 
-    def put(self, provider: str, kind: str, surt: str, value: dict, decoded=_UNDECODED) -> None:
-        """Append a line; ``decoded``, if given, is kept as the line's decoded value."""
+    def put(self, provider: str, kind: str, surt: str, value: dict, decoded) -> None:
+        """Append a line of the raw ``value``, and keep ``decoded`` as its value."""
         record = {
             "provider": provider,
             "kind": kind,
@@ -694,7 +711,7 @@ class EvidenceCache:
         # ensure_ascii holds the line to ASCII, so its bytes are its text.
         line = (_LINE_ENCODER.encode(record) + "\n").encode("ascii")
         with self._lock:
-            self._entries[(provider, kind, surt)] = (record["fetched_at"], value, decoded)
+            self._entries[(provider, kind, surt)] = (record["fetched_at"], decoded, True)
             if self._handle is None:
                 self._handle = open(self.path, "ab", buffering=0)
                 self._release = weakref.finalize(self, self._handle.close)

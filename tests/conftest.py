@@ -9,8 +9,12 @@ two-letter alphabets, so their gram vocabularies cannot overlap.
 
 from __future__ import annotations
 
+import os
 import random
+import socket
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -73,6 +77,13 @@ def build_taxonomy(entries_per_category: int = 8, seed: int = 7) -> CategoryInde
                 )
             )
     return CategoryIndex(entries)
+
+
+@pytest.fixture(autouse=True)
+def no_requests(monkeypatch):
+    """``import requests`` fails in every test, as on an interpreter without
+    it: nothing in the package may need it."""
+    monkeypatch.setitem(sys.modules, "requests", None)
 
 
 @pytest.fixture(scope="session")
@@ -147,3 +158,74 @@ class FailingProvider:
 
     def get_damage(self, memento_uri):
         raise ArchiveFetchError(self.message)
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    def do_GET(self):
+        server = self.server
+        server.paths.append(self.path)
+        if server.raw is not None:
+            self.wfile.write(server.raw)
+            return
+        status, headers, body = server.replies.get(self.path, server.reply)
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args):  # a command's stderr stays its own
+        pass
+
+
+class ScriptedServer(HTTPServer):
+    """An HTTP server on a free local port that answers every GET with one
+    scripted reply, or with the reply scripted for its path, and records
+    the path of each request it was sent."""
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _ScriptedHandler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        self.paths: list[str] = []
+        self.reply: tuple[int, dict, bytes] = (404, {}, b"")
+        self.replies: dict[str, tuple[int, dict, bytes]] = {}
+        self.raw: bytes | None = None
+
+    def answer(self, status: int, body: str | bytes = b"", headers: dict | None = None, path: str | None = None):
+        """Reply to a GET of ``path``, or of any path, with ``status``,
+        ``headers`` and ``body`` (text is sent as UTF-8)."""
+        reply = (status, headers or {}, body.encode("utf-8") if isinstance(body, str) else body)
+        if path is None:
+            self.reply = reply
+        else:
+            self.replies[path] = reply
+
+    def answer_raw(self, data: bytes):
+        """Reply to every GET with ``data`` as it stands, status line and all."""
+        self.raw = data
+
+
+@pytest.fixture
+def http_server(monkeypatch):
+    """A ScriptedServer, running until the test ends, with every proxy
+    variable cleared so that a client reaches it directly."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    server = ScriptedServer()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+def closed_port() -> int:
+    """A local port that was free a moment ago and has no listener now."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]

@@ -8,10 +8,10 @@ import json
 import logging
 import os
 import re
+import socket
 import string
 import sys
 import threading
-import types
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,7 +43,7 @@ from archive_recommender.archives import (
     parse_timemap_links,
 )
 from archive_recommender.uri import canonicalize_surt
-from conftest import FailingProvider, ForeignSource
+from conftest import FailingProvider, ForeignSource, closed_port
 
 UTC = timezone.utc
 
@@ -1251,41 +1251,46 @@ class FixtureRank:
         return self.rank
 
 
+def as_is(value):
+    """A cache decoder that keeps a raw value as it stands."""
+    return value
+
+
 class TestEvidenceCache:
     def test_put_get_roundtrip(self, tmp_path):
         cache = EvidenceCache(tmp_path / "cache.jsonl")
-        cache.put("gateway", "timemap", "com,example)/", {"n": 1})
-        assert cache.get("gateway", "timemap", "com,example)/") == {"n": 1}
-        assert cache.get("gateway", "timemap", "com,other)/") is None
-        assert cache.get("other", "timemap", "com,example)/") is None
+        cache.put("gateway", "timemap", "com,example)/", {"n": 1}, {"n": 1})
+        assert cache.get("gateway", "timemap", "com,example)/", as_is) == {"n": 1}
+        assert cache.get("gateway", "timemap", "com,other)/", as_is) is None
+        assert cache.get("other", "timemap", "com,example)/", as_is) is None
 
     def test_persists_across_instances(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        EvidenceCache(path).put("gateway", "damage", "key", {"damage": 0.1})
+        EvidenceCache(path).put("gateway", "damage", "key", {"damage": 0.1}, {"damage": 0.1})
         again = EvidenceCache(path)
-        assert again.get("gateway", "damage", "key") == {"damage": 0.1}
+        assert again.get("gateway", "damage", "key", as_is) == {"damage": 0.1}
 
     def test_later_records_supersede(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EvidenceCache(path)
-        cache.put("gateway", "k", "s", {"v": 1})
-        cache.put("gateway", "k", "s", {"v": 2})
-        assert EvidenceCache(path).get("gateway", "k", "s") == {"v": 2}
+        cache.put("gateway", "k", "s", {"v": 1}, {"v": 1})
+        cache.put("gateway", "k", "s", {"v": 2}, {"v": 2})
+        assert EvidenceCache(path).get("gateway", "k", "s", as_is) == {"v": 2}
 
     def test_max_age_expiry(self, tmp_path):
         now = [1000.0]
         cache = EvidenceCache(tmp_path / "cache.jsonl", max_age=60, clock=lambda: now[0])
-        cache.put("gateway", "k", "s", {"v": 1})
-        assert cache.get("gateway", "k", "s") == {"v": 1}
+        cache.put("gateway", "k", "s", {"v": 1}, {"v": 1})
+        assert cache.get("gateway", "k", "s", as_is) == {"v": 1}
         now[0] += 61
-        assert cache.get("gateway", "k", "s") is None
+        assert cache.get("gateway", "k", "s", as_is) is None
 
     def test_thread_safety_smoke(self, tmp_path):
         cache = EvidenceCache(tmp_path / "cache.jsonl")
 
         def worker(i):
             for j in range(20):
-                cache.put("gateway", "k", f"s{i}-{j}", {"v": j})
+                cache.put("gateway", "k", f"s{i}-{j}", {"v": j}, {"v": j})
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
         for t in threads:
@@ -1298,15 +1303,15 @@ class TestEvidenceCache:
     def test_corrupt_lines_skipped_with_one_warning(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         cache = EvidenceCache(path)
-        cache.put("gateway", "timemap", "a", {"v": 1})
-        cache.put("gateway", "timemap", "b", {"v": 2})
+        cache.put("gateway", "timemap", "a", {"v": 1}, {"v": 1})
+        cache.put("gateway", "timemap", "b", {"v": 2}, {"v": 2})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"provider": "gateway", "kind": "timemap"}\n[1, 2]\n')
         path.write_bytes(path.read_bytes() + path.read_bytes()[:40])  # torn copy of line 1
         with caplog.at_level("WARNING", logger="archive_recommender"):
             again = EvidenceCache(path)
-        assert again.get("gateway", "timemap", "a") == {"v": 1}
-        assert again.get("gateway", "timemap", "b") == {"v": 2}
+        assert again.get("gateway", "timemap", "a", as_is) == {"v": 1}
+        assert again.get("gateway", "timemap", "b", as_is) == {"v": 2}
         assert [r.getMessage() for r in caplog.records] == [
             f"evidence cache {path}: skipped 3 corrupt line(s)"
         ]
@@ -1319,8 +1324,8 @@ class TestEvidenceCache:
         )
         with caplog.at_level("WARNING", logger="archive_recommender"):
             cache = EvidenceCache(path, max_age=60)
-        assert cache.get("gateway", "timemap", "x") is None
-        assert cache.get("gateway", "timemap", "y") is None
+        assert cache.get("gateway", "timemap", "x", as_is) is None
+        assert cache.get("gateway", "timemap", "y", as_is) is None
         assert [r.getMessage() for r in caplog.records] == [
             f"evidence cache {path}: skipped 2 corrupt line(s)"
         ]
@@ -1339,8 +1344,8 @@ class TestEvidenceCache:
         with caplog.at_level("WARNING", logger="archive_recommender"):
             cache = EvidenceCache(path, max_age=60, clock=lambda: 1e12)
         for i in range(len(stamps)):
-            assert cache.get("gateway", "timemap", str(i)) is None
-        assert cache.get("gateway", "timemap", "ok") == {}
+            assert cache.get("gateway", "timemap", str(i), as_is) is None
+        assert cache.get("gateway", "timemap", "ok", as_is) == {}
         assert [r.getMessage() for r in caplog.records] == [
             f"evidence cache {path}: skipped {len(stamps)} corrupt line(s)"
         ]
@@ -1348,14 +1353,14 @@ class TestEvidenceCache:
     def test_non_utf8_line_skipped(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         cache = EvidenceCache(path)
-        cache.put("gateway", "timemap", "a", {"v": 1})
+        cache.put("gateway", "timemap", "a", {"v": 1}, {"v": 1})
         cache.close()
         with open(path, "ab") as handle:
             handle.write(b"\xff\xfe garbage\n")
             handle.write(b'{"provider":"gateway","kind":"timemap","surt":"\xc3","fetched_at":1,"value":{}}\n')
         with caplog.at_level("WARNING", logger="archive_recommender"):
             again = EvidenceCache(path)
-        assert again.get("gateway", "timemap", "a") == {"v": 1}
+        assert again.get("gateway", "timemap", "a", as_is) == {"v": 1}
         assert [r.getMessage() for r in caplog.records] == [
             f"evidence cache {path}: skipped 2 corrupt line(s)"
         ]
@@ -1368,7 +1373,7 @@ class TestEvidenceCache:
         )
         with caplog.at_level("WARNING", logger="archive_recommender"):
             cache = EvidenceCache(path)
-        assert cache.get("gateway", "timemap", "ok") == {"v": 1}
+        assert cache.get("gateway", "timemap", "ok", as_is) == {"v": 1}
         assert [r.getMessage() for r in caplog.records] == [
             f"evidence cache {path}: skipped 1 corrupt line(s)"
         ]
@@ -1376,39 +1381,39 @@ class TestEvidenceCache:
     def test_unwritable_path_fails_on_first_put(self, tmp_path):
         cache = EvidenceCache(tmp_path / "absent" / "cache.jsonl")
         with pytest.raises(FileNotFoundError):
-            cache.put("gateway", "k", "s", {"v": 1})
+            cache.put("gateway", "k", "s", {"v": 1}, {"v": 1})
         with pytest.raises(FileNotFoundError):
-            cache.put("gateway", "k", "s", {"v": 1})
+            cache.put("gateway", "k", "s", {"v": 1}, {"v": 1})
 
     def test_one_handle_appends_every_line(self, tmp_path, archive_opens):
         path = tmp_path / "cache.jsonl"
         cache = EvidenceCache(path)
         for i in range(3):
-            cache.put("gateway", "k", f"s{i}", {"v": i})
+            cache.put("gateway", "k", f"s{i}", {"v": i}, {"v": i})
             assert len(path.read_text("utf-8").splitlines()) == i + 1  # flushed per line
         assert len(archive_opens) == 1
 
     def test_close_is_idempotent(self, tmp_path, archive_opens):
         cache = EvidenceCache(tmp_path / "cache.jsonl")
         cache.close()  # nothing open yet
-        cache.put("gateway", "k", "s", {"v": 1})
+        cache.put("gateway", "k", "s", {"v": 1}, {"v": 1})
         cache.close()
         cache.close()
         assert [handle.closed for handle in archive_opens] == [True]
-        cache.put("gateway", "k", "t", {"v": 2})  # opens the file again
+        cache.put("gateway", "k", "t", {"v": 2}, {"v": 2})  # opens the file again
         cache.close()
         assert [handle.closed for handle in archive_opens] == [True, True]
         assert len((tmp_path / "cache.jsonl").read_text("utf-8").splitlines()) == 2
 
     def test_with_block_closes_the_handle(self, tmp_path, archive_opens):
         with EvidenceCache(tmp_path / "cache.jsonl") as cache:
-            cache.put("gateway", "k", "s", {"v": 1})
+            cache.put("gateway", "k", "s", {"v": 1}, {"v": 1})
             assert not archive_opens[0].closed
         assert archive_opens[0].closed
 
     def test_dropped_cache_releases_its_file(self, tmp_path, archive_opens):
         cache = EvidenceCache(tmp_path / "cache.jsonl")
-        cache.put("gateway", "k", "s", {"v": 1})
+        cache.put("gateway", "k", "s", {"v": 1}, {"v": 1})
         dropped = weakref.ref(cache)
         del cache
         gc.collect()
@@ -1451,7 +1456,7 @@ class TestCacheLineBytes:
         encoded = archives._CODECS[kind][1](value)
         path = tmp_path_factory.mktemp("cache", numbered=True) / "cache.jsonl"
         with EvidenceCache(path, clock=lambda: fetched_at) as cache:
-            cache.put("gateway", kind, surt, encoded)
+            cache.put("gateway", kind, surt, encoded, value)
         record = {"provider": "gateway", "kind": kind, "surt": surt, "fetched_at": fetched_at, "value": encoded}
         assert path.read_bytes() == (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
 
@@ -1742,8 +1747,8 @@ class TestEvidenceService:
             surt = canonicalize_surt(nearest_memento(expected.archive, requested)[1])
         path = tmp_path / "cache.jsonl"
         evidence_for(self.build(fixtures_dir, cache=EvidenceCache(path)), "http://cs.gmu.edu", requested)
-        fetched = EvidenceCache(path).get("gateway", kind, surt)
-        EvidenceCache(path).put("gateway", kind, surt, value)
+        fetched = EvidenceCache(path).get("gateway", kind, surt, as_is)
+        EvidenceCache(path).put("gateway", kind, surt, value, value)
         written = len(path.read_text("utf-8").splitlines())
         cache = EvidenceCache(path)
         with caplog.at_level(logging.WARNING, logger="archive_recommender.archives"):
@@ -1753,7 +1758,7 @@ class TestEvidenceService:
         assert caplog.records[0].name == "archive_recommender.archives"
         assert f"refetching undecodable {labels[kind]} for {surt}" in caplog.records[0].getMessage()
         assert len(path.read_text("utf-8").splitlines()) == written + 1
-        assert EvidenceCache(path).get("gateway", kind, surt) == fetched
+        assert EvidenceCache(path).get("gateway", kind, surt, as_is) == fetched
 
     @pytest.mark.parametrize(
         "value, rank", [({}, None), ({"rank": None}, None), ({"rank": 5}, 5), ({"rank": 2.7}, 2)]
@@ -1762,7 +1767,7 @@ class TestEvidenceService:
         uri, requested = "http://a.example.com", dt("20140301000000")
         path = tmp_path / "cache.jsonl"
         evidence_for(EvidenceService(MapSource(SINGLE_PAGE), cache=EvidenceCache(path)), uri, requested)
-        EvidenceCache(path).put("gateway", "popularity", canonicalize_surt(uri), value)
+        EvidenceCache(path).put("gateway", "popularity", canonicalize_surt(uri), value, value)
         written = path.read_text("utf-8")
         warm_service = EvidenceService(ExplodingSource(), cache=EvidenceCache(path))
         with caplog.at_level(logging.WARNING, logger="archive_recommender.archives"):
@@ -1923,9 +1928,9 @@ class TestDecodeOnce:
         evidence_for(service, self.URI, self.REQUESTED)
         evidence_for(service, self.URI, self.REQUESTED)
         newer = fetch_timemap(MapSource(timemap_with(3)), self.URI)
-        cache.put("gateway", "timemap", canonicalize_surt(self.URI), newer.to_json_dict())
-        assert evidence_for(service, self.URI, self.REQUESTED).archive == newer
-        assert calls["timemap"] == 1
+        cache.put("gateway", "timemap", canonicalize_surt(self.URI), newer.to_json_dict(), newer)
+        assert evidence_for(service, self.URI, self.REQUESTED).archive is newer
+        assert calls["timemap"] == 0
 
     def test_each_hit_is_one_get(self, tmp_path, monkeypatch):
         """A warm candidate takes one ``get`` per kind and nothing else of
@@ -1945,7 +1950,7 @@ class TestDecodeOnce:
 
     def test_get_decodes_a_loaded_line_once(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        EvidenceCache(path).put("gateway", "k", "s", {"v": 1})
+        EvidenceCache(path).put("gateway", "k", "s", {"v": 1}, (1,))
         cache = EvidenceCache(path)
         decodes = []
 
@@ -1955,12 +1960,21 @@ class TestDecodeOnce:
 
         assert [cache.get("gateway", "k", "s", decode) for _ in range(3)] == [(1,)] * 3
         assert decodes == [{"v": 1}]
-        assert cache.get("gateway", "k", "s") == {"v": 1}  # without a decoder, the raw value
+        assert cache.get("gateway", "k", "s", as_is) == (1,)  # the raw value is gone
         assert cache.get("gateway", "k", "other", decode) is None
+        with pytest.raises(TypeError):
+            cache.get("gateway", "k", "s")  # no lookup answers without a decoder
+
+    def test_put_keeps_the_decoded_value_alone(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = EvidenceCache(path)
+        cache.put("gateway", "k", "s", {"v": 1}, (1,))
+        assert cache.get("gateway", "k", "s", as_is) == (1,)
+        assert EvidenceCache(path).get("gateway", "k", "s", as_is) == {"v": 1}  # the line is the raw value
 
     def test_get_keeps_nothing_from_a_decode_that_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        EvidenceCache(path).put("gateway", "k", "s", {"v": 1})
+        EvidenceCache(path).put("gateway", "k", "s", {"v": 1}, (1,))
         cache = EvidenceCache(path)
 
         def fails(raw):
@@ -1987,7 +2001,8 @@ class TestDecodeOnce:
     def test_undecodable_value_warns_per_refetch_and_is_not_kept(self, tmp_path, caplog, monkeypatch):
         path = tmp_path / "cache.jsonl"
         surt = canonicalize_surt(self.URI)
-        EvidenceCache(path).put("gateway", "timemap", surt, {"uri": self.URI, "mementos": [["soon", "https://a/m"]]})
+        undecodable = {"uri": self.URI, "mementos": [["soon", "https://a/m"]]}
+        EvidenceCache(path).put("gateway", "timemap", surt, undecodable, undecodable)
         calls = count_decodes(monkeypatch)
         source = MapSource(SINGLE_PAGE, fail_times=2)
         service = self.service(source, EvidenceCache(path), retries=0)
@@ -2015,163 +2030,225 @@ class TestDecodeOnce:
         assert '"value": {"rank": 5}' in path.read_text("utf-8")
 
 
-class FakeResponse:
-    """What a client reads of a ``requests`` response: the status, the text,
-    and ``json()``, which parses the text, or raises ``json_error``."""
-
-    def __init__(self, status_code, text="", json_error=None):
-        self.status_code = status_code
-        self.text = text
-        self.json_error = json_error
-
-    def json(self):
-        if self.json_error is not None:
-            raise self.json_error
-        return json.loads(self.text)
-
-
-class FakeSession:
-    """A ``requests``-style session that answers every GET with one reply,
-    a response or an exception to raise, and records each (URL, timeout)."""
-
-    def __init__(self, reply):
-        self.reply = reply
-        self.calls = []
-
-    def get(self, url, timeout):
-        self.calls.append((url, timeout))
-        if isinstance(self.reply, BaseException):
-            raise self.reply
-        return self.reply
-
-
-class RequestsJSONDecodeError(OSError, ValueError):
-    """As ``requests.JSONDecodeError`` is from 2.27 on: an OSError (through
-    ``RequestException``) and a ValueError (through ``json.JSONDecodeError``)."""
-
-
-@pytest.fixture
-def no_requests(monkeypatch):
-    """``import requests`` fails, as on an interpreter without it."""
-    monkeypatch.setitem(sys.modules, "requests", None)
-
-
 class TestNetworkClients:
-    """The live clients, each over a fake session: no network, no ``requests``."""
+    """The live clients, each over a local server with scripted replies."""
 
     MEMENTO = "https://web.archive.org/web/20140226090846/http://cs.odu.edu:80/?q=a b"
 
-    def aggregator(self, reply):
-        session = FakeSession(reply)
-        return MemGatorClient("http://agg.example/", session=session), session
+    def aggregator(self, server, status=200, body="", **headers):
+        server.answer(status, body, headers)
+        return MemGatorClient(server.url + "/")
 
-    def damage(self, reply):
-        session = FakeSession(reply)
-        return MementoDamageClient("http://damage.example/", session=session), session
+    def damage(self, server, status=200, body="", **headers):
+        server.answer(status, body, headers)
+        return MementoDamageClient(server.url + "/")
 
-    def test_a_client_given_a_session_never_imports_requests(self, no_requests):
-        self.aggregator(FakeResponse(404))
-        self.damage(FakeResponse(404))
-        with pytest.raises(ImportError):
-            MemGatorClient("http://agg.example")
-        with pytest.raises(ImportError):
-            MementoDamageClient("http://damage.example")
+    def test_a_client_is_built_without_requests(self, http_server):
+        assert sys.modules["requests"] is None  # as the autouse blocker leaves it
+        assert self.aggregator(http_server, 404).get_timemap("http://a.example.com/") is None
+        assert self.damage(http_server, 404).get_damage(self.MEMENTO) is None
 
-    def test_a_client_without_a_session_builds_a_requests_session(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "requests", types.SimpleNamespace(Session=lambda: "a new session"))
-        assert MemGatorClient("http://agg.example").session == "a new session"
-        assert MementoDamageClient("http://damage.example").session == "a new session"
+    def test_a_client_opens_http_and_https_alone(self, http_server):
+        """No file, ftp or data handler: any other scheme goes to the
+        handler that refuses it."""
+        aggregator, damage = MemGatorClient("http://agg.example/"), MementoDamageClient("http://damage.example")
+        assert (aggregator.base_url, aggregator.timeout) == ("http://agg.example", 10.0)
+        assert (damage.base_url, damage.timeout) == ("http://damage.example", 30.0)
+        for client in (aggregator, damage):
+            assert set(client._opener.handle_open) == {"http", "https", "unknown"}
 
-    def test_timemap_url(self):
-        client, session = self.aggregator(FakeResponse(200, SINGLE_PAGE))
+    def test_timemap_url(self, http_server):
+        client = self.aggregator(http_server, 200, SINGLE_PAGE)
         assert client.get_timemap("http://a.example.com/x?y=1") == SINGLE_PAGE
-        assert session.calls == [("http://agg.example/timemap/link/http://a.example.com/x?y=1", 10.0)]
+        assert http_server.paths == ["/timemap/link/http://a.example.com/x?y=1"]
 
-    def test_page_uri_passed_through(self):
-        client, session = self.aggregator(FakeResponse(200, "page two"))
-        assert client.get_page("https://other.example/timemap/link/2/http://a.example.com/") == "page two"
-        assert session.calls == [("https://other.example/timemap/link/2/http://a.example.com/", 10.0)]
+    def test_page_uri_passed_through(self, http_server):
+        http_server.answer(200, "page two")
+        client = MemGatorClient("http://agg.invalid")  # never asked: the page is elsewhere
+        assert client.get_page(f"{http_server.url}/timemap/link/2/http://a.example.com/") == "page two"
+        assert http_server.paths == ["/timemap/link/2/http://a.example.com/"]
 
-    def test_aggregator_404_is_not_archived(self):
-        client, _ = self.aggregator(FakeResponse(404, "not here"))
+    def test_url_is_escaped_where_http_refuses_it(self, http_server):
+        client = self.aggregator(http_server, 200, "page")
+        assert client.get_timemap("http://a.example.com/a b/\u00e9?q=%41&r=[1]") == "page"
+        assert http_server.paths == ["/timemap/link/http://a.example.com/a%20b/%C3%A9?q=%41&r=[1]"]
+
+    def test_aggregator_404_is_not_archived(self, http_server):
+        client = self.aggregator(http_server, 404, "not here")
         assert client.get_timemap("http://a.example.com/") is None
         service = EvidenceService(client)
         result = evidence_for(service, "http://a.example.com/", dt("20140301000000"))
         assert result.error is None and not result.archive.archived
 
-    def test_aggregator_status_is_a_fetch_error(self):
-        client, _ = self.aggregator(FakeResponse(500, "oops"))
+    def test_aggregator_status_is_a_fetch_error(self, http_server):
+        client = self.aggregator(http_server, 500, "oops")
+        url = f"{http_server.url}/page/2"
         with pytest.raises(ArchiveFetchError) as caught:
-            client.get_page("http://agg.example/page/2")
-        assert str(caught.value) == "aggregator returned 500 for http://agg.example/page/2"
+            client.get_page(url)
+        assert str(caught.value) == f"aggregator returned 500 for {url}"
 
-    def test_aggregator_transport_failure_is_a_fetch_error(self):
-        client, _ = self.aggregator(ConnectionRefusedError("connection refused"))
+    def test_a_2xx_other_than_200_is_a_fetch_error(self, http_server):
+        client = self.aggregator(http_server, 204)
         with pytest.raises(ArchiveFetchError) as caught:
             client.get_timemap("http://a.example.com/")
-        assert str(caught.value) == "aggregator request failed: connection refused"
+        assert str(caught.value) == f"aggregator returned 204 for {http_server.url}/timemap/link/http://a.example.com/"
 
-    def test_damage_url_quotes_the_memento(self):
-        client, session = self.damage(FakeResponse(200, '{"total_damage": 0.25}'))
-        assert client.get_damage(self.MEMENTO) == 0.25
-        assert session.calls == [(f"http://damage.example/api/damage/{quote(self.MEMENTO, safe='')}", 30.0)]
-        assert "/" not in session.calls[0][0].rsplit("/api/damage/", 1)[1]
+    def test_redirect_is_followed(self, http_server):
+        http_server.answer(200, SINGLE_PAGE, path="/moved")
+        http_server.answer(302, headers={"Location": "/moved"}, path="/timemap/link/http://a.example.com/")
+        client = MemGatorClient(http_server.url)
+        assert client.get_timemap("http://a.example.com/") == SINGLE_PAGE
+        assert http_server.paths == ["/timemap/link/http://a.example.com/", "/moved"]
 
     @pytest.mark.parametrize(
-        "reply, damage",
+        "target, message",
         [
-            (FakeResponse(404), None),
-            (FakeResponse(200, '{"total_damage": null}'), None),
-            (FakeResponse(200, '{"score": 0.3}'), None),
-            (FakeResponse(200, '{"total_damage": 0}'), 0.0),
-            (FakeResponse(200, '{"total_damage": 1.7}'), 1.0),
-            (FakeResponse(200, '{"total_damage": -0.2}'), 0.0),
+            ("file:///etc/hostname", "aggregator returned 302 for {url}"),  # refused by the redirect handler
+            ("data:,x", "aggregator returned 302 for {url}"),
+            ("ftp://127.0.0.1/x", "aggregator request failed: unknown url type: ftp"),
+        ],
+        ids=["file", "data", "ftp"],
+    )
+    def test_redirect_off_http_is_not_followed(self, http_server, target, message):
+        client = self.aggregator(http_server, 302, Location=target)
+        with pytest.raises(ArchiveFetchError) as caught:
+            client.get_timemap("http://a.example.com/")
+        assert str(caught.value) == message.format(url=f"{http_server.url}/timemap/link/http://a.example.com/")
+        assert len(http_server.paths) == 1
+
+    def test_aggregator_transport_failure_is_a_fetch_error(self, http_server):
+        client = MemGatorClient(f"http://127.0.0.1:{closed_port()}")
+        with pytest.raises(ArchiveFetchError) as caught:
+            client.get_timemap("http://a.example.com/")
+        assert re.fullmatch(r"aggregator request failed: \[Errno \d+\] Connection refused", str(caught.value))
+
+    def test_read_timeout_is_a_fetch_error(self, http_server):
+        with socket.socket() as silent:  # takes connections and never answers
+            silent.bind(("127.0.0.1", 0))
+            silent.listen(1)
+            client = MemGatorClient(f"http://127.0.0.1:{silent.getsockname()[1]}", timeout=0.2)
+            with pytest.raises(ArchiveFetchError) as caught:
+                client.get_timemap("http://a.example.com/")
+        assert str(caught.value) == "aggregator request failed: timed out"
+
+    def test_garbage_status_line_is_a_fetch_error(self, http_server):
+        http_server.answer_raw(b"garbage\r\n\r\n")
+        with pytest.raises(ArchiveFetchError) as caught:
+            MemGatorClient(http_server.url).get_timemap("http://a.example.com/")
+        assert str(caught.value) == "aggregator request failed: garbage\r\n"
+
+    @pytest.mark.parametrize(
+        "url, detail",
+        [
+            ("agg.example/x", "'agg.example/x'"),
+            ("file:///etc/hostname", "file"),
+            ("ftp://127.0.0.1/x", "ftp"),
+            ("data:,x", "data"),
+        ],
+        ids=["no-scheme", "file", "ftp", "data"],
+    )
+    def test_url_off_http_is_a_fetch_error(self, url, detail):
+        with pytest.raises(ArchiveFetchError) as caught:
+            MemGatorClient("http://agg.invalid").get_page(url)
+        assert str(caught.value) == f"aggregator request failed: unknown url type: {detail}"
+
+    def test_next_link_to_a_local_file_is_never_read(self, http_server, tmp_path):
+        secret = tmp_path / "secret.link"
+        secret.write_text('<http://secret.example/>; rel="memento"; datetime="Fri, 10 Jan 2014 08:00:00 GMT"\n')
+        page = SINGLE_PAGE.rstrip("\n") + f',\n<{secret.as_uri()}>; rel="next"\n'
+        client = self.aggregator(http_server, 200, page)
+        with pytest.raises(ArchiveFetchError) as caught:
+            fetch_timemap(client, "http://a.example.com/")
+        assert str(caught.value) == "aggregator request failed: unknown url type: file"
+        result = evidence_for(EvidenceService(client), "http://a.example.com/", dt("20140301000000"))
+        assert result.error == str(caught.value) and not result.archive.archived
+
+    @pytest.mark.parametrize(
+        "body, content_type",
+        [
+            ("caf\u00e9".encode("latin-1"), "application/link-format; charset=iso-8859-1"),
+            ("caf\u00e9".encode("utf-8"), "text/plain"),
+        ],
+        ids=["declared-latin-1", "undeclared-utf8"],
+    )
+    def test_body_is_decoded_by_its_charset_or_else_utf8(self, http_server, body, content_type):
+        client = self.aggregator(http_server, 200, body, **{"Content-Type": content_type})
+        assert client.get_timemap("http://a.example.com/") == "caf\u00e9"
+
+    @pytest.mark.parametrize(
+        "body, content_type, message",
+        [
+            (b"caf\xe9", "text/plain", "'utf-8' codec can't decode byte 0xe9 in position 3"),
+            (b"page", "text/plain; charset=x-no-such-charset", "unknown encoding: x-no-such-charset"),
+        ],
+        ids=["undeclared-not-utf8", "unknown-charset"],
+    )
+    def test_body_that_does_not_decode_is_a_fetch_error(self, http_server, body, content_type, message):
+        client = self.aggregator(http_server, 200, body, **{"Content-Type": content_type})
+        with pytest.raises(ArchiveFetchError) as caught:
+            client.get_timemap("http://a.example.com/")
+        assert str(caught.value).startswith(f"aggregator request failed: {message}")
+
+    def test_damage_url_quotes_the_memento(self, http_server):
+        client = self.damage(http_server, 200, '{"total_damage": 0.25}')
+        assert client.get_damage(self.MEMENTO) == 0.25
+        assert http_server.paths == [f"/api/damage/{quote(self.MEMENTO, safe='')}"]
+        assert "/" not in http_server.paths[0].rsplit("/api/damage/", 1)[1]
+
+    @pytest.mark.parametrize(
+        "status, body, damage",
+        [
+            (404, "", None),
+            (200, '{"total_damage": null}', None),
+            (200, '{"score": 0.3}', None),
+            (200, '{"total_damage": 0}', 0.0),
+            (200, '{"total_damage": 1.7}', 1.0),
+            (200, '{"total_damage": -0.2}', 0.0),
         ],
         ids=["404", "null", "absent", "zero", "above-one", "below-zero"],
     )
-    def test_damage_reply(self, reply, damage):
-        client, _ = self.damage(reply)
+    def test_damage_reply(self, http_server, status, body, damage):
+        client = self.damage(http_server, status, body)
         assert client.get_damage(self.MEMENTO) == damage
 
     @pytest.mark.parametrize(
-        "reply, message",
+        "status, body, message",
         [
-            (FakeResponse(503), "damage service returned 503"),
-            (TimeoutError("timed out"), "damage request failed: timed out"),
-            (FakeResponse(200, "<html>"), "damage service reply is not JSON: "),
-            (
-                FakeResponse(200, "<html>", json_error=RequestsJSONDecodeError("Expecting value")),
-                "damage service reply is not JSON: Expecting value",
-            ),
-            (FakeResponse(200, "[1]"), "damage service reply is not a JSON object"),
-            (FakeResponse(200, '"0.5"'), "damage service reply is not a JSON object"),
-            (FakeResponse(200, '{"total_damage": "x"}'), "damage service sent total_damage 'x', not a finite number"),
-            (FakeResponse(200, '{"total_damage": [0.5]}'), "damage service sent total_damage [0.5], not a finite number"),
-            (FakeResponse(200, '{"total_damage": NaN}'), "damage service sent total_damage nan, not a finite number"),
-            (FakeResponse(200, '{"total_damage": -Infinity}'), "damage service sent total_damage -inf, not a finite number"),
-            (FakeResponse(200, '{"total_damage": 1e999}'), "damage service sent total_damage inf, not a finite number"),
-            (FakeResponse(200, '{"total_damage": "nan"}'), "damage service sent total_damage 'nan', not a finite number"),
-            (FakeResponse(200, '{"total_damage": 1' + "0" * 400 + "}"), "damage service sent total_damage 1"),
-            (FakeResponse(200, '{"total_damage": true}'), "damage service sent total_damage True, not a finite number"),
-            (FakeResponse(200, '{"total_damage": "0.5"}'), "damage service sent total_damage '0.5', not a finite number"),
-            (FakeResponse(200, '{"total_damage": " 1e-1 "}'), "damage service sent total_damage ' 1e-1 ', not a finite number"),
+            (503, "", "damage service returned 503"),
+            (None, "", "damage request failed: [Errno "),
+            (200, "<html>", "damage service reply is not JSON: Expecting value: line 1 column 1 (char 0)"),
+            (200, "[1]", "damage service reply is not a JSON object"),
+            (200, '"0.5"', "damage service reply is not a JSON object"),
+            (200, '{"total_damage": "x"}', "damage service sent total_damage 'x', not a finite number"),
+            (200, '{"total_damage": [0.5]}', "damage service sent total_damage [0.5], not a finite number"),
+            (200, '{"total_damage": NaN}', "damage service sent total_damage nan, not a finite number"),
+            (200, '{"total_damage": -Infinity}', "damage service sent total_damage -inf, not a finite number"),
+            (200, '{"total_damage": 1e999}', "damage service sent total_damage inf, not a finite number"),
+            (200, '{"total_damage": "nan"}', "damage service sent total_damage 'nan', not a finite number"),
+            (200, '{"total_damage": 1' + "0" * 400 + "}", "damage service sent total_damage 1"),
+            (200, '{"total_damage": true}', "damage service sent total_damage True, not a finite number"),
+            (200, '{"total_damage": "0.5"}', "damage service sent total_damage '0.5', not a finite number"),
+            (200, '{"total_damage": " 1e-1 "}', "damage service sent total_damage ' 1e-1 ', not a finite number"),
         ],
         ids=[
-            "status", "transport", "not-json", "not-json-requests-2.27", "a-list", "a-string",
+            "status", "transport", "not-json", "a-list", "a-string",
             "damage-a-string", "damage-a-list", "damage-nan", "damage-infinite", "damage-overflows",
             "damage-nan-string", "damage-past-float-range", "damage-true", "damage-numeric-string",
             "damage-padded-exponent-string",
         ],
     )
-    def test_damage_failure_is_a_fetch_error(self, reply, message):
-        client, _ = self.damage(reply)
+    def test_damage_failure_is_a_fetch_error(self, http_server, status, body, message):
+        if status is None:  # no server at all
+            client = MementoDamageClient(f"http://127.0.0.1:{closed_port()}")
+        else:
+            client = self.damage(http_server, status, body)
         with pytest.raises(ArchiveFetchError) as caught:
             client.get_damage(self.MEMENTO)
         assert str(caught.value).startswith(message)
 
-    def test_malformed_damage_reply_drops_only_its_candidate(self):
+    def test_malformed_damage_reply_drops_only_its_candidate(self, http_server):
         """Through the service: the candidate is dropped with the reply's
         error, and the request goes on."""
-        client, _ = self.damage(FakeResponse(200, '{"total_damage": "x"}'))
+        client = self.damage(http_server, 200, '{"total_damage": "x"}')
         result = evidence_for(EvidenceService(MapSource(SINGLE_PAGE), None, client), "http://a.example.com", dt("20140301000000"))
         assert result.error == "damage service sent total_damage 'x', not a finite number"

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import gzip
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,6 +20,7 @@ from archive_recommender.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_OK, EXIT_USAGE
 from archive_recommender.config import Settings, load_settings
 from archive_recommender.nbayes import load_model
 from archive_recommender.ontology import load_index, save_index
+from conftest import closed_port
 
 TSV_DUMP = (
     "Top/Computers/Computer_Science\thttp://cs.example.edu/\tCS Dept\tResearch and teaching\n"
@@ -889,36 +890,6 @@ class TestLogsAndStats:
         assert "489" in out
 
 
-class OfflineSession:
-    """A session for a network client that must reach no network; it also
-    spares the client the import of ``requests``."""
-
-    def get(self, url, timeout):
-        raise OSError(f"no network for {url}")
-
-
-class ReplySession:
-    """A session that answers every GET with status 200 and ``body``; it is
-    its own response."""
-
-    status_code = 200
-
-    def __init__(self, body):
-        self.text = body
-
-    def get(self, url, timeout):
-        return self
-
-    def json(self):
-        return json.loads(self.text)
-
-
-def with_session(monkeypatch, session):
-    """Network clients that the CLI builds use ``session``."""
-    for name in ("MemGatorClient", "MementoDamageClient"):
-        monkeypatch.setattr(cli, name, functools.partial(getattr(archives, name), session=session))
-
-
 class TestEvidencePool:
     def test_fixture_sources_start_no_pool(self, capsys, fixtures_dir, monkeypatch):
         started = []
@@ -937,9 +908,8 @@ class TestEvidencePool:
         assert started == []
 
     @pytest.mark.parametrize("flag", ["aggregator", "damage_service"])
-    def test_network_sources_keep_the_setting(self, fixtures_dir, monkeypatch, flag):
-        with_session(monkeypatch, OfflineSession())
-        overrides = {"fixtures": str(fixtures_dir), flag: "http://127.0.0.1:9"}
+    def test_network_sources_keep_the_setting(self, fixtures_dir, http_server, flag):
+        overrides = {"fixtures": str(fixtures_dir), flag: http_server.url}
         settings = load_settings(None, overrides, env={})
         assert cli._build_evidence_service(settings).parallelism == settings.parallelism == 4
         local = load_settings(None, {"fixtures": str(fixtures_dir)}, env={})
@@ -960,25 +930,45 @@ class TestLiveServiceFailures:
         ],
         ids=["damage-a-string", "a-list", "damage-nan", "not-json"],
     )
-    def test_malformed_damage_reply(self, capsys, fixtures_dir, monkeypatch, body, error):
-        with_session(monkeypatch, ReplySession(body))
+    def test_malformed_damage_reply(self, capsys, fixtures_dir, http_server, body, error):
+        http_server.answer(200, body)
         code, out, err = run(
             capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
-            "--damage-service", "http://damage.example", "--now", "2014-06-01T00:00:00Z",
+            "--damage-service", http_server.url, "--now", "2014-06-01T00:00:00Z",
         )
         assert code == EXIT_EMPTY
         assert err == ""
         assert out.count(f"(evidence unavailable: {error})") == 8
+        assert len(http_server.paths) == 8
+        assert all(path.startswith("/api/damage/https%3A%2F%2F") for path in http_server.paths)
 
-    def test_unreachable_damage_service(self, capsys, fixtures_dir, monkeypatch):
-        with_session(monkeypatch, OfflineSession())
+    def test_unreachable_damage_service(self, capsys, fixtures_dir, http_server):
         code, out, err = run(
             capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
-            "--damage-service", "http://damage.example", "--now", "2014-06-01T00:00:00Z",
+            "--damage-service", f"http://127.0.0.1:{closed_port()}", "--now", "2014-06-01T00:00:00Z",
         )
         assert code == EXIT_EMPTY
         assert err == ""
-        assert out.count("(evidence unavailable: damage request failed: no network for http://damage.example/api/damage/") == 8
+        assert len(re.findall(r"\(evidence unavailable: damage request failed: \[Errno \d+\] Connection refused\)", out)) == 8
+
+    @pytest.mark.parametrize(
+        "aggregator, error",
+        [
+            ("agg.example", "aggregator request failed: unknown url type: 'agg.example/timemap/link/"),
+            ("file:///srv/archive", "aggregator request failed: unknown url type: file)"),
+        ],
+        ids=["no-scheme", "file"],
+    )
+    def test_aggregator_that_is_no_http_url(self, capsys, fixtures_dir, aggregator, error):
+        """Each candidate is dropped with the client's error, and the run
+        exits empty-handed, with no traceback."""
+        code, out, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
+            "--aggregator", aggregator, "--now", "2014-06-01T00:00:00Z",
+        )
+        assert code == EXIT_EMPTY
+        assert err == ""
+        assert out.count(f"(evidence unavailable: {error}") == 10
 
 
 class TestSettingFlags:
@@ -994,9 +984,10 @@ class TestSettingFlags:
 
 
 def test_fixture_recommend_leaves_requests_unimported(fixtures_dir):
-    """Only the network clients import ``requests``, only the RFC 1123
-    fallback decoder imports ``email.utils``, and only RDF ingest imports
-    ``xml.etree``; a fixture run needs none, so it never pays for them."""
+    """Nothing imports ``requests``, only the network clients import
+    ``urllib.request`` (and with it ``http.client`` and ``ssl``), only the
+    RFC 1123 fallback decoder imports ``email.utils``, and only RDF ingest
+    imports ``xml.etree``; a fixture run needs none, so it never pays for them."""
     script = (
         "import sys\n"
         "import archive_recommender\n"
@@ -1005,6 +996,8 @@ def test_fixture_recommend_leaves_requests_unimported(fixtures_dir):
         " '--now', '2014-06-01T00:00:00Z'])\n"
         "assert code == 0, code\n"
         "assert 'requests' not in sys.modules, sorted(m for m in sys.modules if m.startswith('requests'))\n"
+        "for name in ('urllib.request', 'http.client', 'ssl'):\n"
+        "    assert name not in sys.modules, name\n"
         "assert 'email.utils' not in sys.modules, sorted(m for m in sys.modules if m.startswith('email'))\n"
         "assert 'xml.etree' not in sys.modules, sorted(m for m in sys.modules if m.startswith('xml'))\n"
     )
