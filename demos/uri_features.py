@@ -47,9 +47,8 @@ def main() -> None:
 
     # structural flags help profile large URI collections
     dated = "http://news.example.com/2014/03/01/article.php?id=7"
-    report = detect_patterns(dated)
     print(f"patterns in {dated}:")
-    print(f"  {sorted(name for name, on in report.flags().items() if on)}")
+    print(f"  {sorted(detect_patterns(dated))}")
     print()
 
     # slugs and hostnames often glue dictionary words together

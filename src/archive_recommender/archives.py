@@ -69,6 +69,11 @@ class ArchiveFetchError(Exception):
     Distinct from "not archived", which is a normal empty result."""
 
 
+class _TransientFetchError(ArchiveFetchError):
+    """A failure that a second try may not meet: the transport's, or a 5xx
+    reply. The evidence service retries these alone."""
+
+
 class DamageSource(Enum):
     PROVIDER = "provider"
     FIXTURE = "fixture"
@@ -498,7 +503,8 @@ class _HttpClient:
         """The body of the 200 reply to a GET of ``url``, decoded by its
         declared charset or else UTF-8, or None on a 404. Raises
         ArchiveFetchError on a transport failure, a body that does not
-        decode, or any other status."""
+        decode, or any other status: a _TransientFetchError on a transport
+        failure or a 5xx."""
         from http.client import HTTPException  # loaded with the opener
         from urllib.error import HTTPError, URLError
 
@@ -513,12 +519,16 @@ class _HttpClient:
                 return None
             status = exc.code
         # HTTPException is no OSError; ValueError is a URL without a scheme or
-        # bytes that do not decode, and LookupError an unknown charset.
+        # bytes that do not decode, and LookupError an unknown charset. Of
+        # these, only the transport's may pass: a URLError that the opener
+        # raised itself, such as an unknown scheme, has a text reason.
         except (OSError, HTTPException, ValueError, LookupError) as exc:
             detail = exc.reason if isinstance(exc, URLError) else exc
-            raise ArchiveFetchError(f"{self._failed}: {detail}") from exc
+            error = _TransientFetchError if isinstance(detail, (OSError, HTTPException)) else ArchiveFetchError
+            raise error(f"{self._failed}: {detail}") from exc
         if status != 200:
-            raise ArchiveFetchError(self._returned.format(status=status, url=url))
+            error = _TransientFetchError if 500 <= status < 600 else ArchiveFetchError
+            raise error(self._returned.format(status=status, url=url))
         return text
 
 
@@ -831,12 +841,13 @@ class EvidenceService:
         return value
 
     def _fetch_timemap(self, uri: str) -> ArchiveEvidence:
-        """Fetch a TimeMap, retrying an ArchiveFetchError up to ``retries`` times."""
+        """Fetch a TimeMap, retrying a transport failure or a 5xx reply up to
+        ``retries`` times; any other ArchiveFetchError is raised at once."""
         attempt = 0
         while True:
             try:
                 return fetch_timemap(self.archive_source, uri, self.max_pages)
-            except ArchiveFetchError:
+            except _TransientFetchError:
                 if attempt >= self.retries:
                     raise
                 attempt += 1

@@ -500,7 +500,7 @@ def evaluate_deep(
             ("category", entry.category.top),
             ("depth", depth(entry.uri)),
             ("dictionary", host_dictionary_bucket(parse_uri(entry.uri, assume_http=True))),
-            ("long", detect_patterns(entry.uri).long_strings.hostname),
+            ("long", "long_strings.hostname" in detect_patterns(entry.uri)),
         )
         for section, key in keys:
             bucket = tallies.setdefault((section, key), [0, 0])

@@ -1,7 +1,9 @@
 """Multinomial Naive Bayes over string features, in log space.
 
-One implementation serves both call sites: first-level classification over
-top categories and deep classification over candidate category paths. A
+One model and one classifier serve both stages. The first level fits its
+model over top categories with ``train``; the deep stage builds a
+``NaiveBayesModel`` over candidate category paths straight from its vector
+index's row counts and summed gram counts (``deep.classify_deep``). A
 training document is either a TokenBag or any plain sequence of feature
 strings; features count with multiplicity (gram generation repeats grams).
 """
@@ -195,8 +197,7 @@ def train(
     smoothing: float = 1.0,
 ) -> NaiveBayesModel:
     """Fit add-α multinomial NB. All TokenBag documents must share one
-    method/variant configuration; plain feature sequences are accepted too
-    (the deep stage trains on gram lists keyed by category path)."""
+    method/variant configuration; plain feature sequences are accepted too."""
     doc_counts: dict[str, int] = defaultdict(int)
     feature_counts: dict[str, Counter[str]] = defaultdict(Counter)
     method: TokenMethod | None = None

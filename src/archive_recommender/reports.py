@@ -15,22 +15,9 @@ from typing import Iterable
 from .uri import ParsedUri, UriParseError, depth, detect_patterns, parse_uri
 from .words import dictionary_bucket
 
-__all__ = ["DictionaryStats", "DistributionReport", "analyze_uris", "host_dictionary_bucket"]
+__all__ = ["DistributionReport", "analyze_uris", "host_dictionary_bucket"]
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-@dataclass
-class DictionaryStats:
-    """How hostnames decompose into dictionary words (suffix removed)."""
-
-    all_words: int = 0
-    some_words: int = 0
-    no_words: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.all_words + self.some_words + self.no_words
 
 
 @dataclass
@@ -38,8 +25,8 @@ class DistributionReport:
     total: int
     tld_counts: Counter[str]
     depth_counts: Counter[int]
-    pattern_counts: Counter[str]
-    dictionary: DictionaryStats
+    pattern_counts: Counter[str]  # in the order each pattern was first seen
+    dictionary: Counter[str]  # dictionary_bucket names of the host labels
     category_counts: Counter[str] | None = None
     malformed: int = 0
 
@@ -56,9 +43,8 @@ class DistributionReport:
             records.append(self._row("depth", str(value), self.depth_counts[value]))
         for name, count in self.pattern_counts.items():
             records.append(self._row("pattern", name, count))
-        d = self.dictionary
-        for name, count in (("all", d.all_words), ("some", d.some_words), ("none", d.no_words)):
-            records.append(self._row("dictionary_words", name, count))
+        for name in ("all", "some", "none"):
+            records.append(self._row("dictionary_words", name, self.dictionary[name]))
         if self.category_counts is not None:
             for name, count in sorted(self.category_counts.items(), key=lambda kv: (-kv[1], kv[0])):
                 records.append(self._row("category", name, count))
@@ -116,16 +102,14 @@ def analyze_uris(items: Iterable[tuple[str, str | None]]) -> DistributionReport:
         try:
             parsed = parse_uri(uri, assume_http=True)
             uri_depth = depth(uri)
-            report = detect_patterns(uri)
+            shown = detect_patterns(uri)
         except UriParseError:
             malformed += 1
             continue
         total += 1
         tlds[parsed.host.rsplit(".", 1)[-1] if not parsed.is_ip_host else "(ip)"] += 1
         depths[uri_depth] += 1
-        for flag, value in report.flags().items():
-            if value:
-                patterns[flag] += 1
+        patterns.update(shown)
         letters = _host_letters(parsed)
         if letters not in bucket_of:
             bucket_of[letters] = dictionary_bucket(letters)
@@ -138,7 +122,7 @@ def analyze_uris(items: Iterable[tuple[str, str | None]]) -> DistributionReport:
         tld_counts=tlds,
         depth_counts=depths,
         pattern_counts=patterns,
-        dictionary=DictionaryStats(buckets["all"], buckets["some"], buckets["none"]),
+        dictionary=buckets,
         category_counts=categories if saw_category else None,
         malformed=malformed,
     )

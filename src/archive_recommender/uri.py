@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator
 from urllib.parse import SplitResult, urlsplit
 
 __all__ = [
@@ -30,14 +30,13 @@ __all__ = [
     "TokenMethod",
     "TokenVariant",
     "TokenBag",
-    "UriPatternReport",
-    "LocationFlags",
     "parse_uri",
     "canonicalize_surt",
     "depth",
     "tokenize",
     "token_grams",
     "text_tokens",
+    "PATTERNS",
     "detect_patterns",
     "load_stopwords",
 ]
@@ -425,80 +424,53 @@ def tokenize(
 # Structural patterns
 
 
-class LocationFlags(NamedTuple):
-    """(hostname, path) boolean pair."""
-
-    hostname: bool
-    path: bool
-
-
-@dataclass(frozen=True)
-class UriPatternReport:
-    """Presence flags for the structural URI patterns, split by location.
-
-    Query, port, IP-host, percent-encoding, and date apply to a single
-    location by construction, so they carry one flag each; the rest are
-    reported for hostname and path separately. The "path" side covers the
-    path plus the query string.
-    """
-
-    long_strings: LocationFlags
-    long_slugs: LocationFlags
-    numbers: LocationFlags
-    case_change: LocationFlags
-    query: bool
-    port: bool
-    ip_host: bool
-    percent_encoding: bool
-    date: bool
-
-    def flags(self) -> dict[str, bool]:
-        out: dict[str, bool] = {}
-        for name in ("long_strings", "long_slugs", "numbers", "case_change"):
-            pair: LocationFlags = getattr(self, name)
-            out[f"{name}.hostname"] = pair.hostname
-            out[f"{name}.path"] = pair.path
-        out["query"] = self.query
-        out["port"] = self.port
-        out["ip_host"] = self.ip_host
-        out["percent_encoding"] = self.percent_encoding
-        out["date"] = self.date
-        return out
+# The names detect_patterns gives, in the order it gives them. The "path"
+# side covers the path plus the query string; query, port, IP host,
+# percent-encoding and date apply to one location by construction.
+PATTERNS = (
+    "long_strings.hostname",
+    "long_strings.path",
+    "long_slugs.hostname",
+    "long_slugs.path",
+    "numbers.hostname",
+    "numbers.path",
+    "case_change.hostname",
+    "case_change.path",
+    "query",
+    "port",
+    "ip_host",
+    "percent_encoding",
+    "date",
+)
 
 
-def detect_patterns(uri: str) -> UriPatternReport:
-    """Flag the structural patterns of a URI.
+def detect_patterns(uri: str) -> tuple[str, ...]:
+    """The names of the structural patterns the URI shows, in PATTERNS order.
 
     Long string = 10+ contiguous letters; long slug = 2+ runs of 5+ letters
     separated by non-alphanumeric characters; case change is detected on the
     original (pre-lowercasing) text. Scheme choice never affects the result.
     """
     parsed = parse_uri(uri, assume_http=True)
-    # Original-case components for case-change detection.
+    # The host as written: case-change detection needs the case that the parse lowercases.
     text = uri.strip()
     if "://" not in text:
         text = "http://" + text
-    raw = _split(uri, text)
-    raw_host = raw.netloc.rsplit("@", 1)[-1].split(":")[0].strip("[]")
-    raw_path = raw.path + (("?" + raw.query) if raw.query else "")
+    raw_host = _split(uri, text).netloc.rsplit("@", 1)[-1].split(":")[0].strip("[]")
     path_side = parsed.path + (("?" + parsed.query) if parsed.query is not None else "")
-    host = parsed.host
-    return UriPatternReport(
-        long_strings=LocationFlags(
-            bool(_LONG_STRING.search(raw_host)), bool(_LONG_STRING.search(path_side))
-        ),
-        long_slugs=LocationFlags(
-            bool(_LONG_SLUG.search(raw_host)), bool(_LONG_SLUG.search(path_side))
-        ),
-        numbers=LocationFlags(
-            bool(_DIGITS.search(host)), bool(_DIGITS.search(path_side))
-        ),
-        case_change=LocationFlags(
-            bool(_CASE_CHANGE.search(raw_host)), bool(_CASE_CHANGE.search(raw_path))
-        ),
-        query=parsed.query is not None,
-        port=parsed.port is not None,
-        ip_host=parsed.is_ip_host,
-        percent_encoding=bool(_PERCENT_ENCODED.search(path_side)),
-        date=bool(_DATE_SLASHED.search(path_side) or _DATE_DASHED.search(path_side)),
+    shown = (
+        _LONG_STRING.search(raw_host),
+        _LONG_STRING.search(path_side),
+        _LONG_SLUG.search(raw_host),
+        _LONG_SLUG.search(path_side),
+        _DIGITS.search(parsed.host),
+        _DIGITS.search(path_side),
+        _CASE_CHANGE.search(raw_host),
+        _CASE_CHANGE.search(path_side),
+        parsed.query is not None,
+        parsed.port is not None,
+        parsed.is_ip_host,
+        _PERCENT_ENCODED.search(path_side),
+        _DATE_SLASHED.search(path_side) or _DATE_DASHED.search(path_side),
     )
+    return tuple(name for name, on in zip(PATTERNS, shown) if on)

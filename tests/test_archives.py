@@ -37,6 +37,7 @@ from archive_recommender.archives import (
     MementoDamageClient,
     PopularityEvidence,
     RANK_FLOOR_DEFAULT,
+    _TransientFetchError,
     fetch_damage,
     fetch_timemap,
     nearest_memento,
@@ -85,7 +86,7 @@ class MapSource:
         self.calls += 1
         if self.fail_times > 0:
             self.fail_times -= 1
-            raise ArchiveFetchError("upstream 502")
+            raise _TransientFetchError("upstream 502")  # as a live client raises a 5xx
         return self.first
 
     def get_page(self, page_uri):
@@ -2252,3 +2253,68 @@ class TestNetworkClients:
         client = self.damage(http_server, 200, '{"total_damage": "x"}')
         result = evidence_for(EvidenceService(MapSource(SINGLE_PAGE), None, client), "http://a.example.com", dt("20140301000000"))
         assert result.error == "damage service sent total_damage 'x', not a finite number"
+
+
+class TestRetryOnlyWhatCanChange:
+    """The service, with one retry, asks again only after a transport
+    failure or a 5xx reply; every other failure is final on the first try."""
+
+    URI = "http://a.example.com/"
+    TIMEMAP_PATH = "/timemap/link/http://a.example.com/"
+
+    def evidence(self, source):
+        return evidence_for(EvidenceService(source, retries=1), self.URI, dt("20140301000000"))
+
+    @pytest.mark.parametrize(
+        "status, requests", [(400, 1), (403, 1), (404, 1), (500, 2), (503, 2)], ids=str
+    )
+    def test_status(self, http_server, status, requests):
+        http_server.answer(status, "no")
+        result = self.evidence(MemGatorClient(http_server.url))
+        assert http_server.paths == [self.TIMEMAP_PATH] * requests
+        if status == 404:
+            assert result.error is None and not result.archive.archived
+        else:
+            assert result.error == f"aggregator returned {status} for {http_server.url}{self.TIMEMAP_PATH}"
+
+    def test_malformed_timemap_is_asked_for_once(self, http_server):
+        http_server.answer(200, '<http://a.example.com/m>; rel="memento"; datetime="not a date"\n')
+        result = self.evidence(MemGatorClient(http_server.url))
+        assert result.error == "bad datetime 'not a date' in TimeMap"
+        assert http_server.paths == [self.TIMEMAP_PATH]
+
+    @pytest.mark.parametrize("raw", [b"", b"garbage\r\n\r\n"], ids=["closed-before-reply", "garbage-status-line"])
+    def test_transport_failure_is_asked_for_twice(self, http_server, raw):
+        http_server.answer_raw(raw)
+        result = self.evidence(MemGatorClient(http_server.url))
+        assert result.error.startswith("aggregator request failed: ")
+        assert http_server.paths == [self.TIMEMAP_PATH] * 2
+
+    def test_file_next_link_is_asked_for_once(self, http_server, tmp_path):
+        page = SINGLE_PAGE.rstrip("\n") + f',\n<{(tmp_path / "next.link").as_uri()}>; rel="next"\n'
+        http_server.answer(200, page)
+        result = self.evidence(MemGatorClient(http_server.url))
+        assert result.error == "aggregator request failed: unknown url type: file"
+        assert http_server.paths == [self.TIMEMAP_PATH]
+
+    def test_url_without_a_scheme_is_tried_once(self):
+        client = MemGatorClient("agg.example")
+        asked = []
+        original = client._get
+        client._get = lambda url: asked.append(url) or original(url)
+        result = self.evidence(client)
+        assert result.error == f"aggregator request failed: unknown url type: '{asked[0]}'"
+        assert asked == ["agg.example/timemap/link/http://a.example.com/"]
+
+    def test_undecodable_fixture_file_is_read_once(self, tmp_path):
+        (tmp_path / (quote(self.URI, safe="") + ".link")).write_bytes(b"caf\xe9")
+        reads = []
+
+        class CountingSource(ForeignSource):
+            def get_timemap(self, uri):
+                reads.append(uri)
+                return super().get_timemap(uri)
+
+        result = self.evidence(CountingSource(FixtureArchiveSource(tmp_path)))
+        assert "bytes that are not UTF-8" in result.error
+        assert reads == [self.URI]

@@ -44,6 +44,19 @@ COMMANDS = [
     ["evaluate-deep"],
     ["evaluate-deep", "--grams", "3", "--holdout", "0.3"],
     ["analyze-logs", "fixtures/access_log_sample.log"],
+    # Every structural pattern, first seen out of PATTERNS order, and
+    # host labels in all three dictionary buckets.
+    ["stats", "--index", "tests/golden/patterns_index.tsv"],
+] + [
+    ["evaluate-l1", "--method", method, "--variants", variants]
+    for method in ("grams-tokens", "grams-uri", "tokens")
+    for variants in ("", "strip-tld,strip-numbers")
+] + [
+    ["evaluate-l1", "--folds", "489"],
+    ["recommend", RECOMMEND_URIS[0], "--grams", "3", "--datetime", "2014-03-01", "--now", "2014-06-01T00:00:00Z"],
+    ["recommend", RECOMMEND_URIS[0], "--top", "3", "--weights", "0.4,0.2,0.2,0.2",
+     "--datetime", "2014-03-01", "--now", "2014-06-01T00:00:00Z"],
+    ["evaluate-deep", "--candidates", "3"],
 ]
 ARGVS = [
     command + ["--fixtures", "fixtures", "--output", output]
