@@ -80,12 +80,10 @@ class DamageSource(Enum):
     DEFAULT_MISSING = "default_missing"
 
 
-# Memento datetimes are decoded by a fast path when they have exactly the
-# fixed form their writer uses; any other string goes to the general parser,
+# TimeMap datetimes are decoded by a fast path when they have exactly the
+# fixed form TimeMaps write; any other string goes to the general parser,
 # which stays the reference for what is accepted and what raises. The fast
-# paths match [0-9], not \d, which also takes non-ASCII digits.
-_CACHE_DATETIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-_CACHE_DATETIME = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
+# path matches [0-9], not \d, which also takes non-ASCII digits.
 _MONTH_DIGITS = {
     name: f"{number:02d}"
     for number, name in enumerate("Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(), 1)
@@ -101,17 +99,6 @@ _RFC1123_DATETIME = re.compile(
 
 
 _DATETIME = itemgetter(0)  # of a (datetime, memento URI) pair
-
-
-def _cache_datetime(text: str) -> datetime:
-    """A cached memento datetime, as ``ArchiveEvidence.to_json_dict`` writes it."""
-    match = _CACHE_DATETIME.fullmatch(text) if isinstance(text, str) else None
-    if match is None:
-        return datetime.strptime(text, _CACHE_DATETIME_FORMAT).replace(tzinfo=timezone.utc)
-    year, month, day, hour, minute, second = match.groups()
-    return datetime(
-        int(year), int(month), int(day), int(hour), int(minute), int(second), tzinfo=timezone.utc
-    )
 
 
 def parse_instant(text: str) -> datetime:
@@ -189,9 +176,9 @@ class ArchiveEvidence:
             raise TypeError("uri, mementos or truncated of the wrong type")
         mementos = []
         for text, memento in pairs:
-            if type(memento) is not str:
-                raise TypeError(f"memento URI {memento!r} is not a string")
-            mementos.append((_cache_datetime(text), memento))
+            if type(text) is not str or type(memento) is not str:
+                raise TypeError(f"memento {[text, memento]!r} is not a pair of strings")
+            mementos.append((parse_instant(text), memento))
         # nearest_memento bisects, so a cache line written in another order is
         # sorted here; the sort is stable, so equal datetimes keep line order.
         mementos.sort(key=_DATETIME)

@@ -31,7 +31,7 @@ from .config import ConfigError, Settings, load_settings, parse_datetime
 from .deep import evaluate_deep
 from .logs import analyze_requests, filter_log_file
 from .metrics import majority_baseline
-from .nbayes import load_model, save_model
+from .nbayes import SmoothingError, load_model, save_model
 from .ontology import (
     FixtureOntologyProvider,
     IngestFormat,
@@ -451,6 +451,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         settings = load_settings(args.config, overrides)
         return args.func(args, settings)
+    except SmoothingError as exc:  # a --smoothing that a model of the corpus cannot take
+        print(f"archrec: error: --smoothing: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ConfigError, InputFileError, UriParseError, ArchiveFetchError, OSError) as exc:
         print(f"archrec: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -57,7 +57,6 @@ __all__ = [
     "prune_tree",
     "classify_deep",
     "refine",
-    "evaluate_levels",
     "DeepEvalReport",
     "evaluate_deep",
 ]
@@ -363,17 +362,19 @@ def refine(
     return classify_deep(tree, vindex, features, smoothing), candidates, tree
 
 
-def evaluate_levels(truth: CategoryPath, predicted: CategoryPath, level: int) -> bool:
-    """True iff both paths reach `level` and agree on the first `level` labels."""
-    if level < 1:
-        raise ValueError("level must be at least 1")
-    if len(truth) < level or len(predicted) < level:
-        return False
-    return truth.labels[:level] == predicted.labels[:level]
-
-
 # ---------------------------------------------------------------------------
 # Per-level evaluation harness
+
+
+def _agreeing_depth(truth: CategoryPath, predicted: CategoryPath) -> int:
+    """The number of leading labels the two paths share: the prediction is
+    right at every level up to it and wrong below."""
+    shared = 0
+    for label, guess in zip(truth.labels, predicted.labels):
+        if label != guess:
+            break
+        shared += 1
+    return shared
 
 
 @dataclass
@@ -463,7 +464,7 @@ def evaluate_deep(
     training_index = CategoryIndex(training)
 
     subtrees: dict[str, CategoryVectorIndex | None] = {}  # None: no training entries
-    evaluated: list[tuple[OntologyEntry, CategoryPath]] = []
+    evaluated: list[tuple[OntologyEntry, int]] = []  # each entry and its agreeing depth
     failures = 0
     for entry in holdout:
         top = entry.category.top
@@ -480,22 +481,18 @@ def evaluate_deep(
         except DeepClassificationError:
             failures += 1
             predicted = CategoryPath((top,))
-        evaluated.append((entry, predicted))
+        evaluated.append((entry, _agreeing_depth(entry.category, predicted)))
 
     total = len(evaluated)
     max_level = max((len(e.category) for e, _ in evaluated), default=1)
     levels = {
-        k: (
-            sum(1 for e, p in evaluated if evaluate_levels(e.category, p, k)) / total
-            if total
-            else 0.0
-        )
+        k: sum(1 for _, agree in evaluated if agree >= k) / total if total else 0.0
         for k in range(1, max_level + 1)
     }
 
     tallies: dict[tuple[str, object], list[int]] = {}
-    for entry, predicted in evaluated:
-        correct = evaluate_levels(entry.category, predicted, len(entry.category))
+    for entry, agree in evaluated:
+        correct = agree == len(entry.category)
         keys = (
             ("category", entry.category.top),
             ("depth", depth(entry.uri)),

@@ -66,7 +66,6 @@ class EvalReport:
     macro_f1: float
     weighted_f1: float
     accuracy: float
-    confusion: dict[tuple[str, str], int]
     evaluated: int
     filtered_out: int = 0
     folds: list[FoldResult] = field(default_factory=list)
@@ -172,7 +171,6 @@ def score_predictions(pairs: Iterable[tuple[str, str | None]]) -> EvalReport:
         macro_f1=macro_f1,
         weighted_f1=weighted_f1,
         accuracy=correct / total if total else 0.0,
-        confusion=dict(confusion),
         evaluated=total,
     )
 

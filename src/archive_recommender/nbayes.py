@@ -20,7 +20,10 @@ from typing import Iterable, Sequence, Union
 
 from .uri import InputFileError, TokenBag, TokenMethod, TokenVariant, read_lines
 
-__all__ = ["FeatureBag", "Classification", "NaiveBayesModel", "train", "classify", "save_model", "load_model"]
+__all__ = [
+    "FeatureBag", "Classification", "SmoothingError", "NaiveBayesModel", "train", "classify", "save_model",
+    "load_model",
+]
 
 FeatureBag = Union[TokenBag, Sequence[str]]
 
@@ -33,19 +36,21 @@ def _features_of(bag: FeatureBag) -> Sequence[str]:
     return bag
 
 
+class SmoothingError(ValueError):
+    """A smoothing that a model cannot take; the message names the value."""
+
+
 @dataclass(frozen=True)
 class Classification:
     """Outcome of classifying one feature bag.
 
     ``label`` is None when every feature was out-of-vocabulary — the
     "unclassifiable" signal, distinct from any class label. ``posteriors``
-    and ``log_scores`` are sorted best-first with lexicographic tie-break.
+    are sorted best-first with lexicographic tie-break.
     """
 
     label: str | None
     posteriors: tuple[tuple[str, float], ...]
-    log_scores: tuple[tuple[str, float], ...]
-    ignored_features: int = 0
 
     @property
     def unclassifiable(self) -> bool:
@@ -87,6 +92,10 @@ class NaiveBayesModel:
     it never saw the feature. A model thus takes logs only of the features
     it is queried with. Threads that fill one feature at once store equal
     rows, so a shared model stays safe.
+
+    A model takes a smoothing that is finite, above 0, and leaves every
+    class a finite denominator and an unseen likelihood above 0, so that
+    every log-likelihood is finite; it raises SmoothingError otherwise.
     """
 
     def __init__(
@@ -97,8 +106,6 @@ class NaiveBayesModel:
         method: TokenMethod | None = None,
         variants: frozenset[TokenVariant] = frozenset(),
     ):
-        if smoothing <= 0:
-            raise ValueError("smoothing must be positive")
         self.smoothing = smoothing
         self.method = method
         self.variants = frozenset(variants)
@@ -121,10 +128,17 @@ class NaiveBayesModel:
         self.class_log_prior = {
             c: math.log(self.doc_counts[c] / total_docs) for c in self.classes
         }
-        v = len(self.vocabulary)
-        self._denominator = {c: sums[c] + self.smoothing * v for c in self.classes}
+        smoothing, v = self.smoothing, len(self.vocabulary)
+        if not 0 < smoothing < math.inf:  # NaN fails both comparisons
+            raise SmoothingError(f"smoothing {smoothing!r} is not a finite number above 0")
+        self._denominator = {c: sums[c] + smoothing * v for c in self.classes}
+        for c, denominator in self._denominator.items() if v else ():
+            if not denominator < math.inf:
+                raise SmoothingError(f"smoothing {smoothing!r} overflows the denominator of class {c!r}")
+            if not smoothing / denominator > 0:
+                raise SmoothingError(f"smoothing {smoothing!r} underflows the unseen likelihood of class {c!r}")
         self.unseen_log_likelihood = {
-            c: math.log(self.smoothing / self._denominator[c]) if v else 0.0 for c in self.classes
+            c: math.log(smoothing / self._denominator[c]) if v else 0.0 for c in self.classes
         }
         self._rows: dict[str, tuple[float, ...]] = {}
 
@@ -221,9 +235,8 @@ def classify(model: NaiveBayesModel, bag: FeatureBag) -> Classification:
         if bag.method != model.method or bag.variants != model.variants:
             raise ValueError("bag tokenization does not match the model configuration")
     known = [f for f in features if f in model.vocabulary]
-    ignored = len(features) - len(known)
     if not known:
-        return Classification(None, (), (), ignored)
+        return Classification(None, ())
     counts = Counter(known)
     columns = zip(*model._rows_for(counts))
     # Each class adds its column's products in feature order. x * 1 == x, so
@@ -240,13 +253,7 @@ def classify(model: NaiveBayesModel, bag: FeatureBag) -> Classification:
     posteriors = sorted(
         ((c, unnormalized[c] / norm) for c in model.classes), key=lambda kv: (-kv[1], kv[0])
     )
-    log_scores = sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Classification(
-        label=posteriors[0][0],
-        posteriors=tuple(posteriors),
-        log_scores=tuple(log_scores),
-        ignored_features=ignored,
-    )
+    return Classification(label=posteriors[0][0], posteriors=tuple(posteriors))
 
 
 # ---------------------------------------------------------------------------
@@ -322,4 +329,7 @@ def load_model(path: str | Path) -> NaiveBayesModel:
     for c, lineno in first_feat.items():
         if c not in doc_counts:
             raise InputFileError(f"{path}:{lineno}: feat record of class {c!r}, which has no class record")
-    return NaiveBayesModel(doc_counts, dict(feature_counts), smoothing, method, variants)
+    try:
+        return NaiveBayesModel(doc_counts, dict(feature_counts), smoothing, method, variants)
+    except SmoothingError as exc:
+        raise InputFileError(f"{path}:4: bad smoothing {lines[3].partition(' ')[2]!r}: {exc}") from None

@@ -14,12 +14,11 @@ from the primary index.
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Protocol, Union
+from typing import IO, Any, Iterable, Iterator, Protocol
 
 from .reports import DistributionReport, analyze_uris
 from .uri import (
@@ -64,8 +63,6 @@ RETAINED_TOP_CATEGORIES = frozenset(
 )
 DROPPED_TOP_CATEGORIES = frozenset({"World", "Regional", "Netscape", "Kids_and_Teens", "Adult"})
 _MAX_WARNINGS = 20  # an ingest report keeps only its first warnings
-
-Source = Union[str, Path, IO[bytes]]
 
 
 @dataclass(frozen=True, order=True)
@@ -259,17 +256,18 @@ def _iter_rdf(events: Iterator[tuple[str, Any]], report: IngestReport) -> Iterat
             yield entry
 
 
-def ingest_dmoz(source: Source, format: IngestFormat = IngestFormat.TSV) -> CategoryIndex:
-    """Read, filter, and index a directory dump.
+def ingest_dmoz(source: str | Path, format: IngestFormat = IngestFormat.TSV) -> CategoryIndex:
+    """Read, filter, and index a directory dump file, plain or gzip.
 
     Filtering: entries missing URI or category are dropped; only the thirteen
     retained top-level categories are kept; URIs are SURT-canonicalized and
     deduplicated keeping the first-seen record (order sources newest-first).
     Unparseable records are skipped and counted on ``index.ingest_report``;
-    a truncated or malformed RDF stream raises InputFileError (fatal).
+    a truncated or malformed RDF dump raises InputFileError naming its path
+    (fatal).
     """
     report = IngestReport()
-    with open_input(source) if isinstance(source, (str, Path)) else nullcontext(source) as stream:
+    with open_input(source) as stream:
         if format is IngestFormat.TSV:
             index = CategoryIndex(_iter_tsv(stream, report))
         else:
@@ -278,7 +276,7 @@ def ingest_dmoz(source: Source, format: IngestFormat = IngestFormat.TSV) -> Cate
             try:
                 index = CategoryIndex(_iter_rdf(ET.iterparse(stream, events=("end",)), report))
             except ET.ParseError as exc:
-                raise InputFileError(f"{getattr(stream, 'name', 'RDF stream')}: malformed RDF ({exc})") from None
+                raise InputFileError(f"{source}: malformed RDF ({exc})") from None
     report.duplicates = index.deduplicated
     report.kept = len(index)
     index.ingest_report = report
@@ -347,7 +345,6 @@ def load_index(path: str | Path) -> CategoryIndex:
 
 @dataclass(frozen=True)
 class SecondaryRecord:
-    official_uri: str
     categories: tuple[str, ...]
     members: tuple[str, ...]
 
@@ -391,7 +388,7 @@ class FixtureOntologyProvider:
                 surt = canonicalize_surt(official_uri)
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise InputFileError(f"{path}:{lineno}: malformed ontology record {line!r}: {exc!r}") from None
-            self._by_surt[surt] = SecondaryRecord(official_uri, tuple(categories), tuple(members))
+            self._by_surt[surt] = SecondaryRecord(tuple(categories), tuple(members))
 
     def lookup(self, uri: str) -> SecondaryRecord | None:
         return self._by_surt.get(canonicalize_surt(uri))

@@ -136,8 +136,7 @@ def rank(
     request_tokens: set[str],
     candidate_tokens: Sequence[frozenset[str]],
     requested: datetime,
-    upper_bound: datetime | None = None,
-    earliest: datetime = EARLIEST_ARCHIVE_DATE,
+    upper_bound: datetime,
     temporal_as_similarity: bool = True,
     notes: tuple[str, ...] = (),
 ) -> list[Recommendation]:
@@ -146,12 +145,11 @@ def rank(
     ``candidate_tokens`` holds each candidate's TOKENS feature set, in
     candidate order; ``notes`` end every recommendation's explanations.
     Ties on score break lexicographically by URI so output is reproducible.
-    ``upper_bound`` defaults to the current instant. Each candidate is an
-    archived record whose memento, popularity and damage the evidence layer
-    set; unarchived pages are filtered before ranking, not here.
+    The temporal window runs from ``EARLIEST_ARCHIVE_DATE`` to
+    ``upper_bound``. Each candidate is an archived record whose memento,
+    popularity and damage the evidence layer set; unarchived pages are
+    filtered before ranking, not here.
     """
-    if upper_bound is None:
-        upper_bound = datetime.now(timezone.utc)
     requested_text = format_instant(requested)
     results: list[Recommendation] = []
     for candidate, tokens in zip(candidates, candidate_tokens, strict=True):
@@ -159,7 +157,7 @@ def rank(
             raise ValueError(f"cannot rank unarchived candidate {candidate.uri}")
         memento_dt, memento_uri = candidate.memento
         t = temporal_score(
-            TemporalInputs(requested, memento_dt, upper_bound, earliest),
+            TemporalInputs(requested, memento_dt, upper_bound),
             as_similarity=temporal_as_similarity,
         )
         p = popularity_score(candidate.popularity)

@@ -41,6 +41,7 @@ from archive_recommender.archives import (
     fetch_damage,
     fetch_timemap,
     nearest_memento,
+    parse_instant,
     parse_timemap_links,
 )
 from archive_recommender.uri import canonicalize_surt
@@ -407,11 +408,7 @@ class TestOneScanParsing:
         assert split.calls == 0
 
 
-# The parsers that the datetime fast paths replace, kept as their oracles.
-def strptime_cache_datetime(text):
-    return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=UTC)
-
-
+# The parser that the TimeMap datetime fast path replaces, kept as its oracle.
 def parsedate_link_datetime(raw):
     parsed = parsedate_to_datetime(raw)
     if parsed.tzinfo is None:
@@ -493,8 +490,19 @@ class TestDatetimeFastPaths:
     @example(text="2014-02-26T09:08:60Z")
     @example(text="２０１４-02-26T09:08:46Z")
     @example(text="2014-02-2\u0663T09:08:46Z")
-    def test_cache_datetime_matches_strptime(self, text):
-        assert outcome(cached_memento_datetime, text) == outcome(strptime_cache_datetime, text)
+    def test_cache_datetime_read_as_an_instant(self, text):
+        assert outcome(cached_memento_datetime, text) == outcome(parse_instant, text)
+
+    @given(
+        stamps=st.lists(st.datetimes(timezones=st.just(UTC)).map(lambda d: d.replace(microsecond=0)), max_size=4),
+        truncated=st.booleans(),
+    )
+    def test_cache_line_round_trip(self, stamps, truncated):
+        mementos = tuple(sorted((stamp, f"https://a/web/{i}/x") for i, stamp in enumerate(stamps)))
+        evidence = ArchiveEvidence(uri="http://x/", mementos=mementos, truncated=truncated)
+        decoded = ArchiveEvidence.from_json_dict(evidence.to_json_dict())
+        assert decoded == evidence
+        assert all(stamp.tzinfo is UTC for stamp, _ in decoded.mementos)
 
     @given(
         raw=st.one_of(

@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import gzip
 import json
+import math
 import os
 import re
 import shutil
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from archive_recommender import archives, cli
 from archive_recommender.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, main
@@ -109,6 +111,30 @@ class TestUsageErrors:
         assert "--folds 100000 is more than the corpus of 489 items" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["train", "--smoothing", "1e308"], "smoothing 1e+308 overflows the denominator of class 'Arts'"),
+            (["evaluate-l1", "--smoothing", "1e-320"],
+             "smoothing 1e-320 underflows the unseen likelihood of class 'Computers'"),
+            (["evaluate-deep", "--smoothing", "1e308"],
+             "smoothing 1e+308 overflows the denominator of class 'Arts/Literature/Poetry'"),
+            (["evaluate-deep", "--grams", "3", "--smoothing", "5e-324"],
+             "smoothing 5e-324 underflows the unseen likelihood of class 'Arts/Literature/Poetry'"),
+        ],
+        ids=["train-overflow", "evaluate-l1-underflow", "evaluate-deep-overflow", "evaluate-deep-grams-3-underflow"],
+    )
+    def test_smoothing_the_corpus_cannot_take(self, capsys, fixtures_dir, tmp_path, argv, problem):
+        """A smoothing that argparse accepts but that a model of the corpus
+        cannot take, as ``--folds`` above the corpus size."""
+        if argv[0] == "train":
+            argv = [*argv, "--model-out", str(tmp_path / "l1.model")]
+        code, out, err = run(capsys, *argv, "--fixtures", str(fixtures_dir))
+        assert code == EXIT_USAGE
+        assert not out
+        assert err == f"archrec: error: --smoothing: {problem}\n"
+        assert not (tmp_path / "l1.model").exists()
+
     def test_holdout_at_its_bounds(self, capsys, fixtures_dir):
         for holdout, held_out in (("0.5", 245), ("1e-320", 1)):
             code, out, _ = run(
@@ -122,6 +148,64 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "--help")
         assert code == EXIT_OK
         assert "COMMAND" in out
+
+
+# The numeric flags' edge values: zero, signs, the subnormal and extreme
+# floats, NaN and the infinities, and integers around SMALL_CORPUS.
+EDGE_NUMBERS = [
+    "0", "1", "-1", "2", "0.5", "5e-324", "1e-320", "1e-300", "1e300", "1e308", repr(sys.float_info.max),
+    "nan", "inf", "-inf",
+]
+# A small index cut from the fixtures' one, so that each run takes milliseconds.
+SMALL_INDEX = ("Computers/Computer_Science", "Business/Marketing")
+SMALL_CORPUS = 26
+COMMAND_FLAGS = {
+    "train": ["--smoothing"],
+    "evaluate-l1": ["--smoothing", "--folds"],
+    "evaluate-deep": ["--smoothing", "--holdout", "--candidates"],
+    "recommend": ["--top", "--weights"],
+}
+
+
+@st.composite
+def numeric_flag_runs(draw) -> list[str]:
+    """A command and some of its numeric flags, each at an edge value."""
+    number = st.sampled_from(EDGE_NUMBERS + [str(SMALL_CORPUS + d) for d in (-1, 0, 1)])
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    for flag in COMMAND_FLAGS[command]:
+        if draw(st.booleans()):
+            weights = st.lists(number | st.sampled_from(["0.25", "0"]), min_size=4, max_size=4).map(",".join)
+            argv += [flag, draw(weights if flag == "--weights" else number)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=numeric_flag_runs())
+@example(argv=["train", "--smoothing", "1e308"])
+@example(argv=["evaluate-l1", "--smoothing", "1e-320", "--folds", str(SMALL_CORPUS + 1)])
+@example(argv=["evaluate-deep", "--smoothing", "5e-324", "--holdout", "0.5", "--candidates", str(SMALL_CORPUS)])
+@example(argv=["recommend", "--top", str(SMALL_CORPUS - 1), "--weights", "1,0,0,0"])
+def test_numeric_flags_exit_cleanly(capsys, fixtures_dir, tmp_path, argv):
+    """Every exit is one of the documented codes with no traceback, and a
+    run that succeeds prints only finite numbers."""
+    rows = [line for line in (fixtures_dir / "index.tsv").read_text("utf-8").splitlines()
+            if line.startswith(SMALL_INDEX)]
+    assert len(rows) == SMALL_CORPUS
+    index = tmp_path / "small.tsv"
+    index.write_text("\n".join(rows) + "\n", "utf-8")
+    extra = {
+        "train": ["--model-out", str(tmp_path / "l1.model")],
+        "recommend": ["http://odu.edu/compsci", "--now", "2014-06-01T00:00:00Z"],
+    }.get(argv[0], [])
+    code, out, err = run(
+        capsys, *argv, *extra, "--index", str(index), "--fixtures", str(fixtures_dir), "--output", "records"
+    )
+    assert code in (EXIT_OK, EXIT_EMPTY, EXIT_USAGE, EXIT_CONFIG)
+    assert "Traceback" not in err
+    if code == EXIT_OK:
+        numbers = [v for record in records_of(out) for v in record.values() if isinstance(v, float)]
+        assert all(math.isfinite(v) for v in numbers)
 
 
 class TestConfigErrors:
@@ -355,12 +439,20 @@ class TestConfigErrors:
             ("archrec-nb 1\nmethod bigrams\nvariants -\nsmoothing 1.0\n", 2, "bad method 'bigrams'"),
             ("archrec-nb 1\nmethod -\nvariants strip-vowels\nsmoothing 1.0\n", 3, "bad variants"),
             ("archrec-nb 1\nmethod -\nvariants -\nsmoothing 0\n", 4, "bad smoothing '0'"),
+            ("archrec-nb 1\nmethod -\nvariants -\nsmoothing nan\nclass\tA\t1\n", 4,
+             "bad smoothing 'nan'"),
+            ("archrec-nb 1\nmethod -\nvariants -\nsmoothing -inf\nclass\tA\t1\n", 4, "bad smoothing '-inf'"),
+            ("archrec-nb 1\nmethod -\nvariants -\nsmoothing 1e308\nclass\tA\t1\nfeat\tA\tx\t1\nfeat\tA\ty\t1\n", 4,
+             "bad smoothing '1e308': smoothing 1e+308 overflows the denominator of class 'A'"),
+            ("archrec-nb 1\nmethod -\nvariants -\nsmoothing 5e-324\nclass\tA\t1\nfeat\tA\tx\t2\n", 4,
+             "bad smoothing '5e-324': smoothing 5e-324 underflows the unseen likelihood of class 'A'"),
             ("archrec-nb 1\nmethod -\nvariants -\nsmoothing 1.0\nclass\tA\t2.5\n", 5, "unrecognized record"),
             ("archrec-nb 1\nmethod -\nvariants -\nsmoothing 1.0\nclass\tA\t1\nfeat\tA\tx\t1.5\n", 6,
              "unrecognized record"),
         ],
         ids=["header-only", "no-variants", "no-smoothing", "unknown-method", "unknown-variant",
-             "zero-smoothing", "class-count", "feat-count"],
+             "zero-smoothing", "nan-smoothing", "infinite-smoothing", "overflowing-smoothing",
+             "underflowing-smoothing", "class-count", "feat-count"],
     )
     def test_model_file_cut_short_or_malformed(self, capsys, fixtures_dir, tmp_path, content, lineno, problem):
         model = tmp_path / "l1.model"

@@ -25,7 +25,6 @@ from archive_recommender.deep import (
     classify_deep,
     entry_features,
     evaluate_deep,
-    evaluate_levels,
     expand_query,
     prune_tree,
     refine,
@@ -183,6 +182,13 @@ def refine_by_steps(
         raise DeepClassificationError("no category shares vocabulary with the query")
     tree = prune_tree([c.path for c in candidates])
     return classify_deep(tree, vindex, deep.expand_query(query, vindex.grams), smoothing), candidates, tree
+
+
+def evaluate_levels(truth: CategoryPath, predicted: CategoryPath, level: int) -> bool:
+    """True iff both paths reach `level` and agree on the first `level` labels."""
+    if len(truth) < level or len(predicted) < level:
+        return False
+    return truth.labels[:level] == predicted.labels[:level]
 
 
 def evaluate_deep_by_steps(
@@ -716,22 +722,6 @@ class TestPostings:
         assert P("C/Bare") not in [c.path for c in candidates]
 
 
-class TestEvaluateLevels:
-    def test_prefix_agreement(self):
-        truth, predicted = P("A/B/C"), P("A/B/D")
-        assert evaluate_levels(truth, predicted, 1)
-        assert evaluate_levels(truth, predicted, 2)
-        assert not evaluate_levels(truth, predicted, 3)
-
-    def test_short_paths_fail_deep_levels(self):
-        assert not evaluate_levels(P("A/B"), P("A"), 2)
-        assert not evaluate_levels(P("A"), P("A/B"), 2)
-
-    def test_level_guard(self):
-        with pytest.raises(ValueError):
-            evaluate_levels(P("A"), P("A"), 0)
-
-
 class TestEvaluateDeep:
     def test_separable_taxonomy_recovers_full_paths(self, taxonomy):
         report = evaluate_deep(taxonomy, holdout_fraction=0.1)
@@ -877,7 +867,36 @@ class TestModelMemo:
         assert vindex == blank and repr(vindex) == repr(blank)
 
 
+@st.composite
+def truth_and_prediction(draw) -> tuple[CategoryPath, CategoryPath]:
+    """A truth path and a prediction that is a prefix of it, a longer path,
+    a shorter path or a path with no label in common."""
+    def labels(low: int, high: int, alphabet: str = "ABC") -> list[str]:
+        return draw(st.lists(st.sampled_from(alphabet), min_size=low, max_size=high))
+
+    truth = labels(1, 4)
+    shape = draw(st.sampled_from(["prefix", "longer", "shorter", "disjoint"]))
+    if shape == "prefix":
+        predicted = truth[: draw(st.integers(1, len(truth)))]
+    elif shape == "longer":
+        kept = draw(st.integers(0, len(truth)))
+        predicted = truth[:kept] + labels(len(truth) - kept + 1, len(truth) - kept + 2)
+    elif shape == "shorter":
+        predicted = labels(1, len(truth))
+    else:
+        predicted = labels(1, 4, "XYZ")
+    return CategoryPath(tuple(truth)), CategoryPath(tuple(predicted))
+
+
 class TestEvaluateDeepSteps:
+    @given(truth_and_prediction())
+    def test_agreeing_depth_matches_the_level_oracle(self, paths):
+        truth, predicted = paths
+        agree = deep._agreeing_depth(truth, predicted)
+        levels = range(1, max(len(truth), len(predicted)) + 2)
+        assert [agree >= k for k in levels] == [evaluate_levels(truth, predicted, k) for k in levels]
+        assert (agree == len(truth)) == evaluate_levels(truth, predicted, len(truth))
+
     @pytest.mark.parametrize("grams", list(GramScheme))
     @pytest.mark.parametrize("name", ["taxonomy", "corpus_index", "edge_cases"])
     def test_same_report_as_the_steps(self, request, name, grams):

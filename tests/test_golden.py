@@ -57,6 +57,10 @@ COMMANDS = [
     ["recommend", RECOMMEND_URIS[0], "--top", "3", "--weights", "0.4,0.2,0.2,0.2",
      "--datetime", "2014-03-01", "--now", "2014-06-01T00:00:00Z"],
     ["evaluate-deep", "--candidates", "3"],
+    ["recommend", RECOMMEND_URIS[0], "--temporal-literal",
+     "--datetime", "2014-03-01", "--now", "2014-06-01T00:00:00Z"],
+    ["evaluate-l1", "--smoothing", "0.5"],
+    ["evaluate-deep", "--smoothing", "0.5"],
 ]
 ARGVS = [
     command + ["--fixtures", "fixtures", "--output", output]

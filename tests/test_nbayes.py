@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from archive_recommender.nbayes import (
     Classification,
     NaiveBayesModel,
+    SmoothingError,
     classify,
     load_model,
     save_model,
@@ -46,14 +47,13 @@ class TestHandChecked:
     def test_priors_and_likelihoods(self, toy_model):
         assert toy_model.classes == ("A", "B")
         assert toy_model.class_log_prior["A"] == pytest.approx(math.log(2 / 3), abs=TOL)
-        # a one-feature query scores each class by log prior + log-likelihood
-        for feature, label, likelihood in (
-            ("x", "A", 1 / 2), ("y", "A", 1 / 3), ("z", "A", 1 / 6),
-            ("x", "B", 1 / 5), ("z", "B", 2 / 5),
-        ):
-            prior = 2 / 3 if label == "A" else 1 / 3
-            log_scores = dict(classify(toy_model, [feature]).log_scores)
-            assert log_scores[label] == pytest.approx(math.log(prior) + math.log(likelihood), abs=TOL)
+        # a one-feature query's posteriors are each class's prior times its
+        # likelihood, normalized
+        for feature, likelihood_a, likelihood_b in (("x", 1 / 2, 1 / 5), ("y", 1 / 3, 2 / 5), ("z", 1 / 6, 2 / 5)):
+            a, b = 2 / 3 * likelihood_a, 1 / 3 * likelihood_b
+            posteriors = dict(classify(toy_model, [feature]).posteriors)
+            assert posteriors["A"] == pytest.approx(a / (a + b), abs=TOL)
+            assert posteriors["B"] == pytest.approx(b / (a + b), abs=TOL)
 
     def test_posterior_xy(self, toy_model):
         outcome = classify(toy_model, ["x", "y"])
@@ -69,7 +69,6 @@ class TestHandChecked:
 
     def test_posterior_after_oov_drop(self, toy_model):
         outcome = classify(toy_model, ["x", "never-seen"])
-        assert outcome.ignored_features == 1
         assert dict(outcome.posteriors)["A"] == pytest.approx(5 / 6, abs=TOL)
 
     def test_repeated_features_multiply(self, toy_model):
@@ -86,7 +85,6 @@ class TestEdgeCases:
         assert outcome.unclassifiable
         assert outcome.label is None
         assert outcome.posteriors == ()
-        assert outcome.ignored_features == 1
 
     def test_empty_bag_unclassifiable(self, toy_model):
         assert classify(toy_model, []).unclassifiable
@@ -108,6 +106,30 @@ class TestEdgeCases:
             train([])
         with pytest.raises(ValueError):
             train(TOY, smoothing=0.0)
+
+    @pytest.mark.parametrize(
+        "smoothing, problem",
+        [
+            (math.nan, "smoothing nan is not a finite number above 0"),
+            (math.inf, "smoothing inf is not a finite number above 0"),
+            (-math.inf, "smoothing -inf is not a finite number above 0"),
+            (-1.0, "smoothing -1.0 is not a finite number above 0"),
+            # 1e308 times a vocabulary of 3 is past the largest float
+            (1e308, "smoothing 1e+308 overflows the denominator of class 'A'"),
+            # 5e-324 over a denominator of 3 rounds to 0
+            (5e-324, "smoothing 5e-324 underflows the unseen likelihood of class 'A'"),
+        ],
+    )
+    def test_smoothing_a_model_cannot_take(self, smoothing, problem):
+        with pytest.raises(SmoothingError) as raised:
+            train(TOY, smoothing)
+        assert str(raised.value) == problem
+
+    @pytest.mark.parametrize("smoothing", [1e-300, 1e300, sys.float_info.max / 4])
+    def test_extreme_smoothing_the_model_can_take(self, smoothing):
+        outcome = classify(train(TOY, smoothing), ["x", "z", "z"])
+        assert all(math.isfinite(p) for _, p in outcome.posteriors)
+        assert math.fsum(p for _, p in outcome.posteriors) == pytest.approx(1.0)
 
     def test_mixed_tokenization_rejected(self):
         a = tokenize("http://example.com/x", TokenMethod.TOKENS)
@@ -292,9 +314,8 @@ class EagerModel:
 
 def eager_classify(model, features):
     known = [f for f in features if f in model.vocabulary]
-    ignored = len(features) - len(known)
     if not known:
-        return Classification(None, (), (), ignored)
+        return Classification(None, ())
     counts = Counter(known)
     raw = {
         c: model.class_log_prior[c]
@@ -307,8 +328,7 @@ def eager_classify(model, features):
     posteriors = sorted(
         ((c, unnormalized[c] / norm) for c in model.classes), key=lambda kv: (-kv[1], kv[0])
     )
-    log_scores = sorted(raw.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Classification(posteriors[0][0], tuple(posteriors), tuple(log_scores), ignored)
+    return Classification(posteriors[0][0], tuple(posteriors))
 
 
 _FEATURES = "abcdef"

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import gzip
-import io
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -79,9 +79,15 @@ class TestCategoryPath:
             CategoryPath(("A", ""))
 
 
+def dump(tmp_path, data: bytes, name: str = "dump.tsv"):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return path
+
+
 class TestIngestTsv:
-    def test_filtering_and_counts(self):
-        index = ingest_dmoz(io.BytesIO(TSV_SAMPLE))
+    def test_filtering_and_counts(self, tmp_path):
+        index = ingest_dmoz(dump(tmp_path, TSV_SAMPLE))
         assert len(index) == 2
         kept = {e.uri for e in index.all_entries()}
         assert kept == {"http://a.example.com/", "http://d.example.com/"}
@@ -93,15 +99,13 @@ class TestIngestTsv:
         assert report.malformed == 2
         assert report.warnings
 
-    def test_first_record_wins_dedup(self):
-        index = ingest_dmoz(io.BytesIO(TSV_SAMPLE))
+    def test_first_record_wins_dedup(self, tmp_path):
+        index = ingest_dmoz(dump(tmp_path, TSV_SAMPLE))
         surt = canonicalize_surt("http://a.example.com/")
         assert index.lookup_surt(surt).title == "Title A"
 
     def test_gzip_transparent(self, tmp_path):
-        path = tmp_path / "dump.tsv.gz"
-        path.write_bytes(gzip.compress(TSV_SAMPLE))
-        index = ingest_dmoz(path)
+        index = ingest_dmoz(dump(tmp_path, gzip.compress(TSV_SAMPLE), "dump.tsv.gz"))
         assert len(index) == 2
 
     def test_category_constants(self):
@@ -125,8 +129,8 @@ class TestIngestRdf:
 </RDF>
 """
 
-    def test_rdf_ingest(self):
-        index = ingest_dmoz(io.BytesIO(self.RDF), IngestFormat.RDF)
+    def test_rdf_ingest(self, tmp_path):
+        index = ingest_dmoz(dump(tmp_path, self.RDF, "dump.rdf"), IngestFormat.RDF)
         assert len(index) == 1
         e = index.lookup_surt(canonicalize_surt("http://a.example.com/"))
         assert e.title == "Alpha"
@@ -134,9 +138,10 @@ class TestIngestRdf:
         assert str(e.category) == "Computers/Internet"
         assert index.ingest_report.dropped_category == 1
 
-    def test_truncated_rdf_is_fatal(self):
-        with pytest.raises(InputFileError, match="^RDF stream: malformed RDF"):
-            ingest_dmoz(io.BytesIO(self.RDF[:120]), IngestFormat.RDF)
+    def test_truncated_rdf_is_fatal(self, tmp_path):
+        path = dump(tmp_path, self.RDF[:120], "dump.rdf")
+        with pytest.raises(InputFileError, match=f"^{re.escape(str(path))}: malformed RDF"):
+            ingest_dmoz(path, IngestFormat.RDF)
 
     def test_fixture_rdf_sample(self, fixtures_dir):
         index = ingest_dmoz(fixtures_dir / "dmoz_sample.rdf", IngestFormat.RDF)

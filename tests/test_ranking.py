@@ -38,8 +38,8 @@ from archive_recommender.uri import TokenMethod, canonicalize_surt, tokenize
 UTC = timezone.utc
 TOL = 1e-9
 
-EARLIEST = datetime(2000, 1, 1, tzinfo=UTC)
-UPPER = datetime(2020, 1, 1, tzinfo=UTC)  # 7305 days later
+EARLIEST = datetime(1996, 1, 1, tzinfo=UTC)  # EARLIEST_ARCHIVE_DATE, which rank reads
+UPPER = datetime(2016, 1, 1, tzinfo=UTC)  # 7305 days later
 REQUESTED = datetime(2014, 3, 1, tzinfo=UTC)
 
 
@@ -246,7 +246,6 @@ class TestRank:
             request_tokens={"best", "example", "com"},
             requested=REQUESTED,
             upper_bound=UPPER,
-            earliest=EARLIEST,
         )
         assert [r.uri for r in results] == [best.uri, worst.uri]
         assert results[0].score == pytest.approx(1.0, abs=TOL)
@@ -262,7 +261,6 @@ class TestRank:
             request_tokens={"best", "example", "com"},
             requested=REQUESTED,
             upper_bound=UPPER,
-            earliest=EARLIEST,
         )
         assert result.score == pytest.approx(0.5 * 1 + 0.25 * 1 + 0.0 * 1 + 0.25 * 0.5, abs=TOL)
 
@@ -271,7 +269,7 @@ class TestRank:
         b = self.page("http://bbb.example.com/", REQUESTED, 100, 10, 0.2)
         results = rank_by_uri(
             [b, a], request_tokens=set(), requested=REQUESTED,
-            upper_bound=UPPER, earliest=EARLIEST,
+            upper_bound=UPPER,
         )
         assert [r.uri for r in results] == [a.uri, b.uri]
         assert results[0].score == pytest.approx(results[1].score, abs=TOL)
@@ -283,7 +281,7 @@ class TestRank:
         ]
         results = rank_by_uri(
             pages, top_n=2, request_tokens=set(), requested=REQUESTED,
-            upper_bound=UPPER, earliest=EARLIEST,
+            upper_bound=UPPER,
         )
         assert len(results) == 2
         assert results[0].score >= results[1].score
@@ -293,7 +291,7 @@ class TestRank:
         candidate = EvidenceService(OneMementoSource()).evidence_for(uri, canonicalize_surt(uri), REQUESTED)
         (result,) = rank_by_uri(
             [candidate], request_tokens=set(), requested=REQUESTED,
-            upper_bound=UPPER, earliest=EARLIEST,
+            upper_bound=UPPER,
         )
         assert result.quality == pytest.approx(0.5, abs=TOL)
         assert "default_missing" in result.explanations[3]
@@ -307,7 +305,7 @@ class TestRank:
         )
         with pytest.raises(ValueError):
             rank_by_uri([empty], request_tokens=set(), requested=REQUESTED,
-                 upper_bound=UPPER, earliest=EARLIEST)
+                 upper_bound=UPPER)
 
     def test_nearest_memento_feeds_temporal(self):
         far = REQUESTED - timedelta(days=7305) / 4
@@ -320,7 +318,7 @@ class TestRank:
         )
         (result,) = rank_by_uri(
             [candidate], request_tokens=set(), requested=REQUESTED,
-            upper_bound=UPPER, earliest=EARLIEST,
+            upper_bound=UPPER,
         )
         assert result.memento_datetime == near
         assert result.temporal == pytest.approx(1 - (10 / 7305), abs=TOL)
@@ -331,7 +329,7 @@ class TestRank:
         )
         (result,) = rank_by_uri(
             [candidate], request_tokens=set(), requested=REQUESTED,
-            upper_bound=UPPER, earliest=EARLIEST, temporal_as_similarity=False,
+            upper_bound=UPPER, temporal_as_similarity=False,
         )
         assert result.temporal == pytest.approx(0.25, abs=TOL)
 
@@ -339,7 +337,7 @@ class TestRank:
         candidate = self.page("http://best.example.com/", REQUESTED, 28455, 4, 0.13)
         (result,) = rank_by_uri(
             [candidate], request_tokens={"best", "example", "com"},
-            requested=REQUESTED, upper_bound=UPPER, earliest=EARLIEST,
+            requested=REQUESTED, upper_bound=UPPER,
         )
         texts = "\n".join(result.explanations)
         assert "temporal=1.000000" in texts
@@ -351,11 +349,11 @@ class TestRank:
         pages = [self.page(f"http://site{i}.example.com/", REQUESTED, 1000, 10, 0.1) for i in range(3)]
         results = rank_by_uri(
             pages, request_tokens=set(), requested=REQUESTED,
-            upper_bound=UPPER, earliest=EARLIEST, notes=("path: ontology-hit",),
+            upper_bound=UPPER, notes=("path: ontology-hit",),
         )
         assert [r.explanations[4:] for r in results] == [("path: ontology-hit",)] * 3
         plain = rank_by_uri(
-            pages, request_tokens=set(), requested=REQUESTED, upper_bound=UPPER, earliest=EARLIEST,
+            pages, request_tokens=set(), requested=REQUESTED, upper_bound=UPPER,
         )
         assert [r.explanations for r in plain] == [r.explanations[:4] for r in results]
 
@@ -364,7 +362,7 @@ class TestRank:
         (result,) = rank(
             [candidate], request_tokens={"best", "example", "com"},
             candidate_tokens=[frozenset({"example", "other"})],
-            requested=REQUESTED, upper_bound=UPPER, earliest=EARLIEST,
+            requested=REQUESTED, upper_bound=UPPER,
         )
         assert result.similarity == pytest.approx(1 / 4, abs=TOL)
         assert "1 shared of 4 tokens" in result.explanations[2]
@@ -373,4 +371,4 @@ class TestRank:
         candidate = self.page("http://best.example.com/", REQUESTED, 1, 538_300, 0.0)
         with pytest.raises(ValueError):
             rank([candidate], request_tokens=set(), candidate_tokens=[], requested=REQUESTED,
-                 upper_bound=UPPER, earliest=EARLIEST)
+                 upper_bound=UPPER)
