@@ -101,9 +101,22 @@ _RFC1123_DATETIME = re.compile(
 _DATETIME = itemgetter(0)  # of a (datetime, memento URI) pair
 
 
+# The ISO 8601 extended form that parse_instant reads: a date, then an
+# optional time (hours, minutes, seconds, and a fraction of 3 or 6 digits)
+# after "T" or a space, with an optional "Z" or ±HH:MM offset. Every
+# interpreter's fromisoformat reads it alike; 3.11 and later read more.
+_INSTANT = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:[T ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
+    r"(?:Z|[+-][0-9]{2}:[0-9]{2})?)?"
+)
+
+
 def parse_instant(text: str) -> datetime:
     """An ISO-8601 instant in UTC: a date alone is its midnight, and ``Z`` or
     no offset is UTC. Raises ValueError on other text, or past years 1-9999."""
+    if not _INSTANT.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")  # as fromisoformat words it
     parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
     try:
         return parsed.astimezone(timezone.utc) if parsed.tzinfo else parsed.replace(tzinfo=timezone.utc)

@@ -196,9 +196,8 @@ def _build_recommender(settings: Settings) -> Recommender:
 
 
 def _cmd_ingest(args: argparse.Namespace, settings: Settings) -> int:
-    index = ingest_dmoz(args.source, IngestFormat(args.format))
+    index, report = ingest_dmoz(args.source, IngestFormat(args.format))
     save_index(index, args.index_out)
-    report = index.ingest_report
     records: list[dict] = [
         {
             "type": "ingest",

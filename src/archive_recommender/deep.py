@@ -490,34 +490,32 @@ def evaluate_deep(
         for k in range(1, max_level + 1)
     }
 
-    tallies: dict[tuple[str, object], list[int]] = {}
+    # One {key: [right, seen]} tally per breakdown: top category, URI depth,
+    # dictionary bucket and long-string presence.
+    tallies: tuple[dict, ...] = ({}, {}, {}, {})
     for entry, agree in evaluated:
-        correct = agree == len(entry.category)
+        right = agree == len(entry.category)
         keys = (
-            ("category", entry.category.top),
-            ("depth", depth(entry.uri)),
-            ("dictionary", host_dictionary_bucket(parse_uri(entry.uri, assume_http=True))),
-            ("long", "long_strings.hostname" in detect_patterns(entry.uri)),
+            entry.category.top,
+            depth(entry.uri),
+            host_dictionary_bucket(parse_uri(entry.uri, assume_http=True)),
+            "long_strings.hostname" in detect_patterns(entry.uri),
         )
-        for section, key in keys:
-            bucket = tallies.setdefault((section, key), [0, 0])
-            bucket[0] += int(correct)
+        for tally, key in zip(tallies, keys):
+            bucket = tally.setdefault(key, [0, 0])
+            bucket[0] += right
             bucket[1] += 1
-
-    def ratios(section: str) -> dict:
-        return {
-            key: hit / seen
-            for (s, key), (hit, seen) in sorted(tallies.items(), key=lambda kv: str(kv[0]))
-            if s == section and seen
-        }
+    by_category, by_depth, by_dictionary, by_long_strings = (
+        {key: right / seen for key, (right, seen) in tally.items()} for tally in tallies
+    )
 
     return DeepEvalReport(
         levels=levels,
         holdout=total,
         failures=failures,
         skipped_categories=sorted(top for top, vindex in subtrees.items() if vindex is None),
-        by_category=ratios("category"),
-        by_depth=ratios("depth"),
-        by_dictionary=ratios("dictionary"),
-        by_long_strings=ratios("long"),
+        by_category=by_category,
+        by_depth=by_depth,
+        by_dictionary=by_dictionary,
+        by_long_strings=by_long_strings,
     )

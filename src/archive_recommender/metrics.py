@@ -7,7 +7,7 @@ micro (pooled counts — equals accuracy on single-label data), macro
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from . import nbayes
@@ -21,8 +21,6 @@ __all__ = [
     "majority_baseline",
     "cross_validate",
 ]
-
-UNCLASSIFIED = "(unclassified)"
 
 
 @dataclass(frozen=True)
@@ -67,9 +65,16 @@ class EvalReport:
     weighted_f1: float
     accuracy: float
     evaluated: int
-    filtered_out: int = 0
     folds: list[FoldResult] = field(default_factory=list)
-    skipped_folds: list[int] = field(default_factory=list)
+
+    @property
+    def filtered_out(self) -> int:
+        return sum(fold.filtered_out for fold in self.folds)
+
+    @property
+    def skipped_folds(self) -> list[int]:
+        """The folds that scored no item."""
+        return [fold.fold for fold in self.folds if not fold.tested]
 
     def to_records(self) -> list[dict]:
         records = [
@@ -129,28 +134,20 @@ class EvalReport:
 def score_predictions(pairs: Iterable[tuple[str, str | None]]) -> EvalReport:
     """Score (truth, predicted) pairs; a None prediction counts against its
     truth class without crediting any other class."""
-    confusion: Counter[tuple[str, str]] = Counter()
+    true_positives: Counter[str] = Counter()
     truth_counts: Counter[str] = Counter()
     predicted_counts: Counter[str] = Counter()
-    correct = 0
-    total = 0
     for truth, predicted in pairs:
-        shown = UNCLASSIFIED if predicted is None else predicted
-        confusion[(truth, shown)] += 1
         truth_counts[truth] += 1
         if predicted is not None:
             predicted_counts[predicted] += 1
-        if predicted == truth:
-            correct += 1
-        total += 1
+            if predicted == truth:
+                true_positives[truth] += 1
 
-    labels = sorted(set(truth_counts) | set(predicted_counts))
     per_class = {}
-    for label in labels:
-        tp = confusion[(label, label)]
-        fp = predicted_counts[label] - tp
-        fn = truth_counts[label] - tp
-        per_class[label] = ClassScores(label, tp, fp, fn)
+    for label in sorted(set(truth_counts) | set(predicted_counts)):
+        tp = true_positives[label]
+        per_class[label] = ClassScores(label, tp, predicted_counts[label] - tp, truth_counts[label] - tp)
 
     tp_total = sum(s.tp for s in per_class.values())
     fp_total = sum(s.fp for s in per_class.values())
@@ -170,8 +167,8 @@ def score_predictions(pairs: Iterable[tuple[str, str | None]]) -> EvalReport:
         micro_f1=micro_f1,
         macro_f1=macro_f1,
         weighted_f1=weighted_f1,
-        accuracy=correct / total if total else 0.0,
-        evaluated=total,
+        accuracy=tp_total / support_total if support_total else 0.0,
+        evaluated=support_total,
     )
 
 
@@ -222,33 +219,18 @@ def cross_validate(
 
     all_pairs: list[tuple[str, str | None]] = []
     fold_results: list[FoldResult] = []
-    skipped: list[int] = []
-    total_filtered = 0
     whole = nbayes.NaiveBayesModel(total_docs, total_grams, smoothing, method, variant_set)
     for k in range(folds):
         model = whole.less(fold_docs[k], fold_grams[k])
         test_idx = range(k, n, folds)
         fold_pairs: list[tuple[str, str | None]] = []
-        filtered = 0
         for i in test_idx:
             features = bags[i].features
-            if not features or not model.vocabulary.issuperset(features):
-                filtered += 1
-                continue
-            outcome = nbayes.classify(model, bags[i])
-            fold_pairs.append((labels[i], outcome.label))
-        total_filtered += filtered
+            if features and model.vocabulary.issuperset(features):
+                fold_pairs.append((labels[i], nbayes.classify(model, bags[i]).label))
         correct = sum(1 for truth, predicted in fold_pairs if truth == predicted)
         fold_results.append(
-            FoldResult(k, n - len(test_idx), len(fold_pairs), filtered, correct)
+            FoldResult(k, n - len(test_idx), len(fold_pairs), len(test_idx) - len(fold_pairs), correct)
         )
-        if not fold_pairs:
-            skipped.append(k)
-            continue
         all_pairs.extend(fold_pairs)
-
-    report = score_predictions(all_pairs)
-    report.filtered_out = total_filtered
-    report.folds = fold_results
-    report.skipped_folds = skipped
-    return report
+    return replace(score_predictions(all_pairs), folds=fold_results)

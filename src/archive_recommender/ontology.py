@@ -126,8 +126,12 @@ class IngestReport:
     dropped_category: int = 0
     dropped_missing: int = 0
     malformed: int = 0
-    duplicates: int = 0
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def duplicates(self) -> int:
+        """Records that passed every filter but whose SURT an earlier record holds."""
+        return self.records_read - self.malformed - self.dropped_missing - self.dropped_category - self.kept
 
     def warn(self, message: str) -> None:
         if len(self.warnings) < _MAX_WARNINGS:
@@ -140,11 +144,8 @@ class CategoryIndex:
     def __init__(self, entries: Iterable[OntologyEntry]):
         self.by_category: dict[str, list[OntologyEntry]] = {}
         self.by_surt: dict[str, OntologyEntry] = {}
-        self.deduplicated = 0
-        self.ingest_report: IngestReport | None = None
         for entry in entries:
             if entry.surt in self.by_surt:
-                self.deduplicated += 1
                 continue
             self.by_surt[entry.surt] = entry
             self.by_category.setdefault(str(entry.category), []).append(entry)
@@ -256,15 +257,18 @@ def _iter_rdf(events: Iterator[tuple[str, Any]], report: IngestReport) -> Iterat
             yield entry
 
 
-def ingest_dmoz(source: str | Path, format: IngestFormat = IngestFormat.TSV) -> CategoryIndex:
-    """Read, filter, and index a directory dump file, plain or gzip.
+def ingest_dmoz(
+    source: str | Path, format: IngestFormat = IngestFormat.TSV
+) -> tuple[CategoryIndex, IngestReport]:
+    """Read, filter, and index a directory dump file, plain or gzip; return
+    the index and the report of what the read counted.
 
     Filtering: entries missing URI or category are dropped; only the thirteen
-    retained top-level categories are kept; URIs are SURT-canonicalized and
-    deduplicated keeping the first-seen record (order sources newest-first).
-    Unparseable records are skipped and counted on ``index.ingest_report``;
-    a truncated or malformed RDF dump raises InputFileError naming its path
-    (fatal).
+    retained top-level categories are kept; URIs are SURT-canonicalized, and
+    of records sharing a SURT the first seen is kept (order sources
+    newest-first). Unparseable records are skipped and counted on the
+    returned report; a truncated or malformed RDF dump raises
+    InputFileError naming its path (fatal).
     """
     report = IngestReport()
     with open_input(source) as stream:
@@ -277,10 +281,8 @@ def ingest_dmoz(source: str | Path, format: IngestFormat = IngestFormat.TSV) -> 
                 index = CategoryIndex(_iter_rdf(ET.iterparse(stream, events=("end",)), report))
             except ET.ParseError as exc:
                 raise InputFileError(f"{source}: malformed RDF ({exc})") from None
-    report.duplicates = index.deduplicated
     report.kept = len(index)
-    index.ingest_report = report
-    return index
+    return index, report
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +398,14 @@ class FixtureOntologyProvider:
 
 @dataclass
 class LookupOutcome:
-    found: bool
     category: CategoryPath | None
     entries: list[OntologyEntry]
     source: str  # "primary" | "secondary" | "none"
     warning: str | None = None
+
+    @property
+    def found(self) -> bool:
+        return self.category is not None
 
 
 def lookup_requested(
@@ -415,30 +420,19 @@ def lookup_requested(
     warning instead of raising."""
     hit = index.lookup_surt(surt)
     if hit is not None:
-        return LookupOutcome(
-            found=True,
-            category=hit.category,
-            entries=index.entries_for(hit.category),
-            source="primary",
-        )
+        return LookupOutcome(category=hit.category, entries=index.entries_for(hit.category), source="primary")
     if secondary is None:
-        return LookupOutcome(found=False, category=None, entries=[], source="none")
+        return LookupOutcome(category=None, entries=[], source="none")
     try:
         record = secondary.lookup(uri)
     except Exception as exc:  # degraded, not fatal
         return LookupOutcome(
-            found=False,
-            category=None,
-            entries=[],
-            source="none",
-            warning=f"secondary ontology lookup failed: {exc}",
+            category=None, entries=[], source="none", warning=f"secondary ontology lookup failed: {exc}"
         )
     if record is None or not record.categories:
-        return LookupOutcome(found=False, category=None, entries=[], source="none")
+        return LookupOutcome(category=None, entries=[], source="none")
     category, entries, warning = record._category_and_members
-    return LookupOutcome(
-        found=True, category=category, entries=list(entries), source="secondary", warning=warning
-    )
+    return LookupOutcome(category=category, entries=list(entries), source="secondary", warning=warning)
 
 
 def corpus_stats(index: CategoryIndex) -> DistributionReport:

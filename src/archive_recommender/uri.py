@@ -191,6 +191,7 @@ class ParsedUri:
     registered_domain: str
     tld: str
     is_ip_host: bool
+    host_as_written: str  # before lowercasing, as case-change detection reads it
 
 
 # An IPv4 address is ASCII decimal octets and dots, and an IPv6 one holds a
@@ -272,6 +273,7 @@ def _parse_checked(uri: str, assume_http: bool) -> ParsedUri:
         registered_domain=registered,
         tld=tld,
         is_ip_host=is_ip,
+        host_as_written=parts.netloc.rsplit("@", 1)[-1].split(":")[0].strip("[]"),
     )
 
 
@@ -452,11 +454,7 @@ def detect_patterns(uri: str) -> tuple[str, ...]:
     original (pre-lowercasing) text. Scheme choice never affects the result.
     """
     parsed = parse_uri(uri, assume_http=True)
-    # The host as written: case-change detection needs the case that the parse lowercases.
-    text = uri.strip()
-    if "://" not in text:
-        text = "http://" + text
-    raw_host = _split(uri, text).netloc.rsplit("@", 1)[-1].split(":")[0].strip("[]")
+    raw_host = parsed.host_as_written
     path_side = parsed.path + (("?" + parsed.query) if parsed.query is not None else "")
     shown = (
         _LONG_STRING.search(raw_host),

@@ -561,6 +561,15 @@ class TestConfigErrors:
         setting = "" if source == "datetime-flag" else "now: "
         assert err == f"archrec: error: {setting}cannot parse datetime {value!r}: no UTC value inside years 1-9999\n"
 
+    @pytest.mark.parametrize("value", ["20140301", "2014-02-26T09:08:46.5Z"])
+    def test_instant_outside_the_extended_form(self, capsys, fixtures_dir, value):
+        code, out, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
+            "--now", "2014-06-01T00:00:00Z", "--datetime", value,
+        )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"archrec: error: cannot parse datetime {value!r}: Invalid isoformat string: {value!r}\n"
+
     def test_truncated_rdf_dump(self, capsys, fixtures_dir, tmp_path):
         dump = tmp_path / "dump.rdf"
         dump.write_bytes((fixtures_dir / "dmoz_sample.rdf").read_bytes()[:300])

@@ -7,6 +7,10 @@ make it, regenerate the file and commit the diff with the change::
 
     PYTHONPATH=src python tests/test_golden.py --write
 
+An argument holding ``{tmp}`` names a path in a fresh temporary
+directory: the replay puts that directory's path in its place, and puts
+``{tmp}`` back where the path shows in stdout.
+
 ``--check`` replays every entry and exits 1 if any output differs. Like
 ``--write`` it needs only the standard library, so it runs on an
 interpreter that has no pytest::
@@ -21,6 +25,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +66,8 @@ COMMANDS = [
      "--datetime", "2014-03-01", "--now", "2014-06-01T00:00:00Z"],
     ["evaluate-l1", "--smoothing", "0.5"],
     ["evaluate-deep", "--smoothing", "0.5"],
+    ["ingest", "fixtures/corpus_500.tsv", "--index-out", "{tmp}/index.tsv"],
+    ["ingest", "fixtures/dmoz_sample.rdf", "--format", "rdf", "--index-out", "{tmp}/index.tsv"],
 ]
 ARGVS = [
     command + ["--fixtures", "fixtures", "--output", output]
@@ -74,9 +81,11 @@ def replay(argv: list[str]) -> dict:
     from archive_recommender.cli import main
 
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(list(argv))
-    return {"argv": argv, "exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([arg.replace("{tmp}", tmp) for arg in argv])
+    out = stdout.getvalue().replace(tmp, "{tmp}")
+    return {"argv": argv, "exit": code, "stdout": out, "stderr": stderr.getvalue()}
 
 
 def _load() -> list[dict]:

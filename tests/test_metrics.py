@@ -18,6 +18,7 @@ The constructed confusion fixture (30 items, 10 per class):
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -25,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from archive_recommender import nbayes
 from archive_recommender.metrics import (
-    UNCLASSIFIED,
+    EvalReport,
     FoldResult,
     cross_validate,
     majority_baseline,
@@ -79,7 +80,7 @@ class TestScorePredictions:
         report = score_predictions([("A", "A"), ("A", None), ("B", "B")])
         a = report.per_class["A"]
         assert (a.tp, a.fp, a.fn) == (1, 0, 1)
-        assert UNCLASSIFIED not in report.per_class
+        assert set(report.per_class) == {"A", "B"}  # no class stands for the missing prediction
         # unclassified items drag micro F1 below accuracy-of-attempted
         assert report.micro_f1 == pytest.approx(2 * (2 / 2) * (2 / 3) / (2 / 2 + 2 / 3), abs=TOL)
 
@@ -88,6 +89,17 @@ class TestScorePredictions:
         assert report.evaluated == 0
         assert report.micro_f1 == 0.0
         assert report.macro_f1 == 0.0
+
+    def test_fold_totals_come_from_the_folds(self):
+        folds = [FoldResult(0, 6, 3, 1, 2), FoldResult(1, 6, 0, 4, 0), FoldResult(2, 8, 1, 1, 1)]
+        report = replace(score_predictions([("A", "A"), ("A", "B"), ("B", "B"), ("B", "B")]), folds=folds)
+        assert report.skipped_folds == [1]
+        assert report.filtered_out == 6
+        assert "folds 3   skipped 1" in report.to_table()
+        summary = next(r for r in report.to_records() if r["section"] == "summary")
+        assert summary["filtered_out"] == 6
+        bare = EvalReport({}, 0.0, 0.0, 0.0, 0.0, 0)
+        assert (bare.filtered_out, bare.skipped_folds) == (0, [])
 
     def test_report_serialization(self):
         report = score_predictions(CONFUSION_PAIRS)
@@ -217,10 +229,8 @@ def cross_validate_retraining(corpus, method, variants=(), folds=10, smoothing=1
             continue
         all_pairs.extend(fold_pairs)
 
-    report = score_predictions(all_pairs)
-    report.filtered_out = total_filtered
-    report.folds = fold_results
-    report.skipped_folds = skipped
+    report = replace(score_predictions(all_pairs), folds=fold_results)
+    assert (report.filtered_out, report.skipped_folds) == (total_filtered, skipped)
     return report
 
 

@@ -17,6 +17,7 @@ from archive_recommender.ontology import (
     DROPPED_TOP_CATEGORIES,
     FixtureOntologyProvider,
     IngestFormat,
+    LookupOutcome,
     OntologyEntry,
     RETAINED_TOP_CATEGORIES,
     SecondaryRecord,
@@ -87,11 +88,11 @@ def dump(tmp_path, data: bytes, name: str = "dump.tsv"):
 
 class TestIngestTsv:
     def test_filtering_and_counts(self, tmp_path):
-        index = ingest_dmoz(dump(tmp_path, TSV_SAMPLE))
+        index, report = ingest_dmoz(dump(tmp_path, TSV_SAMPLE))
         assert len(index) == 2
         kept = {e.uri for e in index.all_entries()}
         assert kept == {"http://a.example.com/", "http://d.example.com/"}
-        report = index.ingest_report
+        assert report.records_read == 9
         assert report.kept == 2
         assert report.dropped_category == 2
         assert report.duplicates == 1
@@ -100,12 +101,12 @@ class TestIngestTsv:
         assert report.warnings
 
     def test_first_record_wins_dedup(self, tmp_path):
-        index = ingest_dmoz(dump(tmp_path, TSV_SAMPLE))
+        index, _ = ingest_dmoz(dump(tmp_path, TSV_SAMPLE))
         surt = canonicalize_surt("http://a.example.com/")
         assert index.lookup_surt(surt).title == "Title A"
 
     def test_gzip_transparent(self, tmp_path):
-        index = ingest_dmoz(dump(tmp_path, gzip.compress(TSV_SAMPLE), "dump.tsv.gz"))
+        index, _ = ingest_dmoz(dump(tmp_path, gzip.compress(TSV_SAMPLE), "dump.tsv.gz"))
         assert len(index) == 2
 
     def test_category_constants(self):
@@ -130,13 +131,25 @@ class TestIngestRdf:
 """
 
     def test_rdf_ingest(self, tmp_path):
-        index = ingest_dmoz(dump(tmp_path, self.RDF, "dump.rdf"), IngestFormat.RDF)
+        index, report = ingest_dmoz(dump(tmp_path, self.RDF, "dump.rdf"), IngestFormat.RDF)
         assert len(index) == 1
         e = index.lookup_surt(canonicalize_surt("http://a.example.com/"))
         assert e.title == "Alpha"
         assert e.description == "First page"
         assert str(e.category) == "Computers/Internet"
-        assert index.ingest_report.dropped_category == 1
+        assert report.dropped_category == 1
+        assert report.duplicates == 0
+
+    def test_repeated_about_is_one_duplicate(self, tmp_path):
+        repeated = self.RDF.replace(b"</RDF>", b"""  <ExternalPage about="HTTP://A.example.com:80/">
+    <d:Title>Alpha again</d:Title>
+    <topic>Top/Science/Physics</topic>
+  </ExternalPage>
+</RDF>""")
+        index, report = ingest_dmoz(dump(tmp_path, repeated, "dump.rdf"), IngestFormat.RDF)
+        assert (report.records_read, report.kept, report.dropped_category) == (3, 1, 1)
+        assert report.duplicates == 1
+        assert index.lookup_surt(canonicalize_surt("http://a.example.com/")).title == "Alpha"
 
     def test_truncated_rdf_is_fatal(self, tmp_path):
         path = dump(tmp_path, self.RDF[:120], "dump.rdf")
@@ -144,9 +157,9 @@ class TestIngestRdf:
             ingest_dmoz(path, IngestFormat.RDF)
 
     def test_fixture_rdf_sample(self, fixtures_dir):
-        index = ingest_dmoz(fixtures_dir / "dmoz_sample.rdf", IngestFormat.RDF)
+        index, report = ingest_dmoz(fixtures_dir / "dmoz_sample.rdf", IngestFormat.RDF)
         assert len(index) == 3
-        assert index.ingest_report.dropped_category == 2
+        assert report.dropped_category == 2
 
 
 class TestCategoryIndex:
@@ -223,7 +236,7 @@ class TestCategoryIndex:
             [entry("Computers", "http://a.com/"), entry("Sports", "https://A.COM:443/")]
         )
         assert len(index) == 1
-        assert index.deduplicated == 1
+        assert str(index.lookup_surt(canonicalize_surt("http://a.com/")).category) == "Computers"
 
 
 class TestPersistence:
@@ -309,6 +322,14 @@ class TestSecondaryLookup:
         assert str(outcome.category) == "Sports/Baseball_Teams"
         assert [e.uri for e in outcome.entries] == ["http://fanclub.example.org/"]
         assert "unparseable" in outcome.warning
+
+    @pytest.mark.parametrize(
+        "category, source, found",
+        [(CategoryPath(("Computers",)), "primary", True), (CategoryPath(("Sports", "Teams")), "secondary", True),
+         (None, "none", False)],
+    )
+    def test_found_is_having_a_category(self, category, source, found):
+        assert LookupOutcome(category=category, entries=[], source=source).found is found
 
     def test_failing_provider_degrades(self):
         class Boom:

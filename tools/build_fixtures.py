@@ -513,7 +513,7 @@ def main() -> None:
     corpus_path.write_text(
         "\n".join("\t".join(row) for row in rows) + "\n", "utf-8"
     )
-    index = ingest_dmoz(corpus_path, IngestFormat.TSV)
+    index, report = ingest_dmoz(corpus_path, IngestFormat.TSV)
     save_index(index, FIXTURES / "index.tsv")
 
     write_timemaps(FIXTURES / "timemaps")
@@ -532,7 +532,6 @@ def main() -> None:
         "\n".join(json.dumps(record, sort_keys=True) for record in SECONDARY) + "\n", "utf-8"
     )
 
-    report = index.ingest_report
     print(f"corpus: {len(rows)} rows -> kept {report.kept} in {len(index.by_category)} categories")
     print(f"timemaps: {len(list((FIXTURES / 'timemaps').glob('*.link')))} files")
     print("fixtures written to", FIXTURES)
