@@ -8,6 +8,7 @@ plain record dicts for machine output.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -17,7 +18,7 @@ from .words import dictionary_bucket
 
 __all__ = ["DistributionReport", "analyze_uris", "host_dictionary_bucket"]
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_NOT_LETTERS = re.compile("[^a-z]+")
 
 
 @dataclass
@@ -78,7 +79,7 @@ def _host_letters(parsed: ParsedUri) -> str:
     label, tld = parsed.registered_domain, parsed.tld
     if tld and label.endswith("." + tld):
         label = label[: -(len(tld) + 1)]
-    return "".join(ch for ch in label.lower() if ch in _LETTERS)
+    return _NOT_LETTERS.sub("", label.lower())
 
 
 def host_dictionary_bucket(parsed: ParsedUri) -> str:

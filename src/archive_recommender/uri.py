@@ -264,6 +264,9 @@ def _parse_checked(uri: str, assume_http: bool) -> ParsedUri:
     else:
         psl = PublicSuffixList.bundled()
         registered, tld = psl.registered_domain(host), psl.public_suffix(host)
+    written = parts.netloc.rsplit("@", 1)[-1]
+    # A bracketed IPv6 host holds colons of its own: take it up to its "]".
+    written = written[1:].partition("]")[0] if written.startswith("[") else written.split(":")[0]
     return ParsedUri(
         scheme=scheme,
         host=host,
@@ -273,7 +276,7 @@ def _parse_checked(uri: str, assume_http: bool) -> ParsedUri:
         registered_domain=registered,
         tld=tld,
         is_ip_host=is_ip,
-        host_as_written=parts.netloc.rsplit("@", 1)[-1].split(":")[0].strip("[]"),
+        host_as_written=written,
     )
 
 

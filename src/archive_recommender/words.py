@@ -7,8 +7,12 @@ lexicon words are grouped into "unknown" pieces with a steep per-character
 cost, so genuine splits win but short opaque tokens stay whole.
 
 The lexicon keeps every prefix of its words, so the search for words grows a
-piece from each start only while it is still the prefix of some word; every
-other piece is priced as unknown in one C-level pass per end. Of the pieces
+piece from each start only while it is still the prefix of some word. An
+unknown piece is priced only from an *open* start (the start of the text, or
+a place where the cheapest split ends in a word that no unknown piece
+matches) and never over letters that form a word. An unknown piece from any
+other start costs about ``UNKNOWN_BASE_COST`` more than a piece from an
+earlier start to the same end, so it can neither win nor tie. Of the pieces
 that end at the same place, the cheapest wins, and of equally cheap ones the
 one that starts earliest.
 """
@@ -17,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 from typing import Iterable
 
 from .uri import read_bundled
@@ -36,7 +39,14 @@ class SegmentPiece:
 
 
 class WordLexicon:
-    """Frequency-ranked word list; rank order drives segmentation cost."""
+    """Frequency-ranked word list; rank order drives segmentation cost.
+
+    The word at rank r of V costs ln(r · ln V). ``segment_words`` gives the
+    pieces of the full dynamic program while every word costs less than
+    ``2 * UNKNOWN_BASE_COST + UNKNOWN_CHAR_COST * len(word)``, which holds
+    for any lexicon of fewer than about 487 million words: the bound is
+    ln(V · ln V) < 23, for a one-letter word ranked last.
+    """
 
     def __init__(self, words: Iterable[str]):
         cleaned = []
@@ -83,8 +93,16 @@ def segment_words(text: str, lexicon: WordLexicon | None = None) -> list[Segment
     A piece that is a lexicon word costs its word cost; any other piece
     ``text[j:i]`` costs ``UNKNOWN_BASE_COST + UNKNOWN_CHAR_COST * (i - j)``.
     Words are found by growing each piece only while it is a prefix of some
-    lexicon word. Of the pieces ending at ``i``, the cheapest wins, and on a
-    tie the one with the earliest start ``j``.
+    lexicon word. An unknown piece never spans a word, and starts only at 0
+    or at an ``i`` where the cheapest split of ``text[:i]`` ends in a word
+    that no unknown piece matches in cost. Where an unknown piece from ``k``
+    does, an unknown piece from ``i`` to a later end would cost about
+    ``UNKNOWN_BASE_COST`` more than the piece from ``k`` run on to that end,
+    so it could neither win nor tie; if the letters from ``k`` to that end
+    form a word, the word costs less than the piece from ``i`` in any lexicon
+    of fewer than about 487 million words (see ``WordLexicon``). Of the
+    pieces ending at ``i``, the cheapest wins, and on a tie the one with the
+    earliest start ``j``.
     """
     if lexicon is None:
         lexicon = WordLexicon.bundled()
@@ -95,42 +113,50 @@ def segment_words(text: str, lexicon: WordLexicon | None = None) -> list[Segment
 
     n = len(text)
     prefixes = lexicon._prefixes
-    # words[i] maps the start j of each lexicon word text[j:i] to its word cost.
+    # words[i] maps the start j of each lexicon word text[j:i] to its word cost,
+    # by ascending j. No prefix holds the padding ".", so each search stops by
+    # the end of text.
     words: list[dict[int, float]] = [{} for _ in range(n + 1)]
+    padded = text + "."
     for j in range(n):
-        for i in range(j + 1, n + 1):
-            word_cost = prefixes.get(text[j:i], _NOT_A_PREFIX)
-            if word_cost is _NOT_A_PREFIX:
-                break
+        i = j + 1
+        word_cost = prefixes.get(text[j], _NOT_A_PREFIX)
+        while word_cost is not _NOT_A_PREFIX:
             if word_cost is not None:
                 words[i][j] = word_cost
+            i += 1
+            word_cost = prefixes.get(padded[j:i], _NOT_A_PREFIX)
 
-    # cost[i] is the least cost of text[:i]; opened[j] = cost[j] + UNKNOWN_BASE_COST,
-    # and steps[n - i + j] = UNKNOWN_CHAR_COST * (i - j), so that each piece
-    # ending at i is priced exactly as (cost[j] + base) + char * (i - j).
+    # cost[i] is the least cost of text[:i], and back[i] the start of its last
+    # piece and whether that piece is a word; opened holds the open starts.
+    # An unknown price is summed as (cost[j] + base) + char * (i - j): on near-ties
+    # the grouping decides.
     cost = [0.0]
-    opened: list[float] = []
-    steps = [UNKNOWN_CHAR_COST * length for length in range(n, 0, -1)]
-
-    def priced(i: int) -> list[float]:
-        """The cost of text[:i] through each start j < i of its last piece."""
-        through = list(map(add, opened, steps[n - i:]))
-        for j, word_cost in words[i].items():
-            through[j] = cost[j] + word_cost
-        return through
-
+    back = [(0, False)]
+    opened = [0]
     for i in range(1, n + 1):
-        opened.append(cost[-1] + UNKNOWN_BASE_COST)
-        if words[i]:
-            cost.append(min(priced(i)))
-        else:
-            cost.append(min(map(add, opened, steps[n - i:])))
+        ends = words[i]
+        best = math.inf
+        for j in opened:
+            through = (cost[j] + UNKNOWN_BASE_COST) + UNKNOWN_CHAR_COST * (i - j)
+            if through < best and j not in ends:
+                best, start = through, j
+        unknown = best
+        is_word = False
+        for j, word_cost in ends.items():
+            through = cost[j] + word_cost
+            if through < best or (through == best and j < start):
+                best, start, is_word = through, j, True
+        cost.append(best)
+        back.append((start, is_word))
+        if best < unknown:
+            opened.append(i)
 
     pieces: list[SegmentPiece] = []
     i = n
     while i > 0:
-        j = priced(i).index(cost[i])
-        pieces.append(SegmentPiece(text[j:i], j in words[i]))
+        j, is_word = back[i]
+        pieces.append(SegmentPiece(text[j:i], is_word))
         i = j
     pieces.reverse()
     return pieces

@@ -8,7 +8,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from archive_recommender import reports
 from archive_recommender.ontology import (
@@ -27,7 +27,7 @@ from archive_recommender.ontology import (
     lookup_requested,
     save_index,
 )
-from archive_recommender.uri import InputFileError, TokenMethod, canonicalize_surt, parse_uri, tokenize
+from archive_recommender.uri import InputFileError, ParsedUri, TokenMethod, canonicalize_surt, parse_uri, tokenize
 
 TSV_SAMPLE = b"""\
 Computers/Internet\thttp://a.example.com/\tTitle A\tAbout A
@@ -459,3 +459,19 @@ class TestDictionaryBucketMemo:
         )
         assert report.dictionary == buckets
         assert sum(report.dictionary.values()) == report.total == 489
+
+
+@given(
+    st.one_of(st.text(), st.text(alphabet="abzAZ09-.ßİKéı")),
+    st.sampled_from(["", "com", "co.uk"]),
+)
+@example("web-2shop", "")
+@example("Straße", "com")
+@example("İstanbul", "")  # İ lowers to "i" and a combining dot
+@example("\u212aiel", "com")  # the Kelvin sign lowers to an ASCII "k"
+def test_host_letters_are_the_ascii_letters_of_the_lowered_label(label, tld):
+    registered = f"{label}.{tld}" if tld else label
+    parsed = ParsedUri(scheme="http", host=registered.lower(), port=None, path="/", query=None,
+                       registered_domain=registered, tld=tld, is_ip_host=False, host_as_written=registered)
+    expected = "".join(ch for ch in label.lower() if ch in "abcdefghijklmnopqrstuvwxyz")
+    assert reports._host_letters(parsed) == expected

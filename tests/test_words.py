@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from functools import lru_cache
 from importlib import resources
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -140,6 +143,55 @@ def segment_words_all_pairs(text: str, lexicon: WordLexicon) -> list[SegmentPiec
     return merged
 
 
+def segment_words_priced(text: str, lexicon: WordLexicon) -> list[SegmentPiece]:
+    """Oracle: the dynamic program that prices every piece ending at ``i``,
+    an unknown piece from each start and a word where the piece is one, and
+    walks back by re-pricing each end and taking the first start that reaches
+    its least cost. ``segment_words`` prices unknown pieces from open starts
+    alone and walks back by its back-pointers."""
+    if not text:
+        return []
+    if not (text.isalpha() and text == text.lower()):
+        return [SegmentPiece(text, text in lexicon)]
+
+    n = len(text)
+    # words[i] maps the start j of each lexicon word text[j:i] to its word cost.
+    words: list[dict[int, float]] = [{} for _ in range(n + 1)]
+    for j in range(n):
+        for i in range(j + 1, n + 1):
+            word_cost = lexicon.cost(text[j:i])
+            if word_cost is not None:
+                words[i][j] = word_cost
+
+    # opened[j] = cost[j] + UNKNOWN_BASE_COST and steps[n - i + j] =
+    # UNKNOWN_CHAR_COST * (i - j), so each unknown piece ending at i is priced
+    # exactly as (cost[j] + base) + char * (i - j), the grouping of the sums
+    # that decides near-ties.
+    cost = [0.0]
+    opened: list[float] = []
+    steps = [UNKNOWN_CHAR_COST * length for length in range(n, 0, -1)]
+
+    def priced(i: int) -> list[float]:
+        """The cost of text[:i] through each start j < i of its last piece."""
+        through = list(map(add, opened, steps[n - i:]))
+        for j, word_cost in words[i].items():
+            through[j] = cost[j] + word_cost
+        return through
+
+    for i in range(1, n + 1):
+        opened.append(cost[-1] + UNKNOWN_BASE_COST)
+        cost.append(min(priced(i)))
+
+    pieces: list[SegmentPiece] = []
+    i = n
+    while i > 0:
+        j = priced(i).index(cost[i])
+        pieces.append(SegmentPiece(text[j:i], j in words[i]))
+        i = j
+    pieces.reverse()
+    return pieces
+
+
 BUNDLED_WORDS = sorted(
     line.strip()
     for line in resources.files("archive_recommender.data").joinpath("wordfreq.txt").read_text("utf-8").splitlines()
@@ -161,6 +213,7 @@ bundled_texts = st.one_of(
 def test_pruned_dp_matches_all_pairs_oracle_on_bundled_lexicon(text):
     lexicon = WordLexicon.bundled()
     assert segment_words(text, lexicon) == segment_words_all_pairs(text, lexicon)
+    assert segment_words(text, lexicon) == segment_words_priced(text, lexicon)
     assert segment_words(text) == segment_words(text, lexicon)
 
 
@@ -180,6 +233,7 @@ def test_pruned_dp_matches_all_pairs_oracle_on_tie_heavy_lexicons(words, text):
     # A handful of words over two letters: many segmentations cost the same.
     lexicon = WordLexicon(words)
     assert segment_words(text, lexicon) == segment_words_all_pairs(text, lexicon)
+    assert segment_words(text, lexicon) == segment_words_priced(text, lexicon)
 
 
 NON_ASCII_LETTERS = "aeéèüßøçñåłж"
@@ -193,8 +247,35 @@ NON_ASCII_LETTERS = "aeéèüßøçñåłж"
 def test_pruned_dp_matches_all_pairs_oracle_on_non_ascii_letters(words, text):
     lexicon = WordLexicon(words)
     assert segment_words(text, lexicon) == segment_words_all_pairs(text, lexicon)
+    assert segment_words(text, lexicon) == segment_words_priced(text, lexicon)
     bundled = WordLexicon.bundled()
     assert segment_words(text, bundled) == segment_words_all_pairs(text, bundled)
+    assert segment_words(text, bundled) == segment_words_priced(text, bundled)
+
+
+@lru_cache(maxsize=1)
+def oversized_lexicon() -> WordLexicon:
+    """50,000 four-letter fillers, then words over "q" and "a" ranked past
+    them: "q" and "a" cost more than an unknown piece over their letter."""
+    fillers = itertools.islice(map("".join, itertools.product("bcdfghjklmnprst", repeat=4)), 50_000)
+    return WordLexicon([*fillers, "q", "a", "qa", "aq", "qqa", "bqa"])
+
+
+def test_oversized_lexicon_prices_a_dear_word_as_a_word():
+    lexicon = oversized_lexicon()
+    assert lexicon.cost("q") > UNKNOWN_BASE_COST + UNKNOWN_CHAR_COST
+    # An unknown piece over a word's letters is never priced, however dear the word.
+    assert segment_words("q", lexicon) == [SegmentPiece("q", True)]
+    assert segment_words("bbbbq", lexicon) == [SegmentPiece("bbbb", True), SegmentPiece("q", True)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(alphabet="qab", min_size=1, max_size=24))
+@example("q")
+@example("qbqbqa")
+def test_pruned_dp_matches_priced_oracle_on_oversized_lexicon(text):
+    lexicon = oversized_lexicon()
+    assert segment_words(text, lexicon) == segment_words_priced(text, lexicon)
 
 
 @settings(max_examples=100, deadline=None)
