@@ -193,11 +193,14 @@ def cross_validate(
     training vocabulary are dropped (counted, not scored) — as are items
     that tokenize to nothing — so every scored item is classifiable.
 
-    Each item is tokenized once, in one pass that counts its document and
-    grams into its class's corpus totals and into its fold's own counts.
-    One model is built on the totals, and each fold's model is derived
-    from it with ``NaiveBayesModel.less``, in time proportional to the
-    fold's own counts; the totals never change. A fold's model equals what
+    Each item is tokenized once, and its grams are kept for every fold,
+    with one string per distinct gram across the corpus. Once every item
+    is tokenized, its grams are counted into its class's corpus totals,
+    and one model is built on them; the totals never change. Then, one
+    fold at a time, the fold's own items are counted, the fold's model is
+    derived with ``NaiveBayesModel.less`` in time proportional to those
+    counts, and the fold's items are scored. A fold's counts and model are
+    released before the next fold's are taken. A fold's model equals what
     ``nbayes.train`` gives on the fold's training items.
     """
     if folds < 2:
@@ -205,32 +208,37 @@ def cross_validate(
     if len(corpus) < folds:
         raise ValueError(f"corpus of {len(corpus)} items cannot fill {folds} folds")
     variant_set = frozenset(variants)
-    bags = [tokenize(uri, method, variant_set) for uri, _ in corpus]
+    table: dict[str, str] = {}  # each gram's first string
+    bags = [
+        tuple(map(table.setdefault, features, features))
+        for features in (tokenize(uri, method, variant_set).features for uri, _ in corpus)
+    ]
+    del table
     labels = [label for _, label in corpus]
     n = len(corpus)
 
-    total_docs = Counter(labels)
-    fold_docs = [Counter(labels[k::folds]) for k in range(folds)]
-    total_grams: defaultdict[str, Counter[str]] = defaultdict(Counter)
-    fold_grams: list[defaultdict[str, Counter[str]]] = [defaultdict(Counter) for _ in range(folds)]
-    for i, (bag, label) in enumerate(zip(bags, labels)):
-        total_grams[label].update(bag.features)
-        fold_grams[i % folds][label].update(bag.features)
+    grams: defaultdict[str, Counter[str]] = defaultdict(Counter)
+    for features, label in zip(bags, labels):
+        grams[label].update(features)
+    whole = nbayes.NaiveBayesModel(Counter(labels), grams, smoothing, method, variant_set)
 
     all_pairs: list[tuple[str, str | None]] = []
     fold_results: list[FoldResult] = []
-    whole = nbayes.NaiveBayesModel(total_docs, total_grams, smoothing, method, variant_set)
     for k in range(folds):
-        model = whole.less(fold_docs[k], fold_grams[k])
-        test_idx = range(k, n, folds)
-        fold_pairs: list[tuple[str, str | None]] = []
-        for i in test_idx:
-            features = bags[i].features
-            if features and model.vocabulary.issuperset(features):
-                fold_pairs.append((labels[i], nbayes.classify(model, bags[i]).label))
+        test_bags, test_labels = bags[k::folds], labels[k::folds]
+        held: defaultdict[str, Counter[str]] = defaultdict(Counter)
+        for features, label in zip(test_bags, test_labels):
+            held[label].update(features)
+        model = whole.less(Counter(test_labels), held)
+        fold_pairs = [
+            (label, nbayes.classify(model, features).label)
+            for features, label in zip(test_bags, test_labels)
+            if features and model.vocabulary.issuperset(features)
+        ]
+        del held, model  # released before the next fold is counted
         correct = sum(1 for truth, predicted in fold_pairs if truth == predicted)
         fold_results.append(
-            FoldResult(k, n - len(test_idx), len(fold_pairs), len(test_idx) - len(fold_pairs), correct)
+            FoldResult(k, n - len(test_bags), len(fold_pairs), len(test_bags) - len(fold_pairs), correct)
         )
         all_pairs.extend(fold_pairs)
     return replace(score_predictions(all_pairs), folds=fold_results)

@@ -93,13 +93,15 @@ def train_l1(
     variants: Iterable[TokenVariant] = L1_VARIANTS,
     smoothing: float = 1.0,
 ) -> NaiveBayesModel:
-    """Train the first-level classifier on every indexed entry's URI."""
+    """Train the first-level classifier on every indexed entry's URI.
+
+    Each URI is tokenized as training reaches it and counted at once, so
+    one tokenized URI is held at a time, beside the counts."""
     variant_set = frozenset(variants)
-    corpus = [
-        (tokenize(uri, method, variant_set), label)
-        for uri, label in build_l1_corpus(index)
-    ]
-    return nb_train(corpus, smoothing)
+    return nb_train(
+        ((tokenize(uri, method, variant_set), label) for uri, label in build_l1_corpus(index)),
+        smoothing,
+    )
 
 
 def evaluate_l1(

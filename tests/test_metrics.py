@@ -17,7 +17,9 @@ The constructed confusion fixture (30 items, 10 per class):
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -322,6 +324,39 @@ class TestCountedOnce:
         cross_validate(corpus, L1_METHOD, L1_VARIANTS, folds=10)
         assert calls["tokenize"] == [uri for uri, _ in corpus]
         assert calls["train"] == []
+
+    def test_holds_one_fold_model_and_its_counts_at_a_time(self, corpus_index, monkeypatch):
+        """When a fold's model is derived, every earlier fold's model and
+        held-out counts are gone."""
+        corpus = build_l1_corpus(corpus_index)
+        models, counts = [], []  # weak references to each fold's model and counts
+        derive = nbayes.NaiveBayesModel.less
+
+        def watched(whole, doc_counts, feature_counts):
+            gc.collect()
+            assert [ref for ref in models + counts if ref() is not None] == []
+            model = derive(whole, doc_counts, feature_counts)
+            models.append(weakref.ref(model))
+            counts.extend(map(weakref.ref, feature_counts.values()))
+            return model
+
+        monkeypatch.setattr(nbayes.NaiveBayesModel, "less", watched)
+        cross_validate(corpus, L1_METHOD, L1_VARIANTS, folds=10)
+        assert len(models) == 10 and counts
+
+    def test_scored_bags_share_one_string_per_gram(self, corpus_index, monkeypatch):
+        corpus = build_l1_corpus(corpus_index)
+        scored = []  # keeps every scored feature alive, so no id is reused
+        classify = nbayes.classify
+
+        def keeping(model, bag):
+            scored.extend(bag)
+            return classify(model, bag)
+
+        monkeypatch.setattr(nbayes, "classify", keeping)
+        cross_validate(corpus, L1_METHOD, L1_VARIANTS, folds=10)
+        assert len(scored) > len(set(scored))
+        assert len(set(map(id, scored))) == len(set(scored))
 
     def test_fixtures_at_100_folds_equal_the_oracle(self, corpus_index):
         corpus = build_l1_corpus(corpus_index)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
+import weakref
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -43,6 +45,7 @@ from archive_recommender.ranking import rank
 from archive_recommender.uri import TokenMethod, canonicalize_surt, tokenize
 from conftest import FailingProvider, ForeignSource, count_calls
 from test_golden import RECOMMEND_URIS
+from test_metrics import model_state
 
 UTC = timezone.utc
 REQUESTED = datetime(2014, 3, 1, tzinfo=UTC)
@@ -314,6 +317,25 @@ class TestFirstLevelHelpers:
         assert model.method is L1_METHOD
         assert model.variants == L1_VARIANTS
         assert set(model.classes) == {"Science", "Arts", "Sports", "Society"}
+
+    def test_train_l1_tokenizes_each_uri_as_it_counts_it(self, corpus_index, monkeypatch):
+        """When a URI is tokenized, no bag but the one before it is alive,
+        and the model equals training on every bag at once."""
+        bags = []
+
+        def watched(*args):
+            gc.collect()
+            assert [i for i, ref in enumerate(bags[:-1]) if ref() is not None] == []
+            bag = tokenize(*args)
+            bags.append(weakref.ref(bag))
+            return bag
+
+        monkeypatch.setattr(pipeline, "tokenize", watched)
+        model = train_l1(corpus_index)
+        corpus = build_l1_corpus(corpus_index)
+        assert len(bags) == len(corpus)
+        trained = nbayes.train([(tokenize(uri, L1_METHOD, L1_VARIANTS), label) for uri, label in corpus])
+        assert model_state(model) == model_state(trained)
 
     def test_evaluate_l1_beats_majority_on_separable_corpus(self, taxonomy):
         from archive_recommender.metrics import majority_baseline
