@@ -142,10 +142,11 @@ class CategoryVectorIndex:
     - ``models``: the naive Bayes model of each candidate set that
       ``classify_deep`` has fitted, keyed by the usable candidates' path
       texts in order and the smoothing; at most ``MODELS_PER_INDEX``.
-      A model holds its vocabulary, at most the index's grams, and one row
-      per gram that a query has held. With every row filled and ten
-      candidates that is about 0.5 KB per gram (CPython 3.11), so a full
-      memo of a 1,400-gram subtree holds at most about 11 MB.
+      A model holds one table slot per gram of its candidates, at most the
+      index's grams, and fills a slot with its row when a query holds the
+      gram. With every row filled and ten candidates that is about 180 B
+      per gram (CPython 3.11), so a full memo of a 1,400-gram subtree holds
+      at most about 4 MB.
 
     Read-only once built, except ``models``, which grows under its lock
     and is left out of equality and ``repr``.

@@ -13,8 +13,8 @@ import math
 from collections import Counter, defaultdict
 from collections.abc import Collection, Iterator, Set as AbstractSet
 from dataclasses import dataclass
-from itertools import compress
-from operator import eq, mul
+from itertools import chain, compress, repeat
+from operator import eq, mul, not_
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -58,12 +58,14 @@ class Classification:
 
 
 class _Vocabulary(AbstractSet[str]):
-    """A derived model's vocabulary: its corpus's, less the features that
-    only the documents taken out held. A view: it copies neither set."""
+    """A derived model's vocabulary: the keys of its corpus's table, less
+    the features that only the documents taken out held. A view: it copies
+    neither. It keeps the table, not its keys view, so that ``issuperset``
+    tests each feature against the dict in one C-level pass."""
 
     __slots__ = ("_corpus", "_dropped")
 
-    def __init__(self, corpus: frozenset[str], dropped: frozenset[str]):
+    def __init__(self, corpus: dict[str, object], dropped: frozenset[str]):
         self._corpus, self._dropped = corpus, dropped
 
     def __contains__(self, feature: object) -> bool:
@@ -76,7 +78,7 @@ class _Vocabulary(AbstractSet[str]):
         return (f for f in self._corpus if f not in self._dropped)
 
     def issuperset(self, features: Collection[str]) -> bool:
-        return self._dropped.isdisjoint(features) and self._corpus.issuperset(features)
+        return self._dropped.isdisjoint(features) and all(map(self._corpus.__contains__, features))
 
 
 class NaiveBayesModel:
@@ -90,8 +92,17 @@ class NaiveBayesModel:
     taken the first time a query holds a feature and kept as that feature's
     row: one float per class, in class order, the class's unseen value where
     it never saw the feature. A model thus takes logs only of the features
-    it is queried with. Threads that fill one feature at once store equal
-    rows, so a shared model stays safe.
+    it is queried with.
+
+    Rows live in the corpus's table, one dict built from the class
+    Counters' keys, which is also the vocabulary: ``vocabulary`` is its
+    keys view. Each slot is None until a query of the trained model fills
+    it, and a filled slot keeps the Counter's own key. A feature outside
+    the corpus has the unseen row, which is returned but never stored, so
+    the table never grows. A derived model keeps its rows in a memo of its
+    own, since they differ from the corpus model's, and its vocabulary is a
+    view of the table less the features it dropped. Threads that fill one
+    feature at once store equal rows, so a shared model stays safe.
 
     A model takes a smoothing that is finite, above 0, and leaves every
     class a finite denominator and an unseen likelihood above 0, so that
@@ -111,7 +122,11 @@ class NaiveBayesModel:
         self.variants = frozenset(variants)
         self._counts = {c: feature_counts.get(c) or Counter() for c in sorted(doc_counts)}
         self._held: dict[str, Counter[str]] = {}
-        self.vocabulary: AbstractSet[str] = frozenset().union(*self._counts.values())
+        self._table: dict[str, tuple[float, ...] | None] = dict.fromkeys(
+            chain.from_iterable(self._counts.values())
+        )
+        self._rows = self._table
+        self.vocabulary: AbstractSet[str] = self._table.keys()
         self._fit(doc_counts, {c: sum(counts.values()) for c, counts in self._counts.items()})
 
     def _fit(self, doc_counts: dict[str, int], sums: dict[str, int]) -> None:
@@ -140,7 +155,7 @@ class NaiveBayesModel:
         self.unseen_log_likelihood = {
             c: math.log(smoothing / self._denominator[c]) if v else 0.0 for c in self.classes
         }
-        self._rows: dict[str, tuple[float, ...]] = {}
+        self._unseen_row = tuple(self.unseen_log_likelihood.values())
 
     @property
     def feature_counts(self) -> dict[str, Counter[str]]:
@@ -168,7 +183,8 @@ class NaiveBayesModel:
         model = object.__new__(type(self))
         model.smoothing, model.method, model.variants = self.smoothing, self.method, self.variants
         model._counts, model._held = self._counts, feature_counts
-        model.vocabulary = _Vocabulary(self.vocabulary, dropped)
+        model._table, model._rows = self._table, {}
+        model.vocabulary = _Vocabulary(self._table, dropped)
         model._fit(
             {c: d - doc_counts.get(c, 0) for c, d in self.doc_counts.items() if d > doc_counts.get(c, 0)},
             {
@@ -178,32 +194,36 @@ class NaiveBayesModel:
         )
         return model
 
-    def _rows_for(self, features: Iterable[str]) -> list[tuple[float, ...]]:
+    def _rows_for(self, features: Collection[str]) -> list[tuple[float, ...]]:
         """The row of each of ``features``, in order, filling the rows not
-        yet taken."""
+        yet taken. A feature outside the corpus table has the unseen row,
+        which is returned but neither computed nor stored."""
         rows = self._rows
-        new = [f for f in features if f not in rows]
-        if new:
-            smoothing, held, columns = self.smoothing, self._held, []
-            for c in self.classes:
-                denominator, unseen = self._denominator[c], self.unseen_log_likelihood[c]
-                counts = self._counts[c]
-                if c in held:
-                    # A feature the class holds loses its held-out count,
-                    # and is unseen if that was all of it.
-                    held_count = held[c].get
-                    columns.append([
-                        math.log((left + smoothing) / denominator)
-                        if count is not None and (left := count - held_count(f, 0)) else unseen
-                        for f, count in zip(new, map(counts.get, new))
-                    ])
-                else:
-                    columns.append([
-                        unseen if count is None else math.log((count + smoothing) / denominator)
-                        for count in map(counts.get, new)
-                    ])
-            rows.update(zip(new, zip(*columns)))
-        return [rows[f] for f in features]
+        found = list(map(rows.get, features))
+        if all(found):
+            return found
+        # the features that have no row yet, of those the corpus table holds
+        new = list(filter(self._table.__contains__, compress(features, map(not_, found))))
+        smoothing, held, columns = self.smoothing, self._held, []
+        for c in self.classes:
+            denominator, unseen = self._denominator[c], self.unseen_log_likelihood[c]
+            counts = self._counts[c]
+            if c in held:
+                # A feature the class holds loses its held-out count,
+                # and is unseen if that was all of it.
+                held_count = held[c].get
+                columns.append([
+                    math.log((left + smoothing) / denominator)
+                    if count is not None and (left := count - held_count(f, 0)) else unseen
+                    for f, count in zip(new, map(counts.get, new))
+                ])
+            else:
+                columns.append([
+                    unseen if count is None else math.log((count + smoothing) / denominator)
+                    for count in map(counts.get, new)
+                ])
+        rows.update(zip(new, zip(*columns)))
+        return list(map(rows.get, features, repeat(self._unseen_row)))
 
 
 def train(

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from archive_recommender import archives, cli
 from archive_recommender.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_OK, EXIT_USAGE, main
 from archive_recommender.config import Settings, load_settings
-from archive_recommender.nbayes import load_model
+from archive_recommender.nbayes import load_model, save_model
 from archive_recommender.ontology import load_index, save_index
 from conftest import closed_port
 
@@ -899,6 +899,27 @@ class TestTrainAndEvaluate:
         assert head["classes"] == 4
         model = load_model(model_path)
         assert set(model.classes) == {"Arts", "Science", "Society", "Sports"}
+
+    def test_train_reports_the_vocabulary_of_its_counts(self, capsys, monkeypatch, taxonomy_index, tmp_path):
+        """The summary's ``vocabulary``, the ``v`` of the smoothing
+        denominator, is the number of distinct features over every class's
+        counts, for the model written and for the model read back."""
+        written = []
+
+        def saving(model, path):
+            written.append(model)
+            save_model(model, path)
+
+        monkeypatch.setattr(cli, "save_model", saving)
+        model_path = tmp_path / "l1.model"
+        code, out, _ = run(
+            capsys, "train", "--index", str(taxonomy_index), "--model-out", str(model_path), "--output", "records",
+        )
+        assert code == EXIT_OK
+        vocabulary = records_of(out)[0]["vocabulary"]
+        for model in (*written, load_model(model_path)):
+            assert vocabulary == len(frozenset().union(*model.feature_counts.values())) == len(model.vocabulary)
+        assert len(written) == 1 and vocabulary > 0
 
     def test_train_rejects_unknown_variant(self, capsys, taxonomy_index, tmp_path):
         code, _, err = run(

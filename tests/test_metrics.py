@@ -24,7 +24,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from archive_recommender import nbayes
 from archive_recommender.metrics import (
@@ -37,6 +37,7 @@ from archive_recommender.metrics import (
 from archive_recommender.pipeline import L1_METHOD, L1_VARIANTS, build_l1_corpus
 from archive_recommender.uri import TokenMethod, TokenVariant, tokenize
 from conftest import count_calls
+from test_nbayes import EagerModel, _counts
 
 TOL = 1e-9
 
@@ -315,6 +316,46 @@ def test_counted_once_equals_retraining(case, method, variants, smoothing):
             assert [f in model.vocabulary for f in features] == [f in trained.vocabulary for f in features]
             assert nbayes.classify(model, bag) == nbayes.classify(trained, bag)
             assert model._rows_for(features) == trained._rows_for(features)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    corpora_and_folds(),
+    st.sampled_from(TokenMethod),
+    st.sampled_from([0.5, 1.0]),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 39)), max_size=8),
+)
+@example(
+    case=([("http://news.com/", "A"), ("http://10.0.0.0/", "A"), ("http://news.com/", "A")], 2),
+    method=TokenMethod.TOKENS,
+    smoothing=0.5,
+    queries=[(False, 0), (True, 2), (False, 2)],
+)
+def test_queries_leave_a_trained_vocabulary_as_trained(case, method, smoothing, queries):
+    """Each fold's model from ``nbayes.train`` keeps the vocabulary of the
+    eager oracle, a frozenset of every feature counted, in membership and
+    in size, after any mix of ``classify`` and ``_rows_for`` calls with
+    features the fold never trained on; such a feature's row is the unseen
+    values. The size is the ``v`` of the smoothing denominator."""
+    corpus, folds = case
+    bags = [tokenize(u, method) for u, _ in corpus]
+    features = frozenset().union(*(bag.features for bag in bags)) | {"never-seen"}
+    for k in range(folds):
+        training = [(bag, label) for i, (bag, (_, label)) in enumerate(zip(bags, corpus)) if i % folds != k]
+        model = nbayes.train(training, smoothing)
+        oracle = EagerModel(*_counts([(bag.features, label) for bag, label in training]), smoothing)
+        unseen = tuple(oracle.unseen_log_likelihood[c] for c in oracle.classes)
+        for use_classify, i in queries:
+            query = (*bags[i % len(bags)].features, "never-seen")
+            if use_classify:
+                nbayes.classify(model, query)
+            else:
+                rows = model._rows_for(query)
+                assert [row for f, row in zip(query, rows) if f not in oracle.vocabulary] == [
+                    unseen for f in query if f not in oracle.vocabulary
+                ]
+        assert len(model.vocabulary) == len(oracle.vocabulary)
+        assert {f for f in features if f in model.vocabulary} == oracle.vocabulary
 
 
 class TestCountedOnce:

@@ -208,6 +208,22 @@ class TestLess:
             derived.less({"A": 1}, {"A": Counter(["x", "y"])})
 
 
+def test_filled_rows_are_keyed_by_the_vocabularys_own_strings():
+    """A trained model's row table is its vocabulary: a query fills the
+    slots of the features it holds, and each slot keeps the corpus's own
+    ``str`` object, not the query's copy, nor a slot for a feature the
+    corpus never held."""
+    model = train([(["news", "sport", "news"], "A"), (["sport", "music"], "B"), (["art"], "B")])
+    query = ["".join(list(feature)) for feature in ("news", "music", "sport", "music", "never-seen")]
+    assert not any(copy is feature for copy in query for feature in ("news", "sport", "music"))
+    classify(model, query)
+    model._rows_for(query)
+    corpus_keys = {id(feature) for counts in model.feature_counts.values() for feature in counts}
+    assert {id(feature) for feature in model._rows} == corpus_keys
+    assert len(model._rows) == len(model.vocabulary) == 4
+    assert sorted(f for f, row in model._rows.items() if row is not None) == ["music", "news", "sport"]
+
+
 class TestPersistence:
     def test_roundtrip_exact(self, tmp_path, toy_model):
         path = tmp_path / "model.nb"
@@ -406,3 +422,4 @@ def test_lazy_model_matches_eager_oracle(tmp_path_factory, case, rng):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [expected * 3] * 4
+    assert len(shared.vocabulary) == len(oracle.vocabulary)
