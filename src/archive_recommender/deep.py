@@ -143,10 +143,11 @@ class CategoryVectorIndex:
       ``classify_deep`` has fitted, keyed by the usable candidates' path
       texts in order and the smoothing; at most ``MODELS_PER_INDEX``.
       A model holds one table slot per gram of its candidates, at most the
-      index's grams, and fills a slot with its row when a query holds the
-      gram. With every row filled and ten candidates that is about 180 B
-      per gram (CPython 3.11), so a full memo of a 1,400-gram subtree holds
-      at most about 4 MB.
+      index's grams, and fills a slot with the row of the gram's count
+      vector when a query holds the gram; grams with equal vectors share
+      one row. With every row filled and ten candidates that is about 46 B
+      per gram (CPython 3.11–3.13; 59 B on 3.10), so a full memo of a
+      1,400-gram subtree holds at most about 1 MB.
 
     Read-only once built, except ``models``, which grows under its lock
     and is left out of equality and ``repr``.

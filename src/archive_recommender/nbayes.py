@@ -6,6 +6,9 @@ model over top categories with ``train``; the deep stage builds a
 index's row counts and summed gram counts (``deep.classify_deep``). A
 training document is either a TokenBag or any plain sequence of feature
 strings; features count with multiplicity (gram generation repeats grams).
+A feature's log-likelihoods depend only on its count in each class, so a
+model keeps one row per distinct count vector, and every feature with that
+vector shares the row.
 """
 from __future__ import annotations
 
@@ -81,6 +84,26 @@ class _Vocabulary(AbstractSet[str]):
         return self._dropped.isdisjoint(features) and all(map(self._corpus.__contains__, features))
 
 
+class _RowsByVector(dict):
+    """A model's rows keyed by count vector: one count per class, in class
+    order, None or 0 where the class lacks the feature. A vector not yet
+    held is priced on lookup, and ``setdefault`` keeps the first row stored,
+    so threads that price one vector at once share one tuple."""
+
+    __slots__ = ("_smoothing", "_cells")
+
+    def __init__(self, smoothing: float, denominators: Iterable[float], unseen: Iterable[float]):
+        super().__init__()
+        self._smoothing, self._cells = smoothing, tuple(zip(denominators, unseen))
+
+    def __missing__(self, vector: tuple[int | None, ...]) -> tuple[float, ...]:
+        smoothing = self._smoothing
+        return self.setdefault(vector, tuple(
+            math.log((count + smoothing) / denominator) if count else unseen
+            for count, (denominator, unseen) in zip(vector, self._cells)
+        ))
+
+
 class NaiveBayesModel:
     """Immutable trained model; exposes raw counts for exact persistence.
 
@@ -91,8 +114,11 @@ class NaiveBayesModel:
     them, and subtracts them where it reads a count. Log-likelihoods are
     taken the first time a query holds a feature and kept as that feature's
     row: one float per class, in class order, the class's unseen value where
-    it never saw the feature. A model thus takes logs only of the features
-    it is queried with.
+    it never saw the feature. A row depends only on the feature's count
+    vector, its count in each class, and n-gram counts are Zipfian, so rows
+    are kept per distinct count vector: a model takes logs once for each
+    vector among the features it is queried with, and features with equal
+    vectors share one row tuple.
 
     Rows live in the corpus's table, one dict built from the class
     Counters' keys, which is also the vocabulary: ``vocabulary`` is its
@@ -102,7 +128,8 @@ class NaiveBayesModel:
     the table never grows. A derived model keeps its rows in a memo of its
     own, since they differ from the corpus model's, and its vocabulary is a
     view of the table less the features it dropped. Threads that fill one
-    feature at once store equal rows, so a shared model stays safe.
+    feature at once store the one row of its vector, so a shared model
+    stays safe.
 
     A model takes a smoothing that is finite, above 0, and leaves every
     class a finite denominator and an unseen likelihood above 0, so that
@@ -131,7 +158,8 @@ class NaiveBayesModel:
 
     def _fit(self, doc_counts: dict[str, int], sums: dict[str, int]) -> None:
         """Priors, denominators and unseen values from the document counts
-        and each class's total feature count."""
+        and each class's total feature count, and an empty table of rows by
+        count vector, since rows are priced with these denominators."""
         if not doc_counts:
             raise ValueError("cannot train on an empty corpus")
         if any(count <= 0 for count in doc_counts.values()):
@@ -156,6 +184,7 @@ class NaiveBayesModel:
             c: math.log(smoothing / self._denominator[c]) if v else 0.0 for c in self.classes
         }
         self._unseen_row = tuple(self.unseen_log_likelihood.values())
+        self._priced = _RowsByVector(smoothing, self._denominator.values(), self._unseen_row)
 
     @property
     def feature_counts(self) -> dict[str, Counter[str]]:
@@ -197,32 +226,31 @@ class NaiveBayesModel:
     def _rows_for(self, features: Collection[str]) -> list[tuple[float, ...]]:
         """The row of each of ``features``, in order, filling the rows not
         yet taken. A feature outside the corpus table has the unseen row,
-        which is returned but neither computed nor stored."""
+        which is returned but neither computed nor stored.
+
+        Rows are kept per distinct count vector, in ``_priced``. A
+        feature's vector is its count in each class, in class order, less
+        any held-out count, and None where the class has none left; every
+        slot with that vector holds its one row tuple."""
         rows = self._rows
         found = list(map(rows.get, features))
         if all(found):
             return found
         # the features that have no row yet, of those the corpus table holds
         new = list(filter(self._table.__contains__, compress(features, map(not_, found))))
-        smoothing, held, columns = self.smoothing, self._held, []
+        held, columns = self._held, []
         for c in self.classes:
-            denominator, unseen = self._denominator[c], self.unseen_log_likelihood[c]
-            counts = self._counts[c]
+            counts = self._counts[c].get
             if c in held:
                 # A feature the class holds loses its held-out count,
                 # and is unseen if that was all of it.
                 held_count = held[c].get
                 columns.append([
-                    math.log((left + smoothing) / denominator)
-                    if count is not None and (left := count - held_count(f, 0)) else unseen
-                    for f, count in zip(new, map(counts.get, new))
+                    count and (count - held_count(f, 0) or None) for f, count in zip(new, map(counts, new))
                 ])
             else:
-                columns.append([
-                    unseen if count is None else math.log((count + smoothing) / denominator)
-                    for count in map(counts.get, new)
-                ])
-        rows.update(zip(new, zip(*columns)))
+                columns.append(map(counts, new))
+        rows.update(zip(new, map(self._priced.__getitem__, zip(*columns))))
         return list(map(rows.get, features, repeat(self._unseen_row)))
 
 

@@ -485,13 +485,18 @@ class TestConfigErrors:
         return model, model.read_text("utf-8").splitlines()
 
     def test_saved_model_loads(self, capsys, fixtures_dir, saved_model):
+        """``recommend --model`` with the model ``train`` saved prints the
+        bytes that the same command prints when it trains its own, on a
+        deep route and an indexed one, as a table and as records."""
         model, _ = saved_model
-        code, out, err = run(
-            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir),
-            "--model", str(model), "--now", "2014-06-01T00:00:00Z",
-        )
-        assert code == EXIT_OK
-        assert "http://cs.odu.edu" in out and not err
+        for uri, route in (("http://odu.edu/compsci", "classified-deep"), ("http://cs.odu.edu", "ontology-hit")):
+            for output in ("table", "records"):
+                argv = ("recommend", uri, "--fixtures", str(fixtures_dir), "--now", "2014-06-01T00:00:00Z",
+                        "--output", output)
+                code, out, err = run(capsys, *argv, "--model", str(model))
+                assert code == EXIT_OK
+                assert "http://cs.odu.edu" in out and route in out and not err
+                assert (code, out, err) == run(capsys, *argv)
 
     @pytest.mark.parametrize("kind", ["orphan-feat", "repeated-class", "repeated-feat"])
     def test_model_file_with_inconsistent_records(self, capsys, fixtures_dir, saved_model, kind):

@@ -32,6 +32,7 @@ from archive_recommender.nbayes import (
     save_model,
     train,
 )
+from archive_recommender.pipeline import L1_METHOD, L1_VARIANTS, build_l1_corpus
 from archive_recommender.uri import TokenMethod, TokenVariant, tokenize
 
 TOY = [(["x", "y"], "A"), (["x"], "A"), (["y", "z"], "B")]
@@ -423,3 +424,37 @@ def test_lazy_model_matches_eager_oracle(tmp_path_factory, case, rng):
     assert not any(thread.is_alive() for thread in threads)
     assert results == [expected * 3] * 4
     assert len(shared.vocabulary) == len(oracle.vocabulary)
+    # threads that filled features of one count vector at once kept one row
+    filled = {feature: row for feature, row in shared._rows.items() if row is not None}
+    one_row: dict[tuple, tuple] = {}
+    for row, vector in zip(filled.values(), _count_vectors(shared, filled)):
+        assert one_row.setdefault(vector, row) is row
+
+
+def _count_vectors(model, features):
+    counts = model.feature_counts
+    return [tuple(counts[c].get(f) for c in model.classes) for f in features]
+
+
+@pytest.mark.parametrize("held_out", [0, 7], ids=["trained", "derived"])
+def test_features_with_one_count_vector_share_one_row(corpus_index, held_out):
+    """Every vocabulary slot of the first-level model of ``fixtures/``,
+    trained or derived with ``less``, filled at once: features with equal
+    count vectors hold the same row object, there are as many row objects
+    as vectors, and the posteriors equal both oracles'."""
+    corpus = [
+        (tokenize(uri, L1_METHOD, L1_VARIANTS).features, label) for uri, label in build_l1_corpus(corpus_index)
+    ]
+    kept = [item for i, item in enumerate(corpus) if not held_out or i % held_out]
+    model = train(corpus)
+    if held_out:
+        model = model.less(*_counts([item for i, item in enumerate(corpus) if not i % held_out]))
+    features = list(model.vocabulary)
+    rows = model._rows_for(features)
+    by_vector: dict[tuple, tuple] = {}
+    for row, vector in zip(rows, _count_vectors(model, features)):
+        assert by_vector.setdefault(vector, row) is row
+    assert len({id(row) for row in rows}) == len(by_vector) < len(features) / 10
+    oracle, retrained = EagerModel(*_counts(kept), 1.0), train(kept)
+    for query, _ in corpus[::3]:
+        assert classify(model, query) == eager_classify(oracle, query) == classify(retrained, query)
