@@ -10,22 +10,24 @@ Each entry is featurized once, when its vector index is built, and a build
 generates the grams of each distinct token once: tokens repeat across the
 entries of one index, so the build keeps each token's grams for its own
 entries and drops them when it returns. The index keeps, per gram, the
-rows holding it and their counts (postings), every row's norm and
-category, and every category's row count and summed counts. The cosine
-scoring walks the postings of the query's grams only, and the naive Bayes
-reads the summed counts, so no entry is featurized again per query. The
-index also keeps the naive Bayes model of each candidate set it has
-classified against, so a candidate set is fitted once. Pruning the
-candidates takes time linear in their number.
+rows holding it (postings): one byte string of row ids in ascending order,
+a row repeated once per occurrence of the gram in it. It also keeps every
+row's norm and category, and every category's row count and summed counts.
+The cosine scoring counts the rows in the postings of the query's grams
+only, and the naive Bayes reads the summed counts, so no entry is
+featurized again per query. The index also keeps the naive Bayes model of
+each candidate set it has classified against, so a candidate set is fitted
+once. Pruning the candidates takes time linear in their number.
 """
 from __future__ import annotations
 
 import math
 import threading
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Sequence
 
 from . import nbayes
@@ -132,7 +134,11 @@ class CategoryVectorIndex:
     category, so each category's rows are contiguous and ascending.
 
     - ``postings[gram]``: the rows that hold the gram, ascending, each
-      followed by the gram's count in it: ``row, count, row, count, ...``.
+      repeated once per occurrence of the gram in it (a row multiset, so
+      a row's multiplicity is the gram's count in it). The ids are packed
+      in ``bytes`` of the narrowest array typecode that holds every row id,
+      ``_row_typecode(len(norms))``: ``"B"`` up to 256 rows, then ``"H"``,
+      then ``"I"``; ``memoryview(posting).cast(code)`` reads them back.
     - ``norms[row]``: the Euclidean norm of the row's counts;
       ``row_category[row]``: the ordinal of the row's category.
     - ``paths[ordinal]``, ``row_counts[ordinal]``: the category's parsed
@@ -154,7 +160,7 @@ class CategoryVectorIndex:
     """
 
     grams: GramScheme
-    postings: dict[str, array]
+    postings: dict[str, bytes]
     norms: array
     row_category: array
     paths: tuple[CategoryPath, ...]
@@ -169,9 +175,12 @@ class CategoryVectorIndex:
     )
 
 
-# A new posting is copied from this one: copying an empty array costs about
-# half what the array constructor does.
-_EMPTY_POSTING = array("I")
+def _row_typecode(rows: int) -> str:
+    """The narrowest array typecode that holds the row ids of an index of
+    ``rows`` rows, 0 to ``rows - 1``: its postings are packed in it."""
+    if rows <= 1 << 8:
+        return "B"
+    return "H" if rows <= 1 << 16 else "I"
 
 
 def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVectorIndex:
@@ -179,7 +188,7 @@ def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVecto
     path; entries with no extractable features are left out."""
     if not len(index):
         raise ValueError("cannot build a vector index from an empty category index")
-    postings: dict[str, array] = {}
+    rows_by_gram: defaultdict[str, list[int]] = defaultdict(list)
     norms = array("d")
     row_category = array("I")
     paths: list[CategoryPath] = []
@@ -195,13 +204,10 @@ def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVecto
                 continue
             counts = Counter(features)
             row, squares = len(norms), 0
-            for gram, count in counts.items():
+            for count in counts.values():
                 squares += count * count
-                posting = postings.get(gram)
-                if posting is None:
-                    posting = postings[gram] = _EMPTY_POSTING[:]
-                posting.append(row)
-                posting.append(count)
+            for gram in features:  # the row once per occurrence
+                rows_by_gram[gram].append(row)
             norms.append(math.sqrt(squares))
             row_category.append(ordinal)
             total.update(features)
@@ -209,9 +215,12 @@ def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVecto
         paths.append(path)
         row_counts.append(rows)
         totals[str(path)] = total
+    code = _row_typecode(len(norms))
+    # bytes() packs a list of small ints itself, in half the time an array takes
+    pack = bytes if code == "B" else (lambda ids: array(code, ids).tobytes())
     return CategoryVectorIndex(
         grams=grams,
-        postings=postings,
+        postings=dict(zip(rows_by_gram, map(pack, rows_by_gram.values()))),
         norms=norms,
         row_category=row_category,
         paths=tuple(paths),
@@ -238,11 +247,12 @@ def top_candidates(
     grams from ``expand_query``; categories with zero similarity are
     omitted, so an orthogonal query yields [].
 
-    Scoring is term at a time: the integer dot product of every row that
-    shares a gram with the query is summed from the postings of the
-    query's distinct grams. Each category's cosines are then added in row
-    order, over its rows with a non-zero dot product only, so its mean is
-    the float that a scan of its rows would give."""
+    Scoring counts rows: the postings of the query's grams are joined, a
+    gram's once per occurrence in the query, so the number of times a row
+    occurs in the join is its integer dot product with the query. Each
+    category's cosines are then added in row order, over its rows with a
+    non-zero dot product only, so its mean is the float that a scan of its
+    rows would give."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if isinstance(query, TokenBag):
@@ -252,18 +262,12 @@ def top_candidates(
         return []
     qnorm = math.sqrt(sum(c * c for c in qvec.values()))
     postings, norms, row_category = vindex.postings, vindex.norms, vindex.row_category
-    dots = [0] * len(norms)
-    for gram, count in qvec.items():
-        posting = postings.get(gram)
-        if posting is not None:
-            pairs = iter(posting)
-            for row, row_count in zip(pairs, pairs):
-                dots[row] += count * row_count
+    joined = b"".join(map(postings.get, query, repeat(b"")))
+    dots = Counter(memoryview(joined).cast(_row_typecode(len(norms))))
     sums: dict[int, float] = {}
-    for row, dot in enumerate(dots):
-        if dot:
-            ordinal = row_category[row]
-            sums[ordinal] = sums.get(ordinal, 0.0) + dot / (qnorm * norms[row])
+    for row, dot in sorted(dots.items()):
+        ordinal = row_category[row]
+        sums[ordinal] = sums.get(ordinal, 0.0) + dot / (qnorm * norms[row])
     scored: list[CandidateCategory] = []
     for ordinal, total in sums.items():
         score = total / vindex.row_counts[ordinal]

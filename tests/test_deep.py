@@ -8,6 +8,7 @@ from array import array
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
+from itertools import groupby
 from typing import Sequence
 from unittest import mock
 
@@ -280,11 +281,15 @@ def entry_features_whole(entry: OntologyEntry, grams: GramScheme) -> list[str]:
     return token_grams(tokens, grams.sizes)
 
 
-def build_vector_index_per_entry(index: CategoryIndex, grams: GramScheme) -> CategoryVectorIndex:
-    """The build loop with each entry featurized on its own."""
+def build_vector_index_per_entry(
+    index: CategoryIndex, grams: GramScheme, pairs: dict[str, array] | None = None
+) -> CategoryVectorIndex:
+    """The build loop with each entry featurized on its own. It keeps each
+    gram's postings as (row, count) pairs, interleaved in an array, in
+    ``pairs`` when given, and packs them as row multisets at its end."""
     if not len(index):
         raise ValueError("cannot build a vector index from an empty category index")
-    postings: dict[str, array] = {}
+    postings: dict[str, array] = {} if pairs is None else pairs
     norms = array("d")
     row_category = array("I")
     paths: list[CategoryPath] = []
@@ -313,9 +318,14 @@ def build_vector_index_per_entry(index: CategoryIndex, grams: GramScheme) -> Cat
         paths.append(path)
         row_counts.append(rows)
         totals[str(path)] = total
+    code = deep._row_typecode(len(norms))
+    packed: dict[str, bytes] = {}
+    for gram, posting in postings.items():
+        items = iter(posting)
+        packed[gram] = array(code, [row for row, count in zip(items, items) for _ in range(count)]).tobytes()
     return CategoryVectorIndex(
         grams=grams,
-        postings=postings,
+        postings=packed,
         norms=norms,
         row_category=row_category,
         paths=tuple(paths),
@@ -463,9 +473,27 @@ class TestVectorIndex:
         assert vindex.paths == (P("Computers"), P("Computers/Hardware"))
         assert list(vindex.row_category) == [0, 1, 1]
         assert list(vindex.totals) == ["Computers", "Computers/Hardware"]
-        # (row, count) pairs, interleaved in one array per gram
-        assert list(vindex.postings["board"]) == [1, 1]
-        assert list(vindex.postings["example"][::2]) == [0, 1, 2]
+        # row ids, ascending, one byte each in an index of at most 256 rows
+        assert vindex.postings["board"] == bytes([1])
+        assert vindex.postings["example"] == bytes([0, 1, 2])
+
+    def test_a_row_occurs_once_per_occurrence_of_the_gram(self):
+        index = CategoryIndex(
+            [
+                entry("A", "http://chips.example.com/", "chips chips"),
+                entry("B", "http://boards.example.com/chips"),
+            ]
+        )
+        vindex = build_vector_index(index, GramScheme.ALL_GRAM)
+        assert vindex.postings["chips"] == bytes([0, 0, 0, 1])
+        assert vindex.postings["board"] == bytes([1])
+
+    @pytest.mark.parametrize(
+        "rows, code", [(1, "B"), (256, "B"), (257, "H"), (65_536, "H"), (65_537, "I"), (2**32, "I")]
+    )
+    def test_row_typecode_is_the_narrowest_that_holds_every_row_id(self, rows, code):
+        assert deep._row_typecode(rows) == code
+        assert rows - 1 < 256 ** array(code).itemsize
 
     def test_featureless_entries_are_excluded(self):
         index = CategoryIndex(
@@ -721,6 +749,48 @@ class TestPostings:
         assert candidates == top_candidates_by_row_scan(index, grams, query, n)
         assert P("C/Bare") not in [c.path for c in candidates]
 
+    @given(st.data(), st.sampled_from(list(GramScheme)), st.integers(1, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_same_as_the_row_scan_past_256_rows(self, data, grams, n):
+        index, bag, _ = data.draw(small_index_and_query())
+        # filler rows over a few words, spread over the index's categories,
+        # take it past 256 rows, so that its row ids are packed wider
+        paths = [str(path) for path in index.categories()]
+        words = ["board", "chips", "wafers", "boards", "circuit"]
+        rows = data.draw(st.integers(257, 300))
+        filler = [
+            entry(paths[k % len(paths)], f"http://{words[k % 5]}{k}.zz/{words[k * 3 % 5]}")
+            for k in range(rows)
+        ]
+        index = CategoryIndex([*index.all_entries(), *filler])
+        vindex = build_vector_index(index, grams)
+        assert deep._row_typecode(len(vindex.norms)) == "H"
+        indexed = expand_query(TokenBag(TokenMethod.TOKENS, frozenset(), tuple(words)), grams)
+        gram = st.sampled_from(indexed) | _NOISE
+        query = data.draw(st.just(expand_query(bag, grams)) | st.lists(gram, max_size=12))
+        candidates = top_candidates(vindex, query, n)
+        assert candidates == top_candidates_by_row_scan(index, grams, query, n)
+
+    @pytest.mark.parametrize("code", ["H", "I"])
+    def test_wider_row_ids_score_the_same(self, code):
+        """Every typecode packs the same postings: each fixture subtree,
+        built with its row ids forced wider, scores each of its entries as
+        the narrow build does."""
+        index = fixture_index()
+        for top in sorted({p.top for p in index.categories()}):
+            sub = CategoryIndex(index.entries_under(P(top)))
+            narrow = build_vector_index(sub, GramScheme.ALL_GRAM)
+            queries = [
+                expand_query(tokenize(e.uri, TokenMethod.TOKENS), GramScheme.ALL_GRAM) for e in sub.all_entries()
+            ]
+            expected = [top_candidates(narrow, query, 10) for query in queries]
+            with mock.patch.object(deep, "_row_typecode", return_value=code):
+                wide = build_vector_index(sub, GramScheme.ALL_GRAM)
+                assert [top_candidates(wide, query, 10) for query in queries] == expected, top
+            assert {g: len(p) for g, p in wide.postings.items()} == {
+                g: len(p) * array(code).itemsize for g, p in narrow.postings.items()
+            }, top
+
 
 class TestEvaluateDeep:
     def test_separable_taxonomy_recovers_full_paths(self, taxonomy):
@@ -942,6 +1012,17 @@ def repeating_index(draw) -> CategoryIndex:
     return CategoryIndex(entries)
 
 
+def posting_pairs(vindex: CategoryVectorIndex) -> dict[str, array]:
+    """Each gram's postings read back as (row, count) pairs, interleaved:
+    one pair per run of equal row ids, so the runs must be ascending rows."""
+    code = deep._row_typecode(len(vindex.norms))
+    pairs: dict[str, array] = {}
+    for gram, posting in vindex.postings.items():
+        runs = groupby(memoryview(posting).cast(code))
+        pairs[gram] = array("I", [x for row, run in runs for x in (row, len(list(run)))])
+    return pairs
+
+
 class TestGramMemo:
     """A build generates each distinct token's grams once, and builds the
     index that featurizing each entry on its own builds."""
@@ -961,15 +1042,24 @@ class TestGramMemo:
             assert list(total) == list(oracle.totals[key])
         assert vindex.models == {}
 
+    @given(repeating_index(), st.sampled_from(list(GramScheme)))
+    @settings(max_examples=100, deadline=None)
+    def test_postings_decode_to_the_pairs_of_a_build_per_entry(self, index, grams):
+        pairs: dict[str, array] = {}
+        build_vector_index_per_entry(index, grams, pairs)
+        assert posting_pairs(build_vector_index(index, grams)) == pairs
+
     @pytest.mark.parametrize("grams", list(GramScheme))
     def test_same_index_over_fixture_subtrees(self, grams):
         index = fixture_index()
         for top in sorted({p.top for p in index.categories()}):
             sub = CategoryIndex(index.entries_under(P(top)))
             vindex = build_vector_index(sub, grams)
-            oracle = build_vector_index_per_entry(sub, grams)
+            pairs: dict[str, array] = {}
+            oracle = build_vector_index_per_entry(sub, grams, pairs)
             assert vindex == oracle, top
             assert list(vindex.postings) == list(oracle.postings), top
+            assert posting_pairs(vindex) == pairs, top
             assert all(list(vindex.totals[k]) == list(oracle.totals[k]) for k in oracle.totals), top
 
     def test_each_distinct_token_expanded_once_per_build(self, monkeypatch):

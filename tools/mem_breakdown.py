@@ -9,7 +9,11 @@ benchmark does. It prints two things, each from a fresh interpreter with
 the benchmark's PYTHONHASHSEED of 0:
 
 - the process's resident set after generation, after set-up and after the
-  round, current and peak (the peak is the benchmark's ``peak_rss_mb``);
+  round, current and peak (the peak is the benchmark's ``peak_rss_mb``),
+  then, for the serving workloads, a census of the deep stage's subtree
+  indexes: their number, their posting entries and the bytes of the
+  postings, and the posting-key strings, as objects, as distinct values
+  and as values that are also keys of the first-level vocabulary;
 - what tracemalloc finds retained after set-up and the round, tracing from
   the start of set-up: the total, the share allocated under src/, and the
   ``--top`` source lines under src/ that hold the most.
@@ -75,6 +79,22 @@ def report_rss(stage: str) -> None:
     print(f"rss after {stage:<12} current {shown:>8} MiB   peak {peak:8.2f} MiB", flush=True)
 
 
+def report_census(recommender) -> None:
+    """The subtree indexes a ``Recommender`` holds, by ``sys.getsizeof``.
+    The first-level model is read as it stands, never trained here."""
+    postings = [vindex.postings for vindex in recommender._subtrees.values()]
+    posting_bytes = sum(sys.getsizeof(posting) for table in postings for posting in table.values())
+    print(f"deep census: {len(postings)} subtrees, {sum(map(len, postings))} posting entries, "
+          f"postings {posting_bytes / 1024:.1f} KiB")
+    keys = {id(key): key for table in postings for key in table}
+    values = set(keys.values())
+    model = recommender.model
+    shared = "-" if model is None else sum(map(model.vocabulary.__contains__, values))
+    key_bytes = sum(map(sys.getsizeof, keys.values()))
+    print(f"deep census: {len(keys)} posting-key objects, {len(values)} distinct values, "
+          f"{shared} of them first-level vocabulary keys, keys {key_bytes / 1024:.1f} KiB")
+
+
 def report_trace(snapshot: tracemalloc.Snapshot, top: int) -> None:
     ours = snapshot.filter_traces([tracemalloc.Filter(True, str(SRC / "*"))])
     total = sum(stat.size for stat in snapshot.statistics("filename"))
@@ -109,6 +129,8 @@ def run_part(args: argparse.Namespace) -> int:
             report_trace(snapshot, args.top)
         else:
             report_rss("round")
+            if isinstance(runner, run.Serving):
+                report_census(runner.recommender)
     if not outcome.correct or outcome.failed:
         print(f"mem_breakdown: {outcome.failed} of {outcome.attempted} operations failed",
               file=sys.stderr)
