@@ -24,7 +24,7 @@ def main() -> None:
     print(f"host:       {parsed.host}")
     print(f"registered: {parsed.registered_domain}   tld: {parsed.tld}")
     print(f"surt:       {canonicalize_surt(URI)}")
-    print(f"depth:      {depth(URI)}")
+    print(f"depth:      {depth(parsed)}")
     print()
 
     for method in TokenMethod:
@@ -48,7 +48,7 @@ def main() -> None:
     # structural flags help profile large URI collections
     dated = "http://news.example.com/2014/03/01/article.php?id=7"
     print(f"patterns in {dated}:")
-    print(f"  {sorted(detect_patterns(dated))}")
+    print(f"  {sorted(detect_patterns(parse_uri(dated)))}")
     print()
 
     # slugs and hostnames often glue dictionary words together

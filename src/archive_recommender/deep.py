@@ -501,11 +501,12 @@ def evaluate_deep(
     tallies: tuple[dict, ...] = ({}, {}, {}, {})
     for entry, agree in evaluated:
         right = agree == len(entry.category)
+        parsed = parse_uri(entry.uri, assume_http=True)
         keys = (
             entry.category.top,
-            depth(entry.uri),
-            host_dictionary_bucket(parse_uri(entry.uri, assume_http=True)),
-            "long_strings.hostname" in detect_patterns(entry.uri),
+            depth(parsed),
+            host_dictionary_bucket(parsed),
+            "long_strings.hostname" in detect_patterns(parsed),
         )
         for tally, key in zip(tallies, keys):
             bucket = tally.setdefault(key, [0, 0])

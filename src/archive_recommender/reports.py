@@ -88,7 +88,8 @@ def host_dictionary_bucket(parsed: ParsedUri) -> str:
 
 
 def analyze_uris(items: Iterable[tuple[str, str | None]]) -> DistributionReport:
-    """Build the distribution report from (uri, top_category_or_None) pairs."""
+    """Build the distribution report from (uri, top_category_or_None) pairs;
+    each URI is parsed once, and every fact is read off that parse."""
     tlds: Counter[str] = Counter()
     depths: Counter[int] = Counter()
     patterns: Counter[str] = Counter()
@@ -102,15 +103,13 @@ def analyze_uris(items: Iterable[tuple[str, str | None]]) -> DistributionReport:
     for uri, top in items:
         try:
             parsed = parse_uri(uri, assume_http=True)
-            uri_depth = depth(uri)
-            shown = detect_patterns(uri)
         except UriParseError:
             malformed += 1
             continue
         total += 1
         tlds[parsed.host.rsplit(".", 1)[-1] if not parsed.is_ip_host else "(ip)"] += 1
-        depths[uri_depth] += 1
-        patterns.update(shown)
+        depths[depth(parsed)] += 1
+        patterns.update(detect_patterns(parsed))
         letters = _host_letters(parsed)
         if letters not in bucket_of:
             bucket_of[letters] = dictionary_bucket(letters)

@@ -1,8 +1,13 @@
 """URI-level processing: parsing, SURT canonicalization, depth, tokenization,
 structural pattern detection, and reading the package's text input files.
 
-Everything else here is pure and operates on immutable inputs; the bundled
-stop-word list and public-suffix snapshot are loaded once and shared.
+``parse_uri`` is the one place a URI string is read. The facts of a URI
+(host, registered domain, TLD, depth, structural patterns) are read off its
+``ParsedUri``: a caller that needs several parses once and passes the parse
+on. ``tokenize`` and ``canonicalize_surt`` take the string and parse it
+themselves. Everything else here is pure and operates on immutable inputs;
+the bundled stop-word list and public-suffix snapshot are loaded once and
+shared.
 """
 from __future__ import annotations
 
@@ -149,18 +154,6 @@ class PublicSuffixList:
                 best = len(tail)
         return best if best else 1  # fallback: last label
 
-    def public_suffix(self, host: str) -> str:
-        labels = host.lower().rstrip(".").split(".")
-        n = self.suffix_label_count(host)
-        return ".".join(labels[-n:]) if n <= len(labels) else host.lower()
-
-    def registered_domain(self, host: str) -> str:
-        """Suffix plus one label; a host that *is* a suffix maps to itself."""
-        labels = host.lower().rstrip(".").split(".")
-        n = self.suffix_label_count(host)
-        take = min(len(labels), n + 1)
-        return ".".join(labels[-take:])
-
     @classmethod
     @lru_cache(maxsize=1)
     def bundled(cls) -> "PublicSuffixList":
@@ -214,8 +207,10 @@ def parse_uri(uri: str, *, assume_http: bool = False) -> ParsedUri:
 
     With ``assume_http`` a bare ``host/path`` string is accepted by
     prepending ``http://`` — convenient for directory dumps and CLI input.
-    Results are shared from a bounded cache of the most recently parsed
-    distinct strings; a string that fails to parse raises on every call.
+    The registered domain and TLD come from one walk of the public-suffix
+    rules over the host's labels. Results are shared from a bounded cache
+    of the most recently parsed distinct strings; a string that fails to
+    parse raises on every call.
     """
     if not isinstance(uri, str) or not uri.strip():
         raise UriParseError(str(uri), "uri", "empty input")
@@ -261,9 +256,9 @@ def _parse_checked(uri: str, assume_http: bool) -> ParsedUri:
         raise UriParseError(uri, "host", f"host label longer than {_MAX_LABEL} octets")
     if is_ip:
         registered, tld = host, ""
-    else:
-        psl = PublicSuffixList.bundled()
-        registered, tld = psl.registered_domain(host), psl.public_suffix(host)
+    else:  # a host that is a suffix is its own registered domain
+        n = PublicSuffixList.bundled().suffix_label_count(host)
+        registered, tld = ".".join(labels[-n - 1 :]), ".".join(labels[-n:])
     written = parts.netloc.rsplit("@", 1)[-1]
     # A bracketed IPv6 host holds colons of its own: take it up to its "]".
     written = written[1:].partition("]")[0] if written.startswith("[") else written.split(":")[0]
@@ -297,11 +292,11 @@ def canonicalize_surt(uri: str) -> str:
     return f"{host_part}){path}{query}"
 
 
-def depth(uri: str) -> int:
-    """Count non-empty path segments; one trailing index.html/home.html
-    segment does not count (a bare homepage URI has depth 0)."""
-    p = parse_uri(uri, assume_http=True)
-    segments = [s for s in p.path.split("/") if s]
+def depth(parsed: ParsedUri) -> int:
+    """Count the parsed URI's non-empty path segments; one trailing
+    index.html/home.html segment does not count (a bare homepage URI has
+    depth 0)."""
+    segments = [s for s in parsed.path.split("/") if s]
     if segments and segments[-1].lower() in ("index.html", "home.html"):
         segments.pop()
     return len(segments)
@@ -449,14 +444,14 @@ PATTERNS = (
 )
 
 
-def detect_patterns(uri: str) -> tuple[str, ...]:
-    """The names of the structural patterns the URI shows, in PATTERNS order.
+def detect_patterns(parsed: ParsedUri) -> tuple[str, ...]:
+    """The names of the structural patterns the parsed URI shows, in
+    PATTERNS order.
 
     Long string = 10+ contiguous letters; long slug = 2+ runs of 5+ letters
     separated by non-alphanumeric characters; case change is detected on the
     original (pre-lowercasing) text. Scheme choice never affects the result.
     """
-    parsed = parse_uri(uri, assume_http=True)
     raw_host = parsed.host_as_written
     path_side = parsed.path + (("?" + parsed.query) if parsed.query is not None else "")
     shown = (

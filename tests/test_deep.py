@@ -47,7 +47,7 @@ from archive_recommender.uri import (
     tokenize,
 )
 
-from conftest import FIXTURES, TAXONOMY_PATHS, build_taxonomy
+from conftest import FIXTURES, TAXONOMY_PATHS, build_taxonomy, count_calls
 
 
 def P(text: str) -> CategoryPath:
@@ -240,11 +240,12 @@ def evaluate_deep_by_steps(
     tallies: dict[tuple[str, object], list[int]] = {}
     for entry, predicted in evaluated:
         correct = evaluate_levels(entry.category, predicted, len(entry.category))
+        parsed = parse_uri(entry.uri, assume_http=True)
         keys = (
             ("category", entry.category.top),
-            ("depth", depth(entry.uri)),
-            ("dictionary", host_dictionary_bucket(parse_uri(entry.uri, assume_http=True))),
-            ("long", "long_strings.hostname" in detect_patterns(entry.uri)),
+            ("depth", depth(parsed)),
+            ("dictionary", host_dictionary_bucket(parsed)),
+            ("long", "long_strings.hostname" in detect_patterns(parsed)),
         )
         for section, key in keys:
             bucket = tallies.setdefault((section, key), [0, 0])
@@ -812,6 +813,12 @@ class TestEvaluateDeep:
         records = report.to_records()
         assert any(r["section"] == "level" for r in records)
         assert "Mi-F1" in report.to_table()
+
+    def test_breakdowns_parse_each_evaluated_entry_once(self, monkeypatch, corpus_index):
+        calls = count_calls(monkeypatch, {"parse_uri": parse_uri, "tokenize": tokenize})
+        report = evaluate_deep(corpus_index)
+        # Every tokenize call parses once; the breakdowns add one parse per evaluated entry.
+        assert len(calls["parse_uri"]) == len(calls["tokenize"]) + report.holdout
 
     def test_holdout_guard(self, taxonomy):
         with pytest.raises(ValueError):

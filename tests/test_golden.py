@@ -7,9 +7,10 @@ make it, regenerate the file and commit the diff with the change::
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-An argument holding ``{tmp}`` names a path in a fresh temporary
-directory: the replay puts that directory's path in its place, and puts
-``{tmp}`` back where the path shows in stdout.
+The replay sets ``COLUMNS`` to 80, so argparse wraps usage text as it
+does with no terminal. An argument holding ``{tmp}`` names a path in a
+fresh temporary directory: the replay puts that directory's path in its
+place, and puts ``{tmp}`` back where the path shows in stdout.
 
 ``--check`` replays every entry and exits 1 if any output differs. Like
 ``--write`` it needs only the standard library, so it runs on an
@@ -30,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_fixtures.json"
+USAGE_COLUMNS = "80"  # argparse's fallback width when stdout is no terminal
 
 # One URI per route: classified-deep, primary ontology hit, secondary hit
 # with no archived candidates, unclassifiable, and an IP host.
@@ -68,6 +70,10 @@ COMMANDS = [
     ["evaluate-deep", "--smoothing", "0.5"],
     ["ingest", "fixtures/corpus_500.tsv", "--index-out", "{tmp}/index.tsv"],
     ["ingest", "fixtures/dmoz_sample.rdf", "--format", "rdf", "--index-out", "{tmp}/index.tsv"],
+    # Exit 3 (a usage error) and exit 4 (an unsupported scheme, a setting check).
+    ["evaluate-deep", "--candidates", "0"],
+    ["recommend", "ftp://example.com/"],
+    ["recommend", "http://example.com/", "--top", "0"],
 ]
 ARGVS = [
     command + ["--fixtures", "fixtures", "--output", output]
@@ -95,6 +101,7 @@ def _load() -> list[dict]:
 def _at_root() -> None:
     for name in [name for name in os.environ if name.startswith("ARCHREC_")]:
         del os.environ[name]
+    os.environ["COLUMNS"] = USAGE_COLUMNS
     os.chdir(ROOT)
 
 
@@ -135,6 +142,7 @@ def at_root(monkeypatch):
     for name in list(os.environ):
         if name.startswith("ARCHREC_"):
             monkeypatch.delenv(name)
+    monkeypatch.setenv("COLUMNS", USAGE_COLUMNS)
     monkeypatch.chdir(ROOT)
 
 
