@@ -83,7 +83,9 @@ class DamageSource(Enum):
 # TimeMap datetimes are decoded by a fast path when they have exactly the
 # fixed form TimeMaps write; any other string goes to the general parser,
 # which stays the reference for what is accepted and what raises. The fast
-# path matches [0-9], not \d, which also takes non-ASCII digits.
+# path matches [0-9], not \d, which also takes non-ASCII digits. The page
+# scan's link pattern embeds this one, so a usual memento link's match
+# hands over the fields.
 _MONTH_DIGITS = {
     name: f"{number:02d}"
     for number, name in enumerate("Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(), 1)
@@ -130,29 +132,31 @@ def format_instant(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).isoformat(timespec="seconds")[:19] + "Z"
 
 
-def _link_time(raw: str) -> tuple[datetime, str]:
-    """A TimeMap ``datetime`` parameter (RFC 1123) as an aware UTC datetime
-    and its cache text. The fast path writes the text from the fields it
-    matched; a datetime the general parser read is formatted. Raises
-    ArchiveFetchError on a datetime that neither reads."""
-    try:
-        match = _RFC1123_DATETIME.fullmatch(raw) if isinstance(raw, str) else None
-        if match is None:
-            from email.utils import parsedate_to_datetime  # a fixture run never needs it
+def _rfc1123_stamp(raw: str | None) -> str | None:
+    """The ISO 8601 text ``YYYY-MM-DDTHH:MM:SS`` of a TimeMap datetime in the
+    strict RFC 1123 form, its fields reordered and unchecked; None for any
+    other value. The page scan writes the same text from its own match."""
+    match = _RFC1123_DATETIME.fullmatch(raw) if raw is not None else None
+    if match is None:
+        return None
+    day, month, year, clock = match.groups()
+    return f"{year}-{_MONTH_DIGITS[month]}-{day}T{clock}"
 
-            when = parsedate_to_datetime(raw)
-            if when.tzinfo is None:
-                when = when.replace(tzinfo=timezone.utc)
-            when = when.astimezone(timezone.utc)
-            return when, format_instant(when)
-        day, month, year, clock = match.groups()
-        iso = f"{year}-{_MONTH_DIGITS[month]}-{day}T{clock}"
-        # The constructor's range checks, in C; a zero offset reads as the
-        # timezone.utc singleton.
-        when = datetime.fromisoformat(iso + "+00:00")
+
+def _link_time(raw: str) -> tuple[datetime, str]:
+    """A TimeMap ``datetime`` parameter outside the strict RFC 1123 form,
+    read by the general parser, as an aware UTC datetime and its cache text.
+    Raises ArchiveFetchError on a datetime it does not read."""
+    from email.utils import parsedate_to_datetime  # a fixture run never needs it
+
+    try:
+        when = parsedate_to_datetime(raw)
+        if when.tzinfo is None:
+            when = when.replace(tzinfo=timezone.utc)
+        when = when.astimezone(timezone.utc)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ArchiveFetchError(f"bad datetime {raw!r} in TimeMap") from exc
-    return when, iso + "Z"
+    return when, format_instant(when)
 
 
 @dataclass(frozen=True)
@@ -256,21 +260,26 @@ def _split_quoted(text: str, separator: str) -> list[str]:
     return parts
 
 
-# The one-scan form of a link: ASCII blanks, <target>, `; key="value"`
-# parameters with token keys and quoted values free of escapes, then blanks
-# and a comma or the end of the text. On this form the split parser gives
-# exactly what the scan gives; every other text goes to the split parser.
-# The first branch takes the usual parameters, `; rel="..."` and an optional
-# `; datetime="..."`, and captures both values (groups 2 and 3); any other
-# link in the form matches the second branch, whose parameter span (group 4)
-# is read by _SIMPLE_PARAM.
+# The one-scan form of a link: ASCII blanks, <target> with no "<" or '"' in
+# the target, `; key="value"` parameters with token keys and quoted values
+# free of escapes, then blanks and a comma or the end of the text. On this
+# form the split parser gives exactly what the scan gives; every other text
+# goes to the split parser. The target is matched up to the first ">" and
+# then checked, which is cheaper than a class that excludes "<" and '"'.
+# The first branch takes the usual parameters: `; rel="..."`, an optional
+# `; datetime="..."` and an optional `; type="..."`. It captures the rel
+# (group 2) and the whole datetime (group 3), and a datetime in the strict
+# RFC 1123 form also as its day, month, year and clock (groups 4-7). Any
+# other link in the form matches the second branch, whose parameter span
+# (group 8) is read by _SIMPLE_PARAM.
 _BLANKS = r"[ \t\r\f\v]*"
 _TOKEN = r"[!#$%&'*+.^_`|~0-9A-Za-z-]+"
 _LINK_END = rf"{_BLANKS}(?:,|\Z)"
 _LINK = re.compile(
-    rf'{_BLANKS}<([^<>"]*)>(?:'
+    rf'{_BLANKS}<([^>]*)>(?:'
     rf'{_BLANKS};{_BLANKS}rel{_BLANKS}={_BLANKS}"([^"\\]*)"'
-    rf'(?:{_BLANKS};{_BLANKS}datetime{_BLANKS}={_BLANKS}"([^"\\]*)")?{_LINK_END}'
+    rf'(?:{_BLANKS};{_BLANKS}datetime{_BLANKS}={_BLANKS}"({_RFC1123_DATETIME.pattern}|[^"\\]*)")?'
+    rf'(?:{_BLANKS};{_BLANKS}type{_BLANKS}={_BLANKS}"[^"\\]*")?{_LINK_END}'
     rf'|((?:{_BLANKS};{_BLANKS}{_TOKEN}{_BLANKS}={_BLANKS}"[^"\\]*")*){_LINK_END})'
 )
 _SIMPLE_PARAM = re.compile(rf';{_BLANKS}({_TOKEN}){_BLANKS}={_BLANKS}"([^"\\]*)"')
@@ -313,51 +322,77 @@ def parse_timemap_links(page: str) -> tuple[list[tuple[str | None, str]], str | 
     return pairs, next_uri
 
 
-def _page_mementos(page: str) -> tuple[list[tuple[str | None, str]], str | None]:
-    """What ``parse_timemap_links`` returns for one TimeMap page. A page in
-    the one-scan form is read in that scan, one ``_LINK`` match per link.
-    A usual link, `; rel="..."` and an optional `; datetime="..."`, hands
-    over both values in its match; any other link's parameters are read
-    again by ``_SIMPLE_PARAM``, keeping the last ``rel`` and ``datetime``.
-    A page off the form goes to ``parse_timemap_links``."""
+# A memento link as the page scan hands it to the decoder: its raw datetime
+# (None if it has none), its target, and the raw datetime's ISO text if it is
+# in the strict RFC 1123 form (see _rfc1123_stamp), else None.
+_ScannedMemento = tuple[str | None, str, str | None]
+
+
+def _page_mementos(page: str) -> tuple[list[_ScannedMemento], str | None]:
+    """The memento links of one TimeMap page in page order, each with the
+    raw datetime and target that ``parse_timemap_links`` reads and its
+    strict-form text, and the target of the page's first rel="next" link.
+    A page in the one-scan form is read in that scan, one ``_LINK`` match
+    per link. A usual link (`; rel="..."`, then an optional `; datetime=
+    "..."` and an optional `; type="..."`) hands over its rel and datetime
+    in that match, and a strict-form datetime its fields too. Any other
+    link's parameters are read again by ``_SIMPLE_PARAM``, keeping the last
+    ``rel`` and ``datetime``. A page off the form goes to
+    ``parse_timemap_links``."""
     text = page.replace("\n", " ")
     match = _LINK.match
     params_of = _SIMPLE_PARAM.findall
-    pairs: list[tuple[str | None, str]] = []
+    mementos: list[_ScannedMemento] = []
     next_uri = None
     pos, end = 0, len(text)
     while pos < end:
         link = match(text, pos)
         if link is None:
-            return parse_timemap_links(page)
-        target, rel, raw, span = link.groups()
-        for key, value in params_of(span) if span else ():
-            key = key.lower()
-            if key == "rel":
-                rel = value
-            elif key == "datetime":
-                raw = value
+            break
+        target, rel, raw, day, month, year, clock, span = link.groups()
+        if "<" in target or '"' in target:
+            break
+        if span:
+            for key, value in params_of(span):
+                key = key.lower()
+                if key == "rel":
+                    rel = value
+                elif key == "datetime":
+                    raw = value
         if rel is not None:
             rels = rel.split()
             if "memento" in rels:
-                pairs.append((raw, target))
+                stamp = f"{year}-{_MONTH_DIGITS[month]}-{day}T{clock}" if day else _rfc1123_stamp(raw)
+                mementos.append((raw, target, stamp))
             if next_uri is None and "next" in rels:
                 next_uri = target
         pos = link.end()
-    return pairs, next_uri
+    else:
+        return mementos, next_uri
+    pairs, next_uri = parse_timemap_links(page)  # the scan stopped: the page is off the form
+    return [(raw, target, _rfc1123_stamp(raw)) for raw, target in pairs], next_uri
 
 
-def _evidence_from_pairs(
-    uri: str, pairs: Iterable[tuple[str | None, str]], truncated: bool
-) -> ArchiveEvidence:
-    """The evidence of a map's memento pairs, each decoded in page order, so
-    the first bad pair of the map names the error."""
+def _evidence_from_pairs(uri: str, scanned: Iterable[_ScannedMemento], truncated: bool) -> ArchiveEvidence:
+    """The evidence of a map's scanned memento links, each decoded in page
+    order, so the first bad link of the map names the error. A strict-form
+    datetime is decoded from its ISO text, and its raw value names it if the
+    date does not exist (31 Feb); any other goes to ``_link_time``."""
     mementos: list[tuple[datetime, str]] = []
     texts: list[str] = []
-    for raw, target in pairs:
-        if raw is None:
+    for raw, target, stamp in scanned:
+        if stamp is not None:
+            # The constructor's range checks, in C; a zero offset reads as
+            # the timezone.utc singleton.
+            try:
+                when = datetime.fromisoformat(stamp + "+00:00")
+            except ValueError as exc:
+                raise ArchiveFetchError(f"bad datetime {raw!r} in TimeMap") from exc
+            text = stamp + "Z"
+        elif raw is None:
             raise ArchiveFetchError(f"memento link without datetime: {target!r}")
-        when, text = _link_time(raw)
+        else:
+            when, text = _link_time(raw)
         mementos.append((when, target))
         texts.append(text)
     mementos.sort()
@@ -379,13 +414,13 @@ def fetch_timemap(source: TimemapSource, uri: str, max_pages: int = 5) -> Archiv
     page = source.get_timemap(uri)
     if page is None:
         return ArchiveEvidence(uri=uri, mementos=())
-    pairs: list[tuple[str | None, str]] = []
+    scanned: list[_ScannedMemento] = []
     seen: set[str] = set()
     truncated = False
     followed = 0
     while page is not None:
-        page_pairs, next_uri = _page_mementos(page)
-        pairs += page_pairs
+        page_mementos, next_uri = _page_mementos(page)
+        scanned += page_mementos
         if not next_uri:
             break
         if next_uri in seen or followed >= max_pages:
@@ -394,7 +429,7 @@ def fetch_timemap(source: TimemapSource, uri: str, max_pages: int = 5) -> Archiv
         seen.add(next_uri)
         page = source.get_page(next_uri)
         followed += 1
-    return _evidence_from_pairs(uri, pairs, truncated)
+    return _evidence_from_pairs(uri, scanned, truncated)
 
 
 def nearest_memento(evidence: ArchiveEvidence, requested: datetime) -> tuple[datetime, str]:

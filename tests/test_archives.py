@@ -139,8 +139,37 @@ class TestSplitQuoted:
 
 
 SPLIT_PARSER = parse_timemap_links  # the general reader, the oracle of the page scan
-PAGE_READERS = (archives._page_mementos, SPLIT_PARSER)
 SINGLE_PAGE_MEMENTO = "https://web.archive.org/web/20140110080000/http://a.example.com/"
+MONTH_NAMES = ["Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
+
+
+def strict_stamp(raw):
+    """Oracle of a scanned memento's ISO text: for a raw datetime in the
+    strict RFC 1123 form (``Www, DD Mon YYYY HH:MM:SS GMT``, as the form
+    regex alone takes it), its fields cut out by position and reordered;
+    None for any other value."""
+    if raw is None or not archives._RFC1123_DATETIME.fullmatch(raw):
+        return None
+    return f"{raw[12:16]}-{MONTH_NAMES.index(raw[8:11]) + 1:02d}-{raw[5:7]}T{raw[17:25]}"
+
+
+def scan_page(text):
+    """The page scan's read of a text in the split parser's shape: its
+    (raw datetime, target) pairs and next target. Each memento's ISO text,
+    which the split parser does not give, is checked against the oracle."""
+    mementos, next_uri = archives._page_mementos(text)
+    assert [stamp for _, _, stamp in mementos] == [strict_stamp(raw) for raw, _, _ in mementos]
+    return [(raw, target) for raw, target, _ in mementos], next_uri
+
+
+def decode_raw(raw):
+    """The (datetime, cache text) that a fetch decodes from one raw TimeMap
+    datetime, by its strict-form text if it has one."""
+    evidence = archives._evidence_from_pairs("http://x/", [(raw, "https://a/m", strict_stamp(raw))], False)
+    return evidence.mementos[0][0], evidence._texts[0]
+
+
+PAGE_READERS = (scan_page, SPLIT_PARSER)
 
 
 def read_outcome(read, text):
@@ -162,7 +191,7 @@ class TestLinkParsing:
             assert pairs == [("Fri, 10 Jan 2014 08:00:00 GMT", SINGLE_PAGE_MEMENTO)]
             assert next_uri is None
             assert read(SINGLE_PAGE + ', <https://agg/p2>; REL="prev next"') == (pairs, "https://agg/p2")
-        when, text = archives._link_time(pairs[0][0])
+        when, text = decode_raw(pairs[0][0])
         assert when == datetime(2014, 1, 10, 8, 0, 0, tzinfo=UTC)
         assert text == "2014-01-10T08:00:00Z"
 
@@ -175,7 +204,7 @@ class TestLinkParsing:
         for read in PAGE_READERS:
             for page in (text, escaped):  # the escaped quote is off the one-scan form
                 assert read(page) == ([("Mon, 10 Jun 2013 11:22:33 GMT", "http://x.example/a,b")], None)
-        assert archives._link_time("Mon, 10 Jun 2013 11:22:33 GMT")[0] == datetime(2013, 6, 10, 11, 22, 33, tzinfo=UTC)
+        assert decode_raw("Mon, 10 Jun 2013 11:22:33 GMT")[0] == datetime(2013, 6, 10, 11, 22, 33, tzinfo=UTC)
 
     def test_malformed_target_raises(self):
         for read in PAGE_READERS:
@@ -193,7 +222,7 @@ class TestLinkParsing:
         for read in PAGE_READERS:
             (pair,), _ = read('<http://x.example>; rel="memento"; datetime="not a date"')
             with pytest.raises(ArchiveFetchError) as raised:
-                archives._link_time(pair[0])
+                decode_raw(pair[0])
             assert str(raised.value) == "bad datetime 'not a date' in TimeMap"
 
     def test_year_past_c_int_raises_fetch_error(self):
@@ -202,7 +231,7 @@ class TestLinkParsing:
                 '<http://a/m>; rel="memento"; datetime="Mon, 01 Jan 99999999999 00:00:00 GMT"'
             )
             with pytest.raises(ArchiveFetchError) as raised:
-                archives._link_time(pair[0])
+                decode_raw(pair[0])
             assert isinstance(raised.value.__cause__, OverflowError)
 
 
@@ -293,10 +322,26 @@ PARAM_KEYS = st.one_of(
     st.sampled_from(["rel", "REL", "Rel", "datetime", "DateTime", "type"]),
     st.text(alphabet=TOKEN_CHARS, min_size=1, max_size=6),
 )
+
+
+@st.composite
+def strict_datetimes(draw):
+    """Datetimes in the strict RFC 1123 form, which the link match reads
+    field by field: real dates, and dates no calendar has (31 Feb, 29 Feb
+    2001, second 60), at the edges of the four-digit years the form takes.
+    Year 0999 and hour 24 fall just outside the form."""
+    weekday = draw(st.sampled_from(["Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"]))
+    day = draw(st.sampled_from(["01", "09", "28", "29", "30", "31"]))
+    year = draw(st.sampled_from(["0999", "1000", "1001", "2000", "2001", "2004", "9999"]))
+    clock = draw(st.sampled_from(["00:00:00", "23:59:59", "09:08:46", "24:00:00", "23:59:60"]))
+    return f"{weekday}, {day} {draw(st.sampled_from(MONTH_NAMES))} {year} {clock} GMT"
+
+
 PARAM_VALUES = st.one_of(
     st.sampled_from(["memento", "first memento", "Fri, 10 Jan 2014 08:00:00 GMT", "next"]),
     st.text(st.characters(blacklist_characters='"\\', blacklist_categories=("Cs",)), max_size=10),
     st.text(alphabet="ab ,;<>=\t\xa0", max_size=10),
+    strict_datetimes(),
 )
 
 
@@ -343,9 +388,49 @@ FALLBACK_TRIGGERS = {
 }
 
 
+# Parts of links in the shape TimeMaps write, each sometimes off the
+# one-scan form: a target holding "<" or '"', and a type value holding "\\",
+# '"' or "<".
+USUAL_TARGETS = st.one_of(
+    st.sampled_from(["https://a/web/1/http://x/", "https://a/web/2/http://x/?q=1,2", ""]),
+    LINK_TARGETS,
+    st.text(alphabet='ab/:<">', max_size=8),
+)
+TYPE_VALUES = st.one_of(
+    st.sampled_from(["application/link-format", "text/html", "", "a\\b", "x\\", 'a"b', "<", "text/<x>"]),
+    PARAM_VALUES,
+)
+LINK_DATETIMES = st.one_of(
+    strict_datetimes(),
+    st.sampled_from(["Wed, 26 Feb 2014 04:08:46 -0500", "Sat, 1 Mar 2014 09:08:46 GMT", "not a date", ""]),
+    PARAM_VALUES,
+)
+USUAL_RELS = ["memento", "first memento", "last memento", "first last memento", "original", "self", "next", "timegate"]
+
+
+@st.composite
+def usual_links(draw):
+    """One link in the shape TimeMaps write: `<target>; rel="..."`, then an
+    optional `; datetime="..."` and an optional `; type="..."`."""
+    blank = draw(SCAN_BLANKS)
+    link = f'<{draw(USUAL_TARGETS)}>{blank}; rel="{draw(st.sampled_from(USUAL_RELS))}"'
+    if draw(st.booleans()):
+        link += f'; datetime="{draw(LINK_DATETIMES)}"'
+    if draw(st.booleans()):
+        link += f';{blank}type="{draw(TYPE_VALUES)}"'
+    return link
+
+
+@st.composite
+def usual_timemaps(draw):
+    """A page of 1-5 links in the shape TimeMaps write, one per line."""
+    return ",\n".join(draw(st.lists(usual_links(), min_size=1, max_size=5))) + draw(st.sampled_from(["", "\n"]))
+
+
 ANY_TIMEMAP_TEXT = st.one_of(
     scannable_timemaps(),
     near_miss_timemaps(),
+    usual_timemaps(),
     st.text(alphabet='<>",;\\= a', max_size=40),
 )
 
@@ -369,8 +454,14 @@ class TestOneScanParsing:
     @example(text='<http://a/1> ; rel = "memento" ;\tdatetime\t=\t"x" , <http://a/2>;rel="next"')
     @example(text='<http://a/1>; rel="memento next"; datetime="x", <http://a/2>; rel="memento"')
     @example(text='<http://a/1>; rel="memento"; datetime="x"; type="text/html"')
+    # An escape in a datetime or type value of the usual form, and a target
+    # holding "<" or '"': off the form, so the escape may swallow a comma.
+    @example(text='<http://a/1>; rel="memento"; datetime="x\\", <http://a/2>; rel="memento"; datetime="y"')
+    @example(text='<http://a/1>; rel="self"; type="x\\", <http://a/2>; rel="memento"; datetime="y"')
+    @example(text='<http://a/"1>; rel="memento"; datetime="x", <http://a/2>; rel="next"')
+    @example(text='<http://a/<1>; rel="memento"; datetime="x", <http://a/2>; rel="next"')
     def test_scan_matches_split_parser(self, text):
-        assert read_outcome(archives._page_mementos, text) == read_outcome(SPLIT_PARSER, text)
+        assert read_outcome(scan_page, text) == read_outcome(SPLIT_PARSER, text)
 
     @given(text=ANY_TIMEMAP_TEXT)
     @example(text='<http://a/1>; rel="memento"; rel="next"; title="x\\"", <http://a/2>; rel=next')
@@ -386,7 +477,7 @@ class TestOneScanParsing:
         split = CountingSplitParser()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(archives, "parse_timemap_links", split)
-            read = archives._page_mementos(text)
+            read = scan_page(text)
         assert split.calls == 0
         assert read == SPLIT_PARSER(text)
 
@@ -394,7 +485,7 @@ class TestOneScanParsing:
     def test_fallback_triggers_go_to_split_parser(self, text, monkeypatch):
         split = CountingSplitParser()
         monkeypatch.setattr(archives, "parse_timemap_links", split)
-        assert read_outcome(archives._page_mementos, text) == read_outcome(SPLIT_PARSER, text)
+        assert read_outcome(scan_page, text) == read_outcome(SPLIT_PARSER, text)
         assert split.calls == 1
 
     def test_fixture_timemaps_take_fast_path(self, fixtures_dir, monkeypatch):
@@ -404,7 +495,7 @@ class TestOneScanParsing:
         assert paths
         for path in paths:
             text = path.read_text("utf-8")
-            assert archives._page_mementos(text) == SPLIT_PARSER(text), path.name
+            assert scan_page(text) == SPLIT_PARSER(text), path.name
         assert split.calls == 0
 
 
@@ -422,7 +513,7 @@ def cached_memento_datetime(text):
 
 def link_datetime(raw):
     try:
-        return archives._link_time(raw)[0]
+        return decode_raw(raw)[0]
     except ArchiveFetchError as exc:
         raise exc.__cause__
 
@@ -460,9 +551,6 @@ def cache_like_datetimes(draw):
     fields = [number(draw, 9999, 4)] + [number(draw, 99, 2) for _ in range(5)]
     text = "{}-{}-{}T{}:{}:{}".format(*fields) + draw(st.sampled_from(["Z", "z", "", "+00:00", "Z "]))
     return draw(some_digit_non_ascii(text))
-
-
-MONTH_NAMES = ["Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
 
 
 @st.composite
@@ -832,6 +920,7 @@ ODD_DATETIMES = [
     "Mon, 01 Jan 0050 00:00:00 GMT",
     "Wed, 26 Feb 2014 24:00:00 GMT",
     "Sun, 30 Feb 2014 00:00:00 GMT",
+    "Thu, 29 Feb 2001 00:00:00 GMT",
     "Wed, 26 Feb 2014 09:08:60 GMT",
     "Mon, 01 Jan 99999999999 00:00:00 GMT",
     "not a date",
@@ -962,6 +1051,177 @@ class TestPageScan:
         ]
         assert len(uris) == 9
         assert lines == expected
+
+
+# The decoder that the fused link match replaced, kept as its oracle: a
+# datetime in the strict form read by the form regex on its own, any other
+# by the general parser.
+def old_link_time(raw):
+    iso = strict_stamp(raw)
+    try:
+        if iso is None:
+            when = parsedate_link_datetime(raw)
+            return when, archives.format_instant(when)
+        when = datetime.fromisoformat(iso + "+00:00")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ArchiveFetchError(f"bad datetime {raw!r} in TimeMap") from exc
+    return when, iso + "Z"
+
+
+def fetch_timemap_by_split(source, uri, max_pages=5):
+    """Oracle of fetch_timemap: every page read by the split parser, then,
+    once every page is in, each memento decoded by ``old_link_time`` in
+    page order; the cache texts ride along as fetch_timemap keeps them."""
+    page = source.get_timemap(uri)
+    if page is None:
+        return ArchiveEvidence(uri=uri, mementos=())
+    pairs = []
+    seen = set()
+    truncated = False
+    followed = 0
+    while page is not None:
+        page_pairs, next_uri = SPLIT_PARSER(page)
+        pairs += page_pairs
+        if not next_uri:
+            break
+        if next_uri in seen or followed >= max_pages:
+            truncated = followed >= max_pages
+            break
+        seen.add(next_uri)
+        page = source.get_page(next_uri)
+        followed += 1
+    mementos, texts = [], []
+    for raw, target in pairs:
+        if raw is None:
+            raise ArchiveFetchError(f"memento link without datetime: {target!r}")
+        when, text = old_link_time(raw)
+        mementos.append((when, target))
+        texts.append(text)
+    evidence = ArchiveEvidence(uri=uri, mementos=tuple(sorted(mementos)), truncated=truncated)
+    object.__setattr__(evidence, "_texts", tuple(sorted(texts)))
+    return evidence
+
+
+def fetch_with_texts(fetch, source):
+    """The evidence a fetch makes of a map with its cache texts, or the
+    message it raised."""
+    try:
+        evidence = fetch(source, "http://x/")
+    except ArchiveFetchError as exc:
+        return ("ArchiveFetchError", str(exc))
+    return evidence, evidence._texts
+
+
+MAP_PAGE_URIS = [f"https://agg/timemap/link/http://x/?page={n}" for n in range(3)]
+
+
+@st.composite
+def usual_maps(draw):
+    """A map of 2-3 pages in the shape TimeMaps write, chained by rel="next"
+    links that carry a type, a page now and then pushed off the form."""
+    count = draw(st.integers(2, 3))
+    pages = []
+    for n in range(count):
+        links = ['<http://x/>; rel="original"', f'<{MAP_PAGE_URIS[n]}>; rel="self"; type="application/link-format"']
+        links += draw(st.lists(usual_links(), max_size=4))
+        if n + 1 < count:
+            links.append(f'<{MAP_PAGE_URIS[n + 1]}>; rel="next"; type="{draw(TYPE_VALUES)}"')
+        text = ",\n".join(links) + "\n"
+        if draw(st.integers(0, 3)) == 0:
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(NEAR_MISS_INSERTS)) + text[at:]
+        pages.append(text)
+    return MapSource(pages[0], pages=dict(zip(MAP_PAGE_URIS[1:], pages[1:])))
+
+
+# A page in the shape of the benchmark's generated TimeMaps.
+GENERATED_SHAPE_PAGE = (
+    '<http://x.example/a>; rel="original",\n'
+    '<https://agg/timemap/link/http://x.example/a>; rel="self"; type="application/link-format",\n'
+    '<https://agg/timegate/http://x.example/a>; rel="timegate",\n'
+    '<https://a/web/20010505034552/http://x.example/a>; rel="first memento"; datetime="Sat, 05 May 2001 03:45:52 GMT",\n'
+    '<https://a/web/20010601224418/http://x.example/a>; rel="memento"; datetime="Fri, 01 Jun 2001 22:44:18 GMT",\n'
+    '<https://a/web/20010612131912/http://x.example/a>; rel="memento"; datetime="Tue, 12 Jun 2001 13:19:12 GMT",\n'
+    '<https://agg/timemap/link/http://x.example/a?page=2>; rel="next"; type="application/link-format"\n'
+)
+# A strict-form date that no calendar has on page 1, then a page 2 that does
+# not parse: every page is read before any datetime is decoded.
+BAD_DATETIME_THEN_MALFORMED_PAGE = MapSource(
+    '<https://a/web/1/http://x/>; rel="memento"; datetime="Sun, 31 Feb 2014 00:00:00 GMT",\n'
+    f'<{MAP_PAGE_URIS[1]}>; rel="next"; type="application/link-format"',
+    pages={MAP_PAGE_URIS[1]: 'https://no-angles/; rel="memento"'},
+)
+
+
+class CountingLinkPattern:
+    """Stands in for ``archives._LINK``: counts its matches, and those made
+    by its second branch, whose parameter span is its last group."""
+
+    def __init__(self):
+        self.pattern = archives._LINK
+        self.matches = self.second_branch = 0
+
+    def match(self, text, pos):
+        link = self.pattern.match(text, pos)
+        if link is not None:
+            self.matches += 1
+            self.second_branch += link.group(self.pattern.groups) is not None
+        return link
+
+
+class TestFusedLinkMatch:
+    """The link match that hands over a strict-form datetime's fields, and
+    the decode that reads them, against the split parser and the decoder
+    they replaced."""
+
+    @given(source=usual_maps())
+    @example(source=BAD_DATETIME_THEN_MALFORMED_PAGE)
+    @example(  # the first of two dates that no calendar has names the error
+        source=MapSource(
+            '<https://a/web/1/http://x/>; rel="memento"; datetime="Sat, 01 Mar 2014 00:00:00 GMT",\n'
+            '<https://a/web/2/http://x/>; rel="memento"; datetime="Sun, 31 Feb 2014 00:00:00 GMT",\n'
+            '<https://a/web/3/http://x/>; rel="memento"; datetime="Thu, 29 Feb 2001 00:00:00 GMT"'
+        )
+    )
+    @example(source=MapSource('<https://a/web/1/http://x/>; rel="memento"; datetime="Wed, 01 Jan 1000 00:00:00 GMT"'))
+    @example(source=MapSource('<https://a/web/1/http://x/>; rel="memento"; datetime="Tue, 31 Dec 0999 23:59:59 GMT"'))
+    @example(
+        source=MapSource(
+            '<https://a/web/1/http://x/>; rel="memento"; datetime="Sat, 01 Mar 2014 00:00:00 GMT"; type="a\\",\n'
+            '<https://a/web/2/http://x/>; rel="memento"; datetime="Sun, 02 Mar 2014 00:00:00 GMT"'
+        )
+    )
+    @example(
+        source=MapSource(
+            '<https://a/web/1/http://x/>; rel="memento"; datetime="Sat, 01 Mar 2014 00:00:00 GMT\\",\n'
+            '<https://a/web/2/http://x/>; rel="memento"; datetime="Sun, 02 Mar 2014 00:00:00 GMT"'
+        )
+    )
+    @example(source=MapSource('<https://a/"1>; rel="memento"; datetime="Sat, 01 Mar 2014 00:00:00 GMT"'))
+    @example(source=MapSource('<https://a/<1>; rel="memento"; datetime="Sat, 01 Mar 2014 00:00:00 GMT"'))
+    def test_fetch_same_as_split_parser_and_old_decoder(self, source):
+        assert fetch_with_texts(fetch_timemap, source) == fetch_with_texts(fetch_timemap_by_split, source)
+
+    def test_bad_datetime_then_malformed_page(self):
+        outcome = ("ArchiveFetchError", "malformed link target 'https://no-angles/'")
+        assert fetch_with_texts(fetch_timemap, BAD_DATETIME_THEN_MALFORMED_PAGE) == outcome
+
+    def test_usual_pages_take_the_fused_match(self, fixtures_dir, monkeypatch):
+        """Every fixture page and a page in the generated shape: one
+        first-branch match per link, and no split parser, general datetime
+        parser or second match of a datetime."""
+        pages = [path.read_text("utf-8") for path in sorted((fixtures_dir / "timemaps").glob("*.link"))]
+        pages.append(GENERATED_SHAPE_PAGE)
+        link, split, general, restamped = CountingLinkPattern(), CountingSplitParser(), [], []
+        link_time, rfc1123_stamp = archives._link_time, archives._rfc1123_stamp
+        monkeypatch.setattr(archives, "_LINK", link)
+        monkeypatch.setattr(archives, "parse_timemap_links", split)
+        monkeypatch.setattr(archives, "_link_time", lambda raw: general.append(raw) or link_time(raw))
+        monkeypatch.setattr(archives, "_rfc1123_stamp", lambda raw: restamped.append(raw) or rfc1123_stamp(raw))
+        for page in pages:
+            assert fetch_timemap(MapSource(page), "http://x/").archived
+        assert link.matches == sum(page.count(">;") for page in pages)
+        assert (link.second_branch, split.calls, general, restamped) == (0, 0, [], [])
 
 
 MEMENTO_STAMPS = [datetime(2014, 1, day, hour, tzinfo=UTC) for day in (1, 2, 4) for hour in (0, 6)]
