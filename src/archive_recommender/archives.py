@@ -165,8 +165,8 @@ class ArchiveEvidence:
     mementos: tuple[tuple[datetime, str], ...]  # (datetime UTC, memento URI), sorted
     truncated: bool = False
     # The cache text of each memento datetime, in memento order, where
-    # fetch_timemap wrote it while decoding. Not a field: equality and repr
-    # do not see it.
+    # fetch_timemap wrote it while decoding, until the cache line is written
+    # (see _encode_timemap). Not a field: equality and repr do not see it.
     _texts = None
 
     @property
@@ -800,6 +800,15 @@ def _cached_rank(value: dict) -> tuple[int | None]:
     return _int_rank(rank)
 
 
+def _encode_timemap(evidence: ArchiveEvidence) -> dict:
+    """The cache value of a fetched TimeMap. Its memento texts are read for
+    this one line, so it releases them: written again, the line takes the
+    same texts from ``format_instant`` of the datetimes."""
+    value = evidence.to_json_dict()
+    object.__setattr__(evidence, "_texts", None)
+    return value
+
+
 # Each cached kind: its name in warnings, the encoder that writes a value to
 # its cache line, and the decoder that reads one back and raises on any value
 # it cannot read. decode(encode(v)) == v for every value a fetch returns
@@ -807,7 +816,7 @@ def _cached_rank(value: dict) -> tuple[int | None]:
 # so a fetched value stands for its line's decoded one. The TimeMap decoder
 # is looked up on each call, so a wrapper put on the class is seen.
 _CODECS = {
-    "timemap": ("TimeMap", ArchiveEvidence.to_json_dict, lambda value: ArchiveEvidence.from_json_dict(value)),
+    "timemap": ("TimeMap", _encode_timemap, lambda value: ArchiveEvidence.from_json_dict(value)),
     "popularity": ("popularity", lambda ranked: {"rank": ranked[0]}, _cached_rank),
     "damage": ("damage", DamageEvidence.to_json_dict, DamageEvidence.from_json_dict),
 }

@@ -9,7 +9,10 @@ Bayes model over the candidates picks the final path.
 Each entry is featurized once, when its vector index is built, and a build
 generates the grams of each distinct token once: tokens repeat across the
 entries of one index, so the build keeps each token's grams for its own
-entries and drops them when it returns. The index keeps, per gram, the
+entries and drops them when it returns. A build may be handed strings that
+are kept elsewhere anyway, such as the first-level model's grams of the
+subtree's class: a gram equal to one of them is that very object in the
+index, so the index keeps no copy of it. The index keeps, per gram, the
 rows holding it (postings): one byte string of row ids in ascending order,
 a row repeated once per occurrence of the gram in it. It also keeps every
 row's norm and category, and every category's row count and summed counts.
@@ -28,7 +31,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from typing import Sequence
+from typing import Collection, Sequence
 
 from . import nbayes
 from .ontology import CategoryIndex, CategoryPath, OntologyEntry
@@ -81,13 +84,16 @@ def entry_features(
     entry: OntologyEntry,
     grams: GramScheme,
     memo: dict[str, list[str]] | None = None,
+    strings: dict[str, str] | None = None,
 ) -> list[str]:
     """Gram features of one ontology entry: URI tokens plus title and
     description words, all expanded with the same scheme.
 
     ``memo`` maps a token to its grams under ``grams``. A vector index
     build passes one for all its entries, so each distinct token is
-    expanded once per build; without one, a fresh memo serves this entry."""
+    expanded once per build; without one, a fresh memo serves this entry.
+    ``strings`` maps each of some strings to itself: a gram equal to one of
+    them is given as that object, so that equal grams share it."""
     if memo is None:
         memo = {}
     tokens = list(tokenize(entry.uri, TokenMethod.TOKENS).features)
@@ -99,7 +105,10 @@ def entry_features(
     for token in tokens:
         expanded = memo.get(token)
         if expanded is None:
-            expanded = memo[token] = token_grams((token,), sizes)
+            expanded = token_grams((token,), sizes)
+            if strings:
+                expanded = list(map(strings.get, expanded, expanded))
+            memo[token] = expanded
         features += expanded
     return features
 
@@ -183,11 +192,19 @@ def _row_typecode(rows: int) -> str:
     return "H" if rows <= 1 << 16 else "I"
 
 
-def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVectorIndex:
+def build_vector_index(
+    index: CategoryIndex, grams: GramScheme, shared: Collection[str] = ()
+) -> CategoryVectorIndex:
     """Gram postings, row norms and summed counts per deepest category
-    path; entries with no extractable features are left out."""
+    path; entries with no extractable features are left out.
+
+    Every key of the postings, of the summed counts and of the models
+    fitted from them that equals a string of ``shared`` is that string
+    object. The build maps the strings to themselves once and drops the
+    map when it returns."""
     if not len(index):
         raise ValueError("cannot build a vector index from an empty category index")
+    strings = dict(zip(shared, shared)) if shared else None
     rows_by_gram: defaultdict[str, list[int]] = defaultdict(list)
     norms = array("d")
     row_category = array("I")
@@ -199,7 +216,7 @@ def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVecto
         ordinal, rows = len(paths), 0
         total: Counter[str] = Counter()
         for entry in index.entries_for(path):
-            features = entry_features(entry, grams, memo)
+            features = entry_features(entry, grams, memo, strings)
             if not features:
                 continue
             counts = Counter(features)
@@ -230,12 +247,15 @@ def build_vector_index(index: CategoryIndex, grams: GramScheme) -> CategoryVecto
     )
 
 
-def subtree_index(index: CategoryIndex, top: str, grams: GramScheme) -> CategoryVectorIndex:
-    """The vector index of the entries under one top-level category."""
+def subtree_index(
+    index: CategoryIndex, top: str, grams: GramScheme, shared: Collection[str] = ()
+) -> CategoryVectorIndex:
+    """The vector index of the entries under one top-level category, its
+    keys sharing the strings of ``shared`` (see ``build_vector_index``)."""
     entries = index.entries_under(CategoryPath((top,)))
     if not entries:
         raise DeepClassificationError(f"no indexed entries under {top}")
-    return build_vector_index(CategoryIndex(entries), grams)
+    return build_vector_index(CategoryIndex(entries), grams, shared)
 
 
 def top_candidates(

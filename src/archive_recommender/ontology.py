@@ -309,17 +309,21 @@ def load_index(path: str | Path) -> CategoryIndex:
     """Reload a saved index, trusting the sidecar to skip re-canonicalizing.
     Each entry's SURT, from the sidecar where it has one line per row, is
     also the key its TimeMap and popularity are cached under, so a sidecar
-    must hold ``canonicalize_surt`` of each URI. A row with no category
-    raises InputFileError."""
+    must hold ``canonicalize_surt`` of each URI. Rows with one category
+    text share one parsed path. A row with no category raises
+    InputFileError."""
     path = Path(path)
     rows: list[tuple[CategoryPath, str, str, str]] = []
+    categories: dict[str, CategoryPath] = {}  # by the text of the row
     for lineno, line in content_lines(read_lines(path)):
         parts = line.split("\t")
         parts += [""] * (4 - len(parts))
-        try:
-            category = CategoryPath.parse(parts[0])
-        except ValueError as exc:
-            raise InputFileError(f"{path}:{lineno}: malformed index row {line!r}: {exc}") from None
+        category = categories.get(parts[0])
+        if category is None:
+            try:
+                category = categories[parts[0]] = CategoryPath.parse(parts[0])
+            except ValueError as exc:
+                raise InputFileError(f"{path}:{lineno}: malformed index row {line!r}: {exc}") from None
         rows.append((category, parts[1], parts[2], parts[3]))
     sidecar = Path(str(path) + ".surt")
     surts: list[str] | None = None

@@ -148,7 +148,10 @@ class Recommender:
         key = (top, grams)
         with self._build_lock:
             if key not in self._subtrees:
-                self._subtrees[key] = subtree_index(self.index, top, grams)
+                # recommend trains the first-level model first; the build keys
+                # each gram by the model's own string of it in this class.
+                shared = self.model.feature_counts[top]
+                self._subtrees[key] = subtree_index(self.index, top, grams, shared)
             return self._subtrees[key]
 
     def recommend(self, request: RecommendationRequest, now: datetime | None = None) -> RecommendationResult:

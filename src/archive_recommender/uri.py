@@ -169,8 +169,9 @@ def load_stopwords() -> frozenset[str]:
 # Parsing
 
 
-# Parses kept, one per distinct (URI string, assume_http) pair: a few
-# thousand covers an index of that size plus its lost and logged URIs.
+# Parses kept, one per distinct URI string, and one more for a string
+# without "://" that is parsed with assume_http both ways: a few thousand
+# covers an index of that size plus its lost and logged URIs.
 PARSE_CACHE_SIZE = 4096
 
 
@@ -214,7 +215,9 @@ def parse_uri(uri: str, *, assume_http: bool = False) -> ParsedUri:
     """
     if not isinstance(uri, str) or not uri.strip():
         raise UriParseError(str(uri), "uri", "empty input")
-    return _parse_checked(uri, assume_http)
+    # The flag is read only where "://" is missing, so elsewhere both
+    # values share one memo entry.
+    return _parse_checked(uri, assume_http and "://" not in uri)
 
 
 def _split(uri: str, text: str) -> SplitResult:

@@ -1730,6 +1730,26 @@ class TestCacheLineBytes:
         assert path.read_bytes() == (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
 
 
+    @given(pages=timemap_page_chains())
+    @example(pages=chained_pages([[("Mon, 01 Jan 0999 00:00:00 GMT", 1), ("Mon, 01 Jan 0050 00:00:00 EST", 2)]]))
+    @example(pages=chained_pages([[("Sun, 31 Dec 9998 23:59:59 -0500", 1), ("Sat, 01 Mar 2014 00:00:00 GMT", 0)]]))
+    def test_released_texts_write_the_same_line(self, tmp_path_factory, pages):
+        """A fetched TimeMap writes the same line with its texts and after
+        an earlier line released them: the bytes of ``json.dumps``."""
+        source = MapSource(pages[0], pages={f"https://agg/page{i}": page for i, page in enumerate(pages)})
+        evidence = fetch_timemap(source, "http://x/")
+        assert evidence._texts is not None
+        record = {"provider": "gateway", "kind": "timemap", "surt": "s", "fetched_at": 1.0,
+                  "value": evidence.to_json_dict()}
+        expected = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        for _ in range(2):  # the first line releases the texts
+            path = tmp_path_factory.mktemp("cache", numbered=True) / "cache.jsonl"
+            with EvidenceCache(path, clock=lambda: 1.0) as cache:
+                cache.put("gateway", "timemap", "s", archives._CODECS["timemap"][1](evidence), evidence)
+            assert evidence._texts is None
+            assert path.read_bytes() == expected
+
+
 class ExplodingSource:
     def get_timemap(self, uri):
         raise AssertionError("should have come from cache")
@@ -1953,6 +1973,17 @@ class TestEvidenceService:
         result = evidence_for(service, "http://a.example.com", dt("20140301000000"))
         assert result.error and "502" in result.error
         assert not result.archive.archived
+
+    def test_evidence_held_by_the_cache_keeps_no_texts(self, fixtures_dir, tmp_path):
+        service = self.build(fixtures_dir)
+        fetched = evidence_for(service, "http://cs.gmu.edu", dt("20140301000000")).archive
+        assert fetched.archived and fetched._texts is not None  # no cache: no line, no release
+        cache = EvidenceCache(tmp_path / "cache.jsonl")
+        result = evidence_for(self.build(fixtures_dir, cache=cache), "http://cs.gmu.edu", dt("20140301000000"))
+        held = cache._entries[("gateway", "timemap", canonicalize_surt("http://cs.gmu.edu"))][1]
+        assert held is result.archive and held == fetched
+        assert held._texts is None
+        assert held.to_json_dict() == fetched.to_json_dict()
 
     def test_cache_avoids_refetch(self, fixtures_dir, tmp_path):
         cache = EvidenceCache(tmp_path / "cache.jsonl")

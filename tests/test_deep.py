@@ -34,6 +34,7 @@ from archive_recommender.deep import (
     PrunedTree,
 )
 from archive_recommender.ontology import CategoryIndex, CategoryPath, OntologyEntry, load_index
+from archive_recommender.pipeline import train_l1
 from archive_recommender.reports import host_dictionary_bucket
 from archive_recommender.uri import (
     TokenBag,
@@ -1139,3 +1140,105 @@ class TestLinearPruning:
         assert check_outcome(PrunedTree, node_set, frozenset()) == (
             check_outcome(check_tree_pairwise, node_set, frozenset())
         )
+
+
+# ---------------------------------------------------------------------------
+# Shared strings: a build handed strings keys every equal gram by them, and
+# builds the index, the candidates and the classifications of a build that
+# is handed none.
+
+
+def fresh(text: str) -> str:
+    """A string equal to ``text`` that is a new object (for two or more
+    characters; every gram has at least three)."""
+    return text.encode().decode()
+
+
+def check_keys_shared(vindex: CategoryVectorIndex, shared) -> int:
+    """Assert that each key of the postings, of the summed counts and of the
+    fitted models that equals a string of ``shared`` is that string object;
+    return how many such keys there are."""
+    own = {s: s for s in shared}
+    keys = [*vindex.postings]
+    for total in vindex.totals.values():
+        keys.extend(total)
+    for model in vindex.models.values():
+        keys.extend(model.vocabulary)
+    found = 0
+    for key in keys:
+        if key in own:
+            assert key is own[key], key
+            found += 1
+    return found
+
+
+def assert_keeps_own_strings(vindex: CategoryVectorIndex, shared) -> None:
+    """Assert that no key of the postings or summed counts is a string
+    object of ``shared``."""
+    own = {id(s) for s in shared}
+    assert own.isdisjoint(map(id, vindex.postings))
+    assert own.isdisjoint(id(key) for total in vindex.totals.values() for key in total)
+
+
+def assert_same_build(sharing: CategoryVectorIndex, plain: CategoryVectorIndex) -> None:
+    assert sharing == plain
+    assert list(sharing.postings) == list(plain.postings)
+    assert list(sharing.totals) == list(plain.totals)
+    for key, total in sharing.totals.items():
+        assert list(total.items()) == list(plain.totals[key].items())
+
+
+class TestSharedStrings:
+    @given(st.data(), st.sampled_from(list(GramScheme)), st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_generated_indexes(self, data, grams, n):
+        index, bag, tree_paths = data.draw(small_index_and_query())
+        indexed = sorted({g for e in index.all_entries() for g in entry_features(e, grams)})
+        string = st.sampled_from(indexed) | _NOISE if indexed else _NOISE
+        shared = [fresh(s) for s in data.draw(st.lists(string, max_size=30, unique=True))]
+        plain = build_vector_index(index, grams)
+        sharing = build_vector_index(index, grams, shared)
+        assert_same_build(sharing, plain)
+        query = expand_query(bag, grams)
+        candidates = top_candidates(sharing, query, n)
+        assert candidates == top_candidates(plain, query, n)
+        trees = [prune_tree(tree_paths)]
+        if candidates:
+            trees.append(prune_tree([c.path for c in candidates]))
+        for tree in trees:
+            assert deep_outcome(classify_deep, tree, sharing, query) == (
+                deep_outcome(classify_deep, tree, plain, query)
+            )
+        assert check_keys_shared(sharing, shared) >= len(set(shared).intersection(sharing.postings))
+
+    @pytest.mark.parametrize("grams", list(GramScheme))
+    def test_fixture_subtrees_with_the_first_level_strings(self, grams):
+        index = fixture_index()
+        model = train_l1(index)
+        for top in sorted({p.top for p in index.categories()}):
+            shared = model.feature_counts[top]
+            plain = subtree_index(index, top, grams)
+            sharing = subtree_index(index, top, grams, shared)
+            assert_same_build(sharing, plain)
+            for probe in index.entries_under(P(top)):
+                query = expand_query(tokenize(probe.uri, TokenMethod.TOKENS), grams)
+                candidates = top_candidates(sharing, query, 10)
+                assert candidates == top_candidates(plain, query, 10), probe.uri
+                if candidates:
+                    tree = prune_tree([c.path for c in candidates])
+                    assert deep_outcome(classify_deep, tree, sharing, query) == (
+                        deep_outcome(classify_deep, tree, plain, query)
+                    ), probe.uri
+            assert sharing.models, top
+            # first-level grams are 4 to 8 letters long, so 3-grams share none
+            assert (check_keys_shared(sharing, shared) > 0) is (grams is GramScheme.ALL_GRAM), top
+            assert_keeps_own_strings(plain, shared)
+
+    def test_entry_features_give_the_shared_objects(self):
+        e = entry("A", "http://boards.example.com/chips", "boards of chips")
+        shared = [fresh("boar"), fresh("chips"), fresh("zzzz")]
+        features = entry_features(e, GramScheme.ALL_GRAM, strings={s: s for s in shared})
+        assert features == entry_features(e, GramScheme.ALL_GRAM)
+        assert [f for f in features if f is shared[0]] == ["boar", "boar"]
+        assert [f for f in features if f is shared[1]] == ["chips", "chips"]
+        assert all(f is s for f in features for s in shared if f == s)

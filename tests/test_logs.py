@@ -11,12 +11,14 @@ from archive_recommender.logs import (
     ENGLISH_CCTLDS,
     HTML_EXTENSIONS,
     LogParseError,
+    analyze_requests,
     filter_access_log,
     filter_log_file,
     parse_access_log,
     parse_log_line,
     read_log_lines,
 )
+from archive_recommender.uri import _parse_checked
 
 GOOD_LINE = (
     "128.82.5.10 2012-02-02T10:23:41Z GET http://example.com/ HTTP/1.1 200 5120 "
@@ -245,6 +247,18 @@ class TestFixtureLog:
             "total_lines", "malformed", "non_200", "bad_uri", "bad_extension",
             "ip_host", "non_english_tld", "duplicate", "kept",
         ]
+
+    def test_report_reads_the_filters_parses(self, fixtures_dir):
+        """The filter parses each URI as logged and the report with
+        ``assume_http``; a URI with ``://`` is one memo entry for both."""
+        _parse_checked.cache_clear()
+        kept, _ = filter_log_file(fixtures_dir / "access_log_sample.log")
+        filtered = _parse_checked.cache_info()
+        analyze_requests(kept)
+        reported = _parse_checked.cache_info()
+        assert len(kept) == 7
+        assert reported.misses == filtered.misses
+        assert reported.hits - filtered.hits == len(kept)
 
     def test_stats_are_optional(self, fixtures_dir):
         lines = list(read_log_lines(fixtures_dir / "access_log_sample.log"))

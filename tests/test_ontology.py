@@ -6,6 +6,7 @@ import gzip
 import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
@@ -27,7 +28,9 @@ from archive_recommender.ontology import (
     lookup_requested,
     save_index,
 )
-from archive_recommender.uri import InputFileError, ParsedUri, TokenMethod, canonicalize_surt, parse_uri, tokenize
+from archive_recommender.uri import (
+    InputFileError, ParsedUri, TokenMethod, canonicalize_surt, content_lines, parse_uri, read_lines, tokenize,
+)
 
 TSV_SAMPLE = b"""\
 Computers/Internet\thttp://a.example.com/\tTitle A\tAbout A
@@ -289,6 +292,83 @@ class TestPersistence:
         assert len(corpus_index.entries_for(
             "Computers/Computer_Science/Academic_Departments/North_America/United_States/Virginia"
         )) == 10
+
+
+def load_index_per_row(path) -> CategoryIndex:
+    """``load_index`` as it was, parsing each row's category on its own."""
+    rows = []
+    for lineno, line in content_lines(read_lines(path)):
+        parts = line.split("\t")
+        parts += [""] * (4 - len(parts))
+        try:
+            category = CategoryPath.parse(parts[0])
+        except ValueError as exc:
+            raise InputFileError(f"{path}:{lineno}: malformed index row {line!r}: {exc}") from None
+        rows.append((category, parts[1], parts[2], parts[3]))
+    surt_path = Path(str(path) + ".surt")
+    surts = read_lines(surt_path) if surt_path.exists() else None
+    if surts is not None and len(surts) != len(rows):
+        surts = None
+    return CategoryIndex(
+        OntologyEntry(category=category, uri=uri, surt=surts[i] if surts else canonicalize_surt(uri),
+                      title=title or None, description=description or None)
+        for i, (category, uri, title, description) in enumerate(rows)
+    )
+
+
+def loaded_or_message(load, path):
+    try:
+        return list(load(path).all_entries())
+    except InputFileError as exc:
+        return str(exc)
+
+
+# Spellings of two paths, and texts that are no path
+CATEGORY_TEXTS = st.sampled_from(
+    ["Arts/Music", "Top/Arts/Music", "/Arts/Music/", " Arts//Music", "Arts", "Top/Arts", "", "///", "Top", "Top/"]
+)
+
+
+class TestOnePathPerCategoryText:
+    """``load_index`` parses each distinct category text once, and its rows
+    share the path."""
+
+    def test_fixture_rows_share_one_path_per_category(self, fixtures_dir):
+        path = fixtures_dir / "index.tsv"
+        entries = list(load_index(path).all_entries())
+        assert entries == loaded_or_message(load_index_per_row, path)
+        by_text: dict[str, set[int]] = {}
+        for e in entries:
+            by_text.setdefault(str(e.category), set()).add(id(e.category))
+        assert len(by_text) > 1 and all(len(ids) == 1 for ids in by_text.values())
+
+    @given(texts=st.lists(CATEGORY_TEXTS, min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_same_index_or_message_as_a_parse_per_row(self, tmp_path_factory, texts):
+        path = tmp_path_factory.mktemp("index", numbered=True) / "index.tsv"
+        uris = [f"http://h{k}.example.com/" for k in range(len(texts))]
+        path.write_text("".join(f"{text}\t{uri}\n" for text, uri in zip(texts, uris)), "utf-8")
+        outcome = loaded_or_message(load_index, path)
+        assert outcome == loaded_or_message(load_index_per_row, path)
+        if isinstance(outcome, str):
+            event("malformed")
+            return
+        text_of = dict(zip(uris, texts))
+        ids_by_text: dict[str, set[int]] = {}
+        for e in outcome:
+            ids_by_text.setdefault(text_of[e.uri], set()).add(id(e.category))
+        assert all(len(ids) == 1 for ids in ids_by_text.values())
+        assert len(set().union(*ids_by_text.values())) == len(ids_by_text)
+
+    def test_malformed_category_named_at_its_line(self, tmp_path):
+        path = tmp_path / "index.tsv"
+        path.write_text("Arts/Music\thttp://a.com/\n# note\nArts/Music\thttp://b.com/\nTop/\thttp://c.com/\n", "utf-8")
+        with pytest.raises(InputFileError) as raised:
+            load_index(path)
+        assert str(raised.value) == (
+            f"{path}:4: malformed index row 'Top/\\thttp://c.com/': category path needs at least one label"
+        )
+        assert str(raised.value) == loaded_or_message(load_index_per_row, path)
 
 
 class TestSecondaryLookup:

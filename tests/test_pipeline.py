@@ -43,6 +43,7 @@ from archive_recommender.pipeline import (
 from archive_recommender.ranking import rank
 from archive_recommender.uri import TokenMethod, canonicalize_surt, tokenize
 from conftest import FailingProvider, ForeignSource, count_calls
+from test_deep import check_keys_shared
 from test_golden import RECOMMEND_URIS
 from test_metrics import model_state
 
@@ -169,6 +170,15 @@ class TestClassifiedDeepRoute:
         assert calls == []
         assert result.route == "classified-deep"
         assert result == fresh
+
+    def test_subtrees_key_grams_by_the_first_level_strings(self, fixtures_dir, corpus_index):
+        shared = fixture_recommender(fixtures_dir, corpus_index)
+        for uri in SHARED_REQUEST_URIS:
+            shared.recommend(RecommendationRequest(uri=uri, datetime=REQUESTED), now=NOW)
+        assert len(shared._subtrees) > 1
+        for (top, grams), vindex in shared._subtrees.items():
+            assert vindex == deep.subtree_index(corpus_index, top, grams)
+            assert check_keys_shared(vindex, shared.model.feature_counts[top]) > 0, top
 
 
 class TestOntologyHitRoutes:

@@ -247,6 +247,26 @@ def test_cached_parse_matches_uncached_parse(uri, assume_http):
         assert first is not second  # a failure is raised afresh, never replayed
 
 
+@given(uri=st.one_of(
+    _URI_LIKE.filter(lambda text: "://" in text),
+    st.builds(lambda before, after: before + "://" + after, st.text(max_size=8), st.text(max_size=16)),
+))
+@example(uri=" http://example.com/a ")
+@example(uri="example.com/?next=http://x.org/")
+@example(uri="ftp://example.com/")
+@example(uri="://example.com")
+def test_assume_http_is_moot_where_the_scheme_separator_is_present(uri):
+    """Both flags parse a URI holding ``://`` alike, or fail alike, so the
+    memo keeps one entry for both."""
+    without, with_http = (_outcome(lambda: _parse_checked.__wrapped__(uri, flag)) for flag in (False, True))
+    if isinstance(without, Exception):
+        assert type(with_http) is type(without) and str(with_http) == str(without)
+        assert str(_outcome(lambda: parse_uri(uri, assume_http=True))) == str(without)
+    else:
+        assert with_http == without
+        assert parse_uri(uri) is parse_uri(uri, assume_http=True)
+
+
 def test_parse_cache_stays_bounded():
     for i in range(PARSE_CACHE_SIZE + 50):
         parse_uri(f"http://host{i}.example.org/page")
