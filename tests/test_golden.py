@@ -74,6 +74,9 @@ COMMANDS = [
     ["evaluate-deep", "--candidates", "0"],
     ["recommend", "ftp://example.com/"],
     ["recommend", "http://example.com/", "--top", "0"],
+    # A secondary-ontology hit that ranks an archived member: its similarity
+    # comes from a secondary entry's tokens.
+    ["recommend", "http://mickeymantle.com/", "--datetime", "2014-03-01", "--now", "2014-06-01T00:00:00Z"],
 ]
 ARGVS = [
     command + ["--fixtures", "fixtures", "--output", output]
