@@ -33,6 +33,7 @@ from .logs import analyze_requests, filter_log_file
 from .metrics import majority_baseline
 from .nbayes import SmoothingError, load_model, save_model
 from .ontology import (
+    CategoryIndex,
     FixtureOntologyProvider,
     IngestFormat,
     corpus_stats,
@@ -41,6 +42,8 @@ from .ontology import (
     save_index,
 )
 from .pipeline import (
+    L1_METHOD,
+    L1_VARIANTS,
     RecommendationRequest,
     Recommender,
     build_l1_corpus,
@@ -64,6 +67,9 @@ _VARIANTS = {
     "strip-numbers": TokenVariant.STRIP_NUMBERS,
     "strip-stopwords": TokenVariant.STRIP_STOPWORDS,
 }
+# The first-level defaults of train and evaluate-l1, by their flag names.
+_DEFAULT_METHOD = next(name for name, method in _METHODS.items() if method is L1_METHOD)
+_DEFAULT_VARIANTS = ",".join(name for name, variant in _VARIANTS.items() if variant in L1_VARIANTS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,6 +141,14 @@ def _resolve_index_path(settings: Settings) -> Path:
     raise ConfigError("no category index configured (use --index or a fixtures dir with index.tsv)")
 
 
+def _load_index(settings: Settings, trains: bool = False) -> CategoryIndex:
+    """The configured index, which must hold an entry if a model ``trains`` on it."""
+    index = load_index(path := _resolve_index_path(settings))
+    if trains and not len(index):
+        raise ConfigError(f"{path}: the category index holds no entries to train the first-level model on")
+    return index
+
+
 def _build_evidence_service(settings: Settings) -> EvidenceService:
     if settings.aggregator is not None:
         archive_source = MemGatorClient(settings.aggregator)
@@ -146,10 +160,8 @@ def _build_evidence_service(settings: Settings) -> EvidenceService:
             )
         archive_source = FixtureArchiveSource(timemaps)
 
-    popularity = None
     popularity_path = _fixture_path(settings, "popularity.tsv")
-    if popularity_path is not None:
-        popularity = FixturePopularityProvider(popularity_path)
+    popularity = FixturePopularityProvider(popularity_path) if popularity_path is not None else None
 
     if settings.damage_service is not None:
         damage = MementoDamageClient(settings.damage_service)
@@ -157,10 +169,7 @@ def _build_evidence_service(settings: Settings) -> EvidenceService:
         damage_path = _fixture_path(settings, "damage.tsv")
         damage = FixtureDamageProvider(damage_path) if damage_path is not None else None
 
-    cache = None
-    if settings.cache is not None:
-        cache = EvidenceCache(settings.cache, max_age=settings.cache_max_age)
-
+    cache = EvidenceCache(settings.cache, max_age=settings.cache_max_age) if settings.cache is not None else None
     return EvidenceService(
         archive_source=archive_source,
         popularity_provider=popularity,
@@ -173,22 +182,13 @@ def _build_evidence_service(settings: Settings) -> EvidenceService:
 
 
 def _build_recommender(settings: Settings) -> Recommender:
-    index = load_index(_resolve_index_path(settings))
+    index = _load_index(settings, trains=settings.model is None)
     model = load_model(settings.model) if settings.model is not None else None
-    secondary = None
-    secondary_path = (
-        Path(settings.secondary)
-        if settings.secondary is not None
-        else _fixture_path(settings, "secondary_ontology.jsonl")
-    )
-    if secondary_path is not None:
-        secondary = FixtureOntologyProvider(secondary_path)
-    return Recommender(
-        index=index,
-        evidence=_build_evidence_service(settings),
-        model=model,
-        secondary=secondary,
-    )
+    secondary_path = _fixture_path(settings, "secondary_ontology.jsonl")
+    if settings.secondary is not None:
+        secondary_path = Path(settings.secondary)
+    secondary = FixtureOntologyProvider(secondary_path) if secondary_path is not None else None
+    return Recommender(index, _build_evidence_service(settings), model, secondary)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ def _cmd_ingest(args: argparse.Namespace, settings: Settings) -> int:
 
 
 def _cmd_train(args: argparse.Namespace, settings: Settings) -> int:
-    index = load_index(_resolve_index_path(settings))
+    index = _load_index(settings, trains=True)
     method = _METHODS[args.method]
     variants = frozenset(_parse_variants(args.variants))
     model = train_l1(index, method, variants, args.smoothing)
@@ -317,7 +317,7 @@ def _recommend(recommender: Recommender, args: argparse.Namespace, settings: Set
 
 
 def _cmd_evaluate_l1(args: argparse.Namespace, settings: Settings) -> int:
-    index = load_index(_resolve_index_path(settings))
+    index = _load_index(settings)
     method = _METHODS[args.method]
     variants = _parse_variants(args.variants)
     corpus = build_l1_corpus(index)
@@ -335,7 +335,7 @@ def _cmd_evaluate_l1(args: argparse.Namespace, settings: Settings) -> int:
 
 
 def _cmd_evaluate_deep(args: argparse.Namespace, settings: Settings) -> int:
-    index = load_index(_resolve_index_path(settings))
+    index = _load_index(settings)
     report = evaluate_deep(
         index,
         holdout_fraction=args.holdout,
@@ -362,7 +362,7 @@ def _cmd_analyze_logs(args: argparse.Namespace, settings: Settings) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace, settings: Settings) -> int:
-    index = load_index(_resolve_index_path(settings))
+    index = _load_index(settings)
     report = corpus_stats(index)
     _emit(report.to_records(), report.to_table(), settings.output)
     return EXIT_OK
@@ -406,8 +406,8 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("train", parents=[shared], help="train the first-level URI classifier")
     p.add_argument("--model-out", dest="model_out", required=True, metavar="PATH")
-    p.add_argument("--method", choices=sorted(_METHODS), default="grams-uri")
-    p.add_argument("--variants", default="strip-tld,strip-numbers", metavar="LIST",
+    p.add_argument("--method", choices=sorted(_METHODS), default=_DEFAULT_METHOD)
+    p.add_argument("--variants", default=_DEFAULT_VARIANTS, metavar="LIST",
                    help="comma-separated: strip-tld,strip-numbers,strip-stopwords")
     p.add_argument("--smoothing", type=_smoothing, default=1.0)
     p.set_defaults(func=_cmd_train)
@@ -418,8 +418,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_recommend)
 
     p = commands.add_parser("evaluate-l1", parents=[shared], help="cross-validate first-level classification")
-    p.add_argument("--method", choices=sorted(_METHODS), default="grams-uri")
-    p.add_argument("--variants", default="strip-tld,strip-numbers", metavar="LIST")
+    p.add_argument("--method", choices=sorted(_METHODS), default=_DEFAULT_METHOD)
+    p.add_argument("--variants", default=_DEFAULT_VARIANTS, metavar="LIST")
     p.add_argument("--folds", type=_folds, default=10)
     p.add_argument("--smoothing", type=_smoothing, default=1.0)
     p.set_defaults(func=_cmd_evaluate_l1)

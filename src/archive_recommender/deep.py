@@ -6,21 +6,22 @@ mean cosine similarity, the top N categories become candidates, the
 candidate set is pruned with the ancestor-assistance rule, and a Naive
 Bayes model over the candidates picks the final path.
 
-Each entry is featurized once, when its vector index is built, and a build
-generates the grams of each distinct token once: tokens repeat across the
-entries of one index, so the build keeps each token's grams for its own
-entries and drops them when it returns. A build may be handed strings that
-are kept elsewhere anyway, such as the first-level model's grams of the
-subtree's class: a gram equal to one of them is that very object in the
-index, so the index keeps no copy of it. The index keeps, per gram, the
-rows holding it (postings): one byte string of row ids in ascending order,
-a row repeated once per occurrence of the gram in it. It also keeps every
-row's norm and category, and every category's row count and summed counts.
-The cosine scoring counts the rows in the postings of the query's grams
-only, and the naive Bayes reads the summed counts, so no entry is
-featurized again per query. The index also keeps the naive Bayes model of
-each candidate set it has classified against, so a candidate set is fitted
-once. Pruning the candidates takes time linear in their number.
+Each entry is featurized once, when its vector index is built, from the URI
+tokens it keeps for ranking too, and a build generates the grams of each
+distinct token once: tokens repeat across the entries of one index, so the
+build keeps each token's grams for its own entries and drops them when it
+returns. A build may be handed strings that are kept elsewhere anyway, such
+as the first-level model's grams of the subtree's class: a gram equal to
+one of them is that very object in the index, so the index keeps no copy of
+it. The index keeps, per gram, the rows holding it (postings): one byte
+string of row ids in ascending order, a row repeated once per occurrence of
+the gram in it. It also keeps every row's norm and category, and every
+category's row count and summed counts. The cosine scoring counts the rows
+in the postings of the query's grams only, and the naive Bayes reads the
+summed counts, so no entry is featurized again per query. The index also
+keeps the naive Bayes model of each candidate set it has classified
+against, so a candidate set is fitted once. Pruning the candidates takes
+time linear in their number.
 """
 from __future__ import annotations
 
@@ -86,8 +87,9 @@ def entry_features(
     memo: dict[str, list[str]] | None = None,
     strings: dict[str, str] | None = None,
 ) -> list[str]:
-    """Gram features of one ontology entry: URI tokens plus title and
-    description words, all expanded with the same scheme.
+    """Gram features of one ontology entry: its URI tokens
+    (``entry.tokens``, which the entry keeps) plus title and description
+    words, all expanded with the same scheme.
 
     ``memo`` maps a token to its grams under ``grams``. A vector index
     build passes one for all its entries, so each distinct token is
@@ -96,10 +98,7 @@ def entry_features(
     them is given as that object, so that equal grams share it."""
     if memo is None:
         memo = {}
-    tokens = list(tokenize(entry.uri, TokenMethod.TOKENS).features)
-    for text in (entry.title, entry.description):
-        if text:
-            tokens.extend(text_tokens(text))
+    tokens = [*entry.tokens, *text_tokens(entry.title or ""), *text_tokens(entry.description or "")]
     sizes = grams.sizes
     features: list[str] = []
     for token in tokens:
@@ -347,7 +346,8 @@ def classify_deep(
     query of grams from ``expand_query``. Each candidate's documents are
     its rows in ``vindex``, so the model is fitted from the cached row
     count and summed gram counts, once per candidate set: ``vindex``
-    keeps it for later queries with the same candidates."""
+    keeps it for later queries with the same candidates. The winner is
+    returned as the path the index holds."""
     if isinstance(query, TokenBag):
         raise ValueError(_NOT_GRAMS)
     doc_counts: dict[str, int] = {}
@@ -368,7 +368,7 @@ def classify_deep(
     outcome = nbayes.classify(model, query)
     if outcome.unclassifiable:
         raise DeepClassificationError("query shares no vocabulary with the candidates")
-    return CategoryPath.parse(outcome.label)
+    return vindex.paths[vindex.ordinals[outcome.label]]
 
 
 def refine(

@@ -27,7 +27,6 @@ from .uri import (
 
 __all__ = [
     "RETAINED_TOP_CATEGORIES",
-    "DROPPED_TOP_CATEGORIES",
     "CategoryPath",
     "OntologyEntry",
     "CategoryIndex",
@@ -61,7 +60,6 @@ RETAINED_TOP_CATEGORIES = frozenset(
         "Sports",
     }
 )
-DROPPED_TOP_CATEGORIES = frozenset({"World", "Regional", "Netscape", "Kids_and_Teens", "Adult"})
 _MAX_WARNINGS = 20  # an ingest report keeps only its first warnings
 
 
@@ -113,10 +111,12 @@ class OntologyEntry:
     description: str | None = None
 
     @cached_property
-    def tokens(self) -> frozenset[str]:
-        """The URI's TOKENS features, as ranking compares them for URI
-        similarity; worked out on first read and kept with the entry."""
-        return tokenize(self.uri, TokenMethod.TOKENS).as_set()
+    def tokens(self) -> tuple[str, ...]:
+        """The URI's TOKENS features, in order and with repeats: the deep
+        build expands them into the entry's grams, and ranking compares
+        them as a set for URI similarity. Worked out on first read and kept
+        with the entry, so each entry's URI is tokenized once."""
+        return tokenize(self.uri, TokenMethod.TOKENS).features
 
 
 @dataclass
@@ -331,18 +331,10 @@ def load_index(path: str | Path) -> CategoryIndex:
         candidate = read_lines(sidecar)
         if len(candidate) == len(rows):
             surts = candidate
-    entries = []
-    for i, (category, uri, title, description) in enumerate(rows):
-        entries.append(
-            OntologyEntry(
-                category=category,
-                uri=uri,
-                surt=surts[i] if surts else canonicalize_surt(uri),
-                title=title or None,
-                description=description or None,
-            )
-        )
-    return CategoryIndex(entries)
+    return CategoryIndex(
+        OntologyEntry(category, uri, surts[i] if surts else canonicalize_surt(uri), title or None, desc or None)
+        for i, (category, uri, title, desc) in enumerate(rows)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -232,10 +232,10 @@ class Recommender:
             return result([], REASON_NO_CANDIDATES)
 
         # Step 3: keep only candidates the archives actually hold. Their
-        # SURTs key the evidence, and their token sets the ranking.
+        # SURTs key the evidence, and their tokens the ranking.
         evidence_list = self.evidence.gather([(e.uri, e.surt) for e in entries], requested_dt)
         pages: list[CandidateEvidence] = []
-        page_tokens: list[frozenset[str]] = []
+        page_tokens: list[tuple[str, ...]] = []
         for entry, ev in zip(entries, evidence_list):
             if ev.error is not None:
                 dropped.append((ev.uri, f"evidence unavailable: {ev.error}"))

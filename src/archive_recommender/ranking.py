@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
 
 from .archives import CandidateEvidence, DamageEvidence, PopularityEvidence, format_instant
 
@@ -102,12 +102,13 @@ def popularity_score(evidence: PopularityEvidence) -> float:
     return min(max((rank_term + count_term) / 2.0, 0.0), 1.0)
 
 
-def uri_similarity(request_tokens: set[str], candidate_tokens: set[str]) -> float:
-    """Jaccard similarity of token sets; two empty sets score 0."""
-    union = request_tokens | candidate_tokens
+def uri_similarity(request_tokens: set[str] | frozenset[str], candidate_tokens: Iterable[str]) -> float:
+    """Jaccard similarity of the request's token set and the set of the
+    candidate's tokens, which may repeat; two empty sets score 0."""
+    union = len(request_tokens.union(candidate_tokens))
     if not union:
         return 0.0
-    return len(request_tokens & candidate_tokens) / len(union)
+    return len(request_tokens.intersection(candidate_tokens)) / union
 
 
 def archival_quality(evidence: DamageEvidence) -> float:
@@ -133,8 +134,8 @@ def rank(
     weights: RankWeights = RankWeights(),
     top_n: int | None = None,
     *,
-    request_tokens: set[str],
-    candidate_tokens: Sequence[frozenset[str]],
+    request_tokens: set[str] | frozenset[str],
+    candidate_tokens: Sequence[Collection[str]],
     requested: datetime,
     upper_bound: datetime,
     temporal_as_similarity: bool = True,
@@ -142,8 +143,9 @@ def rank(
 ) -> list[Recommendation]:
     """Score every archived candidate and return them best-first.
 
-    ``candidate_tokens`` holds each candidate's TOKENS feature set, in
-    candidate order; ``notes`` end every recommendation's explanations.
+    ``candidate_tokens`` holds each candidate's TOKENS features, in
+    candidate order, in any collection (an entry's ``tokens`` tuple, say),
+    compared as a set; ``notes`` end every recommendation's explanations.
     Ties on score break lexicographically by URI so output is reproducible.
     The temporal window runs from ``EARLIEST_ARCHIVE_DATE`` to
     ``upper_bound``. Each candidate is an archived record whose memento,
@@ -169,8 +171,8 @@ def rank(
             + weights.similarity * s
             + weights.quality * q
         )
-        shared = len(request_tokens & tokens)
-        union = len(request_tokens | tokens)
+        shared = len(request_tokens.intersection(tokens))
+        union = len(request_tokens.union(tokens))
         rank_text = (
             f"rank {candidate.popularity.global_rank}"
             if candidate.popularity.global_rank is not None

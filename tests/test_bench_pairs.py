@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,46 @@ def test_one_pair_has_its_values_as_quartiles():
     assert rows[0]["won"] == 1
 
 
+def row(metric, better, parent, change):
+    return {"metric": metric, "better": better, "parent": (0.0, parent, 0.0), "change": (0.0, change, 0.0)}
+
+
+def test_bound_checks_flag_a_median_worse_than_its_bound():
+    """A lower-is-better median 30% up and a higher-is-better one 10% down
+    are worse; each is flagged where the bound is smaller than that. A
+    metric with no bound is skipped."""
+    rows = [
+        row("request_p90_ms", "lower", 2.0, 2.6),
+        row("uris_per_s", "higher", 800.0, 720.0),
+        row("peak_rss_mb", "lower", 30.0, 29.0),
+        row("setup_s", "lower", 1.0, 9.0),
+    ]
+    bound = {"request_p90_ms": 0.24, "uris_per_s": 0.15, "peak_rss_mb": 0.1}
+    checks = {c["metric"]: c for c in bench_pairs.bound_checks(rows, bound)}
+    assert list(checks) == ["request_p90_ms", "uris_per_s", "peak_rss_mb"]
+    assert [checks[name]["relative"] for name in checks] == pytest.approx([0.3, -0.1, -1 / 30])
+    assert [checks[name]["over"] for name in checks] == [True, False, False]
+    assert bench_pairs.bound_checks(rows[1:2], {"uris_per_s": 0.05})[0]["over"] is True
+    lines = bench_pairs.format_bounds(list(checks.values()))
+    assert lines[1].split() == ["request_p90_ms", "+30.00%", "bound", "24%", "WORSE", "THAN", "ITS", "BOUND"]
+    assert lines[2].split() == ["uris_per_s", "-10.00%", "bound", "15%", "ok"]
+
+
+def test_bound_checks_read_the_medians_of_the_summary():
+    rows = bench_pairs.summarize(parsed_pairs(), BETTER)
+    checks = {c["metric"]: c for c in bench_pairs.bound_checks(rows, {"request_p90_ms": 0.24, "uris_per_s": 0.15})}
+    assert checks["request_p90_ms"]["relative"] == pytest.approx(2.55 / 2.85 - 1)
+    assert checks["uris_per_s"]["relative"] == pytest.approx(842.5 / 807.5 - 1)
+    assert not any(c["over"] for c in checks.values())
+
+
+def test_bound_checks_against_a_zero_parent_median():
+    (same,) = bench_pairs.bound_checks([row("setup_s", "lower", 0.0, 0.0)], {"setup_s": 0.25})
+    (worse,) = bench_pairs.bound_checks([row("setup_s", "lower", 0.0, 0.1)], {"setup_s": 0.25})
+    assert (same["relative"], same["over"]) == (0.0, False)
+    assert (worse["relative"], worse["over"]) == (math.inf, True)
+
+
 def test_seeds_as_a_range_or_a_list():
     assert bench_pairs.parse_seeds("801-804") == [801, 802, 803, 804]
     assert bench_pairs.parse_seeds("5,9") == [5, 9]
@@ -73,3 +114,6 @@ def test_directions_come_from_the_benchmark_file():
     better = bench_pairs.directions(benchmark)
     assert better["request_p90_ms"] == "lower"
     assert better["uris_per_s"] == "higher"
+    bound = bench_pairs.bounds(benchmark)
+    assert bound.keys() == better.keys()
+    assert bound["peak_rss_mb"] == 0.1

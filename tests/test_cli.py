@@ -22,6 +22,7 @@ from archive_recommender.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_OK, EXIT_USAGE
 from archive_recommender.config import Settings, load_settings
 from archive_recommender.nbayes import load_model, save_model
 from archive_recommender.ontology import load_index, save_index
+from archive_recommender.pipeline import L1_METHOD, L1_VARIANTS
 from conftest import closed_port
 
 TSV_DUMP = (
@@ -926,6 +927,13 @@ class TestTrainAndEvaluate:
             assert vocabulary == len(frozenset().union(*model.feature_counts.values())) == len(model.vocabulary)
         assert len(written) == 1 and vocabulary > 0
 
+    @pytest.mark.parametrize("argv", [["train", "--model-out", "m"], ["evaluate-l1"]], ids=["train", "evaluate-l1"])
+    def test_first_level_defaults_are_the_pipeline_constants(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert (args.method, args.variants) == ("grams-uri", "strip-tld,strip-numbers")
+        assert cli._METHODS[args.method] is L1_METHOD
+        assert frozenset(cli._parse_variants(args.variants)) == L1_VARIANTS
+
     def test_train_rejects_unknown_variant(self, capsys, taxonomy_index, tmp_path):
         code, _, err = run(
             capsys,
@@ -971,6 +979,41 @@ class TestTrainAndEvaluate:
         levels = [r for r in records_of(out) if r.get("section") == "level"]
         assert [r["key"] for r in levels] == [1, 2, 3]
         assert all(r["mi_f1"] == 1.0 for r in levels)
+
+
+class TestEmptyIndex:
+    """An index with no entries, which no first-level model can be trained on."""
+
+    @pytest.fixture(params=["", "# a comment\n#\n"], ids=["empty-file", "comments-only"])
+    def empty_index(self, request, tmp_path):
+        path = tmp_path / "index.tsv"
+        path.write_text(request.param, "utf-8")
+        return path
+
+    def expected_error(self, path):
+        return f"archrec: error: {path}: the category index holds no entries to train the first-level model on\n"
+
+    def test_train_exits_4(self, capsys, empty_index, tmp_path):
+        model = tmp_path / "l1.model"
+        code, out, err = run(capsys, "train", "--index", str(empty_index), "--model-out", str(model))
+        assert (code, out, err) == (EXIT_CONFIG, "", self.expected_error(empty_index))
+        assert not model.exists()
+
+    def test_recommend_without_a_model_exits_4(self, capsys, fixtures_dir, empty_index):
+        code, out, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir), "--index", str(empty_index)
+        )
+        assert (code, out, err) == (EXIT_CONFIG, "", self.expected_error(empty_index))
+
+    def test_recommend_with_a_model_finds_no_candidates(self, capsys, fixtures_dir, empty_index, tmp_path):
+        model = tmp_path / "l1.model"
+        assert run(capsys, "train", "--fixtures", str(fixtures_dir), "--model-out", str(model))[0] == EXIT_OK
+        code, out, err = run(
+            capsys, "recommend", "http://odu.edu/compsci", "--fixtures", str(fixtures_dir), "--index", str(empty_index),
+            "--model", str(model),
+        )
+        assert (code, err) == (EXIT_EMPTY, "")
+        assert "no recommendations: no candidates" in out
 
 
 class TestLogsAndStats:

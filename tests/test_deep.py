@@ -638,6 +638,21 @@ class TestClassifyDeep:
         assert str(classify_deep(tree, vindex, ["melody", "songs"])) == "Arts/Music"
         assert str(classify_deep(tree, vindex, ["cinema", "reels"])) == "Arts/Film"
 
+    def test_winner_is_the_path_the_index_holds(self):
+        """A path whose text parses to another path, with a leading Top
+        label or outer whitespace, is returned as itself, so its entries
+        are found under it."""
+        paths = [CategoryPath(("Top", "Arts", "Music")), CategoryPath(("Top", "Arts", "Film")),
+                 CategoryPath((" Arts", "Music "))]
+        uris = ["http://guitar.example.org/", "http://cinema.example.org/", "http://piano.example.org/"]
+        index = CategoryIndex(replace(entry("A", uri), category=path) for uri, path in zip(uris, paths))
+        vindex = build_vector_index(index, GramScheme.ALL_GRAM)
+        for uri, path in zip(uris, paths):
+            category = refine(vindex, tokenize(uri, TokenMethod.TOKENS), 10, 1.0)[0]
+            assert category == path
+            assert category is vindex.paths[vindex.ordinals[str(path)]]
+            assert [e.uri for e in index.entries_for(category)] == [uri]
+
     def test_no_usable_documents_raises(self):
         index = CategoryIndex([entry("Arts/Music", "http://melody.example.com/")])
         vindex = build_vector_index(index, GramScheme.ALL_GRAM)

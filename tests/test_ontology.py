@@ -15,7 +15,6 @@ from archive_recommender import reports
 from archive_recommender.ontology import (
     CategoryIndex,
     CategoryPath,
-    DROPPED_TOP_CATEGORIES,
     FixtureOntologyProvider,
     IngestFormat,
     LookupOutcome,
@@ -114,8 +113,6 @@ class TestIngestTsv:
 
     def test_category_constants(self):
         assert len(RETAINED_TOP_CATEGORIES) == 13
-        assert not RETAINED_TOP_CATEGORIES & DROPPED_TOP_CATEGORIES
-        assert "Regional" in DROPPED_TOP_CATEGORIES
 
 
 class TestIngestRdf:
@@ -227,11 +224,13 @@ class TestCategoryIndex:
             return tokenize(*args)
 
         monkeypatch.setattr(ontology, "tokenize", counted)
-        e = entry("Computers", "http://News.Example.com/World-Cup_2014?q=Final")
-        assert e.tokens == tokenize(e.uri, TokenMethod.TOKENS).as_set()
+        e = entry("Computers", "http://News.Example.com/News/World-Cup_2014?q=news")
+        # the features themselves, in order and with repeats, not a set of them
+        assert e.tokens == ("news", "example", "com", "news", "world", "cup", "news")
+        assert e.tokens == tokenize(e.uri, TokenMethod.TOKENS).features
         assert e.tokens is e.tokens
         assert len(calls) == 1
-        assert e == entry("Computers", e.uri)  # the kept set is no field
+        assert e == entry("Computers", e.uri)  # the kept tuple is no field
         assert "tokens" not in repr(e)
 
     def test_dedup_by_surt(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import threading
 import weakref
+from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -27,6 +28,7 @@ from archive_recommender.ontology import (
     CategoryPath,
     FixtureOntologyProvider,
     OntologyEntry,
+    load_index,
 )
 from archive_recommender.pipeline import (
     L1_METHOD,
@@ -427,6 +429,40 @@ class TestSharedAcrossThreads:
             assert set(vindex.models) == candidate_sets
         assert len(deep_calls) > sum(len(v.models) for v in subtrees) > 0
         assert {id(m) for m in deep_models} == {id(m) for v in subtrees for m in v.models.values()}
+
+
+class TestEachEntryTokenizedOnce:
+    def test_build_and_ranking_share_the_entry_tokens(self, fixtures_dir, monkeypatch):
+        """One recommender serves deep, ontology-hit and other routes, each
+        request twice, and tokenizes each entry's URI with TOKENS at most
+        once, an index entry's or a secondary member's: the deep build and
+        ranking both read ``entry.tokens``. A request tokenizes its own URI
+        once more each time it is served."""
+        index = load_index(fixtures_dir / "index.tsv")  # entries no other test has read
+        recommender = fixture_recommender(fixtures_dir, index)
+        real = uri_module.tokenize
+        calls: list[str] = []
+
+        def counted(uri, method, *args, **kwargs):
+            if method is TokenMethod.TOKENS:
+                calls.append(uri)
+            return real(uri, method, *args, **kwargs)
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "archive_recommender"]:
+            if vars(module).get("tokenize") is real:
+                monkeypatch.setattr(module, "tokenize", counted)
+        requests = [*RECOMMEND_URIS, *SHARED_REQUEST_URIS] * 2
+        results = [recommender.recommend(RecommendationRequest(uri=uri, datetime=REQUESTED), now=NOW)
+                   for uri in requests]
+        assert {"classified-deep", "ontology-hit"} <= {result.route for result in results}
+        counts = Counter(calls)
+        counts.subtract(requests)
+        assert (min(counts.values()), max(counts.values())) == (0, 1)
+        built = {e.uri for top, _ in recommender._subtrees for e in index.entries_under(CategoryPath((top,)))}
+        ranked = {r.uri for result in results for r in result.recommendations}
+        assert len(recommender._subtrees) > 1
+        assert "http://baseballcards.example.com/" in ranked  # a secondary member
+        assert built | ranked <= {uri for uri, count in counts.items() if count == 1}
 
 
 # Oracles of steps 3-4 as they ran before each index entry kept its SURT and

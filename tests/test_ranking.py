@@ -191,6 +191,14 @@ class TestJaccard:
         assert s == uri_similarity(b, a)
         assert 0.0 <= s <= 1.0
 
+    @given(st.sets(st.sampled_from("abcdefg"), max_size=7), st.lists(st.sampled_from("abcdefgh"), max_size=12))
+    def test_candidate_tokens_in_any_collection(self, request_tokens, candidate):
+        """A tuple of tokens with repeats scores as the set of them does,
+        which is how an entry's tokens were kept before they were a tuple."""
+        expected = uri_similarity(request_tokens, frozenset(candidate))
+        assert uri_similarity(request_tokens, tuple(candidate)) == expected
+        assert uri_similarity(frozenset(request_tokens), candidate) == expected
+
 
 class TestQuality:
     @pytest.mark.parametrize("damage", [0.0, 0.13, 0.5, 1.0])
@@ -366,6 +374,22 @@ class TestRank:
         )
         assert result.similarity == pytest.approx(1 / 4, abs=TOL)
         assert "1 shared of 4 tokens" in result.explanations[2]
+
+    def test_token_tuples_rank_as_their_sets(self):
+        """Candidate tokens given as tuples, in order and with repeats as an
+        index entry keeps them, rank exactly as their sets do."""
+        pages = [
+            self.page("http://news.example.com/news/world", REQUESTED, 50, 100, 0.1),
+            self.page("http://sports.example.org/", REQUESTED, 10, 10, 0.3),
+        ]
+        tuples = [tokenize(page.uri, TokenMethod.TOKENS).features for page in pages]
+        assert len(set(tuples[0])) < len(tuples[0])  # a repeated token
+        request_tokens = {"news", "example", "net"}
+        as_tuples = rank(pages, request_tokens=request_tokens, candidate_tokens=tuples,
+                         requested=REQUESTED, upper_bound=UPPER)
+        assert as_tuples == rank(pages, request_tokens=request_tokens, candidate_tokens=list(map(frozenset, tuples)),
+                                 requested=REQUESTED, upper_bound=UPPER)
+        assert "2 shared of 5 tokens" in as_tuples[0].explanations[2]
 
     def test_token_sets_must_match_candidates(self):
         candidate = self.page("http://best.example.com/", REQUESTED, 1, 538_300, 0.0)

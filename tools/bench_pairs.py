@@ -15,12 +15,16 @@ the result. Nothing under perfbench/ is changed.
 For every end-to-end metric in the change's ``BENCHMARK.json``, it prints
 the median and quartiles of each side and the number of pairs in which the
 change was better, then how many runs were correct and how many operations
-failed on each side.
+failed on each side. Last, it checks the no-regression rule: for each
+metric, the change's median relative to the parent's, flagged where it is
+worse than the parent's by more than the metric's ``bound`` (a fraction of
+the parent's median). It exits 1 if any metric is flagged.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -45,6 +49,12 @@ def result_of(stdout: str) -> dict:
 def directions(benchmark: dict) -> dict[str, str]:
     """Each end-to-end metric's better direction, ``lower`` or ``higher``."""
     return {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+
+
+def bounds(benchmark: dict) -> dict[str, float]:
+    """Each end-to-end metric's bound: the fraction of the parent's median
+    by which the change's median may be worse."""
+    return {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -89,6 +99,33 @@ def format_summary(rows: list[dict], pairs: list[tuple[dict, dict]]) -> list[str
     return lines
 
 
+def bound_checks(rows: list[dict], bound: dict[str, float]) -> list[dict]:
+    """For each row of a metric with a bound: the change's median relative
+    to the parent's (0.05 is 5% above it), and whether that is worse than
+    the parent's by more than the bound."""
+    checks = []
+    for row in rows:
+        if row["metric"] not in bound:
+            continue
+        parent, change = row["parent"][1], row["change"][1]
+        if parent:
+            relative = change / parent - 1.0
+        else:  # no share of nothing: any move is past every bound
+            relative = 0.0 if change == parent else math.copysign(math.inf, change - parent)
+        worse = relative if row["better"] == "lower" else -relative
+        checks.append({"metric": row["metric"], "relative": relative, "bound": bound[row["metric"]],
+                       "over": worse > bound[row["metric"]]})
+    return checks
+
+
+def format_bounds(checks: list[dict]) -> list[str]:
+    lines = ["change median against the parent's, and the bound on how much worse it may be"]
+    for check in checks:
+        verdict = "WORSE THAN ITS BOUND" if check["over"] else "ok"
+        lines.append(f"{check['metric']:16} {check['relative']:+9.2%}  bound {check['bound']:.0%}  {verdict}")
+    return lines
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
@@ -116,7 +153,8 @@ def main(argv: list[str]) -> int:
     if count < 1:
         raise SystemExit("--pairs must be at least 1")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    better = directions(json.loads((checkouts["change"] / "BENCHMARK.json").read_text("utf-8")))
+    benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text("utf-8"))
+    better = directions(benchmark)
     seeds = [args.seeds[i % len(args.seeds)] for i in range(count)]
     pairs = []
     for i, seed in enumerate(seeds):
@@ -125,8 +163,10 @@ def main(argv: list[str]) -> int:
         pairs.append((results["parent"], results["change"]))
         print(f"pair {i + 1}/{count}, seed {seed}, {order[0]} first", file=sys.stderr, flush=True)
     print(f"{args.workload}, {count} pairs, seeds {','.join(map(str, seeds))}, --seconds {args.seconds:g}")
-    print("\n".join(format_summary(summarize(pairs, better), pairs)))
-    return 0
+    rows = summarize(pairs, better)
+    checks = bound_checks(rows, bounds(benchmark))
+    print("\n".join(format_summary(rows, pairs) + format_bounds(checks)))
+    return 1 if any(check["over"] for check in checks) else 0
 
 
 if __name__ == "__main__":
