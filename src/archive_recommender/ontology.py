@@ -332,8 +332,11 @@ def load_index(path: str | Path) -> CategoryIndex:
         if len(candidate) == len(rows):
             surts = candidate
     return CategoryIndex(
-        OntologyEntry(category, uri, surts[i] if surts else canonicalize_surt(uri), title or None, desc or None)
-        for i, (category, uri, title, desc) in enumerate(rows)
+        OntologyEntry(
+            category=category, uri=uri, surt=surts[i] if surts else canonicalize_surt(uri),
+            title=title or None, description=description or None,
+        )
+        for i, (category, uri, title, description) in enumerate(rows)
     )
 
 
