@@ -141,11 +141,15 @@ def _resolve_index_path(settings: Settings) -> Path:
     raise ConfigError("no category index configured (use --index or a fixtures dir with index.tsv)")
 
 
-def _load_index(settings: Settings, trains: bool = False) -> CategoryIndex:
-    """The configured index, which must hold an entry if a model ``trains`` on it."""
+_TO_TRAIN = "to train the first-level model on"
+
+
+def _load_index(settings: Settings, needs_entries: str | None = None) -> CategoryIndex:
+    """The configured index, which must hold an entry where a command
+    ``needs_entries`` (what for, as the error names it)."""
     index = load_index(path := _resolve_index_path(settings))
-    if trains and not len(index):
-        raise ConfigError(f"{path}: the category index holds no entries to train the first-level model on")
+    if needs_entries and not len(index):
+        raise ConfigError(f"{path}: the category index holds no entries {needs_entries}")
     return index
 
 
@@ -182,7 +186,7 @@ def _build_evidence_service(settings: Settings) -> EvidenceService:
 
 
 def _build_recommender(settings: Settings) -> Recommender:
-    index = _load_index(settings, trains=settings.model is None)
+    index = _load_index(settings, _TO_TRAIN if settings.model is None else None)
     model = load_model(settings.model) if settings.model is not None else None
     secondary_path = _fixture_path(settings, "secondary_ontology.jsonl")
     if settings.secondary is not None:
@@ -226,7 +230,7 @@ def _cmd_ingest(args: argparse.Namespace, settings: Settings) -> int:
 
 
 def _cmd_train(args: argparse.Namespace, settings: Settings) -> int:
-    index = _load_index(settings, trains=True)
+    index = _load_index(settings, _TO_TRAIN)
     method = _METHODS[args.method]
     variants = frozenset(_parse_variants(args.variants))
     model = train_l1(index, method, variants, args.smoothing)
@@ -317,7 +321,7 @@ def _recommend(recommender: Recommender, args: argparse.Namespace, settings: Set
 
 
 def _cmd_evaluate_l1(args: argparse.Namespace, settings: Settings) -> int:
-    index = _load_index(settings)
+    index = _load_index(settings, "to evaluate")
     method = _METHODS[args.method]
     variants = _parse_variants(args.variants)
     corpus = build_l1_corpus(index)
@@ -335,7 +339,7 @@ def _cmd_evaluate_l1(args: argparse.Namespace, settings: Settings) -> int:
 
 
 def _cmd_evaluate_deep(args: argparse.Namespace, settings: Settings) -> int:
-    index = _load_index(settings)
+    index = _load_index(settings, "to evaluate")
     report = evaluate_deep(
         index,
         holdout_fraction=args.holdout,

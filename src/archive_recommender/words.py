@@ -14,7 +14,11 @@ matches) and never over letters that form a word. An unknown piece from any
 other start costs about ``UNKNOWN_BASE_COST`` more than a piece from an
 earlier start to the same end, so it can neither win nor tie. Of the pieces
 that end at the same place, the cheapest wins, and of equally cheap ones the
-one that starts earliest.
+one that starts earliest. Where no word ends, only unknown pieces are priced.
+
+The program leaves one back-pointer per end: the start of the cheapest last
+piece and whether it is a word. ``segment_words`` builds its pieces from
+them; ``dictionary_bucket`` walks them to its bucket and builds no pieces.
 """
 from __future__ import annotations
 
@@ -111,32 +115,59 @@ def segment_words(text: str, lexicon: WordLexicon | None = None) -> list[Segment
     if not (text.isalpha() and text == text.lower()):
         return [SegmentPiece(text, text in lexicon)]
 
+    back = _back_pointers(text, lexicon._prefixes)
+    pieces: list[SegmentPiece] = []
+    i = len(text)
+    while i > 0:
+        j, is_word = back[i]
+        pieces.append(SegmentPiece(text[j:i], is_word))
+        i = j
+    pieces.reverse()
+    return pieces
+
+
+def _back_pointers(text: str, prefixes: dict[str, float | None]) -> list[tuple[int, bool]]:
+    """For a non-empty lowercase alphabetic ``text``, ``back[i]`` is the start
+    of the last piece of the cheapest split of ``text[:i]`` and whether that
+    piece is a word (see ``segment_words``)."""
     n = len(text)
-    prefixes = lexicon._prefixes
     # words[i] maps the start j of each lexicon word text[j:i] to its word cost,
-    # by ascending j. No prefix holds the padding ".", so each search stops by
-    # the end of text.
-    words: list[dict[int, float]] = [{} for _ in range(n + 1)]
+    # by ascending j, and is None where no word ends. No prefix holds the
+    # padding ".", so each search stops by the end of text.
+    words: list[dict[int, float] | None] = [None] * (n + 1)
     padded = text + "."
     for j in range(n):
         i = j + 1
         word_cost = prefixes.get(text[j], _NOT_A_PREFIX)
         while word_cost is not _NOT_A_PREFIX:
             if word_cost is not None:
-                words[i][j] = word_cost
+                ends = words[i]
+                if ends is None:
+                    words[i] = {j: word_cost}
+                else:
+                    ends[j] = word_cost
             i += 1
             word_cost = prefixes.get(padded[j:i], _NOT_A_PREFIX)
 
     # cost[i] is the least cost of text[:i], and back[i] the start of its last
     # piece and whether that piece is a word; opened holds the open starts.
     # An unknown price is summed as (cost[j] + base) + char * (i - j): on near-ties
-    # the grouping decides.
+    # the grouping decides. Where no word ends, an unknown piece wins and
+    # opens nothing.
     cost = [0.0]
     back = [(0, False)]
     opened = [0]
     for i in range(1, n + 1):
         ends = words[i]
         best = math.inf
+        if ends is None:
+            for j in opened:
+                through = (cost[j] + UNKNOWN_BASE_COST) + UNKNOWN_CHAR_COST * (i - j)
+                if through < best:
+                    best, start = through, j
+            cost.append(best)
+            back.append((start, False))
+            continue
         for j in opened:
             through = (cost[j] + UNKNOWN_BASE_COST) + UNKNOWN_CHAR_COST * (i - j)
             if through < best and j not in ends:
@@ -151,24 +182,25 @@ def segment_words(text: str, lexicon: WordLexicon | None = None) -> list[Segment
         back.append((start, is_word))
         if best < unknown:
             opened.append(i)
-
-    pieces: list[SegmentPiece] = []
-    i = n
-    while i > 0:
-        j, is_word = back[i]
-        pieces.append(SegmentPiece(text[j:i], is_word))
-        i = j
-    pieces.reverse()
-    return pieces
+    return back
 
 
 def dictionary_bucket(text: str) -> str:
     """How ``text`` segments into the bundled lexicon's words: ``"all"``
     when every piece is a word, ``"some"`` when at least one is, else
-    ``"none"`` (also for empty text)."""
-    pieces = segment_words(text) if text else []
-    if pieces and all(p.is_word for p in pieces):
-        return "all"
-    if any(p.is_word for p in pieces):
-        return "some"
-    return "none"
+    ``"none"`` (also for empty text). It walks the segmentation's
+    back-pointers and builds no pieces."""
+    if not (text.isalpha() and text == text.lower()):
+        return "none"  # one piece, as in segment_words, and no word: a lexicon holds lowercase letters only
+    back = _back_pointers(text, WordLexicon.bundled()._prefixes)
+    word = unknown = False
+    i = len(text)
+    while i > 0:
+        i, is_word = back[i]
+        if is_word:
+            word = True
+        else:
+            unknown = True
+    if not word:
+        return "none"
+    return "some" if unknown else "all"

@@ -117,3 +117,75 @@ def test_directions_come_from_the_benchmark_file():
     bound = bench_pairs.bounds(benchmark)
     assert bound.keys() == better.keys()
     assert bound["peak_rss_mb"] == 0.1
+
+
+NAMES = ["serve-lost", "serve-indexed", "batch"]
+
+
+def test_workloads_as_one_a_list_or_all():
+    assert bench_pairs.parse_workloads("batch", NAMES) == ["batch"]
+    assert bench_pairs.parse_workloads("batch,serve-lost", NAMES) == ["batch", "serve-lost"]
+    assert bench_pairs.parse_workloads("all", NAMES) == NAMES
+
+
+@pytest.mark.parametrize("text", ["serve", "batch,", "batch,serve-lots", "ALL"])
+def test_an_unknown_workload_is_refused(text):
+    with pytest.raises(SystemExit, match="--workload: unknown"):
+        bench_pairs.parse_workloads(text, NAMES)
+
+
+@pytest.fixture
+def checkouts(tmp_path):
+    """A parent and a change checkout holding only the repository's BENCHMARK.json."""
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text("utf-8"), "utf-8")
+    return tmp_path
+
+
+def canned_runs(monkeypatch, slower: set[str]) -> list[tuple[str, str, int]]:
+    """Stand in for ``run_once``: each run returns a canned result, the
+    change's p90 twice the parent's on the ``slower`` workloads. Returns the
+    runs made, as (side, workload, seed)."""
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):
+        runs.append((checkout.name, workload, seed))
+        p90 = 2.0 if checkout.name == "change" and workload in slower else 1.0
+        return bench_pairs.result_of(result_line(p90, 800.0))
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return runs
+
+
+def main_of(checkouts, workload):
+    return bench_pairs.main([str(checkouts / "parent"), str(checkouts / "change"), "--workload", workload,
+                             "--seeds", "5,6", "--seconds", "1"])
+
+
+def test_every_workload_runs_its_pairs_in_turn(monkeypatch, capsys, checkouts):
+    runs = canned_runs(monkeypatch, slower=set())
+    assert main_of(checkouts, "all") == 0
+    assert runs == [(side, workload, seed) for workload in NAMES
+                    for seed, order in ((5, bench_pairs.SIDES), (6, bench_pairs.SIDES[::-1])) for side in order]
+    out = capsys.readouterr().out
+    heads = [line for line in out.splitlines() if ", 2 pairs, seeds 5,6, --seconds 1" in line]
+    assert heads == [f"{workload}, 2 pairs, seeds 5,6, --seconds 1" for workload in NAMES]
+    assert "WORSE THAN ITS BOUND" not in out
+
+
+def test_one_flagged_workload_makes_the_exit_status_1(monkeypatch, capsys, checkouts):
+    canned_runs(monkeypatch, slower={"serve-indexed"})
+    assert main_of(checkouts, "serve-lost,serve-indexed,batch") == 1
+    blocks = capsys.readouterr().out.split("\n\n")
+    assert [block.split(",", 1)[0] for block in blocks] == NAMES
+    assert ["WORSE THAN ITS BOUND" in block for block in blocks] == [False, True, False]
+    canned_runs(monkeypatch, slower={"serve-indexed"})
+    assert main_of(checkouts, "batch,serve-lost") == 0
+
+
+def test_an_unknown_workload_stops_before_any_run(monkeypatch, checkouts):
+    runs = canned_runs(monkeypatch, slower=set())
+    with pytest.raises(SystemExit):
+        main_of(checkouts, "batch,serve-lots")
+    assert runs == []

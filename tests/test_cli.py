@@ -982,7 +982,7 @@ class TestTrainAndEvaluate:
 
 
 class TestEmptyIndex:
-    """An index with no entries, which no first-level model can be trained on."""
+    """An index with no entries: nothing to train a first-level model on or to evaluate."""
 
     @pytest.fixture(params=["", "# a comment\n#\n"], ids=["empty-file", "comments-only"])
     def empty_index(self, request, tmp_path):
@@ -1014,6 +1014,20 @@ class TestEmptyIndex:
         )
         assert (code, err) == (EXIT_EMPTY, "")
         assert "no recommendations: no candidates" in out
+
+    @pytest.mark.parametrize("command", [["evaluate-l1"], ["evaluate-l1", "--folds", "2"], ["evaluate-deep"]])
+    def test_evaluation_exits_4_naming_the_index(self, capsys, empty_index, command):
+        code, out, err = run(capsys, *command, "--index", str(empty_index))
+        assert (code, out, err) == (
+            EXIT_CONFIG, "", f"archrec: error: {empty_index}: the category index holds no entries to evaluate\n"
+        )
+
+    def test_folds_past_a_corpus_with_entries_stay_a_usage_error(self, capsys, tmp_path):
+        index = tmp_path / "index.tsv"
+        index.write_text("Science/Computers\thttp://odu.edu/\tODU\tcomputer science\n", "utf-8")
+        code, out, err = run(capsys, "evaluate-l1", "--index", str(index), "--folds", "2")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "archrec: error: --folds 2 is more than the corpus of 1 items\n"
 
 
 class TestLogsAndStats:

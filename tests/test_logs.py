@@ -134,12 +134,12 @@ class TestFilterRules:
         assert kept == [] and stats.bad_uri == 1
 
     def test_host_label_past_63_octets_dropped_before_segmenting(self, monkeypatch):
-        from archive_recommender import words
+        from archive_recommender import reports
         from archive_recommender.logs import analyze_requests
 
         segmented = []
-        original = words.segment_words
-        monkeypatch.setattr(words, "segment_words", lambda text, *a: segmented.append(text) or original(text, *a))
+        original = reports.dictionary_bucket
+        monkeypatch.setattr(reports, "dictionary_bucket", lambda text: segmented.append(text) or original(text))
         kept, stats = self.run([line_with(f"http://{'ab' * 1000}.com/"), line_with("http://example.com/")])
         assert kept == ["http://example.com/"] and stats.bad_uri == 1
         analyze_requests(kept)

@@ -7,6 +7,7 @@ import math
 from functools import lru_cache
 from importlib import resources
 from operator import add
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -215,6 +216,7 @@ def test_pruned_dp_matches_all_pairs_oracle_on_bundled_lexicon(text):
     assert segment_words(text, lexicon) == segment_words_all_pairs(text, lexicon)
     assert segment_words(text, lexicon) == segment_words_priced(text, lexicon)
     assert segment_words(text) == segment_words(text, lexicon)
+    assert_matches_eager_oracle(text, lexicon)
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,6 +236,7 @@ def test_pruned_dp_matches_all_pairs_oracle_on_tie_heavy_lexicons(words, text):
     lexicon = WordLexicon(words)
     assert segment_words(text, lexicon) == segment_words_all_pairs(text, lexicon)
     assert segment_words(text, lexicon) == segment_words_priced(text, lexicon)
+    assert_matches_eager_oracle(text, lexicon)
 
 
 NON_ASCII_LETTERS = "aeéèüßøçñåłж"
@@ -251,6 +254,7 @@ def test_pruned_dp_matches_all_pairs_oracle_on_non_ascii_letters(words, text):
     bundled = WordLexicon.bundled()
     assert segment_words(text, bundled) == segment_words_all_pairs(text, bundled)
     assert segment_words(text, bundled) == segment_words_priced(text, bundled)
+    assert_matches_eager_oracle(text, lexicon)
 
 
 @lru_cache(maxsize=1)
@@ -276,6 +280,7 @@ def test_oversized_lexicon_prices_a_dear_word_as_a_word():
 def test_pruned_dp_matches_priced_oracle_on_oversized_lexicon(text):
     lexicon = oversized_lexicon()
     assert segment_words(text, lexicon) == segment_words_priced(text, lexicon)
+    assert_matches_eager_oracle(text, lexicon)
 
 
 @settings(max_examples=100, deadline=None)
@@ -284,3 +289,106 @@ def test_pruned_dp_matches_all_pairs_oracle_on_any_text(text):
     # Mostly degenerate: empty, upper case, digits, punctuation, whitespace.
     lexicon = WordLexicon.bundled()
     assert segment_words(text, lexicon) == segment_words_all_pairs(text, lexicon)
+    assert_matches_eager_oracle(text, lexicon)
+
+
+def segment_words_eager(text: str, lexicon: WordLexicon) -> list[SegmentPiece]:
+    """Oracle: the pruned dynamic program with a word map at every end,
+    empty where no word ends. Every end prices the unknown pieces from the
+    open starts with the ``j not in ends`` test, then its words, and the
+    pieces are built from the back-pointers. ``segment_words`` keeps a word
+    map only where a word ends, and ``dictionary_bucket`` builds no pieces."""
+    if not text:
+        return []
+    if not (text.isalpha() and text == text.lower()):
+        return [SegmentPiece(text, text in lexicon)]
+
+    n = len(text)
+    prefixes = lexicon._prefixes
+    not_a_prefix = object()
+    ends_at: list[dict[int, float]] = [{} for _ in range(n + 1)]
+    padded = text + "."
+    for j in range(n):
+        i = j + 1
+        word_cost = prefixes.get(text[j], not_a_prefix)
+        while word_cost is not not_a_prefix:
+            if word_cost is not None:
+                ends_at[i][j] = word_cost
+            i += 1
+            word_cost = prefixes.get(padded[j:i], not_a_prefix)
+
+    cost = [0.0]
+    back = [(0, False)]
+    opened = [0]
+    for i in range(1, n + 1):
+        ends = ends_at[i]
+        best = math.inf
+        for j in opened:
+            through = (cost[j] + UNKNOWN_BASE_COST) + UNKNOWN_CHAR_COST * (i - j)
+            if through < best and j not in ends:
+                best, start = through, j
+        unknown = best
+        is_word = False
+        for j, word_cost in ends.items():
+            through = cost[j] + word_cost
+            if through < best or (through == best and j < start):
+                best, start, is_word = through, j, True
+        cost.append(best)
+        back.append((start, is_word))
+        if best < unknown:
+            opened.append(i)
+
+    pieces: list[SegmentPiece] = []
+    i = n
+    while i > 0:
+        j, is_word = back[i]
+        pieces.append(SegmentPiece(text[j:i], is_word))
+        i = j
+    pieces.reverse()
+    return pieces
+
+
+def bucket_of_pieces(pieces: list[SegmentPiece]) -> str:
+    """Oracle: the dictionary bucket read off the pieces."""
+    if pieces and all(p.is_word for p in pieces):
+        return "all"
+    if any(p.is_word for p in pieces):
+        return "some"
+    return "none"
+
+
+def assert_matches_eager_oracle(text: str, lexicon: WordLexicon) -> None:
+    """``segment_words`` gives the eager oracle's pieces, and
+    ``dictionary_bucket``, with ``lexicon`` as the bundled one, its bucket."""
+    pieces = segment_words_eager(text, lexicon)
+    assert segment_words(text, lexicon) == pieces
+    with mock.patch.object(WordLexicon, "bundled", lambda: lexicon):
+        assert dictionary_bucket(text) == bucket_of_pieces(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(["cat", "dog", "catdog", "at", "do", "g"]), unique=True, min_size=1, max_size=6),
+    st.lists(st.sampled_from(["cat", "dog", "catdog", "x", "a", "og"]), max_size=8).map("".join),
+)
+@example(["cat", "dog", "catdog"], "catdog")
+@example(["catdog", "cat", "dog"], "catdog")
+def test_fast_path_matches_eager_oracle_on_small_lexicons(lexicon_words, text):
+    # Few words, whose ranks set the costs: a text splits many ways at close costs.
+    assert_matches_eager_oracle(text, WordLexicon(lexicon_words))
+
+
+def test_dictionary_bucket_builds_no_pieces():
+    built = []
+
+    class CountedPiece(SegmentPiece):
+        def __init__(self, text, is_word):
+            built.append(text)
+            super().__init__(text, is_word)
+
+    texts = ["baseballcards", "xqzwbaseballcardsvjqx", "odu", "", "Sports", "the"]
+    with mock.patch("archive_recommender.words.SegmentPiece", CountedPiece):
+        assert [dictionary_bucket(text) for text in texts] == ["all", "some", "none", "none", "none", "all"]
+        assert built == []
+        segment_words("baseballcards")
+    assert built == ["cards", "baseball"]  # the count sees the pieces segment_words builds

@@ -5,7 +5,10 @@
         --pairs 10 --seeds 801-810 --seconds 8
 
 PARENT and CHANGE are checkout directories, each with its own
-``perfbench/run.py`` and ``src/``. Pair ``i`` runs both on seed
+``perfbench/run.py`` and ``src/``. ``--workload`` names one workload, a
+comma list of them, or ``all``, from the change's ``BENCHMARK.json``; an
+unknown name stops the tool before any run. Each workload's pairs run in
+turn, and each prints its own block. Pair ``i`` runs both on seed
 ``seeds[i % len(seeds)]``, one process at a time: the parent first in even
 pairs and the change first in odd ones, so that a drift of the machine's
 speed falls on both sides alike. Each run is ``perfbench/run.py --workload W
@@ -18,7 +21,7 @@ change was better, then how many runs were correct and how many operations
 failed on each side. Last, it checks the no-regression rule: for each
 metric, the change's median relative to the parent's, flagged where it is
 worse than the parent's by more than the metric's ``bound`` (a fraction of
-the parent's median). It exits 1 if any metric is flagged.
+the parent's median). It exits 1 if any metric of any workload is flagged.
 """
 from __future__ import annotations
 
@@ -39,6 +42,18 @@ def parse_seeds(text: str) -> list[int]:
         low, high = (int(part) for part in text.split("-", 1))
         return list(range(low, high + 1))
     return [int(part) for part in text.split(",")]
+
+
+def parse_workloads(text: str, names: list[str]) -> list[str]:
+    """``all`` of ``names``, or the comma list ``text`` of some of them."""
+    if text == "all":
+        return names
+    chosen = text.split(",")
+    unknown = [name for name in chosen if name not in names]
+    if unknown:
+        raise SystemExit(f"--workload: unknown {', '.join(map(repr, unknown))}; "
+                         f"BENCHMARK.json names {', '.join(names)}")
+    return chosen
 
 
 def result_of(stdout: str) -> dict:
@@ -140,11 +155,27 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="a workload, a comma list of them, or all")
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--pairs", type=int, help="default: one pair per seed")
     parser.add_argument("--seconds", type=float, required=True)
     return parser.parse_args(argv)
+
+
+def compare(workload: str, checkouts: dict[str, Path], seeds: list[int], seconds: float,
+            benchmark: dict) -> bool:
+    """Run one workload's pairs and print its block; whether a metric is flagged."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        results = {side: run_once(checkouts[side], workload, seed, seconds) for side in order}
+        pairs.append((results["parent"], results["change"]))
+        print(f"{workload}: pair {i + 1}/{len(seeds)}, seed {seed}, {order[0]} first", file=sys.stderr, flush=True)
+    print(f"{workload}, {len(seeds)} pairs, seeds {','.join(map(str, seeds))}, --seconds {seconds:g}")
+    rows = summarize(pairs, directions(benchmark))
+    checks = bound_checks(rows, bounds(benchmark))
+    print("\n".join(format_summary(rows, pairs) + format_bounds(checks)), flush=True)
+    return any(check["over"] for check in checks)
 
 
 def main(argv: list[str]) -> int:
@@ -154,19 +185,14 @@ def main(argv: list[str]) -> int:
         raise SystemExit("--pairs must be at least 1")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text("utf-8"))
-    better = directions(benchmark)
+    workloads = parse_workloads(args.workload, [workload["name"] for workload in benchmark["workloads"]])
     seeds = [args.seeds[i % len(args.seeds)] for i in range(count)]
-    pairs = []
-    for i, seed in enumerate(seeds):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        results = {side: run_once(checkouts[side], args.workload, seed, args.seconds) for side in order}
-        pairs.append((results["parent"], results["change"]))
-        print(f"pair {i + 1}/{count}, seed {seed}, {order[0]} first", file=sys.stderr, flush=True)
-    print(f"{args.workload}, {count} pairs, seeds {','.join(map(str, seeds))}, --seconds {args.seconds:g}")
-    rows = summarize(pairs, better)
-    checks = bound_checks(rows, bounds(benchmark))
-    print("\n".join(format_summary(rows, pairs) + format_bounds(checks)))
-    return 1 if any(check["over"] for check in checks) else 0
+    flagged = False
+    for n, workload in enumerate(workloads):
+        if n:
+            print()
+        flagged |= compare(workload, checkouts, seeds, args.seconds, benchmark)
+    return 1 if flagged else 0
 
 
 if __name__ == "__main__":
