@@ -77,6 +77,9 @@ COMMANDS = [
     # A secondary-ontology hit that ranks an archived member: its similarity
     # comes from a secondary entry's tokens.
     ["recommend", "http://mickeymantle.com/", "--datetime", "2014-03-01", "--now", "2014-06-01T00:00:00Z"],
+    # The shallow route: no deep category shares the query's vocabulary, so
+    # every entry of the first-level category is a candidate.
+    ["recommend", "http://cs-od.us/", "--datetime", "2014-03-01", "--now", "2014-06-01T00:00:00Z"],
 ]
 ARGVS = [
     command + ["--fixtures", "fixtures", "--output", output]
