@@ -899,7 +899,7 @@ class EvidenceService:
     def _fetch_rank(self, uri: str) -> tuple[int | None]:
         if self.popularity_provider is None:
             return (None,)
-        domain = parse_uri(uri, assume_http=True).registered_domain
+        domain = parse_uri(uri).registered_domain
         return _int_rank(self.popularity_provider.get_rank(domain))
 
     def evidence_for(self, uri: str, surt: str, requested: datetime) -> CandidateEvidence:

@@ -28,10 +28,10 @@ from .archives import (
     format_instant,
 )
 from .config import ConfigError, Settings, load_settings, parse_datetime
-from .deep import evaluate_deep
+from .deep import CANDIDATES, HOLDOUT_FRACTION, GramScheme, evaluate_deep
 from .logs import analyze_requests, filter_log_file
-from .metrics import majority_baseline
-from .nbayes import SmoothingError, load_model, save_model
+from .metrics import FOLDS, majority_baseline
+from .nbayes import SMOOTHING, SmoothingError, load_model, save_model
 from .ontology import (
     CategoryIndex,
     FixtureOntologyProvider,
@@ -366,7 +366,7 @@ def _cmd_analyze_logs(args: argparse.Namespace, settings: Settings) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace, settings: Settings) -> int:
-    index = _load_index(settings)
+    index = _load_index(settings, "to profile")
     report = corpus_stats(index)
     _emit(report.to_records(), report.to_table(), settings.output)
     return EXIT_OK
@@ -387,7 +387,7 @@ def build_parser() -> _Parser:
     shared.add_argument("--model", metavar="PATH", help="trained first-level model")
     shared.add_argument("--secondary", metavar="PATH", help="secondary ontology JSONL")
     shared.add_argument("--weights", metavar="T,P,S,Q", help="ranking weights, must sum to 1")
-    shared.add_argument("--grams", choices=["3", "all"], help="deep-stage feature scheme")
+    shared.add_argument("--grams", choices=[scheme.value for scheme in GramScheme], help="deep-stage feature scheme")
     shared.add_argument("--top", type=int, metavar="N", help="max recommendations")
     shared.add_argument(
         "--temporal-literal",
@@ -413,7 +413,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=sorted(_METHODS), default=_DEFAULT_METHOD)
     p.add_argument("--variants", default=_DEFAULT_VARIANTS, metavar="LIST",
                    help="comma-separated: strip-tld,strip-numbers,strip-stopwords")
-    p.add_argument("--smoothing", type=_smoothing, default=1.0)
+    p.add_argument("--smoothing", type=_smoothing, default=SMOOTHING)
     p.set_defaults(func=_cmd_train)
 
     p = commands.add_parser("recommend", parents=[shared], help="recommend archived pages for a URI")
@@ -424,14 +424,14 @@ def build_parser() -> _Parser:
     p = commands.add_parser("evaluate-l1", parents=[shared], help="cross-validate first-level classification")
     p.add_argument("--method", choices=sorted(_METHODS), default=_DEFAULT_METHOD)
     p.add_argument("--variants", default=_DEFAULT_VARIANTS, metavar="LIST")
-    p.add_argument("--folds", type=_folds, default=10)
-    p.add_argument("--smoothing", type=_smoothing, default=1.0)
+    p.add_argument("--folds", type=_folds, default=FOLDS)
+    p.add_argument("--smoothing", type=_smoothing, default=SMOOTHING)
     p.set_defaults(func=_cmd_evaluate_l1)
 
     p = commands.add_parser("evaluate-deep", parents=[shared], help="evaluate deep classification per level")
-    p.add_argument("--holdout", type=_holdout, default=0.1, metavar="FRACTION")
-    p.add_argument("--candidates", type=_count, default=10, metavar="N")
-    p.add_argument("--smoothing", type=_smoothing, default=1.0)
+    p.add_argument("--holdout", type=_holdout, default=HOLDOUT_FRACTION, metavar="FRACTION")
+    p.add_argument("--candidates", type=_count, default=CANDIDATES, metavar="N")
+    p.add_argument("--smoothing", type=_smoothing, default=SMOOTHING)
     p.set_defaults(func=_cmd_evaluate_deep)
 
     p = commands.add_parser("analyze-logs", parents=[shared], help="filter an access log and profile the URIs")

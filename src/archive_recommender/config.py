@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from datetime import datetime
 from pathlib import Path
 from typing import Callable, Mapping
 
 from .archives import parse_instant
-from .deep import GramScheme
+from .deep import GRAMS, GramScheme
+from .pipeline import TOP_N
 from .ranking import EARLIEST_ARCHIVE_DATE, RankWeights
 from .uri import content_lines, read_lines
 
@@ -54,9 +55,9 @@ class Settings:
     index: str | None = None             # category index TSV
     model: str | None = None             # trained first-level model
     secondary: str | None = None         # secondary ontology JSONL
-    weights: str = "0.25,0.25,0.25,0.25"
-    grams: str = "all"                   # deep-stage feature scheme: 3 | all
-    top: int = 10
+    weights: str = ",".join(map(str, astuple(RankWeights())))
+    grams: str = GRAMS.value             # deep-stage feature scheme: 3 | all
+    top: int = TOP_N
     temporal_literal: bool = False       # report temporal component as raw distance
     output: str = "table"                # table | records
     parallelism: int = 4

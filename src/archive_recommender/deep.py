@@ -50,6 +50,9 @@ from .uri import (
 )
 
 __all__ = [
+    "CANDIDATES",
+    "GRAMS",
+    "HOLDOUT_FRACTION",
     "GramScheme",
     "CandidateCategory",
     "CategoryVectorIndex",
@@ -76,6 +79,13 @@ class GramScheme(Enum):
         """Gram lengths the scheme generates within each token."""
         return range(3, 4) if self is GramScheme.THREE_GRAM else GRAM_SIZES
 
+
+# The method's deep stage: all-gram features, the ten categories most
+# similar to the query as candidates, and a tenth of the index held out
+# when it is evaluated.
+GRAMS = GramScheme.ALL_GRAM
+CANDIDATES = 10
+HOLDOUT_FRACTION = 0.1
 
 class DeepClassificationError(Exception):
     """Deep stage could not produce a category (caller falls back to level 1)."""
@@ -260,7 +270,7 @@ def subtree_index(
 def top_candidates(
     vindex: CategoryVectorIndex,
     query: Sequence[str],
-    n: int = 10,
+    n: int = CANDIDATES,
 ) -> list[CandidateCategory]:
     """Top-n categories by mean cosine similarity to the query, a list of
     grams from ``expand_query``; categories with zero similarity are
@@ -340,7 +350,7 @@ def classify_deep(
     tree: PrunedTree,
     vindex: CategoryVectorIndex,
     query: Sequence[str],
-    smoothing: float = 1.0,
+    smoothing: float = nbayes.SMOOTHING,
 ) -> CategoryPath:
     """Final deep assignment: NB over the tree's candidate paths, for a
     query of grams from ``expand_query``. Each candidate's documents are
@@ -374,8 +384,8 @@ def classify_deep(
 def refine(
     vindex: CategoryVectorIndex,
     query: TokenBag,
-    n: int,
-    smoothing: float,
+    n: int = CANDIDATES,
+    smoothing: float = nbayes.SMOOTHING,
 ) -> tuple[CategoryPath, list[CandidateCategory], PrunedTree]:
     """The deep stage for one query, returned as (category, candidates,
     tree): the top ``n`` candidates by similarity, the tree pruned from
@@ -471,10 +481,10 @@ class DeepEvalReport:
 
 def evaluate_deep(
     index: CategoryIndex,
-    holdout_fraction: float = 0.1,
-    grams: GramScheme = GramScheme.ALL_GRAM,
-    n_candidates: int = 10,
-    smoothing: float = 1.0,
+    holdout_fraction: float = HOLDOUT_FRACTION,
+    grams: GramScheme = GRAMS,
+    n_candidates: int = CANDIDATES,
+    smoothing: float = nbayes.SMOOTHING,
 ) -> DeepEvalReport:
     """Hold out a deterministic stride of entries, treat each item's
     level-1 label as given, run the deep stage within that top category's
@@ -521,7 +531,7 @@ def evaluate_deep(
     tallies: tuple[dict, ...] = ({}, {}, {}, {})
     for entry, agree in evaluated:
         right = agree == len(entry.category)
-        parsed = parse_uri(entry.uri, assume_http=True)
+        parsed = parse_uri(entry.uri)
         keys = (
             entry.category.top,
             depth(parsed),

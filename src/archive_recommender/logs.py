@@ -157,6 +157,9 @@ def filter_access_log(
         if record.status != 200:
             stats.non_200 += 1
             continue
+        if "://" not in record.uri:  # parse_uri would read a bare host/path as http
+            stats.bad_uri += 1
+            continue
         try:
             parsed = parse_uri(record.uri)
         except UriParseError:

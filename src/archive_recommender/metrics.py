@@ -14,6 +14,7 @@ from . import nbayes
 from .uri import TokenMethod, TokenVariant, tokenize
 
 __all__ = [
+    "FOLDS",
     "ClassScores",
     "FoldResult",
     "EvalReport",
@@ -21,6 +22,9 @@ __all__ = [
     "majority_baseline",
     "cross_validate",
 ]
+
+# Folds of the method's cross-validation.
+FOLDS = 10
 
 
 @dataclass(frozen=True)
@@ -183,8 +187,8 @@ def cross_validate(
     corpus: Sequence[tuple[str, str]],
     method: TokenMethod,
     variants: Iterable[TokenVariant] = (),
-    folds: int = 10,
-    smoothing: float = 1.0,
+    folds: int = FOLDS,
+    smoothing: float = nbayes.SMOOTHING,
 ) -> EvalReport:
     """k-fold cross-validation over (uri, top_label) pairs.
 

@@ -24,13 +24,16 @@ from typing import Iterable, Sequence, Union
 from .uri import InputFileError, TokenBag, TokenMethod, TokenVariant, read_lines
 
 __all__ = [
-    "FeatureBag", "Classification", "SmoothingError", "NaiveBayesModel", "train", "classify", "save_model",
-    "load_model",
+    "SMOOTHING", "FeatureBag", "Classification", "SmoothingError", "NaiveBayesModel", "train", "classify",
+    "save_model", "load_model",
 ]
 
 FeatureBag = Union[TokenBag, Sequence[str]]
 
 _MAGIC = "archrec-nb 1"
+
+# The additive smoothing of both stages' models: add-one, the method's.
+SMOOTHING = 1.0
 
 
 def _features_of(bag: FeatureBag) -> Sequence[str]:
@@ -256,7 +259,7 @@ class NaiveBayesModel:
 
 def train(
     corpus: Iterable[tuple[FeatureBag, str]],
-    smoothing: float = 1.0,
+    smoothing: float = SMOOTHING,
 ) -> NaiveBayesModel:
     """Fit add-α multinomial NB. All TokenBag documents must share one
     method/variant configuration; plain feature sequences are accepted too."""

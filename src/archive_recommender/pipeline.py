@@ -14,9 +14,9 @@ from datetime import datetime, timezone
 from typing import Iterable
 
 from .archives import CandidateEvidence, EvidenceService
-from .deep import CategoryVectorIndex, DeepClassificationError, GramScheme, refine, subtree_index
-from .metrics import EvalReport, cross_validate
-from .nbayes import NaiveBayesModel, classify as nb_classify, train as nb_train
+from .deep import GRAMS, CategoryVectorIndex, DeepClassificationError, GramScheme, refine, subtree_index
+from .metrics import FOLDS, EvalReport, cross_validate
+from .nbayes import SMOOTHING, NaiveBayesModel, classify as nb_classify, train as nb_train
 from .ontology import (
     CategoryIndex,
     CategoryPath,
@@ -29,6 +29,7 @@ from .uri import TokenMethod, TokenVariant, canonicalize_surt, parse_uri, tokeni
 __all__ = [
     "L1_METHOD",
     "L1_VARIANTS",
+    "TOP_N",
     "REASON_UNCLASSIFIABLE",
     "REASON_NO_CANDIDATES",
     "REASON_NO_ARCHIVED",
@@ -45,10 +46,8 @@ __all__ = [
 # stripped first.
 L1_METHOD = TokenMethod.ALL_GRAMS_URI
 L1_VARIANTS = frozenset({TokenVariant.STRIP_TLD, TokenVariant.STRIP_NUMBERS})
-# Candidate categories the deep stage keeps, and the additive smoothing of
-# both naive Bayes models.
-DEEP_CANDIDATES = 10
-SMOOTHING = 1.0
+# Recommendations a request returns at most, unless it asks for another number.
+TOP_N = 10
 
 REASON_UNCLASSIFIABLE = "unclassifiable"
 REASON_NO_CANDIDATES = "no candidates"
@@ -59,13 +58,13 @@ REASON_NO_ARCHIVED = "no archived candidates"
 class RecommendationRequest:
     uri: str
     datetime: datetime | None = None
-    top_n: int = 10
+    top_n: int = TOP_N
     weights: RankWeights = RankWeights()
-    grams: GramScheme = GramScheme.ALL_GRAM
+    grams: GramScheme = GRAMS
     temporal_as_similarity: bool = True
 
     def __post_init__(self):
-        parse_uri(self.uri, assume_http=True)
+        parse_uri(self.uri)
         if self.top_n < 1:
             raise ValueError("top_n must be at least 1")
 
@@ -91,7 +90,7 @@ def train_l1(
     index: CategoryIndex,
     method: TokenMethod = L1_METHOD,
     variants: Iterable[TokenVariant] = L1_VARIANTS,
-    smoothing: float = 1.0,
+    smoothing: float = SMOOTHING,
 ) -> NaiveBayesModel:
     """Train the first-level classifier on every indexed entry's URI.
 
@@ -108,8 +107,8 @@ def evaluate_l1(
     index: CategoryIndex,
     method: TokenMethod = L1_METHOD,
     variants: Iterable[TokenVariant] = L1_VARIANTS,
-    folds: int = 10,
-    smoothing: float = 1.0,
+    folds: int = FOLDS,
+    smoothing: float = SMOOTHING,
 ) -> EvalReport:
     """k-fold cross-validation of first-level classification over the index."""
     return cross_validate(build_l1_corpus(index), method, variants, folds, smoothing)
@@ -141,7 +140,7 @@ class Recommender:
     def _l1_model(self) -> NaiveBayesModel:
         with self._build_lock:
             if self.model is None:
-                self.model = train_l1(self.index, smoothing=SMOOTHING)
+                self.model = train_l1(self.index)
             return self.model
 
     def _subtree(self, top: str, grams: GramScheme) -> CategoryVectorIndex:
@@ -210,7 +209,7 @@ class Recommender:
             # Step 2: refine within the first-level subtree.
             try:
                 vindex = self._subtree(top, request.grams)
-                category, candidates, tree = refine(vindex, request_bag, DEEP_CANDIDATES, SMOOTHING)
+                category, candidates, tree = refine(vindex, request_bag)
                 route = "classified-deep"
                 trace.append(
                     f"step2: deep category {category} "

@@ -102,7 +102,7 @@ def analyze_uris(items: Iterable[tuple[str, str | None]]) -> DistributionReport:
     saw_category = False
     for uri, top in items:
         try:
-            parsed = parse_uri(uri, assume_http=True)
+            parsed = parse_uri(uri)
         except UriParseError:
             malformed += 1
             continue

@@ -169,9 +169,8 @@ def load_stopwords() -> frozenset[str]:
 # Parsing
 
 
-# Parses kept, one per distinct URI string, and one more for a string
-# without "://" that is parsed with assume_http both ways: a few thousand
-# covers an index of that size plus its lost and logged URIs.
+# Parses kept, one per distinct URI string: a few thousand covers an index
+# of that size plus its lost and logged URIs.
 PARSE_CACHE_SIZE = 4096
 
 
@@ -203,11 +202,11 @@ def _is_ip(host: str) -> bool:
         return False
 
 
-def parse_uri(uri: str, *, assume_http: bool = False) -> ParsedUri:
+def parse_uri(uri: str) -> ParsedUri:
     """Parse an absolute http(s) URI into components.
 
-    With ``assume_http`` a bare ``host/path`` string is accepted by
-    prepending ``http://`` — convenient for directory dumps and CLI input.
+    A bare ``host/path`` string is read as http, by prepending ``http://``,
+    as directory dumps and CLI input write it.
     The registered domain and TLD come from one walk of the public-suffix
     rules over the host's labels. Results are shared from a bounded cache
     of the most recently parsed distinct strings; a string that fails to
@@ -215,9 +214,7 @@ def parse_uri(uri: str, *, assume_http: bool = False) -> ParsedUri:
     """
     if not isinstance(uri, str) or not uri.strip():
         raise UriParseError(str(uri), "uri", "empty input")
-    # The flag is read only where "://" is missing, so elsewhere both
-    # values share one memo entry.
-    return _parse_checked(uri, assume_http and "://" not in uri)
+    return _parse_checked(uri)
 
 
 def _split(uri: str, text: str) -> SplitResult:
@@ -230,13 +227,12 @@ def _split(uri: str, text: str) -> SplitResult:
 
 
 @lru_cache(maxsize=PARSE_CACHE_SIZE)
-def _parse_checked(uri: str, assume_http: bool) -> ParsedUri:
+def _parse_checked(uri: str) -> ParsedUri:
     text = uri.strip()
     if "://" not in text:
-        if assume_http and not text.startswith(("http:", "https:")):
-            text = "http://" + text
-        else:
+        if text.startswith(("http:", "https:")):
             raise UriParseError(uri, "scheme", "missing scheme")
+        text = "http://" + text
     parts = _split(uri, text)
     scheme = parts.scheme.lower()
     if scheme not in ("http", "https"):
@@ -285,7 +281,7 @@ def canonicalize_surt(uri: str) -> str:
     host labels reversed and comma-joined, explicit non-default port kept,
     path and query lowercased, empty path rendered as ``/``.
     """
-    p = parse_uri(uri, assume_http=True)
+    p = parse_uri(uri)
     host_part = ",".join(reversed(p.host.split(".")))
     default_port = 80 if p.scheme == "http" else 443
     if p.port is not None and p.port != default_port:
@@ -400,7 +396,7 @@ def tokenize(
     filtered after generation.
     """
     variant_set = frozenset(variants)
-    parsed = parse_uri(uri, assume_http=True)
+    parsed = parse_uri(uri)
     working = _working_string(parsed, variant_set)
     runs = [t for t in _LETTER_RUN.findall(working) if t not in SCHEME_TOKENS]
     if TokenVariant.STRIP_STOPWORDS in variant_set:

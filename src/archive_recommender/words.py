@@ -89,9 +89,9 @@ class WordLexicon:
 def segment_words(text: str, lexicon: WordLexicon | None = None) -> list[SegmentPiece]:
     """Minimum-cost segmentation of a lowercase alphabetic string.
 
-    Pieces concatenate back to the input exactly. Degenerate inputs (empty,
-    or containing anything but lowercase letters) come back as a single
-    unsplit piece. No two unknown pieces are adjacent: one piece over both
+    Pieces concatenate back to the input exactly. Empty text has no pieces,
+    and text holding anything but lowercase letters comes back as a single
+    unsplit piece that is no word. No two unknown pieces are adjacent: one piece over both
     spans costs exactly ``UNKNOWN_BASE_COST`` less.
 
     A piece that is a lexicon word costs its word cost; any other piece
@@ -113,7 +113,7 @@ def segment_words(text: str, lexicon: WordLexicon | None = None) -> list[Segment
     if not text:
         return []
     if not (text.isalpha() and text == text.lower()):
-        return [SegmentPiece(text, text in lexicon)]
+        return [SegmentPiece(text, False)]  # a lexicon holds lowercase letters only
 
     back = _back_pointers(text, lexicon._prefixes)
     pieces: list[SegmentPiece] = []

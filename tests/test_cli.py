@@ -982,7 +982,7 @@ class TestTrainAndEvaluate:
 
 
 class TestEmptyIndex:
-    """An index with no entries: nothing to train a first-level model on or to evaluate."""
+    """An index with no entries: nothing to train a first-level model on, to evaluate or to profile."""
 
     @pytest.fixture(params=["", "# a comment\n#\n"], ids=["empty-file", "comments-only"])
     def empty_index(self, request, tmp_path):
@@ -1020,6 +1020,13 @@ class TestEmptyIndex:
         code, out, err = run(capsys, *command, "--index", str(empty_index))
         assert (code, out, err) == (
             EXIT_CONFIG, "", f"archrec: error: {empty_index}: the category index holds no entries to evaluate\n"
+        )
+
+    @pytest.mark.parametrize("output", ["table", "records"])
+    def test_stats_exits_4_naming_the_index(self, capsys, empty_index, output):
+        code, out, err = run(capsys, "stats", "--index", str(empty_index), "--output", output)
+        assert (code, out, err) == (
+            EXIT_CONFIG, "", f"archrec: error: {empty_index}: the category index holds no entries to profile\n"
         )
 
     def test_folds_past_a_corpus_with_entries_stay_a_usage_error(self, capsys, tmp_path):

@@ -241,7 +241,7 @@ def evaluate_deep_by_steps(
     tallies: dict[tuple[str, object], list[int]] = {}
     for entry, predicted in evaluated:
         correct = evaluate_levels(entry.category, predicted, len(entry.category))
-        parsed = parse_uri(entry.uri, assume_http=True)
+        parsed = parse_uri(entry.uri)
         keys = (
             ("category", entry.category.top),
             ("depth", depth(parsed)),

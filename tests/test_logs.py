@@ -133,6 +133,13 @@ class TestFilterRules:
         kept, stats = self.run([line_with("/web/20100101000000/http://example.com/")])
         assert kept == [] and stats.bad_uri == 1
 
+    @pytest.mark.parametrize("uri", ["odu.edu/compsci", "http:foo", "HTTP:foo", "//host/x"])
+    def test_uri_without_scheme_separator_dropped(self, uri):
+        """A request URI must be absolute: parse_uri would read a bare
+        host/path as http, and ``HTTP:foo`` as host ``http``, port ``foo``."""
+        kept, stats = self.run([line_with(uri)])
+        assert kept == [] and stats.bad_uri == 1
+
     def test_host_label_past_63_octets_dropped_before_segmenting(self, monkeypatch):
         from archive_recommender import reports
         from archive_recommender.logs import analyze_requests
@@ -249,8 +256,8 @@ class TestFixtureLog:
         ]
 
     def test_report_reads_the_filters_parses(self, fixtures_dir):
-        """The filter parses each URI as logged and the report with
-        ``assume_http``; a URI with ``://`` is one memo entry for both."""
+        """The filter and the report parse each kept URI as logged, so the
+        report's parses are memo hits."""
         _parse_checked.cache_clear()
         kept, _ = filter_log_file(fixtures_dir / "access_log_sample.log")
         filtered = _parse_checked.cache_info()

@@ -23,22 +23,9 @@ def test_serve_lost_breakdown_has_rss_stages_and_src_lines():
     number = r"\d+\.\d\d"
     for line, stage in zip(lines[1:4], ("generation", "set-up", "round")):
         assert re.fullmatch(rf"rss after {stage} +current +{number} MiB +peak +{number} MiB", line), line
-    subtrees = re.fullmatch(rf"deep census: (\d+) subtrees, (\d+) posting entries, postings \d+\.\d KiB", lines[4])
-    assert subtrees and 0 < int(subtrees[1]) < int(subtrees[2]), lines[4]
-    keys = re.fullmatch(
-        r"deep census: (\d+) posting-key objects, (\d+) distinct values, (\d+) of them first-level vocabulary keys, "
-        r"keys \d+\.\d KiB",
-        lines[5],
-    )
-    assert keys and int(keys[3]) <= int(keys[2]) <= int(keys[1]) <= int(subtrees[2]), lines[5]
-    held = re.fullmatch(
-        r"deep census: first-level objects: (\d+) of (\d+) posting keys, (\d+) of (\d+) totals keys", lines[6]
-    )
-    assert held and int(held[2]) == int(subtrees[2]), lines[6]
-    assert 0 < int(held[1]) <= int(held[2]) and 0 < int(held[3]) <= int(held[4]), lines[6]
-    total = re.fullmatch(rf"tracemalloc retained ({number}) MiB, of which src/ ({number}) MiB", lines[7])
-    assert total and 0 < float(total[2]) <= float(total[1]), lines[7]
-    top = lines[8:]
+    total = re.fullmatch(rf"tracemalloc retained ({number}) MiB, of which src/ ({number}) MiB", lines[4])
+    assert total and 0 < float(total[2]) <= float(total[1]), lines[4]
+    top = lines[5:]
     assert len(top) == 4
     for line in top:
         assert re.fullmatch(r" *\d+\.\d KiB +\d+ blocks  src/archive_recommender/\w+\.py:\d+  .+", line), line

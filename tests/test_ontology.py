@@ -533,7 +533,7 @@ class TestDictionaryBucketMemo:
     def test_report_equals_one_built_without_the_memo(self, corpus_index):
         report = corpus_stats(corpus_index)
         buckets = Counter(
-            reports.host_dictionary_bucket(parse_uri(entry.uri, assume_http=True))
+            reports.host_dictionary_bucket(parse_uri(entry.uri))
             for entry in corpus_index.all_entries()
         )
         assert report.dictionary == buckets

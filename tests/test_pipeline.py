@@ -423,7 +423,7 @@ class TestSharedAcrossThreads:
         subtrees = list(shared._subtrees.values())
         for vindex in subtrees:
             candidate_sets = {
-                (tuple(map(str, sorted(candidates))), pipeline.SMOOTHING)
+                (tuple(map(str, sorted(candidates))), nbayes.SMOOTHING)
                 for seen, candidates in deep_calls if seen is vindex
             }
             assert set(vindex.models) == candidate_sets

@@ -124,14 +124,10 @@ class TestParseUri:
         assert p.tld == "co.uk"
 
     def test_assume_http(self):
-        p = parse_uri("odu.edu/compsci", assume_http=True)
+        p = parse_uri("odu.edu/compsci")
         assert p.scheme == "http"
         assert p.host == "odu.edu"
-        assert parse_uri("odu.edu", assume_http=True).path == ""
-
-    def test_missing_scheme_rejected_without_flag(self):
-        with pytest.raises(UriParseError):
-            parse_uri("odu.edu/compsci")
+        assert parse_uri("odu.edu").path == ""
 
     @pytest.mark.parametrize(
         "bad",
@@ -161,7 +157,7 @@ class TestParseUri:
          ("http://a]@[::1/", "::1")],
     )
     def test_bracketed_ipv6_host_as_written_is_the_whole_address(self, uri, written):
-        parsed = parse_uri(uri, assume_http=True)
+        parsed = parse_uri(uri)
         assert parsed.host_as_written == written
         assert parsed.host == written.lower()
 
@@ -196,7 +192,7 @@ class TestParseUri:
     def test_unbalanced_bracket_host_rejected(self, bad):
         # urlsplit raises a bare ValueError on these
         with pytest.raises(UriParseError) as exc:
-            parse_uri(bad, assume_http=True)
+            parse_uri(bad)
         assert exc.value.component == "host"
 
 
@@ -226,18 +222,18 @@ def _outcome(call):
         return exc
 
 
-@given(uri=_URI_LIKE, assume_http=st.booleans())
-@example(uri=None, assume_http=False)
-@example(uri=[], assume_http=True)
-@example(uri=b"http://a.com", assume_http=False)
-@example(uri=5, assume_http=True)
-@example(uri="  ", assume_http=True)
-def test_cached_parse_matches_uncached_parse(uri, assume_http):
+@given(uri=_URI_LIKE)
+@example(uri=None)
+@example(uri=[])
+@example(uri=b"http://a.com")
+@example(uri=5)
+@example(uri="  ")
+def test_cached_parse_matches_uncached_parse(uri):
     if isinstance(uri, str) and uri.strip():
-        expected = _outcome(lambda: _parse_checked.__wrapped__(uri, assume_http))
+        expected = _outcome(lambda: _parse_checked.__wrapped__(uri))
     else:
         expected = UriParseError(str(uri), "uri", "empty input")
-    first, second = (_outcome(lambda: parse_uri(uri, assume_http=assume_http)) for _ in range(2))
+    first, second = (_outcome(lambda: parse_uri(uri)) for _ in range(2))
     for got in (first, second):
         if isinstance(expected, Exception):
             assert type(got) is type(expected) and str(got) == str(expected)
@@ -245,26 +241,6 @@ def test_cached_parse_matches_uncached_parse(uri, assume_http):
             assert got == expected
     if isinstance(expected, Exception):
         assert first is not second  # a failure is raised afresh, never replayed
-
-
-@given(uri=st.one_of(
-    _URI_LIKE.filter(lambda text: "://" in text),
-    st.builds(lambda before, after: before + "://" + after, st.text(max_size=8), st.text(max_size=16)),
-))
-@example(uri=" http://example.com/a ")
-@example(uri="example.com/?next=http://x.org/")
-@example(uri="ftp://example.com/")
-@example(uri="://example.com")
-def test_assume_http_is_moot_where_the_scheme_separator_is_present(uri):
-    """Both flags parse a URI holding ``://`` alike, or fail alike, so the
-    memo keeps one entry for both."""
-    without, with_http = (_outcome(lambda: _parse_checked.__wrapped__(uri, flag)) for flag in (False, True))
-    if isinstance(without, Exception):
-        assert type(with_http) is type(without) and str(with_http) == str(without)
-        assert str(_outcome(lambda: parse_uri(uri, assume_http=True))) == str(without)
-    else:
-        assert with_http == without
-        assert parse_uri(uri) is parse_uri(uri, assume_http=True)
 
 
 def test_parse_cache_stays_bounded():
@@ -539,7 +515,7 @@ class UriPatternReport:
 
 
 def detect_patterns_by_report(uri: str) -> UriPatternReport:
-    parsed = parse_uri(uri, assume_http=True)
+    parsed = parse_uri(uri)
     text = uri.strip()
     if "://" not in text:
         text = "http://" + text
@@ -626,7 +602,7 @@ def _outcome_of(call):
 
 
 def patterns_of(uri: str) -> tuple[str, ...]:
-    return detect_patterns(parse_uri(uri, assume_http=True))
+    return detect_patterns(parse_uri(uri))
 
 
 @given(uri=_PATTERN_URI)
@@ -656,7 +632,7 @@ def report_facts_by_uri(uris: list[str]) -> dict:
     parses, malformed = [], 0
     for uri in uris:
         try:
-            parses.append(parse_uri(uri, assume_http=True))
+            parses.append(parse_uri(uri))
         except UriParseError:
             malformed += 1
     return {

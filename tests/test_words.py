@@ -68,6 +68,17 @@ def test_degenerate_inputs():
     assert segment_words("Sports") == [SegmentPiece("Sports", False)]
 
 
+def test_degenerate_input_is_no_word_without_a_lexicon_lookup():
+    lexicon = WordLexicon(["sports", "abc"])
+    looked_up = []
+    contains = WordLexicon.__contains__
+    with mock.patch.object(WordLexicon, "__contains__", lambda self, word: looked_up.append(word) or contains(self, word)):
+        for text in ("Sports", "abc123", "ABC", "sports!"):
+            assert segment_words(text, lexicon) == [SegmentPiece(text, False)]
+        assert "sports" in lexicon
+    assert looked_up == ["sports"]  # the count sees a lookup
+
+
 def test_dictionary_bucket():
     assert dictionary_bucket("baseballcards") == "all"
     assert dictionary_bucket("xqzwbaseballcardsvjqx") == "some"
