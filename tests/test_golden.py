@@ -12,6 +12,12 @@ does with no terminal. An argument holding ``{tmp}`` names a path in a
 fresh temporary directory: the replay puts that directory's path in its
 place, and puts ``{tmp}`` back where the path shows in stdout.
 
+An entry of ``argvs`` is a sequence: its commands run in order and share
+one ``{tmp}``, so a later command reads what an earlier one wrote. After
+each command the entry records every file the sequence names: a ``.jsonl``
+cache line by line, with ``fetched_at`` (wall-clock time even under
+``--now``) masked, and any other file as its SHA-256 and byte count.
+
 ``--check`` replays every entry and exits 1 if any output differs. Like
 ``--write`` it needs only the standard library, so it runs on an
 interpreter that has no pytest::
@@ -23,8 +29,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -86,22 +94,76 @@ ARGVS = [
     for command in COMMANDS
     for output in ("records", "table")
 ]
+INSTANTS = ["--datetime", "2014-03-01", "--now", "2014-06-01T00:00:00Z"]
+# The stateful paths: a trained model read back, and a cache run cold and
+# then warm.
+SEQUENCES = [
+    [
+        ["train", "--model-out", "{tmp}/model"],
+        ["recommend", RECOMMEND_URIS[0], "--model", "{tmp}/model", *INSTANTS],
+    ],
+    [["recommend", RECOMMEND_URIS[1], "--cache", "{tmp}/cache.jsonl", *INSTANTS]] * 2,
+]
+SEQUENCE_ARGVS = [
+    [argv + ["--fixtures", "fixtures", "--output", "records"] for argv in sequence]
+    for sequence in SEQUENCES
+]
+_FETCHED_AT = re.compile(r'"fetched_at": [^,}]+')
 
 
-def replay(argv: list[str]) -> dict:
-    """Run ``cli.main(argv)`` and return what it printed and its exit code."""
+def _run(argv: list[str], tmp: str) -> dict:
+    """Run ``cli.main(argv)`` with ``{tmp}`` standing for ``tmp``, and
+    return its exit code and what it printed."""
     from archive_recommender.cli import main
 
     stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([arg.replace("{tmp}", tmp) for arg in argv])
+    return {"exit": code, "stdout": stdout.getvalue().replace(tmp, "{tmp}"), "stderr": stderr.getvalue()}
+
+
+def replay(argv: list[str]) -> dict:
+    """Run one command in a fresh ``{tmp}``."""
     with tempfile.TemporaryDirectory() as tmp:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([arg.replace("{tmp}", tmp) for arg in argv])
-    out = stdout.getvalue().replace(tmp, "{tmp}")
-    return {"argv": argv, "exit": code, "stdout": out, "stderr": stderr.getvalue()}
+        return {"argv": argv, **_run(argv, tmp)}
+
+
+def _file_record(path: Path) -> dict | None:
+    if not path.exists():
+        return None
+    data = path.read_bytes()
+    if path.suffix == ".jsonl":
+        text = data.decode("utf-8")
+        return {"lines": [_FETCHED_AT.sub('"fetched_at": "*"', line) for line in text.splitlines()]}
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
+def replay_sequence(argvs: list[list[str]]) -> dict:
+    """Run the commands in order in one ``{tmp}``, recording after each the
+    files that the sequence names."""
+    named = sorted({arg for argv in argvs for arg in argv if "{tmp}" in arg})
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in argvs:
+            run = _run(argv, tmp)
+            run["files"] = {name: _file_record(Path(name.replace("{tmp}", tmp))) for name in named}
+            runs.append(run)
+    return {"argvs": argvs, "runs": runs}
 
 
 def _load() -> list[dict]:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def _commands(recorded: list[dict] | None) -> list:
+    """The commands of the recorded entries, or of this file's lists."""
+    if recorded is None:
+        return ARGVS + SEQUENCE_ARGVS
+    return [entry["argvs"] if "argvs" in entry else entry["argv"] for entry in recorded]
+
+
+def _replay_entry(entry: dict) -> dict:
+    return replay_sequence(entry["argvs"]) if "argvs" in entry else replay(entry["argv"])
 
 
 def _at_root() -> None:
@@ -113,7 +175,7 @@ def _at_root() -> None:
 
 def _write() -> int:
     _at_root()
-    entries = [replay(argv) for argv in ARGVS]
+    entries = [replay(argv) for argv in ARGVS] + [replay_sequence(argvs) for argvs in SEQUENCE_ARGVS]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"wrote {len(entries)} entries to {GOLDEN.relative_to(ROOT)}")
@@ -123,12 +185,12 @@ def _write() -> int:
 def _check() -> int:
     _at_root()
     recorded = _load()
-    if [entry["argv"] for entry in recorded] != ARGVS:
+    if _commands(recorded) != _commands(None):
         print(f"{GOLDEN.relative_to(ROOT)} does not record the commands this file lists")
         return 1
-    differ = [entry["argv"] for entry in recorded if replay(entry["argv"]) != entry]
-    for argv in differ:
-        print("differs:", " ".join(argv))
+    differ = [entry for entry in recorded if _replay_entry(entry) != entry]
+    for entry in differ:
+        print("differs:", " then ".join(" ".join(argv) for argv in entry.get("argvs", [entry.get("argv")])))
     print(f"Python {sys.version.split()[0]}: {len(recorded) - len(differ)} of {len(recorded)} outputs match")
     return 1 if differ else 0
 
@@ -153,7 +215,7 @@ def at_root(monkeypatch):
 
 
 def test_file_covers_every_command():
-    assert [entry["argv"] for entry in _load()] == ARGVS
+    assert _commands(_load()) == _commands(None)
 
 
 @pytest.mark.parametrize(
@@ -162,3 +224,12 @@ def test_file_covers_every_command():
 def test_replay_matches(at_root, number):
     entry = _load()[number]
     assert replay(entry["argv"]) == entry
+
+
+@pytest.mark.parametrize(
+    "number",
+    [pytest.param(n, id=f"{n}-" + "-".join(argv[0] for argv in argvs)) for n, argvs in enumerate(SEQUENCE_ARGVS)],
+)
+def test_sequence_replay_matches(at_root, number):
+    entry = _load()[len(ARGVS) + number]
+    assert replay_sequence(entry["argvs"]) == entry
