@@ -14,9 +14,11 @@ from the primary index.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import islice, takewhile
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Protocol
 
@@ -139,7 +141,7 @@ class IngestReport:
 
 
 class CategoryIndex:
-    """Immutable-after-build index of entries by deepest category and by SURT."""
+    """Immutable-after-build index by deepest category and SURT: paths sorted once, a subtree one contiguous run."""
 
     def __init__(self, entries: Iterable[OntologyEntry]):
         self.by_category: dict[str, list[OntologyEntry]] = {}
@@ -149,6 +151,7 @@ class CategoryIndex:
                 continue
             self.by_surt[entry.surt] = entry
             self.by_category.setdefault(str(entry.category), []).append(entry)
+        self._paths = sorted(group[0].category for group in self.by_category.values())
 
     def __len__(self) -> int:
         return len(self.by_surt)
@@ -158,17 +161,14 @@ class CategoryIndex:
             yield from entries
 
     def categories(self) -> list[CategoryPath]:
-        return sorted(entries[0].category for entries in self.by_category.values())
+        return list(self._paths)
 
     def entries_for(self, category: CategoryPath | str) -> list[OntologyEntry]:
         return list(self.by_category.get(str(category), ()))
 
     def entries_under(self, prefix: CategoryPath) -> list[OntologyEntry]:
-        out: list[OntologyEntry] = []
-        for path in self.categories():
-            if prefix.is_prefix_of(path):
-                out.extend(self.by_category[str(path)])
-        return out
+        run = takewhile(prefix.is_prefix_of, islice(self._paths, bisect_left(self._paths, prefix), None))
+        return [entry for path in run for entry in self.by_category[str(path)]]
 
     def lookup_surt(self, surt: str) -> OntologyEntry | None:
         return self.by_surt.get(surt)

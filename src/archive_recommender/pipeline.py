@@ -215,7 +215,7 @@ class Recommender:
                     f"step2: deep category {category} "
                     f"(from {len(candidates)} candidates, {len(tree.nodes)} tree nodes)"
                 )
-                entries = self.index.entries_for(category) or self.index.entries_under(category)
+                entries = self.index.entries_for(category)
             except DeepClassificationError as exc:
                 route = "classified-shallow"
                 category = CategoryPath((top,))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -239,6 +240,95 @@ class TestCategoryIndex:
         )
         assert len(index) == 1
         assert str(index.lookup_surt(canonicalize_surt("http://a.com/")).category) == "Computers"
+
+
+def categories_by_sort(index: CategoryIndex) -> list[CategoryPath]:
+    """The category order as ``categories()`` once worked it out on every
+    call: a sort of every category's path."""
+    return sorted(group[0].category for group in index.by_category.values())
+
+
+def entries_under_by_scan(index: CategoryIndex, prefix: CategoryPath) -> list[OntologyEntry]:
+    """A subtree as ``entries_under`` once read it on every call: a scan of
+    the sorted paths, testing each for the prefix."""
+    return [e for path in categories_by_sort(index) if prefix.is_prefix_of(path) for e in index.by_category[str(path)]]
+
+
+# Labels that share prefixes as strings, so that the order of label tuples
+# and the order of path texts differ: ("Arts", "Top") < ("Arts Music",) as
+# tuples, but "Arts Music" < "Arts-Crafts" < "Arts/Top" < "Arts_Council".
+TREE_LABELS = ["Arts", "Arts_Council", "Arts-Crafts", "Arts Music", "Top"]
+_TREE_PATH = st.lists(st.sampled_from(TREE_LABELS), min_size=1, max_size=4).map(tuple)
+# Prefixes of the index's paths, and labels it never holds, some of which
+# sort between its paths.
+_PREFIX = st.lists(st.sampled_from([*TREE_LABELS, "Art", "Arts ", "Artsy", "Top "]), min_size=1, max_size=4).map(tuple)
+
+
+def tree_index(paths: list[tuple[str, ...]]) -> CategoryIndex:
+    """One entry per path, in the given order, each under its own URI."""
+    uris = [f"http://{k}.example/" for k in range(len(paths))]
+    return CategoryIndex(
+        OntologyEntry(category=CategoryPath(labels), uri=uri, surt=canonicalize_surt(uri))
+        for labels, uri in zip(paths, uris)
+    )
+
+
+class TestCategoryOrder:
+    """The index sorts its paths once; a subtree is the contiguous run of
+    that order that starts where the prefix would go."""
+
+    @given(st.lists(_TREE_PATH, max_size=24), st.lists(_PREFIX, min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    @example([("Arts", "Top"), ("Arts Music",), ("Arts",), ("Arts_Council", "Arts"), ("Arts-Crafts",)],
+             [("Arts",), ("Art",), ("Arts ",), ("Artsy",), ("Top",)])
+    def test_same_as_the_sort_and_the_scan(self, paths, prefixes):
+        index = tree_index(paths)
+        order = index.categories()
+        assert order == categories_by_sort(index)
+        if [str(path) for path in order] != sorted(str(path) for path in order):
+            event("the text order differs from the label order")
+        for labels in [*prefixes, *(path.labels[:k] for path in order for k in range(1, len(path) + 1))]:
+            prefix = CategoryPath(labels)
+            under = index.entries_under(prefix)
+            assert under == entries_under_by_scan(index, prefix), prefix
+            if not under:
+                event("a prefix with nothing under it")
+
+    def test_no_sort_per_call(self, monkeypatch):
+        """``categories()`` compares no paths, and ``entries_under`` only
+        bisects to the start of its run, at most ceil(log2 n) + 1
+        comparisons over n categories, then tests the paths of the run and
+        the one after it."""
+        paths = [(a,) for a in TREE_LABELS] + [(a, b) for a in TREE_LABELS for b in TREE_LABELS]
+        index = tree_index(list(reversed(paths)))
+        bound = math.ceil(math.log2(len(paths))) + 1
+        expected = sorted(CategoryPath(labels) for labels in paths)
+        probes = [*paths, ("Art",), ("Artsy",), ("Zz",), ("Arts", "Arts", "Arts")]
+        scans = {labels: entries_under_by_scan(index, CategoryPath(labels)) for labels in probes}
+        compared, tested = [], []
+        less, is_prefix_of = CategoryPath.__lt__, CategoryPath.is_prefix_of
+
+        def counted_less(self, other):
+            compared.append((self, other))
+            return less(self, other)
+
+        def counted_is_prefix_of(self, other):
+            tested.append(other)
+            return is_prefix_of(self, other)
+
+        monkeypatch.setattr(CategoryPath, "__lt__", counted_less)
+        monkeypatch.setattr(CategoryPath, "is_prefix_of", counted_is_prefix_of)
+        order = index.categories()
+        assert order == expected
+        order.clear()  # a copy: the index keeps its own
+        assert index.categories() == expected
+        assert compared == []
+        for labels, scan in scans.items():
+            compared.clear()
+            tested.clear()
+            assert index.entries_under(CategoryPath(labels)) == scan
+            assert len(compared) <= bound, labels
+            assert len(tested) <= len({e.category for e in scan}) + 1, labels
 
 
 class TestPersistence:

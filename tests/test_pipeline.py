@@ -10,6 +10,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from archive_recommender import deep, nbayes, pipeline
 from archive_recommender import uri as uri_module
@@ -45,7 +46,7 @@ from archive_recommender.pipeline import (
 from archive_recommender.ranking import rank
 from archive_recommender.uri import TokenMethod, canonicalize_surt, tokenize
 from conftest import FailingProvider, ForeignSource, count_calls
-from test_deep import check_keys_shared
+from test_deep import check_keys_shared, small_index_and_query
 from test_golden import RECOMMEND_URIS
 from test_metrics import model_state
 
@@ -216,6 +217,36 @@ class TestOntologyHitRoutes:
         assert result.reason == REASON_NO_ARCHIVED
         assert len(result.dropped) == 3
         assert all(why == "not archived" for _, why in result.dropped)
+
+
+class TestDeepCategoryHoldsEntries:
+    """The deep stage picks among categories with rows in the subtree built
+    from the index, so the category of every classified-deep result holds
+    entries of its own, and the recommender takes its candidates from that
+    category alone."""
+
+    def test_every_recommend_uri_on_fixtures(self, recommender, corpus_index):
+        routes = []
+        for uri in RECOMMEND_URIS:
+            result = recommender.recommend(RecommendationRequest(uri=uri, datetime=REQUESTED), now=NOW)
+            routes.append(result.route)
+            if result.route == "classified-deep":
+                assert corpus_index.entries_for(result.category), uri
+        assert "classified-deep" in routes
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_generated_indexes(self, data):
+        index, bag, _ = data.draw(small_index_and_query())
+        # a lost page beside an indexed one, with the query's words in its path
+        near = data.draw(st.sampled_from(list(index.all_entries())))
+        uri = "/".join((near.uri.rstrip("/"), *bag.features, "lost"))
+        result = Recommender(index, EvidenceService(EmptySource())).recommend(
+            RecommendationRequest(uri=uri, datetime=REQUESTED), now=NOW
+        )
+        event(result.route)
+        if result.route == "classified-deep":
+            assert index.entries_for(result.category)
 
 
 class TestDegradedRoutes:
