@@ -266,10 +266,9 @@ _PREFIX = st.lists(st.sampled_from([*TREE_LABELS, "Art", "Arts ", "Artsy", "Top 
 
 def tree_index(paths: list[tuple[str, ...]]) -> CategoryIndex:
     """One entry per path, in the given order, each under its own URI."""
-    uris = [f"http://{k}.example/" for k in range(len(paths))]
     return CategoryIndex(
-        OntologyEntry(category=CategoryPath(labels), uri=uri, surt=canonicalize_surt(uri))
-        for labels, uri in zip(paths, uris)
+        OntologyEntry(category=CategoryPath(labels), uri=f"http://{k}.example/", surt=canonicalize_surt(f"http://{k}.example/"))
+        for k, labels in enumerate(paths)
     )
 
 
