@@ -1525,6 +1525,38 @@ def as_is(value):
     return value
 
 
+class TestOtherProvidersLines:
+    """A cache file may hold lines that another provider wrote. The
+    service never reads them: for a key that both hold, the gateway's line
+    answers, whichever comes first; a key that only the other provider
+    holds is fetched; and neither line counts as corrupt."""
+
+    URI, OTHER_URI = "http://a.example.com", "http://b.example.com"
+
+    @pytest.mark.parametrize("other_first", [True, False], ids=["other-first", "other-last"])
+    def test_gateway_lines_alone_answer(self, tmp_path, caplog, other_first):
+        gateway = ArchiveEvidence(self.URI, ((dt("20140110080000"), "http://m/1"),))
+        other = ArchiveEvidence(self.URI, ((dt("20120101000000"), "http://m/0"),))
+
+        def line(provider, uri, evidence):
+            record = {"provider": provider, "kind": "timemap", "surt": canonicalize_surt(uri),
+                      "fetched_at": 1.0, "value": evidence.to_json_dict()}
+            return json.dumps(record) + "\n"
+
+        others = [line("other", self.URI, other), line("other", self.OTHER_URI, other)]
+        mine = [line("gateway", self.URI, gateway)]
+        path = tmp_path / "cache.jsonl"
+        path.write_text("".join(others + mine if other_first else mine + others), "utf-8")
+        source = MapSource(SINGLE_PAGE)
+        with caplog.at_level(logging.WARNING, logger="archive_recommender.archives"):
+            service = EvidenceService(source, cache=EvidenceCache(path))
+            served = evidence_for(service, self.URI, dt("20140301000000"))
+            assert served.archive == gateway and source.calls == 0
+            fetched = evidence_for(service, self.OTHER_URI, dt("20140301000000"))
+        assert fetched.archive.mementos != other.mementos and source.calls == 1
+        assert not caplog.records
+
+
 class TestEvidenceCache:
     def test_put_get_roundtrip(self, tmp_path):
         cache = EvidenceCache(tmp_path / "cache.jsonl")
@@ -1909,6 +1941,16 @@ class TestEvidenceService:
         assert service.gather([], dt("20140301000000")) == []
         assert not made
 
+    @pytest.mark.parametrize("parallelism", [0, -1])
+    def test_parallelism_below_one_gathers_serially(self, fixtures_dir, monkeypatch, parallelism):
+        made = record_executors(monkeypatch)
+        requested, uris = dt("20140301000000"), self.fixture_uris(fixtures_dir)
+        serial = self.build(fixtures_dir, pooled=True, parallelism=1).gather(keyed(uris), requested)
+        service = self.build(fixtures_dir, pooled=True, parallelism=parallelism)
+        assert service.gather(keyed(uris), requested) == serial
+        assert [r.uri for r in serial] == uris
+        assert service._executor is None and not made
+
     @pytest.mark.parametrize("kind", ["popularity", "damage"])
     def test_failed_lookup_drops_only_its_candidate(self, fixtures_dir, tmp_path, kind):
         """A popularity or damage lookup that fails leaves its candidate
@@ -1973,6 +2015,13 @@ class TestEvidenceService:
         result = evidence_for(service, "http://a.example.com", dt("20140301000000"))
         assert result.error and "502" in result.error
         assert not result.archive.archived
+
+    @pytest.mark.parametrize("retries", [0, -1])
+    def test_no_retry_below_one(self, retries):
+        source = MapSource(SINGLE_PAGE, fail_times=1)
+        result = evidence_for(EvidenceService(source, retries=retries), "http://a.example.com", dt("20140301000000"))
+        assert result.error and "502" in result.error
+        assert source.calls == 1
 
     def test_evidence_held_by_the_cache_keeps_no_texts(self, fixtures_dir, tmp_path):
         service = self.build(fixtures_dir)

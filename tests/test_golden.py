@@ -1,7 +1,9 @@
 """The CLI's recorded outputs: argv, exit code, stdout and stderr.
 
 Each entry of ``golden/cli_fixtures.json`` is replayed through ``cli.main``
-in process, from the repository root, with no ``ARCHREC_*`` variable set.
+in process, from the repository root. An entry's ``env`` holds the
+``ARCHREC_*`` variables set around its replay alone; every other replay
+runs with none set.
 A change that alters any byte of these outputs is a behaviour change; to
 make it, regenerate the file and commit the diff with the change::
 
@@ -108,6 +110,33 @@ SEQUENCE_ARGVS = [
     [argv + ["--fixtures", "fixtures", "--output", "records"] for argv in sequence]
     for sequence in SEQUENCES
 ]
+# Settings read from a file and from ARCHREC_* variables, each also beside
+# flags that override it, as (argv, env). The file follows no TimeMap
+# continuation page, which reorders the worked example's results.
+SETTINGS_FILE = ["--config", "tests/golden/settings.conf"]
+SETTINGS_ENV = {
+    "ARCHREC_FIXTURES": "fixtures",
+    "ARCHREC_MAX_PAGES": "0",
+    "ARCHREC_TOP": "3",
+    "ARCHREC_NOW": "2014-06-01T00:00:00Z",
+    "ARCHREC_OUTPUT": "records",
+}
+FLAGS = ["--top", "5", "--output", "table"]
+WORKED = ["recommend", RECOMMEND_URIS[0], "--datetime", "2014-03-01"]
+SETTINGS = [
+    (WORKED + SETTINGS_FILE, {}),
+    (WORKED + SETTINGS_FILE + FLAGS, {}),
+    (WORKED, SETTINGS_ENV),
+    (WORKED + FLAGS, SETTINGS_ENV),
+    # The file overrides the environment, which still sets what the file leaves out.
+    (WORKED + SETTINGS_FILE, {"ARCHREC_TOP": "8", "ARCHREC_MAX_PAGES": "5", "ARCHREC_GRAMS": "3"}),
+] + [
+    # A secondary ontology of its own, in which the requested URI's group
+    # holds archived members.
+    (["recommend", RECOMMEND_URIS[2], "--secondary", "tests/golden/secondary_ontology.jsonl", *INSTANTS,
+      "--fixtures", "fixtures", "--output", output], {})
+    for output in ("records", "table")
+]
 _FETCHED_AT = re.compile(r'"fetched_at": [^,}]+')
 
 
@@ -122,10 +151,21 @@ def _run(argv: list[str], tmp: str) -> dict:
     return {"exit": code, "stdout": stdout.getvalue().replace(tmp, "{tmp}"), "stderr": stderr.getvalue()}
 
 
-def replay(argv: list[str]) -> dict:
-    """Run one command in a fresh ``{tmp}``."""
-    with tempfile.TemporaryDirectory() as tmp:
-        return {"argv": argv, **_run(argv, tmp)}
+@contextlib.contextmanager
+def _environment(env: dict[str, str]):
+    """Set the variables of ``env`` for the block, and remove them after."""
+    os.environ.update(env)
+    try:
+        yield
+    finally:
+        for name in env:
+            del os.environ[name]
+
+
+def replay(argv: list[str], env: dict[str, str] | None = None) -> dict:
+    """Run one command in a fresh ``{tmp}``, with ``env`` set around it."""
+    with tempfile.TemporaryDirectory() as tmp, _environment(env or {}):
+        return {"argv": argv, **({"env": env} if env else {}), **_run(argv, tmp)}
 
 
 def _file_record(path: Path) -> dict | None:
@@ -156,12 +196,16 @@ def _load() -> list[dict]:
 
 
 def _commands(recorded: list[dict]) -> list:
-    """Each entry's argv, or its sequence of argvs."""
-    return [entry.get("argvs", entry.get("argv")) for entry in recorded]
+    """Each entry's argv, or its sequence of argvs, and its environment."""
+    return [(entry.get("argvs", entry.get("argv")), entry.get("env", {})) for entry in recorded]
+
+
+# Every command this file lists, in the order the golden file records them.
+LISTED = [(argv, {}) for argv in ARGVS + SEQUENCE_ARGVS] + SETTINGS
 
 
 def _replay_entry(entry: dict) -> dict:
-    return replay_sequence(entry["argvs"]) if "argvs" in entry else replay(entry["argv"])
+    return replay_sequence(entry["argvs"]) if "argvs" in entry else replay(entry["argv"], entry.get("env"))
 
 
 def _at_root() -> None:
@@ -174,6 +218,7 @@ def _at_root() -> None:
 def _write() -> int:
     _at_root()
     entries = [replay(argv) for argv in ARGVS] + [replay_sequence(argvs) for argvs in SEQUENCE_ARGVS]
+    entries += [replay(argv, env) for argv, env in SETTINGS]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"wrote {len(entries)} entries to {GOLDEN.relative_to(ROOT)}")
@@ -183,12 +228,13 @@ def _write() -> int:
 def _check() -> int:
     _at_root()
     recorded = _load()
-    if _commands(recorded) != ARGVS + SEQUENCE_ARGVS:
+    if _commands(recorded) != LISTED:
         print(f"{GOLDEN.relative_to(ROOT)} does not record the commands this file lists")
         return 1
     differ = [entry for entry in recorded if _replay_entry(entry) != entry]
     for entry in differ:
-        print("differs:", " then ".join(" ".join(argv) for argv in entry.get("argvs", [entry.get("argv")])))
+        env = "".join(f"{name}={value} " for name, value in entry.get("env", {}).items())
+        print("differs:", env + " then ".join(" ".join(argv) for argv in entry.get("argvs", [entry.get("argv")])))
     print(f"Python {sys.version.split()[0]}: {len(recorded) - len(differ)} of {len(recorded)} outputs match")
     return 1 if differ else 0
 
@@ -213,7 +259,7 @@ def at_root(monkeypatch):
 
 
 def test_file_covers_every_command():
-    assert _commands(_load()) == ARGVS + SEQUENCE_ARGVS
+    assert _commands(_load()) == LISTED
 
 
 @pytest.mark.parametrize(
@@ -231,3 +277,16 @@ def test_replay_matches(at_root, number):
 def test_sequence_replay_matches(at_root, number):
     entry = _load()[len(ARGVS) + number]
     assert replay_sequence(entry["argvs"]) == entry
+
+
+def _settings_id(n: int, argv: list[str], env: dict[str, str]) -> str:
+    sources = [("--config", "config"), ("--top", "flags"), ("--secondary", "secondary")]
+    return "-".join([str(n)] + ["env"] * bool(env) + [name for flag, name in sources if flag in argv])
+
+
+@pytest.mark.parametrize(
+    "number", [pytest.param(n, id=_settings_id(n, argv, env)) for n, (argv, env) in enumerate(SETTINGS)]
+)
+def test_settings_replay_matches(at_root, number):
+    entry = _load()[len(ARGVS) + len(SEQUENCE_ARGVS) + number]
+    assert replay(entry["argv"], entry.get("env")) == entry
