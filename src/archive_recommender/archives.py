@@ -3,8 +3,8 @@ popularity rank, and archival-damage scores.
 
 Every source sits behind a small provider interface with a live client and
 a file-backed fixture implementation, so the whole test suite runs offline.
-A persistent append-only cache keyed by (provider, kind, SURT) makes
-repeated lookups idempotent within a cache epoch.
+A persistent append-only cache keyed by (kind, SURT) makes repeated
+lookups idempotent within a cache epoch.
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ from .uri import InputFileError, UriParseError, canonicalize_surt, content_lines
 __all__ = [
     "RANK_FLOOR_DEFAULT",
     "ARCHIVE_COUNT_CEILING_DEFAULT",
+    "PARALLELISM", "RETRIES", "MAX_PAGES",
     "ArchiveFetchError",
     "ArchiveEvidence",
     "PopularityEvidence",
@@ -62,6 +63,10 @@ _log = logging.getLogger(__name__)
 # rank provider, and the memento count of its top-ranked site.
 RANK_FLOOR_DEFAULT = 30_000_000
 ARCHIVE_COUNT_CEILING_DEFAULT = 538_300
+
+PARALLELISM = 4  # candidates whose evidence is gathered at once
+RETRIES = 1  # retries of a transient TimeMap failure
+MAX_PAGES = 5  # TimeMap continuation pages followed
 
 
 class ArchiveFetchError(Exception):
@@ -408,7 +413,7 @@ class TimemapSource(Protocol):
     def get_page(self, page_uri: str) -> str | None: ...
 
 
-def fetch_timemap(source: TimemapSource, uri: str, max_pages: int = 5) -> ArchiveEvidence:
+def fetch_timemap(source: TimemapSource, uri: str, max_pages: int = MAX_PAGES) -> ArchiveEvidence:
     """Fetch and parse the TimeMap for a URI, following up to ``max_pages``
     continuation pages (rel="next"). A missing TimeMap means not archived."""
     page = source.get_timemap(uri)
@@ -683,10 +688,11 @@ def fetch_damage(provider: DamageProvider | None, memento_uri: str) -> DamageEvi
 # The writer of every cache line: ``json.dumps(record, sort_keys=True)``,
 # without building an encoder per line. Codec values hold no cycles.
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+_PROVIDER = "gateway"  # named by every cache line; a line naming another is skipped at load
 
 
 class EvidenceCache:
-    """Append-only JSON Lines cache keyed by (provider, kind, SURT).
+    """Append-only JSON Lines cache keyed by (kind, SURT).
 
     Later records supersede earlier ones; entries older than ``max_age``
     seconds are treated as misses so they get refetched. Each entry keeps
@@ -703,7 +709,7 @@ class EvidenceCache:
         self._clock = clock
         self._lock = threading.Lock()
         # key -> (fetched_at, value, whether the value is decoded)
-        self._entries: dict[tuple[str, str, str], tuple[float, object, bool]] = {}
+        self._entries: dict[tuple[str, str], tuple[float, object, bool]] = {}
         self._handle: IO[bytes] | None = None
         self._release: weakref.finalize | None = None
         if self.path.exists():
@@ -716,24 +722,26 @@ class EvidenceCache:
                 try:
                     line.encode("utf-8")  # UnicodeEncodeError on such a byte
                     record = json.loads(line)
-                    key = (record["provider"], record["kind"], record["surt"])
+                    provider, key = record["provider"], (record["kind"], record["surt"])
                     fetched_at = record["fetched_at"]
                     if type(fetched_at) not in (int, float):  # not isinstance: JSON true is no timestamp
                         raise TypeError("fetched_at is not a number")
                     if not math.isfinite(fetched_at):  # NaN never expires; OverflowError past float range
                         raise ValueError("fetched_at is not finite")
-                    self._entries[key] = (fetched_at, record["value"], False)
+                    entry = (fetched_at, record["value"], False)
+                    if provider == _PROVIDER:
+                        self._entries[key] = entry
                 except (ValueError, KeyError, TypeError, OverflowError, RecursionError):  # torn or foreign line
                     skipped += 1
             if skipped:
                 _log.warning("evidence cache %s: skipped %d corrupt line(s)", self.path, skipped)
 
-    def get(self, provider: str, kind: str, surt: str, decode: Callable[[object], object]):
+    def get(self, kind: str, surt: str, decode: Callable[[object], object]):
         """The entry's decoded value, or None on a miss or an expired entry.
         An entry is decoded at most once, and a value given to ``put`` never;
         a decode that raises keeps the raw value. Decoded values are shared,
         so ``decode`` must return frozen ones, never None."""
-        key = (provider, kind, surt)
+        key = (kind, surt)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or self.max_age is not None and self._clock() - entry[0] > self.max_age:
@@ -744,10 +752,10 @@ class EvidenceCache:
                 self._entries[key] = (fetched_at, value, True)
             return value
 
-    def put(self, provider: str, kind: str, surt: str, value: dict, decoded) -> None:
+    def put(self, kind: str, surt: str, value: dict, decoded) -> None:
         """Append a line of the raw ``value``, and keep ``decoded`` as its value."""
         record = {
-            "provider": provider,
+            "provider": _PROVIDER,
             "kind": kind,
             "surt": surt,
             "fetched_at": self._clock(),
@@ -756,7 +764,7 @@ class EvidenceCache:
         # ensure_ascii holds the line to ASCII, so its bytes are its text.
         line = (_LINE_ENCODER.encode(record) + "\n").encode("ascii")
         with self._lock:
-            self._entries[(provider, kind, surt)] = (record["fetched_at"], decoded, True)
+            self._entries[(kind, surt)] = (record["fetched_at"], decoded, True)
             if self._handle is None:
                 self._handle = open(self.path, "ab", buffering=0)
                 self._release = weakref.finalize(self, self._handle.close)
@@ -846,9 +854,9 @@ class EvidenceService:
         popularity_provider: PopularityProvider | None = None,
         damage_provider: DamageProvider | None = None,
         cache: EvidenceCache | None = None,
-        parallelism: int = 4,
-        retries: int = 1,
-        max_pages: int = 5,
+        parallelism: int = PARALLELISM,
+        retries: int = RETRIES,
+        max_pages: int = MAX_PAGES,
     ):
         self.archive_source = archive_source
         self.popularity_provider = popularity_provider
@@ -856,8 +864,8 @@ class EvidenceService:
         self.cache = cache
         sources = (archive_source, popularity_provider, damage_provider)
         in_process = all(type(source) in _IN_PROCESS_SOURCES for source in sources)
-        self.parallelism = 1 if in_process else max(1, parallelism)
-        self.retries = max(0, retries)
+        self.parallelism = 1 if in_process else parallelism
+        self.retries = retries
         self.max_pages = max_pages
         self._pool_lock = threading.Lock()
         self._executor: ThreadPoolExecutor | None = None
@@ -871,7 +879,7 @@ class EvidenceService:
         cache = self.cache
         if cache is not None:
             try:
-                hit = cache.get("gateway", kind, surt, decode)
+                hit = cache.get(kind, surt, decode)
                 if hit is not None:
                     return hit
             except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -881,7 +889,7 @@ class EvidenceService:
                 )
         value = fetch()
         if cache is not None:
-            cache.put("gateway", kind, surt, encode(value), value)
+            cache.put(kind, surt, encode(value), value)
         return value
 
     def _fetch_timemap(self, uri: str) -> ArchiveEvidence:

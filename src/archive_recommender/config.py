@@ -13,7 +13,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .archives import parse_instant
+from .archives import MAX_PAGES, PARALLELISM, RETRIES, parse_instant
 from .deep import GRAMS, GramScheme
 from .pipeline import TOP_N
 from .ranking import EARLIEST_ARCHIVE_DATE, RankWeights
@@ -60,9 +60,9 @@ class Settings:
     top: int = TOP_N
     temporal_literal: bool = False       # report temporal component as raw distance
     output: str = "table"                # table | records
-    parallelism: int = 4
-    retries: int = 1
-    max_pages: int = 5
+    parallelism: int = PARALLELISM
+    retries: int = RETRIES
+    max_pages: int = MAX_PAGES
     now: str | None = None               # pinned "current" instant, for reproducible runs
 
     def weights_obj(self) -> RankWeights:

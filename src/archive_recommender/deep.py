@@ -22,6 +22,9 @@ summed counts, so no entry is featurized again per query. The index also
 keeps the naive Bayes model of each candidate set it has classified
 against, so a candidate set is fitted once. Pruning the candidates takes
 time linear in their number.
+
+The evaluation's breakdowns are the URI profile of ``reports.analyze_uris``,
+taken of the held-out items right to their full depth and of the rest.
 """
 from __future__ import annotations
 
@@ -36,18 +39,8 @@ from typing import Collection, Sequence
 
 from . import nbayes
 from .ontology import CategoryIndex, CategoryPath, OntologyEntry
-from .reports import host_dictionary_bucket
-from .uri import (
-    GRAM_SIZES,
-    TokenBag,
-    TokenMethod,
-    depth,
-    detect_patterns,
-    parse_uri,
-    text_tokens,
-    token_grams,
-    tokenize,
-)
+from .reports import analyze_uris
+from .uri import GRAM_SIZES, TokenBag, TokenMethod, text_tokens, token_grams, tokenize
 
 __all__ = [
     "CANDIDATES",
@@ -434,6 +427,16 @@ class DeepEvalReport:
     by_dictionary: dict[str, float]
     by_long_strings: dict[bool, float]
 
+    @property
+    def _breakdowns(self) -> tuple[tuple[str, str, dict], ...]:
+        """Each breakdown as (record section, table title, mapping)."""
+        return (
+            ("category", "top category", self.by_category),
+            ("depth", "URI depth", self.by_depth),
+            ("dictionary_words", "dictionary words", self.by_dictionary),
+            ("long_strings", "long strings", self.by_long_strings),
+        )
+
     def to_records(self) -> list[dict]:
         records = [
             {"section": "level", "key": k, "mi_f1": round(v, 4)}
@@ -447,12 +450,7 @@ class DeepEvalReport:
                 "skipped_categories": len(self.skipped_categories),
             }
         )
-        for section, mapping in (
-            ("category", self.by_category),
-            ("depth", self.by_depth),
-            ("dictionary_words", self.by_dictionary),
-            ("long_strings", self.by_long_strings),
-        ):
+        for section, _, mapping in self._breakdowns:
             for key, value in sorted(mapping.items(), key=lambda kv: str(kv[0])):
                 records.append(
                     {"section": section, "key": key, "full_path_accuracy": round(value, 4)}
@@ -466,17 +464,25 @@ class DeepEvalReport:
         lines.append(f"holdout {self.holdout}   deep failures {self.failures}")
         if self.skipped_categories:
             lines.append(f"skipped categories: {', '.join(self.skipped_categories)}")
-        for title, mapping in (
-            ("full-path accuracy by top category", self.by_category),
-            ("full-path accuracy by URI depth", self.by_depth),
-            ("full-path accuracy by dictionary words", self.by_dictionary),
-            ("full-path accuracy by long strings", self.by_long_strings),
-        ):
+        for _, title, mapping in self._breakdowns:
             if mapping:
-                lines.append(title)
+                lines.append(f"full-path accuracy by {title}")
                 for key, value in sorted(mapping.items(), key=lambda kv: str(kv[0])):
                     lines.append(f"  {str(key):<24}{value:.4f}")
         return "\n".join(lines) + "\n"
+
+
+def _profile(entries: Sequence[OntologyEntry]) -> tuple[Counter, ...]:
+    """The entries' ``analyze_uris`` profile as the counts of each breakdown: by
+    top category, URI depth, dictionary bucket and long host string."""
+    report = analyze_uris((entry.uri, entry.category.top) for entry in entries)
+    long = report.pattern_counts["long_strings.hostname"]
+    return (
+        report.category_counts or Counter(),  # None when the report counted no URI
+        report.depth_counts,
+        report.dictionary,
+        Counter({True: long, False: report.total - long}),
+    )
 
 
 def evaluate_deep(
@@ -488,7 +494,9 @@ def evaluate_deep(
 ) -> DeepEvalReport:
     """Hold out a deterministic stride of entries, treat each item's
     level-1 label as given, run the deep stage within that top category's
-    training subtree, and score per level."""
+    training subtree, and score per level. The breakdowns come from the
+    ``analyze_uris`` profiles of the items right to their full depth and of
+    the rest: a key's share is right / (right + wrong)."""
     if not 0.0 < holdout_fraction <= 0.5:  # above 0.5 the stride would still be 2
         raise ValueError("holdout_fraction must be in (0, 0.5]")
     entries = list(index.all_entries())
@@ -526,24 +534,11 @@ def evaluate_deep(
         for k in range(1, max_level + 1)
     }
 
-    # One {key: [right, seen]} tally per breakdown: top category, URI depth,
-    # dictionary bucket and long-string presence.
-    tallies: tuple[dict, ...] = ({}, {}, {}, {})
-    for entry, agree in evaluated:
-        right = agree == len(entry.category)
-        parsed = parse_uri(entry.uri)
-        keys = (
-            entry.category.top,
-            depth(parsed),
-            host_dictionary_bucket(parsed),
-            "long_strings.hostname" in detect_patterns(parsed),
-        )
-        for tally, key in zip(tallies, keys):
-            bucket = tally.setdefault(key, [0, 0])
-            bucket[0] += right
-            bucket[1] += 1
+    right, wrong = (
+        _profile([e for e, agree in evaluated if (agree == len(e.category)) == full]) for full in (True, False)
+    )
     by_category, by_depth, by_dictionary, by_long_strings = (
-        {key: right / seen for key, (right, seen) in tally.items()} for tally in tallies
+        {key: hits[key] / (hits[key] + misses[key]) for key in hits | misses} for hits, misses in zip(right, wrong)
     )
 
     return DeepEvalReport(

@@ -16,7 +16,7 @@ from typing import Iterable
 from .uri import ParsedUri, UriParseError, depth, detect_patterns, parse_uri
 from .words import dictionary_bucket
 
-__all__ = ["DistributionReport", "analyze_uris", "host_dictionary_bucket"]
+__all__ = ["DistributionReport", "analyze_uris"]
 
 _NOT_LETTERS = re.compile("[^a-z]+")
 
@@ -80,11 +80,6 @@ def _host_letters(parsed: ParsedUri) -> str:
     if tld and label.endswith("." + tld):
         label = label[: -(len(tld) + 1)]
     return _NOT_LETTERS.sub("", label.lower())
-
-
-def host_dictionary_bucket(parsed: ParsedUri) -> str:
-    """``dictionary_bucket`` of the registrable host label's letters (public suffix removed)."""
-    return dictionary_bucket(_host_letters(parsed))
 
 
 def analyze_uris(items: Iterable[tuple[str, str | None]]) -> DistributionReport:

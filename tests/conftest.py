@@ -19,10 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from archive_recommender import archives
+from archive_recommender import archives, reports
 from archive_recommender.archives import ArchiveFetchError
 from archive_recommender.ontology import CategoryIndex, CategoryPath, OntologyEntry, load_index
-from archive_recommender.uri import canonicalize_surt
+from archive_recommender.uri import ParsedUri, canonicalize_surt
+from archive_recommender.words import dictionary_bucket
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -113,6 +114,13 @@ def archive_opens(monkeypatch) -> list:
 
     monkeypatch.setattr(archives, "open", recording_open, raising=False)
     return opened
+
+
+def host_dictionary_bucket(parsed: ParsedUri) -> str:
+    """Oracle: ``dictionary_bucket`` of one parse's registrable host label
+    letters (public suffix removed), with no memo, as ``analyze_uris`` and
+    the deep evaluation once worked it out per URI."""
+    return dictionary_bucket(reports._host_letters(parsed))
 
 
 def count_calls(monkeypatch, functions: dict[str, object]) -> dict[str, list]:

@@ -1560,38 +1560,37 @@ class TestOtherProvidersLines:
 class TestEvidenceCache:
     def test_put_get_roundtrip(self, tmp_path):
         cache = EvidenceCache(tmp_path / "cache.jsonl")
-        cache.put("gateway", "timemap", "com,example)/", {"n": 1}, {"n": 1})
-        assert cache.get("gateway", "timemap", "com,example)/", as_is) == {"n": 1}
-        assert cache.get("gateway", "timemap", "com,other)/", as_is) is None
-        assert cache.get("other", "timemap", "com,example)/", as_is) is None
+        cache.put("timemap", "com,example)/", {"n": 1}, {"n": 1})
+        assert cache.get("timemap", "com,example)/", as_is) == {"n": 1}
+        assert cache.get("timemap", "com,other)/", as_is) is None
 
     def test_persists_across_instances(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        EvidenceCache(path).put("gateway", "damage", "key", {"damage": 0.1}, {"damage": 0.1})
+        EvidenceCache(path).put("damage", "key", {"damage": 0.1}, {"damage": 0.1})
         again = EvidenceCache(path)
-        assert again.get("gateway", "damage", "key", as_is) == {"damage": 0.1}
+        assert again.get("damage", "key", as_is) == {"damage": 0.1}
 
     def test_later_records_supersede(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EvidenceCache(path)
-        cache.put("gateway", "k", "s", {"v": 1}, {"v": 1})
-        cache.put("gateway", "k", "s", {"v": 2}, {"v": 2})
-        assert EvidenceCache(path).get("gateway", "k", "s", as_is) == {"v": 2}
+        cache.put("k", "s", {"v": 1}, {"v": 1})
+        cache.put("k", "s", {"v": 2}, {"v": 2})
+        assert EvidenceCache(path).get("k", "s", as_is) == {"v": 2}
 
     def test_max_age_expiry(self, tmp_path):
         now = [1000.0]
         cache = EvidenceCache(tmp_path / "cache.jsonl", max_age=60, clock=lambda: now[0])
-        cache.put("gateway", "k", "s", {"v": 1}, {"v": 1})
-        assert cache.get("gateway", "k", "s", as_is) == {"v": 1}
+        cache.put("k", "s", {"v": 1}, {"v": 1})
+        assert cache.get("k", "s", as_is) == {"v": 1}
         now[0] += 61
-        assert cache.get("gateway", "k", "s", as_is) is None
+        assert cache.get("k", "s", as_is) is None
 
     def test_thread_safety_smoke(self, tmp_path):
         cache = EvidenceCache(tmp_path / "cache.jsonl")
 
         def worker(i):
             for j in range(20):
-                cache.put("gateway", "k", f"s{i}-{j}", {"v": j}, {"v": j})
+                cache.put("k", f"s{i}-{j}", {"v": j}, {"v": j})
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
         for t in threads:
@@ -1604,15 +1603,15 @@ class TestEvidenceCache:
     def test_corrupt_lines_skipped_with_one_warning(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         cache = EvidenceCache(path)
-        cache.put("gateway", "timemap", "a", {"v": 1}, {"v": 1})
-        cache.put("gateway", "timemap", "b", {"v": 2}, {"v": 2})
+        cache.put("timemap", "a", {"v": 1}, {"v": 1})
+        cache.put("timemap", "b", {"v": 2}, {"v": 2})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"provider": "gateway", "kind": "timemap"}\n[1, 2]\n')
         path.write_bytes(path.read_bytes() + path.read_bytes()[:40])  # torn copy of line 1
         with caplog.at_level("WARNING", logger="archive_recommender"):
             again = EvidenceCache(path)
-        assert again.get("gateway", "timemap", "a", as_is) == {"v": 1}
-        assert again.get("gateway", "timemap", "b", as_is) == {"v": 2}
+        assert again.get("timemap", "a", as_is) == {"v": 1}
+        assert again.get("timemap", "b", as_is) == {"v": 2}
         assert [r.getMessage() for r in caplog.records] == [
             f"evidence cache {path}: skipped 3 corrupt line(s)"
         ]
@@ -1625,8 +1624,8 @@ class TestEvidenceCache:
         )
         with caplog.at_level("WARNING", logger="archive_recommender"):
             cache = EvidenceCache(path, max_age=60)
-        assert cache.get("gateway", "timemap", "x", as_is) is None
-        assert cache.get("gateway", "timemap", "y", as_is) is None
+        assert cache.get("timemap", "x", as_is) is None
+        assert cache.get("timemap", "y", as_is) is None
         assert [r.getMessage() for r in caplog.records] == [
             f"evidence cache {path}: skipped 2 corrupt line(s)"
         ]
@@ -1645,8 +1644,8 @@ class TestEvidenceCache:
         with caplog.at_level("WARNING", logger="archive_recommender"):
             cache = EvidenceCache(path, max_age=60, clock=lambda: 1e12)
         for i in range(len(stamps)):
-            assert cache.get("gateway", "timemap", str(i), as_is) is None
-        assert cache.get("gateway", "timemap", "ok", as_is) == {}
+            assert cache.get("timemap", str(i), as_is) is None
+        assert cache.get("timemap", "ok", as_is) == {}
         assert [r.getMessage() for r in caplog.records] == [
             f"evidence cache {path}: skipped {len(stamps)} corrupt line(s)"
         ]
@@ -1654,14 +1653,14 @@ class TestEvidenceCache:
     def test_non_utf8_line_skipped(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         cache = EvidenceCache(path)
-        cache.put("gateway", "timemap", "a", {"v": 1}, {"v": 1})
+        cache.put("timemap", "a", {"v": 1}, {"v": 1})
         cache.close()
         with open(path, "ab") as handle:
             handle.write(b"\xff\xfe garbage\n")
             handle.write(b'{"provider":"gateway","kind":"timemap","surt":"\xc3","fetched_at":1,"value":{}}\n')
         with caplog.at_level("WARNING", logger="archive_recommender"):
             again = EvidenceCache(path)
-        assert again.get("gateway", "timemap", "a", as_is) == {"v": 1}
+        assert again.get("timemap", "a", as_is) == {"v": 1}
         assert [r.getMessage() for r in caplog.records] == [
             f"evidence cache {path}: skipped 2 corrupt line(s)"
         ]
@@ -1674,7 +1673,7 @@ class TestEvidenceCache:
         )
         with caplog.at_level("WARNING", logger="archive_recommender"):
             cache = EvidenceCache(path)
-        assert cache.get("gateway", "timemap", "ok", as_is) == {"v": 1}
+        assert cache.get("timemap", "ok", as_is) == {"v": 1}
         assert [r.getMessage() for r in caplog.records] == [
             f"evidence cache {path}: skipped 1 corrupt line(s)"
         ]
@@ -1682,39 +1681,39 @@ class TestEvidenceCache:
     def test_unwritable_path_fails_on_first_put(self, tmp_path):
         cache = EvidenceCache(tmp_path / "absent" / "cache.jsonl")
         with pytest.raises(FileNotFoundError):
-            cache.put("gateway", "k", "s", {"v": 1}, {"v": 1})
+            cache.put("k", "s", {"v": 1}, {"v": 1})
         with pytest.raises(FileNotFoundError):
-            cache.put("gateway", "k", "s", {"v": 1}, {"v": 1})
+            cache.put("k", "s", {"v": 1}, {"v": 1})
 
     def test_one_handle_appends_every_line(self, tmp_path, archive_opens):
         path = tmp_path / "cache.jsonl"
         cache = EvidenceCache(path)
         for i in range(3):
-            cache.put("gateway", "k", f"s{i}", {"v": i}, {"v": i})
+            cache.put("k", f"s{i}", {"v": i}, {"v": i})
             assert len(path.read_text("utf-8").splitlines()) == i + 1  # flushed per line
         assert len(archive_opens) == 1
 
     def test_close_is_idempotent(self, tmp_path, archive_opens):
         cache = EvidenceCache(tmp_path / "cache.jsonl")
         cache.close()  # nothing open yet
-        cache.put("gateway", "k", "s", {"v": 1}, {"v": 1})
+        cache.put("k", "s", {"v": 1}, {"v": 1})
         cache.close()
         cache.close()
         assert [handle.closed for handle in archive_opens] == [True]
-        cache.put("gateway", "k", "t", {"v": 2}, {"v": 2})  # opens the file again
+        cache.put("k", "t", {"v": 2}, {"v": 2})  # opens the file again
         cache.close()
         assert [handle.closed for handle in archive_opens] == [True, True]
         assert len((tmp_path / "cache.jsonl").read_text("utf-8").splitlines()) == 2
 
     def test_with_block_closes_the_handle(self, tmp_path, archive_opens):
         with EvidenceCache(tmp_path / "cache.jsonl") as cache:
-            cache.put("gateway", "k", "s", {"v": 1}, {"v": 1})
+            cache.put("k", "s", {"v": 1}, {"v": 1})
             assert not archive_opens[0].closed
         assert archive_opens[0].closed
 
     def test_dropped_cache_releases_its_file(self, tmp_path, archive_opens):
         cache = EvidenceCache(tmp_path / "cache.jsonl")
-        cache.put("gateway", "k", "s", {"v": 1}, {"v": 1})
+        cache.put("k", "s", {"v": 1}, {"v": 1})
         dropped = weakref.ref(cache)
         del cache
         gc.collect()
@@ -1757,7 +1756,7 @@ class TestCacheLineBytes:
         encoded = archives._CODECS[kind][1](value)
         path = tmp_path_factory.mktemp("cache", numbered=True) / "cache.jsonl"
         with EvidenceCache(path, clock=lambda: fetched_at) as cache:
-            cache.put("gateway", kind, surt, encoded, value)
+            cache.put(kind, surt, encoded, value)
         record = {"provider": "gateway", "kind": kind, "surt": surt, "fetched_at": fetched_at, "value": encoded}
         assert path.read_bytes() == (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
 
@@ -1777,7 +1776,7 @@ class TestCacheLineBytes:
         for _ in range(2):  # the first line releases the texts
             path = tmp_path_factory.mktemp("cache", numbered=True) / "cache.jsonl"
             with EvidenceCache(path, clock=lambda: 1.0) as cache:
-                cache.put("gateway", "timemap", "s", archives._CODECS["timemap"][1](evidence), evidence)
+                cache.put("timemap", "s", archives._CODECS["timemap"][1](evidence), evidence)
             assert evidence._texts is None
             assert path.read_bytes() == expected
 
@@ -2029,7 +2028,7 @@ class TestEvidenceService:
         assert fetched.archived and fetched._texts is not None  # no cache: no line, no release
         cache = EvidenceCache(tmp_path / "cache.jsonl")
         result = evidence_for(self.build(fixtures_dir, cache=cache), "http://cs.gmu.edu", dt("20140301000000"))
-        held = cache._entries[("gateway", "timemap", canonicalize_surt("http://cs.gmu.edu"))][1]
+        held = cache._entries[("timemap", canonicalize_surt("http://cs.gmu.edu"))][1]
         assert held is result.archive and held == fetched
         assert held._texts is None
         assert held.to_json_dict() == fetched.to_json_dict()
@@ -2096,8 +2095,8 @@ class TestEvidenceService:
             surt = canonicalize_surt(nearest_memento(expected.archive, requested)[1])
         path = tmp_path / "cache.jsonl"
         evidence_for(self.build(fixtures_dir, cache=EvidenceCache(path)), "http://cs.gmu.edu", requested)
-        fetched = EvidenceCache(path).get("gateway", kind, surt, as_is)
-        EvidenceCache(path).put("gateway", kind, surt, value, value)
+        fetched = EvidenceCache(path).get(kind, surt, as_is)
+        EvidenceCache(path).put(kind, surt, value, value)
         written = len(path.read_text("utf-8").splitlines())
         cache = EvidenceCache(path)
         with caplog.at_level(logging.WARNING, logger="archive_recommender.archives"):
@@ -2107,7 +2106,7 @@ class TestEvidenceService:
         assert caplog.records[0].name == "archive_recommender.archives"
         assert f"refetching undecodable {labels[kind]} for {surt}" in caplog.records[0].getMessage()
         assert len(path.read_text("utf-8").splitlines()) == written + 1
-        assert EvidenceCache(path).get("gateway", kind, surt, as_is) == fetched
+        assert EvidenceCache(path).get(kind, surt, as_is) == fetched
 
     @pytest.mark.parametrize(
         "value, rank", [({}, None), ({"rank": None}, None), ({"rank": 5}, 5), ({"rank": 2.7}, 2)]
@@ -2116,7 +2115,7 @@ class TestEvidenceService:
         uri, requested = "http://a.example.com", dt("20140301000000")
         path = tmp_path / "cache.jsonl"
         evidence_for(EvidenceService(MapSource(SINGLE_PAGE), cache=EvidenceCache(path)), uri, requested)
-        EvidenceCache(path).put("gateway", "popularity", canonicalize_surt(uri), value, value)
+        EvidenceCache(path).put("popularity", canonicalize_surt(uri), value, value)
         written = path.read_text("utf-8")
         warm_service = EvidenceService(ExplodingSource(), cache=EvidenceCache(path))
         with caplog.at_level(logging.WARNING, logger="archive_recommender.archives"):
@@ -2277,7 +2276,7 @@ class TestDecodeOnce:
         evidence_for(service, self.URI, self.REQUESTED)
         evidence_for(service, self.URI, self.REQUESTED)
         newer = fetch_timemap(MapSource(timemap_with(3)), self.URI)
-        cache.put("gateway", "timemap", canonicalize_surt(self.URI), newer.to_json_dict(), newer)
+        cache.put("timemap", canonicalize_surt(self.URI), newer.to_json_dict(), newer)
         assert evidence_for(service, self.URI, self.REQUESTED).archive is newer
         assert calls["timemap"] == 0
 
@@ -2299,7 +2298,7 @@ class TestDecodeOnce:
 
     def test_get_decodes_a_loaded_line_once(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        EvidenceCache(path).put("gateway", "k", "s", {"v": 1}, (1,))
+        EvidenceCache(path).put("k", "s", {"v": 1}, (1,))
         cache = EvidenceCache(path)
         decodes = []
 
@@ -2307,23 +2306,23 @@ class TestDecodeOnce:
             decodes.append(raw)
             return (raw["v"],)
 
-        assert [cache.get("gateway", "k", "s", decode) for _ in range(3)] == [(1,)] * 3
+        assert [cache.get("k", "s", decode) for _ in range(3)] == [(1,)] * 3
         assert decodes == [{"v": 1}]
-        assert cache.get("gateway", "k", "s", as_is) == (1,)  # the raw value is gone
-        assert cache.get("gateway", "k", "other", decode) is None
+        assert cache.get("k", "s", as_is) == (1,)  # the raw value is gone
+        assert cache.get("k", "other", decode) is None
         with pytest.raises(TypeError):
-            cache.get("gateway", "k", "s")  # no lookup answers without a decoder
+            cache.get("k", "s")  # no lookup answers without a decoder
 
     def test_put_keeps_the_decoded_value_alone(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = EvidenceCache(path)
-        cache.put("gateway", "k", "s", {"v": 1}, (1,))
-        assert cache.get("gateway", "k", "s", as_is) == (1,)
-        assert EvidenceCache(path).get("gateway", "k", "s", as_is) == {"v": 1}  # the line is the raw value
+        cache.put("k", "s", {"v": 1}, (1,))
+        assert cache.get("k", "s", as_is) == (1,)
+        assert EvidenceCache(path).get("k", "s", as_is) == {"v": 1}  # the line is the raw value
 
     def test_get_keeps_nothing_from_a_decode_that_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        EvidenceCache(path).put("gateway", "k", "s", {"v": 1}, (1,))
+        EvidenceCache(path).put("k", "s", {"v": 1}, (1,))
         cache = EvidenceCache(path)
 
         def fails(raw):
@@ -2331,8 +2330,8 @@ class TestDecodeOnce:
 
         for _ in range(2):
             with pytest.raises(ValueError, match="undecodable"):
-                cache.get("gateway", "k", "s", fails)
-        assert cache.get("gateway", "k", "s", lambda raw: raw["v"] + 1) == 2
+                cache.get("k", "s", fails)
+        assert cache.get("k", "s", lambda raw: raw["v"] + 1) == 2
 
     def test_expired_memoized_entry_is_a_miss(self, tmp_path):
         now = [1000.0]
@@ -2351,7 +2350,7 @@ class TestDecodeOnce:
         path = tmp_path / "cache.jsonl"
         surt = canonicalize_surt(self.URI)
         undecodable = {"uri": self.URI, "mementos": [["soon", "https://a/m"]]}
-        EvidenceCache(path).put("gateway", "timemap", surt, undecodable, undecodable)
+        EvidenceCache(path).put("timemap", surt, undecodable, undecodable)
         calls = count_decodes(monkeypatch)
         source = MapSource(SINGLE_PAGE, fail_times=2)
         service = self.service(source, EvidenceCache(path), retries=0)

@@ -13,7 +13,7 @@ from typing import Sequence
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from archive_recommender import deep, nbayes
 from archive_recommender.deep import (
@@ -35,7 +35,6 @@ from archive_recommender.deep import (
 )
 from archive_recommender.ontology import CategoryIndex, CategoryPath, OntologyEntry, load_index
 from archive_recommender.pipeline import train_l1
-from archive_recommender.reports import host_dictionary_bucket
 from archive_recommender.uri import (
     TokenBag,
     TokenMethod,
@@ -48,7 +47,7 @@ from archive_recommender.uri import (
     tokenize,
 )
 
-from conftest import FIXTURES, TAXONOMY_PATHS, build_taxonomy, count_calls
+from conftest import FIXTURES, TAXONOMY_PATHS, build_taxonomy, count_calls, host_dictionary_bucket
 
 
 def P(text: str) -> CategoryPath:
@@ -981,6 +980,34 @@ def truth_and_prediction(draw) -> tuple[CategoryPath, CategoryPath]:
     return CategoryPath(tuple(truth)), CategoryPath(tuple(predicted))
 
 
+# Leaf categories under two tops, each with words of its own, and hosts in
+# all three dictionary buckets, with and without a long string, plus an IP.
+_LEAF_WORDS = {
+    "Science/Physics/Quantum": ["quark", "boson", "lepton"],
+    "Science/Physics/Optics": ["prism", "laser", "lens"],
+    "Science/Biology": ["genome", "enzyme", "cell"],
+    "Arts/Music/Jazz": ["bebop", "swing", "sax"],
+    "Arts/Film": ["cinema", "reel", "actor"],
+}
+_SHARED_HOSTS = ["apple.com", "www.applezq.co.uk", "zqxv.org", "computerscience.edu", "10.1.2.3"]
+
+
+@st.composite
+def mixed_outcome_index(draw) -> CategoryIndex:
+    """3-24 entries under the ``_LEAF_WORDS`` leaves, on shared hosts. An
+    entry's path holds 0-3 words of one leaf, and it is filed under that
+    leaf or, mislabelled, under another, so that held-out items under one
+    host, depth and bucket are classified both right and wrong."""
+    leaves = list(_LEAF_WORDS)
+    entries: list[OntologyEntry] = []
+    for _ in range(draw(st.integers(3, 24))):
+        words_of = draw(st.sampled_from(leaves))
+        filed = draw(st.sampled_from(leaves)) if draw(st.integers(0, 3)) == 0 else words_of
+        words = draw(st.lists(st.sampled_from(_LEAF_WORDS[words_of]), max_size=3))
+        entries.append(entry(filed, f"http://{draw(st.sampled_from(_SHARED_HOSTS))}/" + "/".join(words)))
+    return CategoryIndex(entries)
+
+
 class TestEvaluateDeepSteps:
     @given(truth_and_prediction())
     def test_agreeing_depth_matches_the_level_oracle(self, paths):
@@ -1008,6 +1035,18 @@ class TestEvaluateDeepSteps:
         if name == "edge_cases":
             assert report.skipped_categories == ["Lonely"]
             assert report.failures == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_outcome_index(), st.sampled_from(list(GramScheme)), st.sampled_from([0.5, 1 / 3]))
+    def test_breakdowns_match_the_per_entry_tally(self, index, grams, holdout):
+        report = evaluate_deep(index, holdout, grams)
+        oracle = evaluate_deep_by_steps(index, holdout, grams)
+        assert report == oracle
+        assert report.to_records() == oracle.to_records()
+        assert report.to_table() == oracle.to_table()
+        shares = [v for mapping in (report.by_depth, report.by_dictionary) for v in mapping.values()]
+        event(f"a key shared by right and wrong items: {any(0.0 < v < 1.0 for v in shares)}")
+        event(f"a key seen only among wrong items: {0.0 in shares}")
 
 
 # Few words, some of three letters, so that tokens repeat within and across

@@ -32,6 +32,8 @@ from archive_recommender.uri import (
     InputFileError, ParsedUri, TokenMethod, canonicalize_surt, content_lines, parse_uri, read_lines, tokenize,
 )
 
+from conftest import host_dictionary_bucket
+
 TSV_SAMPLE = b"""\
 Computers/Internet\thttp://a.example.com/\tTitle A\tAbout A
 Computers/Internet\thttp://A.EXAMPLE.COM:80/\tDuplicate\t
@@ -622,7 +624,7 @@ class TestDictionaryBucketMemo:
     def test_report_equals_one_built_without_the_memo(self, corpus_index):
         report = corpus_stats(corpus_index)
         buckets = Counter(
-            reports.host_dictionary_bucket(parse_uri(entry.uri))
+            host_dictionary_bucket(parse_uri(entry.uri))
             for entry in corpus_index.all_entries()
         )
         assert report.dictionary == buckets

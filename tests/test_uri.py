@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from archive_recommender.ontology import load_index
-from archive_recommender.reports import analyze_uris, host_dictionary_bucket
+from archive_recommender.reports import analyze_uris
 from archive_recommender.uri import (
     GRAM_SIZES,
     PARSE_CACHE_SIZE,
@@ -36,7 +36,7 @@ from archive_recommender.uri import (
     tokenize,
 )
 
-from conftest import count_calls
+from conftest import count_calls, host_dictionary_bucket
 
 # Golden outputs for https://odu.edu/compsci, one per extraction method.
 GOLDEN_TOKENS = {"odu", "edu", "compsci"}
